@@ -38,9 +38,9 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # Parsers
 
-_COMPLEX_RE = re.compile(
-    r"^([+-]?\d+(?:\.\d+)?)?([+-]\d*(?:\.\d+)?)i$|^([+-]?\d+(?:\.\d+)?)$"
-)
+_REAL = r"[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_IMAG = r"[+-](?:(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)?"
+_COMPLEX_RE = re.compile(rf"^({_REAL})?({_IMAG})i$|^({_REAL})$")
 
 
 def parse_tau(text: str) -> UpperHalfPoint:
@@ -55,6 +55,8 @@ def parse_tau(text: str) -> UpperHalfPoint:
     if im_text in ("+", "-"):
         im_text += "1"
     im_part = float(im_text)
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise InputError(f"{text!r} is not a finite complex number")
     if not im_part > 0:
         raise InputError(f"{text!r} is not in the upper half-plane")
     return UpperHalfPoint(re_part, im_part)
@@ -273,7 +275,7 @@ def cmd_triple(args, cfg):
     vals = [parse_rational(p) for p in parts]
     if any(not v > 0 for v in vals):
         raise InputError("all three intersection numbers must be positive")
-    r, s, t = H.triple_solve(*vals)
+    r, s, t = T.triple_tangency_levels(*vals)
     rec = {
         "command": "triple",
         "inputs": {"i": args.i},
@@ -288,6 +290,8 @@ def cmd_ratio_curve(args, cfg):
         raise InputError("alpha and beta must intersect (filling pair required)")
     target = parse_rational(args.target)
     eps = parse_rational(str(args.eps)) if args.eps else Fraction(1, 1000)
+    if not (target > 0 and eps > 0):
+        raise InputError("--target and --eps must be positive")
     gamma = T.ratio_curve_search(alpha, beta, target, eps, budget=args.cap)
     ratio = Fraction(T.intersection(alpha, gamma), T.intersection(beta, gamma))
     rec = {
@@ -331,6 +335,8 @@ def cmd_ball_limit(args, cfg):
 
     x0 = parse_tau(args.tau0)
     f = _foliation(parse_curve(args.curve))
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1")
     rng = np.random.default_rng(args.seed)
     sample = []
     while len(sample) < args.samples:
@@ -381,7 +387,10 @@ def cmd_origami_flow(args, cfg):
     x = O.MarkedFlatSurface.base_point(o)
     if args.kind == "geodesic":
         if args.time:
-            y = O.geodesic_flow(x, t=float(parse_rational(args.param)))
+            try:
+                y = O.geodesic_flow(x, t=float(parse_rational(args.param)))
+            except (OverflowError, ValueError) as e:
+                raise InputError(f"geodesic time {args.param} is out of range") from e
         else:
             stretch = parse_rational(args.param)
             if not stretch > 0:
@@ -518,6 +527,8 @@ def cmd_curve_graph(args, cfg):
 
 def cmd_relation(args, cfg):
     if args.model == "torus":
+        if args.curve1 is None or args.curve2 is None:
+            raise InputError("--model torus requires --curve1 and --curve2")
         h1 = _horospec(args.curve1, args.level1)
         h2 = _horospec(args.curve2, args.level2)
         rel = H.classify(h1, h2, H.TorusBackend())
@@ -527,22 +538,25 @@ def cmd_relation(args, cfg):
 
         def pick(text, level_text):
             level = parse_rational(level_text)
-            text = text.strip().lower()
-            if text == "vertical":
+            if not level > 0:
+                raise InputError("levels must be positive")
+            if text is None:
+                raise InputError("--model origami requires --f1 and --f2")
+            name, sep, index = text.strip().lower().partition(":")
+            if name == "vertical":
                 f = O.canonical_vertical_foliation(o)
-            elif text == "horizontal":
+            elif name == "horizontal":
                 f = O.canonical_horizontal_foliation(o)
-            elif text.startswith("vertical:"):
-                k = int(text.split(":")[1])
-                f = O.MulticurveFoliation((O.canonical_vertical_foliation(o).components[k],))
-            elif text.startswith("horizontal:"):
-                k = int(text.split(":")[1])
-                f = O.MulticurveFoliation((O.canonical_horizontal_foliation(o).components[k],))
             else:
                 raise InputError(
                     f"unknown foliation {text!r}; use vertical, horizontal, "
                     "vertical:<k>, or horizontal:<k>"
                 )
+            if sep:
+                k = len(f.components)
+                if not (index.isdecimal() and int(index) < k):
+                    raise InputError(f"{text!r}: component index must be in 0..{k - 1}")
+                f = O.MulticurveFoliation((f.components[int(index)],))
             return H.HoroBall(f, level)
 
         rel = H.classify(pick(args.f1, args.level1), pick(args.f2, args.level2), be)
@@ -608,8 +622,11 @@ def cmd_torus_plot(args, cfg):
     if any(not lv > 0 for lv in levels):
         raise InputError("levels must be positive")
     svg = _svg_horocycles(curve, levels)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(svg)
+    except OSError as e:
+        raise InputError(f"cannot write {args.out!r}: {e.strerror}") from e
     rec = {
         "command": "torus-plot",
         "inputs": {"curve": args.curve, "levels": args.levels},
@@ -782,6 +799,9 @@ def run(argv) -> int:
         return EXIT_INPUT
     except T.EnumerationBudgetError as e:
         print(f"error: enumeration budget exhausted; lower bound {e.lower_bound}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except O.TraceNotClosed as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_UNDECIDED
 
 

@@ -11,16 +11,13 @@ cannot settle yields Undecided instead of a guess.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol
 
 from .kernel import Bracket, is_exact
 from . import torus as torus_mod
 from . import origami as origami_mod
-from .kernel import UpperHalfPoint
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -81,22 +78,6 @@ class GeometryBackend(Protocol):
 
     def horosphere_sampler(self, f, level) -> Iterable:
         ...
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HOROTEICH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +249,7 @@ def classify(h1, h2, backend) -> HoroRelation:
         p, q = float(prod), float(isq)
         if abs(p - q) <= 1e-12 * max(abs(p), abs(q)):
             return HoroRelation(UNDECIDED, {"product": p, "i_squared": q})
-        tag = TANGENT if p == q else (DISJOINT_BALLS if p < q else OVERLAPPING)
+        tag = DISJOINT_BALLS if p < q else OVERLAPPING
         return HoroRelation(tag, {"product": p, "i_squared": q})
 
     k = backend.proportionality(f1, f2)
@@ -284,19 +265,6 @@ def classify(h1, h2, backend) -> HoroRelation:
     return HoroRelation(UNDECIDED, {"reason": "disjoint, not comparable"})
 
 
-def triple_solve(i_ab, i_ag, i_bg):
-    """Unique positive levels (r, s, t) with r*s = i_ab^2, r*t = i_ag^2,
-    s*t = i_bg^2; exact on rational input."""
-    r, s, t = torus_mod.triple_tangency_levels(i_ab, i_ag, i_bg)
-    if all(is_exact(v) for v in (i_ab, i_ag, i_bg)):
-        assert (r * s, r * t, s * t) == (
-            Fraction(i_ab) ** 2,
-            Fraction(i_ag) ** 2,
-            Fraction(i_bg) ** 2,
-        )
-    return r, s, t
-
-
 # ---------------------------------------------------------------------------
 # Busemann estimation
 
@@ -308,12 +276,17 @@ class BusemannEstimate:
     trace: list  # (t, D(t)) pairs
 
 
+# Last ray time evaluated: the torus ray forms e^{2t}, which overflows a
+# double past t = 355, so doubling beyond 2^8 cannot be evaluated.
+BUSEMANN_T_MAX = 2.0**8
+
+
 def busemann_estimate(x0, f, x, backend, tol: float = 1e-9, slack: float = 1e-9) -> BusemannEstimate:
     """Definition-based Busemann value lim d(x, G(t)) - t.
 
     Doubles t until two successive values agree within tol; certified
-    requires monotone non-increase at every step and the final value to
-    respect the -d(x0, x) floor."""
+    requires that agreement by t = BUSEMANN_T_MAX, monotone non-increase
+    at every step and every value respecting the -d(x0, x) floor."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     ray = backend.ray(x0, f)
@@ -328,8 +301,10 @@ def busemann_estimate(x0, f, x, backend, tol: float = 1e-9, slack: float = 1e-9)
         trace.append((t, cur))
         if cur > prev + slack or cur < floor - slack:
             certified = False
-        if abs(cur - prev) < tol or t > 2.0**34:
-            return BusemannEstimate(cur, certified and t <= 2.0**34, trace)
+        if abs(cur - prev) < tol:
+            return BusemannEstimate(cur, certified, trace)
+        if t >= BUSEMANN_T_MAX:
+            return BusemannEstimate(cur, False, trace)
         prev = cur
 
 
@@ -371,9 +346,9 @@ def inclusion_probe(h1, h2, backend, sampler: Optional[Iterable] = None) -> Prob
         )
         if cmp_ok:
             return ProbeResult(INCLUDED_CERTIFIED, bound=bound)
-    points = list(sampler) if sampler is not None else list(backend.horosphere_sampler(f1, l1))
-    exts = _pmap(lambda p: backend.ext(p, f2), points)
-    for p, e in zip(points, exts):
+    points = sampler if sampler is not None else backend.horosphere_sampler(f1, l1)
+    for p in points:
+        e = backend.ext(p, f2)
         if _ext_exceeds(e, l2):
             return ProbeResult(EXCLUDED_WITNESS, witness=p, witness_ext=e, bound=bound)
     return ProbeResult(INCONCLUSIVE, bound=bound)

@@ -82,10 +82,6 @@ class UpperHalfPoint:
     def tau(self) -> complex:
         return complex(self.x, self.y)
 
-    @staticmethod
-    def from_complex(z: complex) -> "UpperHalfPoint":
-        return UpperHalfPoint(z.real, z.imag)
-
 
 def mobius_apply(m: Mat2, tau: UpperHalfPoint) -> UpperHalfPoint:
     """Act by (a tau + b) / (c tau + d); requires det(m) > 0."""

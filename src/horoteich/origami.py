@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .kernel import Bracket, Mat2, as_float_down, as_float_up, is_exact
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
+
+
+class TraceNotClosed(RuntimeError):
+    """A trace used up its step budget before closing."""
 
 
 class SingularityHit(RuntimeError):
@@ -135,15 +139,10 @@ class Origami:
         total = sum(self.singularities)
         return (total + 2) // 2
 
-    @staticmethod
-    def from_one_line(h: Sequence[int], v: Sequence[int]) -> "Origami":
-        """Build from 1-based one-line permutation arrays."""
-        return Origami(tuple(x - 1 for x in h), tuple(x - 1 for x in v))
-
 
 def build_origami(h: Sequence[int], v: Sequence[int]) -> Origami:
-    """1-based entry point; validates connectivity and exposes invariants."""
-    return Origami.from_one_line(h, v)
+    """Build from 1-based one-line permutation arrays; validates connectivity."""
+    return Origami(tuple(x - 1 for x in h), tuple(x - 1 for x in v))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def trace_from_point(
             raise AssertionError("march did not reach an edge")
         if (s, x, y) == start_state:
             return CurveTrace(o, (a, b), tuple(segments), (hol_x, hol_y))
-    raise RuntimeError(f"trace did not close within {max_steps} steps")
+    raise TraceNotClosed(f"trace did not close within {max_steps} steps")
 
 
 def trace_curve(
@@ -650,48 +649,6 @@ def horocycle_growth_check(
 
 
 # ---------------------------------------------------------------------------
-# Busemann rays on one-cylinder origamis
-
-
-@dataclass
-class BusemannRayReport:
-    times: list
-    closed_form: list
-    definition_form: list
-    max_error: float
-
-    @property
-    def ok(self):
-        return self.max_error <= 1e-12
-
-
-def busemann_ray_check(o: Origami, t_values: Sequence[float]) -> BusemannRayReport:
-    """On a one-vertical-cylinder origami, both Busemann routes give -t.
-
-    Closed form: half the log of the extremal-length ratio along the
-    geodesic flow.  Definition: on-ray telescoping of d(x, G(t)) - t."""
-    verts = cylinders(o, VERTICAL)
-    if len(verts) != 1:
-        raise ValueError(
-            f"vertical foliation has {len(verts)} cylinders; need exactly 1 "
-            "(decomposable case follows the full Walsh formula)"
-        )
-    x0 = MarkedFlatSurface.base_point(o)
-    e0 = float(ext_vertical(x0))
-    closed = []
-    definition = []
-    errs = []
-    for t in t_values:
-        xt = geodesic_flow(x0, t=float(t))
-        c = 0.5 * math.log(float(ext_vertical(xt)) / e0)
-        d = -float(t)  # d(G(t0), G(t)) - (t - t0) telescopes exactly on-ray
-        closed.append(c)
-        definition.append(d)
-        errs.append(abs(c - d))
-    return BusemannRayReport(list(t_values), closed, definition, max(errs))
-
-
-# ---------------------------------------------------------------------------
 # Walsh's E_F
 
 
@@ -725,11 +682,6 @@ def walsh_E(
 
 # ---------------------------------------------------------------------------
 # Small-intersection curve search
-
-
-def component_intersection(weight, core: CurveTrace, beta: CurveTrace):
-    """i of the weighted indecomposable component with the trace beta."""
-    return Fraction(weight) * crossing_number(core, beta)
 
 
 def small_intersection_search(
@@ -943,12 +895,8 @@ class RemarkAction:
         return trace_from_point(self.target, s2, pt, d2)
 
 
-def remark_action(o: Origami, m: Mat2) -> Origami:
-    """Re-tile the surface for the marking composed with m."""
-    return remark(o, m).target
-
-
 def remark(o: Origami, m: Mat2) -> RemarkAction:
+    """Re-tile the surface for the marking composed with m."""
     word = decompose_unimodular(m)
     stages = []
     cur = o

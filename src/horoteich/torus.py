@@ -12,13 +12,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .kernel import (
-    Bracket,
     Mat2,
     UpperHalfPoint,
     hyperbolic_distance,
@@ -38,7 +36,8 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """A Busemann distance sequence increased; signals a distance bug."""
+    """A Busemann distance sequence increased, fell below -d(x0, x), or did
+    not settle before the time cap; signals a distance bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +126,6 @@ def curve_form(c: TorusCurve):
 
 def _form_eval(m, p, q):
     return m[0] * p * p + 2.0 * m[1] * p * q + m[2] * q * q
-
-
-def sup_eigen(num_form, den_form) -> float:
-    """Largest generalized eigenvalue of the pencil num - lambda * den."""
-    a, b, c = num_form
-    d, e, f = den_form
-    det_den = d * f - e * e
-    det_num = a * c - b * b
-    mid = a * f + c * d - 2.0 * b * e
-    disc = max(mid * mid - 4.0 * det_den * det_num, 0.0)
-    return (mid + math.sqrt(disc)) / (2.0 * det_den)
 
 
 def _interval_max(num, den, t_lo, t_hi) -> float:
@@ -292,7 +280,7 @@ def kerckhoff_distance(
 
     res = certified_sup(num, den, stop, cap=cap)
     value = 0.5 * math.log(res.lower)
-    closed = 0.5 * math.log(sup_eigen(num, den))
+    closed = teich_distance(t1, t2)
     return KerckhoffResult(value, closed, res.witness, res.nodes, res.certified)
 
 
@@ -406,11 +394,7 @@ def tangent_point(
 
 
 def _normalize_level(weight, level):
-    if is_exact(weight) and is_exact(level):
-        return Fraction(level) / Fraction(weight) ** 2
-    weight = Fraction(weight) if not is_exact(weight) else Fraction(weight)
-    level = Fraction(level) if not is_exact(level) else Fraction(level)
-    return level / weight**2
+    return Fraction(level) / Fraction(weight) ** 2
 
 
 @dataclass(frozen=True)
@@ -579,10 +563,24 @@ def _distance_to_horocycle(
     grid = np.linspace(-span, span, 1441)
     vals = np.array([dist(s) for s in grid])
     k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(dist, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    dmin = float(res.fun)
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, len(grid) - 1)])
+    # golden-section refinement inside the grid bracket; dmin is the least
+    # value seen, so it is always attained at an evaluated point
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = dist(a), dist(b)
+    dmin = min(float(vals[k]), fa, fb)
+    while hi - lo > 1e-12:
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = dist(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = dist(b)
+        dmin = min(dmin, fa, fb)
 
     # count near-global minima as clusters; merge runs separated by a gap
     # of at most two grid cells so float noise in flat basins is not split
@@ -671,34 +669,14 @@ def busemann_limit(
 ) -> float:
     """Definition-based Busemann value: limit of d(x, ray(t)) - t.
 
-    Evaluates along geometrically increasing times, asserting the sequence
-    is non-increasing at every step."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    ray, _, _ = torus_ray(x0, f)
-    t = 1.0
-    prev = teich_distance(x, ray(t)) - t
-    floor = -teich_distance(x0, x)
-    while True:
-        t *= 2.0
-        cur = teich_distance(x, ray(t)) - t
-        if cur > prev + slack:
-            raise MonotonicityError(
-                f"D({t}) = {cur} exceeds previous value {prev}"
-            )
-        if cur < floor - slack:
-            raise MonotonicityError("Busemann sequence fell below -d(x0, x)")
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-        if t > 2.0**40:
-            return cur
+    Runs ``horolab.busemann_estimate`` on the torus backend and raises
+    MonotonicityError unless that estimate is certified."""
+    from . import horolab
 
-
-def _ray_chart_data(x0: UpperHalfPoint, f: WeightedTorusFoliation):
-    ray, m, u0 = torus_ray(x0, f)
-    minv = m.inverse()
-    return ray, minv, u0
+    est = horolab.busemann_estimate(x0, f, x, horolab.TorusBackend(), tol=tol, slack=slack)
+    if not est.certified:
+        raise MonotonicityError(f"Busemann sequence not certified: {est.trace}")
+    return est.value
 
 
 def ray_distance_minus_t(
@@ -711,7 +689,8 @@ def ray_distance_minus_t(
     log_r2 = math.log(z.x * z.x + z.y * z.y)
     log_u = math.log(u0) + 2.0 * t
     # w = (|z|^2 + u^2) / (2 * Im(z) * u)
-    log_num = np.logaddexp(log_r2, 2.0 * log_u)
+    hi, lo = max(log_r2, 2.0 * log_u), min(log_r2, 2.0 * log_u)
+    log_num = hi + math.log1p(math.exp(lo - hi))
     log_w = log_num - math.log(2.0 * z.y) - log_u
     if log_w > 30.0:
         d_hyp = log_w + math.log(2.0)
@@ -749,7 +728,8 @@ def metric_ball_limit_check(
     matches the sign of the Busemann closed form."""
     if not sample:
         raise ValueError("sample must be nonempty")
-    _, minv, u0 = _ray_chart_data(x0, f)
+    _, m, u0 = torus_ray(x0, f)
+    minv = m.inverse()
     entries = []
     inconclusive = []
     ok = True

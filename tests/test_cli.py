@@ -1,9 +1,17 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from horoteich import cli
+from horoteich.kernel import UpperHalfPoint
+
+L_ARGS = ["--h", "[2,1,3]", "--v", "[3,2,1]"]
 
 
 def run_json(capsys, argv):
@@ -28,6 +36,11 @@ def test_torus_dist(capsys):
     assert status == 0
     assert rec["results"]["certified"] is True
     assert abs(rec["results"]["distance"]["value"] - 0.34657359) < 1e-6
+    rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-5i"])
+    assert status == 0
+    assert abs(rec["results"]["distance"]["value"] - 0.5 * math.log(1e5)) < 1e-6
+    assert cli.parse_tau("0.3+1e-8i") == UpperHalfPoint(0.3, 1e-8)
+    assert cli.parse_tau("-2.5E+1+3e0i") == UpperHalfPoint(-25.0, 3.0)
 
 
 def test_triple(capsys):
@@ -190,8 +203,44 @@ def test_input_errors_exit_one(capsys):
     assert cli.run(["torus-ext", "--tau", "junk", "--curve", "1,0"]) == 1
     assert cli.run(["origami-info", "--h", "[1,1]", "--v", "[1,2]"]) == 1
     assert cli.run(["ratio-curve", "--alpha", "1,0", "--beta", "1,0", "--target", "1"]) == 1
+    assert cli.run(["torus-ext", "--tau", "0-1e-5i", "--curve", "1,0"]) == 1
+    assert cli.run(["torus-ext", "--tau", "0+1e-400i", "--curve", "1,0"]) == 1
+    assert cli.run(["torus-ext", "--tau", "0+1e400i", "--curve", "1,0"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 8
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["relation", "--model", "torus", "--curve2", "0,1", "--level1", "1", "--level2", "1"], 1),
+        (["relation", "--model", "origami", *L_ARGS, "--f1", "vertical:9", "--f2", "vertical",
+          "--level1", "1", "--level2", "1"], 1),
+        (["relation", "--model", "origami", *L_ARGS, "--f1", "vertical", "--f2", "horizontal",
+          "--level1", "0", "--level2", "1"], 1),
+        (["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "0"], 1),
+        (["ratio-curve", "--alpha", "1,0", "--beta", "0,1", "--target", "3/2", "--eps", "0"], 1),
+        (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "1e400", "--time"], 1),
+        (["torus-plot", "--curve", "1,1", "--levels", "1", "--out", "{tmp}/missing/p.svg"], 1),
+        (["origami-intersect", *L_ARGS, "--slope1", "1000000", "--slope2", "vert"], 2),
+    ],
+    ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
+         "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
+         "plot-missing-dir", "intersect-trace-budget"],
+)
+def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert cli.run(argv) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import horoteich.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_numeric_fields_tagged(capsys):

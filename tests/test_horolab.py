@@ -81,18 +81,6 @@ def test_classify_origami_transverse():
 
 
 # ---------------------------------------------------------------------------
-# triple_solve
-
-
-def test_triple_solve_examples():
-    assert H.triple_solve(1, 1, 1) == (1, 1, 1)
-    assert H.triple_solve(2, 3, 6) == (1, 4, 9)
-    assert H.triple_solve(5, 5, 5) == (5, 5, 5)
-    with pytest.raises(ValueError):
-        H.triple_solve(0, 1, 1)
-
-
-# ---------------------------------------------------------------------------
 # busemann_estimate
 
 
@@ -162,11 +150,3 @@ def test_probe_rigidity_randomized():
         assert res_tag != H.INCLUDED_CERTIFIED
         tested += 1
     assert tested == 10**4
-
-
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("HOROTEICH_THREADS", "4")
-    res = H.inclusion_probe(tspec(1, 0, 1), tspec(0, 1, 5), BE)
-    assert res.tag == H.EXCLUDED_WITNESS
-    monkeypatch.setenv("HOROTEICH_THREADS", "bogus")
-    assert H._threads() == 1

@@ -218,18 +218,7 @@ def test_growth_check_requires_vertical_crossing():
 
 
 # ---------------------------------------------------------------------------
-# Busemann rays and Walsh
-
-
-def test_busemann_ray_one_cylinder():
-    rep = O.busemann_ray_check(T2, [0.25, 1.0, 4.0, 16.0])
-    assert rep.ok and rep.max_error <= 1e-12
-    assert rep.closed_form == pytest.approx([-0.25, -1.0, -4.0, -16.0])
-
-
-def test_busemann_ray_rejects_decomposable():
-    with pytest.raises(ValueError):
-        O.busemann_ray_check(L, [1.0])
+# Walsh
 
 
 def test_canonical_foliation_weights():
@@ -290,14 +279,14 @@ def test_decompose_rejects_non_unimodular():
 
 
 def test_remark_identity_and_stabilizers():
-    assert O.remark_action(L, Mat2(1, 0, 0, 1)) == L
+    assert O.remark(L, Mat2(1, 0, 0, 1)).target == L
     for m in STAB_MATRICES:
-        assert O.remark_action(L, m) == L
+        assert O.remark(L, m).target == L
 
 
 def test_remark_preserves_invariants():
     for m in [Mat2(2, 1, 1, 1), Mat2(0, -1, 1, 0), Mat2(1, 5, 0, 1), Mat2(1, 0, 3, 1)]:
-        o2 = O.remark_action(L, m)
+        o2 = O.remark(L, m).target
         assert o2.n == L.n
         assert o2.genus == L.genus
         assert o2.singularities == L.singularities
