@@ -59,6 +59,8 @@ def parse_tau(text: str) -> UpperHalfPoint:
         raise InputError(f"{text!r} is not a finite complex number")
     if not im_part > 0:
         raise InputError(f"{text!r} is not in the upper half-plane")
+    if im_part * im_part == 0.0:  # torus forms need Im(tau)^2 in doubles
+        raise InputError(f"{text!r} is too close to the real axis for double precision")
     return UpperHalfPoint(re_part, im_part)
 
 
@@ -162,6 +164,13 @@ def emit(record: dict, fmt: str, stream=None) -> None:
 # Config file
 
 
+def _config_value(key: str, text, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"config {key} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def load_config(path: str) -> dict:
     cfg = configparser.ConfigParser()
     read = cfg.read(path)
@@ -175,7 +184,7 @@ def load_config(path: str) -> dict:
         if "v" in sec:
             out["v"] = sec["v"]
         if "n" in sec:
-            out["n"] = int(sec["n"])
+            out["n"] = _config_value("n", sec["n"], int)
     if cfg.has_section("job"):
         for key in ("tol", "cap", "seed", "format"):
             if key in cfg["job"]:
@@ -781,11 +790,11 @@ def run(argv) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         if args.tol is None:
-            args.tol = float(cfg.get("tol", 1e-9))
+            args.tol = _config_value("tol", cfg.get("tol", 1e-9), float)
         if args.cap is None:
-            args.cap = int(cfg.get("cap", 10**6))
+            args.cap = _config_value("cap", cfg.get("cap", 10**6), int)
         if args.seed is None:
-            args.seed = int(cfg.get("seed", 0))
+            args.seed = _config_value("seed", cfg.get("seed", 0), int)
         fmt = args.format or cfg.get("format", "json")
         if not args.tol > 0:
             raise InputError("tolerance must be positive")

@@ -44,11 +44,13 @@ class CurveSet:
 
 
 def _pairwise(payloads, pairing):
+    """Symmetric table of a symmetric pairing: each unordered pair once."""
     n = len(payloads)
-    return tuple(
-        tuple(0 if r == c else pairing(payloads[r], payloads[c]) for c in range(n))
-        for r in range(n)
-    )
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            rows[r][c] = rows[c][r] = pairing(payloads[r], payloads[c])
+    return tuple(map(tuple, rows))
 
 
 def curve_set_from_traces(ids: Sequence, traces: Sequence) -> CurveSet:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,6 +85,7 @@ class Origami:
 
     h: tuple
     v: tuple
+    _cylinders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.h) != len(self.v):
@@ -100,7 +102,7 @@ class Origami:
         stack = [start]
         while stack:
             x = stack.pop()
-            for y in (self.h[x], self.v[x], _inverse(self.h)[x], _inverse(self.v)[x]):
+            for y in (self.h[x], self.v[x], self.h_inv[x], self.v_inv[x]):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -119,13 +121,21 @@ class Origami:
     def n(self) -> int:
         return len(self.h)
 
+    @cached_property
+    def h_inv(self) -> tuple:
+        return _inverse(self.h)
+
+    @cached_property
+    def v_inv(self) -> tuple:
+        return _inverse(self.v)
+
     @property
     def area(self) -> int:
         return self.n
 
     @property
     def vertex_permutation(self):
-        hi, vi = _inverse(self.h), _inverse(self.v)
+        hi, vi = self.h_inv, self.v_inv
         return tuple(self.h[self.v[hi[vi[x]]]] for x in range(self.n))
 
     @property
@@ -168,8 +178,8 @@ class CylinderCurve:
         return tuple(s for row in self.row_cycles for s in row)
 
 
-def cylinders(o: Origami, direction: str):
-    """Maximal cylinders in a periodic direction.
+def cylinders(o: Origami, direction: str) -> tuple:
+    """Maximal cylinders in a periodic direction, computed once per origami.
 
     Cycles of the direction's permutation are unit bands; adjacent bands
     merge when the gluing across their interface is singularity-free.
@@ -180,6 +190,8 @@ def cylinders(o: Origami, direction: str):
         along, across = o.v, o.h
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    if direction in o._cylinders:
+        return o._cylinders[direction]
 
     cycs = _cycles(along)
     index = {}
@@ -225,7 +237,8 @@ def cylinders(o: Origami, direction: str):
                 row_cycles=tuple(cycs[k] for k in chain),
             )
         )
-    return out
+    o._cylinders[direction] = tuple(out)
+    return o._cylinders[direction]
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +334,20 @@ class CurveTrace:
             return None  # vertical
         return Fraction(b, a)
 
-    @property
+    @cached_property
     def squares(self):
         return tuple(sorted({s for s, _, _ in self.segments}))
+
+    @cached_property
+    def scaled_segments(self):
+        """(d, {square: [(px, py, ex, ey), ...]}): start points and edge
+        vectors times d, the lcm of the coordinate denominators, so integers."""
+        d = math.lcm(*(c.denominator for _, p, q in self.segments for c in (*p, *q)))
+        by_square = {}
+        for s, (x0, y0), (x1, y1) in self.segments:
+            px, py = int(x0 * d), int(y0 * d)
+            by_square.setdefault(s, []).append((px, py, int(x1 * d) - px, int(y1 * d) - py))
+        return d, by_square
 
 
 def _canonical_direction(slope) -> tuple:
@@ -342,8 +366,10 @@ def trace_from_point(
 ) -> CurveTrace:
     """March a straight line of rational direction until it closes up.
 
-    ``point`` is an exact (x, y) with coordinates in [0, 1) x [0, 1].
-    Raises SingularityHit when the line runs into any vertex.
+    ``point`` is an exact (x, y) with coordinates in [0, 1) x [0, 1].  A
+    start the march never returns to (an interior point) is replaced by the
+    first edge point reached.  Raises SingularityHit when the line runs into
+    any vertex.
     """
     a, b = direction
     if a < 0 or (a == 0 and b != 1):
@@ -355,9 +381,10 @@ def trace_from_point(
     x, y = Fraction(point[0]), Fraction(point[1])
     s = square
     if b < 0 and y == 0:
-        s = _inverse(o.v)[s]
+        s = o.v_inv[s]
         y = Fraction(1)
-    start_state = (s, x, y)
+    revisited = (a > 0 and x == 0) or (b > 0 and y == 0) or (b < 0 and y == 1)
+    start_state = (s, x, y) if revisited else None
     segments = []
     hol_x = hol_y = 0
     for _ in range(max_steps):
@@ -387,12 +414,14 @@ def trace_from_point(
             hol_y += 1
             x, y = nx, Fraction(0)
         elif ny == 0:
-            s = _inverse(o.v)[s]
+            s = o.v_inv[s]
             hol_y -= 1
             x, y = nx, Fraction(1)
         else:
             raise AssertionError("march did not reach an edge")
-        if (s, x, y) == start_state:
+        if start_state is None:
+            start_state, segments, hol_x, hol_y = (s, x, y), [], 0, 0
+        elif (s, x, y) == start_state:
             return CurveTrace(o, (a, b), tuple(segments), (hol_x, hol_y))
     raise TraceNotClosed(f"trace did not close within {max_steps} steps")
 
@@ -457,46 +486,45 @@ def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
 # Crossing counts
 
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def crossing_number(t1: CurveTrace, t2: CurveTrace) -> int:
     """Exact transverse crossing count of two straight closed traces.
 
     Straight representatives in distinct directions are in minimal
     position, so this is the geometric intersection number; parallel
     distinct traces are disjoint (0), identical traces give 0.
+
+    Integers only, on the scaled segments (P, E) over d: with m = E1 x E2
+    made positive, the parameters t = tn / (d2 m) and u = un / (d1 m) must
+    lie in [0, 1] and the crossing point in the half-open [0, 1)^2.
     """
-    if t1.origami != t2.origami:
+    if t1.origami is not t2.origami and t1.origami != t2.origami:
         raise ValueError("traces live on different origamis")
-    if t1.segments == t2.segments:
+    (a1, b1), (a2, b2) = t1.direction, t2.direction
+    if a1 * b2 == b1 * a2:  # parallel, or identical
         return 0
-    d1, d2 = t1.direction, t2.direction
-    if _cross(d1, d2) == 0:
-        return 0
-    by_square = {}
-    for seg in t2.segments:
-        by_square.setdefault(seg[0], []).append(seg)
+    d1, segs1 = t1.scaled_segments
+    d2, segs2 = t2.scaled_segments
     count = 0
-    for s, p1, q1 in t1.segments:
-        if s not in by_square:
+    for s, group1 in segs1.items():
+        group2 = segs2.get(s)
+        if group2 is None:
             continue
-        e1 = (q1[0] - p1[0], q1[1] - p1[1])
-        for _, p2, q2 in by_square[s]:
-            e2 = (q2[0] - p2[0], q2[1] - p2[1])
-            denom = _cross(e1, e2)
-            if denom == 0:
-                continue
-            w = (p2[0] - p1[0], p2[1] - p1[1])
-            t = Fraction(_cross(w, e2), denom)
-            u = Fraction(_cross(w, e1), denom)
-            if not (0 <= t <= 1 and 0 <= u <= 1):
-                continue
-            px = p1[0] + t * e1[0]
-            py = p1[1] + t * e1[1]
-            if 0 <= px < 1 and 0 <= py < 1:
-                count += 1
+        for px1, py1, ex1, ey1 in group1:
+            ax, ay = px1 * d2, py1 * d2
+            for px2, py2, ex2, ey2 in group2:
+                m = ex1 * ey2 - ey1 * ex2
+                if m == 0:
+                    continue
+                wx, wy = px2 * d1 - ax, py2 * d1 - ay
+                tn = wx * ey2 - wy * ex2
+                un = wx * ey1 - wy * ex1
+                if m < 0:
+                    m, tn, un = -m, -tn, -un
+                if not (0 <= tn <= d2 * m and 0 <= un <= d1 * m):
+                    continue
+                side = d1 * d2 * m
+                if 0 <= ax * m + tn * ex1 < side and 0 <= ay * m + tn * ey1 < side:
+                    count += 1
     return count
 
 
@@ -773,15 +801,15 @@ _GEN_MATRIX = {
 def _gen_apply_origami(o: Origami, g: str) -> Origami:
     h, v = o.h, o.v
     if g == "T":
-        return Origami(h, _compose(v, _inverse(h)))
+        return Origami(h, _compose(v, o.h_inv))
     if g == "Ti":
         return Origami(h, _compose(v, h))
     if g == "S":
-        return Origami(_inverse(v), h)
+        return Origami(o.v_inv, h)
     if g == "Si":
-        return Origami(v, _inverse(h))
+        return Origami(v, o.h_inv)
     if g == "F":
-        return Origami(h, _inverse(v))
+        return Origami(h, o.v_inv)
     raise ValueError(f"unknown generator {g!r}")
 
 
@@ -805,7 +833,7 @@ def _gen_map_point(o_old: Origami, o_new: Origami, g: str, s: int, x, y):
         if x >= y:
             s2, x2, y2 = s, x - y, y
         else:
-            s2, x2, y2 = _inverse(o_old.h)[s], x - y + 1, y
+            s2, x2, y2 = o_old.h_inv[s], x - y + 1, y
     elif g == "S":
         s2, x2, y2 = s, 1 - y, x
     elif g == "Si":

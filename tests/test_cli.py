@@ -39,6 +39,9 @@ def test_torus_dist(capsys):
     rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-5i"])
     assert status == 0
     assert abs(rec["results"]["distance"]["value"] - 0.5 * math.log(1e5)) < 1e-6
+    rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-150i"])
+    assert status == 0
+    assert abs(rec["results"]["distance"]["value"] - 0.5 * math.log(1e150)) < 1e-6
     assert cli.parse_tau("0.3+1e-8i") == UpperHalfPoint(0.3, 1e-8)
     assert cli.parse_tau("-2.5E+1+3e0i") == UpperHalfPoint(-25.0, 3.0)
 
@@ -223,12 +226,18 @@ def test_input_errors_exit_one(capsys):
         (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "1e400", "--time"], 1),
         (["torus-plot", "--curve", "1,1", "--levels", "1", "--out", "{tmp}/missing/p.svg"], 1),
         (["origami-intersect", *L_ARGS, "--slope1", "1000000", "--slope2", "vert"], 2),
+        (["origami-info", "--config", "{tmp}/bad-n.ini"], 1),
+        (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--config", "{tmp}/bad-tol.ini"], 1),
+        (["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-200i"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
-         "plot-missing-dir", "intersect-trace-budget"],
+         "plot-missing-dir", "intersect-trace-budget", "config-bad-n", "config-bad-tol",
+         "tau-below-double-range"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
+    (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")
+    (tmp_path / "bad-tol.ini").write_text("[job]\ntol = abc\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.run(argv) == status
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,77 @@ def test_crossing_requires_same_origami():
         O.crossing_number(O.robust_trace(TORUS, 0, None), O.robust_trace(L, 0, None))
 
 
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _fraction_crossing_number(t1, t2):
+    """Reference: crossing_number as it was in Fraction arithmetic."""
+    if t1.origami != t2.origami:
+        raise ValueError("traces live on different origamis")
+    if t1.segments == t2.segments:
+        return 0
+    d1, d2 = t1.direction, t2.direction
+    if _cross(d1, d2) == 0:
+        return 0
+    by_square = {}
+    for seg in t2.segments:
+        by_square.setdefault(seg[0], []).append(seg)
+    count = 0
+    for s, p1, q1 in t1.segments:
+        if s not in by_square:
+            continue
+        e1 = (q1[0] - p1[0], q1[1] - p1[1])
+        for _, p2, q2 in by_square[s]:
+            e2 = (q2[0] - p2[0], q2[1] - p2[1])
+            denom = _cross(e1, e2)
+            if denom == 0:
+                continue
+            w = (p2[0] - p1[0], p2[1] - p1[1])
+            t = Fraction(_cross(w, e2), denom)
+            u = Fraction(_cross(w, e1), denom)
+            if not (0 <= t <= 1 and 0 <= u <= 1):
+                continue
+            px = p1[0] + t * e1[0]
+            py = p1[1] + t * e1[1]
+            if 0 <= px < 1 and 0 <= py < 1:
+                count += 1
+    return count
+
+
+def _random_origami(rng, n):
+    while True:
+        h, v = list(range(1, n + 1)), list(range(1, n + 1))
+        rng.shuffle(h)
+        rng.shuffle(v)
+        try:
+            return O.build_origami(h, v)
+        except ValueError:  # disconnected; draw again
+            continue
+
+
+def test_integer_crossing_matches_fraction_reference():
+    rng = random.Random(20181)
+    slopes = [Fraction(0), None, Fraction(1), Fraction(-1), Fraction(2),
+              Fraction(-1, 2), Fraction(3, 2), Fraction(-2, 3), Fraction(1, 3)]
+    surfaces = [L] + [_random_origami(rng, rng.randint(3, 12)) for _ in range(12)]
+    compared = 0
+    for o in surfaces:
+        traces = []
+        for sl in slopes:
+            try:
+                traces.append(O.robust_trace(o, rng.randrange(o.n), sl, offset=Fraction(3, 7)))
+            except O.SingularityHit:
+                continue
+        traces += [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
+                   for c in O.cylinders(o, d)]
+        for t1 in traces:
+            for t2 in traces:
+                assert O.crossing_number(t1, t2) == _fraction_crossing_number(t1, t2)
+                compared += 1
+    assert compared > 1500
+
+
 # ---------------------------------------------------------------------------
 # Transverse measures and brackets
 
@@ -290,6 +362,20 @@ def test_remark_preserves_invariants():
         assert o2.n == L.n
         assert o2.genus == L.genus
         assert o2.singularities == L.singularities
+
+
+@pytest.mark.parametrize("m", [(1, 1, 0, 1), (1, 0, 1, 1), (2, 1, 1, 1)])
+def test_remark_maps_interior_starts_to_closed_traces(m):
+    # T moves a left-edge start (0, y) of a horizontal core to (y, y)
+    traces = [O.core_trace(L, c) for d in (O.HORIZONTAL, O.VERTICAL) for c in O.cylinders(L, d)]
+    traces.append(O.robust_trace(L, 0, Fraction(1)))
+    act = O.remark(L, Mat2(*m))
+    mapped = [act.map_trace(t) for t in traces]
+    for t, t2 in zip(traces, mapped):
+        assert t2.direction == act.map_direction(t.direction)
+    for a in range(len(traces)):
+        for b in range(len(traces)):
+            assert O.crossing_number(mapped[a], mapped[b]) == O.crossing_number(traces[a], traces[b])
 
 
 def test_remark_preserves_crossing_numbers():
