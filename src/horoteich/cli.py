@@ -179,10 +179,7 @@ def load_config(path: str) -> dict:
     out = {}
     if cfg.has_section("origami"):
         sec = cfg["origami"]
-        if "h" in sec:
-            out["h"] = sec["h"]
-        if "v" in sec:
-            out["v"] = sec["v"]
+        out.update((key, sec[key]) for key in ("h", "v") if key in sec)
         if "n" in sec:
             out["n"] = _config_value("n", sec["n"], int)
     if cfg.has_section("job"):
@@ -236,6 +233,8 @@ def cmd_torus_dist(args, cfg):
             "certified": res.certified,
         },
     }
+    if not res.certified:  # "precision" or "range"
+        rec["results"]["reason"] = res.reason
     return rec, EXIT_OK if res.certified else EXIT_UNDECIDED
 
 
@@ -266,12 +265,7 @@ def cmd_tangency(args, cfg):
         }
     rec = {
         "command": "tangency",
-        "inputs": {
-            "curve1": args.curve1,
-            "level1": args.level1,
-            "curve2": args.curve2,
-            "level2": args.level2,
-        },
+        "inputs": {k: getattr(args, k) for k in ("curve1", "level1", "curve2", "level2")},
         "results": results,
     }
     return rec, EXIT_OK

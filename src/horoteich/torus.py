@@ -3,13 +3,13 @@
 A marked flat torus is a point tau of the upper half-plane; the primitive
 class (p, q) has extremal length |p + q*tau|^2 / Im(tau).  Everything the
 horosphere machinery needs (distance suprema, tangency, Busemann rays,
-horocycles) is available either in closed form or through certified
-Stern-Brocot enumeration over slopes.
+horocycles) is available either in closed form or through a certified
+descent over slopes toward a closed-form supremum.
 """
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -107,59 +107,22 @@ def curve_transform(g: Mat2, c: TorusCurve) -> TorusCurve:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic forms over slopes
+# Certified suprema over slopes
+#
+# Both suprema are Rayleigh quotients of two binary quadratic forms in (p, q):
+# their sup over real slopes t = p/q has a closed form, attained at one slope
+# t*.  The closed form, inflated, is the upper bound; the lower bound is the
+# value at the first primitive class near t* that certifies.
+#
+# Rounding: with u = 2^-53, an operation on doubles whose result is normal
+# has relative error at most u.  Each closed form and per-class ratio below
+# takes at most 11 roundings (counted where they occur), so scaling it by
+# 1 +- 16 u, one more rounding, puts an upper bound above and a lower bound
+# below the exact value.  A value out of the normal range feeds no certificate.
 
-# A form (m0, m1, m2) stands for m0*p^2 + 2*m1*p*q + m2*q^2.
-
-
-def point_form(tau: UpperHalfPoint):
-    """Form whose value at (p, q) is Ext_tau of the curve (p, q)."""
-    y = tau.y
-    x = tau.x
-    return (1.0 / y, x / y, (x * x + y * y) / y)
-
-
-def curve_form(c: TorusCurve):
-    """Rank-one form whose value at (p, q) is i(c, (p,q))^2."""
-    return (float(c.q * c.q), float(-c.p * c.q), float(c.p * c.p))
-
-
-def _form_eval(m, p, q):
-    return m[0] * p * p + 2.0 * m[1] * p * q + m[2] * q * q
-
-
-def _interval_max(num, den, t_lo, t_hi) -> float:
-    """Max of (num over den) as a function of the slope t on [t_lo, t_hi].
-
-    Endpoints may be +-inf; the value at infinity is num[0]/den[0].
-    """
-    a, b, c = num
-    d, e, f = den
-
-    def val(t):
-        if math.isinf(t):
-            return a / d
-        return _form_eval(num, t, 1.0) / _form_eval(den, t, 1.0)
-
-    best = max(val(t_lo), val(t_hi))
-    # stationary points: (ae-bd) t^2 + (af-cd) t + (bf-ce) = 0
-    A = a * e - b * d
-    B = a * f - c * d
-    C = b * f - c * e
-    roots = []
-    if A == 0.0:
-        if B != 0.0:
-            roots.append(-C / B)
-    else:
-        disc = B * B - 4.0 * A * C
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            roots.extend([(-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A)])
-    for r in roots:
-        if t_lo < r < t_hi:
-            best = max(best, val(r))
-    # outward slack: one ulp-scale inflation keeps this a true upper bound
-    return best * (1.0 + 1e-12)
+_SLACK = 2.0**-49  # 16 u
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_SEEDS = ((0, 1), (1, 0), (1, 1), (-1, 1))
 
 
 @dataclass
@@ -169,74 +132,73 @@ class SupResult:
     witness: TorusCurve
     nodes: int
     certified: bool
+    reason: str | None = None  # "precision" or "range" when not certified
 
 
-def _slope(v) -> float:
-    p, q = v
-    if q == 0:
-        return INFINITY if p > 0 else -INFINITY
-    return p / q
+def _ext(p: int, q: int, num: int, den: int, y: float):
+    """Ext of (p, q) at x + iy with x = num/den exactly, or None out of range.
 
-
-def certified_sup(num_form, den_form, stop, cap: int = 10**6) -> SupResult:
-    """Certified supremum of num/den over primitive classes, from below.
-
-    Adaptive Stern-Brocot refinement of slope intervals; ``stop(lower,
-    upper)`` decides when the enclosure is tight enough.  Only values at
-    primitive integer classes contribute to the returned lower bound.
+    p + q*x is formed exactly and rounded once, as is q; a*(a/y) + q*(q*y)
+    then takes 5 roundings and never forms y^2 or 1/y-sized coefficients.
     """
+    exact = p * den + q * num
+    try:
+        a, qy = exact / den, q * y
+    except OverflowError:
+        return None
+    ay = a / y
+    head = a * ay
+    ext = head + q * qy
+    # |q| >= 1, so q*(q*y) is normal once q*y is
+    if ext > _HUGE or (q and -_TINY < qy < _TINY):
+        return None
+    if exact and (head < _TINY or -_TINY < a < _TINY or -_TINY < ay < _TINY):
+        return None
+    return ext
 
-    def ratio(v):
-        p, q = v
-        den = _form_eval(den_form, float(p), float(q))
-        return _form_eval(num_form, float(p), float(q)) / den
 
-    seeds = [(0, 1), (1, 0), (1, 1), (-1, 1)]
-    best = -INFINITY
-    witness = None
-    for v in seeds:
-        r = ratio(v)
-        if r > best:
-            best, witness = r, v
+def _shrink(r: float):
+    """r scaled down to a lower bound on its exact value, or None."""
+    return r * (1.0 - _SLACK) if _TINY <= r <= _HUGE else None
 
-    heap = []
-    counter = 0
 
-    def push(vl, vr):
-        nonlocal counter
-        ub = _interval_max(num_form, den_form, _slope(vl), _slope(vr))
-        if not stop(best, ub):
-            counter += 1
-            heapq.heappush(heap, (-ub, counter, vl, vr))
+def _classes(t: float):
+    """The seeds, then the continued-fraction convergents of the double t."""
+    yield from _SEEDS
+    if not math.isfinite(t):
+        return
+    n, d = t.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d:
+        a, r = divmod(n, d)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if (p1, q1) not in _SEEDS:
+            yield p1, q1
+        n, d = d, r
 
-    push((0, 1), (1, 0))
-    push((-1, 0), (0, 1))
 
-    nodes = 2
-    while heap:
-        neg_ub, _, vl, vr = heapq.heappop(heap)
-        ub = -neg_ub
-        if stop(best, ub):
-            break
-        nodes += 1
-        if nodes > cap:
+def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6) -> SupResult:
+    """Certified supremum over primitive classes, from below: the witness is
+    the first class of ``_classes(t_star)`` whose lower bound ``ratio(p, q)``
+    (None out of range) meets ``stop(lower, upper)``.  ``upper`` bounds the
+    sup over real slopes (inf out of range) and ``t_star`` attains it.  With
+    no such class the result is uncertified, for "range" if anything left
+    the normal range and "precision" if not."""
+    best, witness, nodes, out_of_range = 0.0, (1, 0), 0, math.isinf(upper)
+    for p, q in _classes(t_star):
+        if nodes == cap:
             raise EnumerationBudgetError(
-                f"slope enumeration cap {cap} exhausted; best lower bound {best}",
-                best,
+                f"slope enumeration cap {cap} exhausted; best lower bound {best}", best
             )
-        vm = (vl[0] + vr[0], vl[1] + vr[1])
-        r = ratio(vm)
-        if r > best:
-            best, witness = r, vm
-        push(vl, vm)
-        push(vm, vr)
-
-    upper = max((-h[0] for h in heap), default=best)
-    upper = max(upper, best)
-    p, q = witness
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    return SupResult(best, upper, TorusCurve(p, q), nodes, stop(best, upper))
+        nodes += 1
+        r = ratio(p, q)
+        out_of_range = out_of_range or r is None
+        if r is not None and r > best:
+            best, witness = r, (p, q)
+            if stop(best, upper):
+                return SupResult(best, upper, TorusCurve(p, q), nodes, True)
+    reason = "range" if out_of_range else "precision"
+    return SupResult(best, upper, TorusCurve(*witness), nodes, False, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -255,52 +217,103 @@ class KerckhoffResult:
     witness: TorusCurve
     nodes: int
     certified: bool
+    reason: str | None = None  # "precision" or "range" when not certified
 
     def __float__(self):
         return self.value
 
 
+def _pencil_top(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
+    """Upper bound on e^{2d} = 1 + D + sqrt(D) sqrt(D + 2), inf out of range.
+
+    D = |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2) over d = dx, dy,
+    forming no y^2: 6 roundings for D, 10.5 for the whole.
+    """
+    total = 0.0
+    for d in (t1.x - t2.x, t1.y - t2.y):
+        a, b = d / t1.y, d / t2.y
+        if d and min(abs(a), abs(b), a * b) < _TINY:
+            return INFINITY
+        total += a * b
+    big_d = 0.5 * total
+    if 0.0 < big_d < _TINY:
+        return INFINITY
+    return (1.0 + big_d + math.sqrt(big_d) * math.sqrt(big_d + 2.0)) * (1.0 + _SLACK)
+
+
+def _kerckhoff_slope(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
+    """Slope of the maximal ratio, a root of qa t^2 + qb t + qc or inf, solved
+    with tau2 moved to Re = 0: the root next to it is then small, so resolved
+    to a few ulps of its own size, and near the cusp it is the one that counts."""
+    s, y1, y2 = t1.x - t2.x, t1.y, t2.y
+    qa, qb, qc = -s, y2 * y2 - y1 * y1 - s * s, s * y2 * y2
+    if qa == 0.0:
+        roots = [INFINITY] + ([-qc / qb] if qb else [])
+    else:
+        k = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+        roots = [k / qa] + ([qc / k] if k else [])
+
+    def ratio(t):
+        if math.isinf(t):
+            return y2 / y1
+        return ((t + s) * ((t + s) / y1) + y1) / (t * (t / y2) + y2)
+
+    return max(roots, key=ratio) - t2.x
+
+
 def kerckhoff_distance(
     t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float, cap: int = 10**6
 ) -> KerckhoffResult:
-    """(1/2) log sup over primitive classes of the extremal-length ratio.
-
-    The supremum is enumerated from below over slopes and certified to
-    within ``tol`` of the true value; the hyperbolic closed form is exposed
-    alongside for cross-checking.
+    """(1/2) log sup over primitive classes of the extremal-length ratio,
+    certified to within ``tol``; the sup over real slopes is the top
+    eigenvalue of the pencil of the two forms.  The hyperbolic closed form
+    is exposed alongside for cross-checking.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    num = point_form(t1)
-    den = point_form(t2)
+    c1, c2 = (*t1.x.as_integer_ratio(), t1.y), (*t2.x.as_integer_ratio(), t2.y)
     factor = math.exp(2.0 * tol)
 
-    def stop(lower, upper):
-        return upper <= lower * factor
+    def ratio(p, q):
+        e1, e2 = _ext(p, q, *c1), _ext(p, q, *c2)
+        return None if e1 is None or e2 is None else _shrink(e1 / e2)
 
-    res = certified_sup(num, den, stop, cap=cap)
-    value = 0.5 * math.log(res.lower)
+    res = certified_sup(ratio, _kerckhoff_slope(t1, t2), _pencil_top(t1, t2),
+                        lambda lower, upper: upper / lower <= factor, cap)
+    value = 0.5 * math.log(res.lower) if res.lower > 0 else -INFINITY
     closed = teich_distance(t1, t2)
-    return KerckhoffResult(value, closed, res.witness, res.nodes, res.certified)
+    return KerckhoffResult(value, closed, res.witness, res.nodes, res.certified, res.reason)
 
 
 def ext_sup_enumeration(
     tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: float, cap: int = 10**6
 ) -> SupResult:
-    """Enumerate sup_gamma i(f, gamma)^2 / Ext_tau(gamma) from below.
-
-    Converges to extremal_length(tau, f) within ``tol`` (absolute).
-    """
+    """sup_gamma i(f, gamma)^2 / Ext_tau(gamma), certified from below to
+    within ``tol`` (absolute); over real slopes it is w^2 Ext_tau(f)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    w2 = float(f.weight) ** 2
-    num = tuple(w2 * v for v in curve_form(f.curve))
-    den = point_form(tau)
+    fp, fq = f.curve.p, f.curve.q
+    chart = (*tau.x.as_integer_ratio(), tau.y)
+    w2 = float(f.weight) * float(f.weight)  # 3 roundings; i^2, w2 * i^2 and / add 3
+    top = _ext(fp, fq, *chart)
+    upper = INFINITY if top is None else w2 * top * (1.0 + _SLACK)
+    if not (_TINY <= w2 and _TINY <= upper <= _HUGE):
+        upper = INFINITY
+    # t* = -(p_f x + q_f |tau|^2) / (p_f + q_f x), written around -x
+    den = fp + fq * tau.x
+    t_star = -tau.x - fq * tau.y * tau.y / den if den else INFINITY
 
-    def stop(lower, upper):
-        return upper - lower <= tol
+    def ratio(p, q):
+        i = fp * q - fq * p
+        if i == 0:
+            return 0.0
+        e = _ext(p, q, *chart)
+        try:
+            return None if e is None else _shrink(w2 * float(i * i) / e)
+        except OverflowError:
+            return None
 
-    return certified_sup(num, den, stop, cap=cap)
+    return certified_sup(ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +516,11 @@ def ratio_curve_search(
     if not target > 0:
         raise ValueError("target must be positive")
     target = Fraction(target) if is_exact(target) else target
-    va = (alpha.p, alpha.q)
-    vb = (beta.p, beta.q)
+
+    def reduced(u, w):
+        p, q = u * alpha.p + w * beta.p, u * alpha.q + w * beta.q
+        g = math.gcd(p, q)
+        return p // g, q // g
 
     lo = (1, 0)  # (w, u) = 0/1 side: gamma ~ alpha, ratio 0
     hi = (0, 1)  # ratio inf side: gamma ~ beta
@@ -519,21 +535,14 @@ def ratio_curve_search(
             best_err = err
             best = (u, w)
         if err < eps:
-            p = u * va[0] + w * vb[0]
-            q = u * va[1] + w * vb[1]
-            g = math.gcd(abs(p), abs(q))
-            return TorusCurve(p // g, q // g)
+            return TorusCurve(*reduced(u, w))
         if ratio < target:
             lo = (u, w)
         else:
             hi = (u, w)
     u, w = best
-    p = u * va[0] + w * vb[0]
-    q = u * va[1] + w * vb[1]
-    g = math.gcd(abs(p), abs(q))
     raise EnumerationBudgetError(
-        f"ratio search budget exhausted; best ratio {Fraction(w, u)} "
-        f"at curve ({p // g}, {q // g})",
+        f"ratio search budget exhausted; best ratio {Fraction(w, u)} at curve {reduced(u, w)}",
         float(Fraction(w, u)),
     )
 
@@ -605,19 +614,13 @@ def equidistance_check(
     """Distance from points of HS(f, s) to HS(f, t) equals (1/2) log(t/s)."""
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")
-    expected = 0.5 * math.log(float(t) / float(s))
-    rng = np.random.default_rng(seed)
-    sigmas = rng.uniform(-4.0, 4.0, size=samples)
-    distances = []
-    unique = True
     if s == t:
         return EquidistanceReport(0.0, [0.0] * samples, 0.0, True, True)
-    for sigma in sigmas:
-        x = horocycle_point(f, s, float(sigma))
-        d, clusters = _distance_to_horocycle(x, f, t)
-        distances.append(d)
-        if clusters != 1:
-            unique = False
+    expected = 0.5 * math.log(float(t) / float(s))
+    sigmas = np.random.default_rng(seed).uniform(-4.0, 4.0, size=samples)
+    feet = [_distance_to_horocycle(horocycle_point(f, s, float(sg)), f, t) for sg in sigmas]
+    distances = [d for d, _ in feet]
+    unique = all(clusters == 1 for _, clusters in feet)
     max_err = max(abs(d - expected) for d in distances)
     return EquidistanceReport(expected, distances, max_err, unique, max_err <= tol and unique)
 

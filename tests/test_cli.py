@@ -42,8 +42,30 @@ def test_torus_dist(capsys):
     rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-150i"])
     assert status == 0
     assert abs(rec["results"]["distance"]["value"] - 0.5 * math.log(1e150)) < 1e-6
+    # Im(tau)^2 subnormal: still certified, and within tol of the closed form
+    for im in ("1e-160", "1e-157"):
+        rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", f"0+{im}i"])
+        y = float(im)
+        truth = 0.5 * math.acosh(1.0 + (1.0 - y) ** 2 / (2.0 * y))
+        assert status == 0 and rec["results"]["certified"] is True
+        assert truth - 1e-9 - 1e-12 <= rec["results"]["distance"]["value"] <= truth + 1e-12
     assert cli.parse_tau("0.3+1e-8i") == UpperHalfPoint(0.3, 1e-8)
     assert cli.parse_tau("-2.5E+1+3e0i") == UpperHalfPoint(-25.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--tau1", "0+1i", "--tau2", "1+2i", "--tol", "1e-17"], "precision"),
+        (["--tau1", "0+1e-160i", "--tau2", "1+1e-160i"], "range"),
+    ],
+    ids=["tol-below-doubles", "sup-beyond-doubles"],
+)
+def test_torus_dist_uncertified_reason(argv, reason, capsys):
+    rec, status = run_json(capsys, ["torus-dist", *argv])
+    assert status == 2
+    assert rec["results"]["certified"] is False
+    assert rec["results"]["reason"] == reason
 
 
 def test_triple(capsys):

@@ -1,6 +1,8 @@
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +136,95 @@ def test_ext_sup_enumeration_matches_closed_form():
     assert res.lower <= exact + 1e-9
     assert res.upper >= exact - 1e-8
     assert res.upper - res.lower <= 1e-9
+
+
+# Truth at 50 digits on the exact double inputs; the slack matches the
+# acceptance suite's 1e-12 on certified values.
+mpmath.mp.dps = 50
+SLACK = 1e-12
+# (Re tau2, Im tau2) paired with tau1 = i: near the cusp and far up in it
+CUSP_POINTS = (
+    (0.3, 1e-5), (0.7, 1e-6), (1 / 3, 1e-8), (0.25, 1e-6),
+    (5.0, 1e-3), (0.3, 1e-7),
+    (0.3, 1e-3), (-1.4, 1e-3), (2.7, 1e-2), (0.123, 1e-4),
+    (0.0, 1e3), (0.5, 1e6), (3.3, 1e8),
+)
+
+
+def teich_truth(a, b):
+    dx, dy = mpmath.mpf(a.x) - mpmath.mpf(b.x), mpmath.mpf(a.y) - mpmath.mpf(b.y)
+    return mpmath.acosh(1 + (dx * dx + dy * dy) / (2 * mpmath.mpf(a.y) * mpmath.mpf(b.y))) / 2
+
+
+def assert_sound(r, truth, tol):
+    """A certified Kerckhoff value lies in [truth - tol, truth], up to SLACK."""
+    if r.certified:
+        assert truth - tol - SLACK <= r.value <= truth + SLACK
+    else:
+        assert r.reason in ("precision", "range")
+
+
+log_im = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+
+
+# 150 examples each keep both property tests near one second of Tier-1
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.floats(-3, 3), log_im, st.floats(-3, 3), log_im, st.sampled_from([1e-9, 1e-6]))
+def test_kerckhoff_certified_values_are_true(x1, y1, x2, y2, tol):
+    a, b = UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2)
+    assert_sound(T.kerckhoff_distance(a, b, tol=tol), teich_truth(a, b), tol)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.floats(-3, 3),
+    log_im,
+    st.integers(0, 9),
+    st.integers(-9, 9),
+    st.fractions(Fraction(1, 3), Fraction(4)),
+)
+def test_ext_sup_certified_values_are_true(x, y, p, q, w):
+    if math.gcd(p, q) != 1:
+        return
+    tau = UpperHalfPoint(x, y)
+    re, im = p + q * mpmath.mpf(x), q * mpmath.mpf(y)
+    truth = (mpmath.mpf(w.numerator) / w.denominator) ** 2 * (re * re + im * im) / y
+    tol = 1e-10 * max(1.0, float(truth))
+    res = T.ext_sup_enumeration(tau, fol(p, q, w), tol=tol)
+    slack = SLACK * max(1.0, truth)
+    if res.certified:
+        assert truth - tol - slack <= res.lower <= truth + slack
+        assert res.upper >= truth - slack
+    else:
+        assert res.reason in ("precision", "range")
+
+
+@pytest.mark.parametrize("x, y", CUSP_POINTS)
+def test_kerckhoff_cusp_points_certify(x, y):
+    a, b = UpperHalfPoint(0.0, 1.0), UpperHalfPoint(x, y)
+    t0 = time.perf_counter()
+    r = T.kerckhoff_distance(a, b, tol=1e-9)
+    elapsed = time.perf_counter() - t0
+    assert r.certified
+    assert_sound(r, teich_truth(a, b), 1e-9)
+    assert elapsed < 0.05
+
+
+@pytest.mark.parametrize("both", [False, True], ids=["one-point", "both-points"])
+def test_kerckhoff_subnormal_square_band(both):
+    """Im tau in [1.5e-162, 1e-140], where Im tau^2 is subnormal: every
+    result is right or uncertified, never an exception."""
+    rng = np.random.default_rng(11 if both else 10)
+    lo, hi = math.log(1.5e-162), math.log(1e-140)
+    certified = 0
+    for _ in range(300):
+        y1 = math.exp(rng.uniform(lo, hi)) if both else math.exp(rng.uniform(-2, 2))
+        a = UpperHalfPoint(float(rng.uniform(-3, 3)), y1)
+        b = UpperHalfPoint(float(rng.uniform(-3, 3)), math.exp(rng.uniform(lo, hi)))
+        r = T.kerckhoff_distance(a, b, tol=1e-9)
+        assert_sound(r, teich_truth(a, b), 1e-9)
+        certified += r.certified
+    assert certified >= (200 if both else 300)
 
 
 # ---------------------------------------------------------------------------
