@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Protocol
 
-from .kernel import Bracket, is_exact
+from .kernel import Bracket, UpperHalfPoint, is_exact
 from . import torus as torus_mod
 from . import origami as origami_mod
 
@@ -115,10 +115,9 @@ class TorusBackend:
         return None
 
     def horosphere_sampler(self, f, level):
-        sigmas = [0.0]
-        for k in range(21):
-            sigmas.extend([float(2**k), -float(2**k)])
-        return [torus_mod.horocycle_point(f, level, s) for s in sigmas]
+        at = torus_mod._horocycle(f, level)
+        sigmas = [0.0] + [sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)]
+        return [UpperHalfPoint(*at(s)) for s in sigmas]
 
     def distance(self, x, y):
         return torus_mod.teich_distance(x, y)

@@ -93,12 +93,22 @@ def mobius_apply(m: Mat2, tau: UpperHalfPoint) -> UpperHalfPoint:
     return UpperHalfPoint(w.real, w.imag)
 
 
+def cosh_distance(x1, y1, x2, y2):
+    """cosh of the hyperbolic distance, on floats or numpy arrays alike.
+
+    1 + |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2) over d = dx, dy,
+    so no y1 y2 is formed to underflow; it is at least 1 by construction."""
+    dx, dy = x1 - x2, y1 - y2
+    return 1.0 + 0.5 * ((dx / y1) * (dx / y2) + (dy / y1) * (dy / y2))
+
+
 def hyperbolic_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
     """Curvature -1 distance on the upper half-plane."""
-    dx = t1.x - t2.x
-    dy = t1.y - t2.y
-    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * t1.y * t2.y)
-    return math.acosh(max(arg, 1.0))
+    arg = cosh_distance(t1.x, t1.y, t2.x, t2.y)
+    if arg < math.inf:
+        return math.acosh(arg)
+    # cosh d beyond the doubles: d = log(2 cosh d) = log(|tau1 - tau2|^2 / (y1 y2)), in logs
+    return 2.0 * math.log(math.hypot(t1.x - t2.x, t1.y - t2.y)) - math.log(t1.y) - math.log(t2.y)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 from .kernel import (
     Mat2,
     UpperHalfPoint,
+    cosh_distance,
     hyperbolic_distance,
     is_exact,
     mobius_apply,
@@ -433,16 +434,27 @@ class HoroSpec:
         return self.foliation.curve
 
 
-def horocycle_point(f: WeightedTorusFoliation, level, sigma: float) -> UpperHalfPoint:
-    """Point of HS(f, level) at horocycle-flow parameter sigma."""
+def _horocycle(f: WeightedTorusFoliation, level):
+    """sigma -> (x, y) on HS(f, level) at horocycle-flow parameter sigma, for
+    a float or a numpy array; the level is normalized once, here.  For q = 0
+    HS is the line y = p^2 / level (y then a float), else a horocycle at -p/q."""
     c = f.curve
     lvl = float(_normalize_level(f.weight, level))
     if c.q == 0:
-        return UpperHalfPoint(sigma, c.p * c.p / lvl)
-    y0 = c.q * c.q / lvl
-    cx = -c.p / c.q
-    denom = sigma * sigma + y0 * y0
-    return UpperHalfPoint(cx - sigma / denom, y0 / denom)
+        height = c.p * c.p / lvl
+        return lambda sigma: (sigma, height)
+    y0, cx = c.q * c.q / lvl, -c.p / c.q
+
+    def at(sigma):
+        denom = sigma * sigma + y0 * y0
+        return cx - sigma / denom, y0 / denom
+
+    return at
+
+
+def horocycle_point(f: WeightedTorusFoliation, level, sigma: float) -> UpperHalfPoint:
+    """Point of HS(f, level) at horocycle-flow parameter sigma."""
+    return UpperHalfPoint(*_horocycle(f, level)(sigma))
 
 
 def horocycle_samples_ext(
@@ -452,17 +464,7 @@ def horocycle_samples_ext(
     sigmas: np.ndarray,
 ) -> np.ndarray:
     """Vectorized Ext(g) at horocycle-flow samples of HS(f, s)."""
-    c = f.curve
-    lvl = float(_normalize_level(f.weight, s))
-    sig = np.asarray(sigmas, dtype=float)
-    if c.q == 0:
-        x = sig
-        y = np.full_like(sig, c.p * c.p / lvl)
-    else:
-        y0 = c.q * c.q / lvl
-        denom = sig * sig + y0 * y0
-        x = -c.p / c.q - sig / denom
-        y = y0 / denom
+    x, y = _horocycle(f, s)(np.asarray(sigmas, dtype=float))
     cg = g.curve
     w2 = float(g.weight) ** 2
     re = cg.p + cg.q * x
@@ -565,12 +567,13 @@ def _distance_to_horocycle(
 ):
     """min over the horocycle HS(f, level) of the Teichmueller distance,
     together with the number of distinct numerical local minima."""
+    at = _horocycle(f, level)
 
     def dist(sigma):
-        return teich_distance(x, horocycle_point(f, level, sigma))
+        return teich_distance(x, UpperHalfPoint(*at(sigma)))
 
     grid = np.linspace(-span, span, 1441)
-    vals = np.array([dist(s) for s in grid])
+    vals = 0.5 * np.arccosh(cosh_distance(x.x, x.y, *at(grid)))
     k = int(np.argmin(vals))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])
@@ -594,13 +597,7 @@ def _distance_to_horocycle(
     # count near-global minima as clusters; merge runs separated by a gap
     # of at most two grid cells so float noise in flat basins is not split
     near = np.flatnonzero(vals <= vals.min() + 1e-4)
-    clusters = 0
-    prev_idx = None
-    for idx in near:
-        if prev_idx is None or idx - prev_idx > 3:
-            clusters += 1
-        prev_idx = idx
-    return dmin, clusters
+    return dmin, 1 + int(np.count_nonzero(np.diff(near) > 3))
 
 
 def equidistance_check(
@@ -614,11 +611,14 @@ def equidistance_check(
     """Distance from points of HS(f, s) to HS(f, t) equals (1/2) log(t/s)."""
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if s == t:
         return EquidistanceReport(0.0, [0.0] * samples, 0.0, True, True)
     expected = 0.5 * math.log(float(t) / float(s))
     sigmas = np.random.default_rng(seed).uniform(-4.0, 4.0, size=samples)
-    feet = [_distance_to_horocycle(horocycle_point(f, s, float(sg)), f, t) for sg in sigmas]
+    on_s = _horocycle(f, s)
+    feet = [_distance_to_horocycle(UpperHalfPoint(*on_s(float(sg))), f, t) for sg in sigmas]
     distances = [d for d, _ in feet]
     unique = all(clusters == 1 for _, clusters in feet)
     max_err = max(abs(d - expected) for d in distances)
@@ -738,23 +738,13 @@ def metric_ball_limit_check(
     ok = True
     for y in sample:
         b = busemann(x0, f, y)
-        memberships = []
-        nested = True
-        entered = False
-        final_d = None
-        for k in range(k_max + 1):
-            t = float(2**k)
-            d = ray_distance_minus_t(minv, u0, y, t)
-            final_d = d
-            member = d < 0.0
-            if entered and not member:
-                nested = False
-            entered = entered or member
-            memberships.append(member)
-        if abs(final_d) <= boundary_tol:
+        ds = [ray_distance_minus_t(minv, u0, y, float(2**k)) for k in range(k_max + 1)]
+        memberships = [d < 0.0 for d in ds]
+        nested = memberships == sorted(memberships)  # never out once in
+        if abs(ds[-1]) <= boundary_tol:
             cls = "inconclusive"
             inconclusive.append(y)
-        elif final_d < 0:
+        elif ds[-1] < 0:
             cls = "inside"
         else:
             cls = "outside"

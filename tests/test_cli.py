@@ -68,6 +68,14 @@ def test_torus_dist_uncertified_reason(argv, reason, capsys):
     assert rec["results"]["reason"] == reason
 
 
+def test_torus_dist_closed_form_tiny_heights(capsys):
+    """2 y1 y2 underflows; the closed form is still finite and right."""
+    rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1e-160i", "--tau2", "1+1e-160i"])
+    truth = -math.log(1e-160)  # (1/2) acosh(1 + 1 / (2 y^2)) = -log(y) to within 1e-300
+    assert status == 2
+    assert rec["results"]["closed_form"]["value"] == pytest.approx(truth, rel=1e-14)
+
+
 def test_triple(capsys):
     rec, status = run_json(capsys, ["triple", "--i", "2,3,6"])
     assert status == 0

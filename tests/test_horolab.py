@@ -112,6 +112,25 @@ def test_busemann_estimate_matches_closed_form():
 # inclusion_probe
 
 
+@pytest.mark.parametrize(
+    "p, q, weight, level",
+    [
+        (1, 0, Fraction(1), Fraction(1)),
+        (2, 3, Fraction(3, 2), Fraction(7, 3)),
+        (0, 1, Fraction(2, 5), 0.37),
+    ],
+)
+def test_torus_sampler_points_are_horocycle_points(p, q, weight, level):
+    """The sampler's 43 points are horocycle_point at 0, +-2^k (k < 21), bit for bit."""
+    f = T.WeightedTorusFoliation(weight, T.TorusCurve(p, q))
+    sigmas = [0.0]
+    for k in range(21):
+        sigmas += [float(2**k), -float(2**k)]
+    got = [(pt.x.hex(), pt.y.hex()) for pt in BE.horosphere_sampler(f, level)]
+    want = [T.horocycle_point(f, level, s) for s in sigmas]
+    assert got == [(pt.x.hex(), pt.y.hex()) for pt in want]
+
+
 def test_probe_same_foliation_sublevels_nest():
     res = H.inclusion_probe(tspec(1, 0, 1), tspec(1, 0, 2), BE)
     assert res.tag == H.INCLUDED_CERTIFIED

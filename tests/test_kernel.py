@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +76,39 @@ def test_hyperbolic_distance_on_imaginary_axis():
 def test_hyperbolic_distance_symmetric(x1, y1, x2, y2):
     a, b = UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2)
     assert hyperbolic_distance(a, b) == pytest.approx(hyperbolic_distance(b, a))
+
+
+def mp_distance(a, b):
+    """Hyperbolic distance at 50 digits on the exact double inputs."""
+    with mpmath.workdps(50):
+        dx, dy = mpmath.mpf(a.x) - mpmath.mpf(b.x), mpmath.mpf(a.y) - mpmath.mpf(b.y)
+        return mpmath.acosh(1 + (dx * dx + dy * dy) / (2 * mpmath.mpf(a.y) * mpmath.mpf(b.y)))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (UpperHalfPoint(0.0, 1e-160), UpperHalfPoint(1.0, 1e-160)),  # y1 y2 underflows
+        (UpperHalfPoint(0.3, 2.3e-308), UpperHalfPoint(1.0, 1e-150)),  # 2 y1 y2 is 0
+    ],
+)
+def test_hyperbolic_distance_tiny_heights(a, b):
+    d = hyperbolic_distance(a, b)
+    assert d == pytest.approx(float(mp_distance(a, b)), rel=1e-14)
+    assert hyperbolic_distance(b, a) == d
+
+
+def test_hyperbolic_distance_log_uniform_heights():
+    """Im tau log-uniform in [1e-300, 1e8]: always finite, never raises, and
+    right to 1e-14 relative (every distance in this set is above 5)."""
+    rng = np.random.default_rng(5)
+    lo, hi = math.log(1e-300), math.log(1e8)
+    for _ in range(2000):
+        a = UpperHalfPoint(float(rng.uniform(-3, 3)), math.exp(rng.uniform(lo, hi)))
+        b = UpperHalfPoint(float(rng.uniform(-3, 3)), math.exp(rng.uniform(lo, hi)))
+        d, truth = hyperbolic_distance(a, b), mp_distance(a, b)
+        assert math.isfinite(d)
+        assert abs(d - truth) <= 1e-14 * truth
 
 
 def test_mobius_isometry():

@@ -210,6 +210,14 @@ def test_kerckhoff_cusp_points_certify(x, y):
     assert elapsed < 0.05
 
 
+def test_kerckhoff_closed_form_with_tiny_heights():
+    """2 y1 y2 rounds to 0 here; the closed form must still be finite and right."""
+    a, b = UpperHalfPoint(0.3, 2.3e-308), UpperHalfPoint(1.0, 1e-150)
+    r = T.kerckhoff_distance(a, b, tol=1e-9)
+    assert r.closed_form == pytest.approx(float(teich_truth(a, b)), rel=1e-14)
+    assert_sound(r, teich_truth(a, b), 1e-9)
+
+
 @pytest.mark.parametrize("both", [False, True], ids=["one-point", "both-points"])
 def test_kerckhoff_subnormal_square_band(both):
     """Im tau in [1.5e-162, 1e-140], where Im tau^2 is subnormal: every
@@ -356,6 +364,83 @@ def test_equidistance_basic():
     rep = T.equidistance_check(fol(1, 1), Fraction(1), Fraction(4), samples=3)
     assert rep.ok
     assert rep.expected == pytest.approx(0.5 * math.log(4.0))
+
+
+def test_equidistance_rejects_empty_sample():
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        T.equidistance_check(fol(1, 1), Fraction(1), Fraction(4), samples=0)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        T.equidistance_check(fol(1, 1), Fraction(2), Fraction(2), samples=0)
+
+
+def distance_to_horocycle_loop(x, f, level, span=64.0):
+    """Reference for T._distance_to_horocycle: the same minimum with one
+    scalar distance per grid point and the cluster count as an explicit loop."""
+
+    def dist(sigma):
+        return T.teich_distance(x, T.horocycle_point(f, level, sigma))
+
+    grid = np.linspace(-span, span, 1441)
+    vals = np.array([dist(s) for s in grid])
+    k = int(np.argmin(vals))
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, len(grid) - 1)])
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = dist(a), dist(b)
+    dmin = min(float(vals[k]), fa, fb)
+    while hi - lo > 1e-12:
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = dist(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = dist(b)
+        dmin = min(dmin, fa, fb)
+    near = np.flatnonzero(vals <= vals.min() + 1e-4)
+    clusters = 0
+    prev_idx = None
+    for idx in near:
+        if prev_idx is None or idx - prev_idx > 3:
+            clusters += 1
+        prev_idx = idx
+    return dmin, clusters
+
+
+def horocycle_cases(seed, n):
+    """Seeded points (Im tau >= 0.05, so every foot lies well inside the
+    +-64 grid), curves with q = 0 and q != 0, weights other than 1 and
+    levels log-uniform in [1e-3, 1e3], kept off the horocycle itself."""
+    rng = np.random.default_rng(seed)
+    curves = [(1, 0), (2, 1), (0, 1), (3, -2), (1, 1)]
+    weights = [Fraction(1), Fraction(3, 2), Fraction(2, 5)]
+    cases = []
+    while len(cases) < n:
+        y = math.exp(rng.uniform(math.log(0.05), math.log(20)))
+        x = UpperHalfPoint(float(rng.uniform(-3, 3)), y)
+        f = fol(*curves[len(cases) % len(curves)], weights[len(cases) % len(weights)])
+        level = Fraction(math.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+        if abs(math.log(T.extremal_length(x, f) / float(level))) > 0.1:
+            cases.append((x, f, level))
+    return cases
+
+
+def test_distance_to_horocycle_matches_per_point_loop():
+    for x, f, level in horocycle_cases(3, 30):
+        dmin, clusters = T._distance_to_horocycle(x, f, level)
+        ref_dmin, ref_clusters = distance_to_horocycle_loop(x, f, level)
+        assert abs(dmin - ref_dmin) <= 1e-14
+        assert clusters == ref_clusters
+
+
+def test_distance_to_horocycle_closed_form():
+    """Test-only oracle: the distance to HS(f, level) is (1/2)|log(Ext_x(f) / level)|."""
+    for x, f, level in horocycle_cases(4, 200):
+        dmin, clusters = T._distance_to_horocycle(x, f, level)
+        assert abs(dmin - 0.5 * abs(math.log(T.extremal_length(x, f) / float(level)))) <= 1e-9
+        assert clusters == 1
 
 
 def test_busemann_closed_vs_limit():
