@@ -93,21 +93,23 @@ def mobius_apply(m: Mat2, tau: UpperHalfPoint) -> UpperHalfPoint:
     return UpperHalfPoint(w.real, w.imag)
 
 
-def cosh_distance(x1, y1, x2, y2):
-    """cosh of the hyperbolic distance, on floats or numpy arrays alike.
+def cosh_distance_minus_one(x1, y1, x2, y2):
+    """D = cosh d - 1 of the hyperbolic distance d, on floats or numpy arrays.
 
-    1 + |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2) over d = dx, dy,
-    so no y1 y2 is formed to underflow; it is at least 1 by construction."""
+    |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2) over d = dx, dy,
+    so no y1 y2 is formed to underflow, and D is never rounded against 1."""
     dx, dy = x1 - x2, y1 - y2
-    return 1.0 + 0.5 * ((dx / y1) * (dx / y2) + (dy / y1) * (dy / y2))
+    return 0.5 * ((dx / y1) * (dx / y2) + (dy / y1) * (dy / y2))
 
 
 def hyperbolic_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
-    """Curvature -1 distance on the upper half-plane."""
-    arg = cosh_distance(t1.x, t1.y, t2.x, t2.y)
-    if arg < math.inf:
-        return math.acosh(arg)
-    # cosh d beyond the doubles: d = log(2 cosh d) = log(|tau1 - tau2|^2 / (y1 y2)), in logs
+    """Curvature -1 distance on the upper half-plane: d = log1p(e^d - 1),
+    with e^d - 1 = D + sqrt(D (D + 2)), exact to a few ulps for nearby points."""
+    big_d = cosh_distance_minus_one(t1.x, t1.y, t2.x, t2.y)
+    em1 = big_d + math.sqrt(big_d) * math.sqrt(big_d + 2.0)
+    if em1 < math.inf:
+        return math.log1p(em1)
+    # e^d beyond the doubles: d = log(2 cosh d) = log(|tau1 - tau2|^2 / (y1 y2)), in logs
     return 2.0 * math.log(math.hypot(t1.x - t2.x, t1.y - t2.y)) - math.log(t1.y) - math.log(t2.y)
 
 

@@ -12,6 +12,7 @@ diag(e^t, e^{-t}) and the horocycle flow is the lower-triangular shear
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -191,13 +192,10 @@ def cylinders(o: Origami, direction: str) -> tuple:
     else:
         raise ValueError(f"unknown direction {direction!r}")
     if direction in o._cylinders:
-        return o._cylinders[direction]
+        return o._cylinders[direction][0]
 
     cycs = _cycles(along)
-    index = {}
-    for ci, c in enumerate(cycs):
-        for x in c:
-            index[x] = ci
+    index = {x: ci for ci, c in enumerate(cycs) for x in c}
 
     def merges(ci):
         c = cycs[ci]
@@ -208,25 +206,19 @@ def cylinders(o: Origami, direction: str) -> tuple:
     nxt = {ci: merges(ci) for ci in range(len(cycs))}
     has_pred = {t for t in nxt.values() if t is not None}
 
-    def walk(start, used):
-        chain = [start]
-        used.add(start)
-        cur = nxt[start]
-        while cur is not None and cur not in used:
-            chain.append(cur)
-            used.add(cur)
-            cur = nxt[cur]
-        return chain
-
     out = []
     used = set()
     # open chains begin at a band with no predecessor; the rest are loops
     starts = [ci for ci in range(len(cycs)) if ci not in has_pred]
     starts += [ci for ci in range(len(cycs))]
     for ci in starts:
-        if ci in used:
+        chain = []
+        while ci is not None and ci not in used:
+            chain.append(ci)
+            used.add(ci)
+            ci = nxt[ci]
+        if not chain:
             continue
-        chain = walk(ci, used)
         core = cycs[chain[0]]
         out.append(
             CylinderCurve(
@@ -237,8 +229,9 @@ def cylinders(o: Origami, direction: str) -> tuple:
                 row_cycles=tuple(cycs[k] for k in chain),
             )
         )
-    o._cylinders[direction] = tuple(out)
-    return o._cylinders[direction]
+    # beside the cylinders, the cylinder of each square
+    o._cylinders[direction] = (tuple(out), {s: c for c in out for s in c.all_squares})
+    return o._cylinders[direction][0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +334,17 @@ class CurveTrace:
     @cached_property
     def scaled_segments(self):
         """(d, {square: [(px, py, ex, ey), ...]}): start points and edge
-        vectors times d, the lcm of the coordinate denominators, so integers."""
-        d = math.lcm(*(c.denominator for _, p, q in self.segments for c in (*p, *q)))
+        vectors times d, the lcm of the coordinate denominators, so integers.
+        The segments repeat every a + |b| (one torus period), so d and the
+        integers come from the first period alone."""
+        a, b = self.direction
+        period = self.segments[:a + abs(b)]
+        d = math.lcm(*(c.denominator for _, p, q in period for c in (*p, *q)))
+        scaled = [(int(x0 * d), int(y0 * d), int((x1 - x0) * d), int((y1 - y0) * d))
+                  for _, (x0, y0), (x1, y1) in period]
         by_square = {}
-        for s, (x0, y0), (x1, y1) in self.segments:
-            px, py = int(x0 * d), int(y0 * d)
-            by_square.setdefault(s, []).append((px, py, int(x1 * d) - px, int(y1 * d) - py))
+        for (s, _, _), seg in zip(self.segments, itertools.cycle(scaled)):
+            by_square.setdefault(s, []).append(seg)
         return d, by_square
 
 
@@ -364,66 +362,75 @@ def trace_from_point(
     direction,
     max_steps: int = 100000,
 ) -> CurveTrace:
-    """March a straight line of rational direction until it closes up.
+    """Trace a straight line of rational direction until it closes up.
 
-    ``point`` is an exact (x, y) with coordinates in [0, 1) x [0, 1].  A
-    start the march never returns to (an interior point) is replaced by the
-    first edge point reached.  Raises SingularityHit when the line runs into
-    any vertex.
+    ``point`` is an exact (x, y) in [0, 1) x [0, 1]; an interior start is
+    replaced by the first edge point reached.  Period form: the line repeats
+    the same a + |b| torus segments every period, its square moving by the
+    word of h, v, v^-1 it crosses.  Decided up front, in steps (crossings,
+    plus one from an interior start): a vertex, met iff b*x - a*y is an
+    integer, at a step in closed form (SingularityHit); else closing after
+    k periods, k the cycle length of the first edge square under the word.
+    Either past ``max_steps`` raises TraceNotClosed at once.  Cost: one
+    integer march of a + |b| steps, then one lookup per emitted segment.
     """
     a, b = direction
     if a < 0 or (a == 0 and b != 1):
         raise ValueError("direction must have dx > 0, or be (0, 1)")
-    g = math.gcd(abs(a), abs(b))
-    if g == 0:
-        raise ValueError("zero direction")
+    g = math.gcd(a, b)
     a, b = a // g, b // g
     x, y = Fraction(point[0]), Fraction(point[1])
-    s = square
-    if b < 0 and y == 0:
-        s = o.v_inv[s]
-        y = Fraction(1)
-    revisited = (a > 0 and x == 0) or (b > 0 and y == 0) or (b < 0 and y == 1)
-    start_state = (s, x, y) if revisited else None
-    segments = []
-    hol_x = hol_y = 0
-    for _ in range(max_steps):
-        tx = Fraction(1 - x, a) if a > 0 else None
-        if b > 0:
-            ty = Fraction(1 - y, b)
-        elif b < 0:
-            ty = Fraction(y, -b)
+    if not (0 <= x < 1 and 0 <= y <= 1):
+        raise ValueError("point must lie in [0, 1) x [0, 1]")
+    offset = x / 3 if point[0] else Fraction(1, 3)
+    s, y = (o.v_inv[square], Fraction(1)) if b < 0 and y == 0 else (square, y)
+    period = a + abs(b)
+    # an edge start that the line re-enters through is its own first edge point
+    extra = 0 if (a > 0 and x == 0) or (b > 0 and y == 0) or (b < 0 and y == 1) else 1
+    steps = period + extra
+    c = b * x - a * y
+    if c.denominator == 1:  # first vertex at unfolded (p, q): count the crossings
+        if a == 0 or b == 0 or (b > 0 and y == 1 and x == 0):
+            steps = 1
         else:
-            ty = None
-        candidates = [t for t in (tx, ty) if t is not None]
-        t = min(candidates)
-        nx = x + a * t
-        ny = y + b * t
-        if (nx == 0 or nx == 1) and (ny == 0 or ny == 1):
-            raise SingularityHit(
-                f"trace hit a vertex at square {s + 1}, point ({nx}, {ny})",
-                suggested_offset=Fraction(point[0]) / 3 if point[0] else Fraction(1, 3),
-            )
-        segments.append((s, (x, y), (nx, ny)))
-        if nx == 1:
-            s = o.h[s]
-            hol_x += 1
-            x, y = Fraction(0), ny
-        elif ny == 1:
-            s = o.v[s]
-            hol_y += 1
-            x, y = nx, Fraction(0)
-        elif ny == 0:
-            s = o.v_inv[s]
-            hol_y -= 1
-            x, y = nx, Fraction(1)
+            p = (int(c) * pow(b, -1, a) - 1) % a + 1
+            q = (b * p - int(c)) // a
+            steps = p + q - 1 if b > 0 else p - q
+    if steps > max_steps:
+        raise TraceNotClosed(f"trace did not close within {max_steps} steps")
+    # integer march on coordinates times d, where every crossing time is whole
+    d = math.lcm(x.denominator, y.denominator) * max(a, 1) * max(abs(b), 1)
+    u, w = int(x * d), int(y * d)
+    start, ends, word, squares = (x, y), [], [], []
+    for _ in range(steps):
+        tx = (d - u) // a if a else math.inf
+        ty = (d - w) // b if b > 0 else w // -b if b < 0 else math.inf
+        t = min(tx, ty)
+        u, w = u + a * t, w + b * t
+        end = (Fraction(u, d), Fraction(w, d))
+        if u % d == 0 and w % d == 0:
+            raise SingularityHit(f"trace hit a vertex at square {s + 1}, point "
+                                 f"({end[0]}, {end[1]})", suggested_offset=offset)
+        ends.append((start, end))
+        squares.append(s)
+        if t == tx:
+            perm, u, start = o.h, 0, (Fraction(0), end[1])
+        elif b > 0:
+            perm, w, start = o.v, 0, (end[0], Fraction(0))
         else:
-            raise AssertionError("march did not reach an edge")
-        if start_state is None:
-            start_state, segments, hol_x, hol_y = (s, x, y), [], 0, 0
-        elif (s, x, y) == start_state:
-            return CurveTrace(o, (a, b), tuple(segments), (hol_x, hol_y))
-    raise TraceNotClosed(f"trace did not close within {max_steps} steps")
+            perm, w, start = o.v_inv, d, (end[0], Fraction(1))
+        word.append(perm)
+        s = perm[s]
+    ends, word, squares = ends[extra:], word[extra:], squares[extra:]
+    while s != squares[0]:
+        if len(squares) + steps > max_steps:
+            raise TraceNotClosed(f"trace did not close within {max_steps} steps")
+        for perm in word:
+            squares.append(s)
+            s = perm[s]
+    k = len(squares) // period
+    segments = tuple((sq, p, q) for sq, (p, q) in zip(squares, itertools.cycle(ends)))
+    return CurveTrace(o, (a, b), segments, (k * a, k * b))
 
 
 def trace_curve(
@@ -544,17 +551,12 @@ def i_with_foliation(t: CurveTrace, direction: str, x: MarkedFlatSurface):
 
 
 def _find_cylinder_for(t: CurveTrace):
-    if t.direction == (1, 0):
-        direction = HORIZONTAL
-    elif t.direction == (0, 1):
-        direction = VERTICAL
-    else:
+    direction = {(1, 0): HORIZONTAL, (0, 1): VERTICAL}.get(t.direction)
+    if direction is None:
         return None
-    wraps = abs(t.holonomy[0] + t.holonomy[1])
-    for cyl in cylinders(t.origami, direction):
-        if set(t.squares) <= set(cyl.all_squares) and wraps == cyl.circumference:
-            return cyl
-    return None
+    cylinders(t.origami, direction)  # fills the square -> cylinder index
+    cyl = t.origami._cylinders[direction][1][t.segments[0][0]]
+    return cyl if abs(t.holonomy[0] + t.holonomy[1]) == cyl.circumference else None
 
 
 def ext_bracket(t: CurveTrace, x: MarkedFlatSurface) -> Bracket:
@@ -880,12 +882,7 @@ def decompose_unimodular(m: Mat2):
     prod = Mat2.identity()
     for g in reversed(word):
         prod = prod @ _GEN_MATRIX[g]
-    if (int(prod.a), int(prod.b), int(prod.c), int(prod.d)) != (
-        int(entries[0]),
-        int(entries[1]),
-        int(entries[2]),
-        int(entries[3]),
-    ):
+    if (prod.a, prod.b, prod.c, prod.d) != tuple(int(e) for e in entries):
         raise AssertionError("generator decomposition failed")
     return word
 

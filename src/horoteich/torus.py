@@ -19,7 +19,7 @@ import numpy as np
 from .kernel import (
     Mat2,
     UpperHalfPoint,
-    cosh_distance,
+    cosh_distance_minus_one,
     hyperbolic_distance,
     is_exact,
     mobius_apply,
@@ -573,7 +573,7 @@ def _distance_to_horocycle(
         return teich_distance(x, UpperHalfPoint(*at(sigma)))
 
     grid = np.linspace(-span, span, 1441)
-    vals = 0.5 * np.arccosh(cosh_distance(x.x, x.y, *at(grid)))
+    vals = 0.5 * np.arccosh(1.0 + cosh_distance_minus_one(x.x, x.y, *at(grid)))
     k = int(np.argmin(vals))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])

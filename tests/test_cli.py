@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from horoteich import cli
@@ -74,6 +75,16 @@ def test_torus_dist_closed_form_tiny_heights(capsys):
     truth = -math.log(1e-160)  # (1/2) acosh(1 + 1 / (2 y^2)) = -log(y) to within 1e-300
     assert status == 2
     assert rec["results"]["closed_form"]["value"] == pytest.approx(truth, rel=1e-14)
+
+
+def test_torus_dist_closed_form_nearby_points(capsys):
+    """tau2 = tau1 + 1e-7: the closed form is 5e-8 to within its tolerance."""
+    rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", "1e-7+1i"])
+    closed = rec["results"]["closed_form"]
+    with mpmath.workdps(50):
+        truth = mpmath.asinh(mpmath.mpf(1e-7) / 2)  # (1/2) acosh(1 + dx^2 / 2)
+    assert status == 0
+    assert abs(closed["value"] - truth) <= closed["tolerance"]
 
 
 def test_triple(capsys):

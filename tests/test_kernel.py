@@ -111,6 +111,21 @@ def test_hyperbolic_distance_log_uniform_heights():
         assert abs(d - truth) <= 1e-14 * truth
 
 
+def test_hyperbolic_distance_nearby_points():
+    """Points 1e-15 to 1e-1 apart, relative to Im tau in [1e-8, 1e8]: right to
+    1e-14 relative, where acosh(1 + D) loses every digit below about 1e-8."""
+    rng = np.random.default_rng(6)
+    for _ in range(1000):
+        y = math.exp(rng.uniform(math.log(1e-8), math.log(1e8)))
+        gap = y * math.exp(rng.uniform(math.log(1e-15), math.log(1e-1)))
+        a = UpperHalfPoint(float(rng.uniform(-3, 3)), y)
+        b = UpperHalfPoint(a.x + gap * float(rng.uniform(-1, 1)), y + gap * float(rng.uniform(-1, 1)))
+        if a == b:
+            continue
+        d, truth = hyperbolic_distance(a, b), mp_distance(a, b)
+        assert abs(d - truth) <= 1e-14 * truth
+
+
 def test_mobius_isometry():
     m = Mat2(2.0, 1.0, 1.0, 1.0)
     a = UpperHalfPoint(0.2, 0.9)

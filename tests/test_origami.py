@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,103 @@ def test_singularity_hit_and_retry():
     assert t.holonomy == (3, 3)
 
 
+def _march_trace(o, square, point, direction, max_steps=100000):
+    """Reference: the Fraction march that trace_from_point replaced, one
+    edge crossing per step, a vertex or the budget ending it."""
+    a, b = direction
+    g = math.gcd(abs(a), abs(b))
+    a, b = a // g, b // g
+    x, y = Fraction(point[0]), Fraction(point[1])
+    s = square
+    if b < 0 and y == 0:
+        s = o.v_inv[s]
+        y = Fraction(1)
+    revisited = (a > 0 and x == 0) or (b > 0 and y == 0) or (b < 0 and y == 1)
+    start_state = (s, x, y) if revisited else None
+    segments = []
+    hol_x = hol_y = 0
+    for _ in range(max_steps):
+        tx = Fraction(1 - x, a) if a > 0 else None
+        if b > 0:
+            ty = Fraction(1 - y, b)
+        elif b < 0:
+            ty = Fraction(y, -b)
+        else:
+            ty = None
+        t = min(t for t in (tx, ty) if t is not None)
+        nx = x + a * t
+        ny = y + b * t
+        if (nx == 0 or nx == 1) and (ny == 0 or ny == 1):
+            raise O.SingularityHit(
+                f"trace hit a vertex at square {s + 1}, point ({nx}, {ny})",
+                suggested_offset=Fraction(point[0]) / 3 if point[0] else Fraction(1, 3),
+            )
+        segments.append((s, (x, y), (nx, ny)))
+        if nx == 1:
+            s = o.h[s]
+            hol_x += 1
+            x, y = Fraction(0), ny
+        elif ny == 1:
+            s = o.v[s]
+            hol_y += 1
+            x, y = nx, Fraction(0)
+        elif ny == 0:
+            s = o.v_inv[s]
+            hol_y -= 1
+            x, y = nx, Fraction(1)
+        else:
+            raise AssertionError("march did not reach an edge")
+        if start_state is None:
+            start_state, segments, hol_x, hol_y = (s, x, y), [], 0, 0
+        elif (s, x, y) == start_state:
+            return O.CurveTrace(o, (a, b), tuple(segments), (hol_x, hol_y))
+    raise O.TraceNotClosed(f"trace did not close within {max_steps} steps")
+
+
+def _trace_outcome(fn, *args, **kw):
+    try:
+        t = fn(*args, **kw)
+    except O.SingularityHit as e:
+        return ("vertex", str(e), e.suggested_offset)
+    except O.TraceNotClosed as e:
+        return ("budget", str(e))
+    return ("closed", t.segments, t.holonomy, t.direction)
+
+
+def test_trace_from_point_matches_fraction_march():
+    """Random origamis (n <= 12), directions |a|, |b| <= 7, edge and interior
+    starts, budgets 5, 20 and 100000: the same segments, holonomy and
+    direction, or the same exception with the same suggested_offset."""
+    rng = random.Random(6)
+    seen = {"closed": 0, "vertex": 0, "budget": 0}
+    budget_first = 0
+    for _ in range(1500):
+        o = _random_origami(rng, rng.randint(1, 12))
+        a = rng.randint(0, 7)
+        b = rng.randint(-7, 7) if a else 1
+        den = rng.choice([1, 2, 3, 4, 6, 7, 12])
+        fx, fy = Fraction(rng.randrange(den), den), Fraction(rng.randrange(den + 1), den)
+        point = rng.choice([(fx, Fraction(0)), (Fraction(0), fy), (fx, Fraction(1)), (fx, fy)])
+        args = (o, rng.randrange(o.n), point, (a, b))
+        max_steps = rng.choice([5, 20, 100000])
+        got = _trace_outcome(O.trace_from_point, *args, max_steps=max_steps)
+        assert got == _trace_outcome(_march_trace, *args, max_steps=max_steps), args
+        seen[got[0]] += 1
+        if got[0] == "budget" and _trace_outcome(_march_trace, *args)[0] == "vertex":
+            budget_first += 1
+    assert min(seen.values()) > 100 and budget_first > 10
+
+
+def test_trace_budget_decided_up_front():
+    """The unit torus in direction (1, 10^7) needs 10^7 + 1 steps; from x = 1/2
+    it meets a vertex at step 5 * 10^6.  Both exceed the budget at once."""
+    started = time.perf_counter()
+    for x in (Fraction(1, 3), Fraction(1, 2)):
+        with pytest.raises(O.TraceNotClosed):
+            O.trace_from_point(TORUS, 0, (x, Fraction(0)), (1, 10**7), max_steps=10**6)
+    assert time.perf_counter() - started < 0.5
+
+
 def test_crossing_number_basic():
     tv = O.robust_trace(TORUS, 0, None)
     th = O.robust_trace(TORUS, 0, Fraction(0))
@@ -262,6 +360,38 @@ def test_ext_bracket_cylinder_core():
     assert br.lo == pytest.approx(4 / 3, rel=1e-12)
     assert br.hi == pytest.approx(2.0, rel=1e-12)
     assert br.lo <= br.hi
+
+
+def _scan_cylinder_for(t):
+    """Reference: the linear scan over the direction's cylinders."""
+    direction = {(1, 0): O.HORIZONTAL, (0, 1): O.VERTICAL}.get(t.direction)
+    if direction is None:
+        return None
+    wraps = abs(t.holonomy[0] + t.holonomy[1])
+    for cyl in O.cylinders(t.origami, direction):
+        if set(t.squares) <= set(cyl.all_squares) and wraps == cyl.circumference:
+            return cyl
+    return None
+
+
+def test_cylinder_lookup_matches_linear_scan():
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(40):
+        o = _random_origami(rng, rng.randint(1, 12))
+        traces = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
+                  for c in O.cylinders(o, d)]
+        for s in range(o.n):
+            traces.append(O.trace_curve(o, s, Fraction(0), offset=Fraction(1, 3), edge="left"))
+            traces.append(O.trace_curve(o, s, None, offset=Fraction(2, 5)))
+        traces.append(O.robust_trace(o, 0, Fraction(1), offset=Fraction(3, 7)))
+        # a core run twice around wraps twice its cylinder: no cylinder
+        traces += [O.CurveTrace(o, t.direction, t.segments * 2, (2 * t.holonomy[0], 2 * t.holonomy[1]))
+                   for t in traces[:2]]
+        for t in traces:
+            assert O._find_cylinder_for(t) == _scan_cylinder_for(t)
+            compared += 1
+    assert compared > 500
 
 
 def test_ext_bracket_non_periodic_direction_unbounded_above():
