@@ -81,9 +81,6 @@ class Graph:
     vertices: tuple
     adjacency: tuple  # parallel tuple of frozensets of vertex indices
 
-    def neighbors(self, v):
-        return self.adjacency[self.vertices.index(v)]
-
     @property
     def edges(self):
         out = []

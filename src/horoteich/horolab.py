@@ -61,9 +61,6 @@ class GeometryBackend(Protocol):
     def intersect(self, f, g):
         ...
 
-    def scale(self, f, k):
-        ...
-
     def proportionality(self, f, g):
         """k with f projectively equal to k*g, else None."""
         ...
@@ -93,9 +90,6 @@ class TorusBackend:
     def intersect(self, f, g):
         return torus_mod.foliation_intersection(f, g)
 
-    def scale(self, f, k):
-        return torus_mod.WeightedTorusFoliation(f.weight * k, f.curve)
-
     def proportionality(self, f, g):
         if f.curve == g.curve:
             return Fraction(f.weight) / Fraction(g.weight)
@@ -115,7 +109,7 @@ class TorusBackend:
         return None
 
     def horosphere_sampler(self, f, level):
-        at = torus_mod._horocycle(f, level)
+        at = torus_mod._horocycle(f, level)[0]
         sigmas = [0.0] + [sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)]
         return [UpperHalfPoint(*at(s)) for s in sigmas]
 
@@ -168,11 +162,6 @@ class OrigamiBackend:
                     * origami_mod.crossing_number(self._core(cf), self._core(cg))
                 )
         return total
-
-    def scale(self, f, k):
-        return origami_mod.MulticurveFoliation(
-            tuple((w * k, c) for w, c in f.components)
-        )
 
     def proportionality(self, f, g):
         coeffs = self.subfoliation_coeffs(f, g)

@@ -94,7 +94,7 @@ def mobius_apply(m: Mat2, tau: UpperHalfPoint) -> UpperHalfPoint:
 
 
 def cosh_distance_minus_one(x1, y1, x2, y2):
-    """D = cosh d - 1 of the hyperbolic distance d, on floats or numpy arrays.
+    """D = cosh d - 1 of the hyperbolic distance d between x1 + i y1 and x2 + i y2.
 
     |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2) over d = dx, dy,
     so no y1 y2 is formed to underflow, and D is never rounded against 1."""

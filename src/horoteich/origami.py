@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .kernel import Bracket, Mat2, as_float_down, as_float_up, is_exact
 
 HORIZONTAL = "horizontal"
@@ -648,6 +646,8 @@ def horocycle_growth_check(
 
     Checks lo >= (|s| i_v - i_h)^2 / area when positive, and the s^2 i_v^2
     / (2 area) bound past the derived threshold; fits lo against s."""
+    import numpy as np
+
     i_v = i_with_foliation(t, VERTICAL, x)
     i_h = i_with_foliation(t, HORIZONTAL, x)
     if not i_v > 0:
@@ -750,7 +750,7 @@ def small_intersection_search(
     for d in (HORIZONTAL, VERTICAL):
         for cyl in cylinders(o, d):
             candidates.append(("core", d, cyl))
-    slopes = [Fraction(0), None, Fraction(1), Fraction(-1)]
+    slopes = [Fraction(0), None]
     for denom in range(1, 9):
         for num in range(1, 9):
             if math.gcd(num, denom) == 1:

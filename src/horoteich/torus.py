@@ -9,12 +9,11 @@ descent over slopes toward a closed-form supremum.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .kernel import (
     Mat2,
@@ -435,36 +434,34 @@ class HoroSpec:
 
 
 def _horocycle(f: WeightedTorusFoliation, level):
-    """sigma -> (x, y) on HS(f, level) at horocycle-flow parameter sigma, for
-    a float or a numpy array; the level is normalized once, here.  For q = 0
-    HS is the line y = p^2 / level (y then a float), else a horocycle at -p/q."""
+    """(at, y0, cx): at maps the horocycle-flow parameter sigma (a float or a
+    numpy array) to (x, y) on HS(f, level), the image of sigma + i*y0 under
+    w -> w (q = 0: the line y = y0 = p^2 / level; cx = 0) or w -> cx - 1/w
+    (cx = -p/q, y0 = q^2 / level).  The level is normalized once, here."""
     c = f.curve
     lvl = float(_normalize_level(f.weight, level))
     if c.q == 0:
         height = c.p * c.p / lvl
-        return lambda sigma: (sigma, height)
+        return (lambda sigma: (sigma, height)), height, 0.0
     y0, cx = c.q * c.q / lvl, -c.p / c.q
 
     def at(sigma):
         denom = sigma * sigma + y0 * y0
         return cx - sigma / denom, y0 / denom
 
-    return at
+    return at, y0, cx
 
 
 def horocycle_point(f: WeightedTorusFoliation, level, sigma: float) -> UpperHalfPoint:
     """Point of HS(f, level) at horocycle-flow parameter sigma."""
-    return UpperHalfPoint(*_horocycle(f, level)(sigma))
+    return UpperHalfPoint(*_horocycle(f, level)[0](sigma))
 
 
-def horocycle_samples_ext(
-    f: WeightedTorusFoliation,
-    s,
-    g: WeightedTorusFoliation,
-    sigmas: np.ndarray,
-) -> np.ndarray:
-    """Vectorized Ext(g) at horocycle-flow samples of HS(f, s)."""
-    x, y = _horocycle(f, s)(np.asarray(sigmas, dtype=float))
+def horocycle_samples_ext(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation, sigmas):
+    """Vectorized Ext(g) at horocycle-flow samples of HS(f, s), as a numpy array."""
+    import numpy as np
+
+    x, y = _horocycle(f, s)[0](np.asarray(sigmas, dtype=float))
     cg = g.curve
     w2 = float(g.weight) ** 2
     re = cg.p + cg.q * x
@@ -562,53 +559,88 @@ class EquidistanceReport:
     ok: bool
 
 
-def _distance_to_horocycle(
-    x: UpperHalfPoint, f: WeightedTorusFoliation, level, span: float = 64.0
-):
+# Distance to a horocycle.  HS(f, level) is an isometric image of the line
+# Im w = y0 (see _horocycle), so its points at sigma, sigma' are at distance
+# asinh(|sigma - sigma'| / (2 y0)).  A block of grid points within r of its
+# midpoint m thus holds no value below d(m) - asinh(r / (2 y0)); when that is
+# over 1e-4 above the best value so far, the block holds neither the argmin
+# nor a near minimum and is dropped unevaluated.  Blocks halve level by level;
+# values are D = cosh 2d - 1 = 2 sinh(d)^2, with one threshold per level.
+# Rounding (u = 2^-53, first order): at() puts a point within u K / 2 of the
+# horocycle, K = (|cx| (span^2 + y0^2) + 5 span + 4 y0) / y0, a grid sigma is
+# within 3u span of i * step - span, and a value or threshold with its d <-> D
+# conversions takes at most 12 roundings; adding 2^-48 (K + 3 span / y0 + 1 + t)
+# to a threshold distance t covers all of it twice over.
+
+_SPAN, _GRID = 64.0, 1441
+_STEP = 2.0 * _SPAN / (_GRID - 1)
+_SIGMAS = [i * _STEP - _SPAN for i in range(_GRID - 1)] + [_SPAN]  # np.linspace's
+
+
+def _grid_minima(big_d, y0: float, cx: float):
+    """(k, D_k, near): the first index of the least D = big_d(sigma) over
+    _SIGMAS on the horocycle with chart data y0, cx, and the sorted indices
+    within 1e-4 of it in distance; blocks the pruning rules out are skipped."""
+    k_round = (abs(cx) * (_SPAN * _SPAN + y0 * y0) + 8.0 * _SPAN + 4.0 * y0) / y0
+
+    def cut(d_min, radius, slack):
+        """D at 1e-4 + radius (+ rounding slack) beyond the distance of d_min."""
+        t = math.asinh(math.sqrt(0.5 * d_min)) + 1e-4 + radius
+        sh = math.sinh(min(t + slack * (k_round + 1.0 + t), 710.0))
+        return 2.0 * sh * sh
+
+    vals = {}
+    blocks = [(0, _GRID)]  # half-open index ranges not yet ruled out
+    while blocks:
+        mids = [(lo + hi) // 2 for lo, hi in blocks]
+        for m in mids:
+            vals[m] = big_d(_SIGMAS[m])
+        radius = math.asinh(max(hi - lo for lo, hi in blocks) // 2 * _STEP / (2.0 * y0))
+        level_cut = cut(min(vals.values()), radius, 2.0**-48)
+        blocks = [half for (lo, hi), m in zip(blocks, mids) if not vals[m] > level_cut
+                  for half in ((lo, m), (m + 1, hi)) if half[0] < half[1]]
+    k = min(vals, key=lambda i: (vals[i], i))
+    near_cut = cut(vals[k], 0.0, 0.0)
+    return k, vals[k], sorted(i for i, v in vals.items() if v <= near_cut)
+
+
+def _distance_to_horocycle(x: UpperHalfPoint, f: WeightedTorusFoliation, level):
     """min over the horocycle HS(f, level) of the Teichmueller distance,
-    together with the number of distinct numerical local minima."""
-    at = _horocycle(f, level)
+    together with the number of distinct numerical local minima: the grid
+    minimum over 1441 points on +-64, refined by golden section."""
+    at, y0, cx = _horocycle(f, level)
 
-    def dist(sigma):
-        return teich_distance(x, UpperHalfPoint(*at(sigma)))
+    def big_d(sigma):
+        return cosh_distance_minus_one(x.x, x.y, *at(sigma))
 
-    grid = np.linspace(-span, span, 1441)
-    vals = 0.5 * np.arccosh(1.0 + cosh_distance_minus_one(x.x, x.y, *at(grid)))
-    k = int(np.argmin(vals))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, len(grid) - 1)])
-    # golden-section refinement inside the grid bracket; dmin is the least
-    # value seen, so it is always attained at an evaluated point
+    k, d_k, near = _grid_minima(big_d, y0, cx)
+    lo, hi = _SIGMAS[max(k - 1, 0)], _SIGMAS[min(k + 1, _GRID - 1)]
+    # golden section on D in the grid bracket.  It drops only points no better
+    # than one it keeps, so the least value seen is D_k, fa or fb
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fa, fb = dist(a), dist(b)
-    dmin = min(float(vals[k]), fa, fb)
+    fa, fb = big_d(a), big_d(b)
     while hi - lo > 1e-12:
         if fa < fb:
             hi, b, fb = b, a, fa
             a = hi - shrink * (hi - lo)
-            fa = dist(a)
+            fa = big_d(a)
         else:
             lo, a, fa = a, b, fb
             b = lo + shrink * (hi - lo)
-            fb = dist(b)
-        dmin = min(dmin, fa, fb)
+            fb = big_d(b)
+    _, foot = min((d_k, _SIGMAS[k]), (fa, a), (fb, b))
 
     # count near-global minima as clusters; merge runs separated by a gap
     # of at most two grid cells so float noise in flat basins is not split
-    near = np.flatnonzero(vals <= vals.min() + 1e-4)
-    return dmin, 1 + int(np.count_nonzero(np.diff(near) > 3))
+    clusters = 1 + sum(1 for i, j in zip(near, near[1:]) if j - i > 3)
+    return teich_distance(x, UpperHalfPoint(*at(foot))), clusters
 
 
-def equidistance_check(
-    f: WeightedTorusFoliation,
-    s,
-    t,
-    samples: int,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> EquidistanceReport:
-    """Distance from points of HS(f, s) to HS(f, t) equals (1/2) log(t/s)."""
+def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float = 1e-6,
+                       seed: int = 0) -> EquidistanceReport:
+    """Distance from points of HS(f, s) to HS(f, t) equals (1/2) log(t/s); the
+    points' horocycle-flow parameters are uniform on [-4, 4] from random.Random(seed)."""
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")
     if samples < 1:
@@ -616,9 +648,9 @@ def equidistance_check(
     if s == t:
         return EquidistanceReport(0.0, [0.0] * samples, 0.0, True, True)
     expected = 0.5 * math.log(float(t) / float(s))
-    sigmas = np.random.default_rng(seed).uniform(-4.0, 4.0, size=samples)
-    on_s = _horocycle(f, s)
-    feet = [_distance_to_horocycle(UpperHalfPoint(*on_s(float(sg))), f, t) for sg in sigmas]
+    on_s, rng = _horocycle(f, s)[0], random.Random(seed)
+    feet = [_distance_to_horocycle(UpperHalfPoint(*on_s(rng.uniform(-4.0, 4.0))), f, t)
+            for _ in range(samples)]
     distances = [d for d, _ in feet]
     unique = all(clusters == 1 for _, clusters in feet)
     max_err = max(abs(d - expected) for d in distances)

@@ -21,6 +21,11 @@ def run_json(capsys, argv):
     return json.loads(out), status
 
 
+def run_text(capsys, argv):
+    cli.run(argv)
+    return capsys.readouterr().out
+
+
 def strip_timestamp(text):
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
 
@@ -286,11 +291,57 @@ def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
 
 
-def test_cli_import_does_not_load_scipy():
+NUMPY_FREE_COMMANDS = [
+    ["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i"],
+    ["triple", "--i", "2,3,6"],
+    ["origami-info", *L_ARGS],
+    ["relation", "--model", "torus", "--curve1", "1,0", "--level1", "1/2",
+     "--curve2", "0,1", "--level2", "1"],
+]
+NUMPY_COMMANDS = [
+    ["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "20"],
+    ["growth-check", *L_ARGS],
+]
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+from fractions import Fraction
+import horoteich, horoteich.cli as cli
+from horoteich import torus, origami, horolab, curvegraph
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.run(argv)
+    return status, out.getvalue()
+
+free, users = json.loads(sys.argv[1])
+for argv in free:
+    assert run(argv)[0] == 0, argv
+f = torus.WeightedTorusFoliation(Fraction(1), torus.TorusCurve(2, 1))
+assert torus.equidistance_check(f, Fraction(1), Fraction(4), samples=3).ok
+assert "numpy" not in sys.modules and "scipy" not in sys.modules
+print(json.dumps([run(argv) for argv in users]))
+"""
+
+
+def test_numpy_free_paths_load_neither_numpy_nor_scipy(capsys):
+    """A fresh process imports every module and runs four commands and an
+    equidistance check without loading numpy or scipy; ball-limit and
+    growth-check then load numpy themselves and print the records they print
+    here, where numpy is already loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import horoteich.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    arg = json.dumps([NUMPY_FREE_COMMANDS, NUMPY_COMMANDS])
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, arg],
+                          env=env, check=True, capture_output=True, text=True)
+    fresh = json.loads(proc.stdout)
+    for argv, (status, out) in zip(NUMPY_COMMANDS, fresh):
+        assert status == 0, argv
+        assert strip_timestamp(out) == strip_timestamp(run_text(capsys, argv))
+    ball, growth = (json.loads(out)["results"] for _, out in fresh)
+    assert ball == {"ok": True, "inside": 9, "outside": 11, "inconclusive": 0}
+    assert growth["quadratic_coefficient"]["value"] == 1.333333333333331
+    assert growth["fit_residual"]["value"] == 8.505249704859057e-16
 
 
 def test_numeric_fields_tagged(capsys):

@@ -455,6 +455,24 @@ def test_small_intersection_search_l_origami():
     assert O.crossing_number(O.core_trace(L, other), beta) == 0
 
 
+def test_small_intersection_search_traces_each_slope_square_once(monkeypatch):
+    """A search that exhausts its candidates traces every (slope, square) once."""
+    wide = [c for c in O.cylinders(L, O.VERTICAL) if c.circumference == 2][0]
+    traced = []
+    real = O.robust_trace
+
+    def recording(o, square, slope, *args, **kwargs):
+        traced.append((slope, square))
+        return real(o, square, slope, *args, **kwargs)
+
+    monkeypatch.setattr(O, "robust_trace", recording)
+    # F_1 = F_0, so every ratio is 1 and no candidate meets eps
+    with pytest.raises(RuntimeError, match="search budget exhausted"):
+        O.small_intersection_search(L, [(1, wide), (1, wide)], Fraction(1, 2))
+    assert len(traced) == 88 * L.n  # 0, vert and +-num/denom, coprime, both <= 8
+    assert len(set(traced)) == len(traced)
+
+
 # ---------------------------------------------------------------------------
 # Re-marking action
 

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horoteich.kernel import Mat2, UpperHalfPoint
+from horoteich.kernel import Mat2, UpperHalfPoint, cosh_distance_minus_one
 from horoteich import torus as T
 
 
@@ -441,6 +442,76 @@ def test_distance_to_horocycle_closed_form():
         dmin, clusters = T._distance_to_horocycle(x, f, level)
         assert abs(dmin - 0.5 * abs(math.log(T.extremal_length(x, f) / float(level)))) <= 1e-9
         assert clusters == 1
+
+
+def dense_grid_minima(x, f, level, span=64.0):
+    """Reference for T._grid_minima and T._distance_to_horocycle: D on all
+    1441 grid points in one numpy pass, its first argmin, the indices within
+    1e-4 of it in distance, and the minimum refined by golden section on the
+    distance itself."""
+    at = T._horocycle(f, level)[0]
+    grid = np.linspace(-span, span, 1441)
+    vals = cosh_distance_minus_one(x.x, x.y, *at(grid))
+    k = int(np.argmin(vals))
+    dist = np.arcsinh(np.sqrt(0.5 * vals))  # D = cosh 2d - 1 = 2 sinh(d)^2
+
+    def d(sigma):
+        return T.teich_distance(x, UpperHalfPoint(*at(sigma)))
+
+    lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, 1440)])
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = d(a), d(b)
+    dmin = min(float(dist[k]), fa, fb)
+    while hi - lo > 1e-12:
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = d(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = d(b)
+        dmin = min(dmin, fa, fb)
+    return k, np.flatnonzero(dist <= dist[k] + 1e-4).tolist(), dmin
+
+
+def wide_horocycle_cases(seed, n):
+    """Seeded points from near the cusp to far up (Im tau log-uniform in
+    [1e-8, 1e8]), curves with q = 0 and q != 0, weights other than 1 and
+    levels log-uniform in [1e-6, 1e6]."""
+    rng = random.Random(seed)
+    curves = [(1, 0), (2, 1), (0, 1), (3, -2), (1, 1), (-7, 5)]
+    weights = [Fraction(1), Fraction(3, 2), Fraction(2, 5)]
+    for j in range(n):
+        y = math.exp(rng.uniform(math.log(1e-8), math.log(1e8)))
+        x = UpperHalfPoint(rng.uniform(-3.0, 3.0), y)
+        f = fol(*curves[j % len(curves)], weights[j % len(weights)])
+        level = Fraction(math.exp(rng.uniform(math.log(1e-6), math.log(1e6))))
+        yield x, f, level
+
+
+def test_distance_to_horocycle_pruned_matches_dense_grid():
+    assert T._SIGMAS == np.linspace(-64.0, 64.0, 1441).tolist()
+    evaluated = []
+    for x, f, level in wide_horocycle_cases(5, 300):
+        at, y0, cx = T._horocycle(f, level)
+        seen = []
+
+        def big_d(sigma):
+            seen.append(sigma)
+            return cosh_distance_minus_one(x.x, x.y, *at(sigma))
+
+        k, _, near = T._grid_minima(big_d, y0, cx)
+        evaluated.append(len(seen))
+        ref_k, ref_near, ref_dmin = dense_grid_minima(x, f, level)
+        assert k == ref_k
+        assert near == ref_near
+        dmin, clusters = T._distance_to_horocycle(x, f, level)
+        assert clusters == 1 + sum(1 for i, j in zip(ref_near, ref_near[1:]) if j - i > 3)
+        assert abs(dmin - ref_dmin) <= 1e-14
+    # the pruning is what makes the search cheap: most cases skip most points
+    assert sorted(evaluated)[len(evaluated) // 2] < 1441 // 4
 
 
 def test_busemann_closed_vs_limit():
