@@ -108,7 +108,11 @@ def _foliation(curve: T.TorusCurve, weight=Fraction(1)) -> T.WeightedTorusFoliat
 
 
 def num_exact(v) -> dict:
-    return {"value": str(Fraction(v)), "float": float(v), "exact": True}
+    try:
+        as_float = float(v)
+    except OverflowError:
+        raise InputError("an exact result is beyond the double range") from None
+    return {"value": str(Fraction(v)), "float": as_float, "exact": True}
 
 
 def num_float(v, tol) -> dict:
@@ -258,7 +262,10 @@ def cmd_tangency(args, cfg):
         "i_squared": num_exact(Fraction(T.intersection(h1.curve, h2.curve)) ** 2),
     }
     if tangent:
-        pt = T.tangency_point(h1, h2)
+        try:
+            pt = T.tangency_point(h1, h2)
+        except ValueError as e:
+            raise InputError(str(e)) from e
         results["tangent_point"] = {
             "re": num_float(pt.x, 1e-10),
             "im": num_float(pt.y, 1e-10),
@@ -594,18 +601,15 @@ def _svg_horocycles(curve: T.TorusCurve, levels):
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     for k, level in enumerate(levels):
         color = colors[k % len(colors)]
-        lvl = float(level)
+        _, y0, cx = T._horocycle(_foliation(curve), level)
         if curve.q == 0:
-            # horizontal foliation curve: level set is a horizontal line
-            y = curve.p * curve.p / lvl
-            if y <= y_max:
+            # horizontal foliation curve: level set is the line y = y0
+            if y0 <= y_max:
                 parts.append(
-                    f'<line x1="0" y1="{sy(y):.2f}" x2="{width}" y2="{sy(y):.2f}" '
+                    f'<line x1="0" y1="{sy(y0):.2f}" x2="{width}" y2="{sy(y0):.2f}" '
                     f'stroke="{color}" stroke-width="1.5" fill="none"/>'
                 )
         else:
-            y0 = curve.q * curve.q / lvl
-            cx = -curve.p / curve.q
             r = 1.0 / (2.0 * y0)
             parts.append(
                 f'<circle cx="{sx(cx):.2f}" cy="{sy(r):.2f}" r="{r * scale:.2f}" '
@@ -624,7 +628,10 @@ def cmd_torus_plot(args, cfg):
     levels = [parse_rational(p) for p in args.levels.split(",")]
     if any(not lv > 0 for lv in levels):
         raise InputError("levels must be positive")
-    svg = _svg_horocycles(curve, levels)
+    try:
+        svg = _svg_horocycles(curve, levels)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)

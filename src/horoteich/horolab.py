@@ -1,9 +1,10 @@
 """Model-agnostic horoball algebra over a geometry backend.
 
-A backend supplies extremal lengths (exact, float, or Bracket), exact
-intersection pairings, and structural queries (proportionality, components)
-for one concrete model; the relations between horoballs (tangency, disjoint-
-ness, nesting) and the Busemann machinery are implemented here once.
+A backend supplies only geometry for one concrete model: extremal lengths
+(exact, float, or Bracket), exact intersection pairings, sub-foliation
+coefficients and horosphere samples.  Proportionality, the sup of Ext over a
+horoball, the relations between horoballs (tangency, disjointness, nesting)
+and the Busemann machinery are implemented here once.
 
 Certification is tri-state throughout: a strict comparison that a bracket
 cannot settle yields Undecided instead of a guess.
@@ -61,16 +62,8 @@ class GeometryBackend(Protocol):
     def intersect(self, f, g):
         ...
 
-    def proportionality(self, f, g):
-        """k with f projectively equal to k*g, else None."""
-        ...
-
     def subfoliation_coeffs(self, f, g):
         """Coefficients a_i with f = sum a_i * (components of g), else None."""
-        ...
-
-    def sup_on_horoball(self, f1, level1, f2):
-        """sup of Ext(f2) over HB(f1, level1): a finite bound, inf, or None."""
         ...
 
     def horosphere_sampler(self, f, level) -> Iterable:
@@ -90,23 +83,9 @@ class TorusBackend:
     def intersect(self, f, g):
         return torus_mod.foliation_intersection(f, g)
 
-    def proportionality(self, f, g):
-        if f.curve == g.curve:
-            return Fraction(f.weight) / Fraction(g.weight)
-        return None
-
     def subfoliation_coeffs(self, f, g):
         # indecomposable model: sub-foliation means proportional
-        k = self.proportionality(f, g)
-        return None if k is None else [k]
-
-    def sup_on_horoball(self, f1, level1, f2):
-        k = self.proportionality(f2, f1)
-        if k is not None:
-            return k * k * level1  # Ext(kF) = k^2 Ext(F), exact on the sphere
-        if self.intersect(f1, f2) > 0:
-            return math.inf  # horocycle-flow growth is unbounded
-        return None
+        return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
     def horosphere_sampler(self, f, level):
         at = torus_mod._horocycle(f, level)[0]
@@ -163,13 +142,6 @@ class OrigamiBackend:
                 )
         return total
 
-    def proportionality(self, f, g):
-        coeffs = self.subfoliation_coeffs(f, g)
-        if coeffs is None or any(a == 0 for a in coeffs):
-            return None
-        k = coeffs[0]
-        return k if all(a == k for a in coeffs) else None
-
     def subfoliation_coeffs(self, f, g):
         by_cyl = {c: Fraction(w) for w, c in g.components}
         if len(by_cyl) != len(g.components):
@@ -180,15 +152,6 @@ class OrigamiBackend:
                 return None
             coeffs[c] = Fraction(w) / by_cyl[c]
         return [coeffs[c] for _, c in g.components]
-
-    def sup_on_horoball(self, f1, level1, f2):
-        coeffs = self.subfoliation_coeffs(f2, f1)
-        if coeffs is not None:
-            k = len(f1.components)
-            return (sum(a * a for a in coeffs)) * k * level1
-        if self.intersect(f1, f2) > 0:
-            return math.inf
-        return None
 
     def horosphere_sampler(self, f, level):
         """Horocycle-flow orbit points at the ray time where the vertical
@@ -211,6 +174,32 @@ class OrigamiBackend:
 
 def _exact_pair(a, b) -> bool:
     return is_exact(a) and is_exact(b)
+
+
+def _common_ratio(coeffs):
+    """The one nonzero k when every coefficient equals k, else None."""
+    return coeffs[0] if coeffs and coeffs[0] != 0 and len(set(coeffs)) == 1 else None
+
+
+def proportionality(f, g, backend):
+    """k with f = k*g as measured foliations, else None."""
+    return _common_ratio(backend.subfoliation_coeffs(f, g))
+
+
+def sup_on_horoball(f1, level1, f2, backend):
+    """sup of Ext(f2) over HB(f1, level1): a finite bound, inf, or None.
+
+    f2 = c*f1: exactly c^2 * level1, since Ext(cF) = c^2 Ext(F).  Other
+    sub-foliations f2 = sum a_i * (k components of f1): the paper constant
+    (sum a_i^2) * k * level1.  Transverse (i(f1, f2) > 0): infinite, as
+    horocycle-flow growth is unbounded.  Otherwise no bound is known."""
+    coeffs = backend.subfoliation_coeffs(f2, f1)
+    if coeffs is None:
+        return math.inf if backend.intersect(f1, f2) > 0 else None
+    c = _common_ratio(coeffs)
+    if c is not None:
+        return c * c * level1
+    return sum(a * a for a in coeffs) * len(coeffs) * level1
 
 
 def classify(h1, h2, backend) -> HoroRelation:
@@ -240,13 +229,14 @@ def classify(h1, h2, backend) -> HoroRelation:
         tag = DISJOINT_BALLS if p < q else OVERLAPPING
         return HoroRelation(tag, {"product": p, "i_squared": q})
 
-    k = backend.proportionality(f1, f2)
+    coeffs = backend.subfoliation_coeffs(f1, f2)
+    k = _common_ratio(coeffs)
     if k is not None:
         # same projective class: HB(f2, l2) = {Ext(f1) <= k^2 l2}
         eff2 = k * k * l2
         tag = NESTED_FORWARD if eff2 <= l1 else NESTED_BACKWARD
         return HoroRelation(tag, {"ratio": k, "level1": l1, "level2_in_f1": eff2})
-    if backend.subfoliation_coeffs(f1, f2) is not None:
+    if coeffs is not None:
         return HoroRelation(NESTED_FORWARD, {"reason": "f1 is a sub-foliation of f2"})
     if backend.subfoliation_coeffs(f2, f1) is not None:
         return HoroRelation(NESTED_BACKWARD, {"reason": "f2 is a sub-foliation of f1"})
@@ -325,7 +315,7 @@ def inclusion_probe(h1, h2, backend, sampler: Optional[Iterable] = None) -> Prob
     inconclusive."""
     f1, l1 = h1.foliation, h1.level
     f2, l2 = h2.foliation, h2.level
-    bound = backend.sup_on_horoball(f1, l1, f2)
+    bound = sup_on_horoball(f1, l1, f2, backend)
     if bound is not None and bound != math.inf:
         cmp_ok = (
             Fraction(bound) <= Fraction(l2)

@@ -602,10 +602,6 @@ class MulticurveFoliation:
     def direction(self):
         return self.components[0][1].direction
 
-    @property
-    def indecomposable(self) -> bool:
-        return len(self.components) == 1
-
 
 def canonical_vertical_foliation(o: Origami) -> MulticurveFoliation:
     """The vertical foliation with measure |dx|: each vertical cylinder

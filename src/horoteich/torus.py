@@ -25,6 +25,7 @@ from .kernel import (
 )
 
 INFINITY = math.inf
+OUT_OF_RANGE = "level is beyond the double range"
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -374,7 +375,7 @@ def tangent_point(
     """Unique point on the (f, g) geodesic with Ext(f) = s.
 
     Bisection on the geodesic parameter; Ext(f) is strictly decreasing
-    toward f's endpoint.
+    toward f's endpoint.  ValueError if the bracket leaves the double range.
     """
     if not s > 0:
         raise ValueError("level must be positive")
@@ -388,11 +389,11 @@ def tangent_point(
     while h(lo) < target:
         lo *= 2.0
         if lo < -350:
-            raise ArithmeticError("bracket expansion failed")
+            raise ValueError(OUT_OF_RANGE)
     while h(hi) > target:
         hi *= 2.0
         if hi > 350:
-            raise ArithmeticError("bracket expansion failed")
+            raise ValueError(OUT_OF_RANGE)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if h(mid) > target:
@@ -437,13 +438,18 @@ def _horocycle(f: WeightedTorusFoliation, level):
     """(at, y0, cx): at maps the horocycle-flow parameter sigma (a float or a
     numpy array) to (x, y) on HS(f, level), the image of sigma + i*y0 under
     w -> w (q = 0: the line y = y0 = p^2 / level; cx = 0) or w -> cx - 1/w
-    (cx = -p/q, y0 = q^2 / level).  The level is normalized once, here."""
+    (cx = -p/q, y0 = q^2 / level).  The level is normalized once, here;
+    ValueError if y0 is not a positive finite double."""
     c = f.curve
-    lvl = float(_normalize_level(f.weight, level))
+    try:
+        y0 = (c.q or c.p) ** 2 / float(_normalize_level(f.weight, level))
+    except (OverflowError, ZeroDivisionError):
+        y0 = 0.0
+    if not 0.0 < y0 < math.inf:
+        raise ValueError(OUT_OF_RANGE)
     if c.q == 0:
-        height = c.p * c.p / lvl
-        return (lambda sigma: (sigma, height)), height, 0.0
-    y0, cx = c.q * c.q / lvl, -c.p / c.q
+        return (lambda sigma: (sigma, y0)), y0, 0.0
+    cx = -c.p / c.q
 
     def at(sigma):
         denom = sigma * sigma + y0 * y0
@@ -647,10 +653,10 @@ def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float
         raise ValueError("samples must be at least 1")
     if s == t:
         return EquidistanceReport(0.0, [0.0] * samples, 0.0, True, True)
-    expected = 0.5 * math.log(float(t) / float(s))
     on_s, rng = _horocycle(f, s)[0], random.Random(seed)
     feet = [_distance_to_horocycle(UpperHalfPoint(*on_s(rng.uniform(-4.0, 4.0))), f, t)
             for _ in range(samples)]
+    expected = 0.5 * math.log(float(t) / float(s))
     distances = [d for d, _ in feet]
     unique = all(clusters == 1 for _, clusters in feet)
     max_err = max(abs(d - expected) for d in distances)

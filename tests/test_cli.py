@@ -275,11 +275,16 @@ def test_input_errors_exit_one(capsys):
         (["origami-info", "--config", "{tmp}/bad-n.ini"], 1),
         (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--config", "{tmp}/bad-tol.ini"], 1),
         (["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-200i"], 1),
+        (["torus-plot", "--curve", "1,1", "--levels", "1e-400,2", "--out", "{tmp}/p.svg"], 1),
+        (["tangency", "--curve1", "1,0", "--level1", "1e-400", "--curve2", "0,1",
+          "--level2", "1e400"], 1),
+        (["triple", "--i", "1e-400,1,1"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
          "plot-missing-dir", "intersect-trace-budget", "config-bad-n", "config-bad-tol",
-         "tau-below-double-range"],
+         "tau-below-double-range", "plot-level-below-double-range",
+         "tangency-level-below-double-range", "triple-level-above-double-range"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")

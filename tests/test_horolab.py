@@ -13,6 +13,7 @@ from horoteich import torus as T
 BE = H.TorusBackend()
 L = O.build_origami([2, 1, 3], [3, 2, 1])
 OB = H.OrigamiBackend(L)
+STAIRCASE = O.build_origami([2, 1, 4, 3, 5], [1, 3, 2, 5, 4])
 
 
 def tspec(p, q, level):
@@ -169,3 +170,48 @@ def test_probe_rigidity_randomized():
         assert res_tag != H.INCLUDED_CERTIFIED
         tested += 1
     assert tested == 10**4
+
+
+# ---------------------------------------------------------------------------
+# horoball sup and proportionality, written once over the backend protocol
+
+
+def scaled(f, c):
+    return O.MulticurveFoliation(tuple((c * w, cyl) for w, cyl in f.components))
+
+
+@pytest.mark.parametrize("origami", [L, STAIRCASE], ids=["L", "staircase"])
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 2), Fraction(3)])
+def test_probe_origami_proportional_sup_is_exact(origami, c):
+    """HB(fv, l1) lies in HB(c*fv, l2) once l2 >= c^2 l1, certified with the
+    exact bound c^2 l1 even below the sub-foliation constant k^2 c^2 l1; no
+    sampled point has a certified Ext(c*fv) above that bound."""
+    be = H.OrigamiBackend(origami)
+    fv = O.canonical_vertical_foliation(origami)
+    cf = scaled(fv, c)
+    k = len(fv.components)
+    assert k > 1 and H.proportionality(cf, fv, be) == c
+    l1 = Fraction(7, 3)
+    bound = c**2 * l1
+    for l2 in (bound, bound * (k * k + 1) / 2, bound * k * k - Fraction(1, 10**9)):
+        res = H.inclusion_probe(H.HoroBall(fv, l1), H.HoroBall(cf, l2), be)
+        assert res.tag == H.INCLUDED_CERTIFIED
+        assert isinstance(res.bound, Fraction) and res.bound == bound
+    for p in be.horosphere_sampler(fv, l1):
+        assert be.ext(p, cf).lo <= bound
+
+
+def test_torus_and_origami_sups_agree_on_proportional_pairs():
+    fv = O.canonical_vertical_foliation(L)
+    tf = T.WeightedTorusFoliation(Fraction(2), T.TorusCurve(2, 3))
+    for c in (Fraction(1), Fraction(1, 3), Fraction(5, 2)):
+        tc, cf = T.WeightedTorusFoliation(2 * c, T.TorusCurve(2, 3)), scaled(fv, c)
+        assert H.proportionality(tc, tf, BE) == H.proportionality(cf, fv, OB) == c
+        for l1 in (Fraction(1), Fraction(7, 3), Fraction(1, 50)):
+            torus_sup = H.sup_on_horoball(tf, l1, tc, BE)
+            assert torus_sup == H.sup_on_horoball(fv, l1, cf, OB) == c * c * l1
+
+
+def test_sup_and_proportionality_live_only_in_horolab():
+    for cls in (H.GeometryBackend, H.TorusBackend, H.OrigamiBackend):
+        assert not hasattr(cls, "sup_on_horoball") and not hasattr(cls, "proportionality")

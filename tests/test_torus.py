@@ -291,6 +291,21 @@ def test_horocycle_point_lies_on_level_set():
                 )
 
 
+def test_out_of_double_range_levels_raise_value_error():
+    """Levels whose horocycle height or tangent point leaves the doubles are
+    rejected with ValueError, never a ZeroDivisionError or OverflowError."""
+    tiny, huge = Fraction(1, 10**400), Fraction(10**400)
+    for f in (fol(1, 0), fol(2, 1)):
+        for level in (tiny, huge):
+            with pytest.raises(ValueError, match="double range"):
+                T.horocycle_point(f, level, 0.0)
+    for s, t in ((tiny, Fraction(2)), (Fraction(1), huge)):
+        with pytest.raises(ValueError, match="double range"):
+            T.equidistance_check(fol(2, 1), s, t, 3)
+    with pytest.raises(ValueError, match="double range"):
+        T.tangent_point(fol(1, 0), tiny, fol(0, 1))
+
+
 def test_horocycle_samples_ext_vectorized():
     f, g = fol(1, 0), fol(0, 1)
     sig = np.linspace(-5, 5, 41)
