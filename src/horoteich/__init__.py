@@ -11,22 +11,22 @@ Modules:
   cli        batch command-line frontend
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .kernel import Bracket, Mat2, Rational, UpperHalfPoint
-from .torus import TorusCurve, WeightedTorusFoliation, extremal_length
-from .origami import Origami, MarkedFlatSurface, build_origami
+# Public names by defining module, each imported on first use (PEP 562), so
+# that "import horoteich" loads no model until one of its names is used.
+_PUBLIC = {
+    "kernel": ("Bracket", "Mat2", "Rational", "UpperHalfPoint"),
+    "torus": ("TorusCurve", "WeightedTorusFoliation", "extremal_length"),
+    "origami": ("Origami", "MarkedFlatSurface", "build_origami"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = [*_MODULE_OF, "__version__"]
 
-__all__ = [
-    "Bracket",
-    "Mat2",
-    "Rational",
-    "UpperHalfPoint",
-    "TorusCurve",
-    "WeightedTorusFoliation",
-    "extremal_length",
-    "Origami",
-    "MarkedFlatSurface",
-    "build_origami",
-    "__version__",
-]
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

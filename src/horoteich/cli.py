@@ -6,25 +6,19 @@ numeric field is tagged either exact or with a bracket/tolerance; output is
 deterministic for fixed inputs and seed apart from the timestamp field.
 
 Exit status: 0 success, 2 undecided or uncertified result, 1 input error.
+Each handler imports the model modules it uses, so a call loads no others.
 """
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import datetime
-import io
 import json
 import math
 import re
 import sys
 from fractions import Fraction
 
-from .kernel import Bracket, UpperHalfPoint, Mat2, is_exact
-from . import torus as T
-from . import origami as O
-from . import horolab as H
-from . import curvegraph as C
+from .kernel import Bracket, EnumerationBudgetError, TraceNotClosed, UpperHalfPoint, is_exact
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,7 +58,8 @@ def parse_tau(text: str) -> UpperHalfPoint:
     return UpperHalfPoint(re_part, im_part)
 
 
-def parse_curve(text: str) -> T.TorusCurve:
+def parse_curve(text: str):
+    from . import torus as T
     try:
         p, q = (int(x) for x in text.split(","))
     except ValueError as e:
@@ -97,10 +92,6 @@ def parse_slope(text: str):
     if text in ("vert", "vertical", "inf"):
         return None
     return parse_rational(text)
-
-
-def _foliation(curve: T.TorusCurve, weight=Fraction(1)) -> T.WeightedTorusFoliation:
-    return T.WeightedTorusFoliation(weight, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +145,7 @@ def emit(record: dict, fmt: str, stream=None) -> None:
         json.dump(record, stream, indent=2, default=str)
         stream.write("\n")
     elif fmt == "csv":
+        import csv
         rows = []
         _flatten("", record, rows)
         writer = csv.writer(stream)
@@ -176,6 +168,7 @@ def _config_value(key: str, text, kind):
 
 
 def load_config(path: str) -> dict:
+    import configparser
     cfg = configparser.ConfigParser()
     read = cfg.read(path)
     if not read:
@@ -193,7 +186,8 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _build_origami_from(args, cfg) -> O.Origami:
+def _build_origami_from(args, cfg):
+    from . import origami as O
     h = args.h if getattr(args, "h", None) else cfg.get("h")
     v = args.v if getattr(args, "v", None) else cfg.get("v")
     if h is None or v is None:
@@ -212,18 +206,23 @@ def _build_origami_from(args, cfg) -> O.Origami:
 
 
 def cmd_torus_ext(args, cfg):
+    from . import torus as T
     tau = parse_tau(args.tau)
-    f = _foliation(parse_curve(args.curve), parse_rational(args.weight))
-    val = T.extremal_length(tau, f)
+    f = T.WeightedTorusFoliation(parse_rational(args.weight), parse_curve(args.curve))
+    try:  # exact at the double inputs, then rounded once: within one ulp
+        val = float(T.extremal_length(UpperHalfPoint(Fraction(tau.x), Fraction(tau.y)), f))
+    except OverflowError:
+        raise InputError("Ext is beyond the double range") from None
     rec = {
         "command": "torus-ext",
         "inputs": {"tau": args.tau, "curve": args.curve, "weight": args.weight},
-        "results": {"ext": num_float(val, 1e-12)},
+        "results": {"ext": num_float(val, math.ulp(val))},
     }
     return rec, EXIT_OK
 
 
 def cmd_torus_dist(args, cfg):
+    from . import torus as T
     t1, t2 = parse_tau(args.tau1), parse_tau(args.tau2)
     res = T.kerckhoff_distance(t1, t2, tol=args.tol, cap=args.cap)
     rec = {
@@ -242,8 +241,9 @@ def cmd_torus_dist(args, cfg):
     return rec, EXIT_OK if res.certified else EXIT_UNDECIDED
 
 
-def _horospec(curve_text, level_text) -> T.HoroSpec:
-    f = _foliation(parse_curve(curve_text))
+def _horospec(curve_text, level_text):
+    from . import torus as T
+    f = T.WeightedTorusFoliation(Fraction(1), parse_curve(curve_text))
     level = parse_rational(level_text)
     if not level > 0:
         raise InputError("levels must be positive")
@@ -251,6 +251,7 @@ def _horospec(curve_text, level_text) -> T.HoroSpec:
 
 
 def cmd_tangency(args, cfg):
+    from . import torus as T
     h1 = _horospec(args.curve1, args.level1)
     h2 = _horospec(args.curve2, args.level2)
     if h1.curve == h2.curve:
@@ -279,6 +280,7 @@ def cmd_tangency(args, cfg):
 
 
 def cmd_triple(args, cfg):
+    from . import torus as T
     parts = args.i.split(",")
     if len(parts) != 3:
         raise InputError("--i requires three comma-separated positive values")
@@ -295,6 +297,7 @@ def cmd_triple(args, cfg):
 
 
 def cmd_ratio_curve(args, cfg):
+    from . import torus as T
     alpha, beta = parse_curve(args.alpha), parse_curve(args.beta)
     if T.intersection(alpha, beta) == 0:
         raise InputError("alpha and beta must intersect (filling pair required)")
@@ -322,8 +325,9 @@ def cmd_ratio_curve(args, cfg):
 
 
 def cmd_busemann(args, cfg):
+    from . import horolab as H, torus as T
     x0, x = parse_tau(args.tau0), parse_tau(args.tau)
-    f = _foliation(parse_curve(args.curve))
+    f = T.WeightedTorusFoliation(Fraction(1), parse_curve(args.curve))
     be = H.TorusBackend()
     closed = T.busemann(x0, f, x)
     est = H.busemann_estimate(x0, f, x, be, tol=args.tol)
@@ -341,10 +345,11 @@ def cmd_busemann(args, cfg):
 
 
 def cmd_ball_limit(args, cfg):
+    from . import torus as T  # before numpy, which then reuses its compile memory
     import numpy as np
 
     x0 = parse_tau(args.tau0)
-    f = _foliation(parse_curve(args.curve))
+    f = T.WeightedTorusFoliation(Fraction(1), parse_curve(args.curve))
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
     rng = np.random.default_rng(args.seed)
@@ -370,6 +375,7 @@ def cmd_ball_limit(args, cfg):
 
 
 def cmd_origami_info(args, cfg):
+    from . import origami as O
     o = _build_origami_from(args, cfg)
     rec = {
         "command": "origami-info",
@@ -393,6 +399,7 @@ def cmd_origami_info(args, cfg):
 
 
 def cmd_origami_flow(args, cfg):
+    from . import origami as O
     o = _build_origami_from(args, cfg)
     x = O.MarkedFlatSurface.base_point(o)
     if args.kind == "geodesic":
@@ -424,6 +431,7 @@ def cmd_origami_flow(args, cfg):
 
 
 def _trace_from_args(o, slope_text, square, offset_text):
+    from . import origami as O
     slope = parse_slope(slope_text)
     if not 1 <= square <= o.n:
         raise InputError(f"square {square} out of range 1..{o.n}")
@@ -435,6 +443,7 @@ def _trace_from_args(o, slope_text, square, offset_text):
 
 
 def cmd_origami_intersect(args, cfg):
+    from . import origami as O
     o = _build_origami_from(args, cfg)
     t1 = _trace_from_args(o, args.slope1, args.square1, args.offset1)
     t2 = _trace_from_args(o, args.slope2, args.square2, args.offset2)
@@ -456,6 +465,7 @@ def cmd_origami_intersect(args, cfg):
 
 
 def cmd_growth_check(args, cfg):
+    from . import origami as O
     o = _build_origami_from(args, cfg)
     t = _trace_from_args(o, args.slope, args.square, args.offset)
     s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
@@ -482,6 +492,7 @@ def cmd_growth_check(args, cfg):
 
 
 def cmd_walsh_e(args, cfg):
+    from . import origami as O
     o = _build_origami_from(args, cfg)
     gamma = _trace_from_args(o, args.slope, args.square, args.offset)
     f = O.canonical_vertical_foliation(o)
@@ -503,6 +514,7 @@ def cmd_walsh_e(args, cfg):
 
 
 def cmd_curve_graph(args, cfg):
+    from . import curvegraph as C, origami as O
     o = _build_origami_from(args, cfg)
     traces = []
     ids = []
@@ -536,6 +548,7 @@ def cmd_curve_graph(args, cfg):
 
 
 def cmd_relation(args, cfg):
+    from . import horolab as H
     if args.model == "torus":
         if args.curve1 is None or args.curve2 is None:
             raise InputError("--model torus requires --curve1 and --curve2")
@@ -543,6 +556,7 @@ def cmd_relation(args, cfg):
         h2 = _horospec(args.curve2, args.level2)
         rel = H.classify(h1, h2, H.TorusBackend())
     elif args.model == "origami":
+        from . import origami as O
         o = _build_origami_from(args, cfg)
         be = H.OrigamiBackend(o)
 
@@ -581,8 +595,9 @@ def cmd_relation(args, cfg):
     return rec, EXIT_OK if rel.decided else EXIT_UNDECIDED
 
 
-def _svg_horocycles(curve: T.TorusCurve, levels):
+def _svg_horocycles(curve, levels):
     """Static SVG of the horocycles HS((p,q), level) in the half-plane."""
+    from . import torus as T
     width, height, scale = 720, 420, 110.0
     x_min, y_max = -3.0, height / scale
 
@@ -601,7 +616,7 @@ def _svg_horocycles(curve: T.TorusCurve, levels):
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     for k, level in enumerate(levels):
         color = colors[k % len(colors)]
-        _, y0, cx = T._horocycle(_foliation(curve), level)
+        _, y0, cx = T._horocycle(T.WeightedTorusFoliation(Fraction(1), curve), level)
         if curve.q == 0:
             # horizontal foliation curve: level set is the line y = y0
             if y0 <= y_max:
@@ -807,10 +822,10 @@ def run(argv) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except T.EnumerationBudgetError as e:
+    except EnumerationBudgetError as e:
         print(f"error: enumeration budget exhausted; lower bound {e.lower_bound}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except O.TraceNotClosed as e:
+    except TraceNotClosed as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNDECIDED
 

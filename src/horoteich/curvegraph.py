@@ -3,17 +3,15 @@
 Vertices are curves (torus classes or origami traces) with a symmetric
 table of exact intersection numbers; edges join distinct disjoint curves.
 Distances are plain BFS, and re-marking actions are checked to act by
-graph automorphisms.
+graph automorphisms.  A model is imported only where its curves are used.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-from . import origami as origami_mod
-from . import torus as torus_mod
 
 UNREACHABLE = math.inf
 
@@ -54,25 +52,27 @@ def _pairwise(payloads, pairing):
 
 
 def curve_set_from_traces(ids: Sequence, traces: Sequence) -> CurveSet:
-    return CurveSet(
-        tuple(ids), tuple(traces), _pairwise(tuple(traces), origami_mod.crossing_number)
-    )
+    from .origami import crossing_number
+    return CurveSet(tuple(ids), tuple(traces), _pairwise(tuple(traces), crossing_number))
 
 
 def curve_set_from_torus(ids: Sequence, curves: Sequence) -> CurveSet:
-    return CurveSet(
-        tuple(ids), tuple(curves), _pairwise(tuple(curves), torus_mod.intersection)
-    )
+    from .torus import intersection
+    return CurveSet(tuple(ids), tuple(curves), _pairwise(tuple(curves), intersection))
+
+
+def _is_instance(p, module: str, cls: str) -> bool:
+    """isinstance(p, horoteich.<module>.<cls>) without an import: p's class is loaded."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return mod is not None and isinstance(p, getattr(mod, cls))
 
 
 def verify_curve_set(cs: CurveSet) -> bool:
     """Recompute the table from the payloads and compare exactly."""
-    p = cs.payloads[0]
-    pairing = (
-        origami_mod.crossing_number
-        if isinstance(p, origami_mod.CurveTrace)
-        else torus_mod.intersection
-    )
+    if _is_instance(cs.payloads[0], "origami", "CurveTrace"):
+        from .origami import crossing_number as pairing
+    else:
+        from .torus import intersection as pairing
     return _pairwise(cs.payloads, pairing) == cs.i_matrix
 
 
@@ -137,9 +137,9 @@ def curve_set_table(cs: CurveSet) -> List[dict]:
     rows = []
     for i, v in enumerate(cs.vertices):
         p = cs.payloads[i]
-        if isinstance(p, origami_mod.CurveTrace):
+        if _is_instance(p, "origami", "CurveTrace"):
             desc = f"trace dir={p.direction} hol={p.holonomy}"
-        elif isinstance(p, torus_mod.TorusCurve):
+        elif _is_instance(p, "torus", "TorusCurve"):
             desc = f"torus ({p.p},{p.q})"
         else:
             desc = repr(p)

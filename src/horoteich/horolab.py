@@ -7,18 +7,18 @@ horoball, the relations between horoballs (tangency, disjointness, nesting)
 and the Busemann machinery are implemented here once.
 
 Certification is tri-state throughout: a strict comparison that a bracket
-cannot settle yields Undecided instead of a guess.
+cannot settle yields Undecided instead of a guess.  This module imports
+neither model; each backend imports its own on first use.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Protocol
 
 from .kernel import Bracket, UpperHalfPoint, is_exact
-from . import torus as torus_mod
-from . import origami as origami_mod
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -70,6 +70,17 @@ class GeometryBackend(Protocol):
         ...
 
 
+class _Model:
+    """Class attribute that becomes the module horoteich.<name> on first use."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, obj, cls):
+        cls.model = importlib.import_module(f"{__package__}.{self.name}")
+        return cls.model
+
+
 # ---------------------------------------------------------------------------
 # Torus backend
 
@@ -77,26 +88,28 @@ class GeometryBackend(Protocol):
 class TorusBackend:
     """Exact upper half-plane model; points are UpperHalfPoint."""
 
+    model = _Model("torus")
+
     def ext(self, point, f):
-        return torus_mod.extremal_length(point, f)
+        return self.model.extremal_length(point, f)
 
     def intersect(self, f, g):
-        return torus_mod.foliation_intersection(f, g)
+        return self.model.foliation_intersection(f, g)
 
     def subfoliation_coeffs(self, f, g):
         # indecomposable model: sub-foliation means proportional
         return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
     def horosphere_sampler(self, f, level):
-        at = torus_mod._horocycle(f, level)[0]
+        at = self.model._horocycle(f, level)[0]
         sigmas = [0.0] + [sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)]
         return [UpperHalfPoint(*at(s)) for s in sigmas]
 
     def distance(self, x, y):
-        return torus_mod.teich_distance(x, y)
+        return self.model.teich_distance(x, y)
 
     def ray(self, x0, f):
-        ray, _, _ = torus_mod.torus_ray(x0, f)
+        ray, _, _ = self.model.torus_ray(x0, f)
         return ray
 
 
@@ -108,13 +121,15 @@ class OrigamiBackend:
     """Flat-surface model over one origami; points are MarkedFlatSurface,
     foliations are MulticurveFoliation values on that origami."""
 
-    def __init__(self, o: origami_mod.Origami):
+    model = _Model("origami")
+
+    def __init__(self, o):
         self.origami = o
         self._cores = {}
 
-    def _core(self, cyl) -> origami_mod.CurveTrace:
+    def _core(self, cyl):
         if cyl not in self._cores:
-            self._cores[cyl] = origami_mod.core_trace(self.origami, cyl)
+            self._cores[cyl] = self.model.core_trace(self.origami, cyl)
         return self._cores[cyl]
 
     def ext(self, point, f) -> Bracket:
@@ -126,7 +141,7 @@ class OrigamiBackend:
         lo = 0.0
         hi = 0.0
         for w, cyl in f.components:
-            b = origami_mod.ext_bracket(self._core(cyl), point).scale(float(w) ** 2)
+            b = self.model.ext_bracket(self._core(cyl), point).scale(float(w) ** 2)
             lo = max(lo, b.lo)
             hi = hi + b.hi if hi < math.inf and b.hi < math.inf else math.inf
         return Bracket(lo, hi if hi == math.inf else math.nextafter(hi, math.inf))
@@ -138,7 +153,7 @@ class OrigamiBackend:
                 total += (
                     Fraction(wf)
                     * Fraction(wg)
-                    * origami_mod.crossing_number(self._core(cf), self._core(cg))
+                    * self.model.crossing_number(self._core(cf), self._core(cg))
                 )
         return total
 
@@ -156,15 +171,15 @@ class OrigamiBackend:
     def horosphere_sampler(self, f, level):
         """Horocycle-flow orbit points at the ray time where the vertical
         extremal length crosses the level; approximate for generic f."""
-        base = origami_mod.MarkedFlatSurface.base_point(self.origami)
+        base = self.model.MarkedFlatSurface.base_point(self.origami)
         e0 = self.ext(base, f)
         mid = 0.5 * (e0.lo + e0.hi)
         t = 0.5 * math.log(mid / float(level))
-        x = origami_mod.geodesic_flow(base, t=t)
+        x = self.model.geodesic_flow(base, t=t)
         pts = [x]
         for k in range(11):
-            pts.append(origami_mod.horocycle_flow(x, float(2**k)))
-            pts.append(origami_mod.horocycle_flow(x, -float(2**k)))
+            pts.append(self.model.horocycle_flow(x, float(2**k)))
+            pts.append(self.model.horocycle_flow(x, -float(2**k)))
         return pts
 
 

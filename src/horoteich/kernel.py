@@ -23,6 +23,18 @@ def is_exact(x) -> bool:
     return isinstance(x, _EXACT_TYPES) or isinstance(x, RationalLike)
 
 
+class EnumerationBudgetError(RuntimeError):
+    """Raised when the slope enumeration cap is hit before certification."""
+
+    def __init__(self, message: str, lower_bound: float):
+        super().__init__(message)
+        self.lower_bound = lower_bound
+
+
+class TraceNotClosed(RuntimeError):
+    """A trace used up its step budget before closing."""
+
+
 @dataclass(frozen=True)
 class Mat2:
     """2x2 matrix with float or Fraction entries."""

@@ -19,14 +19,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .kernel import Bracket, Mat2, as_float_down, as_float_up, is_exact
+from .kernel import Bracket, Mat2, TraceNotClosed, as_float_down, as_float_up, is_exact
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
-
-
-class TraceNotClosed(RuntimeError):
-    """A trace used up its step budget before closing."""
 
 
 class SingularityHit(RuntimeError):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .kernel import (
+    EnumerationBudgetError,
     Mat2,
     UpperHalfPoint,
     cosh_distance_minus_one,
@@ -26,14 +27,6 @@ from .kernel import (
 
 INFINITY = math.inf
 OUT_OF_RANGE = "level is beyond the double range"
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when the slope enumeration cap is hit before certification."""
-
-    def __init__(self, message: str, lower_bound: float):
-        super().__init__(message)
-        self.lower_bound = lower_bound
 
 
 class MonotonicityError(RuntimeError):
@@ -86,10 +79,11 @@ def foliation_intersection(f: WeightedTorusFoliation, g: WeightedTorusFoliation)
     return f.weight * g.weight * intersection(f.curve, g.curve)
 
 
-def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation) -> float:
-    """weight^2 * |p + q*tau|^2 / Im(tau)."""
+def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
+    """weight^2 * |p + q*tau|^2 / Im(tau): a float, or the exact Fraction when
+    tau's coordinates and the weight are Fractions."""
     c = f.curve
-    w = float(f.weight)
+    w = f.weight if type(tau.y) is Fraction else float(f.weight)
     re = c.p + c.q * tau.x
     return w * w * (re * re + (c.q * tau.y) ** 2) / tau.y
 
@@ -439,21 +433,27 @@ def _horocycle(f: WeightedTorusFoliation, level):
     numpy array) to (x, y) on HS(f, level), the image of sigma + i*y0 under
     w -> w (q = 0: the line y = y0 = p^2 / level; cx = 0) or w -> cx - 1/w
     (cx = -p/q, y0 = q^2 / level).  The level is normalized once, here;
-    ValueError if y0 is not a positive finite double."""
+    ValueError if y0, or a height y that at computes, is not a normal double."""
     c = f.curve
     try:
         y0 = (c.q or c.p) ** 2 / float(_normalize_level(f.weight, level))
     except (OverflowError, ZeroDivisionError):
         y0 = 0.0
-    if not 0.0 < y0 < math.inf:
+    if not _TINY <= y0 <= _HUGE:
         raise ValueError(OUT_OF_RANGE)
     if c.q == 0:
         return (lambda sigma: (sigma, y0)), y0, 0.0
     cx = -c.p / c.q
 
     def at(sigma):
-        denom = sigma * sigma + y0 * y0
-        return cx - sigma / denom, y0 / denom
+        # d = (sigma^2 + y0^2) / y0 >= y0, normal wherever y is; no square formed
+        u = sigma / y0
+        d = sigma * u + y0
+        y = 1.0 / d
+        ok = y >= _TINY  # a bool, or a bool array for an array sigma
+        if ok is not True and (ok is False or not ok.all()):
+            raise ValueError(OUT_OF_RANGE)
+        return cx - u / d, y
 
     return at, y0, cx
 
@@ -573,7 +573,7 @@ class EquidistanceReport:
 # nor a near minimum and is dropped unevaluated.  Blocks halve level by level;
 # values are D = cosh 2d - 1 = 2 sinh(d)^2, with one threshold per level.
 # Rounding (u = 2^-53, first order): at() puts a point within u K / 2 of the
-# horocycle, K = (|cx| (span^2 + y0^2) + 5 span + 4 y0) / y0, a grid sigma is
+# horocycle, K = (|cx| (span^2 + y0^2) + 7 span + 5 y0) / y0, a grid sigma is
 # within 3u span of i * step - span, and a value or threshold with its d <-> D
 # conversions takes at most 12 roundings; adding 2^-48 (K + 3 span / y0 + 1 + t)
 # to a threshold distance t covers all of it twice over.
@@ -587,7 +587,7 @@ def _grid_minima(big_d, y0: float, cx: float):
     """(k, D_k, near): the first index of the least D = big_d(sigma) over
     _SIGMAS on the horocycle with chart data y0, cx, and the sorted indices
     within 1e-4 of it in distance; blocks the pruning rules out are skipped."""
-    k_round = (abs(cx) * (_SPAN * _SPAN + y0 * y0) + 8.0 * _SPAN + 4.0 * y0) / y0
+    k_round = (abs(cx) * (_SPAN * _SPAN + y0 * y0) + 10.0 * _SPAN + 5.0 * y0) / y0
 
     def cut(d_min, radius, slack):
         """D at 1e-4 + radius (+ rounding slack) beyond the distance of d_min."""
@@ -615,9 +615,10 @@ def _distance_to_horocycle(x: UpperHalfPoint, f: WeightedTorusFoliation, level):
     together with the number of distinct numerical local minima: the grid
     minimum over 1441 points on +-64, refined by golden section."""
     at, y0, cx = _horocycle(f, level)
+    xx, xy = x.x, x.y
 
     def big_d(sigma):
-        return cosh_distance_minus_one(x.x, x.y, *at(sigma))
+        return cosh_distance_minus_one(xx, xy, *at(sigma))
 
     k, d_k, near = _grid_minima(big_d, y0, cx)
     lo, hi = _SIGMAS[max(k - 1, 0)], _SIGMAS[min(k + 1, _GRID - 1)]

@@ -349,6 +349,82 @@ def test_numpy_free_paths_load_neither_numpy_nor_scipy(capsys):
     assert growth["fit_residual"]["value"] == 8.505249704859057e-16
 
 
+def fresh_python(code, *args):
+    """Run code in a fresh interpreter with the checkout's src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def test_package_import_loads_no_model():
+    """import horoteich and horoteich.cli load no model module, and every
+    name in __all__ resolves on first use."""
+    first, cli_loads, missing = fresh_python("""
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("horoteich."))
+import horoteich
+first = loaded()
+import horoteich.cli
+cli_loads = loaded()
+missing = [n for n in horoteich.__all__ if getattr(horoteich, n, None) is None]
+from horoteich import Origami, torus
+print(json.dumps([first, cli_loads, missing]))
+""")
+    assert first == []
+    assert cli_loads == ["horoteich.cli", "horoteich.kernel"]
+    assert missing == []
+
+
+TORUS_ONLY = ["origami", "horolab", "curvegraph"]
+ORIGAMI_ONLY = ["torus", "horolab"]
+
+
+@pytest.mark.parametrize(
+    "argv, status, unloaded",
+    [
+        (["torus-ext", "--tau", "0+2i", "--curve", "1,0"], 0, TORUS_ONLY),
+        (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i"], 0, TORUS_ONLY),
+        (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--cap", "1"], 2, TORUS_ONLY),
+        (["tangency", "--curve1", "1,0", "--level1", "1", "--curve2", "0,1", "--level2", "1"],
+         0, TORUS_ONLY),
+        (["triple", "--i", "2,3,6"], 0, TORUS_ONLY),
+        (["ratio-curve", "--alpha", "1,0", "--beta", "0,1", "--target", "3/2"], 0, TORUS_ONLY),
+        (["torus-plot", "--curve", "1,1", "--levels", "1,2,4", "--out", "{tmp}/p.svg"], 0,
+         TORUS_ONLY),
+        (["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+3i"], 0, ["origami"]),
+        (["relation", "--model", "torus", "--curve1", "1,0", "--level1", "1/2",
+          "--curve2", "0,1", "--level2", "1"], 0, ["origami"]),
+        (["origami-info", *L_ARGS], 0, ORIGAMI_ONLY),
+        (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "2"], 0, ORIGAMI_ONLY),
+        (["origami-intersect", *L_ARGS, "--slope1", "1", "--slope2", "vert"], 0, ORIGAMI_ONLY),
+        (["origami-intersect", *L_ARGS, "--slope1", "1000000", "--slope2", "vert"], 2,
+         ORIGAMI_ONLY),
+        (["growth-check", *L_ARGS], 0, ORIGAMI_ONLY),
+        (["walsh-e", *L_ARGS, "--slope", "0", "--square", "1"], 0, ORIGAMI_ONLY),
+        (["curve-graph", *L_ARGS], 0, ORIGAMI_ONLY),
+    ],
+    ids=["torus-ext", "torus-dist", "torus-dist-budget", "tangency", "triple", "ratio-curve",
+         "torus-plot", "busemann", "relation-torus", "origami-info", "origami-flow",
+         "origami-intersect", "intersect-trace-budget", "growth-check", "walsh-e",
+         "curve-graph"],
+)
+def test_fresh_command_loads_only_its_model(argv, status, unloaded, tmp_path):
+    """A cold call imports no model module its subcommand does not use, and
+    budget errors still exit 2 with neither model imported by run()."""
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, loaded = fresh_python("""
+import contextlib, io, json, sys
+import horoteich.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    status = cli.run(json.loads(sys.argv[1]))
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("horoteich."))]))
+""", json.dumps(argv))
+    assert got == status
+    assert not {f"horoteich.{m}" for m in unloaded} & set(loaded)
+
+
 def test_numeric_fields_tagged(capsys):
     rec, _ = run_json(
         capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i"]

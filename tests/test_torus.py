@@ -306,6 +306,77 @@ def test_out_of_double_range_levels_raise_value_error():
         T.tangent_point(fol(1, 0), tiny, fol(0, 1))
 
 
+def on_horocycle(pt, f, level, rel=Fraction(1, 10**12)):
+    """pt lies on HS(f, level) to rel, by the exact Ext at pt."""
+    ext = T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f)
+    return abs(ext / Fraction(level) - 1) <= rel
+
+
+@pytest.mark.parametrize("level", [Fraction(10**300), Fraction(10**160), Fraction(1, 10**300)])
+def test_far_level_horocycle_points_or_out_of_range(level):
+    """Where sigma^2 + y0^2 is below or above the doubles, a horocycle point
+    is on the horocycle up to rounding, or ValueError(OUT_OF_RANGE); never a
+    ZeroDivisionError.  x = cx - sigma / (sigma^2 + y0^2) carries a rounding
+    of u |cx| (cx = -2 here), which moves Ext by about 2 |sigma| times that."""
+    f = fol(2, 1)
+    for sigma in (0.0, 1e-300, 1e-160, 0.5, 4.0, 64.0, 2.0**20, 1e150, 1e300):
+        for s in (sigma, -sigma):
+            try:
+                pt = T.horocycle_point(f, level, s)
+            except ValueError as e:
+                assert str(e) == T.OUT_OF_RANGE
+            else:
+                rel = Fraction(2.0**-46) * (1 + 3 * Fraction(sigma))
+                assert on_horocycle(pt, f, level, rel), (level, s)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="double range"):
+        T.horocycle_samples_ext(f, Fraction(10**300), fol(1, 0), np.array([1.0, 2.0**20]))
+
+
+def test_found_horocycle_underflow_calls():
+    """The two calls that ended in ZeroDivisionError: the equidistance check
+    returns a report that is not ok unless it is right, and the sampler
+    returns horocycle points or raises ValueError(OUT_OF_RANGE)."""
+    from horoteich.horolab import TorusBackend
+
+    f = T.WeightedTorusFoliation(1, curve(2, 1))
+    rep = T.equidistance_check(f, 10**300, 10**301, 3)
+    assert not rep.ok or rep.max_error <= 1e-6
+    try:
+        points = TorusBackend().horosphere_sampler(f, 10**300)
+    except ValueError as e:
+        assert str(e) == T.OUT_OF_RANGE
+    else:
+        assert all(on_horocycle(pt, f, 10**300) for pt in points)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.floats(-3, 3),
+    log_im,
+    st.integers(-60, 60),
+    st.integers(-60, 60),
+    st.fractions(Fraction(1, 1000), Fraction(1000), max_denominator=1000),
+)
+def test_torus_ext_tolerance_encloses_exact_value(x, y, p, q, w):
+    """torus-ext prints Ext rounded from the exact Fraction at the double
+    inputs, within its tolerance."""
+    import contextlib, io, json
+
+    from horoteich import cli
+
+    if (p, q) == (0, 0) or math.gcd(p, q) != 1:
+        return
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.run(["torus-ext", f"--tau={x!r}+{y!r}i", f"--curve={p},{q}",
+                          f"--weight={w}"])
+    assert status == 0
+    ext = json.loads(out.getvalue())["results"]["ext"]
+    re = p + q * Fraction(x)
+    exact = w * w * (re * re + (q * Fraction(y)) ** 2) / Fraction(y)
+    assert abs(Fraction(ext["value"]) - exact) <= Fraction(ext["tolerance"])
+
+
 def test_horocycle_samples_ext_vectorized():
     f, g = fol(1, 0), fol(0, 1)
     sig = np.linspace(-5, 5, 41)
