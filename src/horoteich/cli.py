@@ -5,8 +5,11 @@ prints a machine-readable record (json by default, csv on request).  Every
 numeric field is tagged either exact or with a bracket/tolerance; output is
 deterministic for fixed inputs and seed apart from the timestamp field.
 
-Exit status: 0 success, 2 undecided or uncertified result, 1 input error.
-Each handler imports the model modules it uses, so a call loads no others.
+Exit status: 0 success, 2 undecided or uncertified result, 1 input error
+(usage errors included).  ``run`` is the one request pipeline: parse, fill
+unset options from ``--config``, call the handler, wrap its inputs and
+results in the record envelope and emit it.  Each handler imports the model
+modules it uses, so a call loads no others.
 """
 from __future__ import annotations
 
@@ -27,6 +30,13 @@ EXIT_UNDECIDED = 2
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +84,13 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"cannot parse rational {text!r}") from e
+
+
+def parse_level(text: str) -> Fraction:
+    level = parse_rational(text)
+    if not level > 0:
+        raise InputError("levels must be positive")
+    return level
 
 
 def parse_perm(text: str):
@@ -137,23 +154,16 @@ def _flatten(prefix, obj, rows):
         rows.append((prefix, obj))
 
 
-def emit(record: dict, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
-    record = dict(record)
-    record["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+def emit(record: dict, fmt: str) -> None:
+    record = {**record, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     if fmt == "json":
-        json.dump(record, stream, indent=2, default=str)
-        stream.write("\n")
-    elif fmt == "csv":
+        json.dump(record, sys.stdout, indent=2, default=str)
+        sys.stdout.write("\n")
+    else:  # "csv", the one other format _apply_config admits
         import csv
-        rows = []
+        rows = [("key", "value")]
         _flatten("", record, rows)
-        writer = csv.writer(stream)
-        writer.writerow(["key", "value"])
-        for k, v in rows:
-            writer.writerow([k, v])
-    else:
-        raise InputError(f"unknown output format {fmt!r}")
+        csv.writer(sys.stdout).writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +196,33 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _build_origami_from(args, cfg):
+def _apply_config(args) -> None:
+    """Fill the options the command line left unset from --config, then from
+    the defaults, and check tol, cap and the format.  Flags always win over
+    the file."""
+    cfg = load_config(args.config) if args.config else {}
+    for key, default, kind in (("tol", 1e-9, float), ("cap", 10**6, int), ("seed", 0, int)):
+        if getattr(args, key) is None:
+            setattr(args, key, _config_value(key, cfg.get(key, default), kind))
+    args.format = args.format or cfg.get("format", "json")
+    if "h" in vars(args):  # the origami options
+        args.h, args.v = args.h or cfg.get("h"), args.v or cfg.get("v")
+    args.n = cfg.get("n")
+    if not args.tol > 0:
+        raise InputError("tolerance must be positive")
+    if args.cap < 1:
+        raise InputError("enumeration cap must be at least 1")
+    if args.format not in ("json", "csv"):  # a config value; before any file is written
+        raise InputError(f"unknown output format {args.format!r}")
+
+
+def _build_origami(args):
     from . import origami as O
-    h = args.h if getattr(args, "h", None) else cfg.get("h")
-    v = args.v if getattr(args, "v", None) else cfg.get("v")
-    if h is None or v is None:
+    if args.h is None or args.v is None:
         raise InputError("origami requires --h and --v (or a config [origami] section)")
-    hp, vp = parse_perm(h), parse_perm(v)
-    if "n" in cfg and cfg["n"] != len(hp):
-        raise InputError(f"config n = {cfg['n']} does not match permutation length {len(hp)}")
+    hp, vp = parse_perm(args.h), parse_perm(args.v)
+    if args.n is not None and args.n != len(hp):
+        raise InputError(f"config n = {args.n} does not match permutation length {len(hp)}")
     try:
         return O.build_origami(hp, vp)
     except ValueError as e:
@@ -202,10 +230,14 @@ def _build_origami_from(args, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (record, exit_status)
+# Subcommand handlers: each returns (inputs, results, exit_status)
 
 
-def cmd_torus_ext(args, cfg):
+def _inputs(args, *names) -> dict:
+    return {k: getattr(args, k) for k in names}
+
+
+def cmd_torus_ext(args):
     from . import torus as T
     tau = parse_tau(args.tau)
     f = T.WeightedTorusFoliation(parse_rational(args.weight), parse_curve(args.curve))
@@ -213,44 +245,33 @@ def cmd_torus_ext(args, cfg):
         val = float(T.extremal_length(UpperHalfPoint(Fraction(tau.x), Fraction(tau.y)), f))
     except OverflowError:
         raise InputError("Ext is beyond the double range") from None
-    rec = {
-        "command": "torus-ext",
-        "inputs": {"tau": args.tau, "curve": args.curve, "weight": args.weight},
-        "results": {"ext": num_float(val, math.ulp(val))},
-    }
-    return rec, EXIT_OK
+    return _inputs(args, "tau", "curve", "weight"), {"ext": num_float(val, math.ulp(val))}, EXIT_OK
 
 
-def cmd_torus_dist(args, cfg):
+def cmd_torus_dist(args):
     from . import torus as T
     t1, t2 = parse_tau(args.tau1), parse_tau(args.tau2)
     res = T.kerckhoff_distance(t1, t2, tol=args.tol, cap=args.cap)
-    rec = {
-        "command": "torus-dist",
-        "inputs": {"tau1": args.tau1, "tau2": args.tau2, "tol": args.tol, "cap": args.cap},
-        "results": {
-            "distance": num_float(res.value, args.tol),
-            "closed_form": num_float(res.closed_form, 1e-12),
-            "witness_curve": f"{res.witness.p},{res.witness.q}",
-            "nodes": res.nodes,
-            "certified": res.certified,
-        },
+    results = {
+        "distance": num_float(res.value, args.tol),
+        "closed_form": num_float(res.closed_form, 1e-12),
+        "witness_curve": f"{res.witness.p},{res.witness.q}",
+        "nodes": res.nodes,
+        "certified": res.certified,
     }
     if not res.certified:  # "precision" or "range"
-        rec["results"]["reason"] = res.reason
-    return rec, EXIT_OK if res.certified else EXIT_UNDECIDED
+        results["reason"] = res.reason
+    inputs = _inputs(args, "tau1", "tau2", "tol", "cap")
+    return inputs, results, EXIT_OK if res.certified else EXIT_UNDECIDED
 
 
 def _horospec(curve_text, level_text):
     from . import torus as T
     f = T.WeightedTorusFoliation(Fraction(1), parse_curve(curve_text))
-    level = parse_rational(level_text)
-    if not level > 0:
-        raise InputError("levels must be positive")
-    return T.HoroSpec.create(f, level)
+    return T.HoroSpec.create(f, parse_level(level_text))
 
 
-def cmd_tangency(args, cfg):
+def cmd_tangency(args):
     from . import torus as T
     h1 = _horospec(args.curve1, args.level1)
     h2 = _horospec(args.curve2, args.level2)
@@ -271,15 +292,10 @@ def cmd_tangency(args, cfg):
             "re": num_float(pt.x, 1e-10),
             "im": num_float(pt.y, 1e-10),
         }
-    rec = {
-        "command": "tangency",
-        "inputs": {k: getattr(args, k) for k in ("curve1", "level1", "curve2", "level2")},
-        "results": results,
-    }
-    return rec, EXIT_OK
+    return _inputs(args, "curve1", "level1", "curve2", "level2"), results, EXIT_OK
 
 
-def cmd_triple(args, cfg):
+def cmd_triple(args):
     from . import torus as T
     parts = args.i.split(",")
     if len(parts) != 3:
@@ -288,15 +304,10 @@ def cmd_triple(args, cfg):
     if any(not v > 0 for v in vals):
         raise InputError("all three intersection numbers must be positive")
     r, s, t = T.triple_tangency_levels(*vals)
-    rec = {
-        "command": "triple",
-        "inputs": {"i": args.i},
-        "results": {"r": num_exact(r), "s": num_exact(s), "t": num_exact(t)},
-    }
-    return rec, EXIT_OK
+    return _inputs(args, "i"), {"r": num_exact(r), "s": num_exact(s), "t": num_exact(t)}, EXIT_OK
 
 
-def cmd_ratio_curve(args, cfg):
+def cmd_ratio_curve(args):
     from . import torus as T
     alpha, beta = parse_curve(args.alpha), parse_curve(args.beta)
     if T.intersection(alpha, beta) == 0:
@@ -307,44 +318,32 @@ def cmd_ratio_curve(args, cfg):
         raise InputError("--target and --eps must be positive")
     gamma = T.ratio_curve_search(alpha, beta, target, eps, budget=args.cap)
     ratio = Fraction(T.intersection(alpha, gamma), T.intersection(beta, gamma))
-    rec = {
-        "command": "ratio-curve",
-        "inputs": {
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "target": args.target,
-            "eps": str(eps),
-        },
-        "results": {
-            "curve": f"{gamma.p},{gamma.q}",
-            "ratio": num_exact(ratio),
-            "error": num_exact(abs(ratio - target)),
-        },
+    results = {
+        "curve": f"{gamma.p},{gamma.q}",
+        "ratio": num_exact(ratio),
+        "error": num_exact(abs(ratio - target)),
     }
-    return rec, EXIT_OK
+    return {**_inputs(args, "alpha", "beta", "target"), "eps": str(eps)}, results, EXIT_OK
 
 
-def cmd_busemann(args, cfg):
+def cmd_busemann(args):
     from . import horolab as H, torus as T
     x0, x = parse_tau(args.tau0), parse_tau(args.tau)
     f = T.WeightedTorusFoliation(Fraction(1), parse_curve(args.curve))
     be = H.TorusBackend()
     closed = T.busemann(x0, f, x)
     est = H.busemann_estimate(x0, f, x, be, tol=args.tol)
-    rec = {
-        "command": "busemann",
-        "inputs": {"tau0": args.tau0, "curve": args.curve, "tau": args.tau, "tol": args.tol},
-        "results": {
-            "closed_form": num_float(closed, 1e-12),
-            "limit_estimate": num_float(est.value, 2 * args.tol),
-            "certified": est.certified,
-            "steps": len(est.trace),
-        },
+    results = {
+        "closed_form": num_float(closed, 1e-12),
+        "limit_estimate": num_float(est.value, 2 * args.tol),
+        "certified": est.certified,
+        "steps": len(est.trace),
     }
-    return rec, EXIT_OK if est.certified else EXIT_UNDECIDED
+    inputs = _inputs(args, "tau0", "curve", "tau", "tol")
+    return inputs, results, EXIT_OK if est.certified else EXIT_UNDECIDED
 
 
-def cmd_ball_limit(args, cfg):
+def cmd_ball_limit(args):
     from . import torus as T  # before numpy, which then reuses its compile memory
     import numpy as np
 
@@ -359,48 +358,39 @@ def cmd_ball_limit(args, cfg):
         if abs(T.busemann(x0, f, x)) >= 1e-3:
             sample.append(x)
     rep = T.metric_ball_limit_check(x0, f, sample)
-    inside = sum(1 for e in rep.entries if e.classification == "inside")
-    outside = sum(1 for e in rep.entries if e.classification == "outside")
-    rec = {
-        "command": "ball-limit",
-        "inputs": {"tau0": args.tau0, "curve": args.curve, "samples": args.samples, "seed": args.seed},
-        "results": {
-            "ok": rep.ok,
-            "inside": inside,
-            "outside": outside,
-            "inconclusive": len(rep.inconclusive),
+    results = {
+        "ok": rep.ok,
+        "inside": sum(1 for e in rep.entries if e.classification == "inside"),
+        "outside": sum(1 for e in rep.entries if e.classification == "outside"),
+        "inconclusive": len(rep.inconclusive),
+    }
+    inputs = _inputs(args, "tau0", "curve", "samples", "seed")
+    return inputs, results, EXIT_OK if rep.ok and not rep.inconclusive else EXIT_UNDECIDED
+
+
+def cmd_origami_info(args):
+    from . import origami as O
+    o = _build_origami(args)
+    results = {
+        "n": o.n,
+        "area": {"value": str(o.area), "float": float(o.area), "exact": True},
+        "genus": o.genus,
+        "cone_orders": list(o.singularities),
+        "cylinders": {
+            d: [
+                {"circumference": c.circumference, "height": c.height,
+                 "squares": [s + 1 for s in c.all_squares]}
+                for c in O.cylinders(o, d)
+            ]
+            for d in (O.HORIZONTAL, O.VERTICAL)
         },
     }
-    return rec, EXIT_OK if rep.ok and not rep.inconclusive else EXIT_UNDECIDED
+    return _inputs(args, "h", "v"), results, EXIT_OK
 
 
-def cmd_origami_info(args, cfg):
+def cmd_origami_flow(args):
     from . import origami as O
-    o = _build_origami_from(args, cfg)
-    rec = {
-        "command": "origami-info",
-        "inputs": {"h": args.h or cfg.get("h"), "v": args.v or cfg.get("v")},
-        "results": {
-            "n": o.n,
-            "area": {"value": str(o.area), "float": float(o.area), "exact": True},
-            "genus": o.genus,
-            "cone_orders": list(o.singularities),
-            "cylinders": {
-                d: [
-                    {"circumference": c.circumference, "height": c.height,
-                     "squares": [s + 1 for s in c.all_squares]}
-                    for c in O.cylinders(o, d)
-                ]
-                for d in (O.HORIZONTAL, O.VERTICAL)
-            },
-        },
-    }
-    return rec, EXIT_OK
-
-
-def cmd_origami_flow(args, cfg):
-    from . import origami as O
-    o = _build_origami_from(args, cfg)
+    o = _build_origami(args)
     x = O.MarkedFlatSurface.base_point(o)
     if args.kind == "geodesic":
         if args.time:
@@ -416,18 +406,13 @@ def cmd_origami_flow(args, cfg):
     else:
         y = O.horocycle_flow(x, parse_rational(args.param))
     ev, eh = O.ext_vertical(y), O.ext_horizontal(y)
-    rec = {
-        "command": "origami-flow",
-        "inputs": {"h": args.h or cfg.get("h"), "v": args.v or cfg.get("v"),
-                   "kind": args.kind, "param": args.param, "time": args.time},
-        "results": {
-            "ext_vertical": encode(ev),
-            "ext_horizontal": encode(eh),
-            "product": encode(ev * eh),
-            "area_squared": num_exact(Fraction(o.n) ** 2),
-        },
+    results = {
+        "ext_vertical": encode(ev),
+        "ext_horizontal": encode(eh),
+        "product": encode(ev * eh),
+        "area_squared": num_exact(Fraction(o.n) ** 2),
     }
-    return rec, EXIT_OK
+    return _inputs(args, "h", "v", "kind", "param", "time"), results, EXIT_OK
 
 
 def _trace_from_args(o, slope_text, square, offset_text):
@@ -442,31 +427,23 @@ def _trace_from_args(o, slope_text, square, offset_text):
         raise InputError(str(e)) from e
 
 
-def cmd_origami_intersect(args, cfg):
+def cmd_origami_intersect(args):
     from . import origami as O
-    o = _build_origami_from(args, cfg)
+    o = _build_origami(args)
     t1 = _trace_from_args(o, args.slope1, args.square1, args.offset1)
     t2 = _trace_from_args(o, args.slope2, args.square2, args.offset2)
-    n = O.crossing_number(t1, t2)
-    rec = {
-        "command": "origami-intersect",
-        "inputs": {
-            "h": args.h or cfg.get("h"), "v": args.v or cfg.get("v"),
-            "slope1": args.slope1, "square1": args.square1,
-            "slope2": args.slope2, "square2": args.square2,
-        },
-        "results": {
-            "crossings": num_exact(n),
-            "holonomy1": list(t1.holonomy),
-            "holonomy2": list(t2.holonomy),
-        },
+    results = {
+        "crossings": num_exact(O.crossing_number(t1, t2)),
+        "holonomy1": list(t1.holonomy),
+        "holonomy2": list(t2.holonomy),
     }
-    return rec, EXIT_OK
+    inputs = _inputs(args, "h", "v", "slope1", "square1", "slope2", "square2")
+    return inputs, results, EXIT_OK
 
 
-def cmd_growth_check(args, cfg):
+def cmd_growth_check(args):
     from . import origami as O
-    o = _build_origami_from(args, cfg)
+    o = _build_origami(args)
     t = _trace_from_args(o, args.slope, args.square, args.offset)
     s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
     x = O.MarkedFlatSurface.base_point(o)
@@ -474,48 +451,38 @@ def cmd_growth_check(args, cfg):
         rep = O.horocycle_growth_check(t, x, s_values)
     except ValueError as e:
         raise InputError(str(e)) from e
-    rec = {
-        "command": "growth-check",
-        "inputs": {"h": args.h or cfg.get("h"), "v": args.v or cfg.get("v"),
-                   "slope": args.slope, "square": args.square, "s_values": args.s_values},
-        "results": {
-            "ok": rep.ok,
-            "i_vertical": encode(rep.i_vertical),
-            "i_horizontal": encode(rep.i_horizontal),
-            "lower_bounds": [num_float(v, 1e-12) for v in rep.lower_bounds],
-            "quadratic_coefficient": num_float(rep.quad_coefficient, 1e-9),
-            "fit_residual": num_float(rep.relative_residual, 1e-12),
-            "violations": len(rep.violations),
-        },
+    results = {
+        "ok": rep.ok,
+        "i_vertical": encode(rep.i_vertical),
+        "i_horizontal": encode(rep.i_horizontal),
+        "lower_bounds": [num_float(v, 1e-12) for v in rep.lower_bounds],
+        "quadratic_coefficient": num_float(rep.quad_coefficient, 1e-9),
+        "fit_residual": num_float(rep.relative_residual, 1e-12),
+        "violations": len(rep.violations),
     }
-    return rec, EXIT_OK if rep.ok else EXIT_UNDECIDED
+    inputs = _inputs(args, "h", "v", "slope", "square", "s_values")
+    return inputs, results, EXIT_OK if rep.ok else EXIT_UNDECIDED
 
 
-def cmd_walsh_e(args, cfg):
+def cmd_walsh_e(args):
     from . import origami as O
-    o = _build_origami_from(args, cfg)
+    o = _build_origami(args)
     gamma = _trace_from_args(o, args.slope, args.square, args.offset)
     f = O.canonical_vertical_foliation(o)
     x = O.MarkedFlatSurface.base_point(o)
-    val = O.walsh_E(f, gamma, x)
-    rec = {
-        "command": "walsh-e",
-        "inputs": {"h": args.h or cfg.get("h"), "v": args.v or cfg.get("v"),
-                   "slope": args.slope, "square": args.square},
-        "results": {
-            "E": num_exact(val),
-            "components": [
-                {"weight": str(w), "circumference": c.circumference}
-                for w, c in f.components
-            ],
-        },
+    results = {
+        "E": num_exact(O.walsh_E(f, gamma, x)),
+        "components": [
+            {"weight": str(w), "circumference": c.circumference}
+            for w, c in f.components
+        ],
     }
-    return rec, EXIT_OK
+    return _inputs(args, "h", "v", "slope", "square"), results, EXIT_OK
 
 
-def cmd_curve_graph(args, cfg):
+def cmd_curve_graph(args):
     from . import curvegraph as C, origami as O
-    o = _build_origami_from(args, cfg)
+    o = _build_origami(args)
     traces = []
     ids = []
     for d in (O.HORIZONTAL, O.VERTICAL):
@@ -535,19 +502,15 @@ def cmd_curve_graph(args, cfg):
         for v in ids[i + 1:]:
             d = C.graph_distance(g, u, v)
             dist[f"{u}-{v}"] = "unreachable" if d == C.UNREACHABLE else d
-    rec = {
-        "command": "curve-graph",
-        "inputs": {"h": args.h or cfg.get("h"), "v": args.v or cfg.get("v"), "slopes": args.slopes},
-        "results": {
-            "vertices": C.curve_set_table(cs),
-            "edges": [list(e) for e in g.edges],
-            "distances": dist,
-        },
+    results = {
+        "vertices": C.curve_set_table(cs),
+        "edges": [list(e) for e in g.edges],
+        "distances": dist,
     }
-    return rec, EXIT_OK
+    return _inputs(args, "h", "v", "slopes"), results, EXIT_OK
 
 
-def cmd_relation(args, cfg):
+def cmd_relation(args):
     from . import horolab as H
     if args.model == "torus":
         if args.curve1 is None or args.curve2 is None:
@@ -555,15 +518,13 @@ def cmd_relation(args, cfg):
         h1 = _horospec(args.curve1, args.level1)
         h2 = _horospec(args.curve2, args.level2)
         rel = H.classify(h1, h2, H.TorusBackend())
-    elif args.model == "origami":
+    else:
         from . import origami as O
-        o = _build_origami_from(args, cfg)
+        o = _build_origami(args)
         be = H.OrigamiBackend(o)
 
         def pick(text, level_text):
-            level = parse_rational(level_text)
-            if not level > 0:
-                raise InputError("levels must be positive")
+            level = parse_level(level_text)
             if text is None:
                 raise InputError("--model origami requires --f1 and --f2")
             name, sep, index = text.strip().lower().partition(":")
@@ -584,15 +545,9 @@ def cmd_relation(args, cfg):
             return H.HoroBall(f, level)
 
         rel = H.classify(pick(args.f1, args.level1), pick(args.f2, args.level2), be)
-    else:
-        raise InputError(f"unknown model {args.model!r}")
-    rec = {
-        "command": "relation",
-        "inputs": {k: v for k, v in vars(args).items()
-                   if k in ("model", "curve1", "curve2", "f1", "f2", "level1", "level2")},
-        "results": {"tag": rel.tag, "detail": {k: str(v) for k, v in rel.detail.items()}},
-    }
-    return rec, EXIT_OK if rel.decided else EXIT_UNDECIDED
+    inputs = _inputs(args, "model", "curve1", "curve2", "f1", "f2", "level1", "level2")
+    results = {"tag": rel.tag, "detail": {k: str(v) for k, v in rel.detail.items()}}
+    return inputs, results, EXIT_OK if rel.decided else EXIT_UNDECIDED
 
 
 def _svg_horocycles(curve, levels):
@@ -638,11 +593,9 @@ def _svg_horocycles(curve, levels):
     return "\n".join(parts)
 
 
-def cmd_torus_plot(args, cfg):
+def cmd_torus_plot(args):
     curve = parse_curve(args.curve)
-    levels = [parse_rational(p) for p in args.levels.split(",")]
-    if any(not lv > 0 for lv in levels):
-        raise InputError("levels must be positive")
+    levels = [parse_level(p) for p in args.levels.split(",")]
     try:
         svg = _svg_horocycles(curve, levels)
     except ValueError as e:
@@ -652,172 +605,120 @@ def cmd_torus_plot(args, cfg):
             fh.write(svg)
     except OSError as e:
         raise InputError(f"cannot write {args.out!r}: {e.strerror}") from e
-    rec = {
-        "command": "torus-plot",
-        "inputs": {"curve": args.curve, "levels": args.levels},
-        "results": {"path": args.out, "levels_drawn": len(levels)},
-    }
-    return rec, EXIT_OK
+    results = {"path": args.out, "levels_drawn": len(levels)}
+    return _inputs(args, "curve", "levels"), results, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--config", default=None, help="INI file with [origami] and [job] sections")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-
-def _add_origami_args(p):
-    p.add_argument("--h", default=None, help="1-based bracketed array, e.g. [2,1,3]")
-    p.add_argument("--v", default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="horoteich")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["json", "csv"])
+    common.add_argument("--config", help="INI file with [origami] and [job] sections")
+    common.add_argument("--tol", type=float)
+    common.add_argument("--cap", type=int)
+    common.add_argument("--seed", type=int)
+    origami = argparse.ArgumentParser(add_help=False)
+    origami.add_argument("--h", help="1-based bracketed array, e.g. [2,1,3]")
+    origami.add_argument("--v")
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--slope", default="0")
+    trace.add_argument("--square", type=int, default=1)
+    trace.add_argument("--offset", default="1/2")
+
+    ap = _Parser(prog="horoteich")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("torus-ext")
+    def command(name, fn, *parents):
+        p = sub.add_parser(name, parents=[*parents, common])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("torus-ext", cmd_torus_ext)
     p.add_argument("--tau", required=True)
     p.add_argument("--curve", required=True)
     p.add_argument("--weight", default="1")
-    _add_common(p)
-    p.set_defaults(fn=cmd_torus_ext)
 
-    p = sub.add_parser("torus-dist")
+    p = command("torus-dist", cmd_torus_dist)
     p.add_argument("--tau1", required=True)
     p.add_argument("--tau2", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_torus_dist)
 
-    p = sub.add_parser("tangency")
+    p = command("tangency", cmd_tangency)
     p.add_argument("--curve1", required=True)
     p.add_argument("--level1", required=True)
     p.add_argument("--curve2", required=True)
     p.add_argument("--level2", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_tangency)
 
-    p = sub.add_parser("triple")
+    p = command("triple", cmd_triple)
     p.add_argument("--i", required=True, help="i_ab,i_ag,i_bg")
-    _add_common(p)
-    p.set_defaults(fn=cmd_triple)
 
-    p = sub.add_parser("ratio-curve")
+    p = command("ratio-curve", cmd_ratio_curve)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--eps", default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_ratio_curve)
+    p.add_argument("--eps")
 
-    p = sub.add_parser("busemann")
+    p = command("busemann", cmd_busemann)
     p.add_argument("--tau0", required=True)
     p.add_argument("--curve", required=True)
     p.add_argument("--tau", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_busemann)
 
-    p = sub.add_parser("ball-limit")
+    p = command("ball-limit", cmd_ball_limit)
     p.add_argument("--tau0", required=True)
     p.add_argument("--curve", required=True)
     p.add_argument("--samples", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(fn=cmd_ball_limit)
 
-    p = sub.add_parser("origami-info")
-    _add_origami_args(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_origami_info)
+    command("origami-info", cmd_origami_info, origami)
 
-    p = sub.add_parser("origami-flow")
-    _add_origami_args(p)
+    p = command("origami-flow", cmd_origami_flow, origami)
     p.add_argument("--kind", required=True, choices=["geodesic", "horocycle"])
     p.add_argument("--param", required=True,
                    help="stretch factor (geodesic) or shear (horocycle); rational stays exact")
     p.add_argument("--time", action="store_true",
                    help="interpret a geodesic parameter as time t instead of stretch e^t")
-    _add_common(p)
-    p.set_defaults(fn=cmd_origami_flow)
 
-    p = sub.add_parser("origami-intersect")
-    _add_origami_args(p)
+    p = command("origami-intersect", cmd_origami_intersect, origami)
     p.add_argument("--slope1", required=True)
     p.add_argument("--square1", type=int, default=1)
     p.add_argument("--offset1", default="1/2")
     p.add_argument("--slope2", required=True)
     p.add_argument("--square2", type=int, default=1)
     p.add_argument("--offset2", default="1/3")
-    _add_common(p)
-    p.set_defaults(fn=cmd_origami_intersect)
 
-    p = sub.add_parser("growth-check")
-    _add_origami_args(p)
-    p.add_argument("--slope", default="0")
-    p.add_argument("--square", type=int, default=1)
-    p.add_argument("--offset", default="1/2")
+    p = command("growth-check", cmd_growth_check, origami, trace)
     p.add_argument("--s-values", dest="s_values", default="1,2,3,5,10,20")
-    _add_common(p)
-    p.set_defaults(fn=cmd_growth_check)
 
-    p = sub.add_parser("walsh-e")
-    _add_origami_args(p)
-    p.add_argument("--slope", default="0")
-    p.add_argument("--square", type=int, default=1)
-    p.add_argument("--offset", default="1/2")
-    _add_common(p)
-    p.set_defaults(fn=cmd_walsh_e)
+    command("walsh-e", cmd_walsh_e, origami, trace)
 
-    p = sub.add_parser("curve-graph")
-    _add_origami_args(p)
-    p.add_argument("--slopes", default=None, help="semicolon-separated extra slopes")
-    _add_common(p)
-    p.set_defaults(fn=cmd_curve_graph)
+    p = command("curve-graph", cmd_curve_graph, origami)
+    p.add_argument("--slopes", help="semicolon-separated extra slopes")
 
-    p = sub.add_parser("relation")
+    p = command("relation", cmd_relation, origami)
     p.add_argument("--model", required=True, choices=["torus", "origami"])
-    p.add_argument("--curve1", default=None)
-    p.add_argument("--curve2", default=None)
-    p.add_argument("--f1", default=None)
-    p.add_argument("--f2", default=None)
+    p.add_argument("--curve1")
+    p.add_argument("--curve2")
+    p.add_argument("--f1")
+    p.add_argument("--f2")
     p.add_argument("--level1", required=True)
     p.add_argument("--level2", required=True)
-    _add_origami_args(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_relation)
 
-    p = sub.add_parser("torus-plot")
+    p = command("torus-plot", cmd_torus_plot)
     p.add_argument("--curve", required=True)
     p.add_argument("--levels", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_torus_plot)
 
     return ap
 
 
 def run(argv) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Parse, merge --config, run the handler, emit its record; the exit status."""
     try:
-        cfg = load_config(args.config) if args.config else {}
-        if args.tol is None:
-            args.tol = _config_value("tol", cfg.get("tol", 1e-9), float)
-        if args.cap is None:
-            args.cap = _config_value("cap", cfg.get("cap", 10**6), int)
-        if args.seed is None:
-            args.seed = _config_value("seed", cfg.get("seed", 0), int)
-        fmt = args.format or cfg.get("format", "json")
-        if not args.tol > 0:
-            raise InputError("tolerance must be positive")
-        if args.cap < 1:
-            raise InputError("enumeration cap must be at least 1")
-        record, status = args.fn(args, cfg)
-        emit(record, fmt)
+        args = build_parser().parse_args(argv)
+        _apply_config(args)
+        inputs, results, status = args.fn(args)
+        emit({"command": args.subcommand, "inputs": inputs, "results": results}, args.format)
         return status
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -81,11 +81,12 @@ def foliation_intersection(f: WeightedTorusFoliation, g: WeightedTorusFoliation)
 
 def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
     """weight^2 * |p + q*tau|^2 / Im(tau): a float, or the exact Fraction when
-    tau's coordinates and the weight are Fractions."""
+    tau's coordinates and the weight are Fractions.  Summed as
+    re*(re/y) + q*(q*y), as in _ext, so no y^2 is formed to overflow."""
     c = f.curve
     w = f.weight if type(tau.y) is Fraction else float(f.weight)
     re = c.p + c.q * tau.x
-    return w * w * (re * re + (c.q * tau.y) ** 2) / tau.y
+    return w * w * (re * (re / tau.y) + c.q * (c.q * tau.y))
 
 
 def curve_transform(g: Mat2, c: TorusCurve) -> TorusCurve:
@@ -360,41 +361,25 @@ def geodesic_between(f: TorusCurve, g: TorusCurve) -> TorusGeodesic:
     return _chart_geodesic(f.boundary_point(), g.boundary_point())
 
 
-def tangent_point(
-    f: WeightedTorusFoliation,
-    s,
-    g: WeightedTorusFoliation,
-    tol: float = 1e-12,
-) -> UpperHalfPoint:
+def tangent_point(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation) -> UpperHalfPoint:
     """Unique point on the (f, g) geodesic with Ext(f) = s.
 
-    Bisection on the geodesic parameter; Ext(f) is strictly decreasing
-    toward f's endpoint.  ValueError if the bracket leaves the double range.
+    In the geodesic's chart m, with m(inf) the endpoint of f, Ext(f)(m(w)) =
+    k / Im w, so the point is m(i k / s) with k = Ext(f)(m(i)).  ValueError
+    if its height, in the chart or in the half-plane, is not a normal double.
     """
     if not s > 0:
         raise ValueError("level must be positive")
-    geo = geodesic_between(f.curve, g.curve)
-    target = float(s)
-
-    def h(t):
-        return extremal_length(geo.point_at(t), f)
-
-    lo, hi = -1.0, 1.0
-    while h(lo) < target:
-        lo *= 2.0
-        if lo < -350:
-            raise ValueError(OUT_OF_RANGE)
-    while h(hi) > target:
-        hi *= 2.0
-        if hi > 350:
-            raise ValueError(OUT_OF_RANGE)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return geo.point_at(0.5 * (lo + hi))
+    if f.curve == g.curve:
+        raise ValueError("curves coincide; no transverse pair")
+    m = _endpoint_chart(f.curve.boundary_point(), g.curve.boundary_point())
+    height = Fraction(extremal_length(mobius_apply(m, UpperHalfPoint(0.0, 1.0)), f)) / Fraction(s)
+    if not _TINY <= height <= _HUGE:
+        raise ValueError(OUT_OF_RANGE)
+    pt = mobius_apply(m, UpperHalfPoint(0.0, float(height)))
+    if not _TINY <= pt.y <= _HUGE:
+        raise ValueError(OUT_OF_RANGE)
+    return pt
 
 
 # ---------------------------------------------------------------------------

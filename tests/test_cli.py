@@ -106,7 +106,8 @@ def test_tangency(capsys):
         ["tangency", "--curve1", "1,0", "--level1", "1", "--curve2", "0,1", "--level2", "1"],
     )
     assert status == 0 and rec["results"]["tangent"] is True
-    assert "tangent_point" in rec["results"]
+    pt = rec["results"]["tangent_point"]
+    assert (pt["re"]["value"], pt["im"]["value"]) == (0.0, 1.0)
 
 
 def test_ratio_curve(capsys):
@@ -232,6 +233,38 @@ def test_config_file(tmp_path, capsys):
     assert status == 0 and rec["results"]["genus"] == 2
 
 
+def test_config_flags_win_and_file_fills_the_rest(tmp_path, capsys):
+    """--tol, --format, --h and --v flags win over the --config file, which
+    fills only the options the flags leave unset; a bad value from the file
+    is an input error before the command runs."""
+    job = tmp_path / "job.ini"
+    job.write_text("[origami]\nh = [1]\nv = [1]\n\n[job]\ntol = 1e-6\ncap = 100\nformat = csv\n")
+    rec, status = run_json(capsys, ["origami-info", *L_ARGS, "--format", "json",
+                                    "--config", str(job)])
+    assert status == 0 and rec["inputs"] == {"h": "[2,1,3]", "v": "[3,2,1]"}
+    assert rec["results"]["n"] == 3
+    dist = ["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--config", str(job)]
+    rec, status = run_json(capsys, [*dist, "--tol", "1e-8", "--format", "json"])
+    assert status == 0 and (rec["inputs"]["tol"], rec["inputs"]["cap"]) == (1e-8, 100)
+    assert cli.run(dist) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "key,value" and {"inputs.tol,1e-06", "inputs.cap,100"} <= set(rows)
+    half = tmp_path / "half.ini"
+    half.write_text("[origami]\nh = [2,1,3]\nv = [1,2,3]\n")
+    rec, status = run_json(capsys, ["origami-info", "--v", "[3,2,1]", "--config", str(half)])
+    assert status == 0 and rec["inputs"] == {"h": "[2,1,3]", "v": "[3,2,1]"}
+    n5 = tmp_path / "n5.ini"
+    n5.write_text("[origami]\nn = 5\n")
+    assert cli.run(["origami-info", *L_ARGS, "--config", str(n5)]) == 1
+    assert capsys.readouterr().err == "error: config n = 5 does not match permutation length 3\n"
+    xml = tmp_path / "xml.ini"
+    xml.write_text("[job]\nformat = xml\n")
+    svg = tmp_path / "p.svg"
+    argv = ["torus-plot", "--curve", "1,1", "--levels", "1", "--out", str(svg), "--config", str(xml)]
+    assert cli.run(argv) == 1 and not svg.exists()
+    assert capsys.readouterr().err == "error: unknown output format 'xml'\n"
+
+
 def test_config_mismatched_n(tmp_path, capsys):
     cfg = tmp_path / "job.ini"
     cfg.write_text("[origami]\nn = 5\nh = [2,1,3]\nv = [3,2,1]\n")
@@ -279,12 +312,18 @@ def test_input_errors_exit_one(capsys):
         (["tangency", "--curve1", "1,0", "--level1", "1e-400", "--curve2", "0,1",
           "--level2", "1e400"], 1),
         (["triple", "--i", "1e-400,1,1"], 1),
+        (["torus-ext", "--tau", "0+2i"], 1),
+        (["torus-ext", "--tau", "0+2i", "--curve", "1,0", "--bogus", "1"], 1),
+        (["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "abc"], 1),
+        (["relation", "--model", "foo", "--level1", "1", "--level2", "1"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
          "plot-missing-dir", "intersect-trace-budget", "config-bad-n", "config-bad-tol",
          "tau-below-double-range", "plot-level-below-double-range",
-         "tangency-level-below-double-range", "triple-level-above-double-range"],
+         "tangency-level-below-double-range", "triple-level-above-double-range",
+         "usage-missing-option", "usage-unknown-option", "usage-bad-int",
+         "usage-bad-choice"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")
@@ -294,6 +333,25 @@ def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["torus-ext", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: horoteich")
+
+
+def test_far_up_torus_points_do_not_overflow(capsys):
+    """Ext at Im tau = 1e200 is formed without squaring Im tau."""
+    rec, status = run_json(capsys, ["busemann", "--tau0", "0+1i", "--curve", "0,1",
+                                    "--tau", "0+1e200i"])
+    assert status == 0 and rec["results"]["certified"] is True
+    assert rec["results"]["closed_form"]["value"] == pytest.approx(0.5 * math.log(1e200))
+    rec, status = run_json(capsys, ["ball-limit", "--tau0", "0+1e200i", "--curve", "0,1",
+                                    "--samples", "3"])
+    assert status == 0 and rec["results"]["ok"] is True
 
 
 NUMPY_FREE_COMMANDS = [

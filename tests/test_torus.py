@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -278,6 +279,23 @@ def test_tangent_point_level():
     assert T.extremal_length(pt, f) == pytest.approx(0.5, abs=1e-10)
     # on the geodesic, Ext(g) = i^2 / Ext(f) = 2
     assert T.extremal_length(pt, g) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_tangent_point_is_on_the_level():
+    """Ext(f) at the closed-form tangent point is s to 2^-48, for every
+    transverse pair of classes with |p|, |q| <= 3, two weights and rational
+    levels a/b with a, b <= 5."""
+    classes = {T.TorusCurve(p, q) for p in range(-3, 4) for q in range(-3, 4)
+               if math.gcd(p, q) == 1}
+    levels = {Fraction(a, b) for a in range(1, 6) for b in range(1, 6)}
+    for c1, c2 in itertools.permutations(classes, 2):
+        g = T.WeightedTorusFoliation(Fraction(1), c2)
+        for w in (Fraction(1), Fraction(3, 2)):
+            f = T.WeightedTorusFoliation(w, c1)
+            for s in levels:
+                pt = T.tangent_point(f, s, g)
+                ext = T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f)
+                assert abs(ext / s - 1) <= Fraction(1, 2**48), (c1, c2, w, s)
 
 
 def test_horocycle_point_lies_on_level_set():
