@@ -105,24 +105,20 @@ def mobius_apply(m: Mat2, tau: UpperHalfPoint) -> UpperHalfPoint:
     return UpperHalfPoint(w.real, w.imag)
 
 
-def cosh_distance_minus_one(x1, y1, x2, y2):
-    """D = cosh d - 1 of the hyperbolic distance d between x1 + i y1 and x2 + i y2.
-
-    |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2) over d = dx, dy,
-    so no y1 y2 is formed to underflow, and D is never rounded against 1."""
-    dx, dy = x1 - x2, y1 - y2
-    return 0.5 * ((dx / y1) * (dx / y2) + (dy / y1) * (dy / y2))
-
-
 def hyperbolic_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
     """Curvature -1 distance on the upper half-plane: d = log1p(e^d - 1),
-    with e^d - 1 = D + sqrt(D (D + 2)), exact to a few ulps for nearby points."""
-    big_d = cosh_distance_minus_one(t1.x, t1.y, t2.x, t2.y)
+    with e^d - 1 = D + sqrt(D (D + 2)), exact to a few ulps for nearby points.
+
+    D = cosh d - 1 = |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2)
+    over d = dx, dy, so no y1 y2 is formed to underflow, and D is never
+    rounded against 1."""
+    dx, dy = t1.x - t2.x, t1.y - t2.y
+    big_d = 0.5 * ((dx / t1.y) * (dx / t2.y) + (dy / t1.y) * (dy / t2.y))
     em1 = big_d + math.sqrt(big_d) * math.sqrt(big_d + 2.0)
     if em1 < math.inf:
         return math.log1p(em1)
     # e^d beyond the doubles: d = log(2 cosh d) = log(|tau1 - tau2|^2 / (y1 y2)), in logs
-    return 2.0 * math.log(math.hypot(t1.x - t2.x, t1.y - t2.y)) - math.log(t1.y) - math.log(t2.y)
+    return 2.0 * math.log(math.hypot(dx, dy)) - math.log(t1.y) - math.log(t2.y)
 
 
 # ---------------------------------------------------------------------------

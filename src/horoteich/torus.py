@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .kernel import (
+    Bracket,
     EnumerationBudgetError,
     Mat2,
     UpperHalfPoint,
-    cosh_distance_minus_one,
     hyperbolic_distance,
     is_exact,
     mobius_apply,
@@ -118,6 +118,7 @@ def curve_transform(g: Mat2, c: TorusCurve) -> TorusCurve:
 
 _SLACK = 2.0**-49  # 16 u
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_LOG2 = math.log(2.0)
 _SEEDS = ((0, 1), (1, 0), (1, 1), (-1, 1))
 
 
@@ -544,109 +545,91 @@ def ratio_curve_search(
 @dataclass
 class EquidistanceReport:
     expected: float
-    distances: list
-    max_error: float
+    distances: list  # the brackets' midpoints
+    brackets: list
+    max_error: float  # the largest |distance - expected| a bracket allows
     unique_feet: bool
     ok: bool
 
 
-# Distance to a horocycle.  HS(f, level) is an isometric image of the line
-# Im w = y0 (see _horocycle), so its points at sigma, sigma' are at distance
-# asinh(|sigma - sigma'| / (2 y0)).  A block of grid points within r of its
-# midpoint m thus holds no value below d(m) - asinh(r / (2 y0)); when that is
-# over 1e-4 above the best value so far, the block holds neither the argmin
-# nor a near minimum and is dropped unevaluated.  Blocks halve level by level;
-# values are D = cosh 2d - 1 = 2 sinh(d)^2, with one threshold per level.
-# Rounding (u = 2^-53, first order): at() puts a point within u K / 2 of the
-# horocycle, K = (|cx| (span^2 + y0^2) + 7 span + 5 y0) / y0, a grid sigma is
-# within 3u span of i * step - span, and a value or threshold with its d <-> D
-# conversions takes at most 12 roundings; adding 2^-48 (K + 3 span / y0 + 1 + t)
-# to a threshold distance t covers all of it twice over.
-
-_SPAN, _GRID = 64.0, 1441
-_STEP = 2.0 * _SPAN / (_GRID - 1)
-_SIGMAS = [i * _STEP - _SPAN for i in range(_GRID - 1)] + [_SPAN]  # np.linspace's
-
-
-def _grid_minima(big_d, y0: float, cx: float):
-    """(k, D_k, near): the first index of the least D = big_d(sigma) over
-    _SIGMAS on the horocycle with chart data y0, cx, and the sorted indices
-    within 1e-4 of it in distance; blocks the pruning rules out are skipped."""
-    k_round = (abs(cx) * (_SPAN * _SPAN + y0 * y0) + 10.0 * _SPAN + 5.0 * y0) / y0
-
-    def cut(d_min, radius, slack):
-        """D at 1e-4 + radius (+ rounding slack) beyond the distance of d_min."""
-        t = math.asinh(math.sqrt(0.5 * d_min)) + 1e-4 + radius
-        sh = math.sinh(min(t + slack * (k_round + 1.0 + t), 710.0))
-        return 2.0 * sh * sh
-
-    vals = {}
-    blocks = [(0, _GRID)]  # half-open index ranges not yet ruled out
-    while blocks:
-        mids = [(lo + hi) // 2 for lo, hi in blocks]
-        for m in mids:
-            vals[m] = big_d(_SIGMAS[m])
-        radius = math.asinh(max(hi - lo for lo, hi in blocks) // 2 * _STEP / (2.0 * y0))
-        level_cut = cut(min(vals.values()), radius, 2.0**-48)
-        blocks = [half for (lo, hi), m in zip(blocks, mids) if not vals[m] > level_cut
-                  for half in ((lo, m), (m + 1, hi)) if half[0] < half[1]]
-    k = min(vals, key=lambda i: (vals[i], i))
-    near_cut = cut(vals[k], 0.0, 0.0)
-    return k, vals[k], sorted(i for i, v in vals.items() if v <= near_cut)
+# Distance to a horocycle.  In the chart w = -1/(tau - cx) (w = tau if q = 0)
+# HS(f, level) is the line Im w = y0 and Ext_f = c^2 / Im w, c = q or p (see
+# _horocycle), so the foot of x is sigma* + i y0, sigma* = Re w(x) =
+# Re 1/(cx - x) (x.x if q = 0), at distance (1/2)|log(Ext_f(x) / level)|.
+# The bracket takes one end from each path (u = 2^-53):
+# - lower: that Busemann form, (1/2)|log e - log l| with e = Ext_f(x) from
+#   _ext (5 roundings) and l the weight-normalized level (1; a subnormal l is
+#   off by 8u, but then E > 700).  The logs (1 ulp each) and their difference
+#   add 1.5u E, E = |log e| + |log l|: 2^-49 (1 + E) covers 3u + 1.5u E.
+# - upper: d(x, P) + d(P, HS) for the computed foot P.  hyperbolic_distance
+#   takes 11 roundings while e^{2d} is a double (error 5.3u + 2u d), and four
+#   logs under 745 beyond (error 4100u + u d, d > 354): 2^-47 (1 + d) covers
+#   both and the sums.  d(P, HS) is P's Busemann form, bounded as above.
+# P is not at(sigma*), whose abscissa, near the cusp, can land an ulp off
+# x.x where the foot is far closer, a long way along the horocycle: P is
+# x.x plus Re of the shift i (Y - y0) z / (sigma* + i y0), z = x - cx,
+# sigma* + i Y = -1/z, at height Im -1/(sigma* + i y0), without cancellation.
 
 
-def _distance_to_horocycle(x: UpperHalfPoint, f: WeightedTorusFoliation, level):
-    """min over the horocycle HS(f, level) of the Teichmueller distance,
-    together with the number of distinct numerical local minima: the grid
-    minimum over 1441 points on +-64, refined by golden section."""
-    at, y0, cx = _horocycle(f, level)
-    xx, xy = x.x, x.y
+def _distance_to_horocycle(f: WeightedTorusFoliation, level):
+    """x -> Bracket on the Teichmueller distance from x to HS(f, level);
+    ValueError(OUT_OF_RANGE) where a value it needs is not a normal double.
 
-    def big_d(sigma):
-        return cosh_distance_minus_one(xx, xy, *at(sigma))
+    The foot is unique: with w(x) = sigma_x + i Y in the chart above, the
+    cosh of the hyperbolic distance from x to sigma + i y0 on the horocycle is
+    1 + ((sigma - sigma_x)^2 + (Y - y0)^2) / (2 Y y0), a quadratic in sigma
+    with positive leading coefficient, so strictly convex, with its one
+    minimum at sigma = sigma_x; the chart is an isometry."""
+    c = f.curve
+    y0 = _horocycle(f, level)[1]
+    log_l = math.log(float(_normalize_level(f.weight, level)))
 
-    k, d_k, near = _grid_minima(big_d, y0, cx)
-    lo, hi = _SIGMAS[max(k - 1, 0)], _SIGMAS[min(k + 1, _GRID - 1)]
-    # golden section on D in the grid bracket.  It drops only points no better
-    # than one it keeps, so the least value seen is D_k, fa or fb
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fa, fb = big_d(a), big_d(b)
-    while hi - lo > 1e-12:
-        if fa < fb:
-            hi, b, fb = b, a, fa
-            a = hi - shrink * (hi - lo)
-            fa = big_d(a)
+    def gap(px: float, py: float) -> Bracket:
+        """Bracket on (1/2)|log(Ext_f / level)| at px + i py."""
+        e = _ext(c.p, c.q, *px.as_integer_ratio(), py)
+        if e is None:
+            raise ValueError(OUT_OF_RANGE)
+        log_e = math.log(e)
+        v, err = 0.5 * abs(log_e - log_l), 2.0**-49 * (1.0 + abs(log_e) + abs(log_l))
+        return Bracket(max(v - err, 0.0), v + err)
+
+    def distance(x: UpperHalfPoint) -> Bracket:
+        if c.q == 0:
+            foot = complex(x.x, y0)
         else:
-            lo, a, fa = a, b, fb
-            b = lo + shrink * (hi - lo)
-            fb = big_d(b)
-    _, foot = min((d_k, _SIGMAS[k]), (fa, a), (fb, b))
+            num, den = x.x.as_integer_ratio()
+            z = complex((c.p * den + c.q * num) / (c.q * den), x.y)
+            w = -1 / z
+            foot_w = complex(w.real, y0)
+            shift = (w.imag - y0) * (z / foot_w) * 1j
+            foot = complex(x.x + shift.real, (-1 / foot_w).imag)
+        if not (_TINY <= foot.imag <= _HUGE and abs(foot.real) <= _HUGE):
+            raise ValueError(OUT_OF_RANGE)
+        d = teich_distance(x, UpperHalfPoint(foot.real, foot.imag))
+        upper = Bracket(d, d + 2.0**-47 * (1.0 + d)) + gap(foot.real, foot.imag)
+        return Bracket(gap(x.x, x.y).lo, upper.hi)
 
-    # count near-global minima as clusters; merge runs separated by a gap
-    # of at most two grid cells so float noise in flat basins is not split
-    clusters = 1 + sum(1 for i, j in zip(near, near[1:]) if j - i > 3)
-    return teich_distance(x, UpperHalfPoint(*at(foot))), clusters
+    return distance
 
 
 def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float = 1e-6,
                        seed: int = 0) -> EquidistanceReport:
     """Distance from points of HS(f, s) to HS(f, t) equals (1/2) log(t/s); the
-    points' horocycle-flow parameters are uniform on [-4, 4] from random.Random(seed)."""
+    points' horocycle-flow parameters are uniform on [-4, 4] from
+    random.Random(seed).  ok: every distance bracket holds (1/2) log(t/s) and
+    is at most tol wide.  The feet are unique (see _distance_to_horocycle)."""
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if s == t:
-        return EquidistanceReport(0.0, [0.0] * samples, 0.0, True, True)
-    on_s, rng = _horocycle(f, s)[0], random.Random(seed)
-    feet = [_distance_to_horocycle(UpperHalfPoint(*on_s(rng.uniform(-4.0, 4.0))), f, t)
-            for _ in range(samples)]
-    expected = 0.5 * math.log(float(t) / float(s))
-    distances = [d for d, _ in feet]
-    unique = all(clusters == 1 for _, clusters in feet)
-    max_err = max(abs(d - expected) for d in distances)
-    return EquidistanceReport(expected, distances, max_err, unique, max_err <= tol and unique)
+    on_s, to_t, rng = _horocycle(f, s)[0], _distance_to_horocycle(f, t), random.Random(seed)
+    brackets = [to_t(UpperHalfPoint(*on_s(rng.uniform(-4.0, 4.0)))) for _ in range(samples)]
+    ratio = Fraction(t) / Fraction(s)  # may pass the doubles
+    expected = 0.5 * (math.log(ratio.numerator) - math.log(ratio.denominator))
+    max_err = max(max(b.hi - expected, expected - b.lo) for b in brackets)
+    ok = all(b.contains(expected) and b.width <= tol for b in brackets)
+    return EquidistanceReport(expected, [0.5 * (b.lo + b.hi) for b in brackets], brackets,
+                              max_err, True, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +667,12 @@ def busemann(
 ) -> float:
     """(1/2) log of the extremal-length ratio; the closed form valid for
     indecomposable (single-curve) foliations."""
-    return 0.5 * math.log(extremal_length(x, f) / extremal_length(x0, f))
+    return _busemann(extremal_length(x0, f), f, x)
+
+
+def _busemann(ext0, f: WeightedTorusFoliation, x: UpperHalfPoint) -> float:
+    """busemann with Ext_f(x0) = ext0 given."""
+    return 0.5 * math.log(extremal_length(x, f) / ext0)
 
 
 def busemann_limit(
@@ -712,18 +700,26 @@ def ray_distance_minus_t(
     """Stable D(t) = d_T(y, ray(t)) - t, valid for very large t.
 
     Works with logarithms so that e^{2t} is never formed."""
+    return _ray_excess(minv, math.log(u0), y)(t)
+
+
+def _ray_excess(minv: Mat2, log_u0: float, y: UpperHalfPoint):
+    """t -> ray_distance_minus_t(minv, e^log_u0, y, t), with the terms free of
+    t (the chart image z of y, log |z|^2 and log(2 Im z)) computed once."""
     z = mobius_apply(minv, y)
     log_r2 = math.log(z.x * z.x + z.y * z.y)
-    log_u = math.log(u0) + 2.0 * t
-    # w = (|z|^2 + u^2) / (2 * Im(z) * u)
-    hi, lo = max(log_r2, 2.0 * log_u), min(log_r2, 2.0 * log_u)
-    log_num = hi + math.log1p(math.exp(lo - hi))
-    log_w = log_num - math.log(2.0 * z.y) - log_u
-    if log_w > 30.0:
-        d_hyp = log_w + math.log(2.0)
-    else:
-        d_hyp = math.acosh(max(math.exp(log_w), 1.0))
-    return 0.5 * d_hyp - t
+    log_2y = math.log(2.0 * z.y)
+
+    def excess(t: float) -> float:
+        log_u = log_u0 + 2.0 * t
+        # w = (|z|^2 + u^2) / (2 * Im(z) * u)
+        a, b = log_r2, 2.0 * log_u
+        hi, lo = (a, b) if a >= b else (b, a)
+        log_w = hi + math.log1p(math.exp(lo - hi)) - log_2y - log_u
+        d_hyp = log_w + _LOG2 if log_w > 30.0 else math.acosh(max(math.exp(log_w), 1.0))
+        return 0.5 * d_hyp - t
+
+    return excess
 
 
 @dataclass
@@ -756,13 +752,15 @@ def metric_ball_limit_check(
     if not sample:
         raise ValueError("sample must be nonempty")
     _, m, u0 = torus_ray(x0, f)
-    minv = m.inverse()
+    minv, log_u0, ext0 = m.inverse(), math.log(u0), extremal_length(x0, f)
+    times = [float(2**k) for k in range(k_max + 1)]
     entries = []
     inconclusive = []
     ok = True
     for y in sample:
-        b = busemann(x0, f, y)
-        ds = [ray_distance_minus_t(minv, u0, y, float(2**k)) for k in range(k_max + 1)]
+        b = _busemann(ext0, f, y)
+        excess = _ray_excess(minv, log_u0, y)
+        ds = [excess(t) for t in times]
         memberships = [d < 0.0 for d in ds]
         nested = memberships == sorted(memberships)  # never out once in
         if abs(ds[-1]) <= boundary_tol:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horoteich.kernel import Mat2, UpperHalfPoint, cosh_distance_minus_one
+from horoteich.kernel import Mat2, UpperHalfPoint, mobius_apply
 from horoteich import torus as T
 
 
@@ -478,42 +478,6 @@ def test_equidistance_rejects_empty_sample():
         T.equidistance_check(fol(1, 1), Fraction(2), Fraction(2), samples=0)
 
 
-def distance_to_horocycle_loop(x, f, level, span=64.0):
-    """Reference for T._distance_to_horocycle: the same minimum with one
-    scalar distance per grid point and the cluster count as an explicit loop."""
-
-    def dist(sigma):
-        return T.teich_distance(x, T.horocycle_point(f, level, sigma))
-
-    grid = np.linspace(-span, span, 1441)
-    vals = np.array([dist(s) for s in grid])
-    k = int(np.argmin(vals))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, len(grid) - 1)])
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fa, fb = dist(a), dist(b)
-    dmin = min(float(vals[k]), fa, fb)
-    while hi - lo > 1e-12:
-        if fa < fb:
-            hi, b, fb = b, a, fa
-            a = hi - shrink * (hi - lo)
-            fa = dist(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + shrink * (hi - lo)
-            fb = dist(b)
-        dmin = min(dmin, fa, fb)
-    near = np.flatnonzero(vals <= vals.min() + 1e-4)
-    clusters = 0
-    prev_idx = None
-    for idx in near:
-        if prev_idx is None or idx - prev_idx > 3:
-            clusters += 1
-        prev_idx = idx
-    return dmin, clusters
-
-
 def horocycle_cases(seed, n):
     """Seeded points (Im tau >= 0.05, so every foot lies well inside the
     +-64 grid), curves with q = 0 and q != 0, weights other than 1 and
@@ -532,90 +496,59 @@ def horocycle_cases(seed, n):
     return cases
 
 
-def test_distance_to_horocycle_matches_per_point_loop():
-    for x, f, level in horocycle_cases(3, 30):
-        dmin, clusters = T._distance_to_horocycle(x, f, level)
-        ref_dmin, ref_clusters = distance_to_horocycle_loop(x, f, level)
-        assert abs(dmin - ref_dmin) <= 1e-14
-        assert clusters == ref_clusters
-
-
 def test_distance_to_horocycle_closed_form():
     """Test-only oracle: the distance to HS(f, level) is (1/2)|log(Ext_x(f) / level)|."""
     for x, f, level in horocycle_cases(4, 200):
-        dmin, clusters = T._distance_to_horocycle(x, f, level)
-        assert abs(dmin - 0.5 * abs(math.log(T.extremal_length(x, f) / float(level)))) <= 1e-9
-        assert clusters == 1
+        bracket = T._distance_to_horocycle(f, level)(x)
+        for dmin in (bracket.lo, bracket.hi):
+            assert abs(dmin - 0.5 * abs(math.log(T.extremal_length(x, f) / float(level)))) <= 1e-9
 
 
-def dense_grid_minima(x, f, level, span=64.0):
-    """Reference for T._grid_minima and T._distance_to_horocycle: D on all
-    1441 grid points in one numpy pass, its first argmin, the indices within
-    1e-4 of it in distance, and the minimum refined by golden section on the
-    distance itself."""
-    at = T._horocycle(f, level)[0]
-    grid = np.linspace(-span, span, 1441)
-    vals = cosh_distance_minus_one(x.x, x.y, *at(grid))
-    k = int(np.argmin(vals))
-    dist = np.arcsinh(np.sqrt(0.5 * vals))  # D = cosh 2d - 1 = 2 sinh(d)^2
-
-    def d(sigma):
-        return T.teich_distance(x, UpperHalfPoint(*at(sigma)))
-
-    lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, 1440)])
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fa, fb = d(a), d(b)
-    dmin = min(float(dist[k]), fa, fb)
-    while hi - lo > 1e-12:
-        if fa < fb:
-            hi, b, fb = b, a, fa
-            a = hi - shrink * (hi - lo)
-            fa = d(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + shrink * (hi - lo)
-            fb = d(b)
-        dmin = min(dmin, fa, fb)
-    return k, np.flatnonzero(dist <= dist[k] + 1e-4).tolist(), dmin
+@pytest.mark.parametrize("s", [1, 10**8, 10**20, 10**150, Fraction(1, 10**20)])
+def test_equidistance_far_levels(s):
+    """The FOUND calls (levels far above q^2, where a grid search over a fixed
+    sigma range returned 16.8 and 316) and their neighbours: every bracket
+    holds (1/2) log 4 within tol.  With 100 samples, some foot lies where
+    at(sigma*) misses x.x by an ulp, hyperbolically far at these levels."""
+    for samples in (3, 100):
+        rep = T.equidistance_check(fol(2, 1), s, 4 * s, samples)
+        assert rep.ok and rep.unique_feet
+        assert all(b.contains(0.6931471805599453) and b.width <= 1e-6 for b in rep.brackets)
+        assert rep.distances == [0.5 * (b.lo + b.hi) for b in rep.brackets]
 
 
-def wide_horocycle_cases(seed, n):
-    """Seeded points from near the cusp to far up (Im tau log-uniform in
-    [1e-8, 1e8]), curves with q = 0 and q != 0, weights other than 1 and
-    levels log-uniform in [1e-6, 1e6]."""
+far_level = st.floats(-300.0, 300.0).map(lambda e: Fraction(10.0**e))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(list(primitive_pairs(5))),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2, 5)]),
+    far_level,
+    far_level,
+    st.integers(0, 10**6),
+)
+def test_equidistance_brackets_hold_the_distance(pq, w, s, t, seed):
+    """Each bracket holds the true distance from its sample point x (the
+    double point drawn as documented) to HS(f, t), (1/2)|log(Ext_f(x) / t)|
+    at 50 digits, or the check raises ValueError(OUT_OF_RANGE)."""
+    s, t = min(s, t), max(s, t)
+    f = fol(*pq, w)
+    try:
+        rep = T.equidistance_check(f, s, t, 3, seed=seed)
+    except ValueError as e:
+        assert str(e) == T.OUT_OF_RANGE
+        return
     rng = random.Random(seed)
-    curves = [(1, 0), (2, 1), (0, 1), (3, -2), (1, 1), (-7, 5)]
-    weights = [Fraction(1), Fraction(3, 2), Fraction(2, 5)]
-    for j in range(n):
-        y = math.exp(rng.uniform(math.log(1e-8), math.log(1e8)))
-        x = UpperHalfPoint(rng.uniform(-3.0, 3.0), y)
-        f = fol(*curves[j % len(curves)], weights[j % len(weights)])
-        level = Fraction(math.exp(rng.uniform(math.log(1e-6), math.log(1e6))))
-        yield x, f, level
-
-
-def test_distance_to_horocycle_pruned_matches_dense_grid():
-    assert T._SIGMAS == np.linspace(-64.0, 64.0, 1441).tolist()
-    evaluated = []
-    for x, f, level in wide_horocycle_cases(5, 300):
-        at, y0, cx = T._horocycle(f, level)
-        seen = []
-
-        def big_d(sigma):
-            seen.append(sigma)
-            return cosh_distance_minus_one(x.x, x.y, *at(sigma))
-
-        k, _, near = T._grid_minima(big_d, y0, cx)
-        evaluated.append(len(seen))
-        ref_k, ref_near, ref_dmin = dense_grid_minima(x, f, level)
-        assert k == ref_k
-        assert near == ref_near
-        dmin, clusters = T._distance_to_horocycle(x, f, level)
-        assert clusters == 1 + sum(1 for i, j in zip(ref_near, ref_near[1:]) if j - i > 3)
-        assert abs(dmin - ref_dmin) <= 1e-14
-    # the pruning is what makes the search cheap: most cases skip most points
-    assert sorted(evaluated)[len(evaluated) // 2] < 1441 // 4
+    p, q = f.curve.p, f.curve.q
+    w2 = (mpmath.mpf(w.numerator) / w.denominator) ** 2
+    level = mpmath.mpf(t.numerator) / t.denominator
+    for b in rep.brackets:
+        x = T.horocycle_point(f, s, rng.uniform(-4.0, 4.0))
+        re, y = p + q * mpmath.mpf(x.x), mpmath.mpf(x.y)
+        ext = w2 * (re * re + (q * y) ** 2) / y
+        truth = abs(mpmath.log(ext / level)) / 2
+        assert b.lo <= truth <= b.hi, (pq, w, s, t, seed, b, truth)
 
 
 def test_busemann_closed_vs_limit():
@@ -655,3 +588,54 @@ def test_metric_ball_limit_small_sample():
     sample = [x for x in sample if abs(T.busemann(x0, f, x)) >= 1e-3]
     rep = T.metric_ball_limit_check(x0, f, sample)
     assert rep.ok and not rep.inconclusive
+
+
+def ray_distance_per_call(minv, u0, y, t):
+    """Reference for the ball-limit sweep: D(t) with every term formed per call."""
+    z = mobius_apply(minv, y)
+    log_r2 = math.log(z.x * z.x + z.y * z.y)
+    log_u = math.log(u0) + 2.0 * t
+    hi, lo = max(log_r2, 2.0 * log_u), min(log_r2, 2.0 * log_u)
+    log_num = hi + math.log1p(math.exp(lo - hi))
+    log_w = log_num - math.log(2.0 * z.y) - log_u
+    if log_w > 30.0:
+        d_hyp = log_w + math.log(2.0)
+    else:
+        d_hyp = math.acosh(max(math.exp(log_w), 1.0))
+    return 0.5 * d_hyp - t
+
+
+def ball_limit_samples():
+    """The criterion-8 sample, then seeded ones with Im tau log-uniform in
+    [1e-8, 1e8], from near the cusp to far up it."""
+    rng = np.random.default_rng(8)
+    x0, f = UpperHalfPoint(0.0, 1.0), fol(1, 0)
+    sample = []
+    while len(sample) < 200:
+        x = UpperHalfPoint(float(rng.uniform(-3, 3)), float(math.exp(rng.uniform(-1.5, 1.5))))
+        if abs(T.busemann(x0, f, x)) >= 1e-3:
+            sample.append(x)
+    yield x0, f, sample
+    r = random.Random(11)
+    for c in [(1, 0), (2, 1), (0, 1), (3, -2)]:
+        x0 = UpperHalfPoint(r.uniform(-1, 1), math.exp(r.uniform(-0.5, 0.5)))
+        yield x0, fol(*c), [UpperHalfPoint(r.uniform(-3, 3), 10.0 ** r.uniform(-8, 8))
+                            for _ in range(100)]
+
+
+def test_ball_limit_sweep_matches_per_call_distances():
+    """The sweep forms the terms free of t once per point; its D(2^k), and so
+    the memberships and classes, are bit-identical to forming all per call."""
+    for x0, f, sample in ball_limit_samples():
+        rep = T.metric_ball_limit_check(x0, f, sample)
+        _, m, u0 = T.torus_ray(x0, f)
+        minv = m.inverse()
+        for y, e in zip(sample, rep.entries):
+            ds = [ray_distance_per_call(minv, u0, y, 2**k) for k in range(21)]
+            assert [T.ray_distance_minus_t(minv, u0, y, 2**k) for k in range(21)] == ds
+            sweep = T._ray_excess(minv, math.log(u0), y)
+            assert [sweep(float(2**k)) for k in range(21)] == ds
+            assert e.memberships == [d < 0.0 for d in ds]
+            cls = "inconclusive" if abs(ds[-1]) <= 1e-6 else "inside" if ds[-1] < 0 else "outside"
+            assert e.classification == cls
+            assert e.busemann_value == T.busemann(x0, f, y)
