@@ -344,17 +344,16 @@ def cmd_busemann(args):
 
 
 def cmd_ball_limit(args):
-    from . import torus as T  # before numpy, which then reuses its compile memory
-    import numpy as np
-
+    import random
+    from . import torus as T
     x0 = parse_tau(args.tau0)
     f = T.WeightedTorusFoliation(Fraction(1), parse_curve(args.curve))
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     sample = []
     while len(sample) < args.samples:
-        x = UpperHalfPoint(float(rng.uniform(-3, 3)), float(math.exp(rng.uniform(-1.5, 1.5))))
+        x = UpperHalfPoint(rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)))
         if abs(T.busemann(x0, f, x)) >= 1e-3:
             sample.append(x)
     rep = T.metric_ball_limit_check(x0, f, sample)
@@ -364,8 +363,10 @@ def cmd_ball_limit(args):
         "outside": sum(1 for e in rep.entries if e.classification == "outside"),
         "inconclusive": len(rep.inconclusive),
     }
+    if rep.inconclusive or not rep.ok:
+        results["reason"] = "inconclusive" if rep.inconclusive else "not_nested"
     inputs = _inputs(args, "tau0", "curve", "samples", "seed")
-    return inputs, results, EXIT_OK if rep.ok and not rep.inconclusive else EXIT_UNDECIDED
+    return inputs, results, EXIT_UNDECIDED if "reason" in results else EXIT_OK
 
 
 def cmd_origami_info(args):
@@ -445,21 +446,27 @@ def cmd_growth_check(args):
     from . import origami as O
     o = _build_origami(args)
     t = _trace_from_args(o, args.slope, args.square, args.offset)
-    s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
     x = O.MarkedFlatSurface.base_point(o)
     try:
+        s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
         rep = O.horocycle_growth_check(t, x, s_values)
+    except OverflowError:
+        raise InputError("an s value or the fit is beyond the double range") from None
     except ValueError as e:
         raise InputError(str(e)) from e
+    quad, res = rep.quad_coefficient, rep.relative_residual
+    fitted = not math.isnan(quad)  # then both are rounded once from exact rationals
     results = {
         "ok": rep.ok,
         "i_vertical": encode(rep.i_vertical),
         "i_horizontal": encode(rep.i_horizontal),
         "lower_bounds": [num_float(v, 1e-12) for v in rep.lower_bounds],
-        "quadratic_coefficient": num_float(rep.quad_coefficient, 1e-9),
-        "fit_residual": num_float(rep.relative_residual, 1e-12),
+        "quadratic_coefficient": num_float(quad, math.ulp(quad) / 2 if fitted else 1e-9),
+        "fit_residual": num_float(res, math.ulp(res) / 2 if fitted else 1e-12),
         "violations": len(rep.violations),
     }
+    if not rep.ok:
+        results["reason"] = "violation"
     inputs = _inputs(args, "h", "v", "slope", "square", "s_values")
     return inputs, results, EXIT_OK if rep.ok else EXIT_UNDECIDED
 

@@ -637,9 +637,8 @@ def horocycle_growth_check(
     """Quadratic growth of extremal length along the horocycle flow.
 
     Checks lo >= (|s| i_v - i_h)^2 / area when positive, and the s^2 i_v^2
-    / (2 area) bound past the derived threshold; fits lo against s."""
-    import numpy as np
-
+    / (2 area) bound past the derived threshold; fits lo against s (NaN for
+    fewer than 3 distinct s, OverflowError if c2 is beyond the double range)."""
     i_v = i_with_foliation(t, VERTICAL, x)
     i_h = i_with_foliation(t, HORIZONTAL, x)
     if not i_v > 0:
@@ -657,14 +656,19 @@ def horocycle_growth_check(
             violations.append((s, lo, linear * linear / area))
         if abs(s) >= threshold and lo < s * s * float(i_v) ** 2 / (2.0 * area):
             violations.append((s, lo, s * s * float(i_v) ** 2 / (2.0 * area)))
-    svals = np.asarray([float(s) for s in s_values])
-    larr = np.asarray(los)
-    if len(svals) >= 3:
-        coeffs = np.polyfit(svals, larr, 2)
-        fit = np.polyval(coeffs, svals)
-        scale = max(np.max(np.abs(larr)), 1e-300)
-        residual = float(np.max(np.abs(fit - larr)) / scale)
-        quad = float(coeffs[0])
+    if len(set(s_values)) >= 3:
+        # Exact least squares lo ~ c0 + c1 s + c2 s^2, rounded once: Gauss-Jordan over
+        # Fractions; the Gram matrix of >= 3 distinct s is positive definite (no 0 pivot).
+        pts = [(Fraction(s), Fraction(lo)) for s, lo in zip(s_values, los)]
+        m = [[sum(s ** (i + j) for s, _ in pts) for j in range(3)]
+             + [sum(s ** i * lo for s, lo in pts)] for i in range(3)]
+        for i in range(3):
+            m[i] = [v / m[i][i] for v in m[i]]
+            m = [r if k == i else [a - r[i] * b for a, b in zip(r, m[i])] for k, r in enumerate(m)]
+        c0, c1, c2 = (r[3] for r in m)
+        err = max(abs(c0 + (c1 + c2 * s) * s - lo) for s, lo in pts)
+        quad = float(c2)
+        residual = float(err / max(abs(lo) for _, lo in pts)) if err else 0.0
     else:
         quad, residual = math.nan, math.nan
     return GrowthReport(i_v, i_h, los, violations, quad, residual)

@@ -415,9 +415,9 @@ class HoroSpec:
 
 
 def _horocycle(f: WeightedTorusFoliation, level):
-    """(at, y0, cx): at maps the horocycle-flow parameter sigma (a float or a
-    numpy array) to (x, y) on HS(f, level), the image of sigma + i*y0 under
-    w -> w (q = 0: the line y = y0 = p^2 / level; cx = 0) or w -> cx - 1/w
+    """(at, y0, cx): at maps the horocycle-flow parameter sigma (a float, or an
+    array taken elementwise) to (x, y) on HS(f, level), the image of sigma + i*y0
+    under w -> w (q = 0: the line y = y0 = p^2 / level; cx = 0) or w -> cx - 1/w
     (cx = -p/q, y0 = q^2 / level).  The level is normalized once, here;
     ValueError if y0, or a height y that at computes, is not a normal double."""
     c = f.curve
@@ -450,10 +450,9 @@ def horocycle_point(f: WeightedTorusFoliation, level, sigma: float) -> UpperHalf
 
 
 def horocycle_samples_ext(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation, sigmas):
-    """Vectorized Ext(g) at horocycle-flow samples of HS(f, s), as a numpy array."""
-    import numpy as np
-
-    x, y = _horocycle(f, s)[0](np.asarray(sigmas, dtype=float))
+    """Ext(g) at horocycle-flow samples sigmas of HS(f, s): sigmas is a float
+    or an array, and the result has the same type."""
+    x, y = _horocycle(f, s)[0](sigmas)
     cg = g.curve
     w2 = float(g.weight) ** 2
     re = cg.p + cg.q * x

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,11 +20,6 @@ def run_json(capsys, argv):
     status = cli.run(argv)
     out = capsys.readouterr().out
     return json.loads(out), status
-
-
-def run_text(capsys, argv):
-    cli.run(argv)
-    return capsys.readouterr().out
 
 
 def strip_timestamp(text):
@@ -354,57 +350,94 @@ def test_far_up_torus_points_do_not_overflow(capsys):
     assert status == 0 and rec["results"]["ok"] is True
 
 
-NUMPY_FREE_COMMANDS = [
-    ["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i"],
-    ["triple", "--i", "2,3,6"],
-    ["origami-info", *L_ARGS],
-    ["relation", "--model", "torus", "--curve1", "1,0", "--level1", "1/2",
-     "--curve2", "0,1", "--level2", "1"],
-]
-NUMPY_COMMANDS = [
-    ["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "20"],
-    ["growth-check", *L_ARGS],
-]
-FRESH_PROCESS = """
+def test_ball_limit_exit_2_reasons(capsys, monkeypatch):
+    """An undecided ball-limit record says why: some point stayed
+    inconclusive, or a membership did not stay nested.  Exit 0 has no reason."""
+    from horoteich import torus as T
+    argv = ["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "5"]
+    rec, status = run_json(capsys, argv)
+    assert status == 0 and "reason" not in rec["results"]
+    check = T.metric_ball_limit_check
+    for ok, stuck, reason in ((True, 1, "inconclusive"), (False, 0, "not_nested")):
+        def forced(*args, **kwargs):
+            rep = check(*args, **kwargs)
+            return T.BallLimitReport(rep.entries, ok, rep.entries[:stuck])
+        monkeypatch.setattr(T, "metric_ball_limit_check", forced)
+        rec, status = run_json(capsys, argv)
+        assert status == 2 and rec["results"]["reason"] == reason
+
+
+def test_growth_check_violation_reason(capsys, monkeypatch):
+    from horoteich import origami as O
+    rec, status = run_json(capsys, ["growth-check", *L_ARGS])
+    assert status == 0 and "reason" not in rec["results"]
+    check = O.horocycle_growth_check
+
+    def forced(*args):
+        rep = check(*args)
+        rep.violations.append((1.0, 0.0, 1.0))
+        return rep
+    monkeypatch.setattr(O, "horocycle_growth_check", forced)
+    rec, status = run_json(capsys, ["growth-check", *L_ARGS])
+    assert status == 2 and rec["results"]["reason"] == "violation"
+    assert rec["results"]["violations"] == 1
+
+
+def test_growth_check_fit_tags(capsys):
+    """The fitted coefficient and residual are rounded once from exact
+    rationals and tagged with half an ulp; with fewer than three s values
+    there is no fit and the fixed tags stay."""
+    rec, status = run_json(capsys, ["growth-check", *L_ARGS])
+    assert status == 0
+    for key in ("quadratic_coefficient", "fit_residual"):
+        field = rec["results"][key]
+        assert field["tolerance"] == math.ulp(field["value"]) / 2
+    rec, status = run_json(capsys, ["growth-check", *L_ARGS, "--s-values", "1,2"])
+    quad, res = rec["results"]["quadratic_coefficient"], rec["results"]["fit_residual"]
+    assert status == 0 and math.isnan(quad["value"]) and math.isnan(res["value"])
+    assert (quad["tolerance"], res["tolerance"]) == (1e-9, 1e-12)
+
+
+def readme_commands():
+    """The argv of each ``horoteich`` line in the README's command-line section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## Command line"):text.index("## Acceptance")]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("horoteich ")]
+
+
+NO_NUMPY_PROCESS = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on, any numpy import raises ImportError
 from fractions import Fraction
 import horoteich, horoteich.cli as cli
 from horoteich import torus, origami, horolab, curvegraph
 
-def run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        status = cli.run(argv)
-    return status, out.getvalue()
-
-free, users = json.loads(sys.argv[1])
-for argv in free:
-    assert run(argv)[0] == 0, argv
+statuses = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(cli.run(argv))
 f = torus.WeightedTorusFoliation(Fraction(1), torus.TorusCurve(2, 1))
 assert torus.equidistance_check(f, Fraction(1), Fraction(4), samples=3).ok
-assert "numpy" not in sys.modules and "scipy" not in sys.modules
-print(json.dumps([run(argv) for argv in users]))
+loaded = [m for m, mod in sys.modules.items()
+          if m.partition(".")[0] in ("numpy", "scipy") and mod is not None]
+print(json.dumps([statuses, loaded]))
 """
 
 
-def test_numpy_free_paths_load_neither_numpy_nor_scipy(capsys):
-    """A fresh process imports every module and runs four commands and an
-    equidistance check without loading numpy or scipy; ball-limit and
-    growth-check then load numpy themselves and print the records they print
-    here, where numpy is already loaded."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    arg = json.dumps([NUMPY_FREE_COMMANDS, NUMPY_COMMANDS])
-    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, arg],
-                          env=env, check=True, capture_output=True, text=True)
-    fresh = json.loads(proc.stdout)
-    for argv, (status, out) in zip(NUMPY_COMMANDS, fresh):
-        assert status == 0, argv
-        assert strip_timestamp(out) == strip_timestamp(run_text(capsys, argv))
-    ball, growth = (json.loads(out)["results"] for _, out in fresh)
-    assert ball == {"ok": True, "inside": 9, "outside": 11, "inconclusive": 0}
-    assert growth["quadratic_coefficient"]["value"] == 1.333333333333331
-    assert growth["fit_residual"]["value"] == 8.505249704859057e-16
+def test_readme_commands_load_no_numpy(tmp_path):
+    """Every module, the 15 README commands and an equidistance check run in
+    one fresh process where importing numpy fails, and load neither numpy
+    nor scipy."""
+    commands = readme_commands()
+    assert len(commands) == 15
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROCESS, json.dumps(commands)],
+                          env=env, cwd=tmp_path, check=True, capture_output=True, text=True)
+    statuses, loaded = json.loads(proc.stdout)
+    assert dict(zip(map(" ".join, commands), statuses)) == {" ".join(c): 0 for c in commands}
+    assert loaded == []
+    assert (tmp_path / "plot.svg").exists()
 
 
 def fresh_python(code, *args):

@@ -2,11 +2,13 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from horoteich.kernel import Mat2
+from horoteich.kernel import Bracket, Mat2
 from horoteich import origami as O
 
 
@@ -410,6 +412,71 @@ def test_growth_check_quadratic():
     assert rep.ok
     assert rep.quad_coefficient == pytest.approx(4 / 3, rel=1e-9)
     assert rep.relative_residual < 1e-9
+
+
+def cramer_quadratic(s_values, los):
+    """(c0, c1, c2) of the least-squares fit lo ~ c0 + c1 s + c2 s^2, exact:
+    the normal equations solved by Cramer's rule over Fractions."""
+    pts = [(Fraction(s), Fraction(lo)) for s, lo in zip(s_values, los)]
+    gram = [[sum(s ** (i + j) for s, _ in pts) for j in range(3)] for i in range(3)]
+    rhs = [sum(s ** i * lo for s, lo in pts) for i in range(3)]
+
+    def det(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    d = det(gram)
+    return [det([[rhs[i] if j == col else gram[i][j] for j in range(3)] for i in range(3)]) / d
+            for col in range(3)]
+
+
+def growth_check_on(s_values, los):
+    """horocycle_growth_check on L's wide horizontal core with ext_bracket
+    returning the given lower bounds in turn."""
+    x = O.MarkedFlatSurface.base_point(L)
+    wide_h = [c for c in O.cylinders(L, O.HORIZONTAL) if c.circumference == 2][0]
+    brackets = iter([Bracket(lo, math.inf) for lo in los])
+    with mock.patch.object(O, "ext_bracket", lambda t, xs: next(brackets)):
+        return O.horocycle_growth_check(O.core_trace(L, wide_h), x, s_values)
+
+
+def test_growth_fit_is_the_exact_fit_rounded_once():
+    """On the README case: the coefficient is the exact least-squares c2
+    rounded once, and the residual the exact relative residual rounded once."""
+    x = O.MarkedFlatSurface.base_point(L)
+    s_values = [1.0, 2.0, 3.0, 5.0, 10.0, 20.0]
+    rep = O.horocycle_growth_check(O.robust_trace(L, 0, Fraction(0), offset=Fraction(1, 2)),
+                                   x, s_values)
+    c0, c1, c2 = cramer_quadratic(s_values, rep.lower_bounds)
+    assert rep.quad_coefficient == float(c2)
+    los = [Fraction(lo) for lo in rep.lower_bounds]
+    err = max(abs(c0 + c1 * Fraction(s) + c2 * Fraction(s) ** 2 - lo)
+              for s, lo in zip(s_values, los))
+    assert rep.relative_residual == float(err / max(los))
+    # fewer than three distinct s values determine no quadratic
+    assert math.isnan(growth_check_on([1.0, 1.0, 2.0], [1.0, 1.0, 4.0]).quad_coefficient)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=8, unique=True),
+    st.data(),
+)
+def test_growth_fit_matches_cramer(s_values, data):
+    los = data.draw(st.lists(st.floats(0, 1e9), min_size=len(s_values),
+                             max_size=len(s_values)))
+    c2 = cramer_quadratic(s_values, los)[2]
+    if abs(c2) < 2**1024 - 2**970:  # rounds to a finite double
+        assert growth_check_on(s_values, los).quad_coefficient == float(c2)
+    else:
+        with pytest.raises(OverflowError):
+            growth_check_on(s_values, los)
+    # lo exactly on a quadratic (integers, so every lo is a double): residual 0
+    ints = data.draw(st.lists(st.integers(-1000, 1000), min_size=3, max_size=8, unique=True))
+    a, b, c = data.draw(st.tuples(*[st.integers(-1000, 1000)] * 3))
+    rep = growth_check_on(ints, [float(a + b * s + c * s * s) for s in ints])
+    assert rep.relative_residual == 0.0 and rep.quad_coefficient == c
 
 
 def test_growth_check_requires_vertical_crossing():
