@@ -8,8 +8,9 @@ deterministic for fixed inputs and seed apart from the timestamp field.
 Exit status: 0 success, 2 undecided or uncertified result, 1 input error
 (usage errors included).  ``run`` is the one request pipeline: parse, fill
 unset options from ``--config``, call the handler, wrap its inputs and
-results in the record envelope and emit it.  Each handler imports the model
-modules it uses, so a call loads no others.
+results in the record envelope and emit it.  It alone maps exceptions to exit
+codes: a model's ``ValueError`` and any ``OverflowError`` are input errors.
+Each handler imports the model modules it uses, so a call loads no others.
 """
 from __future__ import annotations
 
@@ -74,8 +75,6 @@ def parse_curve(text: str):
         p, q = (int(x) for x in text.split(","))
     except ValueError as e:
         raise InputError(f"cannot parse curve {text!r}; use p,q") from e
-    if math.gcd(p, q) != 1:
-        raise InputError(f"curve {text!r} is not primitive (coprime p,q required)")
     return T.TorusCurve(p, q)
 
 
@@ -116,11 +115,7 @@ def parse_slope(text: str):
 
 
 def num_exact(v) -> dict:
-    try:
-        as_float = float(v)
-    except OverflowError:
-        raise InputError("an exact result is beyond the double range") from None
-    return {"value": str(Fraction(v)), "float": as_float, "exact": True}
+    return {"value": str(Fraction(v)), "float": float(v), "exact": True}
 
 
 def num_float(v, tol) -> dict:
@@ -223,10 +218,7 @@ def _build_origami(args):
     hp, vp = parse_perm(args.h), parse_perm(args.v)
     if args.n is not None and args.n != len(hp):
         raise InputError(f"config n = {args.n} does not match permutation length {len(hp)}")
-    try:
-        return O.build_origami(hp, vp)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    return O.build_origami(hp, vp)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +233,8 @@ def cmd_torus_ext(args):
     from . import torus as T
     tau = parse_tau(args.tau)
     f = T.WeightedTorusFoliation(parse_rational(args.weight), parse_curve(args.curve))
-    try:  # exact at the double inputs, then rounded once: within one ulp
-        val = float(T.extremal_length(UpperHalfPoint(Fraction(tau.x), Fraction(tau.y)), f))
-    except OverflowError:
-        raise InputError("Ext is beyond the double range") from None
+    # exact at the double inputs, then rounded once: within one ulp
+    val = float(T.extremal_length(UpperHalfPoint(Fraction(tau.x), Fraction(tau.y)), f))
     return _inputs(args, "tau", "curve", "weight"), {"ext": num_float(val, math.ulp(val))}, EXIT_OK
 
 
@@ -275,8 +265,6 @@ def cmd_tangency(args):
     from . import torus as T
     h1 = _horospec(args.curve1, args.level1)
     h2 = _horospec(args.curve2, args.level2)
-    if h1.curve == h2.curve:
-        raise InputError("tangency requires transverse (non-parallel) curves")
     tangent = T.tangency_check(h1, h2)
     results = {
         "tangent": tangent,
@@ -284,10 +272,7 @@ def cmd_tangency(args):
         "i_squared": num_exact(Fraction(T.intersection(h1.curve, h2.curve)) ** 2),
     }
     if tangent:
-        try:
-            pt = T.tangency_point(h1, h2)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        pt = T.tangency_point(h1, h2)
         results["tangent_point"] = {
             "re": num_float(pt.x, 1e-10),
             "im": num_float(pt.y, 1e-10),
@@ -301,8 +286,6 @@ def cmd_triple(args):
     if len(parts) != 3:
         raise InputError("--i requires three comma-separated positive values")
     vals = [parse_rational(p) for p in parts]
-    if any(not v > 0 for v in vals):
-        raise InputError("all three intersection numbers must be positive")
     r, s, t = T.triple_tangency_levels(*vals)
     return _inputs(args, "i"), {"r": num_exact(r), "s": num_exact(s), "t": num_exact(t)}, EXIT_OK
 
@@ -310,12 +293,8 @@ def cmd_triple(args):
 def cmd_ratio_curve(args):
     from . import torus as T
     alpha, beta = parse_curve(args.alpha), parse_curve(args.beta)
-    if T.intersection(alpha, beta) == 0:
-        raise InputError("alpha and beta must intersect (filling pair required)")
     target = parse_rational(args.target)
     eps = parse_rational(str(args.eps)) if args.eps else Fraction(1, 1000)
-    if not (target > 0 and eps > 0):
-        raise InputError("--target and --eps must be positive")
     gamma = T.ratio_curve_search(alpha, beta, target, eps, budget=args.cap)
     ratio = Fraction(T.intersection(alpha, gamma), T.intersection(beta, gamma))
     results = {
@@ -348,8 +327,6 @@ def cmd_ball_limit(args):
     from . import torus as T
     x0 = parse_tau(args.tau0)
     f = T.WeightedTorusFoliation(Fraction(1), parse_curve(args.curve))
-    if args.samples < 1:
-        raise InputError("--samples must be at least 1")
     rng = random.Random(args.seed)
     sample = []
     while len(sample) < args.samples:
@@ -374,7 +351,7 @@ def cmd_origami_info(args):
     o = _build_origami(args)
     results = {
         "n": o.n,
-        "area": {"value": str(o.area), "float": float(o.area), "exact": True},
+        "area": num_exact(o.area),
         "genus": o.genus,
         "cone_orders": list(o.singularities),
         "cylinders": {
@@ -395,15 +372,9 @@ def cmd_origami_flow(args):
     x = O.MarkedFlatSurface.base_point(o)
     if args.kind == "geodesic":
         if args.time:
-            try:
-                y = O.geodesic_flow(x, t=float(parse_rational(args.param)))
-            except (OverflowError, ValueError) as e:
-                raise InputError(f"geodesic time {args.param} is out of range") from e
+            y = O.geodesic_flow(x, t=float(parse_rational(args.param)))
         else:
-            stretch = parse_rational(args.param)
-            if not stretch > 0:
-                raise InputError("geodesic stretch must be positive")
-            y = O.geodesic_flow(x, stretch=stretch)
+            y = O.geodesic_flow(x, stretch=parse_rational(args.param))
     else:
         y = O.horocycle_flow(x, parse_rational(args.param))
     ev, eh = O.ext_vertical(y), O.ext_horizontal(y)
@@ -422,10 +393,7 @@ def _trace_from_args(o, slope_text, square, offset_text):
     if not 1 <= square <= o.n:
         raise InputError(f"square {square} out of range 1..{o.n}")
     offset = parse_rational(offset_text)
-    try:
-        return O.robust_trace(o, square - 1, slope, offset=offset)
-    except O.SingularityHit as e:
-        raise InputError(str(e)) from e
+    return O.robust_trace(o, square - 1, slope, offset=offset)
 
 
 def cmd_origami_intersect(args):
@@ -447,13 +415,8 @@ def cmd_growth_check(args):
     o = _build_origami(args)
     t = _trace_from_args(o, args.slope, args.square, args.offset)
     x = O.MarkedFlatSurface.base_point(o)
-    try:
-        s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
-        rep = O.horocycle_growth_check(t, x, s_values)
-    except OverflowError:
-        raise InputError("an s value or the fit is beyond the double range") from None
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
+    rep = O.horocycle_growth_check(t, x, s_values)
     quad, res = rep.quad_coefficient, rep.relative_residual
     fitted = not math.isnan(quad)  # then both are rounded once from exact rationals
     results = {
@@ -603,10 +566,7 @@ def _svg_horocycles(curve, levels):
 def cmd_torus_plot(args):
     curve = parse_curve(args.curve)
     levels = [parse_level(p) for p in args.levels.split(",")]
-    try:
-        svg = _svg_horocycles(curve, levels)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    svg = _svg_horocycles(curve, levels)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)
@@ -727,8 +687,11 @@ def run(argv) -> int:
         inputs, results, status = args.fn(args)
         emit({"command": args.subcommand, "inputs": inputs, "results": results}, args.format)
         return status
-    except InputError as e:
+    except ValueError as e:  # InputError, or an argument the model rejects
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError:
+        print("error: a value is beyond the double range", file=sys.stderr)
         return EXIT_INPUT
     except EnumerationBudgetError as e:
         print(f"error: enumeration budget exhausted; lower bound {e.lower_bound}", file=sys.stderr)

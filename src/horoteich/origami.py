@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .kernel import Bracket, Mat2, TraceNotClosed, as_float_down, as_float_up, is_exact
 
@@ -25,7 +26,7 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 
-class SingularityHit(RuntimeError):
+class SingularityHit(ValueError):  # the start point is a bad argument
     """A trace ran into a vertex; retry with the suggested offset."""
 
     def __init__(self, message: str, suggested_offset: Fraction):
@@ -638,7 +639,8 @@ def horocycle_growth_check(
 
     Checks lo >= (|s| i_v - i_h)^2 / area when positive, and the s^2 i_v^2
     / (2 area) bound past the derived threshold; fits lo against s (NaN for
-    fewer than 3 distinct s, OverflowError if c2 is beyond the double range)."""
+    fewer than 3 distinct s).  OverflowError if c2, a lower bound or a bound
+    it is checked against is beyond the double range."""
     i_v = i_with_foliation(t, VERTICAL, x)
     i_h = i_with_foliation(t, HORIZONTAL, x)
     if not i_v > 0:
@@ -652,10 +654,13 @@ def horocycle_growth_check(
         lo = ext_bracket(t, xs).lo
         los.append(lo)
         linear = abs(s) * float(i_v) - float(i_h)
-        if linear > 0 and lo < linear * linear / area * (1.0 - 1e-12):
-            violations.append((s, lo, linear * linear / area))
-        if abs(s) >= threshold and lo < s * s * float(i_v) ** 2 / (2.0 * area):
-            violations.append((s, lo, s * s * float(i_v) ** 2 / (2.0 * area)))
+        near, far = linear * linear / area, s * s * float(i_v) ** 2 / (2.0 * area)
+        if not max(lo, near, far) < sys.float_info.max:  # lo past it is rounded down to it
+            raise OverflowError("a growth bound is beyond the double range")
+        if linear > 0 and lo < near * (1.0 - 1e-12):
+            violations.append((s, lo, near))
+        if abs(s) >= threshold and lo < far:
+            violations.append((s, lo, far))
     if len(set(s_values)) >= 3:
         # Exact least squares lo ~ c0 + c1 s + c2 s^2, rounded once: Gauss-Jordan over
         # Fractions; the Gram matrix of >= 3 distinct s is positive definite (no 0 pivot).
@@ -678,12 +683,7 @@ def horocycle_growth_check(
 # Walsh's E_F
 
 
-def walsh_E(
-    f: MulticurveFoliation,
-    gamma: CurveTrace,
-    x: MarkedFlatSurface,
-    core_traces: Optional[Sequence[CurveTrace]] = None,
-):
+def walsh_E(f: MulticurveFoliation, gamma: CurveTrace, x: MarkedFlatSurface):
     """Sum over components of i(F_j, gamma)^2 / i(F_j, G).
 
     G is the horizontal foliation of the defining differential at the
@@ -693,11 +693,10 @@ def walsh_E(
     if f.direction != VERTICAL:
         raise ValueError("walsh_E expects the vertical multicurve foliation")
     o = x.base
-    if core_traces is None:
-        core_traces = [core_trace(o, c) for _, c in f.components]
     base = MarkedFlatSurface.base_point(o)
     total = Fraction(0)
-    for (w, _cyl), trace in zip(f.components, core_traces):
+    for w, cyl in f.components:
+        trace = core_trace(o, cyl)
         i_gamma = Fraction(w) * crossing_number(trace, gamma)
         i_G = Fraction(w) * i_with_foliation(trace, HORIZONTAL, base)
         if i_G == 0:

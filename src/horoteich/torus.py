@@ -666,12 +666,27 @@ def busemann(
 ) -> float:
     """(1/2) log of the extremal-length ratio; the closed form valid for
     indecomposable (single-curve) foliations."""
-    return _busemann(extremal_length(x0, f), f, x)
+    ext0 = extremal_length(x0, f)
+    if 0.0 < ext0 < INFINITY:
+        return _busemann(ext0, f, x)
+    return 0.5 * (_log_ext(x, f) - _log_ext(x0, f))
 
 
 def _busemann(ext0, f: WeightedTorusFoliation, x: UpperHalfPoint) -> float:
-    """busemann with Ext_f(x0) = ext0 given."""
-    return 0.5 * math.log(extremal_length(x, f) / ext0)
+    """busemann with Ext_f(x0) = ext0, a positive double, given.  Where Ext_f(x)
+    or the ratio leaves the doubles, the difference of logs instead."""
+    ratio = extremal_length(x, f) / ext0
+    if 0.0 < ratio < INFINITY:
+        return 0.5 * math.log(ratio)
+    return 0.5 * (_log_ext(x, f) - math.log(ext0))
+
+
+def _log_ext(tau: UpperHalfPoint, f: WeightedTorusFoliation) -> float:
+    """log Ext_f(tau) = 2 log w + 2 log |p + q tau| - log Im tau, formed
+    without Ext_f(tau), which may pass the doubles."""
+    c = f.curve
+    log_w = math.log(float(f.weight))
+    return 2.0 * (log_w + math.log(math.hypot(c.p + c.q * tau.x, c.q * tau.y))) - math.log(tau.y)
 
 
 def busemann_limit(

@@ -312,6 +312,14 @@ def test_input_errors_exit_one(capsys):
         (["torus-ext", "--tau", "0+2i", "--curve", "1,0", "--bogus", "1"], 1),
         (["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "abc"], 1),
         (["relation", "--model", "foo", "--level1", "1", "--level2", "1"], 1),
+        (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--weight", "0"], 1),
+        (["origami-intersect", *L_ARGS, "--slope1", "1", "--offset1", "0", "--slope2", "vert"],
+         1),
+        (["growth-check", *L_ARGS, "--offset", "0"], 1),
+        (["walsh-e", *L_ARGS, "--offset", "0"], 1),
+        (["busemann", "--tau0", "1e300+1i", "--curve", "2,1", "--tau", "0+1i"], 1),
+        (["ball-limit", "--tau0", "1e300+1i", "--curve", "2,1"], 1),
+        (["growth-check", *L_ARGS, "--s-values", "1e200,2e200,3e200"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
@@ -319,7 +327,9 @@ def test_input_errors_exit_one(capsys):
          "tau-below-double-range", "plot-level-below-double-range",
          "tangency-level-below-double-range", "triple-level-above-double-range",
          "usage-missing-option", "usage-unknown-option", "usage-bad-int",
-         "usage-bad-choice"],
+         "usage-bad-choice", "ext-zero-weight", "intersect-edge-offset",
+         "growth-edge-offset", "walsh-edge-offset", "busemann-far-tau0",
+         "ball-limit-far-tau0", "growth-bound-beyond-double-range"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")

@@ -568,6 +568,20 @@ def test_busemann_on_ray():
     assert T.busemann(x0, f, x0) == 0.0
 
 
+def test_busemann_closed_form_beyond_the_doubles():
+    """Where Ext_f or the ratio of the two Exts leaves the doubles, the closed
+    form is still within the CLI record's 1e-12 of the truth."""
+    def log_ext(t, p, q):
+        re, im = p + q * mpmath.mpf(t.x), q * mpmath.mpf(t.y)
+        return mpmath.log((re * re + im * im) / mpmath.mpf(t.y))
+
+    near, far = UpperHalfPoint(0.0, 1.0), UpperHalfPoint(1e300, 1.0)
+    low, high = UpperHalfPoint(0.0, 1e-160), UpperHalfPoint(0.0, 1e200)
+    for x0, (p, q), x in ((near, (2, 1), far), (far, (2, 1), near), (low, (0, 1), high)):
+        truth = (log_ext(x, p, q) - log_ext(x0, p, q)) / 2
+        assert abs(T.busemann(x0, fol(p, q), x) - truth) <= 1e-12, (x0, x)
+
+
 def test_ray_distance_stable_at_huge_times():
     x0 = UpperHalfPoint(0.0, 1.0)
     f = fol(1, 0)
