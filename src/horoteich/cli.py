@@ -15,11 +15,11 @@ Each handler imports the model modules it uses, so a call loads no others.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 from .kernel import Bracket, EnumerationBudgetError, TraceNotClosed, UpperHalfPoint, is_exact
@@ -149,8 +149,15 @@ def _flatten(prefix, obj, rows):
         rows.append((prefix, obj))
 
 
+def utc_timestamp(ns: int) -> str:
+    """ns since the epoch as datetime's UTC isoformat(), without datetime."""
+    us = ns // 1000 % 10**6
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(ns // 10**9))
+    return f"{text}.{us:06d}+00:00" if us else f"{text}+00:00"
+
+
 def emit(record: dict, fmt: str) -> None:
-    record = {**record, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    record = {**record, "timestamp": utc_timestamp(time.time_ns())}
     if fmt == "json":
         json.dump(record, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
@@ -598,43 +605,25 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="horoteich")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, fn, *parents):
+    def command(name, fn, *parents, required=()):
         p = sub.add_parser(name, parents=[*parents, common])
         p.set_defaults(fn=fn)
+        for option in required:
+            p.add_argument(f"--{option}", required=True)
         return p
 
-    p = command("torus-ext", cmd_torus_ext)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--curve", required=True)
+    p = command("torus-ext", cmd_torus_ext, required=("tau", "curve"))
     p.add_argument("--weight", default="1")
-
-    p = command("torus-dist", cmd_torus_dist)
-    p.add_argument("--tau1", required=True)
-    p.add_argument("--tau2", required=True)
-
-    p = command("tangency", cmd_tangency)
-    p.add_argument("--curve1", required=True)
-    p.add_argument("--level1", required=True)
-    p.add_argument("--curve2", required=True)
-    p.add_argument("--level2", required=True)
+    command("torus-dist", cmd_torus_dist, required=("tau1", "tau2"))
+    command("tangency", cmd_tangency, required=("curve1", "level1", "curve2", "level2"))
 
     p = command("triple", cmd_triple)
     p.add_argument("--i", required=True, help="i_ab,i_ag,i_bg")
 
-    p = command("ratio-curve", cmd_ratio_curve)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--target", required=True)
+    p = command("ratio-curve", cmd_ratio_curve, required=("alpha", "beta", "target"))
     p.add_argument("--eps")
-
-    p = command("busemann", cmd_busemann)
-    p.add_argument("--tau0", required=True)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--tau", required=True)
-
-    p = command("ball-limit", cmd_ball_limit)
-    p.add_argument("--tau0", required=True)
-    p.add_argument("--curve", required=True)
+    command("busemann", cmd_busemann, required=("tau0", "curve", "tau"))
+    p = command("ball-limit", cmd_ball_limit, required=("tau0", "curve"))
     p.add_argument("--samples", type=int, default=20)
 
     command("origami-info", cmd_origami_info, origami)
@@ -647,12 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interpret a geodesic parameter as time t instead of stretch e^t")
 
     p = command("origami-intersect", cmd_origami_intersect, origami)
-    p.add_argument("--slope1", required=True)
-    p.add_argument("--square1", type=int, default=1)
-    p.add_argument("--offset1", default="1/2")
-    p.add_argument("--slope2", required=True)
-    p.add_argument("--square2", type=int, default=1)
-    p.add_argument("--offset2", default="1/3")
+    for k, offset in (("1", "1/2"), ("2", "1/3")):
+        p.add_argument(f"--slope{k}", required=True)
+        p.add_argument(f"--square{k}", type=int, default=1)
+        p.add_argument(f"--offset{k}", default=offset)
 
     p = command("growth-check", cmd_growth_check, origami, trace)
     p.add_argument("--s-values", dest="s_values", default="1,2,3,5,10,20")
@@ -664,17 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("relation", cmd_relation, origami)
     p.add_argument("--model", required=True, choices=["torus", "origami"])
-    p.add_argument("--curve1")
-    p.add_argument("--curve2")
-    p.add_argument("--f1")
-    p.add_argument("--f2")
-    p.add_argument("--level1", required=True)
-    p.add_argument("--level2", required=True)
+    for option in ("curve1", "curve2", "f1", "f2", "level1", "level2"):
+        p.add_argument(f"--{option}", required=option.startswith("level"))
 
-    p = command("torus-plot", cmd_torus_plot)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--levels", required=True)
-    p.add_argument("--out", required=True)
+    command("torus-plot", cmd_torus_plot, required=("curve", "levels", "out"))
 
     return ap
 

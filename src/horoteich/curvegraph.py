@@ -10,32 +10,32 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
+
+from .kernel import Frozen, Record
 
 UNREACHABLE = math.inf
 
 
-@dataclass(frozen=True)
-class CurveSet:
-    """Curves with their exact pairwise intersection numbers."""
+class CurveSet(Frozen):
+    """Curves (identifiers, and CurveTrace / TorusCurve payloads) with their
+    exact pairwise intersection numbers, a tuple of tuples."""
 
-    vertices: tuple  # identifiers
-    payloads: tuple  # parallel tuple of CurveTrace / TorusCurve payloads
-    i_matrix: tuple  # tuple of tuples, exact nonnegative entries
+    _fields = ("vertices", "payloads", "i_matrix")
 
-    def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.payloads) != n or len(self.i_matrix) != n:
+    def __init__(self, vertices: tuple, payloads: tuple, i_matrix: tuple):
+        n = len(vertices)
+        if len(payloads) != n or len(i_matrix) != n:
             raise ValueError("vertices, payloads and i_matrix sizes differ")
-        for r, row in enumerate(self.i_matrix):
+        for r, row in enumerate(i_matrix):
             if len(row) != n:
                 raise ValueError("i_matrix is not square")
             if row[r] != 0:
                 raise ValueError("i_matrix diagonal must be zero")
             for c in range(n):
-                if row[c] < 0 or row[c] != self.i_matrix[c][r]:
+                if row[c] < 0 or row[c] != i_matrix[c][r]:
                     raise ValueError("i_matrix must be symmetric and nonnegative")
+        self.__dict__.update(vertices=vertices, payloads=payloads, i_matrix=i_matrix)
 
     def index(self, v):
         return self.vertices.index(v)
@@ -76,10 +76,8 @@ def verify_curve_set(cs: CurveSet) -> bool:
     return _pairwise(cs.payloads, pairing) == cs.i_matrix
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: tuple
-    adjacency: tuple  # parallel tuple of frozensets of vertex indices
+class Graph(Frozen):
+    _fields = ("vertices", "adjacency")  # adjacency: frozensets of vertex indices
 
     @property
     def edges(self):

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Protocol
 
-from .kernel import Bracket, UpperHalfPoint, is_exact
+from .kernel import Bracket, Frozen, Record, UpperHalfPoint, is_exact
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -33,22 +32,19 @@ EXCLUDED_WITNESS = "ExcludedWitness"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class HoroBall:
+class HoroBall(Frozen):
     """Sub-level set {Ext(.)(foliation) <= level} in backend terms."""
 
-    foliation: object
-    level: object
+    _fields = ("foliation", "level")
 
-    def __post_init__(self):
-        if not self.level > 0:
+    def __init__(self, foliation, level):
+        if not level > 0:
             raise ValueError("level must be positive")
+        self.__dict__.update(foliation=foliation, level=level)
 
 
-@dataclass
-class HoroRelation:
-    tag: str
-    detail: dict = field(default_factory=dict)
+class HoroRelation(Record):
+    _fields = ("tag", "detail")
 
     @property
     def decided(self) -> bool:
@@ -262,11 +258,8 @@ def classify(h1, h2, backend) -> HoroRelation:
 # Busemann estimation
 
 
-@dataclass
-class BusemannEstimate:
-    value: float
-    certified: bool
-    trace: list  # (t, D(t)) pairs
+class BusemannEstimate(Record):
+    _fields = ("value", "certified", "trace")  # trace: (t, D(t)) pairs
 
 
 # Last ray time evaluated: the torus ray forms e^{2t}, which overflows a
@@ -305,12 +298,9 @@ def busemann_estimate(x0, f, x, backend, tol: float = 1e-9, slack: float = 1e-9)
 # Inclusion probes
 
 
-@dataclass
-class ProbeResult:
-    tag: str
-    witness: object = None
-    bound: object = None
-    witness_ext: object = None
+class ProbeResult(Record):
+    _fields = ("tag", "witness", "bound", "witness_ext")
+    _defaults = {"witness": None, "bound": None, "witness_ext": None}
 
 
 def _ext_exceeds(e, level) -> bool:

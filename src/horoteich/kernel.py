@@ -8,9 +8,9 @@ double.  Conversion from exact to float happens only at analysis boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as RationalLike
+from operator import attrgetter
 
 # Exact rational scalar used throughout the package.  Fraction already
 # guarantees a positive denominator and a reduced gcd after every operation.
@@ -35,14 +35,57 @@ class TraceNotClosed(RuntimeError):
     """A trace used up its step budget before closing."""
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Record:
+    """A dataclass without generated code: fields named in ``_fields`` and kept
+    in ``__dict__`` (which may also cache), equality within one class, a repr
+    of the fields not starting with ``_``, an __init__ taking them by position
+    or keyword, else from ``_defaults``.  Mutable and unhashable; see Frozen."""
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields) if cls._fields else None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # by keyword, or from _defaults
+            rest, named = fields[len(args):], {**self._defaults, **kwargs}
+            if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= named.keys():
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+            args += tuple(map(named.__getitem__, rest))
+        self.__dict__.update(zip(fields, args))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self):
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class Frozen(Record):
+    """A Record as a frozen dataclass is: hashed on its fields and closed to
+    assignment, so an __init__ of its own fills ``self.__dict__``."""
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Mat2(Frozen):
     """2x2 matrix with float or Fraction entries."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -79,16 +122,15 @@ class Mat2:
         return Mat2(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(Frozen):
     """The point tau = x + iy of the upper half-plane, y > 0."""
 
-    x: float
-    y: float
+    _fields = ("x", "y")
 
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"point not in upper half-plane: y = {self.y}")
+    def __init__(self, x: float, y: float):
+        if not y > 0:
+            raise ValueError(f"point not in upper half-plane: y = {y}")
+        self.__dict__.update(x=x, y=y)
 
     @property
     def tau(self) -> complex:
@@ -149,20 +191,19 @@ def as_float_up(v) -> float:
     return f
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Frozen):
     """Certified enclosure [lo, hi] of a real quantity.
 
     Arithmetic rounds outward by one ulp, so composed brackets contain the
     true value of the composed expression whenever the inputs do.
     """
 
-    lo: float
-    hi: float
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty bracket [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float):
+        if not lo <= hi:
+            raise ValueError(f"empty bracket [{lo}, {hi}]")
+        self.__dict__.update(lo=lo, hi=hi)
 
     @staticmethod
     def exact(v) -> "Bracket":

@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .kernel import Bracket, Mat2, TraceNotClosed, as_float_down, as_float_up, is_exact
+from .kernel import (Bracket, Frozen, Mat2, Record, TraceNotClosed, as_float_down,
+                     as_float_up, is_exact)
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -75,18 +75,17 @@ def _is_permutation(p) -> bool:
 # Origami
 
 
-@dataclass(frozen=True)
-class Origami:
-    """Connected square-tiled surface given by right/top gluings."""
+class Origami(Frozen):
+    """Connected square-tiled surface given by right/top gluings; its
+    ``_cylinders`` cache and cached properties are not fields."""
 
-    h: tuple
-    v: tuple
-    _cylinders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("h", "v")
 
-    def __post_init__(self):
-        if len(self.h) != len(self.v):
+    def __init__(self, h: tuple, v: tuple):
+        self.__dict__.update(h=h, v=v, _cylinders={})
+        if len(h) != len(v):
             raise ValueError("h and v must act on the same squares")
-        if not (_is_permutation(self.h) and _is_permutation(self.v)):
+        if not (_is_permutation(h) and _is_permutation(v)):
             raise ValueError("h and v must be permutations")
         orbit = self._orbit_of(0)
         if len(orbit) != self.n:
@@ -155,13 +154,9 @@ def build_origami(h: Sequence[int], v: Sequence[int]) -> Origami:
 # Cylinders
 
 
-@dataclass(frozen=True)
-class CylinderCurve:
-    direction: str
-    squares: tuple  # the cycle the core curve traverses
-    circumference: int
-    height: int
-    row_cycles: tuple  # all parallel rows merged into this cylinder
+class CylinderCurve(Frozen):
+    # squares: the cycle the core traverses; row_cycles: the rows merged into it
+    _fields = ("direction", "squares", "circumference", "height", "row_cycles")
 
     @property
     def holonomy(self):
@@ -233,14 +228,13 @@ def cylinders(o: Origami, direction: str) -> tuple:
 # Marked points of the SL(2, R) orbit
 
 
-@dataclass(frozen=True)
-class MarkedFlatSurface:
-    base: Origami
-    deform: Mat2
+class MarkedFlatSurface(Frozen):
+    _fields = ("base", "deform")
 
-    def __post_init__(self):
-        if not self.deform.det() > 0:
+    def __init__(self, base: Origami, deform: Mat2):
+        if not deform.det() > 0:
             raise ValueError("deformation must have positive determinant")
+        self.__dict__.update(base=base, deform=deform)
 
     @property
     def flat_area(self):
@@ -258,7 +252,9 @@ def geodesic_flow(x: MarkedFlatSurface, t: float = None, stretch=None) -> Marked
     """
     if (t is None) == (stretch is None):
         raise ValueError("give exactly one of t, stretch")
-    k = stretch if stretch is not None else math.exp(t)
+    k = stretch if stretch is not None else math.exp(t) if abs(t) < 710.0 else 0.0
+    if stretch is None and not sys.float_info.min <= k <= 1.0 / sys.float_info.min:
+        raise ValueError(f"geodesic time {t} is out of range")  # e^t or e^-t not normal
     if not k > 0:
         raise ValueError("stretch must be positive")
     if is_exact(k):
@@ -308,12 +304,15 @@ def ext_horizontal(x: MarkedFlatSurface):
 # Traces: exact piecewise-linear closed flat geodesics
 
 
-@dataclass(frozen=True)
-class CurveTrace:
-    origami: Origami
-    direction: tuple  # primitive integer (dx, dy), dx >= 0; (0, 1) if vertical
-    segments: tuple  # ((square, (x0, y0), (x1, y1)), ...)
-    holonomy: tuple  # integer (dx_total, dy_total)
+class CurveTrace(Frozen):
+    """direction: primitive integer (dx, dy), dx >= 0, or (0, 1) if vertical;
+    segments ((square, (x0, y0), (x1, y1)), ...); holonomy (dx_total, dy_total)."""
+
+    _fields = ("origami", "direction", "segments", "holonomy")
+
+    def __init__(self, origami: Origami, direction: tuple, segments: tuple, holonomy: tuple):
+        self.__dict__.update(origami=origami, direction=direction, segments=segments,
+                             holonomy=holonomy)
 
     @property
     def slope(self):
@@ -579,21 +578,21 @@ def ext_bracket(t: CurveTrace, x: MarkedFlatSurface) -> Bracket:
 # Foliations as weighted multicurves
 
 
-@dataclass(frozen=True)
-class MulticurveFoliation:
+class MulticurveFoliation(Frozen):
     """Disjoint weighted cylinder cores sharing a direction."""
 
-    components: tuple  # ((weight, CylinderCurve), ...)
+    _fields = ("components",)  # ((weight, CylinderCurve), ...)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple):
+        if not components:
             raise ValueError("empty foliation")
-        d = self.components[0][1].direction
-        for w, c in self.components:
+        d = components[0][1].direction
+        for w, c in components:
             if not w > 0:
                 raise ValueError("weights must be positive")
             if c.direction != d:
                 raise ValueError("components must share a direction")
+        self.__dict__.update(components=components)
 
     @property
     def direction(self):
@@ -618,14 +617,9 @@ def canonical_horizontal_foliation(o: Origami) -> MulticurveFoliation:
 # Growth along the horocycle flow
 
 
-@dataclass
-class GrowthReport:
-    i_vertical: object
-    i_horizontal: object
-    lower_bounds: list
-    violations: list
-    quad_coefficient: float
-    relative_residual: float
+class GrowthReport(Record):
+    _fields = ("i_vertical", "i_horizontal", "lower_bounds", "violations",
+               "quad_coefficient", "relative_residual")
 
     @property
     def ok(self):
@@ -882,14 +876,10 @@ def decompose_unimodular(m: Mat2):
     return word
 
 
-@dataclass
-class RemarkAction:
+class RemarkAction(Record):
     """A re-marking word together with its point and direction maps."""
 
-    source: Origami
-    target: Origami
-    word: list
-    _stages: list = field(repr=False)
+    _fields = ("source", "target", "word", "_stages")
 
     def map_point(self, s: int, point):
         x, y = Fraction(point[0]), Fraction(point[1])

@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .kernel import (
     Bracket,
     EnumerationBudgetError,
+    Frozen,
     Mat2,
+    Record,
     UpperHalfPoint,
     hyperbolic_distance,
     is_exact,
@@ -38,21 +39,19 @@ class MonotonicityError(RuntimeError):
 # Curves and foliations
 
 
-@dataclass(frozen=True)
-class TorusCurve:
+class TorusCurve(Frozen):
     """Primitive class (p, q); canonical sign p > 0, or p = 0 and q = 1."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        if self.p == 0 and self.q == 0:
+    def __init__(self, p: int, q: int):
+        if p == 0 and q == 0:
             raise ValueError("(0, 0) is not a curve")
-        if math.gcd(abs(self.p), abs(self.q)) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not primitive")
-        if self.p < 0 or (self.p == 0 and self.q < 0):
-            object.__setattr__(self, "p", -self.p)
-            object.__setattr__(self, "q", -self.q)
+        if math.gcd(abs(p), abs(q)) != 1:
+            raise ValueError(f"({p}, {q}) is not primitive")
+        if p < 0 or (p == 0 and q < 0):
+            p, q = -p, -q
+        self.__dict__.update(p=p, q=q)
 
     def boundary_point(self):
         """Point of the circle at infinity where this curve degenerates."""
@@ -61,14 +60,13 @@ class TorusCurve:
         return Fraction(-self.p, self.q)
 
 
-@dataclass(frozen=True)
-class WeightedTorusFoliation:
-    weight: object
-    curve: TorusCurve
+class WeightedTorusFoliation(Frozen):
+    _fields = ("weight", "curve")
 
-    def __post_init__(self):
-        if not self.weight > 0:
+    def __init__(self, weight, curve: TorusCurve):
+        if not weight > 0:
             raise ValueError("weight must be positive")
+        self.__dict__.update(weight=weight, curve=curve)
 
 
 def intersection(c1: TorusCurve, c2: TorusCurve) -> int:
@@ -122,14 +120,13 @@ _LOG2 = math.log(2.0)
 _SEEDS = ((0, 1), (1, 0), (1, 1), (-1, 1))
 
 
-@dataclass
-class SupResult:
-    lower: float
-    upper: float
-    witness: TorusCurve
-    nodes: int
-    certified: bool
-    reason: str | None = None  # "precision" or "range" when not certified
+class SupResult(Record):
+    _fields = ("lower", "upper", "witness", "nodes", "certified", "reason")
+
+    def __init__(self, lower, upper, witness, nodes, certified, reason=None):
+        # reason: "precision" or "range" when not certified
+        self.lower, self.upper, self.witness = lower, upper, witness
+        self.nodes, self.certified, self.reason = nodes, certified, reason
 
 
 def _ext(p: int, q: int, num: int, den: int, y: float):
@@ -207,14 +204,12 @@ def teich_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
     return 0.5 * hyperbolic_distance(t1, t2)
 
 
-@dataclass
-class KerckhoffResult:
-    value: float
-    closed_form: float
-    witness: TorusCurve
-    nodes: int
-    certified: bool
-    reason: str | None = None  # "precision" or "range" when not certified
+class KerckhoffResult(Record):
+    _fields = ("value", "closed_form", "witness", "nodes", "certified", "reason")
+
+    def __init__(self, value, closed_form, witness, nodes, certified, reason=None):
+        self.value, self.closed_form, self.witness = value, closed_form, witness
+        self.nodes, self.certified, self.reason = nodes, certified, reason
 
     def __float__(self):
         return self.value
@@ -317,14 +312,11 @@ def ext_sup_enumeration(
 # Geodesics
 
 
-@dataclass
-class TorusGeodesic:
+class TorusGeodesic(Record):
     """Hyperbolic geodesic between two boundary slopes, Teichmueller-unit
     parametrized (hyperbolic speed 2); point_at(t) -> endpoint_a as t -> inf."""
 
-    endpoint_a: object
-    endpoint_b: object
-    point_at: Callable[[float], UpperHalfPoint] = field(repr=False)
+    _fields = ("endpoint_a", "endpoint_b", "point_at")
 
 
 def _endpoint_chart(alpha, beta) -> Mat2:
@@ -391,16 +383,14 @@ def _normalize_level(weight, level):
     return Fraction(level) / Fraction(weight) ** 2
 
 
-@dataclass(frozen=True)
-class HoroSpec:
+class HoroSpec(Frozen):
     """Horosphere {Ext(.)(foliation) = level}, stored weight-normalized.
 
     (k * weight, k^2 * level) and (weight, level) normalize to identical
     records, realizing the scaling identity of horospheres.
     """
 
-    foliation: WeightedTorusFoliation
-    level: Fraction
+    _fields = ("foliation", "level")
 
     @staticmethod
     def create(f: WeightedTorusFoliation, level) -> "HoroSpec":
@@ -418,8 +408,18 @@ def _horocycle(f: WeightedTorusFoliation, level):
     """(at, y0, cx): at maps the horocycle-flow parameter sigma (a float, or an
     array taken elementwise) to (x, y) on HS(f, level), the image of sigma + i*y0
     under w -> w (q = 0: the line y = y0 = p^2 / level; cx = 0) or w -> cx - 1/w
-    (cx = -p/q, y0 = q^2 / level).  The level is normalized once, here;
-    ValueError if y0, or a height y that at computes, is not a normal double."""
+    (cx = fl(-p/q), y0 = q^2 / level).  The level is normalized once, here;
+    ValueError(OUT_OF_RANGE) if y0 or a height y is not a normal double, or if
+    a point could miss |Ext_f(x + iy) / level - 1| <= 2^-40 + 2^-51 |sigma x|.
+
+    The bound (u = 2^-53): y0 holds the level to 2u, y and offset = x - cx are
+    within 4u and 5u of exact, cx + cx_lo is -p/q to u |cx_lo|, and e, the
+    rounding of x = cx + s, s = fl(offset + cx_lo), is found exactly, so x is
+    within dx = |e| + 16u (|s| + |cx_lo|) of its exact value.  A shift dx in x
+    moves Ext / level by -2 sigma dx + dx^2 (sigma^2 + y0^2); with |e| <= u |x|
+    and |sigma offset| <= 1 all is within 2u |sigma x| + 39u + dx^2 (sigma^2 +
+    y0^2), and at raises where that last term, the rounding of x against the
+    size of the horocycle, passes 2^-42."""
     c = f.curve
     try:
         y0 = (c.q or c.p) ** 2 / float(_normalize_level(f.weight, level))
@@ -430,16 +430,24 @@ def _horocycle(f: WeightedTorusFoliation, level):
     if c.q == 0:
         return (lambda sigma: (sigma, y0)), y0, 0.0
     cx = -c.p / c.q
+    n, m = cx.as_integer_ratio()
+    cx_lo = (-c.p * m - c.q * n) / (c.q * m)  # -p/q - cx, rounded once
 
     def at(sigma):
         # d = (sigma^2 + y0^2) / y0 >= y0, normal wherever y is; no square formed
         u = sigma / y0
         d = sigma * u + y0
-        y = 1.0 / d
-        ok = y >= _TINY  # a bool, or a bool array for an array sigma
+        offset = -u / d
+        s = offset + cx_lo
+        x, y = cx + s, 1.0 / d
+        t = x - cx
+        e = (cx - (x - t)) + (s - t)  # cx + s - x, exactly (two-sum)
+        dx = abs(e) + 2.0**-49 * (abs(s) + abs(cx_lo))
+        # y0 d = sigma^2 + y0^2; ok is a bool, or a bool array
+        ok = (y >= _TINY) & ((dx * y0) * (dx * d) <= 2.0**-42)
         if ok is not True and (ok is False or not ok.all()):
             raise ValueError(OUT_OF_RANGE)
-        return cx - u / d, y
+        return x, y
 
     return at, y0, cx
 
@@ -541,14 +549,9 @@ def ratio_curve_search(
 # Equidistance
 
 
-@dataclass
-class EquidistanceReport:
-    expected: float
-    distances: list  # the brackets' midpoints
-    brackets: list
-    max_error: float  # the largest |distance - expected| a bracket allows
-    unique_feet: bool
-    ok: bool
+class EquidistanceReport(Record):
+    # distances: the brackets' midpoints; max_error: the most |distance - expected| allowed
+    _fields = ("expected", "distances", "brackets", "max_error", "unique_feet", "ok")
 
 
 # Distance to a horocycle.  In the chart w = -1/(tau - cx) (w = tau if q = 0)
@@ -736,20 +739,17 @@ def _ray_excess(minv: Mat2, log_u0: float, y: UpperHalfPoint):
     return excess
 
 
-@dataclass
-class BallLimitEntry:
-    point: UpperHalfPoint
-    busemann_value: float
-    memberships: list
-    classification: str  # "inside", "outside", "inconclusive"
-    nested: bool
+class BallLimitEntry(Record):
+    _fields = ("point", "busemann_value", "memberships", "classification", "nested")
+
+    def __init__(self, point, busemann_value, memberships, classification, nested):
+        # classification: "inside", "outside" or "inconclusive"
+        self.point, self.busemann_value, self.memberships = point, busemann_value, memberships
+        self.classification, self.nested = classification, nested
 
 
-@dataclass
-class BallLimitReport:
-    entries: list
-    ok: bool
-    inconclusive: list
+class BallLimitReport(Record):
+    _fields = ("entries", "ok", "inconclusive")
 
 
 def metric_ball_limit_check(

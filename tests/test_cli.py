@@ -299,6 +299,8 @@ def test_input_errors_exit_one(capsys):
         (["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "0"], 1),
         (["ratio-curve", "--alpha", "1,0", "--beta", "0,1", "--target", "3/2", "--eps", "0"], 1),
         (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "1e400", "--time"], 1),
+        (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "-1000", "--time"], 1),
+        (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "-720", "--time"], 1),
         (["torus-plot", "--curve", "1,1", "--levels", "1", "--out", "{tmp}/missing/p.svg"], 1),
         (["origami-intersect", *L_ARGS, "--slope1", "1000000", "--slope2", "vert"], 2),
         (["origami-info", "--config", "{tmp}/bad-n.ini"], 1),
@@ -323,6 +325,7 @@ def test_input_errors_exit_one(capsys):
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
+         "flow-time-underflow", "flow-time-subnormal",
          "plot-missing-dir", "intersect-trace-budget", "config-bad-n", "config-bad-tol",
          "tau-below-double-range", "plot-level-below-double-range",
          "tangency-level-below-double-range", "triple-level-above-double-range",
@@ -339,6 +342,28 @@ def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
+
+
+def test_geodesic_time_out_of_range_names_the_time(capsys):
+    """e^t or e^-t beyond the normal doubles is the time's fault, not a stretch's."""
+    for t in ("-1000", "-720", "709"):
+        assert cli.run(["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", t,
+                        "--time"]) == 1
+        assert capsys.readouterr().err == f"error: geodesic time {float(t)} is out of range\n"
+
+
+def test_utc_timestamp_is_datetime_isoformat():
+    """The record's timestamp, formed without datetime, is the text
+    datetime.now(timezone.utc).isoformat() gives, which leaves out a zero
+    microsecond and rounds nanoseconds down."""
+    from datetime import datetime, timezone
+    for ns in (0, 999, 1000, 1_700_000_000_000_000_000, 1_700_000_000_123_456_789,
+               1_760_000_000_999_999_999, 4_102_444_800_000_001_000):
+        want = datetime.fromtimestamp(ns // 10**9, timezone.utc)
+        want = want.replace(microsecond=ns // 1000 % 10**6).isoformat()
+        assert cli.utc_timestamp(ns) == want
+    assert cli.utc_timestamp(1_700_000_000_000_000_000) == "2023-11-14T22:13:20+00:00"
+    assert cli.utc_timestamp(1_700_000_000_000_001_999) == "2023-11-14T22:13:20.000001+00:00"
 
 
 def test_help_exits_zero(capsys):
@@ -429,8 +454,8 @@ for argv in json.loads(sys.argv[1]):
         statuses.append(cli.run(argv))
 f = torus.WeightedTorusFoliation(Fraction(1), torus.TorusCurve(2, 1))
 assert torus.equidistance_check(f, Fraction(1), Fraction(4), samples=3).ok
-loaded = [m for m, mod in sys.modules.items()
-          if m.partition(".")[0] in ("numpy", "scipy") and mod is not None]
+loaded = [m for m, mod in sys.modules.items() if mod is not None and m.partition(".")[0]
+          in ("numpy", "scipy", "dataclasses", "inspect", "datetime")]
 print(json.dumps([statuses, loaded]))
 """
 
@@ -438,7 +463,8 @@ print(json.dumps([statuses, loaded]))
 def test_readme_commands_load_no_numpy(tmp_path):
     """Every module, the 15 README commands and an equidistance check run in
     one fresh process where importing numpy fails, and load neither numpy
-    nor scipy."""
+    nor scipy, nor dataclasses, inspect or datetime, which cost a cold call
+    milliseconds of imports and class generation."""
     commands = readme_commands()
     assert len(commands) == 15
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

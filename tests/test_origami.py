@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -102,6 +103,19 @@ def test_flow_dispatch_and_validation():
         O.geodesic_flow(x, t=1.0, stretch=Fraction(2))
     with pytest.raises(ValueError):
         O.MarkedFlatSurface(L, Mat2(Fraction(-1), 0, 0, Fraction(1)))
+
+
+def test_geodesic_time_range():
+    """Times whose e^t and e^-t are both normal doubles flow; others raise a
+    ValueError naming the time, not the stretch it would have made."""
+    x = O.MarkedFlatSurface.base_point(L)
+    for t in (-708.0, 708.0):
+        assert O.geodesic_flow(x, t=t).deform.a == math.exp(t)
+    for t in (-708.5, 709.0, -720.0, -1000.0, 1e300, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"geodesic time {t} is out of range")):
+            O.geodesic_flow(x, t=t)
+    with pytest.raises(ValueError, match="^stretch must be positive$"):
+        O.geodesic_flow(x, stretch=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,42 @@ def test_out_of_double_range_levels_raise_value_error():
         T.tangent_point(fol(1, 0), tiny, fol(0, 1))
 
 
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(list(primitive_pairs(7))),
+    st.sampled_from([Fraction(1), Fraction(3, 2)]),
+    st.floats(-20.0, 20.0),
+    st.floats(-10.0, 10.0),
+)
+def test_horocycle_points_keep_their_bound(pq, w, log_level, sigma):
+    """A point at returns has |Ext_f / level - 1| <= 2^-40 + 2^-51 |sigma x|, by
+    mpmath at 50 digits on the double point; otherwise the call raises
+    ValueError(OUT_OF_RANGE).  Levels are log-uniform in [1e-20, 1e20]."""
+    p, q = pq
+    level = 10.0**log_level
+    try:
+        pt = T.horocycle_point(fol(p, q, w), level, sigma)
+    except ValueError as e:
+        assert str(e) == T.OUT_OF_RANGE
+        return
+    x, y = mpmath.mpf(pt.x), mpmath.mpf(pt.y)
+    ext = (mpmath.mpf(w.numerator) / w.denominator) ** 2 * ((p + q * x) ** 2 + (q * y) ** 2) / y
+    assert abs(ext / mpmath.mpf(level) - 1) <= 2.0**-40 + 2.0**-51 * abs(sigma * pt.x)
+
+
+def test_found_horocycle_points_off_the_horocycle_raise():
+    """The FOUND call: HS((-5, 3), 1e-20) is 1.1e-21 across, below ulp(5/3), so
+    no double point is on it; its points and equidistance check raise.  At
+    1e-8 the horocycle is resolved and its points are returned."""
+    f = fol(-5, 3)
+    with pytest.raises(ValueError, match="double range"):
+        T.horocycle_point(f, 1e-20, 0.7)
+    with pytest.raises(ValueError, match="double range"):
+        T.equidistance_check(f, 1e-20, 4e-20, 500, seed=1)
+    assert on_horocycle(T.horocycle_point(f, 1e-8, 0.7), f, 1e-8)
+    assert T.equidistance_check(f, Fraction(1), Fraction(4), 50, seed=1).ok
+
+
 def on_horocycle(pt, f, level, rel=Fraction(1, 10**12)):
     """pt lies on HS(f, level) to rel, by the exact Ext at pt."""
     ext = T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f)
