@@ -37,9 +37,10 @@ class TraceNotClosed(RuntimeError):
 
 class Record:
     """A dataclass without generated code: fields named in ``_fields`` and kept
-    in ``__dict__`` (which may also cache), equality within one class, a repr
-    of the fields not starting with ``_``, an __init__ taking them by position
-    or keyword, else from ``_defaults``.  Mutable and unhashable; see Frozen."""
+    in ``__dict__`` (which may also cache; an __init__ of a Frozen class fills
+    it directly), equality within one class, a repr of the fields not starting
+    with ``_``, an __init__ taking them by position or keyword, else from
+    ``_defaults``.  Mutable and unhashable; see Frozen."""
 
     _fields = ()
     _defaults = {}
@@ -67,8 +68,7 @@ class Record:
 
 
 class Frozen(Record):
-    """A Record as a frozen dataclass is: hashed on its fields and closed to
-    assignment, so an __init__ of its own fills ``self.__dict__``."""
+    """A Record as a frozen dataclass is: hashed on its fields, closed to assignment."""
 
     def __hash__(self):
         return hash(self._key(self))

@@ -432,6 +432,7 @@ def _horocycle(f: WeightedTorusFoliation, level):
     cx = -c.p / c.q
     n, m = cx.as_integer_ratio()
     cx_lo = (-c.p * m - c.q * n) / (c.q * m)  # -p/q - cx, rounded once
+    lo_err, k = 2.0**-49 * abs(cx_lo), 2.0**-42 / y0
 
     def at(sigma):
         # d = (sigma^2 + y0^2) / y0 >= y0, normal wherever y is; no square formed
@@ -442,9 +443,9 @@ def _horocycle(f: WeightedTorusFoliation, level):
         x, y = cx + s, 1.0 / d
         t = x - cx
         e = (cx - (x - t)) + (s - t)  # cx + s - x, exactly (two-sum)
-        dx = abs(e) + 2.0**-49 * (abs(s) + abs(cx_lo))
-        # y0 d = sigma^2 + y0^2; ok is a bool, or a bool array
-        ok = (y >= _TINY) & ((dx * y0) * (dx * d) <= 2.0**-42)
+        dx = abs(e) + 2.0**-49 * abs(s) + lo_err
+        # dx^2 (sigma^2 + y0^2) = dx^2 y0 / y to 2u; ok is a bool, or a bool array
+        ok = (y >= _TINY) & (dx * dx <= k * y)
         if ok is not True and (ok is False or not ok.all()):
             raise ValueError(OUT_OF_RANGE)
         return x, y
