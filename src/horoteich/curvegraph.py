@@ -35,7 +35,7 @@ class CurveSet(Frozen):
             for c in range(n):
                 if row[c] < 0 or row[c] != i_matrix[c][r]:
                     raise ValueError("i_matrix must be symmetric and nonnegative")
-        self.__dict__.update(vertices=vertices, payloads=payloads, i_matrix=i_matrix)
+        Record.__init__(self, vertices, payloads, i_matrix)
 
     def index(self, v):
         return self.vertices.index(v)

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Protocol
 
-from .kernel import Bracket, Frozen, Record, UpperHalfPoint, is_exact
+from .kernel import Bracket, Frozen, Record, UpperHalfPoint, _set, is_exact
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -40,7 +40,8 @@ class HoroBall(Frozen):
     def __init__(self, foliation, level):
         if not level > 0:
             raise ValueError("level must be positive")
-        self.__dict__.update(foliation=foliation, level=level)
+        _set(self, "foliation", foliation)
+        _set(self, "level", level)
 
 
 class HoroRelation(Record):

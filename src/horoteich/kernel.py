@@ -35,11 +35,13 @@ class TraceNotClosed(RuntimeError):
     """A trace used up its step budget before closing."""
 
 
+_set = object.__setattr__  # sets a field past Frozen's __setattr__, keeping reads fast
+
+
 class Record:
-    """A dataclass without generated code: fields named in ``_fields`` and kept
-    in ``__dict__`` (which may also cache; an __init__ of a Frozen class fills
-    it directly), equality within one class, a repr of the fields not starting
-    with ``_``, an __init__ taking them by position or keyword, else from
+    """A dataclass without generated code: fields named in ``_fields``,
+    equality within one class, a repr of the fields not starting with ``_``,
+    and an __init__ taking them by position or keyword, else from
     ``_defaults``.  Mutable and unhashable; see Frozen."""
 
     _fields = ()
@@ -55,7 +57,8 @@ class Record:
             if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= named.keys():
                 raise TypeError(f"{type(self).__name__} takes the fields {fields}")
             args += tuple(map(named.__getitem__, rest))
-        self.__dict__.update(zip(fields, args))
+        for name, value in zip(fields, args):
+            _set(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -85,7 +88,10 @@ class Mat2(Frozen):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        self.__dict__.update(a=a, b=b, c=c, d=d)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -130,7 +136,8 @@ class UpperHalfPoint(Frozen):
     def __init__(self, x: float, y: float):
         if not y > 0:
             raise ValueError(f"point not in upper half-plane: y = {y}")
-        self.__dict__.update(x=x, y=y)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @property
     def tau(self) -> complex:
@@ -203,7 +210,8 @@ class Bracket(Frozen):
     def __init__(self, lo: float, hi: float):
         if not lo <= hi:
             raise ValueError(f"empty bracket [{lo}, {hi}]")
-        self.__dict__.update(lo=lo, hi=hi)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @staticmethod
     def exact(v) -> "Bracket":

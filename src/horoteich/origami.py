@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .kernel import (Bracket, Frozen, Mat2, Record, TraceNotClosed, as_float_down,
+from .kernel import (Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, as_float_down,
                      as_float_up, is_exact)
 
 HORIZONTAL = "horizontal"
@@ -82,7 +82,8 @@ class Origami(Frozen):
     _fields = ("h", "v")
 
     def __init__(self, h: tuple, v: tuple):
-        self.__dict__.update(h=h, v=v, _cylinders={})
+        Record.__init__(self, h, v)
+        _set(self, "_cylinders", {})
         if len(h) != len(v):
             raise ValueError("h and v must act on the same squares")
         if not (_is_permutation(h) and _is_permutation(v)):
@@ -210,15 +211,8 @@ def cylinders(o: Origami, direction: str) -> tuple:
         if not chain:
             continue
         core = cycs[chain[0]]
-        out.append(
-            CylinderCurve(
-                direction=direction,
-                squares=core,
-                circumference=len(core),
-                height=len(chain),
-                row_cycles=tuple(cycs[k] for k in chain),
-            )
-        )
+        out.append(CylinderCurve(direction, core, len(core), len(chain),
+                                 tuple(cycs[k] for k in chain)))
     # beside the cylinders, the cylinder of each square
     o._cylinders[direction] = (tuple(out), {s: c for c in out for s in c.all_squares})
     return o._cylinders[direction][0]
@@ -234,7 +228,8 @@ class MarkedFlatSurface(Frozen):
     def __init__(self, base: Origami, deform: Mat2):
         if not deform.det() > 0:
             raise ValueError("deformation must have positive determinant")
-        self.__dict__.update(base=base, deform=deform)
+        _set(self, "base", base)
+        _set(self, "deform", deform)
 
     @property
     def flat_area(self):
@@ -309,10 +304,6 @@ class CurveTrace(Frozen):
     segments ((square, (x0, y0), (x1, y1)), ...); holonomy (dx_total, dy_total)."""
 
     _fields = ("origami", "direction", "segments", "holonomy")
-
-    def __init__(self, origami: Origami, direction: tuple, segments: tuple, holonomy: tuple):
-        self.__dict__.update(origami=origami, direction=direction, segments=segments,
-                             holonomy=holonomy)
 
     @property
     def slope(self):
@@ -592,7 +583,7 @@ class MulticurveFoliation(Frozen):
                 raise ValueError("weights must be positive")
             if c.direction != d:
                 raise ValueError("components must share a direction")
-        self.__dict__.update(components=components)
+        Record.__init__(self, components)
 
     @property
     def direction(self):
@@ -602,15 +593,11 @@ class MulticurveFoliation(Frozen):
 def canonical_vertical_foliation(o: Origami) -> MulticurveFoliation:
     """The vertical foliation with measure |dx|: each vertical cylinder
     weighted by its transverse width."""
-    return MulticurveFoliation(
-        tuple((Fraction(c.height), c) for c in cylinders(o, VERTICAL))
-    )
+    return MulticurveFoliation(tuple((Fraction(c.height), c) for c in cylinders(o, VERTICAL)))
 
 
 def canonical_horizontal_foliation(o: Origami) -> MulticurveFoliation:
-    return MulticurveFoliation(
-        tuple((Fraction(c.height), c) for c in cylinders(o, HORIZONTAL))
-    )
+    return MulticurveFoliation(tuple((Fraction(c.height), c) for c in cylinders(o, HORIZONTAL)))
 
 
 # ---------------------------------------------------------------------------

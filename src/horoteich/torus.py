@@ -21,6 +21,7 @@ from .kernel import (
     Mat2,
     Record,
     UpperHalfPoint,
+    _set,
     hyperbolic_distance,
     is_exact,
     mobius_apply,
@@ -51,7 +52,8 @@ class TorusCurve(Frozen):
             raise ValueError(f"({p}, {q}) is not primitive")
         if p < 0 or (p == 0 and q < 0):
             p, q = -p, -q
-        self.__dict__.update(p=p, q=q)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def boundary_point(self):
         """Point of the circle at infinity where this curve degenerates."""
@@ -66,7 +68,8 @@ class WeightedTorusFoliation(Frozen):
     def __init__(self, weight, curve: TorusCurve):
         if not weight > 0:
             raise ValueError("weight must be positive")
-        self.__dict__.update(weight=weight, curve=curve)
+        _set(self, "weight", weight)
+        _set(self, "curve", curve)
 
 
 def intersection(c1: TorusCurve, c2: TorusCurve) -> int:
@@ -413,13 +416,12 @@ def _horocycle(f: WeightedTorusFoliation, level):
     a point could miss |Ext_f(x + iy) / level - 1| <= 2^-40 + 2^-51 |sigma x|.
 
     The bound (u = 2^-53): y0 holds the level to 2u, y and offset = x - cx are
-    within 4u and 5u of exact, cx + cx_lo is -p/q to u |cx_lo|, and e, the
-    rounding of x = cx + s, s = fl(offset + cx_lo), is found exactly, so x is
-    within dx = |e| + 16u (|s| + |cx_lo|) of its exact value.  A shift dx in x
-    moves Ext / level by -2 sigma dx + dx^2 (sigma^2 + y0^2); with |e| <= u |x|
-    and |sigma offset| <= 1 all is within 2u |sigma x| + 39u + dx^2 (sigma^2 +
-    y0^2), and at raises where that last term, the rounding of x against the
-    size of the horocycle, passes 2^-42."""
+    within 4u and 5u, cx + cx_lo is -p/q to u |cx_lo|, and e, the rounding of
+    x = cx + s, s = fl(offset + cx_lo), is found exactly: x is within dx = |e| +
+    16u (|s| + |cx_lo|) of exact.  A shift dx in x moves Ext / level by -2 sigma
+    dx + dx^2 (sigma^2 + y0^2); as |e| <= u |x| and |sigma offset| <= 1, all is
+    within 2u |sigma x| + 39u + dx^2 (sigma^2 + y0^2), and at raises where the
+    last term, the rounding of x against the size of the horocycle, passes 2^-42."""
     c = f.curve
     try:
         y0 = (c.q or c.p) ** 2 / float(_normalize_level(f.weight, level))
