@@ -39,9 +39,9 @@ _set = object.__setattr__  # sets a field past Frozen's __setattr__, keeping rea
 
 
 class Record:
-    """A dataclass without generated code: fields named in ``_fields``,
-    equality within one class, a repr of the fields not starting with ``_``,
-    and an __init__ taking them by position or keyword, else from
+    """A value record built without generating code: fields named in
+    ``_fields``, equality within one class, a repr of the fields not starting
+    with ``_``, and an __init__ taking them by position or keyword, else from
     ``_defaults``.  Mutable and unhashable; see Frozen."""
 
     _fields = ()
@@ -71,7 +71,7 @@ class Record:
 
 
 class Frozen(Record):
-    """A Record as a frozen dataclass is: hashed on its fields, closed to assignment."""
+    """A Record hashed on its fields and closed to assignment."""
 
     def __hash__(self):
         return hash(self._key(self))
