@@ -587,7 +587,23 @@ def cmd_torus_plot(args):
 # Argument parsing
 
 
+class _Commands(_Parser):
+    """Top-level parser: building all 16 subparsers is most of a call's parse time, so it adds
+    only the one its first argument names, or all for --help, no argument or an unknown name."""
+
+    def parse_known_args(self, args=None, namespace=None):  # all of them for sys.argv
+        _add_commands(self.commands, args[0] if args else None)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    ap = _Commands(prog="horoteich")
+    ap.commands = ap.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    return ap
+
+
+def _add_commands(sub, only=None) -> None:
+    """Add to ``sub`` the subparser named ``only``, or all if it names none."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv"])
     common.add_argument("--config", help="INI file with [origami] and [job] sections")
@@ -602,61 +618,60 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--square", type=int, default=1)
     trace.add_argument("--offset", default="1/2")
 
-    ap = _Parser(prog="horoteich")
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-
     def command(name, fn, *parents, required=()):
+        if name in sub.choices or only not in (None, name):
+            return None
         p = sub.add_parser(name, parents=[*parents, common])
         p.set_defaults(fn=fn)
         for option in required:
             p.add_argument(f"--{option}", required=True)
         return p
 
-    p = command("torus-ext", cmd_torus_ext, required=("tau", "curve"))
-    p.add_argument("--weight", default="1")
+    if p := command("torus-ext", cmd_torus_ext, required=("tau", "curve")):
+        p.add_argument("--weight", default="1")
     command("torus-dist", cmd_torus_dist, required=("tau1", "tau2"))
     command("tangency", cmd_tangency, required=("curve1", "level1", "curve2", "level2"))
 
-    p = command("triple", cmd_triple)
-    p.add_argument("--i", required=True, help="i_ab,i_ag,i_bg")
+    if p := command("triple", cmd_triple):
+        p.add_argument("--i", required=True, help="i_ab,i_ag,i_bg")
 
-    p = command("ratio-curve", cmd_ratio_curve, required=("alpha", "beta", "target"))
-    p.add_argument("--eps")
+    if p := command("ratio-curve", cmd_ratio_curve, required=("alpha", "beta", "target")):
+        p.add_argument("--eps")
     command("busemann", cmd_busemann, required=("tau0", "curve", "tau"))
-    p = command("ball-limit", cmd_ball_limit, required=("tau0", "curve"))
-    p.add_argument("--samples", type=int, default=20)
+    if p := command("ball-limit", cmd_ball_limit, required=("tau0", "curve")):
+        p.add_argument("--samples", type=int, default=20)
 
     command("origami-info", cmd_origami_info, origami)
 
-    p = command("origami-flow", cmd_origami_flow, origami)
-    p.add_argument("--kind", required=True, choices=["geodesic", "horocycle"])
-    p.add_argument("--param", required=True,
-                   help="stretch factor (geodesic) or shear (horocycle); rational stays exact")
-    p.add_argument("--time", action="store_true",
-                   help="interpret a geodesic parameter as time t instead of stretch e^t")
+    if p := command("origami-flow", cmd_origami_flow, origami):
+        p.add_argument("--kind", required=True, choices=["geodesic", "horocycle"])
+        p.add_argument("--param", required=True,
+                       help="stretch factor (geodesic) or shear (horocycle); rational stays exact")
+        p.add_argument("--time", action="store_true",
+                       help="interpret a geodesic parameter as time t instead of stretch e^t")
 
-    p = command("origami-intersect", cmd_origami_intersect, origami)
-    for k, offset in (("1", "1/2"), ("2", "1/3")):
-        p.add_argument(f"--slope{k}", required=True)
-        p.add_argument(f"--square{k}", type=int, default=1)
-        p.add_argument(f"--offset{k}", default=offset)
+    if p := command("origami-intersect", cmd_origami_intersect, origami):
+        for k, offset in (("1", "1/2"), ("2", "1/3")):
+            p.add_argument(f"--slope{k}", required=True)
+            p.add_argument(f"--square{k}", type=int, default=1)
+            p.add_argument(f"--offset{k}", default=offset)
 
-    p = command("growth-check", cmd_growth_check, origami, trace)
-    p.add_argument("--s-values", dest="s_values", default="1,2,3,5,10,20")
+    if p := command("growth-check", cmd_growth_check, origami, trace):
+        p.add_argument("--s-values", dest="s_values", default="1,2,3,5,10,20")
 
     command("walsh-e", cmd_walsh_e, origami, trace)
 
-    p = command("curve-graph", cmd_curve_graph, origami)
-    p.add_argument("--slopes", help="semicolon-separated extra slopes")
+    if p := command("curve-graph", cmd_curve_graph, origami):
+        p.add_argument("--slopes", help="semicolon-separated extra slopes")
 
-    p = command("relation", cmd_relation, origami)
-    p.add_argument("--model", required=True, choices=["torus", "origami"])
-    for option in ("curve1", "curve2", "f1", "f2", "level1", "level2"):
-        p.add_argument(f"--{option}", required=option.startswith("level"))
+    if p := command("relation", cmd_relation, origami):
+        p.add_argument("--model", required=True, choices=["torus", "origami"])
+        for option in ("curve1", "curve2", "f1", "f2", "level1", "level2"):
+            p.add_argument(f"--{option}", required=option.startswith("level"))
 
     command("torus-plot", cmd_torus_plot, required=("curve", "levels", "out"))
-
-    return ap
+    if only is not None and only not in sub.choices:  # --help or an unknown name
+        _add_commands(sub)
 
 
 def run(argv) -> int:

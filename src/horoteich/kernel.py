@@ -123,10 +123,6 @@ class Mat2(Frozen):
             det = Fraction(det)
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
-
 
 class UpperHalfPoint(Frozen):
     """The point tau = x + iy of the upper half-plane, y > 0."""
@@ -177,25 +173,28 @@ _INF = math.inf
 
 
 def _down(x: float) -> float:
-    return x if x == -_INF else math.nextafter(x, -_INF)
+    return math.nextafter(x, -_INF)  # -inf stays -inf
 
 
 def _up(x: float) -> float:
-    return x if x == _INF else math.nextafter(x, _INF)
+    return math.nextafter(x, _INF)
+
+
+def round_ratio(n: int, d: int, toward: float) -> float:
+    """n / d (d > 0) as the nearest double, which int true division gives, then one ulp
+    toward ``toward`` (-inf or inf) if on the other side; OverflowError past the doubles."""
+    f = n / d
+    p, q = f.as_integer_ratio()
+    gap = n * q - p * d  # the sign of n / d - f
+    return math.nextafter(f, toward) if gap and (gap > 0) == (toward > 0) else f
 
 
 def as_float_down(v) -> float:
-    f = float(v)
-    if is_exact(v) and Fraction(f) > Fraction(v):
-        f = _down(f)
-    return f
+    return round_ratio(*v.as_integer_ratio(), -_INF)
 
 
 def as_float_up(v) -> float:
-    f = float(v)
-    if is_exact(v) and Fraction(f) < Fraction(v):
-        f = _up(f)
-    return f
+    return round_ratio(*v.as_integer_ratio(), _INF)
 
 
 class Bracket(Frozen):
@@ -231,17 +230,14 @@ class Bracket(Frozen):
         """Product of brackets of nonnegative quantities."""
         if self.lo < 0 or other.lo < 0:
             raise ValueError("mul_nonneg requires nonnegative brackets")
-        hi = self.hi * other.hi
-        return Bracket(_down(self.lo * other.lo), hi if hi == _INF else _up(hi))
+        return Bracket(_down(self.lo * other.lo), _up(self.hi * other.hi))
 
     def scale(self, k: float) -> "Bracket":
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
-        hi = self.hi * k
-        return Bracket(_down(self.lo * k), hi if hi == _INF else _up(hi))
+        return Bracket(_down(self.lo * k), _up(self.hi * k))
 
     def log(self) -> "Bracket":
         if self.lo <= 0:
             raise ValueError("log of a bracket touching zero")
-        hi = math.log(self.hi) if self.hi < _INF else _INF
-        return Bracket(_down(math.log(self.lo)), hi if hi == _INF else _up(hi))
+        return Bracket(_down(math.log(self.lo)), _up(math.log(self.hi)))

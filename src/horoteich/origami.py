@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .kernel import (Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, as_float_down,
-                     as_float_up, is_exact)
+from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, is_exact, round_ratio
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -231,9 +230,15 @@ class MarkedFlatSurface(Frozen):
         _set(self, "base", base)
         _set(self, "deform", deform)
 
-    @property
-    def flat_area(self):
-        return self.deform.det() * self.base.n
+    @cached_property
+    def gram(self):
+        """Integers with |deform (x, y)|^2 / det = (A x^2 + 2 B x y + C y^2) / D: the exact entries
+        (a float too) over one denominator.  D > 0, as the float det is (rounding is monotone)."""
+        m = self.deform
+        ratios = [v.as_integer_ratio() for v in (m.a, m.b, m.c, m.d)]
+        q = math.lcm(*(den for _, den in ratios))
+        a, b, c, d = (num * (q // den) for num, den in ratios)
+        return a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c
 
     @staticmethod
     def base_point(o: Origami) -> "MarkedFlatSurface":
@@ -549,20 +554,19 @@ def ext_bracket(t: CurveTrace, x: MarkedFlatSurface) -> Bracket:
 
     Lower bound: flat-metric competitor (deformed length squared over
     area).  Upper bound: reciprocal modulus of the embedded cylinder when
-    the trace is a cylinder core, +inf otherwise.
+    the trace is a cylinder core, +inf otherwise.  Both are exact over the
+    deform entries (integers from ``x.gram``), then rounded once outward.
     """
-    vx, vy = x.deform.apply(t.holonomy)
-    area = x.flat_area
-    lo_val = (vx * vx + vy * vy) / area
-    lo = as_float_down(lo_val) if is_exact(lo_val) else math.nextafter(float(lo_val), -math.inf)
+    big_a, big_b, big_c, big_d = x.gram
+    hx, hy = t.holonomy
+    lo = round_ratio(big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy,
+                     big_d * x.base.n, -math.inf)
     cyl = _find_cylinder_for(t)
     if cyl is None:
         return Bracket(lo, math.inf)
-    u = (1, 0) if cyl.direction == HORIZONTAL else (0, 1)
-    ux, uy = x.deform.apply(u)
-    hi_val = cyl.circumference * (ux * ux + uy * uy) / (x.deform.det() * cyl.height)
-    hi = as_float_up(hi_val) if is_exact(hi_val) else math.nextafter(float(hi_val), math.inf)
-    return Bracket(min(lo, hi), hi)
+    hi = round_ratio(cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
+                     big_d * cyl.height, math.inf)
+    return Bracket(lo, hi)  # flat bound <= cylinder bound, as circumference * height <= n
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +624,14 @@ def horocycle_growth_check(
 
     Checks lo >= (|s| i_v - i_h)^2 / area when positive, and the s^2 i_v^2
     / (2 area) bound past the derived threshold; fits lo against s (NaN for
-    fewer than 3 distinct s).  OverflowError if c2, a lower bound or a bound
-    it is checked against is beyond the double range."""
+    fewer than 3 distinct s).  Each lower bound is ``ext_bracket``'s lo: exact
+    over the deform entries, then rounded down once.  OverflowError if c2, a
+    lower bound or a bound it is checked against is beyond the double range."""
     i_v = i_with_foliation(t, VERTICAL, x)
     i_h = i_with_foliation(t, HORIZONTAL, x)
     if not i_v > 0:
         raise ValueError("trace must cross the vertical foliation")
-    area = float(x.flat_area)
+    area = float(x.deform.det() * x.base.n)
     threshold = float(i_h) / ((1.0 - 1.0 / math.sqrt(2.0)) * float(i_v))
     los = []
     violations = []
@@ -634,8 +639,9 @@ def horocycle_growth_check(
         xs = horocycle_flow(x, s)
         lo = ext_bracket(t, xs).lo
         los.append(lo)
-        linear = abs(s) * float(i_v) - float(i_h)
-        near, far = linear * linear / area, s * s * float(i_v) ** 2 / (2.0 * area)
+        sv = abs(s) * float(i_v)
+        linear = sv - float(i_h)
+        near, far = linear * (linear / area), sv * (sv / (2.0 * area))
         if not max(lo, near, far) < sys.float_info.max:  # lo past it is rounded down to it
             raise OverflowError("a growth bound is beyond the double range")
         if linear > 0 and lo < near * (1.0 - 1e-12):
@@ -855,7 +861,7 @@ def decompose_unimodular(m: Mat2):
         factors.extend(["T"] * b if b > 0 else ["Ti"] * (-b))
     word = list(reversed(factors))
     # safety: the reversed-order product must reproduce m
-    prod = Mat2.identity()
+    prod = Mat2(1, 0, 0, 1)
     for g in reversed(word):
         prod = prod @ _GEN_MATRIX[g]
     if (prod.a, prod.b, prod.c, prod.d) != tuple(int(e) for e in entries):

@@ -322,6 +322,7 @@ def test_input_errors_exit_one(capsys):
         (["busemann", "--tau0", "1e300+1i", "--curve", "2,1", "--tau", "0+1i"], 1),
         (["ball-limit", "--tau0", "1e300+1i", "--curve", "2,1"], 1),
         (["growth-check", *L_ARGS, "--s-values", "1e200,2e200,3e200"], 1),
+        (["growth-check", *L_ARGS, "--s-values", "1e155"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
@@ -332,7 +333,8 @@ def test_input_errors_exit_one(capsys):
          "usage-missing-option", "usage-unknown-option", "usage-bad-int",
          "usage-bad-choice", "ext-zero-weight", "intersect-edge-offset",
          "growth-edge-offset", "walsh-edge-offset", "busemann-far-tau0",
-         "ball-limit-far-tau0", "growth-bound-beyond-double-range"],
+         "ball-limit-far-tau0", "growth-bound-beyond-double-range",
+         "growth-lower-bound-beyond-double-range"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")
@@ -416,6 +418,14 @@ def test_growth_check_violation_reason(capsys, monkeypatch):
     rec, status = run_json(capsys, ["growth-check", *L_ARGS])
     assert status == 2 and rec["results"]["reason"] == "violation"
     assert rec["results"]["violations"] == 1
+
+
+def test_growth_check_decides_up_to_the_double_range(capsys):
+    """At s = 7e153 the lower bound 4 (1 + s^2) / 3 is a double though
+    (2 s)^2 is not, so the bounds it is checked against must not overflow."""
+    rec, status = run_json(capsys, ["growth-check", *L_ARGS, "--s-values", "7e153"])
+    assert status == 0 and rec["results"]["ok"] is True
+    assert rec["results"]["lower_bounds"][0]["value"] == pytest.approx(4 / 3 * 7e153 ** 2)
 
 
 def test_growth_check_fit_tags(capsys):

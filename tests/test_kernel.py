@@ -15,6 +15,7 @@ from horoteich.kernel import (
     hyperbolic_distance,
     is_exact,
     mobius_apply,
+    round_ratio,
 )
 
 
@@ -171,3 +172,20 @@ def test_rounding_helpers():
     v = Fraction(1, 3)
     assert Fraction(as_float_down(v)) <= v <= Fraction(as_float_up(v))
     assert as_float_down(Fraction(1, 2)) == 0.5 == as_float_up(Fraction(1, 2))
+
+
+@given(st.integers(-10**400, 10**400), st.integers(1, 10**400))
+def test_round_ratio_is_the_nearest_double_stepped_outward(n, d):
+    """Down and up are the doubles either side of n / d, equal when n / d is
+    a double, and one of them is the nearest double (n / d)."""
+    v = Fraction(n, d)
+    try:
+        near = n / d
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            round_ratio(n, d, -math.inf)
+        return
+    lo, hi = round_ratio(n, d, -math.inf), round_ratio(n, d, math.inf)
+    assert Fraction(lo) <= v <= Fraction(hi)
+    assert near in (lo, hi)
+    assert hi == (lo if Fraction(lo) == v else math.nextafter(lo, math.inf))

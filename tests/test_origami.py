@@ -16,6 +16,7 @@ from horoteich import origami as O
 L = O.build_origami([2, 1, 3], [3, 2, 1])
 TORUS = O.build_origami([1], [1])
 T2 = O.build_origami([2, 1], [1, 2])
+STAIRCASE = O.build_origami([2, 1, 4, 3, 5], [1, 3, 2, 5, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +417,71 @@ def test_ext_bracket_non_periodic_direction_unbounded_above():
     br = O.ext_bracket(t, x)
     assert br.hi == math.inf
     assert br.lo == pytest.approx(18 / 3, rel=1e-12)
+
+
+def _ext_bounds(t, x):
+    """The flat lower bound and the cylinder upper bound (None off a
+    cylinder core), exact over Fractions of the deform entries."""
+    a, b, c, d = (Fraction(v) for v in (x.deform.a, x.deform.b, x.deform.c, x.deform.d))
+    det = a * d - b * c
+    hx, hy = t.holonomy
+    flat = ((a * hx + b * hy) ** 2 + (c * hx + d * hy) ** 2) / (det * x.base.n)
+    cyl = O._find_cylinder_for(t)
+    if cyl is None:
+        return flat, None
+    ux, uy = (a, c) if cyl.direction == O.HORIZONTAL else (b, d)
+    return flat, cyl.circumference * (ux * ux + uy * uy) / (det * cyl.height)
+
+
+def _float_toward(v, toward):
+    """float(v), one ulp toward ``toward`` if it lies on the other side of v."""
+    f = float(v)
+    if (Fraction(f) > v) if toward < 0 else (Fraction(f) < v):
+        f = math.nextafter(f, toward)
+    return f
+
+
+def _random_marking(rng, x):
+    """One to three flows, each an exact shear or stretch, a float shear
+    |s| <= 50 or a float geodesic time |t| <= 5."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            x = O.horocycle_flow(x, Fraction(rng.randint(-500, 500), rng.randint(1, 10)))
+        elif kind == 1:
+            x = O.geodesic_flow(x, stretch=Fraction(rng.randint(1, 40), rng.randint(1, 40)))
+        elif kind == 2:
+            x = O.horocycle_flow(x, rng.uniform(-50.0, 50.0))
+        else:
+            x = O.geodesic_flow(x, t=rng.uniform(-5.0, 5.0))
+    return x
+
+
+def test_ext_bracket_encloses_the_exact_bounds():
+    """On float deformations as on exact ones, lo is at most the flat bound
+    and a finite hi at least the cylinder bound.  On exact ones the bracket
+    is each bound rounded to nearest, then one ulp outward if on the wrong
+    side, with lo capped at hi."""
+    rng = random.Random(15)
+    checked = {True: 0, False: 0}
+    for o in (L, STAIRCASE):
+        traces = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
+                  for c in O.cylinders(o, d)]
+        traces += [O.robust_trace(o, 0, Fraction(s)) for s in ("1", "-1/2", "2/3")]
+        base = O.MarkedFlatSurface.base_point(o)
+        for _ in range(250):
+            x = _random_marking(rng, base)
+            for t in traces:
+                br = O.ext_bracket(t, x)
+                flat, cyl = _ext_bounds(t, x)
+                assert Fraction(br.lo) <= flat
+                assert br.hi == math.inf if cyl is None else Fraction(br.hi) >= cyl
+                if x.deform.is_exact():
+                    lo = _float_toward(flat, -math.inf)
+                    hi = math.inf if cyl is None else _float_toward(cyl, math.inf)
+                    assert (br.lo, br.hi) == (min(lo, hi), hi)
+                checked[x.deform.is_exact()] += 1
+    assert min(checked.values()) > 1000
 
 
 def test_growth_check_quadratic():
