@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # Public names by defining module, each imported on first use (PEP 562), so
 # that "import horoteich" loads no model until one of its names is used.
 _PUBLIC = {
-    "kernel": ("Bracket", "Mat2", "Rational", "UpperHalfPoint"),
+    "kernel": ("Bracket", "Mat2", "UpperHalfPoint"),
     "torus": ("TorusCurve", "WeightedTorusFoliation", "extremal_length"),
     "origami": ("Origami", "MarkedFlatSurface", "build_origami"),
 }

@@ -1,16 +1,15 @@
 """Finite curve-graph computations over exact intersection data.
 
-Vertices are curves (torus classes or origami traces) with a symmetric
-table of exact intersection numbers; edges join distinct disjoint curves.
-Distances are plain BFS, and re-marking actions are checked to act by
-graph automorphisms.  A model is imported only where its curves are used.
+Vertices are origami traces with a symmetric table of exact intersection
+numbers (crossing numbers); edges join distinct disjoint curves.  Distances
+are plain BFS, and re-marking actions are checked to act by graph
+automorphisms.  The origami model is imported only where traces are paired.
 """
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .kernel import Frozen, Record
 
@@ -18,8 +17,8 @@ UNREACHABLE = math.inf
 
 
 class CurveSet(Frozen):
-    """Curves (identifiers, and CurveTrace / TorusCurve payloads) with their
-    exact pairwise intersection numbers, a tuple of tuples."""
+    """Curves (identifiers, and CurveTrace payloads) with their exact
+    pairwise intersection numbers, a tuple of tuples."""
 
     _fields = ("vertices", "payloads", "i_matrix")
 
@@ -54,26 +53,6 @@ def _pairwise(payloads, pairing):
 def curve_set_from_traces(ids: Sequence, traces: Sequence) -> CurveSet:
     from .origami import crossing_number
     return CurveSet(tuple(ids), tuple(traces), _pairwise(tuple(traces), crossing_number))
-
-
-def curve_set_from_torus(ids: Sequence, curves: Sequence) -> CurveSet:
-    from .torus import intersection
-    return CurveSet(tuple(ids), tuple(curves), _pairwise(tuple(curves), intersection))
-
-
-def _is_instance(p, module: str, cls: str) -> bool:
-    """isinstance(p, horoteich.<module>.<cls>) without an import: p's class is loaded."""
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return mod is not None and isinstance(p, getattr(mod, cls))
-
-
-def verify_curve_set(cs: CurveSet) -> bool:
-    """Recompute the table from the payloads and compare exactly."""
-    if _is_instance(cs.payloads[0], "origami", "CurveTrace"):
-        from .origami import crossing_number as pairing
-    else:
-        from .torus import intersection as pairing
-    return _pairwise(cs.payloads, pairing) == cs.i_matrix
 
 
 class Graph(Frozen):
@@ -135,16 +114,10 @@ def curve_set_table(cs: CurveSet) -> List[dict]:
     rows = []
     for i, v in enumerate(cs.vertices):
         p = cs.payloads[i]
-        if _is_instance(p, "origami", "CurveTrace"):
-            desc = f"trace dir={p.direction} hol={p.holonomy}"
-        elif _is_instance(p, "torus", "TorusCurve"):
-            desc = f"torus ({p.p},{p.q})"
-        else:
-            desc = repr(p)
         rows.append(
             {
                 "id": v,
-                "payload": desc,
+                "payload": f"trace dir={p.direction} hol={p.holonomy}",
                 "i_row": [str(x) for x in cs.i_matrix[i]],
             }
         )

@@ -1,8 +1,12 @@
 """Model-agnostic horoball algebra over a geometry backend.
 
-A backend supplies only geometry for one concrete model: extremal lengths
-(exact, float, or Bracket), exact intersection pairings, sub-foliation
-coefficients and horosphere samples.  Proportionality, the sup of Ext over a
+A backend supplies only geometry for one concrete model, in four methods:
+``ext(point, f)``, the extremal length of f at point (exact, float, or
+Bracket); ``intersect(f, g)``, the exact intersection pairing;
+``subfoliation_coeffs(f, g)``, the coefficients a_i with f = sum a_i *
+(components of g), else None; and ``horosphere_sampler(f, level)``, points of
+the horosphere {Ext(f) = level}.  The torus backend also has ``distance`` and
+``ray`` for the Busemann machinery.  Proportionality, the sup of Ext over a
 horoball, the relations between horoballs (tangency, disjointness, nesting)
 and the Busemann machinery are implemented here once.
 
@@ -15,7 +19,6 @@ from __future__ import annotations
 import importlib
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Protocol
 
 from .kernel import Bracket, Frozen, Record, UpperHalfPoint, _set, is_exact
 
@@ -50,21 +53,6 @@ class HoroRelation(Record):
     @property
     def decided(self) -> bool:
         return self.tag != UNDECIDED
-
-
-class GeometryBackend(Protocol):
-    def ext(self, point, foliation):
-        ...
-
-    def intersect(self, f, g):
-        ...
-
-    def subfoliation_coeffs(self, f, g):
-        """Coefficients a_i with f = sum a_i * (components of g), else None."""
-        ...
-
-    def horosphere_sampler(self, f, level) -> Iterable:
-        ...
 
 
 class _Model:
@@ -138,7 +126,7 @@ class OrigamiBackend:
         lo = 0.0
         hi = 0.0
         for w, cyl in f.components:
-            b = self.model.ext_bracket(self._core(cyl), point).scale(float(w) ** 2)
+            b = self.model.ext_bracket(self._core(cyl), point).mul_nonneg(Bracket.exact(w * w))
             lo = max(lo, b.lo)
             hi = hi + b.hi if hi < math.inf and b.hi < math.inf else math.inf
         return Bracket(lo, hi if hi == math.inf else math.nextafter(hi, math.inf))
@@ -266,9 +254,10 @@ class BusemannEstimate(Record):
 # Last ray time evaluated: the torus ray forms e^{2t}, which overflows a
 # double past t = 355, so doubling beyond 2^8 cannot be evaluated.
 BUSEMANN_T_MAX = 2.0**8
+BUSEMANN_SLACK = 1e-9  # rounding allowed in each monotonicity and floor test
 
 
-def busemann_estimate(x0, f, x, backend, tol: float = 1e-9, slack: float = 1e-9) -> BusemannEstimate:
+def busemann_estimate(x0, f, x, backend, tol: float = 1e-9) -> BusemannEstimate:
     """Definition-based Busemann value lim d(x, G(t)) - t.
 
     Doubles t until two successive values agree within tol; certified
@@ -286,7 +275,7 @@ def busemann_estimate(x0, f, x, backend, tol: float = 1e-9, slack: float = 1e-9)
         t *= 2.0
         cur = backend.distance(x, ray(t)) - t
         trace.append((t, cur))
-        if cur > prev + slack or cur < floor - slack:
+        if cur > prev + BUSEMANN_SLACK or cur < floor - BUSEMANN_SLACK:
             certified = False
         if abs(cur - prev) < tol:
             return BusemannEstimate(cur, certified, trace)
@@ -313,7 +302,7 @@ def _ext_exceeds(e, level) -> bool:
     return float(e) > float(level) * (1.0 + 1e-12)
 
 
-def inclusion_probe(h1, h2, backend, sampler: Optional[Iterable] = None) -> ProbeResult:
+def inclusion_probe(h1, h2, backend) -> ProbeResult:
     """Is HB(f1, level1) contained in HB(f2, level2)?
 
     A sample point of HS(f1, level1) with certified Ext(f2) above level2
@@ -330,8 +319,7 @@ def inclusion_probe(h1, h2, backend, sampler: Optional[Iterable] = None) -> Prob
         )
         if cmp_ok:
             return ProbeResult(INCLUDED_CERTIFIED, bound=bound)
-    points = sampler if sampler is not None else backend.horosphere_sampler(f1, l1)
-    for p in points:
+    for p in backend.horosphere_sampler(f1, l1):
         e = backend.ext(p, f2)
         if _ext_exceeds(e, l2):
             return ProbeResult(EXCLUDED_WITNESS, witness=p, witness_ext=e, bound=bound)

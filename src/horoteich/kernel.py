@@ -12,10 +12,6 @@ from fractions import Fraction
 from numbers import Rational as RationalLike
 from operator import attrgetter
 
-# Exact rational scalar used throughout the package.  Fraction already
-# guarantees a positive denominator and a reduced gcd after every operation.
-Rational = Fraction
-
 _EXACT_TYPES = (int, Fraction)
 
 
@@ -98,9 +94,6 @@ class Mat2(Frozen):
 
     def is_exact(self) -> bool:
         return all(is_exact(v) for v in (self.a, self.b, self.c, self.d))
-
-    def is_unimodular(self) -> bool:
-        return self.is_exact() and abs(self.det()) == 1
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

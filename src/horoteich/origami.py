@@ -273,31 +273,20 @@ def horocycle_flow(x: MarkedFlatSurface, s) -> MarkedFlatSurface:
     return MarkedFlatSurface(x.base, m @ x.deform)
 
 
-def flow(x: MarkedFlatSurface, kind: str, param) -> MarkedFlatSurface:
-    if kind == "geodesic":
-        return geodesic_flow(x, t=float(param))
-    if kind == "horocycle":
-        return horocycle_flow(x, param)
-    raise ValueError(f"unknown flow kind {kind!r}")
-
-
-def _direction_ext(x: MarkedFlatSurface, row: int):
-    inv = x.deform.inverse()
-    a, b = (inv.a, inv.b) if row == 0 else (inv.c, inv.d)
-    return (a * a + b * b) * x.deform.det() * x.base.n
-
-
-def ext_vertical(x: MarkedFlatSurface):
+def ext_vertical(x: MarkedFlatSurface) -> Fraction:
     """Extremal length of the base vertical foliation (measure |dx|).
 
     Equals the deformed L1-norm of the defining differential: area at the
     base point, e^{-2t} * area under the geodesic flow, horocycle-invariant.
+    Exact, n C / D from ``x.gram``, on float deformations too.
     """
-    return _direction_ext(x, 0)
+    _, _, big_c, big_d = x.gram
+    return Fraction(x.base.n * big_c, big_d)
 
 
-def ext_horizontal(x: MarkedFlatSurface):
-    return _direction_ext(x, 1)
+def ext_horizontal(x: MarkedFlatSurface) -> Fraction:
+    big_a, _, _, big_d = x.gram
+    return Fraction(x.base.n * big_a, big_d)
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +298,6 @@ class CurveTrace(Frozen):
     segments ((square, (x0, y0), (x1, y1)), ...); holonomy (dx_total, dy_total)."""
 
     _fields = ("origami", "direction", "segments", "holonomy")
-
-    @property
-    def slope(self):
-        a, b = self.direction
-        if a == 0:
-            return None  # vertical
-        return Fraction(b, a)
 
     @cached_property
     def squares(self):
@@ -429,7 +411,6 @@ def trace_curve(
     slope,
     offset=Fraction(1, 2),
     edge: str = None,
-    max_steps: int = 100000,
 ) -> CurveTrace:
     """Trace from an edge point; ``slope`` is a Fraction or None for vertical.
 
@@ -447,22 +428,16 @@ def trace_curve(
         point = (Fraction(0), offset)
     else:
         raise ValueError("edge must be 'bottom' or 'left'")
-    return trace_from_point(o, square, point, direction, max_steps=max_steps)
+    return trace_from_point(o, square, point, direction)
 
 
-def robust_trace(
-    o: Origami,
-    square: int,
-    slope,
-    offset=Fraction(1, 2),
-    edge: str = None,
-    retries: int = 5,
-) -> CurveTrace:
-    """trace_curve with the offset/3 retry policy on vertex hits."""
+def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> CurveTrace:
+    """trace_curve from the default edge, with the offset divided by 3 after
+    each vertex hit, for 6 attempts in all."""
     offset = Fraction(offset)
-    for _ in range(retries + 1):
+    for _ in range(6):
         try:
-            return trace_curve(o, square, slope, offset=offset, edge=edge)
+            return trace_curve(o, square, slope, offset=offset)
         except SingularityHit:
             offset = offset / 3
     raise SingularityHit(
@@ -690,83 +665,6 @@ def walsh_E(f: MulticurveFoliation, gamma: CurveTrace, x: MarkedFlatSurface):
             raise ValueError("G is not transverse to a component of F")
         total += i_gamma**2 / i_G
     return total
-
-
-# ---------------------------------------------------------------------------
-# Small-intersection curve search
-
-
-def small_intersection_search(
-    o: Origami,
-    components: Sequence[tuple],
-    eps,
-    budget: int = 2000,
-):
-    """Search for a simple closed trace crossing F_0 much more than the
-    other components: i(F_i, beta) < eps * i(F_0, beta) for i != 0.
-
-    ``components`` is a list of (weight, CylinderCurve), F_0 first, all in
-    one direction and pairwise disjoint.  Enumerates cylinder cores and
-    low-complexity rational slopes; the underlying existence lemma gives no
-    constructive bound, so budget exhaustion reports the best ratio seen.
-    Returns (trace, ratios).
-    """
-    if not eps > 0:
-        raise ValueError("eps must be strictly positive")
-    if not components:
-        raise ValueError("need at least F_0")
-    eps = Fraction(eps) if is_exact(eps) else eps
-    cores = [core_trace(o, cyl) for _, cyl in components]
-    weights = [Fraction(w) for w, _ in components]
-
-    def ratios(beta):
-        i0 = weights[0] * crossing_number(cores[0], beta)
-        if i0 == 0:
-            return None
-        return [
-            weights[k] * crossing_number(cores[k], beta) / i0
-            for k in range(1, len(components))
-        ]
-
-    candidates = []
-    for d in (HORIZONTAL, VERTICAL):
-        for cyl in cylinders(o, d):
-            candidates.append(("core", d, cyl))
-    slopes = [Fraction(0), None]
-    for denom in range(1, 9):
-        for num in range(1, 9):
-            if math.gcd(num, denom) == 1:
-                slopes.extend([Fraction(num, denom), Fraction(-num, denom)])
-    for sl in slopes:
-        for sq in range(o.n):
-            candidates.append(("slope", sl, sq))
-
-    best = None
-    best_worst = None
-    tried = 0
-    for kind, a, b in candidates:
-        if tried >= budget:
-            break
-        tried += 1
-        try:
-            if kind == "core":
-                beta = core_trace(o, b)
-            else:
-                beta = robust_trace(o, b, a, offset=Fraction(3, 7))
-        except (SingularityHit, RuntimeError):
-            continue
-        rr = ratios(beta)
-        if rr is None:
-            continue
-        worst = max(rr, default=Fraction(0))
-        if best_worst is None or worst < best_worst:
-            best, best_worst = beta, worst
-        if all(r < eps for r in rr):
-            return beta, rr
-    raise RuntimeError(
-        f"search budget exhausted; best achieved ratio {best_worst} "
-        f"(holonomy {best.holonomy if best else None})"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -90,19 +90,6 @@ def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
     return w * w * (re * (re / tau.y) + c.q * (c.q * tau.y))
 
 
-def curve_transform(g: Mat2, c: TorusCurve) -> TorusCurve:
-    """Push a curve through the change of marking tau -> g(tau).
-
-    Satisfies Ext_{g(tau)}(transformed) = Ext_tau(original) for integer g
-    with det(g) = 1.
-    """
-    if not (g.is_unimodular() and g.det() == 1):
-        raise ValueError("marking changes must be integer with det 1")
-    p = c.p * g.a - c.q * g.b
-    q = -c.p * g.c + c.q * g.d
-    return TorusCurve(int(p), int(q))
-
-
 # ---------------------------------------------------------------------------
 # Certified suprema over slopes
 #
@@ -455,11 +442,6 @@ def _horocycle(f: WeightedTorusFoliation, level):
     return at, y0, cx
 
 
-def horocycle_point(f: WeightedTorusFoliation, level, sigma: float) -> UpperHalfPoint:
-    """Point of HS(f, level) at horocycle-flow parameter sigma."""
-    return UpperHalfPoint(*_horocycle(f, level)[0](sigma))
-
-
 def horocycle_samples_ext(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation, sigmas):
     """Ext(g) at horocycle-flow samples sigmas of HS(f, s): sigmas is a float
     or an array, and the result has the same type."""
@@ -700,7 +682,6 @@ def busemann_limit(
     f: WeightedTorusFoliation,
     x: UpperHalfPoint,
     tol: float,
-    slack: float = 1e-9,
 ) -> float:
     """Definition-based Busemann value: limit of d(x, ray(t)) - t.
 
@@ -708,24 +689,17 @@ def busemann_limit(
     MonotonicityError unless that estimate is certified."""
     from . import horolab
 
-    est = horolab.busemann_estimate(x0, f, x, horolab.TorusBackend(), tol=tol, slack=slack)
+    est = horolab.busemann_estimate(x0, f, x, horolab.TorusBackend(), tol=tol)
     if not est.certified:
         raise MonotonicityError(f"Busemann sequence not certified: {est.trace}")
     return est.value
 
 
-def ray_distance_minus_t(
-    minv: Mat2, u0: float, y: UpperHalfPoint, t: float
-) -> float:
-    """Stable D(t) = d_T(y, ray(t)) - t, valid for very large t.
-
-    Works with logarithms so that e^{2t} is never formed."""
-    return _ray_excess(minv, math.log(u0), y)(t)
-
-
 def _ray_excess(minv: Mat2, log_u0: float, y: UpperHalfPoint):
-    """t -> ray_distance_minus_t(minv, e^log_u0, y, t), with the terms free of
-    t (the chart image z of y, log |z|^2 and log(2 Im z)) computed once."""
+    """t -> d_T(y, ray(t)) - t for the ray chart(i e^log_u0 e^{2t}) (minv the
+    chart's inverse), stable for very large t: it works in logarithms, so
+    e^{2t} is never formed, and the terms free of t (the chart image z of y,
+    log |z|^2 and log(2 Im z)) are computed once."""
     z = mobius_apply(minv, y)
     log_r2 = math.log(z.x * z.x + z.y * z.y)
     log_2y = math.log(2.0 * z.y)

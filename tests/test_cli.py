@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -154,6 +155,22 @@ def test_origami_flow_exact(capsys):
     r = rec["results"]
     assert r["ext_vertical"]["value"] == "3/4" and r["ext_vertical"]["exact"]
     assert r["product"]["value"] == "9"
+
+
+def test_origami_flow_time_is_exact_at_the_double_stretch(capsys):
+    """--time flows by diag(k, 1/k) in doubles, k = exp(t): the Ext fields are
+    the exact values of that deformation, n (1/k) / k and n k / (1/k), and
+    their product is exactly n^2, even where Ext is far above 1e4."""
+    t = "-15.83711461575393"
+    rec, status = run_json(capsys, ["origami-flow", *L_ARGS, "--kind", "geodesic",
+                                    "--param", t, "--time"])
+    assert status == 0
+    k = math.exp(float(t))
+    big_k, big_k_inv = Fraction(k), Fraction(1.0 / k)
+    r = rec["results"]
+    for name, want in (("ext_vertical", 3 * big_k_inv / big_k),
+                       ("ext_horizontal", 3 * big_k / big_k_inv), ("product", Fraction(9))):
+        assert r[name]["exact"] and Fraction(r[name]["value"]) == want, name
 
 
 def test_origami_intersect(capsys):

@@ -20,14 +20,16 @@ def l_core_set():
 
 
 def test_torus_curve_set_edgeless():
-    curves = [T.TorusCurve(p, q) for p, q in [(1, 0), (0, 1), (1, 1), (2, 1)]]
-    cs = C.curve_set_from_torus(list(range(len(curves))), curves)
+    curves = tuple(T.TorusCurve(p, q) for p, q in [(1, 0), (0, 1), (1, 1), (2, 1)])
+    # i = |p1 q2 - q1 p2|: every pair of distinct classes meets
+    i_matrix = ((0, 1, 1, 1), (1, 0, 1, 2), (1, 1, 0, 1), (1, 2, 1, 0))
+    cs = C.CurveSet((0, 1, 2, 3), curves, i_matrix)
     g = C.build_graph(cs)
     assert g.edges == ()
 
 
 def test_single_vertex_graph():
-    cs = C.curve_set_from_torus(["a"], [T.TorusCurve(1, 0)])
+    cs = C.CurveSet(("a",), (T.TorusCurve(1, 0),), ((0,),))
     g = C.build_graph(cs)
     assert g.edges == ()
     assert C.graph_distance(g, "a", "a") == 0
@@ -35,7 +37,8 @@ def test_single_vertex_graph():
 
 def test_l_origami_adjacency():
     cs = l_core_set()
-    assert C.verify_curve_set(cs)
+    assert cs.i_matrix == tuple(tuple(O.crossing_number(a, b) for b in cs.payloads)
+                                for a in cs.payloads)
     g = C.build_graph(cs)
     edges = set(map(frozenset, g.edges))
     # disjoint pairs: the two horizontal cores, the two vertical cores, and
@@ -51,7 +54,7 @@ def test_graph_distance_bfs():
     assert C.graph_distance(g, "h0", "h1") == 1
     # the wide cores intersect; the only route passes a disjoint third curve
     assert C.graph_distance(g, "h0", "v0") > 1
-    iso = C.curve_set_from_torus(["x", "y"], [T.TorusCurve(1, 0), T.TorusCurve(0, 1)])
+    iso = C.CurveSet(("x", "y"), (T.TorusCurve(1, 0), T.TorusCurve(0, 1)), ((0, 1), (1, 0)))
     assert C.graph_distance(C.build_graph(iso), "x", "y") == C.UNREACHABLE
 
 

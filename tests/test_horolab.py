@@ -122,13 +122,13 @@ def test_busemann_estimate_matches_closed_form():
     ],
 )
 def test_torus_sampler_points_are_horocycle_points(p, q, weight, level):
-    """The sampler's 43 points are horocycle_point at 0, +-2^k (k < 21), bit for bit."""
+    """The sampler's 43 points are _horocycle's points at 0, +-2^k (k < 21), bit for bit."""
     f = T.WeightedTorusFoliation(weight, T.TorusCurve(p, q))
     sigmas = [0.0]
     for k in range(21):
         sigmas += [float(2**k), -float(2**k)]
     got = [(pt.x.hex(), pt.y.hex()) for pt in BE.horosphere_sampler(f, level)]
-    want = [T.horocycle_point(f, level, s) for s in sigmas]
+    want = [UpperHalfPoint(*T._horocycle(f, level)[0](s)) for s in sigmas]
     assert got == [(pt.x.hex(), pt.y.hex()) for pt in want]
 
 
@@ -153,6 +153,20 @@ def test_probe_origami_component_bound():
     assert res.tag == H.INCLUDED_CERTIFIED and res.bound == 4
     low = H.inclusion_probe(full, H.HoroBall(comp, Fraction(1, 100)), OB)
     assert low.tag in (H.EXCLUDED_WITNESS, H.INCONCLUSIVE)
+
+
+def test_origami_ext_encloses_weighted_core_exactly():
+    """For a weight w = num/den (num, den <= 59), the bracket on Ext(w * core)
+    of L's first horizontal cylinder at the base point holds the exact flat
+    bound (w c)^2 / n and cylinder bound w^2 c / h."""
+    cyl = O.cylinders(L, O.HORIZONTAL)[0]
+    base = O.MarkedFlatSurface.base_point(L)
+    flat, modulus = Fraction(cyl.circumference**2, L.n), Fraction(cyl.circumference, cyl.height)
+    for num in range(1, 60):
+        for den in range(1, 60):
+            w = Fraction(num, den)
+            b = OB.ext(base, O.MulticurveFoliation(((w, cyl),)))
+            assert b.lo <= w * w * flat and b.hi >= w * w * modulus, w
 
 
 def test_probe_rigidity_randomized():
@@ -213,5 +227,5 @@ def test_torus_and_origami_sups_agree_on_proportional_pairs():
 
 
 def test_sup_and_proportionality_live_only_in_horolab():
-    for cls in (H.GeometryBackend, H.TorusBackend, H.OrigamiBackend):
+    for cls in (H.TorusBackend, H.OrigamiBackend):
         assert not hasattr(cls, "sup_on_horoball") and not hasattr(cls, "proportionality")

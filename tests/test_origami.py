@@ -96,10 +96,8 @@ def test_horocycle_flow_fixes_vertical():
 
 def test_flow_dispatch_and_validation():
     x = O.MarkedFlatSurface.base_point(L)
-    y = O.flow(x, "geodesic", 0.5)
+    y = O.geodesic_flow(x, t=0.5)
     assert O.ext_vertical(y) == pytest.approx(3 * math.exp(-1.0))
-    with pytest.raises(ValueError):
-        O.flow(x, "elliptic", 1)
     with pytest.raises(ValueError):
         O.geodesic_flow(x, t=1.0, stretch=Fraction(2))
     with pytest.raises(ValueError):
@@ -153,6 +151,17 @@ def test_singularity_hit_and_retry():
     # robust_trace succeeds from a vertex-free offset
     t = O.robust_trace(L, 0, Fraction(1), offset=Fraction(1, 2))
     assert t.holonomy == (3, 3)
+
+
+def test_robust_trace_makes_six_attempts():
+    """From (x, 0) on the unit torus, slope m meets a vertex iff m x is an
+    integer.  For m = 162 the offsets 1/2, 1/6, ..., 1/162 all do, and the
+    sixth, 1/486, does not; for m = 486 all six do, so the call raises."""
+    t = O.robust_trace(TORUS, 0, Fraction(162))
+    assert t.segments[0][1] == (Fraction(1, 486), 0)
+    with pytest.raises(O.SingularityHit, match="no vertex-free offset") as info:
+        O.robust_trace(TORUS, 0, Fraction(486))
+    assert info.value.suggested_offset == Fraction(1, 2 * 3**6)
 
 
 def _march_trace(o, square, point, direction, max_steps=100000):
@@ -588,36 +597,6 @@ def test_walsh_E_value():
     assert O.walsh_E(fv, gamma, x) == Fraction(3, 2)
     narrow_h = [c for c in O.cylinders(L, O.HORIZONTAL) if c.circumference == 1][0]
     assert O.walsh_E(fv, O.core_trace(L, narrow_h), x) == Fraction(1, 2)
-
-
-def test_small_intersection_search_l_origami():
-    vcyls = O.cylinders(L, O.VERTICAL)
-    wide = [c for c in vcyls if c.circumference == 2][0]
-    other = [c for c in vcyls if c is not wide][0]
-    comps = [(Fraction(1), wide), (Fraction(1), other)]
-    beta, ratios = O.small_intersection_search(L, comps, Fraction(1, 1000))
-    assert all(r < Fraction(1, 1000) for r in ratios)
-    # the witness crosses F_0 but avoids the other cylinder entirely
-    assert O.crossing_number(O.core_trace(L, wide), beta) > 0
-    assert O.crossing_number(O.core_trace(L, other), beta) == 0
-
-
-def test_small_intersection_search_traces_each_slope_square_once(monkeypatch):
-    """A search that exhausts its candidates traces every (slope, square) once."""
-    wide = [c for c in O.cylinders(L, O.VERTICAL) if c.circumference == 2][0]
-    traced = []
-    real = O.robust_trace
-
-    def recording(o, square, slope, *args, **kwargs):
-        traced.append((slope, square))
-        return real(o, square, slope, *args, **kwargs)
-
-    monkeypatch.setattr(O, "robust_trace", recording)
-    # F_1 = F_0, so every ratio is 1 and no candidate meets eps
-    with pytest.raises(RuntimeError, match="search budget exhausted"):
-        O.small_intersection_search(L, [(1, wide), (1, wide)], Fraction(1, 2))
-    assert len(traced) == 88 * L.n  # 0, vert and +-num/denom, coprime, both <= 8
-    assert len(set(traced)) == len(traced)
 
 
 # ---------------------------------------------------------------------------
