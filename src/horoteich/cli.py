@@ -2,8 +2,9 @@
 
 Each subcommand parses one model description, runs one computation, and
 prints a machine-readable record (json by default, csv on request).  Every
-numeric field is tagged either exact or with a bracket/tolerance; output is
-deterministic for fixed inputs and seed apart from the timestamp field.
+numeric field is either exact (a rational string) or a float with a stated
+tolerance; output is deterministic for fixed inputs and seed apart from the
+timestamp field.
 
 Exit status: 0 success, 2 undecided or uncertified result, 1 input error
 (usage errors included).  ``run`` is the one request pipeline: parse, fill
@@ -22,7 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .kernel import Bracket, EnumerationBudgetError, TraceNotClosed, UpperHalfPoint, is_exact
+from .kernel import EnumerationBudgetError, TraceNotClosed, UpperHalfPoint
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -120,22 +121,6 @@ def num_exact(v) -> dict:
 
 def num_float(v, tol) -> dict:
     return {"value": float(v), "exact": False, "tolerance": float(tol)}
-
-
-def num_bracket(b: Bracket) -> dict:
-    return {
-        "value": b.lo if b.hi == math.inf else 0.5 * (b.lo + b.hi),
-        "exact": False,
-        "bracket": [b.lo, b.hi],
-    }
-
-
-def encode(v, tol=1e-12) -> dict:
-    if isinstance(v, Bracket):
-        return num_bracket(v)
-    if is_exact(v):
-        return num_exact(v)
-    return num_float(v, tol)
 
 
 def _flatten(prefix, obj, rows):
@@ -386,9 +371,9 @@ def cmd_origami_flow(args):
         y = O.horocycle_flow(x, parse_rational(args.param))
     ev, eh = O.ext_vertical(y), O.ext_horizontal(y)
     results = {
-        "ext_vertical": encode(ev),
-        "ext_horizontal": encode(eh),
-        "product": encode(ev * eh),
+        "ext_vertical": num_exact(ev),
+        "ext_horizontal": num_exact(eh),
+        "product": num_exact(ev * eh),
         "area_squared": num_exact(Fraction(o.n) ** 2),
     }
     return _inputs(args, "h", "v", "kind", "param", "time"), results, EXIT_OK
@@ -428,9 +413,9 @@ def cmd_growth_check(args):
     fitted = not math.isnan(quad)  # then both are rounded once from exact rationals
     results = {
         "ok": rep.ok,
-        "i_vertical": encode(rep.i_vertical),
-        "i_horizontal": encode(rep.i_horizontal),
-        "lower_bounds": [num_float(v, 1e-12) for v in rep.lower_bounds],
+        "i_vertical": num_exact(rep.i_vertical),
+        "i_horizontal": num_exact(rep.i_horizontal),
+        "lower_bounds": [num_float(v, math.ulp(v)) for v in rep.lower_bounds],
         "quadratic_coefficient": num_float(quad, math.ulp(quad) / 2 if fitted else 1e-9),
         "fit_residual": num_float(res, math.ulp(res) / 2 if fitted else 1e-12),
         "violations": len(rep.violations),

@@ -122,14 +122,15 @@ class OrigamiBackend:
 
         Lower bound: the largest component bound (Ext(F_i) <= Ext(F)).
         Upper bound: sum of weighted reciprocal cylinder moduli (the
-        disjoint embedded annuli give a joint competitor)."""
+        disjoint embedded annuli give a joint competitor), each addition
+        rounded up."""
         lo = 0.0
         hi = 0.0
         for w, cyl in f.components:
-            b = self.model.ext_bracket(self._core(cyl), point).mul_nonneg(Bracket.exact(w * w))
+            b = self.model.ext_bracket(self._core(cyl), point, w * w)
             lo = max(lo, b.lo)
-            hi = hi + b.hi if hi < math.inf and b.hi < math.inf else math.inf
-        return Bracket(lo, hi if hi == math.inf else math.nextafter(hi, math.inf))
+            hi = math.nextafter(hi + b.hi, math.inf)
+        return Bracket(lo, hi)
 
     def intersect(self, f, g):
         total = Fraction(0)
@@ -163,8 +164,8 @@ class OrigamiBackend:
         x = self.model.geodesic_flow(base, t=t)
         pts = [x]
         for k in range(11):
-            pts.append(self.model.horocycle_flow(x, float(2**k)))
-            pts.append(self.model.horocycle_flow(x, -float(2**k)))
+            pts.append(self.model.horocycle_flow(x, 2**k))
+            pts.append(self.model.horocycle_flow(x, -2**k))
         return pts
 
 

@@ -92,9 +92,6 @@ class Mat2(Frozen):
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def is_exact(self) -> bool:
-        return all(is_exact(v) for v in (self.a, self.b, self.c, self.d))
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.a * other.a + self.b * other.c,
@@ -112,8 +109,6 @@ class Mat2(Frozen):
         det = self.det()
         if det == 0:
             raise ValueError("singular matrix")
-        if self.is_exact():
-            det = Fraction(det)
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
 

@@ -2,9 +2,9 @@
 
 An origami is a pair of permutations (h, v) of the unit squares: h names the
 square to the right, v the square on top.  Points on the SL(2,R) orbit carry
-a 2x2 deformation matrix acting on (x, y) coordinates; flat lengths, crossing
-counts and transverse measures stay exact whenever the matrix entries are
-rational.
+a 2x2 deformation matrix of exact rationals acting on (x, y) coordinates (the
+flows take a double parameter at its exact value), so flat lengths, crossing
+counts and transverse measures are exact.
 
 Coordinate convention: vectors are (x, y); the geodesic flow is
 diag(e^t, e^{-t}) and the horocycle flow is the lower-triangular shear
@@ -232,8 +232,8 @@ class MarkedFlatSurface(Frozen):
 
     @cached_property
     def gram(self):
-        """Integers with |deform (x, y)|^2 / det = (A x^2 + 2 B x y + C y^2) / D: the exact entries
-        (a float too) over one denominator.  D > 0, as the float det is (rounding is monotone)."""
+        """Integers with |deform (x, y)|^2 / det = (A x^2 + 2 B x y + C y^2) / D: the deform
+        entries over one denominator.  D > 0, as det is."""
         m = self.deform
         ratios = [v.as_integer_ratio() for v in (m.a, m.b, m.c, m.d)]
         q = math.lcm(*(den for _, den in ratios))
@@ -246,39 +246,33 @@ class MarkedFlatSurface(Frozen):
 
 
 def geodesic_flow(x: MarkedFlatSurface, t: float = None, stretch=None) -> MarkedFlatSurface:
-    """diag(e^t, e^{-t}) composed onto the marking.
-
-    Pass ``stretch`` = e^t as an exact rational to keep the point exact.
-    """
+    """diag(k, 1/k) composed onto the marking, with k the given ``stretch`` or the
+    double e^t, each taken as an exact rational."""
     if (t is None) == (stretch is None):
         raise ValueError("give exactly one of t, stretch")
-    k = stretch if stretch is not None else math.exp(t) if abs(t) < 710.0 else 0.0
-    if stretch is None and not sys.float_info.min <= k <= 1.0 / sys.float_info.min:
-        raise ValueError(f"geodesic time {t} is out of range")  # e^t or e^-t not normal
-    if not k > 0:
+    if stretch is None:
+        stretch = math.exp(t) if abs(t) < 710.0 else 0.0
+        if not sys.float_info.min <= stretch <= 1.0 / sys.float_info.min:
+            raise ValueError(f"geodesic time {t} is out of range")  # e^t or e^-t not normal
+    if not stretch > 0:
         raise ValueError("stretch must be positive")
-    if is_exact(k):
-        m = Mat2(Fraction(k), Fraction(0), Fraction(0), 1 / Fraction(k))
-    else:
-        m = Mat2(float(k), 0.0, 0.0, 1.0 / float(k))
-    return MarkedFlatSurface(x.base, m @ x.deform)
+    k, m = Fraction(stretch), x.deform
+    return MarkedFlatSurface(x.base, Mat2(k * m.a, k * m.b, m.c / k, m.d / k))
 
 
 def horocycle_flow(x: MarkedFlatSurface, s) -> MarkedFlatSurface:
-    """Shear (x, y) -> (x, y + s*x); fixes dx, hence the vertical foliation."""
-    if is_exact(s):
-        m = Mat2(Fraction(1), Fraction(0), Fraction(s), Fraction(1))
-    else:
-        m = Mat2(1.0, 0.0, float(s), 1.0)
-    return MarkedFlatSurface(x.base, m @ x.deform)
+    """Shear (x, y) -> (x, y + s*x) by the exact rational s; fixes dx, hence the
+    vertical foliation."""
+    s, m = Fraction(s), x.deform
+    return MarkedFlatSurface(x.base, Mat2(m.a, m.b, m.c + s * m.a, m.d + s * m.b))
 
 
 def ext_vertical(x: MarkedFlatSurface) -> Fraction:
     """Extremal length of the base vertical foliation (measure |dx|).
 
     Equals the deformed L1-norm of the defining differential: area at the
-    base point, e^{-2t} * area under the geodesic flow, horocycle-invariant.
-    Exact, n C / D from ``x.gram``, on float deformations too.
+    base point, area / k^2 under diag(k, 1/k), horocycle-invariant.
+    Exact, n C / D from ``x.gram``.
     """
     _, _, big_c, big_d = x.gram
     return Fraction(x.base.n * big_c, big_d)
@@ -524,23 +518,25 @@ def _find_cylinder_for(t: CurveTrace):
     return cyl if abs(t.holonomy[0] + t.holonomy[1]) == cyl.circumference else None
 
 
-def ext_bracket(t: CurveTrace, x: MarkedFlatSurface) -> Bracket:
-    """Certified enclosure of the extremal length of the trace's class.
+def ext_bracket(t: CurveTrace, x: MarkedFlatSurface, w2=1) -> Bracket:
+    """Certified enclosure of w2 (a rational squared weight) times the
+    extremal length of the trace's class.
 
     Lower bound: flat-metric competitor (deformed length squared over
     area).  Upper bound: reciprocal modulus of the embedded cylinder when
-    the trace is a cylinder core, +inf otherwise.  Both are exact over the
-    deform entries (integers from ``x.gram``), then rounded once outward.
+    the trace is a cylinder core, +inf otherwise.  Both are integer ratios
+    from ``x.gram`` and w2, rounded once outward.
     """
     big_a, big_b, big_c, big_d = x.gram
+    p, q = w2.as_integer_ratio()
     hx, hy = t.holonomy
-    lo = round_ratio(big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy,
-                     big_d * x.base.n, -math.inf)
+    lo = round_ratio(p * (big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy),
+                     q * big_d * x.base.n, -math.inf)
     cyl = _find_cylinder_for(t)
     if cyl is None:
         return Bracket(lo, math.inf)
-    hi = round_ratio(cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
-                     big_d * cyl.height, math.inf)
+    hi = round_ratio(p * cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
+                     q * big_d * cyl.height, math.inf)
     return Bracket(lo, hi)  # flat bound <= cylinder bound, as circumference * height <= n
 
 

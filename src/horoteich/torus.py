@@ -23,7 +23,6 @@ from .kernel import (
     UpperHalfPoint,
     _set,
     hyperbolic_distance,
-    is_exact,
     mobius_apply,
 )
 
@@ -471,8 +470,7 @@ def triple_tangency_levels(i_ab, i_ag, i_bg):
     vals = [i_ab, i_ag, i_bg]
     if any(not v > 0 for v in vals):
         raise ValueError("all three intersection numbers must be positive")
-    if all(is_exact(v) for v in vals):
-        i_ab, i_ag, i_bg = (Fraction(v) for v in vals)
+    i_ab, i_ag, i_bg = (Fraction(v) for v in vals)
     r = i_ab * i_ag / i_bg
     s = i_ab * i_bg / i_ag
     t = i_ag * i_bg / i_ab
@@ -498,7 +496,7 @@ def ratio_curve_search(
         raise ValueError("eps must be strictly positive")
     if not target > 0:
         raise ValueError("target must be positive")
-    target = Fraction(target) if is_exact(target) else target
+    target = Fraction(target)
 
     def reduced(u, w):
         p, q = u * alpha.p + w * beta.p, u * alpha.q + w * beta.q

@@ -158,18 +158,17 @@ def test_origami_flow_exact(capsys):
 
 
 def test_origami_flow_time_is_exact_at_the_double_stretch(capsys):
-    """--time flows by diag(k, 1/k) in doubles, k = exp(t): the Ext fields are
-    the exact values of that deformation, n (1/k) / k and n k / (1/k), and
-    their product is exactly n^2, even where Ext is far above 1e4."""
+    """--time flows by exactly diag(k, 1/k), k the double exp(t) taken as a
+    rational: the Ext fields are n / k^2 and n k^2, and their product is
+    exactly n^2, even where Ext is far above 1e4."""
     t = "-15.83711461575393"
     rec, status = run_json(capsys, ["origami-flow", *L_ARGS, "--kind", "geodesic",
                                     "--param", t, "--time"])
     assert status == 0
-    k = math.exp(float(t))
-    big_k, big_k_inv = Fraction(k), Fraction(1.0 / k)
+    big_k = Fraction(math.exp(float(t)))
     r = rec["results"]
-    for name, want in (("ext_vertical", 3 * big_k_inv / big_k),
-                       ("ext_horizontal", 3 * big_k / big_k_inv), ("product", Fraction(9))):
+    for name, want in (("ext_vertical", 3 / big_k**2),
+                       ("ext_horizontal", 3 * big_k**2), ("product", Fraction(9))):
         assert r[name]["exact"] and Fraction(r[name]["value"]) == want, name
 
 
@@ -188,6 +187,23 @@ def test_growth_check(capsys):
     )
     assert status == 0 and rec["results"]["ok"] is True
     assert rec["results"]["violations"] == 0
+
+
+def test_growth_lower_bounds_are_within_their_tolerance(capsys):
+    """Each lower bound is the exact flat bound at its shear, rounded down
+    once, so it lies within its one-ulp tolerance of that bound, also near
+    1.3e16 where a fixed 1e-12 cannot hold."""
+    from horoteich import origami as O
+    s_values = ["1", "2.5", "7e3", "1e8"]
+    rec, status = run_json(capsys, ["growth-check", *L_ARGS, "--s-values", ",".join(s_values)])
+    assert status == 0
+    o = O.build_origami([2, 1, 3], [3, 2, 1])
+    hx, hy = O.robust_trace(o, 0, Fraction(0), offset=Fraction(1, 2)).holonomy
+    bounds = rec["results"]["lower_bounds"]
+    assert len(bounds) == len(s_values)
+    for s, got in zip(map(Fraction, s_values), bounds):
+        flat = (hx * hx + (s * hx + hy) ** 2) / o.n
+        assert abs(Fraction(got["value"]) - flat) <= Fraction(got["tolerance"]), s
 
 
 def test_walsh_e(capsys):
@@ -340,6 +356,8 @@ def test_input_errors_exit_one(capsys):
         (["ball-limit", "--tau0", "1e300+1i", "--curve", "2,1"], 1),
         (["growth-check", *L_ARGS, "--s-values", "1e200,2e200,3e200"], 1),
         (["growth-check", *L_ARGS, "--s-values", "1e155"], 1),
+        (["origami-flow", *L_ARGS, "--kind", "horocycle", "--param", "1e400"], 1),
+        (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "1e400"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
@@ -351,7 +369,8 @@ def test_input_errors_exit_one(capsys):
          "usage-bad-choice", "ext-zero-weight", "intersect-edge-offset",
          "growth-edge-offset", "walsh-edge-offset", "busemann-far-tau0",
          "ball-limit-far-tau0", "growth-bound-beyond-double-range",
-         "growth-lower-bound-beyond-double-range"],
+         "growth-lower-bound-beyond-double-range", "flow-shear-beyond-double-range",
+         "flow-stretch-beyond-double-range"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")

@@ -169,6 +169,21 @@ def test_origami_ext_encloses_weighted_core_exactly():
             assert b.lo <= w * w * flat and b.hi >= w * w * modulus, w
 
 
+def test_origami_ext_upper_sum_is_rounded_up():
+    """Over four components, hi is at least the exact sum of the weighted
+    cylinder bounds: three sums rounded to nearest can lose more than the
+    one ulp a single final step adds, so each addition is rounded up."""
+    o = O.build_origami([4, 2, 8, 1, 5, 7, 6, 3], [2, 7, 3, 8, 6, 5, 1, 4])
+    weights = (Fraction(37, 41), Fraction(59, 4), Fraction(44, 59), Fraction(2, 25))
+    f = O.MulticurveFoliation(tuple(zip(weights, O.cylinders(o, O.VERTICAL))))
+    base = O.MarkedFlatSurface.base_point(o)
+    x = O.horocycle_flow(O.geodesic_flow(base, stretch=Fraction(1, 39)), 6)
+    m = x.deform
+    exact = sum(w * w * c.circumference * (m.b**2 + m.d**2) / (m.det() * c.height)
+                for w, c in f.components)
+    assert Fraction(H.OrigamiBackend(o).ext(x, f).hi) >= exact
+
+
 def test_probe_rigidity_randomized():
     """Non-proportional pairs are never certified included (rigidity)."""
     rng = np.random.default_rng(17)

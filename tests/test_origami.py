@@ -451,8 +451,8 @@ def _float_toward(v, toward):
 
 
 def _random_marking(rng, x):
-    """One to three flows, each an exact shear or stretch, a float shear
-    |s| <= 50 or a float geodesic time |t| <= 5."""
+    """One to three flows, each a rational shear or stretch, a double shear
+    |s| <= 50 or a double geodesic time |t| <= 5."""
     for _ in range(rng.randint(1, 3)):
         kind = rng.randrange(4)
         if kind == 0:
@@ -467,12 +467,11 @@ def _random_marking(rng, x):
 
 
 def test_ext_bracket_encloses_the_exact_bounds():
-    """On float deformations as on exact ones, lo is at most the flat bound
-    and a finite hi at least the cylinder bound.  On exact ones the bracket
-    is each bound rounded to nearest, then one ulp outward if on the wrong
-    side, with lo capped at hi."""
+    """The flows take double parameters at their exact values, so every
+    marking is exact, and the bracket is each bound rounded to nearest, then
+    one ulp outward if on the wrong side, with lo capped at hi."""
     rng = random.Random(15)
-    checked = {True: 0, False: 0}
+    checked = 0
     for o in (L, STAIRCASE):
         traces = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
                   for c in O.cylinders(o, d)]
@@ -483,14 +482,40 @@ def test_ext_bracket_encloses_the_exact_bounds():
             for t in traces:
                 br = O.ext_bracket(t, x)
                 flat, cyl = _ext_bounds(t, x)
-                assert Fraction(br.lo) <= flat
-                assert br.hi == math.inf if cyl is None else Fraction(br.hi) >= cyl
-                if x.deform.is_exact():
-                    lo = _float_toward(flat, -math.inf)
-                    hi = math.inf if cyl is None else _float_toward(cyl, math.inf)
-                    assert (br.lo, br.hi) == (min(lo, hi), hi)
-                checked[x.deform.is_exact()] += 1
-    assert min(checked.values()) > 1000
+                lo = _float_toward(flat, -math.inf)
+                hi = math.inf if cyl is None else _float_toward(cyl, math.inf)
+                assert (br.lo, br.hi) == (min(lo, hi), hi)
+                checked += 1
+    assert checked > 3000
+
+
+def test_weighted_ext_bracket_rounds_once():
+    """ext_bracket(t, x, w^2) is w^2 times each exact bound, rounded to
+    nearest and then one ulp outward if on the wrong side: one rounding,
+    not a product of brackets."""
+    rng = random.Random(16)
+    for o in (L, STAIRCASE):
+        traces = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
+                  for c in O.cylinders(o, d)]
+        base = O.MarkedFlatSurface.base_point(o)
+        for x in [base] + [_random_marking(rng, base) for _ in range(40)]:
+            for _ in range(30):
+                w2 = Fraction(rng.randint(1, 59), rng.randint(1, 59)) ** 2
+                for t in traces:
+                    flat, cyl = _ext_bounds(t, x)
+                    assert O.ext_bracket(t, x, w2) == Bracket(
+                        _float_toward(w2 * flat, -math.inf), _float_toward(w2 * cyl, math.inf))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.floats(-30.0, 30.0), st.floats(-1e6, 1e6))
+def test_flows_at_double_parameters_are_exact(t, s):
+    """A double time and shear are flowed at their exact values: the marking
+    stays in SL(2, Q), and Ext of the vertical foliation is n / k^2 with k
+    the double e^t."""
+    x = O.horocycle_flow(O.geodesic_flow(O.MarkedFlatSurface.base_point(L), t=t), s)
+    assert x.deform.det() == 1
+    assert O.ext_vertical(x) == L.n / Fraction(math.exp(t)) ** 2
 
 
 def test_growth_check_quadratic():
