@@ -265,9 +265,9 @@ def cmd_tangency(args):
     }
     if tangent:
         pt = T.tangency_point(h1, h2)
-        results["tangent_point"] = {
-            "re": num_float(pt.x, 1e-10),
-            "im": num_float(pt.y, 1e-10),
+        results["tangent_point"] = {  # the exact point, each coordinate rounded once
+            "re": num_float(pt.x, math.ulp(pt.x) / 2),
+            "im": num_float(pt.y, math.ulp(pt.y) / 2),
         }
     return _inputs(args, "curve1", "level1", "curve2", "level2"), results, EXIT_OK
 

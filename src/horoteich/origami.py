@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -306,8 +307,8 @@ class CurveTrace(Frozen):
         a, b = self.direction
         period = self.segments[:a + abs(b)]
         d = math.lcm(*(c.denominator for _, p, q in period for c in (*p, *q)))
-        scaled = [(int(x0 * d), int(y0 * d), int((x1 - x0) * d), int((y1 - y0) * d))
-                  for _, (x0, y0), (x1, y1) in period]
+        ends = [[c.numerator * (d // c.denominator) for c in (*p, *q)] for _, p, q in period]
+        scaled = [(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in ends]
         by_square = {}
         for (s, _, _), seg in zip(self.segments, itertools.cycle(scaled)):
             by_square.setdefault(s, []).append(seg)
@@ -459,9 +460,12 @@ def crossing_number(t1: CurveTrace, t2: CurveTrace) -> int:
     position, so this is the geometric intersection number; parallel
     distinct traces are disjoint (0), identical traces give 0.
 
-    Integers only, on the scaled segments (P, E) over d: with m = E1 x E2
-    made positive, the parameters t = tn / (d2 m) and u = un / (d1 m) must
-    lie in [0, 1] and the crossing point in the half-open [0, 1)^2.
+    Every segment runs from edge to edge of its square, so t1's segments
+    in a square are whole chords of lines b1*X - a1*Y = c, and a t2 segment
+    crosses the chords whose offset c lies between those of its ends.  Per
+    square, t1's offsets (integers, times d1*d2) are sorted and each t2
+    segment counts them by bisection: O((m1 + m2) log m1).  A crossing at an
+    end counts only on the left or bottom edge, as [0, 1)^2 is half-open.
     """
     if t1.origami is not t2.origami and t1.origami != t2.origami:
         raise ValueError("traces live on different origamis")
@@ -471,26 +475,17 @@ def crossing_number(t1: CurveTrace, t2: CurveTrace) -> int:
     d1, segs1 = t1.scaled_segments
     d2, segs2 = t2.scaled_segments
     count = 0
-    for s, group1 in segs1.items():
-        group2 = segs2.get(s)
-        if group2 is None:
-            continue
-        for px1, py1, ex1, ey1 in group1:
-            ax, ay = px1 * d2, py1 * d2
-            for px2, py2, ex2, ey2 in group2:
-                m = ex1 * ey2 - ey1 * ex2
-                if m == 0:
-                    continue
-                wx, wy = px2 * d1 - ax, py2 * d1 - ay
-                tn = wx * ey2 - wy * ex2
-                un = wx * ey1 - wy * ex1
-                if m < 0:
-                    m, tn, un = -m, -tn, -un
-                if not (0 <= tn <= d2 * m and 0 <= un <= d1 * m):
-                    continue
-                side = d1 * d2 * m
-                if 0 <= ax * m + tn * ex1 < side and 0 <= ay * m + tn * ey1 < side:
-                    count += 1
+    for s in segs2.keys() & segs1.keys():
+        offsets = sorted([(b1 * px - a1 * py) * d2 for px, py, _, _ in segs1[s]])
+        for px, py, ex, ey in segs2[s]:
+            lo = (b1 * px - a1 * py) * d1
+            hi = lo + (b1 * ex - a1 * ey) * d1
+            lo_in = px == 0 or py == 0
+            hi_in = px + ex == 0 or py + ey == 0
+            if lo > hi:
+                lo, hi, lo_in, hi_in = hi, lo, hi_in, lo_in
+            count += ((bisect_right(offsets, hi) if hi_in else bisect_left(offsets, hi))
+                      - (bisect_left(offsets, lo) if lo_in else bisect_right(offsets, lo)))
     return count
 
 

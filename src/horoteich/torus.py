@@ -346,22 +346,37 @@ def geodesic_between(f: TorusCurve, g: TorusCurve) -> TorusGeodesic:
 def tangent_point(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation) -> UpperHalfPoint:
     """Unique point on the (f, g) geodesic with Ext(f) = s.
 
-    In the geodesic's chart m, with m(inf) the endpoint of f, Ext(f)(m(w)) =
-    k / Im w, so the point is m(i k / s) with k = Ext(f)(m(i)).  ValueError
-    if its height, in the chart or in the half-plane, is not a normal double.
+    In the geodesic's chart m (_endpoint_chart's, with exact entries),
+    Ext(f)(m(w)) = k / Im w, so the point is m(i k / s) with k = Ext(f)(m(i)):
+    exact Fractions, each coordinate rounded once, so within half an ulp.
+    ValueError if its height, in the chart or in the half-plane, is not a
+    normal double.
     """
     if not s > 0:
         raise ValueError("level must be positive")
     if f.curve == g.curve:
         raise ValueError("curves coincide; no transverse pair")
-    m = _endpoint_chart(f.curve.boundary_point(), g.curve.boundary_point())
-    height = Fraction(extremal_length(mobius_apply(m, UpperHalfPoint(0.0, 1.0)), f)) / Fraction(s)
+    alpha, beta = f.curve.boundary_point(), g.curve.boundary_point()
+    if alpha == INFINITY:
+        a, b, c, d = 1, beta, 0, 1
+    elif beta == INFINITY:
+        a, b, c, d = alpha, -1, 1, 0
+    elif alpha > beta:
+        a, b, c, d = alpha, beta, 1, 1
+    else:
+        a, b, c, d = alpha, -beta, 1, -1
+
+    def chart(y):  # m(iy) = ((bd + ac y^2) + i (ad - bc) y) / (d^2 + c^2 y^2)
+        den = d * d + c * c * y * y
+        return UpperHalfPoint((b * d + a * c * y * y) / den, (a * d - b * c) * y / den)
+
+    height = Fraction(extremal_length(chart(Fraction(1)), f)) / Fraction(s)
     if not _TINY <= height <= _HUGE:
         raise ValueError(OUT_OF_RANGE)
-    pt = mobius_apply(m, UpperHalfPoint(0.0, float(height)))
+    pt = chart(height)
     if not _TINY <= pt.y <= _HUGE:
         raise ValueError(OUT_OF_RANGE)
-    return pt
+    return UpperHalfPoint(float(pt.x), float(pt.y))
 
 
 # ---------------------------------------------------------------------------

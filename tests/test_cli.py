@@ -10,6 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from horoteich import cli
 from horoteich.kernel import UpperHalfPoint
@@ -105,6 +106,49 @@ def test_tangency(capsys):
     assert status == 0 and rec["results"]["tangent"] is True
     pt = rec["results"]["tangent_point"]
     assert (pt["re"]["value"], pt["im"]["value"]) == (0.0, 1.0)
+
+
+def _exact_tangent_point(c1, s, c2):
+    """The point of the (c1, c2) geodesic with Ext_c1 = s, exactly.  On the
+    semicircle over [alpha, beta], |tau - alpha|^2 = (x - alpha)(beta - alpha),
+    so Ext_c1 = q1^2 (x - alpha)(beta - alpha) / y = s and y^2 = (x - alpha)(beta - x)
+    give x - alpha = u = span s^2 / (s^2 + q1^4 span^2), span = beta - alpha."""
+    (p1, q1), (p2, q2) = c1, c2
+    if q1 == 0:  # alpha = inf: the line x = beta, where Ext_c1 = 1 / y
+        return Fraction(-p2, q2), 1 / s
+    alpha = Fraction(-p1, q1)
+    if q2 == 0:  # beta = inf: the line x = alpha, where Ext_c1 = q1^2 y
+        return alpha, s / q1**2
+    span = Fraction(-p2, q2) - alpha
+    u = span * s * s / (s * s + q1**4 * span**2)
+    return alpha + u, q1 * q1 * u * span / s
+
+
+TORUS_CURVES = [(p, q) for p in range(8) for q in range(-7, 8)
+                if math.gcd(p, q) == 1 and (p > 0 or q == 1)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.sampled_from(TORUS_CURVES), min_size=2, max_size=2, unique=True),
+    st.floats(-20.0, 20.0).map(lambda e: Fraction(10.0**e)),
+)
+@example([(1, 0), (2, 1)], Fraction(7, 10**20))
+def test_tangent_point_is_within_its_tolerance(pair, s):
+    """Curves with |p|, |q| <= 7, levels log-uniform in [1e-20, 1e20]: each
+    coordinate of the tangent point is within its tolerance of the exact
+    point.  (At 7/10^20 on (1, 0) and (2, 1), Im is 10^20/7, and its double
+    is 877.7 away.)"""
+    (c1, c2), i = pair, abs(pair[0][0] * pair[1][1] - pair[0][1] * pair[1][0])
+    args = cli.build_parser().parse_args(
+        ["tangency", "--curve1", "%d,%d" % c1, "--level1", str(s),
+         "--curve2", "%d,%d" % c2, "--level2", str(i * i / s)])
+    _, results, status = args.fn(args)
+    assert status == 0 and results["tangent"] is True
+    pt = results["tangent_point"]
+    for field, exact in zip(("re", "im"), _exact_tangent_point(c1, s, c2)):
+        value, tol = pt[field]["value"], pt[field]["tolerance"]
+        assert abs(Fraction(value) - exact) <= Fraction(tol), (field, value, exact)
 
 
 def test_ratio_curve(capsys):

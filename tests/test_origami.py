@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from horoteich.kernel import Bracket, Mat2
 from horoteich import origami as O
@@ -363,6 +363,91 @@ def test_integer_crossing_matches_fraction_reference():
                 assert O.crossing_number(t1, t2) == _fraction_crossing_number(t1, t2)
                 compared += 1
     assert compared > 1500
+
+
+def test_crossing_at_segment_ends_counts_once():
+    """On the unit torus, lines through (0, 1/2) of slope 1 and -1 meet the
+    horizontal and vertical lines through 1/2 at ends of their segments:
+    on the left or bottom edge the crossing counts, on the right or top
+    edge (the same point, seen from the next square) it does not."""
+    start = (Fraction(0), Fraction(1, 2))
+    up = O.trace_from_point(TORUS, 0, start, (1, 1))
+    down = O.trace_from_point(TORUS, 0, start, (1, -1))
+    horizontal = O.trace_from_point(TORUS, 0, start, (1, 0))
+    vertical = O.trace_from_point(TORUS, 0, (Fraction(1, 2), Fraction(0)), (0, 1))
+    for t1 in (horizontal, vertical):
+        for t2 in (up, down):
+            assert O.crossing_number(t1, t2) == 1 == _fraction_crossing_number(t1, t2)
+            assert O.crossing_number(t2, t1) == 1 == _fraction_crossing_number(t2, t1)
+
+
+@st.composite
+def _origamis(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    h = draw(st.permutations(range(1, n + 1)))
+    v = draw(st.permutations(range(1, n + 1)))
+    try:
+        return O.build_origami(h, v)
+    except ValueError:  # disconnected
+        assume(False)
+
+
+@st.composite
+def _edge_traces(draw, o, bound=6):
+    """A closed trace from an edge point k/m (m <= 6) in a direction with
+    |a|, |b| <= bound, or None when that line meets a vertex."""
+    a = draw(st.integers(0, bound))
+    b = draw(st.integers(-bound, bound)) if a else 1
+    m = draw(st.integers(2, 6))
+    k = Fraction(draw(st.integers(1, m - 1)), m)
+    point = draw(st.sampled_from([(k, Fraction(0)), (Fraction(0), k)]))
+    try:
+        return O.trace_from_point(o, draw(st.integers(0, o.n - 1)), point, (a, b))
+    except O.SingularityHit:
+        return None
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.data())
+def test_crossing_number_matches_fraction_reference_on_random_origamis(data):
+    """Random origamis (n <= 12), up to three edge traces with small offset
+    denominators (so segment ends often lie on the other trace's chords)
+    and every cylinder core: each ordered pair agrees with the Fraction
+    reference."""
+    o = data.draw(_origamis())
+    traces = [data.draw(_edge_traces(o)) for _ in range(data.draw(st.integers(1, 3)))]
+    traces = [t for t in traces if t is not None]
+    traces += [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL) for c in O.cylinders(o, d)]
+    for t1 in traces:
+        for t2 in traces:
+            assert O.crossing_number(t1, t2) == _fraction_crossing_number(t1, t2)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_unit_torus_crossing_is_the_determinant(data):
+    """On the unit torus, lines of primitive directions (a1, b1), (a2, b2)
+    with |a|, |b| <= 12 from random edge points cross |a1*b2 - a2*b1| times."""
+    t1, t2 = data.draw(_edge_traces(TORUS, 12)), data.draw(_edge_traces(TORUS, 12))
+    assume(t1 is not None and t2 is not None)
+    (a1, b1), (a2, b2) = t1.direction, t2.direction
+    assert O.crossing_number(t1, t2) == abs(a1 * b2 - a2 * b1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_scaled_segments_are_the_scaled_fractions(data):
+    """The integer scaling equals the Fraction products it replaced, square
+    by square, with the same d, and d clears every denominator."""
+    t = data.draw(_edge_traces(data.draw(_origamis())))
+    assume(t is not None)
+    d, got = t.scaled_segments
+    want = {}
+    for s, (x0, y0), (x1, y1) in t.segments:
+        assert all((c * d).denominator == 1 for c in (x0, y0, x1, y1))
+        want.setdefault(s, []).append(
+            (int(x0 * d), int(y0 * d), int((x1 - x0) * d), int((y1 - y0) * d)))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
