@@ -1,18 +1,20 @@
 """Model-agnostic horoball algebra over a geometry backend.
 
 A backend supplies only geometry for one concrete model, in four methods:
-``ext(point, f)``, the extremal length of f at point (exact, float, or
-Bracket); ``intersect(f, g)``, the exact intersection pairing;
-``subfoliation_coeffs(f, g)``, the coefficients a_i with f = sum a_i *
+``ext(point, f)``, a Bracket on the extremal length of f at point;
+``intersect(f, g)``, the intersection pairing as a Fraction;
+``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
 (components of g), else None; and ``horosphere_sampler(f, level)``, points of
 the horosphere {Ext(f) = level}.  The torus backend also has ``distance`` and
 ``ray`` for the Busemann machinery.  Proportionality, the sup of Ext over a
 horoball, the relations between horoballs (tangency, disjointness, nesting)
 and the Busemann machinery are implemented here once.
 
-Certification is tri-state throughout: a strict comparison that a bracket
-cannot settle yields Undecided instead of a guess.  This module imports
-neither model; each backend imports its own on first use.
+Levels, pairings and sup bounds are exact rationals (a float level is the
+rational it denotes), so every relation is an exact comparison; Ext is known
+only up to its bracket, so a sample excludes only when the bracket's lower
+end lies above the level.  This module imports neither model; each backend
+imports its own on first use.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import importlib
 import math
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, UpperHalfPoint, _set, is_exact
+from .kernel import Bracket, Frozen, Record, UpperHalfPoint, _set
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -36,7 +38,8 @@ INCONCLUSIVE = "Inconclusive"
 
 
 class HoroBall(Frozen):
-    """Sub-level set {Ext(.)(foliation) <= level} in backend terms."""
+    """Sub-level set {Ext(.)(foliation) <= level} in backend terms; the level
+    is kept as the exact rational it denotes."""
 
     _fields = ("foliation", "level")
 
@@ -44,7 +47,7 @@ class HoroBall(Frozen):
         if not level > 0:
             raise ValueError("level must be positive")
         _set(self, "foliation", foliation)
-        _set(self, "level", level)
+        _set(self, "level", Fraction(level))
 
 
 class HoroRelation(Record):
@@ -75,8 +78,17 @@ class TorusBackend:
 
     model = _Model("torus")
 
-    def ext(self, point, f):
-        return self.model.extremal_length(point, f)
+    def ext(self, point, f) -> Bracket:
+        """Bracket for Ext at a point with double coordinates: the 5
+        roundings of _ext widened by 2^-49 (16 u, as in the torus module's
+        sup bounds), times the weight squared rounded outward; [0, inf]
+        where _ext is out of range."""
+        c = f.curve
+        e = self.model._ext(c.p, c.q, *point.x.as_integer_ratio(), point.y)
+        if e is None:
+            return Bracket(0.0, math.inf)
+        unit = Bracket(e * (1.0 - 2.0**-49), e * (1.0 + 2.0**-49))
+        return unit.mul_nonneg(Bracket.exact(Fraction(f.weight) ** 2))
 
     def intersect(self, f, g):
         return self.model.foliation_intersection(f, g)
@@ -173,10 +185,6 @@ class OrigamiBackend:
 # Relations
 
 
-def _exact_pair(a, b) -> bool:
-    return is_exact(a) and is_exact(b)
-
-
 def _common_ratio(coeffs):
     """The one nonzero k when every coefficient equals k, else None."""
     return coeffs[0] if coeffs and coeffs[0] != 0 and len(set(coeffs)) == 1 else None
@@ -188,7 +196,8 @@ def proportionality(f, g, backend):
 
 
 def sup_on_horoball(f1, level1, f2, backend):
-    """sup of Ext(f2) over HB(f1, level1): a finite bound, inf, or None.
+    """sup of Ext(f2) over HB(f1, level1): inf, None, or a finite bound, a
+    Fraction for the Fraction level of a HoroBall.
 
     f2 = c*f1: exactly c^2 * level1, since Ext(cF) = c^2 Ext(F).  Other
     sub-foliations f2 = sum a_i * (k components of f1): the paper constant
@@ -206,29 +215,19 @@ def sup_on_horoball(f1, level1, f2, backend):
 def classify(h1, h2, backend) -> HoroRelation:
     """Relation between two horoballs.
 
-    With i = i(f1, f2) > 0 the product of levels against i^2 decides
-    tangent/disjoint/overlapping.  With i = 0, a Nested tag means the
-    second ball's family eventually sits inside the first's (the first
-    foliation is a scaled sub-foliation of the second); ties between
+    With i = i(f1, f2) > 0 the product of levels against i^2, compared
+    exactly, decides tangent/disjoint/overlapping.  With i = 0, a Nested tag
+    means the second ball's family eventually sits inside the first's (the
+    first foliation is a scaled sub-foliation of the second); ties between
     proportional foliations nest by normalized level.
     """
     f1, l1 = h1.foliation, h1.level
     f2, l2 = h2.foliation, h2.level
     i = backend.intersect(f1, f2)
     if i > 0:
-        prod = l1 * l2
-        isq = i * i
-        if _exact_pair(prod, isq):
-            prod, isq = Fraction(prod), Fraction(isq)
-            if prod == isq:
-                return HoroRelation(TANGENT, {"product": prod, "i_squared": isq})
-            tag = DISJOINT_BALLS if prod < isq else OVERLAPPING
-            return HoroRelation(tag, {"product": prod, "i_squared": isq})
-        p, q = float(prod), float(isq)
-        if abs(p - q) <= 1e-12 * max(abs(p), abs(q)):
-            return HoroRelation(UNDECIDED, {"product": p, "i_squared": q})
-        tag = DISJOINT_BALLS if p < q else OVERLAPPING
-        return HoroRelation(tag, {"product": p, "i_squared": q})
+        prod, isq = l1 * l2, i * i
+        tag = TANGENT if prod == isq else DISJOINT_BALLS if prod < isq else OVERLAPPING
+        return HoroRelation(tag, {"product": prod, "i_squared": isq})
 
     coeffs = backend.subfoliation_coeffs(f1, f2)
     k = _common_ratio(coeffs)
@@ -294,15 +293,6 @@ class ProbeResult(Record):
     _defaults = {"witness": None, "bound": None, "witness_ext": None}
 
 
-def _ext_exceeds(e, level) -> bool:
-    """Certified strict exceedance of the level."""
-    if isinstance(e, Bracket):
-        return e.lo > float(level)
-    if _exact_pair(e, level):
-        return Fraction(e) > Fraction(level)
-    return float(e) > float(level) * (1.0 + 1e-12)
-
-
 def inclusion_probe(h1, h2, backend) -> ProbeResult:
     """Is HB(f1, level1) contained in HB(f2, level2)?
 
@@ -312,16 +302,10 @@ def inclusion_probe(h1, h2, backend) -> ProbeResult:
     f1, l1 = h1.foliation, h1.level
     f2, l2 = h2.foliation, h2.level
     bound = sup_on_horoball(f1, l1, f2, backend)
-    if bound is not None and bound != math.inf:
-        cmp_ok = (
-            Fraction(bound) <= Fraction(l2)
-            if _exact_pair(bound, l2)
-            else float(bound) <= float(l2)
-        )
-        if cmp_ok:
-            return ProbeResult(INCLUDED_CERTIFIED, bound=bound)
+    if bound is not None and bound <= l2:
+        return ProbeResult(INCLUDED_CERTIFIED, bound=bound)
     for p in backend.horosphere_sampler(f1, l1):
         e = backend.ext(p, f2)
-        if _ext_exceeds(e, l2):
+        if e.lo > l2:
             return ProbeResult(EXCLUDED_WITNESS, witness=p, witness_ext=e, bound=bound)
     return ProbeResult(INCONCLUSIVE, bound=bound)

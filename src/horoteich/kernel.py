@@ -1,4 +1,4 @@
-"""Shared substrate: exact rationals, 2x2 matrices, the Moebius action on the
+"""Shared substrate: value records, 2x2 matrices, the Moebius action on the
 upper half-plane, and outward-rounded interval brackets.
 
 Exact quantities (intersection numbers, permutation combinatorics, crossing
@@ -8,15 +8,7 @@ double.  Conversion from exact to float happens only at analysis boundaries.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from numbers import Rational as RationalLike
 from operator import attrgetter
-
-_EXACT_TYPES = (int, Fraction)
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, _EXACT_TYPES) or isinstance(x, RationalLike)
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, is_exact, round_ratio
+from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, round_ratio
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -666,7 +666,6 @@ _GEN_MATRIX = {
     "T": Mat2(1, 1, 0, 1),
     "Ti": Mat2(1, -1, 0, 1),
     "S": Mat2(0, -1, 1, 0),
-    "Si": Mat2(0, 1, -1, 0),
     "F": Mat2(1, 0, 0, -1),
 }
 
@@ -679,8 +678,6 @@ def _gen_apply_origami(o: Origami, g: str) -> Origami:
         return Origami(h, _compose(v, h))
     if g == "S":
         return Origami(o.v_inv, h)
-    if g == "Si":
-        return Origami(v, o.h_inv)
     if g == "F":
         return Origami(h, o.v_inv)
     raise ValueError(f"unknown generator {g!r}")
@@ -709,8 +706,6 @@ def _gen_map_point(o_old: Origami, o_new: Origami, g: str, s: int, x, y):
             s2, x2, y2 = o_old.h_inv[s], x - y + 1, y
     elif g == "S":
         s2, x2, y2 = s, 1 - y, x
-    elif g == "Si":
-        s2, x2, y2 = s, y, 1 - x
     elif g == "F":
         s2, x2, y2 = s, x, 1 - y
     else:
@@ -724,7 +719,7 @@ def decompose_unimodular(m: Mat2):
     Returns the application-order word: applying the generators left to
     right realizes the marking change by m."""
     entries = (m.a, m.b, m.c, m.d)
-    if not all(isinstance(e, int) or (is_exact(e) and Fraction(e).denominator == 1) for e in entries):
+    if any(isinstance(e, float) or Fraction(e).denominator != 1 for e in entries):
         raise ValueError("re-marking matrix must be integer")
     a, b, c, d = (int(e) for e in entries)
     det = a * d - b * c

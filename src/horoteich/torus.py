@@ -76,7 +76,7 @@ def intersection(c1: TorusCurve, c2: TorusCurve) -> int:
 
 
 def foliation_intersection(f: WeightedTorusFoliation, g: WeightedTorusFoliation):
-    return f.weight * g.weight * intersection(f.curve, g.curve)
+    return Fraction(f.weight) * Fraction(g.weight) * intersection(f.curve, g.curve)
 
 
 def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
@@ -199,9 +199,6 @@ class KerckhoffResult(Record):
     def __init__(self, value, closed_form, witness, nodes, certified, reason=None):
         self.value, self.closed_form, self.witness = value, closed_form, witness
         self.nodes, self.certified, self.reason = nodes, certified, reason
-
-    def __float__(self):
-        return self.value
 
 
 def _pencil_top(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from horoteich.kernel import UpperHalfPoint
+from horoteich.kernel import Bracket, UpperHalfPoint
 from horoteich import horolab as H
 from horoteich import origami as O
 from horoteich import torus as T
@@ -16,9 +18,15 @@ OB = H.OrigamiBackend(L)
 STAIRCASE = O.build_origami([2, 1, 4, 3, 5], [1, 3, 2, 5, 4])
 
 
+def fol(p, q, w=Fraction(1)):
+    return T.WeightedTorusFoliation(w, T.TorusCurve(p, q))
+
+
 def tspec(p, q, level):
-    f = T.WeightedTorusFoliation(Fraction(1), T.TorusCurve(p, q))
-    return T.HoroSpec.create(f, Fraction(level))
+    return T.HoroSpec.create(fol(p, q), Fraction(level))
+
+
+CURVES_7 = [(p, q) for p in range(8) for q in range(-7, 8) if math.gcd(p, q) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +62,14 @@ def test_classify_swap_symmetry():
         t2 = H.classify(h2, h1, BE).tag
         swap = {H.NESTED_FORWARD: H.NESTED_BACKWARD, H.NESTED_BACKWARD: H.NESTED_FORWARD}
         assert t2 == swap.get(t1, t1)
+
+
+def test_classify_float_levels_compare_exactly():
+    """A float level is the rational it denotes: fl(0.1) * 10 is above 1, so
+    the balls overlap, although the float product rounds to 1.0."""
+    rel = H.classify(H.HoroBall(fol(1, 0), 0.1), H.HoroBall(fol(0, 1), 10.0), BE)
+    assert rel.tag == H.OVERLAPPING
+    assert rel.detail["product"] == Fraction(0.1) * 10 and rel.detail["i_squared"] == 1
 
 
 def test_classify_parallel_nests_by_level():
@@ -130,6 +146,50 @@ def test_torus_sampler_points_are_horocycle_points(p, q, weight, level):
     got = [(pt.x.hex(), pt.y.hex()) for pt in BE.horosphere_sampler(f, level)]
     want = [UpperHalfPoint(*T._horocycle(f, level)[0](s)) for s in sigmas]
     assert got == [(pt.x.hex(), pt.y.hex()) for pt in want]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.floats(-9.0, 3.0),
+    st.booleans(),
+    st.floats(-8.0, 8.0),
+    st.sampled_from(CURVES_7),
+    st.integers(1, 59),
+    st.integers(1, 59),
+)
+def test_torus_ext_bracket_encloses_exact_ext(log_re, negative, log_im, pq, num, den):
+    """The torus Ext bracket holds the exact Ext at the double point, for |Re tau|
+    log-uniform in [1e-9, 1e3], Im tau in [1e-8, 1e8] and weights num/den <= 59,
+    and is at most 2^-46 wide relative to its upper end."""
+    x, y = (-1.0 if negative else 1.0) * 10.0**log_re, 10.0**log_im
+    f = fol(*pq, Fraction(num, den))
+    b = BE.ext(UpperHalfPoint(x, y), f)
+    assert b.lo <= T.extremal_length(UpperHalfPoint(Fraction(x), Fraction(y)), f) <= b.hi
+    assert b.hi - b.lo <= 2.0**-46 * b.hi
+
+
+def test_torus_ext_out_of_range_is_unbounded():
+    assert BE.ext(UpperHalfPoint(0.0, 1e-310), fol(1, 0)) == Bracket(0.0, math.inf)
+
+
+def test_torus_exclusion_witness_ext_is_certified():
+    """Every torus exclusion carries a Bracket above level2 that holds the
+    exact Ext_f2 on the witness's coordinates; levels log-uniform in
+    [1e-6, 1e6], weights num/den <= 9."""
+    rng = random.Random(19)
+    excluded = 0
+    for _ in range(400):
+        f1 = fol(*rng.choice(CURVES_7), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        f2 = fol(*rng.choice(CURVES_7), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        l1, l2 = 10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-6, 6)
+        res = H.inclusion_probe(H.HoroBall(f1, l1), H.HoroBall(f2, l2), BE)
+        if res.tag != H.EXCLUDED_WITNESS:
+            continue
+        excluded += 1
+        e, p = res.witness_ext, res.witness
+        assert isinstance(e, Bracket) and e.lo > Fraction(l2)
+        assert e.contains(T.extremal_length(UpperHalfPoint(Fraction(p.x), Fraction(p.y)), f2))
+    assert excluded > 100
 
 
 def test_probe_same_foliation_sublevels_nest():

@@ -13,16 +13,9 @@ from horoteich.kernel import (
     as_float_down,
     as_float_up,
     hyperbolic_distance,
-    is_exact,
     mobius_apply,
     round_ratio,
 )
-
-
-def test_is_exact():
-    assert is_exact(3)
-    assert is_exact(Fraction(1, 3))
-    assert not is_exact(0.5)
 
 
 def test_mat2_det_and_inverse():

@@ -797,7 +797,7 @@ def test_generator_point_maps_respect_gluings():
     d = Fraction(1, 97)
     y0 = Fraction(1, 3)
     for o in (L, T2, TORUS):
-        for g in ("T", "Ti", "S", "Si", "F"):
+        for g in ("T", "Ti", "S", "F"):
             o2 = O._gen_apply_origami(o, g)
             mg = O._GEN_MATRIX[g]
             for s in range(o.n):
