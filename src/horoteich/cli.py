@@ -310,6 +310,8 @@ def cmd_busemann(args):
         "certified": est.certified,
         "steps": len(est.trace),
     }
+    if not est.certified:  # "not_monotone", "precision" or "not_settled"
+        results["reason"] = est.reason
     inputs = _inputs(args, "tau0", "curve", "tau", "tol")
     return inputs, results, EXIT_OK if est.certified else EXIT_UNDECIDED
 
@@ -509,6 +511,8 @@ def cmd_relation(args):
         rel = H.classify(pick(args.f1, args.level1), pick(args.f2, args.level2), be)
     inputs = _inputs(args, "model", "curve1", "curve2", "f1", "f2", "level1", "level2")
     results = {"tag": rel.tag, "detail": {k: str(v) for k, v in rel.detail.items()}}
+    if not rel.decided:
+        results["reason"] = "undecided"
     return inputs, results, EXIT_OK if rel.decided else EXIT_UNDECIDED
 
 

@@ -88,7 +88,7 @@ class TorusBackend:
         if e is None:
             return Bracket(0.0, math.inf)
         unit = Bracket(e * (1.0 - 2.0**-49), e * (1.0 + 2.0**-49))
-        return unit.mul_nonneg(Bracket.exact(Fraction(f.weight) ** 2))
+        return unit.mul_nonneg(f.weight_squared)
 
     def intersect(self, f, g):
         return self.model.foliation_intersection(f, g)
@@ -248,21 +248,24 @@ def classify(h1, h2, backend) -> HoroRelation:
 
 
 class BusemannEstimate(Record):
-    _fields = ("value", "certified", "trace")  # trace: (t, D(t)) pairs
+    _fields = ("value", "certified", "trace", "reason")  # trace: (t, D(t)) pairs
 
 
 # Last ray time evaluated: the torus ray forms e^{2t}, which overflows a
 # double past t = 355, so doubling beyond 2^8 cannot be evaluated.
 BUSEMANN_T_MAX = 2.0**8
 BUSEMANN_SLACK = 1e-9  # rounding allowed in each monotonicity and floor test
+# D(t) = d(x, ray(t)) - t rounds by at most 16 u (u = 2^-53) per unit of 1 + t + |D(t)|: the
+# distance formula and the ray point give ~10 u, the last roundings of d and of - t u each.
+BUSEMANN_ROUNDING = 2.0**-49
 
 
 def busemann_estimate(x0, f, x, backend, tol: float = 1e-9) -> BusemannEstimate:
     """Definition-based Busemann value lim d(x, G(t)) - t.
 
-    Doubles t until two successive values agree within tol; certified
-    requires that agreement by t = BUSEMANN_T_MAX, monotone non-increase
-    at every step and every value respecting the -d(x0, x) floor."""
+    Doubles t until two successive values agree within tol; certified needs
+    monotone non-increase above the -d(x0, x) floor, tol at least D(t)'s rounding
+    error and agreement by t = BUSEMANN_T_MAX; reason names the first that fails."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     ray = backend.ray(x0, f)
@@ -270,18 +273,21 @@ def busemann_estimate(x0, f, x, backend, tol: float = 1e-9) -> BusemannEstimate:
     t = 1.0
     prev = backend.distance(x, ray(t)) - t
     trace = [(t, prev)]
-    certified = True
+    reason = None
     while True:
         t *= 2.0
         cur = backend.distance(x, ray(t)) - t
         trace.append((t, cur))
         if cur > prev + BUSEMANN_SLACK or cur < floor - BUSEMANN_SLACK:
-            certified = False
-        if abs(cur - prev) < tol:
-            return BusemannEstimate(cur, certified, trace)
-        if t >= BUSEMANN_T_MAX:
-            return BusemannEstimate(cur, False, trace)
+            reason = "not_monotone"
+        if abs(cur - prev) < tol or t >= BUSEMANN_T_MAX:
+            break
         prev = cur
+    if reason is None and tol < BUSEMANN_ROUNDING * (1.0 + t + abs(cur)):
+        reason = "precision"
+    elif reason is None and not abs(cur - prev) < tol:
+        reason = "not_settled"
+    return BusemannEstimate(cur, reason is None, trace, reason)
 
 
 # ---------------------------------------------------------------------------

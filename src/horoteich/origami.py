@@ -24,6 +24,7 @@ from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, round_r
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 class SingularityHit(ValueError):  # the start point is a bad argument
@@ -88,17 +89,15 @@ class Origami(Frozen):
             raise ValueError("h and v must act on the same squares")
         if not (_is_permutation(h) and _is_permutation(v)):
             raise ValueError("h and v must be permutations")
-        orbit = self._orbit_of(0)
-        if len(orbit) != self.n:
-            parts = self._orbit_partition()
-            raise ValueError(f"disconnected surface; orbits {parts}")
+        if len(self._orbit_of(0)) != self.n:
+            raise ValueError(f"disconnected surface; orbits {self._orbit_partition()}")
 
     def _orbit_of(self, start):
-        seen = {start}
-        stack = [start]
+        """Orbit under h and v alone: on a finite set it is closed under their inverses."""
+        h, v, seen, stack = self.h, self.v, {start}, [start]
         while stack:
             x = stack.pop()
-            for y in (self.h[x], self.v[x], self.h_inv[x], self.v_inv[x]):
+            for y in (h[x], v[x]):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -315,13 +314,6 @@ class CurveTrace(Frozen):
         return d, by_square
 
 
-def _canonical_direction(slope) -> tuple:
-    if slope is None or slope == "vertical":
-        return (0, 1)
-    slope = Fraction(slope)
-    return (slope.denominator, slope.numerator)
-
-
 def trace_from_point(
     o: Origami,
     square: int,
@@ -338,54 +330,57 @@ def trace_from_point(
     plus one from an interior start): a vertex, met iff b*x - a*y is an
     integer, at a step in closed form (SingularityHit); else closing after
     k periods, k the cycle length of the first edge square under the word.
-    Either past ``max_steps`` raises TraceNotClosed at once.  Cost: one
-    integer march of a + |b| steps, then one lookup per emitted segment.
+    Either past ``max_steps`` raises TraceNotClosed at once.  Cost: a setup
+    in integers from the point's integer ratios, one integer march of a + |b|
+    steps that builds Fractions only for that period's edge points, then one
+    lookup per emitted segment.
     """
     a, b = direction
     if a < 0 or (a == 0 and b != 1):
         raise ValueError("direction must have dx > 0, or be (0, 1)")
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    x, y = Fraction(point[0]), Fraction(point[1])
-    if not (0 <= x < 1 and 0 <= y <= 1):
+    (xn, xd), (yn, yd) = point[0].as_integer_ratio(), point[1].as_integer_ratio()
+    if not (0 <= xn < xd and 0 <= yn <= yd):
         raise ValueError("point must lie in [0, 1) x [0, 1]")
-    offset = x / 3 if point[0] else Fraction(1, 3)
-    s, y = (o.v_inv[square], Fraction(1)) if b < 0 and y == 0 else (square, y)
+    s, yn, yd = (o.v_inv[square], 1, 1) if b < 0 and yn == 0 else (square, yn, yd)
     period = a + abs(b)
     # an edge start that the line re-enters through is its own first edge point
-    extra = 0 if (a > 0 and x == 0) or (b > 0 and y == 0) or (b < 0 and y == 1) else 1
+    extra = 0 if (a > 0 and xn == 0) or (b > 0 and yn == 0) or (b < 0 and yn == yd) else 1
     steps = period + extra
-    c = b * x - a * y
-    if c.denominator == 1:  # first vertex at unfolded (p, q): count the crossings
-        if a == 0 or b == 0 or (b > 0 and y == 1 and x == 0):
+    c, r = divmod(b * xn * yd - a * yn * xd, xd * yd)  # b*x - a*y = c + r / (xd*yd)
+    if r == 0:  # first vertex at unfolded (p, q): count the crossings
+        if a == 0 or b == 0 or (b > 0 and yn == yd and xn == 0):
             steps = 1
         else:
-            p = (int(c) * pow(b, -1, a) - 1) % a + 1
-            q = (b * p - int(c)) // a
+            p = (c * pow(b, -1, a) - 1) % a + 1
+            q = (b * p - c) // a
             steps = p + q - 1 if b > 0 else p - q
     if steps > max_steps:
         raise TraceNotClosed(f"trace did not close within {max_steps} steps")
     # integer march on coordinates times d, where every crossing time is whole
-    d = math.lcm(x.denominator, y.denominator) * max(a, 1) * max(abs(b), 1)
-    u, w = int(x * d), int(y * d)
-    start, ends, word, squares = (x, y), [], [], []
+    d = math.lcm(xd, yd) * max(a, 1) * max(abs(b), 1)
+    u, w = xn * (d // xd), yn * (d // yd)
+    start = None if extra else (Fraction(xn, xd), Fraction(yn, yd))  # else dropped below
+    ends, word, squares = [], [], []
     for _ in range(steps):
         tx = (d - u) // a if a else math.inf
         ty = (d - w) // b if b > 0 else w // -b if b < 0 else math.inf
         t = min(tx, ty)
         u, w = u + a * t, w + b * t
-        end = (Fraction(u, d), Fraction(w, d))
         if u % d == 0 and w % d == 0:
-            raise SingularityHit(f"trace hit a vertex at square {s + 1}, point "
-                                 f"({end[0]}, {end[1]})", suggested_offset=offset)
-        ends.append((start, end))
+            raise SingularityHit(f"trace hit a vertex at square {s + 1}, point ({Fraction(u, d)}, "
+                                 f"{Fraction(w, d)})", Fraction(xn or 1, 3 * xd))  # x/3, or 1/3
         squares.append(s)
+        e = Fraction(w if t == tx else u, d)  # the end's one coordinate inside the edge
         if t == tx:
-            perm, u, start = o.h, 0, (Fraction(0), end[1])
+            perm, u, end, nxt = o.h, 0, (_ONE, e), (_ZERO, e)
         elif b > 0:
-            perm, w, start = o.v, 0, (end[0], Fraction(0))
+            perm, w, end, nxt = o.v, 0, (e, _ONE), (e, _ZERO)
         else:
-            perm, w, start = o.v_inv, d, (end[0], Fraction(1))
+            perm, w, end, nxt = o.v_inv, d, (e, _ZERO), (e, _ONE)
+        ends.append((start, end))
+        start = nxt
         word.append(perm)
         s = perm[s]
     ends, word, squares = ends[extra:], word[extra:], squares[extra:]
@@ -414,7 +409,8 @@ def trace_curve(
     offset = Fraction(offset)
     if not 0 < offset < 1:
         raise ValueError("offset must lie strictly inside the edge")
-    direction = _canonical_direction(slope)
+    slope = None if slope is None or slope == "vertical" else Fraction(slope)
+    direction = (0, 1) if slope is None else (slope.denominator, slope.numerator)
     if edge is None:
         edge = "left" if direction[1] == 0 else "bottom"
     if edge == "bottom":
@@ -443,10 +439,9 @@ def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> Curve
 
 def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
     """Straight core curve through the middle of the cylinder's first row."""
-    s0 = cyl.squares[0]
     if cyl.direction == HORIZONTAL:
-        return trace_curve(o, s0, Fraction(0), offset=Fraction(1, 2), edge="left")
-    return trace_curve(o, s0, None, offset=Fraction(1, 2), edge="bottom")
+        return trace_from_point(o, cyl.squares[0], (_ZERO, _HALF), (1, 0))
+    return trace_from_point(o, cyl.squares[0], (_HALF, _ZERO), (0, 1))
 
 
 # ---------------------------------------------------------------------------

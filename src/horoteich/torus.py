@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .kernel import (
@@ -69,6 +70,10 @@ class WeightedTorusFoliation(Frozen):
             raise ValueError("weight must be positive")
         _set(self, "weight", weight)
         _set(self, "curve", curve)
+
+    @cached_property
+    def weight_squared(self) -> Bracket:  # rounded outward once, per foliation
+        return Bracket.exact(Fraction(self.weight) ** 2)
 
 
 def intersection(c1: TorusCurve, c2: TorusCurve) -> int:

@@ -484,6 +484,39 @@ def test_ball_limit_exit_2_reasons(capsys, monkeypatch):
         assert status == 2 and rec["results"]["reason"] == reason
 
 
+def test_relation_undecided_reason(capsys):
+    """Disjoint, non-comparable origami components are undecided: exit 2 with
+    a top-level reason; a decided relation has none."""
+    argv = ["relation", "--model", "origami", *L_ARGS, "--f1", "vertical:0", "--level1", "1",
+            "--f2", "vertical:1", "--level2", "1"]
+    rec, status = run_json(capsys, argv)
+    assert status == 2 and rec["results"]["reason"] == "undecided"
+    rec, status = run_json(capsys, argv[:-4] + ["--f2", "horizontal", "--level2", "1"])
+    assert status == 0 and "reason" not in rec["results"]
+
+
+@pytest.mark.parametrize("reason", ["precision", "not_monotone", "not_settled"])
+def test_busemann_exit_2_reasons(capsys, monkeypatch, reason):
+    """An uncertified Busemann record says why: tol below the rounding error
+    of D(t); a ray run ahead by 1 - 1/t, so that D(t) grows by about 1/(2t)
+    at each doubling; or one run ahead by 1/t, so that D(t) falls by about
+    1/(2t) and has not settled by t = 256.  Exit 0 has no reason."""
+    from horoteich import horolab as H
+    argv = ["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+3i"]
+    rec, status = run_json(capsys, argv)
+    assert status == 0 and "reason" not in rec["results"]
+    if reason == "precision":
+        argv += ["--tol", "1e-300"]
+    else:
+        ray = H.TorusBackend.ray
+        lead = (lambda t: 1 - 1 / t) if reason == "not_monotone" else (lambda t: 1 / t)
+        monkeypatch.setattr(H.TorusBackend, "ray",
+                            lambda self, x0, f: lambda t: ray(self, x0, f)(t + lead(t)))
+    rec, status = run_json(capsys, argv)
+    assert status == 2 and rec["results"]["certified"] is False
+    assert rec["results"]["reason"] == reason
+
+
 def test_growth_check_violation_reason(capsys, monkeypatch):
     from horoteich import origami as O
     rec, status = run_json(capsys, ["growth-check", *L_ARGS])

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,27 @@ def test_busemann_estimate_matches_closed_form():
         # recorded trace is non-increasing
         ds = [d for _, d in est.trace]
         assert all(b <= a + 1e-9 for a, b in zip(ds, ds[1:]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(CURVES_7), st.floats(-3, 3), st.floats(-4, 4),
+       st.floats(-3, 3), st.floats(-4, 4))
+def test_busemann_rounding_bound_holds(pq, re0, log_im0, re, log_im):
+    """Each D(t) with t >= 32 (where the ray's approach to the limit is far
+    below a double) lies within BUSEMANN_ROUNDING * (1 + t + |D|) of the
+    exact Busemann value, taken in mpmath at 50 digits on the double inputs."""
+    x0 = UpperHalfPoint(re0, math.exp(log_im0))
+    x = UpperHalfPoint(re, math.exp(log_im))
+    p, q = pq
+
+    def ext(z):
+        return (p + q * mpmath.mpf(z.x)) ** 2 / mpmath.mpf(z.y) + q * q * mpmath.mpf(z.y)
+    with mpmath.workdps(50):
+        exact = mpmath.log(ext(x) / ext(x0)) / 2
+        est = H.busemann_estimate(x0, fol(p, q), x, BE, tol=1e-300)
+        for t, d in est.trace:
+            if t >= 32:
+                assert abs(mpmath.mpf(d) - exact) <= H.BUSEMANN_ROUNDING * (1 + t + abs(d))
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,102 @@ def test_trace_from_point_matches_fraction_march():
     assert min(seen.values()) > 100 and budget_first > 10
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_core_trace_is_the_edge_trace_from_its_first_square(data):
+    """On random origamis (n <= 40), in both directions, each cylinder's core
+    trace is trace_curve from the middle of its first square's left or bottom
+    edge, and its segments run through exactly the core's squares in cycle
+    order."""
+    o = data.draw(_origamis(40))
+    for direction, slope, edge in ((O.HORIZONTAL, Fraction(0), "left"),
+                                   (O.VERTICAL, None, "bottom")):
+        for c in O.cylinders(o, direction):
+            t = O.core_trace(o, c)
+            assert t == O.trace_curve(o, c.squares[0], slope, offset=Fraction(1, 2), edge=edge)
+            assert tuple(s for s, _, _ in t.segments) == c.squares
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_trace_from_point_takes_int_float_and_fraction_coordinates(data):
+    """A start point given as ints, floats or Fractions of equal value gives
+    the same trace, with Fraction coordinates, or the same exception."""
+    o = data.draw(_origamis())
+    a = data.draw(st.integers(0, 6))
+    b = data.draw(st.integers(-6, 6)) if a else 1
+    mx, my = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    x = Fraction(data.draw(st.integers(0, 2**mx - 1)), 2**mx)
+    y = Fraction(data.draw(st.integers(0, 2**my)), 2**my)
+    args = (o, data.draw(st.integers(0, o.n - 1)))
+    want = _trace_outcome(O.trace_from_point, *args, (x, y), (a, b))
+    forms = [(float(x), float(y)), (float(x), y), (x, float(y))]
+    if x.denominator == y.denominator == 1:
+        forms.append((int(x), int(y)))
+    for point in forms:
+        assert _trace_outcome(O.trace_from_point, *args, point, (a, b)) == want, point
+    if want[0] == "closed":
+        assert all(type(c) is Fraction for _, p, q in want[1] for c in (*p, *q))
+        t = O.trace_from_point(*args, (float(x), float(y)), (a, b))
+        assert all(type(c) is Fraction for _, p, q in t.segments for c in (*p, *q))
+
+
+def test_trace_from_point_rejects_bad_points():
+    """Points outside [0, 1) x [0, 1] raise ValueError; a NaN or infinite
+    coordinate raises what Fraction() raises for it."""
+    for point in [(1, 0), (Fraction(-1, 2), 0), (0.5, 1.5), (0.5, -0.25), (Fraction(1), 0.5),
+                  (0.999, Fraction(9, 8))]:
+        with pytest.raises(ValueError, match=r"^point must lie in \[0, 1\) x \[0, 1\]$"):
+            O.trace_from_point(L, 0, point, (1, 1))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises((ValueError, OverflowError)) as want:
+            Fraction(bad)
+        for point in [(bad, 0), (Fraction(1, 2), bad), (bad, 7)]:
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                O.trace_from_point(L, 0, point, (2, 1))
+    assert want.type is OverflowError
+
+
+def _four_generator_orbits(h, v):
+    """Reference: the orbits of the squares (1-based) under h, v and both
+    inverses, ordered by their least square."""
+    moves = [h, v, O._inverse(h), O._inverse(v)]
+    left, parts = set(range(len(h))), []
+    while left:
+        orbit, stack = set(), [min(left)]
+        while stack:
+            x = stack.pop()
+            if x not in orbit:
+                orbit.add(x)
+                stack += [m[x] for m in moves]
+        parts.append(sorted(q + 1 for q in orbit))
+        left -= orbit
+    return parts
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_disconnected_message_lists_the_orbits(data):
+    """Random (h, v) that keep a random split of the squares into blocks:
+    the ValueError names the same orbits as the four-generator reference,
+    and one orbit builds."""
+    n = data.draw(st.integers(2, 14))
+    labels = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+    blocks = [labels[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    h, v = [0] * n, [0] * n
+    for block in blocks:
+        for perm in (h, v):
+            for x, y in zip(block, data.draw(st.permutations(block))):
+                perm[x] = y
+    want = _four_generator_orbits(h, v)
+    if len(want) == 1:
+        assert O.Origami(tuple(h), tuple(v)).n == n
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'disconnected surface; orbits {want}')}$"):
+            O.Origami(tuple(h), tuple(v))
+
+
 def test_trace_budget_decided_up_front():
     """The unit torus in direction (1, 10^7) needs 10^7 + 1 steps; from x = 1/2
     it meets a vertex at step 5 * 10^6.  Both exceed the budget at once."""
