@@ -144,8 +144,7 @@ def utc_timestamp(ns: int) -> str:
 def emit(record: dict, fmt: str) -> None:
     record = {**record, "timestamp": utc_timestamp(time.time_ns())}
     if fmt == "json":
-        json.dump(record, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(record, indent=2, default=str, allow_nan=False) + "\n")
     else:  # "csv", the one other format _apply_config admits
         import csv
         rows = [("key", "value")]
@@ -304,9 +303,11 @@ def cmd_busemann(args):
     be = H.TorusBackend()
     closed = T.busemann(x0, f, x)
     est = H.busemann_estimate(x0, f, x, be, tol=args.tol)
+    # 2 tol when certified, which needs tol above D(t)'s rounding error at the last t
+    rounding = H.BUSEMANN_ROUNDING * (1.0 + est.trace[-1][0] + abs(est.value))
     results = {
         "closed_form": num_float(closed, 1e-12),
-        "limit_estimate": num_float(est.value, 2 * args.tol),
+        "limit_estimate": num_float(est.value, max(2 * args.tol, rounding)),
         "certified": est.certified,
         "steps": len(est.trace),
     }
@@ -412,14 +413,14 @@ def cmd_growth_check(args):
     s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
     rep = O.horocycle_growth_check(t, x, s_values)
     quad, res = rep.quad_coefficient, rep.relative_residual
-    fitted = not math.isnan(quad)  # then both are rounded once from exact rationals
+    fitted = quad is not None  # then both are rounded once from exact rationals
     results = {
         "ok": rep.ok,
         "i_vertical": num_exact(rep.i_vertical),
         "i_horizontal": num_exact(rep.i_horizontal),
         "lower_bounds": [num_float(v, math.ulp(v)) for v in rep.lower_bounds],
-        "quadratic_coefficient": num_float(quad, math.ulp(quad) / 2 if fitted else 1e-9),
-        "fit_residual": num_float(res, math.ulp(res) / 2 if fitted else 1e-12),
+        "quadratic_coefficient": num_float(quad, math.ulp(quad) / 2) if fitted else None,
+        "fit_residual": num_float(res, math.ulp(res) / 2) if fitted else None,
         "violations": len(rep.violations),
     }
     if not rep.ok:

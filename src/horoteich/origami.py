@@ -133,7 +133,7 @@ class Origami(Frozen):
         hi, vi = self.h_inv, self.v_inv
         return tuple(self.h[self.v[hi[vi[x]]]] for x in range(self.n))
 
-    @property
+    @cached_property
     def singularities(self) -> tuple:
         """Cone-point orders (multiples of 2*pi in excess angle)."""
         orders = [len(c) - 1 for c in _cycles(self.vertex_permutation)]
@@ -185,27 +185,29 @@ def cylinders(o: Origami, direction: str) -> tuple:
         return o._cylinders[direction][0]
 
     cycs = _cycles(along)
-    index = {x: ci for ci, c in enumerate(cycs) for x in c}
+    band = [0] * o.n  # square -> unit band
+    for ci, c in enumerate(cycs):
+        for x in c:
+            band[x] = ci
 
     def merges(ci):
         c = cycs[ci]
         if all(across[along[x]] == along[across[x]] for x in c):
-            return index[across[c[0]]]
+            return band[across[c[0]]]
         return None
 
-    nxt = {ci: merges(ci) for ci in range(len(cycs))}
-    has_pred = {t for t in nxt.values() if t is not None}
+    nxt = [merges(ci) for ci in range(len(cycs))]
+    has_pred = {t for t in nxt if t is not None}
 
-    out = []
-    used = set()
+    out, owner = [], [None] * len(cycs)  # owner: band -> index of its cylinder in out
     # open chains begin at a band with no predecessor; the rest are loops
     starts = [ci for ci in range(len(cycs)) if ci not in has_pred]
     starts += [ci for ci in range(len(cycs))]
     for ci in starts:
         chain = []
-        while ci is not None and ci not in used:
+        while ci is not None and owner[ci] is None:
             chain.append(ci)
-            used.add(ci)
+            owner[ci] = len(out)
             ci = nxt[ci]
         if not chain:
             continue
@@ -213,7 +215,7 @@ def cylinders(o: Origami, direction: str) -> tuple:
         out.append(CylinderCurve(direction, core, len(core), len(chain),
                                  tuple(cycs[k] for k in chain)))
     # beside the cylinders, the cylinder of each square
-    o._cylinders[direction] = (tuple(out), {s: c for c in out for s in c.all_squares})
+    o._cylinders[direction] = (tuple(out), [out[owner[k]] for k in band])
     return o._cylinders[direction][0]
 
 
@@ -438,10 +440,15 @@ def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> Curve
 
 
 def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
-    """Straight core curve through the middle of the cylinder's first row."""
+    """Straight core curve through the middle of the cylinder's first row: the
+    ``trace_from_point`` from (0, 1/2) in direction (1, 0), or (1/2, 0) in (0, 1).
+    That edge start re-enters as its own first edge point, each step crosses one
+    square of the row's cycle, and the trace closes after ``circumference`` steps."""
     if cyl.direction == HORIZONTAL:
-        return trace_from_point(o, cyl.squares[0], (_ZERO, _HALF), (1, 0))
-    return trace_from_point(o, cyl.squares[0], (_HALF, _ZERO), (0, 1))
+        direction, p, q = (1, 0), (_ZERO, _HALF), (_ONE, _HALF)
+    else:
+        direction, p, q = (0, 1), (_HALF, _ZERO), (_HALF, _ONE)
+    return CurveTrace(o, direction, tuple([(s, p, q) for s in cyl.squares]), cyl.holonomy)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +591,8 @@ def horocycle_growth_check(
     """Quadratic growth of extremal length along the horocycle flow.
 
     Checks lo >= (|s| i_v - i_h)^2 / area when positive, and the s^2 i_v^2
-    / (2 area) bound past the derived threshold; fits lo against s (NaN for
-    fewer than 3 distinct s).  Each lower bound is ``ext_bracket``'s lo: exact
+    / (2 area) bound past the derived threshold; fits lo against s (None for
+    fewer than 3 distinct s: no fit).  Each lower bound is ``ext_bracket``'s lo: exact
     over the deform entries, then rounded down once.  OverflowError if c2, a
     lower bound or a bound it is checked against is beyond the double range."""
     i_v = i_with_foliation(t, VERTICAL, x)
@@ -623,7 +630,7 @@ def horocycle_growth_check(
         quad = float(c2)
         residual = float(err / max(abs(lo) for _, lo in pts)) if err else 0.0
     else:
-        quad, residual = math.nan, math.nan
+        quad, residual = None, None
     return GrowthReport(i_v, i_h, los, violations, quad, residual)
 
 

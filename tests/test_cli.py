@@ -18,10 +18,14 @@ from horoteich.kernel import UpperHalfPoint
 L_ARGS = ["--h", "[2,1,3]", "--v", "[3,2,1]"]
 
 
+def strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, argv):
     status = cli.run(argv)
     out = capsys.readouterr().out
-    return json.loads(out), status
+    return json.loads(out, parse_constant=strict_constant), status
 
 
 def strip_timestamp(text):
@@ -517,6 +521,20 @@ def test_busemann_exit_2_reasons(capsys, monkeypatch, reason):
     assert rec["results"]["reason"] == reason
 
 
+def test_busemann_uncertified_tag_covers_its_error(capsys):
+    """With --tol below D(t)'s rounding error the estimate is uncertified, and
+    its tag is that rounding bound, not 2 tol: it covers the distance to the
+    closed form.  A certified estimate keeps the tag 2 tol."""
+    argv = ["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+3i"]
+    rec, status = run_json(capsys, [*argv, "--tol", "1e-300"])
+    r = rec["results"]
+    assert status == 2 and r["reason"] == "precision"
+    error = abs(r["limit_estimate"]["value"] - r["closed_form"]["value"])
+    assert 2e-300 < error <= r["limit_estimate"]["tolerance"]
+    rec, status = run_json(capsys, argv)
+    assert status == 0 and rec["results"]["limit_estimate"]["tolerance"] == 2e-9
+
+
 def test_growth_check_violation_reason(capsys, monkeypatch):
     from horoteich import origami as O
     rec, status = run_json(capsys, ["growth-check", *L_ARGS])
@@ -544,16 +562,24 @@ def test_growth_check_decides_up_to_the_double_range(capsys):
 def test_growth_check_fit_tags(capsys):
     """The fitted coefficient and residual are rounded once from exact
     rationals and tagged with half an ulp; with fewer than three s values
-    there is no fit and the fixed tags stay."""
+    there is no fit, and both fields are null, with no tolerance."""
     rec, status = run_json(capsys, ["growth-check", *L_ARGS])
     assert status == 0
     for key in ("quadratic_coefficient", "fit_residual"):
         field = rec["results"][key]
         assert field["tolerance"] == math.ulp(field["value"]) / 2
     rec, status = run_json(capsys, ["growth-check", *L_ARGS, "--s-values", "1,2"])
-    quad, res = rec["results"]["quadratic_coefficient"], rec["results"]["fit_residual"]
-    assert status == 0 and math.isnan(quad["value"]) and math.isnan(res["value"])
-    assert (quad["tolerance"], res["tolerance"]) == (1e-9, 1e-12)
+    assert status == 0
+    assert rec["results"]["quadratic_coefficient"] is None is rec["results"]["fit_residual"]
+
+
+def test_emit_refuses_non_finite_values(capsys):
+    """A record is strict JSON: a NaN or infinity is an error, and nothing is
+    printed."""
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cli.emit({"results": {"value": value}}, "json")
+        assert capsys.readouterr().out == ""
 
 
 def readme_commands():

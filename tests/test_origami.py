@@ -601,6 +601,37 @@ def test_cylinder_lookup_matches_linear_scan():
     assert compared > 500
 
 
+def test_core_trace_matches_the_general_trace_at_fresh_sizes():
+    """On origamis of up to 200 squares, in both directions, each core built
+    from its cylinder equals trace_from_point from the middle of its first
+    square's left or bottom edge, with the same scaled segments, Ext bracket at
+    a flowed point and cylinder, which the square -> cylinder list finds as the
+    linear scan does."""
+    rng = random.Random(21)
+    starts = {O.HORIZONTAL: ((O._ZERO, O._HALF), (1, 0)), O.VERTICAL: ((O._HALF, O._ZERO), (0, 1))}
+    # 10 x 20 grids whose rows all merge into one tall cylinder: a loop of bands
+    # (a torus), or an open chain (the top row glued back with two columns swapped)
+    grids = [[r * 10 + (c + 1) % 10 + 1 for r in range(20) for c in range(10)]]
+    grids += [[(r + 1) * 10 + c + 1 if r < 19 else top[c] for r in range(20) for c in range(10)]
+              for top in (range(1, 11), (2, 1, *range(3, 11)))]
+    surfaces = [O.build_origami(grids[0], v) for v in grids[1:]]
+    surfaces += [_random_origami(rng, rng.randint(41, 200)) for _ in range(16)]
+    cores = 0
+    for o in surfaces:
+        x = O.horocycle_flow(O.geodesic_flow(O.MarkedFlatSurface.base_point(o),
+                                             stretch=Fraction(3, 2)), Fraction(-5, 7))
+        for direction, (point, vector) in starts.items():
+            for c in O.cylinders(o, direction):
+                t = O.core_trace(o, c)
+                ref = O.trace_from_point(o, c.squares[0], point, vector)
+                assert t == ref and t.scaled_segments == ref.scaled_segments
+                assert O.ext_bracket(t, x) == O.ext_bracket(ref, x)
+                assert O._find_cylinder_for(t) == _scan_cylinder_for(ref) == c
+                cores += 1
+    assert cores > 100
+    assert [c.height for o in surfaces[:2] for c in O.cylinders(o, O.HORIZONTAL)] == [20, 20]
+
+
 def test_ext_bracket_non_periodic_direction_unbounded_above():
     x = O.MarkedFlatSurface.base_point(L)
     t = O.robust_trace(L, 0, Fraction(1))
@@ -750,7 +781,8 @@ def test_growth_fit_is_the_exact_fit_rounded_once():
               for s, lo in zip(s_values, los))
     assert rep.relative_residual == float(err / max(los))
     # fewer than three distinct s values determine no quadratic
-    assert math.isnan(growth_check_on([1.0, 1.0, 2.0], [1.0, 1.0, 4.0]).quad_coefficient)
+    rep = growth_check_on([1.0, 1.0, 2.0], [1.0, 1.0, 4.0])
+    assert rep.quad_coefficient is None and rep.relative_residual is None
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
