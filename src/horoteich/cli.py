@@ -303,15 +303,18 @@ def cmd_busemann(args):
     be = H.TorusBackend()
     closed = T.busemann(x0, f, x)
     est = H.busemann_estimate(x0, f, x, be, tol=args.tol)
-    # 2 tol when certified, which needs tol above D(t)'s rounding error at the last t
-    rounding = H.BUSEMANN_ROUNDING * (1.0 + est.trace[-1][0] + abs(est.value))
+    if est.trace:  # 2 tol when certified, which needs tol above D(t)'s rounding error
+        rounding = H.BUSEMANN_ROUNDING * (1.0 + est.trace[-1][0] + abs(est.value))
+        estimate = num_float(est.value, max(2 * args.tol, rounding))
+    else:  # the ray left the doubles at once
+        estimate = None
     results = {
-        "closed_form": num_float(closed, 1e-12),
-        "limit_estimate": num_float(est.value, max(2 * args.tol, rounding)),
+        "closed_form": num_float(closed, T.HALF_LOG_ROUNDING * (1.0 + abs(closed))),
+        "limit_estimate": estimate,
         "certified": est.certified,
         "steps": len(est.trace),
     }
-    if not est.certified:  # "not_monotone", "precision" or "not_settled"
+    if not est.certified:  # "not_monotone", "precision", "not_settled" or "range"
         results["reason"] = est.reason
     inputs = _inputs(args, "tau0", "curve", "tau", "tol")
     return inputs, results, EXIT_OK if est.certified else EXIT_UNDECIDED

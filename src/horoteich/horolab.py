@@ -265,27 +265,35 @@ def busemann_estimate(x0, f, x, backend, tol: float = 1e-9) -> BusemannEstimate:
 
     Doubles t until two successive values agree within tol; certified needs
     monotone non-increase above the -d(x0, x) floor, tol at least D(t)'s rounding
-    error and agreement by t = BUSEMANN_T_MAX; reason names the first that fails."""
+    error and agreement by t = BUSEMANN_T_MAX; reason names the first that fails,
+    or is "range" once a ray point (ValueError) or D(t) leaves the doubles.  The
+    value is the last D(t), None if there is none."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     ray = backend.ray(x0, f)
     floor = -backend.distance(x0, x)
-    t = 1.0
-    prev = backend.distance(x, ray(t)) - t
-    trace = [(t, prev)]
-    reason = None
-    while True:
-        t *= 2.0
-        cur = backend.distance(x, ray(t)) - t
-        trace.append((t, cur))
-        if cur > prev + BUSEMANN_SLACK or cur < floor - BUSEMANN_SLACK:
-            reason = "not_monotone"
-        if abs(cur - prev) < tol or t >= BUSEMANN_T_MAX:
+    trace, reason, settled, t = [], None, False, 1.0
+    while t <= BUSEMANN_T_MAX and not settled:
+        try:
+            cur = backend.distance(x, ray(t)) - t
+        except ValueError:  # a ray point beyond the doubles
+            cur = math.inf
+        if not math.isfinite(cur):
+            reason = "range"
             break
-        prev = cur
+        if trace:
+            prev = trace[-1][1]
+            if cur > prev + BUSEMANN_SLACK or cur < floor - BUSEMANN_SLACK:
+                reason = "not_monotone"
+            settled = abs(cur - prev) < tol
+        trace.append((t, cur))
+        t *= 2.0
+    if not trace:
+        return BusemannEstimate(None, False, trace, reason)
+    t, cur = trace[-1]
     if reason is None and tol < BUSEMANN_ROUNDING * (1.0 + t + abs(cur)):
         reason = "precision"
-    elif reason is None and not abs(cur - prev) < tol:
+    elif reason is None and not settled:
         reason = "not_settled"
     return BusemannEstimate(cur, reason is None, trace, reason)
 

@@ -1,10 +1,11 @@
 """Genus-one model: the upper half-plane with exact extremal lengths.
 
 A marked flat torus is a point tau of the upper half-plane; the primitive
-class (p, q) has extremal length |p + q*tau|^2 / Im(tau).  Everything the
-horosphere machinery needs (distance suprema, tangency, Busemann rays,
-horocycles) is available either in closed form or through a certified
-descent over slopes toward a closed-form supremum.
+class (p, q) has extremal length |p + q*tau|^2 / Im(tau).  In the curve's
+chart (``TorusCurve.chart``), an SL(2, Z) map sending -p/q to infinity, its
+horospheres are horizontal lines and its rays and geodesics vertical ones,
+so tangency, rays and horosphere distances are exact up to one rounding;
+distance suprema are certified by a descent toward a closed-form supremum.
 """
 from __future__ import annotations
 
@@ -24,11 +25,13 @@ from .kernel import (
     UpperHalfPoint,
     _set,
     hyperbolic_distance,
-    mobius_apply,
 )
 
 INFINITY = math.inf
 OUT_OF_RANGE = "level is beyond the double range"
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_LOG2 = math.log(2.0)
+HALF_LOG_ROUNDING = 2.0**-50  # half of a _log_ratio is within this times 1 + |value|
 
 
 class MonotonicityError(RuntimeError):
@@ -60,6 +63,20 @@ class TorusCurve(Frozen):
         if self.q == 0:
             return INFINITY
         return Fraction(-self.p, self.q)
+
+    # The chart M = [[a, b], [q, p]], a p - b q = 1 (M = I for q = 0), is in
+    # SL(2, Z), sends -p/q to infinity and has Im M(tau) = Im tau / |q tau +
+    # p|^2, so Ext_f = w^2 / Im M(tau) exactly.  _act applies it in integers
+    # to a double point (x + iy) / d, so an image coordinate is one int / int,
+    # within half an ulp.  With u = 2^-53, v = _log_ratio(n, d) rounds n / d
+    # scaled into (1/2, 2) (u), its log (u), e log 2 (1.7 u |e| with |e| <=
+    # 1.45 |v| + 1) and the sum (u |v|): 4 u (1 + |v|) in all.  Half of it is
+    # so within 4 u (1 + |value|), which HALF_LOG_ROUNDING doubles for margin.
+    @cached_property
+    def chart(self) -> Mat2:
+        p, q = self.p, self.q
+        a = pow(p, -1, abs(q)) if q else 1
+        return Mat2(a, (a * p - 1) // q if q else 0, q, p)
 
 
 class WeightedTorusFoliation(Frozen):
@@ -94,6 +111,38 @@ def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
     return w * w * (re * (re / tau.y) + c.q * (c.q * tau.y))
 
 
+def _ints(pt: UpperHalfPoint):
+    """(x, y, d) with pt = (x + iy) / d in integers, d a power of two."""
+    (xn, xd), (yn, yd) = pt.x.as_integer_ratio(), pt.y.as_integer_ratio()
+    return (xn * (yd // xd), yn, yd) if yd >= xd else (xn, yn * (xd // yd), xd)
+
+
+def _act(m: Mat2, x: int, y: int, d: int):
+    """Integers (re, im, den) with m(z) = (re + i im) / den, m in SL(2, Z),
+    z = (x + iy) / d in the upper half-plane."""
+    c1, c2 = m.c * x + m.d * d, m.c * y
+    return (m.a * x + m.b * d) * c1 + m.a * y * c2, d * y, c1 * c1 + c2 * c2
+
+
+def _rounded(m: Mat2, x: int, y: int, d: int) -> UpperHalfPoint:
+    """m(z), z = (x + iy) / d, each coordinate rounded once; ValueError
+    (OUT_OF_RANGE) unless Re is a double and Im a normal one."""
+    re, im, den = _act(m, x, y, d)
+    try:
+        px, py = re / den, im / den
+    except OverflowError:
+        py = 0.0
+    if not py >= _TINY:
+        raise ValueError(OUT_OF_RANGE)
+    return UpperHalfPoint(px, py)
+
+
+def _log_ratio(n: int, d: int) -> float:
+    """log(n / d) for positive integers, also where n / d is not a double."""
+    e = n.bit_length() - d.bit_length()
+    return math.log(n / (d << e) if e >= 0 else (n << -e) / d) + e * _LOG2
+
+
 # ---------------------------------------------------------------------------
 # Certified suprema over slopes
 #
@@ -109,8 +158,6 @@ def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
 # below the exact value.  A value out of the normal range feeds no certificate.
 
 _SLACK = 2.0**-49  # 16 u
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
-_LOG2 = math.log(2.0)
 _SEEDS = ((0, 1), (1, 0), (1, 1), (-1, 1))
 
 
@@ -310,75 +357,33 @@ class TorusGeodesic(Record):
     _fields = ("endpoint_a", "endpoint_b", "point_at")
 
 
-def _endpoint_chart(alpha, beta) -> Mat2:
-    """Positive-determinant Moebius map with m(inf) = alpha, m(0) = beta."""
-    if alpha == INFINITY and beta == INFINITY:
-        raise ValueError("coincident endpoints")
-    if alpha == INFINITY:
-        return Mat2(1.0, float(beta), 0.0, 1.0)
-    if beta == INFINITY:
-        return Mat2(float(alpha), -1.0, 1.0, 0.0)
-    a, b = float(alpha), float(beta)
-    if a == b:
-        raise ValueError("coincident endpoints")
-    if a > b:
-        return Mat2(a, b, 1.0, 1.0)
-    return Mat2(a, -b, 1.0, -1.0)
-
-
-def _chart_geodesic(alpha, beta) -> TorusGeodesic:
-    m = _endpoint_chart(alpha, beta)
-
-    def point_at(t: float) -> UpperHalfPoint:
-        return mobius_apply(m, UpperHalfPoint(0.0, math.exp(2.0 * t)))
-
-    return TorusGeodesic(alpha, beta, point_at)
+def _on_geodesic(f: TorusCurve, g: TorusCurve, hn: int, hd: int) -> UpperHalfPoint:
+    """M^-1(M(beta_g) + i hn / hd) for f's chart M, where the unit Ext(f) is
+    hd / hn: the (f, g) geodesic is the vertical line over M(beta_g) = n / d."""
+    m = f.chart
+    n, d = m.b * g.q - m.a * g.p, f.p * g.q - f.q * g.p  # d = +-i(f, g)
+    return _rounded(Mat2(m.d, -m.b, -m.c, m.a), n * hd, hn * d, d * hd)
 
 
 def geodesic_between(f: TorusCurve, g: TorusCurve) -> TorusGeodesic:
-    """The Teichmueller geodesic with vertical class f and horizontal g.
-
-    Along it Ext(f) * Ext(g) = i(f, g)^2 identically.
-    """
+    """The Teichmueller geodesic with vertical class f and horizontal g, where
+    Ext(f) = e^{-2t} at point_at(t).  Along it Ext(f) * Ext(g) = i(f, g)^2."""
     if f == g:
         raise ValueError("curves coincide; no transverse pair")
-    return _chart_geodesic(f.boundary_point(), g.boundary_point())
+    return TorusGeodesic(f.boundary_point(), g.boundary_point(),
+                         lambda t: _on_geodesic(f, g, *math.exp(2.0 * t).as_integer_ratio()))
 
 
 def tangent_point(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation) -> UpperHalfPoint:
-    """Unique point on the (f, g) geodesic with Ext(f) = s.
-
-    In the geodesic's chart m (_endpoint_chart's, with exact entries),
-    Ext(f)(m(w)) = k / Im w, so the point is m(i k / s) with k = Ext(f)(m(i)):
-    exact Fractions, each coordinate rounded once, so within half an ulp.
-    ValueError if its height, in the chart or in the half-plane, is not a
-    normal double.
-    """
+    """Unique point on the (f, g) geodesic with Ext(f) = s, exact and then
+    each coordinate rounded once, so within half an ulp; ValueError
+    (OUT_OF_RANGE) if Im is not a normal double or Re not a double."""
     if not s > 0:
         raise ValueError("level must be positive")
     if f.curve == g.curve:
         raise ValueError("curves coincide; no transverse pair")
-    alpha, beta = f.curve.boundary_point(), g.curve.boundary_point()
-    if alpha == INFINITY:
-        a, b, c, d = 1, beta, 0, 1
-    elif beta == INFINITY:
-        a, b, c, d = alpha, -1, 1, 0
-    elif alpha > beta:
-        a, b, c, d = alpha, beta, 1, 1
-    else:
-        a, b, c, d = alpha, -beta, 1, -1
-
-    def chart(y):  # m(iy) = ((bd + ac y^2) + i (ad - bc) y) / (d^2 + c^2 y^2)
-        den = d * d + c * c * y * y
-        return UpperHalfPoint((b * d + a * c * y * y) / den, (a * d - b * c) * y / den)
-
-    height = Fraction(extremal_length(chart(Fraction(1)), f)) / Fraction(s)
-    if not _TINY <= height <= _HUGE:
-        raise ValueError(OUT_OF_RANGE)
-    pt = chart(height)
-    if not _TINY <= pt.y <= _HUGE:
-        raise ValueError(OUT_OF_RANGE)
-    return UpperHalfPoint(float(pt.x), float(pt.y))
+    h = Fraction(s) / Fraction(f.weight) ** 2
+    return _on_geodesic(f.curve, g.curve, h.denominator, h.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -554,62 +559,18 @@ class EquidistanceReport(Record):
     _fields = ("expected", "distances", "brackets", "max_error", "unique_feet", "ok")
 
 
-# Distance to a horocycle.  In the chart w = -1/(tau - cx) (w = tau if q = 0)
-# HS(f, level) is the line Im w = y0 and Ext_f = c^2 / Im w, c = q or p (see
-# _horocycle), so the foot of x is sigma* + i y0, sigma* = Re w(x) =
-# Re 1/(cx - x) (x.x if q = 0), at distance (1/2)|log(Ext_f(x) / level)|.
-# The bracket takes one end from each path (u = 2^-53):
-# - lower: that Busemann form, (1/2)|log e - log l| with e = Ext_f(x) from
-#   _ext (5 roundings) and l the weight-normalized level (1; a subnormal l is
-#   off by 8u, but then E > 700).  The logs (1 ulp each) and their difference
-#   add 1.5u E, E = |log e| + |log l|: 2^-49 (1 + E) covers 3u + 1.5u E.
-# - upper: d(x, P) + d(P, HS) for the computed foot P.  hyperbolic_distance
-#   takes 11 roundings while e^{2d} is a double (error 5.3u + 2u d), and four
-#   logs under 745 beyond (error 4100u + u d, d > 354): 2^-47 (1 + d) covers
-#   both and the sums.  d(P, HS) is P's Busemann form, bounded as above.
-# P is not at(sigma*), whose abscissa, near the cusp, can land an ulp off
-# x.x where the foot is far closer, a long way along the horocycle: P is
-# x.x plus Re of the shift i (Y - y0) z / (sigma* + i y0), z = x - cx,
-# sigma* + i Y = -1/z, at height Im -1/(sigma* + i y0), without cancellation.
-
-
 def _distance_to_horocycle(f: WeightedTorusFoliation, level):
-    """x -> Bracket on the Teichmueller distance from x to HS(f, level);
-    ValueError(OUT_OF_RANGE) where a value it needs is not a normal double.
-
-    The foot is unique: with w(x) = sigma_x + i Y in the chart above, the
-    cosh of the hyperbolic distance from x to sigma + i y0 on the horocycle is
-    1 + ((sigma - sigma_x)^2 + (Y - y0)^2) / (2 Y y0), a quadratic in sigma
-    with positive leading coefficient, so strictly convex, with its one
-    minimum at sigma = sigma_x; the chart is an isometry."""
-    c = f.curve
-    y0 = _horocycle(f, level)[1]
-    log_l = math.log(float(_normalize_level(f.weight, level)))
-
-    def gap(px: float, py: float) -> Bracket:
-        """Bracket on (1/2)|log(Ext_f / level)| at px + i py."""
-        e = _ext(c.p, c.q, *px.as_integer_ratio(), py)
-        if e is None:
-            raise ValueError(OUT_OF_RANGE)
-        log_e = math.log(e)
-        v, err = 0.5 * abs(log_e - log_l), 2.0**-49 * (1.0 + abs(log_e) + abs(log_l))
-        return Bracket(max(v - err, 0.0), v + err)
+    """x -> Bracket on the Teichmueller distance from x to HS(f, level), in
+    f's chart M the line Im = w^2 / level: the foot of x is Re Mx + i w^2 /
+    level, unique as the geodesics orthogonal to the line are vertical, and
+    the distance (1/2)|log(Im Mx * level / w^2)|, of an exact rational."""
+    m, norm = f.curve.chart, _normalize_level(f.weight, level)
 
     def distance(x: UpperHalfPoint) -> Bracket:
-        if c.q == 0:
-            foot = complex(x.x, y0)
-        else:
-            num, den = x.x.as_integer_ratio()
-            z = complex((c.p * den + c.q * num) / (c.q * den), x.y)
-            w = -1 / z
-            foot_w = complex(w.real, y0)
-            shift = (w.imag - y0) * (z / foot_w) * 1j
-            foot = complex(x.x + shift.real, (-1 / foot_w).imag)
-        if not (_TINY <= foot.imag <= _HUGE and abs(foot.real) <= _HUGE):
-            raise ValueError(OUT_OF_RANGE)
-        d = teich_distance(x, UpperHalfPoint(foot.real, foot.imag))
-        upper = Bracket(d, d + 2.0**-47 * (1.0 + d)) + gap(foot.real, foot.imag)
-        return Bracket(gap(x.x, x.y).lo, upper.hi)
+        _, im, den = _act(m, *_ints(x))
+        v = 0.5 * abs(_log_ratio(im * norm.numerator, den * norm.denominator))
+        err = HALF_LOG_ROUNDING * (1.0 + v)
+        return Bracket(max(v - err, 0.0), v + err)
 
     return distance
 
@@ -618,16 +579,27 @@ def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float
                        seed: int = 0) -> EquidistanceReport:
     """Distance from points of HS(f, s) to HS(f, t) equals (1/2) log(t/s); the
     points' horocycle-flow parameters are uniform on [-4, 4] from
-    random.Random(seed).  ok: every distance bracket holds (1/2) log(t/s) and
-    is at most tol wide.  The feet are unique (see _distance_to_horocycle)."""
+    random.Random(seed).  Each bracket holds its point's distance to HS(f, t),
+    widened by _horocycle's bound on how far the point is off HS(f, s).
+    ok: every bracket holds (1/2) log(t/s) and is at most tol wide.  The feet
+    are unique (see _distance_to_horocycle).  ValueError(OUT_OF_RANGE) for a
+    level that _horocycle cannot draw."""
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     on_s, to_t, rng = _horocycle(f, s)[0], _distance_to_horocycle(f, t), random.Random(seed)
-    brackets = [to_t(UpperHalfPoint(*on_s(rng.uniform(-4.0, 4.0)))) for _ in range(samples)]
-    ratio = Fraction(t) / Fraction(s)  # may pass the doubles
-    expected = 0.5 * (math.log(ratio.numerator) - math.log(ratio.denominator))
+    _horocycle(f, t)
+    brackets = []
+    for _ in range(samples):
+        sigma = rng.uniform(-4.0, 4.0)
+        x = UpperHalfPoint(*on_s(sigma))
+        # |Ext_f(x) / s - 1| <= eps puts x within eps / (2 (1 - eps)) of HS(f, s)
+        eps = 2.0**-40 + 2.0**-51 * abs(sigma * x.x)
+        widen = eps / (1.0 - eps) if eps < 0.5 else INFINITY
+        b = to_t(x)
+        brackets.append(Bracket(max(b.lo - widen, 0.0), b.hi + widen))
+    expected = 0.5 * _log_ratio(*(Fraction(t) / Fraction(s)).as_integer_ratio())
     max_err = max(max(b.hi - expected, expected - b.lo) for b in brackets)
     ok = all(b.contains(expected) and b.width <= tol for b in brackets)
     return EquidistanceReport(expected, [0.5 * (b.lo + b.hi) for b in brackets], brackets,
@@ -641,55 +613,28 @@ def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float
 def torus_ray(x0: UpperHalfPoint, f: WeightedTorusFoliation):
     """Teichmueller ray from x0 toward f; ray(0) = x0, Ext(f) decays e^{-2t}.
 
-    Returns (ray, chart, u0) where chart maps the vertical model geodesic
-    and ray(t) = chart(i * u0 * e^{2t})."""
-    alpha = f.curve.boundary_point()
-    if alpha == INFINITY:
-        beta = x0.x
-    else:
-        a = float(alpha)
-        if x0.x == a:
-            beta = INFINITY
-        else:
-            c = (x0.x * x0.x + x0.y * x0.y - a * a) / (2.0 * (x0.x - a))
-            beta = 2.0 * c - a
-    m = _endpoint_chart(alpha, beta)
-    minv = m.inverse()
-    z0 = mobius_apply(minv, x0)
-    u0 = z0.y  # z0 is on the imaginary axis up to rounding
+    In f's chart M it is the line r0 + i u0 e^{2t} over M x0 = r0 + i u0, and
+    ray(t) is M^-1 of its point at the double e^{2t}, as _rounded rounds it.
+    Returns (ray, chart, u0) with chart = M^-1 after w -> w + r0, its entries
+    rounded once, so that ray(t) = chart(i u0 e^{2t})."""
+    m = f.curve.chart
+    re0, im0, den0 = _act(m, *_ints(x0))
+    inv = Mat2(m.d, -m.b, -m.c, m.a)
 
     def ray(t: float) -> UpperHalfPoint:
-        return mobius_apply(m, UpperHalfPoint(0.0, u0 * math.exp(2.0 * t)))
+        kn, kd = math.exp(2.0 * t).as_integer_ratio()
+        return _rounded(inv, re0 * kd, im0 * kn, den0 * kd)
 
-    return ray, m, u0
-
-
-def busemann(
-    x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint
-) -> float:
-    """(1/2) log of the extremal-length ratio; the closed form valid for
-    indecomposable (single-curve) foliations."""
-    ext0 = extremal_length(x0, f)
-    if 0.0 < ext0 < INFINITY:
-        return _busemann(ext0, f, x)
-    return 0.5 * (_log_ext(x, f) - _log_ext(x0, f))
+    chart = Mat2(inv.a, (inv.a * re0 + inv.b * den0) / den0,
+                 inv.c, (inv.c * re0 + inv.d * den0) / den0)
+    return ray, chart, im0 / den0
 
 
-def _busemann(ext0, f: WeightedTorusFoliation, x: UpperHalfPoint) -> float:
-    """busemann with Ext_f(x0) = ext0, a positive double, given.  Where Ext_f(x)
-    or the ratio leaves the doubles, the difference of logs instead."""
-    ratio = extremal_length(x, f) / ext0
-    if 0.0 < ratio < INFINITY:
-        return 0.5 * math.log(ratio)
-    return 0.5 * (_log_ext(x, f) - math.log(ext0))
-
-
-def _log_ext(tau: UpperHalfPoint, f: WeightedTorusFoliation) -> float:
-    """log Ext_f(tau) = 2 log w + 2 log |p + q tau| - log Im tau, formed
-    without Ext_f(tau), which may pass the doubles."""
-    c = f.curve
-    log_w = math.log(float(f.weight))
-    return 2.0 * (log_w + math.log(math.hypot(c.p + c.q * tau.x, c.q * tau.y))) - math.log(tau.y)
+def busemann(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint) -> float:
+    """(1/2) log(Ext_f(x) / Ext_f(x0)) = (1/2) log(Im M x0 / Im M x) in f's
+    chart M, the closed form for indecomposable (single-curve) foliations;
+    within HALF_LOG_ROUNDING * (1 + |value|)."""
+    return _ray_excess(x0, f)(x)[0]
 
 
 def busemann_limit(
@@ -710,34 +655,41 @@ def busemann_limit(
     return est.value
 
 
-def _ray_excess(minv: Mat2, log_u0: float, y: UpperHalfPoint):
-    """t -> d_T(y, ray(t)) - t for the ray chart(i e^log_u0 e^{2t}) (minv the
-    chart's inverse), stable for very large t: it works in logarithms, so
-    e^{2t} is never formed, and the terms free of t (the chart image z of y,
-    log |z|^2 and log(2 Im z)) are computed once."""
-    z = mobius_apply(minv, y)
-    log_r2 = math.log(z.x * z.x + z.y * z.y)
-    log_2y = math.log(2.0 * z.y)
+def _ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
+    """y -> (busemann(x0, f, y), t -> d_T(y, ray(t)) - t) for torus_ray's ray,
+    in logarithms, so that neither e^{2t} nor a coordinate beyond the doubles
+    is formed; the terms free of t are formed once per y."""
+    m = f.curve.chart
+    re0, im0, den0 = _act(m, *_ints(x0))
+    log_u0 = _log_ratio(im0, den0)
 
-    def excess(t: float) -> float:
-        log_u = log_u0 + 2.0 * t
-        # w = (|z|^2 + u^2) / (2 * Im(z) * u)
-        a, b = log_r2, 2.0 * log_u
-        hi, lo = (a, b) if a >= b else (b, a)
-        log_w = hi + math.log1p(math.exp(lo - hi)) - log_2y - log_u
-        d_hyp = log_w + _LOG2 if log_w > 30.0 else math.acosh(max(math.exp(log_w), 1.0))
-        return 0.5 * d_hyp - t
+    def at(y: UpperHalfPoint):
+        re, im, den = _act(m, *_ints(y))
+        b = 0.5 * _log_ratio(im0 * den, den0 * im)
+        log_y = log_u0 - 2.0 * b  # log Im My
+        dx = (re * den0 - re0 * den) / (den * den0)  # Re My - r0, rounded once
+        # log(e^a + e^b) = max + log1p(e^-|a - b|), here and in excess, forms neither
+        a, b2 = 2.0 * math.log(abs(dx)) if dx else -INFINITY, 2.0 * log_y
+        log_r2 = max(a, b2) + math.log1p(math.exp(-abs(a - b2)))  # log |My - r0|^2
+        log_2y = _LOG2 + log_y
 
-    return excess
+        def excess(t: float) -> float:
+            # cosh d_hyp = (|My - r0|^2 + u^2) / (2 u Im My), u = u0 e^{2t}
+            log_u = log_u0 + 2.0 * t
+            a = 2.0 * log_u
+            hi, lo = (a, log_r2) if a >= log_r2 else (log_r2, a)
+            log_w = hi + math.log1p(math.exp(lo - hi)) - log_2y - log_u
+            d_hyp = log_w + _LOG2 if log_w > 30.0 else math.acosh(max(math.exp(log_w), 1.0))
+            return 0.5 * d_hyp - t
+
+        return b, excess
+
+    return at
 
 
 class BallLimitEntry(Record):
+    # classification: "inside", "outside" or "inconclusive"
     _fields = ("point", "busemann_value", "memberships", "classification", "nested")
-
-    def __init__(self, point, busemann_value, memberships, classification, nested):
-        # classification: "inside", "outside" or "inconclusive"
-        self.point, self.busemann_value, self.memberships = point, busemann_value, memberships
-        self.classification, self.nested = classification, nested
 
 
 class BallLimitReport(Record):
@@ -757,15 +709,13 @@ def metric_ball_limit_check(
     matches the sign of the Busemann closed form."""
     if not sample:
         raise ValueError("sample must be nonempty")
-    _, m, u0 = torus_ray(x0, f)
-    minv, log_u0, ext0 = m.inverse(), math.log(u0), extremal_length(x0, f)
+    at = _ray_excess(x0, f)
     times = [float(2**k) for k in range(k_max + 1)]
     entries = []
     inconclusive = []
     ok = True
     for y in sample:
-        b = _busemann(ext0, f, y)
-        excess = _ray_excess(minv, log_u0, y)
+        b, excess = at(y)
         ds = [excess(t) for t in times]
         memberships = [d < 0.0 for d in ds]
         nested = memberships == sorted(memberships)  # never out once in
@@ -776,11 +726,7 @@ def metric_ball_limit_check(
             cls = "inside"
         else:
             cls = "outside"
-        if cls == "inside" and b >= boundary_tol:
-            ok = False
-        if cls == "outside" and b <= -boundary_tol:
-            ok = False
-        if not nested:
-            ok = False
+        wrong = cls == "inside" and b >= boundary_tol or cls == "outside" and b <= -boundary_tol
+        ok = ok and nested and not wrong  # the limit class has the Busemann value's sign
         entries.append(BallLimitEntry(y, b, memberships, cls, nested))
     return BallLimitReport(entries, ok, inconclusive)

@@ -400,8 +400,6 @@ def test_input_errors_exit_one(capsys):
          1),
         (["growth-check", *L_ARGS, "--offset", "0"], 1),
         (["walsh-e", *L_ARGS, "--offset", "0"], 1),
-        (["busemann", "--tau0", "1e300+1i", "--curve", "2,1", "--tau", "0+1i"], 1),
-        (["ball-limit", "--tau0", "1e300+1i", "--curve", "2,1"], 1),
         (["growth-check", *L_ARGS, "--s-values", "1e200,2e200,3e200"], 1),
         (["growth-check", *L_ARGS, "--s-values", "1e155"], 1),
         (["origami-flow", *L_ARGS, "--kind", "horocycle", "--param", "1e400"], 1),
@@ -415,8 +413,7 @@ def test_input_errors_exit_one(capsys):
          "tangency-level-below-double-range", "triple-level-above-double-range",
          "usage-missing-option", "usage-unknown-option", "usage-bad-int",
          "usage-bad-choice", "ext-zero-weight", "intersect-edge-offset",
-         "growth-edge-offset", "walsh-edge-offset", "busemann-far-tau0",
-         "ball-limit-far-tau0", "growth-bound-beyond-double-range",
+         "growth-edge-offset", "walsh-edge-offset", "growth-bound-beyond-double-range",
          "growth-lower-bound-beyond-double-range", "flow-shear-beyond-double-range",
          "flow-stretch-beyond-double-range"],
 )
@@ -428,6 +425,65 @@ def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
+
+
+FAR_START = {
+    "busemann-far-tau0": ["busemann", "--tau0", "1e300+1i", "--curve", "2,1", "--tau", "0+1i"],
+    "ball-limit-far-tau0": ["ball-limit", "--tau0", "1e300+1i", "--curve", "2,1"],
+    "busemann-far-up-tau0": ["busemann", "--tau0", "0+1e300i", "--curve", "1,0",
+                             "--tau", "1e300+1i"],
+    "ball-limit-far-up-tau0": ["ball-limit", "--tau0", "0+1e300i", "--curve", "5,-7"],
+}
+
+
+@pytest.mark.parametrize("argv", FAR_START.values(), ids=FAR_START.keys())
+def test_far_start_calls(argv, capsys):
+    """Valid start points far out, where the ray's chart once overflowed and
+    these calls exited 1: each exits 0 or 2 with a strict-JSON record, a
+    reason exactly when it exits 2, and a finite busemann closed form within
+    its tag of the value at the double inputs (mpmath, 60 digits)."""
+    rec, status = run_json(capsys, argv)
+    results = rec["results"]
+    assert status in (0, 2) and ("reason" in results) == (status == 2)
+    if argv[0] == "busemann":
+        x0, x = cli.parse_tau(argv[2]), cli.parse_tau(argv[6])
+        p, q = map(int, argv[4].split(","))
+        with mpmath.workdps(60):
+            def ext(z):
+                re, y = p + q * mpmath.mpf(z.x), mpmath.mpf(z.y)
+                return (re * re + (q * y) ** 2) / y
+            truth = mpmath.log(ext(x) / ext(x0)) / 2
+            closed = results["closed_form"]
+            assert math.isfinite(closed["value"])
+            assert abs(closed["value"] - truth) <= closed["tolerance"]
+
+
+FAR_CURVES = [(1, 0), (0, 1), (1, 1), (2, 1), (3, -2), (5, -7), (999999, 1000000)]
+far_re = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 200.0)).map(
+    lambda se: se[0] * 10.0**se[1])
+far_im = st.floats(-100.0, 100.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(FAR_CURVES), far_re, far_im, far_re, far_im)
+@example((2, 1), 1e300, 1.0, 0.0, 1.0)
+def test_busemann_closed_form_within_its_tag(pq, x0, y0, x, y):
+    """The busemann record's closed form is within its tolerance of the value
+    at the double inputs (mpmath, 50 digits), for |Re| up to 1e200 and Im
+    log-uniform in [1e-100, 1e100]."""
+    p, q = pq
+    args = cli.build_parser().parse_args(
+        ["busemann", f"--tau0={x0!r}+{y0!r}i", f"--curve={p},{q}", f"--tau={x!r}+{y!r}i",
+         "--tol=1e-9"])
+    _, results, status = args.fn(args)
+    assert status in (0, 2)
+    with mpmath.workdps(50):
+        def ext(re, im):
+            a, b = p + q * mpmath.mpf(re), mpmath.mpf(im)
+            return (a * a + (q * b) ** 2) / b
+        truth = mpmath.log(ext(x, y) / ext(x0, y0)) / 2
+        closed = results["closed_form"]
+        assert abs(closed["value"] - truth) <= closed["tolerance"]
 
 
 def test_geodesic_time_out_of_range_names_the_time(capsys):

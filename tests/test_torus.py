@@ -7,9 +7,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from horoteich.kernel import UpperHalfPoint, mobius_apply
+from horoteich.kernel import Mat2, UpperHalfPoint, mobius_apply
 from horoteich import torus as T
 
 
@@ -53,6 +53,47 @@ def test_extremal_length_closed_forms():
     i = UpperHalfPoint(0.0, 1.0)
     assert T.extremal_length(i, fol(1, 1)) == pytest.approx(2.0)
     assert T.extremal_length(i, fol(0, 1)) == pytest.approx(1.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([Fraction(1), Fraction(3, 2)]),
+    st.integers(-10**200, 10**200),
+    st.integers(1, 10**6),
+    st.floats(-100.0, 100.0),
+)
+@example(1, 0, Fraction(1), 10**200, 7, -100.0)
+@example(-1, 0, Fraction(3, 2), -3, 2, 100.0)
+def test_chart_is_exact(p, q, w, re_num, re_den, log_im):
+    """M = TorusCurve(p, q).chart is in SL(2, Z) with bottom row (q, p); at a
+    Fraction tau (|Re| <= 1e200, Im log-uniform in [1e-100, 1e100]),
+    w^2 / Im M(tau) is extremal_length(tau, f) exactly; and at the double
+    point nearest tau, M's image in integers is the exact image, each
+    coordinate rounded to within half an ulp, which M^-1 maps back to the
+    double point bit for bit."""
+    assume(math.gcd(p, q) == 1)
+    c = T.TorusCurve(p, q)
+    m = c.chart
+    assert all(type(v) is int for v in (m.a, m.b, m.c, m.d))
+    assert m.det() == 1 and (m.c, m.d) == (c.q, c.p)
+    x, y = Fraction(re_num, re_den), Fraction(10.0**log_im) * Fraction(re_den, re_den + 1)
+    _, im, den = T._act(m, x.numerator * y.denominator, y.numerator * x.denominator,
+                        x.denominator * y.denominator)
+    f = T.WeightedTorusFoliation(w, c)
+    assert w * w * Fraction(den, im) == T.extremal_length(UpperHalfPoint(x, y), f)
+    pt = UpperHalfPoint(float(x), float(y))
+    re, im, den = T._act(m, *T._ints(pt))
+    px, py = Fraction(pt.x), Fraction(pt.y)
+    cr, ci = m.c * px + m.d, m.c * py  # M(tau) = (a tau + b) / (c tau + d)
+    nr, ni = m.a * px + m.b, m.a * py
+    norm = cr * cr + ci * ci
+    exact = ((nr * cr + ni * ci) / norm, (ni * cr - nr * ci) / norm)
+    assert (Fraction(re, den), Fraction(im, den)) == exact
+    for got, want in zip((re / den, im / den), exact):
+        assert abs(Fraction(got) - want) <= Fraction(math.ulp(got)) / 2
+    assert T._rounded(Mat2(m.d, -m.b, -m.c, m.a), re, im, den) == pt
 
 
 def test_extremal_length_weight_scaling():
@@ -590,9 +631,24 @@ def test_busemann_on_ray():
     assert T.busemann(x0, f, x0) == 0.0
 
 
+@pytest.mark.parametrize("pq", [(1, 0), (0, 1), (2, 1), (3, -2), (5, -7)])
+def test_torus_ray_chart(pq):
+    """ray(t) = chart(i u0 e^{2t}) for the returned chart, a positive-determinant
+    Mat2, and u0 = Im M x0; ray(0) is x0, and Ext_f decays as e^{-2t}."""
+    x0, f = UpperHalfPoint(0.3, 1.7), fol(*pq)
+    ray, chart, u0 = T.torus_ray(x0, f)
+    assert chart.det() > 0 and u0 == pytest.approx(1.0 / T.extremal_length(x0, f), rel=1e-15)
+    assert ray(0.0) == x0
+    for t in (-1.5, 0.5, 3.0):
+        pt = mobius_apply(chart, UpperHalfPoint(0.0, u0 * math.exp(2.0 * t)))
+        assert (pt.x, pt.y) == pytest.approx((ray(t).x, ray(t).y), rel=1e-12, abs=1e-12)
+        assert T.extremal_length(ray(t), f) == pytest.approx(
+            T.extremal_length(x0, f) * math.exp(-2.0 * t), rel=1e-12)
+
+
 def test_busemann_closed_form_beyond_the_doubles():
     """Where Ext_f or the ratio of the two Exts leaves the doubles, the closed
-    form is still within the CLI record's 1e-12 of the truth."""
+    form is still within the CLI record's tag of the truth."""
     def log_ext(t, p, q):
         re, im = p + q * mpmath.mpf(t.x), q * mpmath.mpf(t.y)
         return mpmath.log((re * re + im * im) / mpmath.mpf(t.y))
@@ -601,17 +657,17 @@ def test_busemann_closed_form_beyond_the_doubles():
     low, high = UpperHalfPoint(0.0, 1e-160), UpperHalfPoint(0.0, 1e200)
     for x0, (p, q), x in ((near, (2, 1), far), (far, (2, 1), near), (low, (0, 1), high)):
         truth = (log_ext(x, p, q) - log_ext(x0, p, q)) / 2
-        assert abs(T.busemann(x0, fol(p, q), x) - truth) <= 1e-12, (x0, x)
+        value = T.busemann(x0, fol(p, q), x)
+        assert abs(value - truth) <= T.HALF_LOG_ROUNDING * (1 + abs(value)), (x0, x)
 
 
 def test_ray_distance_stable_at_huge_times():
     x0 = UpperHalfPoint(0.0, 1.0)
     f = fol(1, 0)
-    _, m, u0 = T.torus_ray(x0, f)
-    minv = m.inverse()
     y = UpperHalfPoint(0.4, 2.0)
-    d_small = T._ray_excess(minv, math.log(u0), y)(30.0)
-    d_huge = T._ray_excess(minv, math.log(u0), y)(float(2**20))
+    _, excess = T._ray_excess(x0, f)(y)
+    d_small = excess(30.0)
+    d_huge = excess(float(2**20))
     assert math.isfinite(d_huge)
     assert d_huge <= d_small + 1e-9
     assert d_huge == pytest.approx(T.busemann(x0, f, y), abs=1e-6)
@@ -626,14 +682,22 @@ def test_metric_ball_limit_small_sample():
     assert rep.ok and not rep.inconclusive
 
 
-def ray_distance_per_call(minv, u0, y, t):
-    """Reference for the ball-limit sweep: D(t) with every term formed per call."""
-    z = mobius_apply(minv, y)
-    log_r2 = math.log(z.x * z.x + z.y * z.y)
-    log_u = math.log(u0) + 2.0 * t
+def ray_distance_per_call(x0, f, y, t):
+    """Reference for the ball-limit sweep: D(t) with every term formed per call,
+    in f's chart M, where the ray is r0 + i u0 e^{2t} over M x0 = r0 + i u0."""
+    m = f.curve.chart
+    re0, im0, den0 = T._act(m, *T._ints(x0))
+    re, im, den = T._act(m, *T._ints(y))
+    log_u0 = T._log_ratio(im0, den0)
+    log_y = log_u0 - 2.0 * (0.5 * T._log_ratio(im0 * den, den0 * im))
+    dx = (re * den0 - re0 * den) / (den * den0)
+    log_r2 = 2.0 * log_y
+    if dx:
+        hi, lo = max(2.0 * math.log(abs(dx)), log_r2), min(2.0 * math.log(abs(dx)), log_r2)
+        log_r2 = hi + math.log1p(math.exp(lo - hi))
+    log_u = log_u0 + 2.0 * t
     hi, lo = max(log_r2, 2.0 * log_u), min(log_r2, 2.0 * log_u)
-    log_num = hi + math.log1p(math.exp(lo - hi))
-    log_w = log_num - math.log(2.0 * z.y) - log_u
+    log_w = hi + math.log1p(math.exp(lo - hi)) - (math.log(2.0) + log_y) - log_u
     if log_w > 30.0:
         d_hyp = log_w + math.log(2.0)
     else:
@@ -664,12 +728,10 @@ def test_ball_limit_sweep_matches_per_call_distances():
     the memberships and classes, are bit-identical to forming all per call."""
     for x0, f, sample in ball_limit_samples():
         rep = T.metric_ball_limit_check(x0, f, sample)
-        _, m, u0 = T.torus_ray(x0, f)
-        minv = m.inverse()
         for y, e in zip(sample, rep.entries):
-            ds = [ray_distance_per_call(minv, u0, y, 2**k) for k in range(21)]
-            assert [T._ray_excess(minv, math.log(u0), y)(2**k) for k in range(21)] == ds
-            sweep = T._ray_excess(minv, math.log(u0), y)
+            ds = [ray_distance_per_call(x0, f, y, 2**k) for k in range(21)]
+            assert [T._ray_excess(x0, f)(y)[1](2**k) for k in range(21)] == ds
+            sweep = T._ray_excess(x0, f)(y)[1]
             assert [sweep(float(2**k)) for k in range(21)] == ds
             assert e.memberships == [d < 0.0 for d in ds]
             cls = "inconclusive" if abs(ds[-1]) <= 1e-6 else "inside" if ds[-1] < 0 else "outside"
