@@ -235,7 +235,8 @@ def cmd_torus_dist(args):
     res = T.kerckhoff_distance(t1, t2, tol=args.tol, cap=args.cap)
     results = {
         "distance": num_float(res.value, args.tol),
-        "closed_form": num_float(res.closed_form, 1e-12),
+        # hyperbolic_distance's rounding count (kernel), widened
+        "closed_form": num_float(res.closed_form, 2.0**-48 * res.closed_form + 2.0**-260),
         "witness_curve": f"{res.witness.p},{res.witness.q}",
         "nodes": res.nodes,
         "certified": res.certified,
@@ -300,21 +301,15 @@ def cmd_busemann(args):
     from . import horolab as H, torus as T
     x0, x = parse_tau(args.tau0), parse_tau(args.tau)
     f = T.WeightedTorusFoliation(Fraction(1), parse_curve(args.curve))
-    be = H.TorusBackend()
     closed = T.busemann(x0, f, x)
-    est = H.busemann_estimate(x0, f, x, be, tol=args.tol)
-    if est.trace:  # 2 tol when certified, which needs tol above D(t)'s rounding error
-        rounding = H.BUSEMANN_ROUNDING * (1.0 + est.trace[-1][0] + abs(est.value))
-        estimate = num_float(est.value, max(2 * args.tol, rounding))
-    else:  # the ray left the doubles at once
-        estimate = None
+    est = H.busemann_estimate(x0, f, x, H.TorusBackend(), tol=args.tol)
     results = {
         "closed_form": num_float(closed, T.HALF_LOG_ROUNDING * (1.0 + abs(closed))),
-        "limit_estimate": estimate,
+        "limit_estimate": num_float(est.value, est.radius),
         "certified": est.certified,
         "steps": len(est.trace),
     }
-    if not est.certified:  # "not_monotone", "precision", "not_settled" or "range"
+    if not est.certified:  # "not_monotone", "precision" or "not_settled"
         results["reason"] = est.reason
     inputs = _inputs(args, "tau0", "curve", "tau", "tol")
     return inputs, results, EXIT_OK if est.certified else EXIT_UNDECIDED

@@ -5,8 +5,8 @@ A backend supplies only geometry for one concrete model, in four methods:
 ``intersect(f, g)``, the intersection pairing as a Fraction;
 ``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
 (components of g), else None; and ``horosphere_sampler(f, level)``, points of
-the horosphere {Ext(f) = level}.  The torus backend also has ``distance`` and
-``ray`` for the Busemann machinery.  Proportionality, the sup of Ext over a
+the horosphere {Ext(f) = level}.  The torus backend also has ``ray_excess``
+for the Busemann machinery.  Proportionality, the sup of Ext over a
 horoball, the relations between horoballs (tangency, disjointness, nesting)
 and the Busemann machinery are implemented here once.
 
@@ -22,7 +22,7 @@ import importlib
 import math
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, UpperHalfPoint, _set
+from .kernel import Bracket, Frozen, Record, UpperHalfPoint, _set, _up
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -102,12 +102,11 @@ class TorusBackend:
         sigmas = [0.0] + [sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)]
         return [UpperHalfPoint(*at(s)) for s in sigmas]
 
-    def distance(self, x, y):
-        return self.model.teich_distance(x, y)
-
-    def ray(self, x0, f):
-        ray, _, _ = self.model.torus_ray(x0, f)
-        return ray
+    def ray_excess(self, x0, f, x):
+        """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for
+        D(t) = d(x, ray(t)) - t, B = lim D(t) (see torus.ray_excess)."""
+        _, excess, tail = self.model.ray_excess(x0, f)(x)
+        return lambda j: (excess(1, j), tail(j * math.log(2.0) * (1.0 - 2.0**-50)))  # <= log 2^j
 
 
 # ---------------------------------------------------------------------------
@@ -248,54 +247,50 @@ def classify(h1, h2, backend) -> HoroRelation:
 
 
 class BusemannEstimate(Record):
-    _fields = ("value", "certified", "trace", "reason")  # trace: (t, D(t)) pairs
+    # value +- radius encloses B; trace: (t, midpoint of D(t)) pairs
+    _fields = ("value", "radius", "certified", "trace", "reason")
 
 
-# Last ray time evaluated: the torus ray forms e^{2t}, which overflows a
-# double past t = 355, so doubling beyond 2^8 cannot be evaluated.
-BUSEMANN_T_MAX = 2.0**8
-BUSEMANN_SLACK = 1e-9  # rounding allowed in each monotonicity and floor test
-# D(t) = d(x, ray(t)) - t rounds by at most 16 u (u = 2^-53) per unit of 1 + t + |D(t)|: the
-# distance formula and the ray point give ~10 u, the last roundings of d and of - t u each.
-BUSEMANN_ROUNDING = 2.0**-49
+BUSEMANN_STEPS = 8  # ray times tried before an estimate is not_settled
 
 
 def busemann_estimate(x0, f, x, backend, tol: float = 1e-9) -> BusemannEstimate:
-    """Definition-based Busemann value lim d(x, G(t)) - t.
+    """Definition-based Busemann value B = lim D(t), D(t) = d(x, ray(t)) - t.
 
-    Doubles t until two successive values agree within tol; certified needs
-    monotone non-increase above the -d(x0, x) floor, tol at least D(t)'s rounding
-    error and agreement by t = BUSEMANN_T_MAX; reason names the first that fails,
-    or is "range" once a ray point (ValueError) or D(t) leaves the doubles.  The
-    value is the last D(t), None if there is none."""
+    D falls to B, and the backend brackets D(t) where e^{2t} = 2^j with a
+    bound on D(t) - B, so each step puts B in [D_lo - tail, D_hi]; at j = 0,
+    D(0) = d(x0, x) also gives B >= -d(x0, x).  Each next j is where the
+    tail, whose argument falls as 4^-j, drops below tol / 2 and 2^-51.
+    value +- radius is the intersection of these brackets, certified when
+    radius <= tol with two or more of them; else reason is "not_monotone"
+    (a bracket above an earlier one or below B's lower end), "precision"
+    (the tail is within D(t)'s rounding) or "not_settled" (BUSEMANN_STEPS
+    steps)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    ray = backend.ray(x0, f)
-    floor = -backend.distance(x0, x)
-    trace, reason, settled, t = [], None, False, 1.0
-    while t <= BUSEMANN_T_MAX and not settled:
-        try:
-            cur = backend.distance(x, ray(t)) - t
-        except ValueError:  # a ray point beyond the doubles
-            cur = math.inf
-        if not math.isfinite(cur):
-            reason = "range"
+    excess = backend.ray_excess(x0, f, x)
+    trace, reason, lo, hi, j = [], "not_settled", -math.inf, math.inf, 0
+    for _ in range(BUSEMANN_STEPS):
+        d, tail = excess(j)
+        if d.lo > hi or d.hi < lo:
+            reason = "not_monotone"
             break
-        if trace:
-            prev = trace[-1][1]
-            if cur > prev + BUSEMANN_SLACK or cur < floor - BUSEMANN_SLACK:
-                reason = "not_monotone"
-            settled = abs(cur - prev) < tol
-        trace.append((t, cur))
-        t *= 2.0
-    if not trace:
-        return BusemannEstimate(None, False, trace, reason)
-    t, cur = trace[-1]
-    if reason is None and tol < BUSEMANN_ROUNDING * (1.0 + t + abs(cur)):
-        reason = "precision"
-    elif reason is None and not settled:
-        reason = "not_settled"
-    return BusemannEstimate(cur, reason is None, trace, reason)
+        lo = max(lo if j else -d.hi, math.nextafter(d.lo - tail, -math.inf))  # -D(0) = -d(x0, x)
+        hi = min(hi, d.hi)
+        trace.append((0.5 * j * math.log(2.0), 0.5 * (d.lo + d.hi)))
+        value = 0.5 * (lo + hi)
+        radius = _up(max(value - lo, hi - value))
+        if radius <= tol and j:  # certified only past a check against a second bracket
+            reason = None
+            break
+        if radius > tol and tail <= d.width:
+            reason = "precision"
+            break
+        # tail <= log1p(q) / 2, and q falls as 4^-j: step j until q is below tol and 2^-50,
+        # so that the tail is below D(t)'s own rounding too, at no extra step
+        log_q = 2.0 * tail + math.log(-math.expm1(-2.0 * tail))
+        j += max(1, math.ceil((log_q - math.log(min(tol, 2.0**-50))) / (2.0 * math.log(2.0))))
+    return BusemannEstimate(value, radius, reason is None, trace, reason)
 
 
 # ---------------------------------------------------------------------------

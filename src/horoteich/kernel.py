@@ -136,7 +136,13 @@ def hyperbolic_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
 
     D = cosh d - 1 = |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2)
     over d = dx, dy, so no y1 y2 is formed to underflow, and D is never
-    rounded against 1."""
+    rounded against 1.
+
+    Rounding (u = 2^-53): D within 6 u (dx, dy u, each term 5 u), em1 10.5 u,
+    so d 11.5 u d as log1p(x) >= x / (1 + x); the far branch (d > 709.7, each
+    log at most 745) 5,146 u + u d < 8.3 u d.  A subnormal d/y has a partner
+    below 2^540 when both Im are at least 2^-537 (parse_tau), so D moves by
+    2^-534 and d, as acosh(1 + x) <= sqrt(2x), by 2^-266: 12 u d + 2^-266."""
     dx, dy = t1.x - t2.x, t1.y - t2.y
     big_d = 0.5 * ((dx / t1.y) * (dx / t2.y) + (dy / t1.y) * (dy / t2.y))
     em1 = big_d + math.sqrt(big_d) * math.sqrt(big_d + 2.0)

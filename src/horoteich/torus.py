@@ -5,7 +5,9 @@ class (p, q) has extremal length |p + q*tau|^2 / Im(tau).  In the curve's
 chart (``TorusCurve.chart``), an SL(2, Z) map sending -p/q to infinity, its
 horospheres are horizontal lines and its rays and geodesics vertical ones,
 so tangency, rays and horosphere distances are exact up to one rounding;
-distance suprema are certified by a descent toward a closed-form supremum.
+distance suprema are certified by a descent toward a closed-form supremum,
+and Busemann limits and ball memberships rest on one bracket of d(y,
+ray(t)) - t formed from integers (ray_excess).
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ HALF_LOG_ROUNDING = 2.0**-50  # half of a _log_ratio is within this times 1 + |v
 
 
 class MonotonicityError(RuntimeError):
-    """A Busemann distance sequence increased, fell below -d(x0, x), or did
-    not settle before the time cap; signals a distance bug."""
+    """busemann_limit's estimate is not certified: a D(t) bracket increased
+    or fell below the Busemann value's lower end, or did not settle."""
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +636,7 @@ def busemann(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint) -
     """(1/2) log(Ext_f(x) / Ext_f(x0)) = (1/2) log(Im M x0 / Im M x) in f's
     chart M, the closed form for indecomposable (single-curve) foliations;
     within HALF_LOG_ROUNDING * (1 + |value|)."""
-    return _ray_excess(x0, f)(x)[0]
+    return ray_excess(x0, f)(x)[0]
 
 
 def busemann_limit(
@@ -655,36 +657,55 @@ def busemann_limit(
     return est.value
 
 
-def _ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
-    """y -> (busemann(x0, f, y), t -> d_T(y, ray(t)) - t) for torus_ray's ray,
-    in logarithms, so that neither e^{2t} nor a coordinate beyond the doubles
-    is formed; the terms free of t are formed once per y."""
+def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
+    """y -> (b, excess, tail) for torus_ray's ray, where D(t) = d_T(y, ray(t))
+    - t falls to the Busemann value b = B: excess(k, e) is a Bracket on D(t)
+    where e^{2t} = K = k 2^e, and tail(log_k) bounds D(t) - B wherever 2t >=
+    log_k.  In f's chart M let My = z, M x0 = r0 + i u0, so ray(t) = r0 + i K
+    u0 and cosh 2 d_T = A = N / M', N = (Re z - r0)^2 + (Im z)^2 + (K u0)^2,
+    M' = 2 Im z K u0.  D(t) = (1/2) log((A + sqrt(A^2 - 1)) / K) is an isqrt
+    to 2^-72 and one _log_ratio (HALF_LOG_ROUNDING); B = (1/2) log(u0 / Im z),
+    and A + sqrt(A^2 - 1) <= 2A gives D(t) - B <= (1/2) log1p(((Re z - r0)^2
+    + (Im z)^2) / (K u0)^2)."""
     m = f.curve.chart
     re0, im0, den0 = _act(m, *_ints(x0))
-    log_u0 = _log_ratio(im0, den0)
 
     def at(y: UpperHalfPoint):
         re, im, den = _act(m, *_ints(y))
-        b = 0.5 * _log_ratio(im0 * den, den0 * im)
-        log_y = log_u0 - 2.0 * b  # log Im My
-        dx = (re * den0 - re0 * den) / (den * den0)  # Re My - r0, rounded once
-        # log(e^a + e^b) = max + log1p(e^-|a - b|), here and in excess, forms neither
-        a, b2 = 2.0 * math.log(abs(dx)) if dx else -INFINITY, 2.0 * log_y
-        log_r2 = max(a, b2) + math.log1p(math.exp(-abs(a - b2)))  # log |My - r0|^2
-        log_2y = _LOG2 + log_y
+        x, h, w = re * den0 - re0 * den, im * den0, im0 * den  # Re z - r0, Im z, u0 times den den0
+        h0 = 0.5 * _log_ratio(x * x + h * h, w * w)  # half the log of the tail's argument at K = 1
+        h0 += HALF_LOG_ROUNDING * (1.0 + abs(h0))
 
-        def excess(t: float) -> float:
-            # cosh d_hyp = (|My - r0|^2 + u^2) / (2 u Im My), u = u0 e^{2t}
-            log_u = log_u0 + 2.0 * t
-            a = 2.0 * log_u
-            hi, lo = (a, log_r2) if a >= log_r2 else (log_r2, a)
-            log_w = hi + math.log1p(math.exp(lo - hi)) - log_2y - log_u
-            d_hyp = log_w + _LOG2 if log_w > 30.0 else math.acosh(max(math.exp(log_w), 1.0))
-            return 0.5 * d_hyp - t
+        def tail(log_k: float) -> float:  # (1/2) log1p(e^{2a}) for a >= h0 - log K; 2^-49
+            a = math.nextafter(h0 - log_k, INFINITY)  # covers its roundings, 2^-1000 an underflow
+            a = (a if a > 0.0 else 0.0) + 0.5 * math.log1p(math.exp(-2.0 * abs(a)))
+            return a * (1.0 + 2.0**-49) + 2.0**-1000
 
-        return b, excess
+        def excess(k: int, e: int):
+            s, p = (0, e) if e >= 0 else (-e, 0)  # K = k 2^p / 2^s: scale Re z - r0, Im z by 2^s
+            xs, hs, ws = x << s, h << s, (w * k) << p
+            hw, n = hs * ws, xs * xs + hs * hs + ws * ws
+            c = n.bit_length() - 74
+            c, d = (c, 0) if c >= 0 else (0, -c)
+            # 2^d (N + sqrt(N^2 - M'^2)), to 2^(c + 1), over 2^d M' K
+            num = (n << d) + (math.isqrt((n - 2 * hw) * (n + 2 * hw) << 2 * d >> 2 * c) << c)
+            v = 0.5 * _log_ratio(num << s, hw * k << (1 + d + p))
+            err = HALF_LOG_ROUNDING * (1.0 + abs(v))
+            return Bracket(v - err, v + err)
+
+        return 0.5 * _log_ratio(w, h), excess, tail
 
     return at
+
+
+def _exp_2t(k: int):
+    """(lo, hi, e) with lo 2^e <= e^{2t} <= hi 2^e for t = 2^k: e^2's bracket
+    below squared k times, each square rounded outward to 64 bits."""
+    lo, hi, e = 34076006700814097603, 34076006700814097604, -62
+    for _ in range(k):
+        s = max(2 * hi.bit_length() - 64, 0)
+        lo, hi, e = lo * lo >> s, -(-hi * hi >> s), 2 * e + s
+    return lo, hi, e
 
 
 class BallLimitEntry(Record):
@@ -703,30 +724,49 @@ def metric_ball_limit_check(
     k_max: int = 20,
     boundary_tol: float = 1e-6,
 ) -> BallLimitReport:
-    """Membership of sample points in the growing balls B(ray(t), t), t = 2^k.
-
-    Once a point enters it stays (nestedness), and the limiting membership
-    matches the sign of the Busemann closed form."""
+    """Membership of sample points in the growing balls B(ray(t), t), t = 2^k,
+    where y is in iff D(t) < 0 (see ray_excess): out where B >= 0, in where
+    B + tail < 0 (B from its closed-form bracket), else from D's exact
+    brackets at the rationals around e^{2t} (D falls with t); None where
+    these hold 0 too, or the tail is below B's rounding.  inside / outside:
+    D(2^k_max) is below -boundary_tol / above boundary_tol.  nested: no
+    membership goes from in to out.  ok: every point nested, with an exact D
+    bracket meeting [B_lo, B_hi + tail] where the tail's argument is at most
+    2^-40."""
     if not sample:
         raise ValueError("sample must be nonempty")
-    at = _ray_excess(x0, f)
-    times = [float(2**k) for k in range(k_max + 1)]
+    at = ray_excess(x0, f)
     entries = []
     inconclusive = []
     ok = True
     for y in sample:
-        b, excess = at(y)
-        ds = [excess(t) for t in times]
-        memberships = [d < 0.0 for d in ds]
-        nested = memberships == sorted(memberships)  # never out once in
-        if abs(ds[-1]) <= boundary_tol:
+        b, excess, tail = at(y)
+        err = HALF_LOG_ROUNDING * (1.0 + abs(b))
+        b_lo, b_hi = b - err, b + err
+        memberships = []
+        for k in range(k_max + 1):  # t = 2^k
+            tl = 0.0 if b_lo >= 0.0 else tail(2.0 ** (k + 1))
+            if b_lo >= 0.0 or tl < -b_hi or tl < 2.0 * err:
+                # from here on D >= B >= 0, or D <= B + tail < 0, or the tail is below B's own
+                # rounding, which no exact D bracket resolves either: the membership stays open
+                rest = False if b_lo >= 0.0 else True if tl < -b_hi else None
+                memberships += [rest] * (k_max + 1 - k)
+                break
+            lo, hi, e = _exp_2t(k)
+            memberships.append(True if excess(lo, e).hi < 0.0
+                               else False if excess(hi, e).lo >= 0.0 else None)
+        decided = [m for m in memberships if m is not None]
+        nested = decided == sorted(decided)  # never out once in
+        if math.nextafter(b_hi + tail(2.0 ** (k_max + 1)), INFINITY) < -boundary_tol:  # D(2^k_max)
+            cls = "inside"
+        elif b_lo > boundary_tol:
+            cls = "outside"
+        else:
             cls = "inconclusive"
             inconclusive.append(y)
-        elif ds[-1] < 0:
-            cls = "inside"
-        else:
-            cls = "outside"
-        wrong = cls == "inside" and b >= boundary_tol or cls == "outside" and b <= -boundary_tol
-        ok = ok and nested and not wrong  # the limit class has the Busemann value's sign
+        # tail(0) bounds half the log of the tail's argument at K = 1, which falls 4-fold per j
+        j = max(0, math.ceil(tail(0.0) / _LOG2 + 20.0))
+        d, d_tail = excess(1, j), tail(j * _LOG2 * (1.0 - 2.0**-50))  # below j log 2
+        ok = ok and nested and d.hi >= b_lo and d.lo <= math.nextafter(b_hi + d_tail, INFINITY)
         entries.append(BallLimitEntry(y, b, memberships, cls, nested))
     return BallLimitReport(entries, ok, inconclusive)

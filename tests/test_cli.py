@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horoteich import cli
+from horoteich import cli, torus as T
 from horoteich.kernel import UpperHalfPoint
 
 L_ARGS = ["--h", "[2,1,3]", "--v", "[3,2,1]"]
@@ -486,6 +486,75 @@ def test_busemann_closed_form_within_its_tag(pq, x0, y0, x, y):
         assert abs(closed["value"] - truth) <= closed["tolerance"]
 
 
+TAG_CURVES = [(1, 0), (0, 1), (1, 1), (2, 1), (3, -2), (5, -7)]
+tag_tau = st.tuples(st.floats(-1e3, 1e3), st.floats(-8.0, 8.0).map(lambda e: 10.0**e))
+
+
+def run_record(argv):
+    """(results, exit status) of one command through cli.run."""
+    import contextlib
+    import io
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.run(argv)
+    return json.loads(out.getvalue(), parse_constant=strict_constant)["results"], status
+
+
+def assert_tagged(field, truth):
+    assert abs(field["value"] - truth) <= field["tolerance"], (field, truth)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(TAG_CURVES), st.sampled_from(TAG_CURVES), tag_tau, tag_tau,
+       st.floats(-8.0, 8.0))
+@example((2, 1), (1, 0), (1e300, 1.0), (0.0, 1.0), 0.0)
+def test_torus_tags_hold(pq, pq2, tau0, tau, log_level):
+    """Every tagged float of the torus README commands (torus-ext, torus-dist
+    when certified and its closed form, tangency's point, busemann's closed
+    form and limit estimate, certified or not) is within its tolerance of
+    the value at the double inputs, in mpmath at 50 digits; Im tau is
+    log-uniform in [1e-8, 1e8] and |Re tau| <= 1e3, with one far start."""
+    (p, q), (x0, y0), (x, y) = pq, tau0, tau
+    t0, t = f"--tau0={x0!r}+{y0!r}i", f"{x!r}+{y!r}i"
+    with mpmath.workdps(50):
+        def ext(re, im, p=p, q=q):
+            a, b = p + q * mpmath.mpf(re), mpmath.mpf(im)
+            return (a * a + (q * b) ** 2) / b
+
+        r, status = run_record(["torus-ext", f"--tau={t}", f"--curve={p},{q}"])
+        assert status == 0
+        assert_tagged(r["ext"], ext(x, y))
+
+        r, status = run_record(["torus-dist", f"--tau1={x0!r}+{y0!r}i", f"--tau2={t}"])
+        dx, dy = mpmath.mpf(x0) - mpmath.mpf(x), mpmath.mpf(y0) - mpmath.mpf(y)
+        dist = mpmath.acosh(1 + (dx * dx + dy * dy) / (2 * mpmath.mpf(y0) * mpmath.mpf(y))) / 2
+        assert_tagged(r["closed_form"], dist)
+        if r["certified"]:
+            assert_tagged(r["distance"], dist)
+
+        r, status = run_record(["busemann", t0, f"--curve={p},{q}", f"--tau={t}"])
+        assert status in (0, 2)
+        truth = mpmath.log(ext(x, y) / ext(x0, y0)) / 2
+        assert_tagged(r["closed_form"], truth)
+        assert_tagged(r["limit_estimate"], truth)
+
+        c1, c2 = T.TorusCurve(*pq), T.TorusCurve(*pq2)
+        if c1 != c2:  # tangent levels s and i^2 / s, s = 10^log_level as a rational
+            level = Fraction(10.0**log_level)
+            r, status = run_record(["tangency", f"--curve1={p},{q}", f"--level1={level}",
+                                    f"--curve2={c2.p},{c2.q}",
+                                    f"--level2={T.intersection(c1, c2) ** 2 / level}"])
+            assert status == 0 and r["tangent"]
+            # in c1's chart M the point is M(-p2/q2) + i / level, mapped back by M^-1
+            m = c1.chart
+            beta = mpmath.mpf(m.a) / m.c if c2.q == 0 else (
+                (m.a * mpmath.mpf(-c2.p) / c2.q + m.b) / (m.c * mpmath.mpf(-c2.p) / c2.q + m.d))
+            w = beta + 1j / (mpmath.mpf(level.numerator) / level.denominator)
+            point = (m.d * w - m.b) / (m.a - m.c * w)
+            assert_tagged(r["tangent_point"]["re"], point.real)
+            assert_tagged(r["tangent_point"]["im"], point.imag)
+
+
 def test_geodesic_time_out_of_range_names_the_time(capsys):
     """e^t or e^-t beyond the normal doubles is the time's fault, not a stretch's."""
     for t in ("-1000", "-720", "709"):
@@ -557,10 +626,10 @@ def test_relation_undecided_reason(capsys):
 
 @pytest.mark.parametrize("reason", ["precision", "not_monotone", "not_settled"])
 def test_busemann_exit_2_reasons(capsys, monkeypatch, reason):
-    """An uncertified Busemann record says why: tol below the rounding error
-    of D(t); a ray run ahead by 1 - 1/t, so that D(t) grows by about 1/(2t)
-    at each doubling; or one run ahead by 1/t, so that D(t) falls by about
-    1/(2t) and has not settled by t = 256.  Exit 0 has no reason."""
+    """An uncertified Busemann record says why: tol below the rounding width
+    of D(t)'s bracket; a D(t) bracket above an earlier one (here each one
+    after t = 0 is raised by j); or a tail bound that never falls (here
+    held at 1 or more), so that BUSEMANN_STEPS steps do not settle it.  Exit 0 has no reason."""
     from horoteich import horolab as H
     argv = ["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+3i"]
     rec, status = run_json(capsys, argv)
@@ -568,27 +637,37 @@ def test_busemann_exit_2_reasons(capsys, monkeypatch, reason):
     if reason == "precision":
         argv += ["--tol", "1e-300"]
     else:
-        ray = H.TorusBackend.ray
-        lead = (lambda t: 1 - 1 / t) if reason == "not_monotone" else (lambda t: 1 / t)
-        monkeypatch.setattr(H.TorusBackend, "ray",
-                            lambda self, x0, f: lambda t: ray(self, x0, f)(t + lead(t)))
+        ray_excess = H.TorusBackend.ray_excess
+
+        def forced(self, x0, f, x):
+            excess = ray_excess(self, x0, f, x)
+
+            def at(j):
+                d, tail = excess(j)
+                if reason == "not_monotone":
+                    return H.Bracket(d.lo + j, d.hi + j), tail
+                return d, max(tail, 1.0)
+            return at
+        monkeypatch.setattr(H.TorusBackend, "ray_excess", forced)
     rec, status = run_json(capsys, argv)
     assert status == 2 and rec["results"]["certified"] is False
     assert rec["results"]["reason"] == reason
 
 
 def test_busemann_uncertified_tag_covers_its_error(capsys):
-    """With --tol below D(t)'s rounding error the estimate is uncertified, and
-    its tag is that rounding bound, not 2 tol: it covers the distance to the
-    closed form.  A certified estimate keeps the tag 2 tol."""
+    """With --tol below D(t)'s rounding width the estimate is uncertified,
+    and its tag, the half-width of its bracket, still covers its distance to
+    the Busemann value at the double inputs (mpmath, 50 digits).  A
+    certified estimate is tagged with at most tol."""
     argv = ["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+3i"]
     rec, status = run_json(capsys, [*argv, "--tol", "1e-300"])
     r = rec["results"]
     assert status == 2 and r["reason"] == "precision"
-    error = abs(r["limit_estimate"]["value"] - r["closed_form"]["value"])
-    assert 2e-300 < error <= r["limit_estimate"]["tolerance"]
+    with mpmath.workdps(50):
+        truth = mpmath.log(mpmath.mpf(1) / 3) / 2  # Ext(1, 0) is 1 / Im
+        assert abs(r["limit_estimate"]["value"] - truth) <= r["limit_estimate"]["tolerance"] < 1e-14
     rec, status = run_json(capsys, argv)
-    assert status == 0 and rec["results"]["limit_estimate"]["tolerance"] == 2e-9
+    assert status == 0 and rec["results"]["limit_estimate"]["tolerance"] <= 1e-9
 
 
 def test_growth_check_violation_reason(capsys, monkeypatch):

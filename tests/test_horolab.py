@@ -106,8 +106,8 @@ def test_busemann_estimate_trivial_and_on_ray():
     x0 = UpperHalfPoint(0.0, 1.0)
     f = T.WeightedTorusFoliation(Fraction(1), T.TorusCurve(1, 0))
     est = H.busemann_estimate(x0, f, x0, BE, tol=1e-9)
-    assert est.certified and abs(est.value) < 1e-9
-    ray = BE.ray(x0, f)
+    assert est.certified and abs(est.value) <= est.radius <= 1e-9
+    ray, _, _ = T.torus_ray(x0, f)
     est = H.busemann_estimate(x0, f, ray(0.75), BE, tol=1e-9)
     assert est.certified and est.value == pytest.approx(-0.75, abs=1e-8)
 
@@ -126,25 +126,48 @@ def test_busemann_estimate_matches_closed_form():
         assert all(b <= a + 1e-9 for a, b in zip(ds, ds[1:]))
 
 
+def d_truth(x0, p, q, x, t):
+    """D(t) = d_T(x, ray(t)) - t at the double inputs, in mpmath, with the ray
+    r0 + i u0 e^{2t} in the chart M of (p, q), M x0 = r0 + i u0."""
+    m = T.TorusCurve(p, q).chart
+
+    def act(z):
+        w = (m.a * (mpmath.mpf(z.x) + 1j * mpmath.mpf(z.y)) + m.b) / (
+            m.c * (mpmath.mpf(z.x) + 1j * mpmath.mpf(z.y)) + m.d)
+        return w.real, w.imag
+    (r0, u0), (a, b) = act(x0), act(x)
+    k = mpmath.exp(2 * t)
+    cosh = 1 + ((a - r0) ** 2 + (b - k * u0) ** 2) / (2 * b * k * u0)
+    return mpmath.acosh(cosh) / 2 - t
+
+
+def b_truth(x0, p, q, x):
+    def ext(z):
+        return (p + q * mpmath.mpf(z.x)) ** 2 / mpmath.mpf(z.y) + q * q * mpmath.mpf(z.y)
+    return mpmath.log(ext(x) / ext(x0)) / 2
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.sampled_from(CURVES_7), st.floats(-3, 3), st.floats(-4, 4),
-       st.floats(-3, 3), st.floats(-4, 4))
-def test_busemann_rounding_bound_holds(pq, re0, log_im0, re, log_im):
-    """Each D(t) with t >= 32 (where the ray's approach to the limit is far
-    below a double) lies within BUSEMANN_ROUNDING * (1 + t + |D|) of the
-    exact Busemann value, taken in mpmath at 50 digits on the double inputs."""
+       st.floats(-3, 3), st.floats(-4, 4), st.floats(1e-300, 1e-3))
+def test_busemann_rounding_bound_holds(pq, re0, log_im0, re, log_im, tol):
+    """Each D(t) bracket, at the times the estimate steps through and at
+    fixed ones up to t = 100 log 2, holds D(t) at the double inputs (mpmath,
+    60 digits), each [D_lo - tail, D_hi] holds the Busemann value, and so
+    does value +- radius, certified or not."""
     x0 = UpperHalfPoint(re0, math.exp(log_im0))
     x = UpperHalfPoint(re, math.exp(log_im))
     p, q = pq
-
-    def ext(z):
-        return (p + q * mpmath.mpf(z.x)) ** 2 / mpmath.mpf(z.y) + q * q * mpmath.mpf(z.y)
-    with mpmath.workdps(50):
-        exact = mpmath.log(ext(x) / ext(x0)) / 2
-        est = H.busemann_estimate(x0, fol(p, q), x, BE, tol=1e-300)
-        for t, d in est.trace:
-            if t >= 32:
-                assert abs(mpmath.mpf(d) - exact) <= H.BUSEMANN_ROUNDING * (1 + t + abs(d))
+    excess = BE.ray_excess(x0, fol(p, q), x)
+    with mpmath.workdps(60):
+        est = H.busemann_estimate(x0, fol(p, q), x, BE, tol=tol)
+        assert est.certified or est.reason == "precision"
+        truth = b_truth(x0, p, q, x)
+        assert abs(est.value - truth) <= est.radius
+        for j in {round(2 * t / math.log(2)) for t, _ in est.trace} | {0, 1, 3, 10, 40, 200}:
+            d, tail = excess(j)
+            exact = d_truth(x0, p, q, x, j * mpmath.log(2) / 2)
+            assert d.lo <= exact <= d.hi and d.lo - tail <= truth <= d.hi, (j, d, tail)
 
 
 # ---------------------------------------------------------------------------

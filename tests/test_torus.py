@@ -662,15 +662,68 @@ def test_busemann_closed_form_beyond_the_doubles():
 
 
 def test_ray_distance_stable_at_huge_times():
+    """D(t) at t = 2^20, from the exact rationals around e^{2t}, is a narrow
+    bracket at or below D(16)'s that holds the Busemann value."""
     x0 = UpperHalfPoint(0.0, 1.0)
     f = fol(1, 0)
     y = UpperHalfPoint(0.4, 2.0)
-    _, excess = T._ray_excess(x0, f)(y)
-    d_small = excess(30.0)
-    d_huge = excess(float(2**20))
-    assert math.isfinite(d_huge)
-    assert d_huge <= d_small + 1e-9
-    assert d_huge == pytest.approx(T.busemann(x0, f, y), abs=1e-6)
+    b, excess, _ = T.ray_excess(x0, f)(y)
+    lo, hi, e = T._exp_2t(20)
+    d_huge, d_small = excess(hi, e), excess(lo, e)
+    assert d_huge.width < 1e-14 and d_small.hi == d_huge.hi
+    assert d_huge.hi <= excess(*T._exp_2t(4)[::2]).hi + 1e-15
+    assert d_huge.lo <= b <= d_huge.hi
+
+
+def test_exp_2t_brackets_hold():
+    """Each bracket of _exp_2t holds e^{2t}, t = 2^k, within a relative 2^-40,
+    the first within 2^-62 (mpmath, 40 digits)."""
+    with mpmath.workdps(40):
+        assert T._exp_2t(0)[1] - T._exp_2t(0)[0] == 1
+        for k in range(21):
+            lo, hi, e = T._exp_2t(k)
+            two_t = mpmath.mpf(2) ** (k + 1)
+            log_lo, log_hi = mpmath.log(lo) + e * mpmath.log(2), mpmath.log(hi) + e * mpmath.log(2)
+            assert log_lo <= two_t <= log_hi and log_hi - log_lo < 2.0**-40, k
+
+
+def ray_truth(x0, f, y, log_k):
+    """(D(t), B) at the double inputs, where log K = 2t (an mpf), in mpmath
+    from the exact chart coordinates of y and x0."""
+    m = f.curve.chart
+    re0, im0, den0 = T._act(m, *T._ints(x0))
+    re, im, den = T._act(m, *T._ints(y))
+    dx, h, u0 = Fraction(re, den) - Fraction(re0, den0), Fraction(im, den), Fraction(im0, den0)
+
+    def mp(v):
+        return mpmath.mpf(v.numerator) / v.denominator
+    k = mpmath.exp(log_k)
+    cosh = 1 + (mp(dx) ** 2 + (mp(h) - k * mp(u0)) ** 2) / (2 * mp(h) * k * mp(u0))
+    return mpmath.acosh(cosh) / 2 - log_k / 2, mpmath.log(mp(u0) / mp(h)) / 2
+
+
+FAR_CURVES = [(1, 0), (0, 1), (1, 1), (2, 1), (3, -2), (5, -7), (999999, 1000000)]
+far_re = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 200.0)).map(
+    lambda se: se[0] * 10.0**se[1])
+far_im = st.floats(-100.0, 100.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(FAR_CURVES), far_re, far_im, far_re, far_im, st.integers(0, 6000))
+@example((2, 1), 1e300, 1.0, 0.0, 1.0, 1990)
+def test_ray_excess_brackets_hold_the_truth(pq, x0r, x0i, yr, yi, j):
+    """For start and sample points anywhere in |Re| <= 1e200, Im in [1e-100,
+    1e100], the exact D(t) bracket at e^{2t} = 2^j holds D(t) at the double
+    inputs (mpmath, 80 digits), [D_lo - tail, D_hi] holds the Busemann value,
+    and b is busemann's closed form."""
+    x0, y, f = UpperHalfPoint(x0r, x0i), UpperHalfPoint(yr, yi), fol(*pq)
+    b, excess, tail_at = T.ray_excess(x0, f)(y)
+    d, tail = excess(1, j), tail_at(j * math.log(2) * (1 - 2.0**-50))
+    with mpmath.workdps(80):
+        d_true, b_true = ray_truth(x0, f, y, j * mpmath.log(2))
+        assert d.lo <= d_true <= d.hi and d.lo - tail <= b_true <= d.hi, (d, tail, d_true, b_true)
+        assert abs(b - b_true) <= T.HALF_LOG_ROUNDING * (1 + abs(b))
+    assert b == T.busemann(x0, f, y)
 
 
 def test_metric_ball_limit_small_sample():
@@ -680,29 +733,6 @@ def test_metric_ball_limit_small_sample():
     sample = [x for x in sample if abs(T.busemann(x0, f, x)) >= 1e-3]
     rep = T.metric_ball_limit_check(x0, f, sample)
     assert rep.ok and not rep.inconclusive
-
-
-def ray_distance_per_call(x0, f, y, t):
-    """Reference for the ball-limit sweep: D(t) with every term formed per call,
-    in f's chart M, where the ray is r0 + i u0 e^{2t} over M x0 = r0 + i u0."""
-    m = f.curve.chart
-    re0, im0, den0 = T._act(m, *T._ints(x0))
-    re, im, den = T._act(m, *T._ints(y))
-    log_u0 = T._log_ratio(im0, den0)
-    log_y = log_u0 - 2.0 * (0.5 * T._log_ratio(im0 * den, den0 * im))
-    dx = (re * den0 - re0 * den) / (den * den0)
-    log_r2 = 2.0 * log_y
-    if dx:
-        hi, lo = max(2.0 * math.log(abs(dx)), log_r2), min(2.0 * math.log(abs(dx)), log_r2)
-        log_r2 = hi + math.log1p(math.exp(lo - hi))
-    log_u = log_u0 + 2.0 * t
-    hi, lo = max(log_r2, 2.0 * log_u), min(log_r2, 2.0 * log_u)
-    log_w = hi + math.log1p(math.exp(lo - hi)) - (math.log(2.0) + log_y) - log_u
-    if log_w > 30.0:
-        d_hyp = log_w + math.log(2.0)
-    else:
-        d_hyp = math.acosh(max(math.exp(log_w), 1.0))
-    return 0.5 * d_hyp - t
 
 
 def ball_limit_samples():
@@ -724,16 +754,48 @@ def ball_limit_samples():
 
 
 def test_ball_limit_sweep_matches_per_call_distances():
-    """The sweep forms the terms free of t once per point; its D(2^k), and so
-    the memberships and classes, are bit-identical to forming all per call."""
+    """The sweep decides most memberships from B's bracket and the tail bound;
+    each decided one has the sign of D(2^k) formed per call in mpmath (50
+    digits), an undecided one is within 1e-12 of 0, and the class is that of
+    D(2^20), which is at least 1e-6 from 0 here."""
     for x0, f, sample in ball_limit_samples():
         rep = T.metric_ball_limit_check(x0, f, sample)
+        assert rep.ok
         for y, e in zip(sample, rep.entries):
-            ds = [ray_distance_per_call(x0, f, y, 2**k) for k in range(21)]
-            assert [T._ray_excess(x0, f)(y)[1](2**k) for k in range(21)] == ds
-            sweep = T._ray_excess(x0, f)(y)[1]
-            assert [sweep(float(2**k)) for k in range(21)] == ds
-            assert e.memberships == [d < 0.0 for d in ds]
+            with mpmath.workdps(50):
+                ds = [ray_truth(x0, f, y, mpmath.mpf(2) ** (k + 1))[0] for k in range(21)]
+            for m, d in zip(e.memberships, ds):
+                assert (d < 0) == m if m is not None else abs(d) < 1e-12
             cls = "inconclusive" if abs(ds[-1]) <= 1e-6 else "inside" if ds[-1] < 0 else "outside"
-            assert e.classification == cls
+            assert e.classification == cls and e.nested
             assert e.busemann_value == T.busemann(x0, f, y)
+
+
+def test_ball_limit_point_on_the_limit_sphere_is_inconclusive():
+    """A point with Busemann value 0 (x0 itself, and x0 moved along the
+    horocycle Im = 1.7 of the curve (1, 0)) is listed once as inconclusive;
+    ok still holds."""
+    x0, f = UpperHalfPoint(0.3, 1.7), fol(1, 0)
+    rep = T.metric_ball_limit_check(x0, f, [x0, UpperHalfPoint(2.0, 0.5), UpperHalfPoint(5.3, 1.7)])
+    assert rep.ok and rep.inconclusive == [x0, UpperHalfPoint(5.3, 1.7)]
+    assert [e.classification for e in rep.entries] == ["inconclusive", "outside", "inconclusive"]
+
+
+def test_ball_limit_ok_is_a_check(monkeypatch):
+    """ok fails when the exact D(t) brackets disagree with the closed form:
+    here they are shifted up by 1e-9, past B_hi + tail."""
+    x0, f, sample = next(ball_limit_samples())
+    at = T.ray_excess
+
+    def shifted(x0, f):
+        def point(y):
+            b, excess, tail = at(x0, f)(y)
+
+            def moved(k, e):
+                d = excess(k, e)
+                return T.Bracket(d.lo + 1e-9, d.hi + 1e-9)
+            return b, moved, tail
+        return point
+    assert T.metric_ball_limit_check(x0, f, sample[:5]).ok
+    monkeypatch.setattr(T, "ray_excess", shifted)
+    assert not T.metric_ball_limit_check(x0, f, sample[:5]).ok
