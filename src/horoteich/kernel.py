@@ -142,12 +142,18 @@ def hyperbolic_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
     so d 11.5 u d as log1p(x) >= x / (1 + x); the far branch (d > 709.7, each
     log at most 745) 5,146 u + u d < 8.3 u d.  A subnormal d/y has a partner
     below 2^540 when both Im are at least 2^-537 (parse_tau), so D moves by
-    2^-534 and d, as acosh(1 + x) <= sqrt(2x), by 2^-266: 12 u d + 2^-266."""
+    2^-534 and d, as acosh(1 + x) <= sqrt(2x), by 2^-266: 12 u d + 2^-266.
+    Where x1 - x2 overflows, d is that of tau1 / 2 and tau2 / 2: their dx is finite and
+    above each Im, so D >= 1/2, d >= 0.96 and the count holds (a subnormal Re loses
+    2^-1075, nothing against dx); the far branch's logs, which cancel, serve only d > 709.7."""
     dx, dy = t1.x - t2.x, t1.y - t2.y
     big_d = 0.5 * ((dx / t1.y) * (dx / t2.y) + (dy / t1.y) * (dy / t2.y))
     em1 = big_d + math.sqrt(big_d) * math.sqrt(big_d + 2.0)
     if em1 < math.inf:
         return math.log1p(em1)
+    if abs(dx) == math.inf:
+        return hyperbolic_distance(UpperHalfPoint(0.5 * t1.x, 0.5 * t1.y),
+                                   UpperHalfPoint(0.5 * t2.x, 0.5 * t2.y))
     # e^d beyond the doubles: d = log(2 cosh d) = log(|tau1 - tau2|^2 / (y1 y2)), in logs
     return 2.0 * math.log(math.hypot(dx, dy)) - math.log(t1.y) - math.log(t2.y)
 

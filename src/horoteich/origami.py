@@ -18,6 +18,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from operator import eq
 from typing import Sequence
 
 from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, round_ratio
@@ -25,6 +26,7 @@ from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, round_r
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+_IDENTITY = Mat2(_ONE, _ZERO, _ZERO, _ONE)
 
 
 class SingularityHit(ValueError):  # the start point is a bad argument
@@ -39,11 +41,6 @@ class SingularityHit(ValueError):  # the start point is a bad argument
 # Permutation helpers (tuples of 0-based images)
 
 
-def _compose(p, q):
-    """(p o q)(x) = p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
 def _inverse(p):
     inv = [0] * len(p)
     for i, j in enumerate(p):
@@ -52,20 +49,17 @@ def _inverse(p):
 
 
 def _cycles(p):
-    seen = [False] * len(p)
-    out = []
+    """The cycles of p, and the index of each point's cycle."""
+    label, out = [None] * len(p), []
     for i in range(len(p)):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        out.append(tuple(cyc))
-    return out
+        if label[i] is None:
+            k, cyc = len(out), [i]
+            for j in cyc:  # grows while it is walked
+                label[j] = k
+                if p[j] != i:
+                    cyc.append(p[j])
+            out.append(tuple(cyc))
+    return out, label
 
 
 def _is_permutation(p) -> bool:
@@ -89,28 +83,27 @@ class Origami(Frozen):
             raise ValueError("h and v must act on the same squares")
         if not (_is_permutation(h) and _is_permutation(v)):
             raise ValueError("h and v must be permutations")
-        if len(self._orbit_of(0)) != self.n:
+        if len(self._orbit(0, bytearray(len(h)))) != len(h):
             raise ValueError(f"disconnected surface; orbits {self._orbit_partition()}")
 
-    def _orbit_of(self, start):
-        """Orbit under h and v alone: on a finite set it is closed under their inverses."""
-        h, v, seen, stack = self.h, self.v, {start}, [start]
-        while stack:
-            x = stack.pop()
-            for y in (h[x], v[x]):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+    def _orbit(self, start, seen):
+        """The orbit of an unseen start under h and v alone (on a finite set it is
+        closed under their inverses), marked in ``seen`` as it is walked."""
+        h, v, orbit = self.h, self.v, [start]
+        seen[start] = 1
+        for x in orbit:  # grows while it is walked
+            y, z = h[x], v[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+            if not seen[z]:
+                seen[z] = 1
+                orbit.append(z)
+        return orbit
 
     def _orbit_partition(self):
-        left = set(range(self.n))
-        parts = []
-        while left:
-            orb = self._orbit_of(next(iter(left)))
-            parts.append(sorted(q + 1 for q in orb))
-            left -= orb
-        return parts
+        seen = bytearray(self.n)
+        return [sorted(q + 1 for q in self._orbit(s, seen)) for s in range(self.n) if not seen[s]]
 
     @property
     def n(self) -> int:
@@ -128,16 +121,28 @@ class Origami(Frozen):
     def area(self) -> int:
         return self.n
 
-    @property
-    def vertex_permutation(self):
-        hi, vi = self.h_inv, self.v_inv
-        return tuple(self.h[self.v[hi[vi[x]]]] for x in range(self.n))
+    @cached_property
+    def _corners(self):
+        """h v, v h, and a 1 per square where they agree: its top-right corner is regular."""
+        h, v = self.h, self.v
+        hv, vh = [h[y] for y in v], [v[y] for y in h]
+        return hv, vh, bytes(map(eq, hv, vh))
 
     @cached_property
     def singularities(self) -> tuple:
-        """Cone-point orders (multiples of 2*pi in excess angle)."""
-        orders = [len(c) - 1 for c in _cycles(self.vertex_permutation)]
-        return tuple(sorted(o for o in orders if o > 0))
+        """Cone-point orders (multiples of 2*pi in excess angle): the non-trivial cycles of
+        (v h)^-1 (h v), less one each; its fixed points, the regular corners, are not walked."""
+        hv, vh, regular = self._corners
+        back = _inverse(vh)  # (v h)^-1
+        seen, orders = bytearray(regular), []
+        for x in range(self.n):
+            if not seen[x]:
+                k, y = 0, x
+                while not seen[y]:
+                    seen[y] = 1
+                    k, y = k + 1, back[hv[y]]
+                orders.append(k - 1)
+        return tuple(sorted(orders))
 
     @property
     def genus(self) -> int:
@@ -147,7 +152,7 @@ class Origami(Frozen):
 
 def build_origami(h: Sequence[int], v: Sequence[int]) -> Origami:
     """Build from 1-based one-line permutation arrays; validates connectivity."""
-    return Origami(tuple(x - 1 for x in h), tuple(x - 1 for x in v))
+    return Origami(tuple([x - 1 for x in h]), tuple([x - 1 for x in v]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +177,8 @@ class CylinderCurve(Frozen):
 def cylinders(o: Origami, direction: str) -> tuple:
     """Maximal cylinders in a periodic direction, computed once per origami.
 
-    Cycles of the direction's permutation are unit bands; adjacent bands
-    merge when the gluing across their interface is singularity-free.
+    Cycles of the direction's permutation are unit bands; a band merges into
+    the next one across when every corner on their shared edge is regular.
     """
     if direction == HORIZONTAL:
         along, across = o.h, o.v
@@ -184,26 +189,13 @@ def cylinders(o: Origami, direction: str) -> tuple:
     if direction in o._cylinders:
         return o._cylinders[direction][0]
 
-    cycs = _cycles(along)
-    band = [0] * o.n  # square -> unit band
-    for ci, c in enumerate(cycs):
-        for x in c:
-            band[x] = ci
-
-    def merges(ci):
-        c = cycs[ci]
-        if all(across[along[x]] == along[across[x]] for x in c):
-            return band[across[c[0]]]
-        return None
-
-    nxt = [merges(ci) for ci in range(len(cycs))]
+    cycs, band = _cycles(along)  # unit bands, and the band of each square
+    regular = o._corners[2]
+    nxt = [band[across[c[0]]] if all(map(regular.__getitem__, c)) else None for c in cycs]
     has_pred = {t for t in nxt if t is not None}
-
     out, owner = [], [None] * len(cycs)  # owner: band -> index of its cylinder in out
     # open chains begin at a band with no predecessor; the rest are loops
-    starts = [ci for ci in range(len(cycs)) if ci not in has_pred]
-    starts += [ci for ci in range(len(cycs))]
-    for ci in starts:
+    for ci in sorted(range(len(cycs)), key=has_pred.__contains__):
         chain = []
         while ci is not None and owner[ci] is None:
             chain.append(ci)
@@ -214,8 +206,8 @@ def cylinders(o: Origami, direction: str) -> tuple:
         core = cycs[chain[0]]
         out.append(CylinderCurve(direction, core, len(core), len(chain),
                                  tuple(cycs[k] for k in chain)))
-    # beside the cylinders, the cylinder of each square
-    o._cylinders[direction] = (tuple(out), [out[owner[k]] for k in band])
+    # beside the cylinders, the band of each square and the cylinder of each band
+    o._cylinders[direction] = (tuple(out), band, owner)
     return o._cylinders[direction][0]
 
 
@@ -224,27 +216,27 @@ def cylinders(o: Origami, direction: str) -> tuple:
 
 
 class MarkedFlatSurface(Frozen):
+    """``gram``, not a field: integers with |deform (x, y)|^2 / det = (A x^2 + 2 B x y
+    + C y^2) / D, the deform entries over one denominator; D > 0, as det must be."""
+
     _fields = ("base", "deform")
 
     def __init__(self, base: Origami, deform: Mat2):
-        if not deform.det() > 0:
+        try:
+            ratios = [e.as_integer_ratio() for e in (deform.a, deform.b, deform.c, deform.d)]
+        except (ValueError, OverflowError):  # a NaN or infinite entry: no determinant
+            ratios = [(0, 1)] * 4
+        q = math.lcm(*(den for _, den in ratios))
+        a, b, c, d = (num * (q // den) for num, den in ratios)
+        if not a * d - b * c > 0:
             raise ValueError("deformation must have positive determinant")
         _set(self, "base", base)
         _set(self, "deform", deform)
-
-    @cached_property
-    def gram(self):
-        """Integers with |deform (x, y)|^2 / det = (A x^2 + 2 B x y + C y^2) / D: the deform
-        entries over one denominator.  D > 0, as det is."""
-        m = self.deform
-        ratios = [v.as_integer_ratio() for v in (m.a, m.b, m.c, m.d)]
-        q = math.lcm(*(den for _, den in ratios))
-        a, b, c, d = (num * (q // den) for num, den in ratios)
-        return a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c
+        _set(self, "gram", (a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c))
 
     @staticmethod
     def base_point(o: Origami) -> "MarkedFlatSurface":
-        return MarkedFlatSurface(o, Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
+        return MarkedFlatSurface(o, _IDENTITY)
 
 
 def geodesic_flow(x: MarkedFlatSurface, t: float = None, stretch=None) -> MarkedFlatSurface:
@@ -291,9 +283,11 @@ def ext_horizontal(x: MarkedFlatSurface) -> Fraction:
 
 class CurveTrace(Frozen):
     """direction: primitive integer (dx, dy), dx >= 0, or (0, 1) if vertical;
-    segments ((square, (x0, y0), (x1, y1)), ...); holonomy (dx_total, dy_total)."""
+    segments ((square, (x0, y0), (x1, y1)), ...); holonomy (dx_total, dy_total).
+    ``_cylinder``, not a field: the cylinder of a ``core_trace``, else None."""
 
     _fields = ("origami", "direction", "segments", "holonomy")
+    _cylinder = None
 
     @cached_property
     def squares(self):
@@ -443,12 +437,15 @@ def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
     """Straight core curve through the middle of the cylinder's first row: the
     ``trace_from_point`` from (0, 1/2) in direction (1, 0), or (1/2, 0) in (0, 1).
     That edge start re-enters as its own first edge point, each step crosses one
-    square of the row's cycle, and the trace closes after ``circumference`` steps."""
+    square of the row's cycle, and the trace closes after ``circumference`` steps.
+    The trace carries ``cyl``, so ``ext_bracket`` need not look it up."""
     if cyl.direction == HORIZONTAL:
         direction, p, q = (1, 0), (_ZERO, _HALF), (_ONE, _HALF)
     else:
         direction, p, q = (0, 1), (_HALF, _ZERO), (_HALF, _ONE)
-    return CurveTrace(o, direction, tuple([(s, p, q) for s in cyl.squares]), cyl.holonomy)
+    t = CurveTrace(o, direction, tuple([(s, p, q) for s in cyl.squares]), cyl.holonomy)
+    _set(t, "_cylinder", cyl)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +507,9 @@ def _find_cylinder_for(t: CurveTrace):
     direction = {(1, 0): HORIZONTAL, (0, 1): VERTICAL}.get(t.direction)
     if direction is None:
         return None
-    cylinders(t.origami, direction)  # fills the square -> cylinder index
-    cyl = t.origami._cylinders[direction][1][t.segments[0][0]]
+    cylinders(t.origami, direction)  # fills the band of each square and its cylinder
+    cyls, band, owner = t.origami._cylinders[direction]
+    cyl = cyls[owner[band[t.segments[0][0]]]]
     return cyl if abs(t.holonomy[0] + t.holonomy[1]) == cyl.circumference else None
 
 
@@ -529,7 +527,7 @@ def ext_bracket(t: CurveTrace, x: MarkedFlatSurface, w2=1) -> Bracket:
     hx, hy = t.holonomy
     lo = round_ratio(p * (big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy),
                      q * big_d * x.base.n, -math.inf)
-    cyl = _find_cylinder_for(t)
+    cyl = t._cylinder or _find_cylinder_for(t)
     if cyl is None:
         return Bracket(lo, math.inf)
     hi = round_ratio(p * cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
@@ -675,22 +673,14 @@ _GEN_MATRIX = {
 def _gen_apply_origami(o: Origami, g: str) -> Origami:
     h, v = o.h, o.v
     if g == "T":
-        return Origami(h, _compose(v, o.h_inv))
+        return Origami(h, tuple([v[x] for x in o.h_inv]))
     if g == "Ti":
-        return Origami(h, _compose(v, h))
+        return Origami(h, tuple([v[x] for x in h]))
     if g == "S":
         return Origami(o.v_inv, h)
     if g == "F":
         return Origami(h, o.v_inv)
     raise ValueError(f"unknown generator {g!r}")
-
-
-def _normalize_point(o: Origami, s: int, x, y):
-    if x == 1:
-        s, x = o.h[s], Fraction(0)
-    if y == 1:
-        s, y = o.v[s], Fraction(0)
-    return s, x, y
 
 
 def _gen_map_point(o_old: Origami, o_new: Origami, g: str, s: int, x, y):
@@ -712,7 +702,11 @@ def _gen_map_point(o_old: Origami, o_new: Origami, g: str, s: int, x, y):
         s2, x2, y2 = s, x, 1 - y
     else:
         raise ValueError(f"unknown generator {g!r}")
-    return _normalize_point(o_new, s2, x2, y2)
+    if x2 == 1:
+        s2, x2 = o_new.h[s2], _ZERO
+    if y2 == 1:
+        s2, y2 = o_new.v[s2], _ZERO
+    return s2, x2, y2
 
 
 def decompose_unimodular(m: Mat2):

@@ -94,6 +94,17 @@ def test_torus_dist_closed_form_nearby_points(capsys):
     assert abs(closed["value"] - truth) <= closed["tolerance"]
 
 
+def test_torus_dist_closed_form_far_apart_in_re(capsys):
+    """Re tau1 - Re tau2 overflows the doubles; the closed form is still finite
+    and within its tag of (1/2) acosh(1 + dx^2 / 2) (mpmath, 50 digits)."""
+    rec, status = run_json(capsys, ["torus-dist", "--tau1=1.7e308+1i", "--tau2=-1.7e308+1i"])
+    closed = rec["results"]["closed_form"]
+    with mpmath.workdps(50):
+        truth = mpmath.acosh(1 + (2 * mpmath.mpf(1.7e308)) ** 2 / 2) / 2
+    assert status == 2 and rec["results"]["reason"] == "range"
+    assert math.isfinite(closed["value"]) and abs(closed["value"] - truth) <= closed["tolerance"]
+
+
 def test_triple(capsys):
     rec, status = run_json(capsys, ["triple", "--i", "2,3,6"])
     assert status == 0

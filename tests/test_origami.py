@@ -69,6 +69,55 @@ def test_cylinder_holonomy():
     assert cyl.holonomy == (0, cyl.circumference)
 
 
+def _naive_cone_orders(o):
+    """Reference: the cycle lengths less one of the commutator h v h^-1 v^-1,
+    from dict inverses and a set of seen squares, the trivial cycles dropped."""
+    h, v = o.h, o.v
+    hi, vi = {y: x for x, y in enumerate(h)}, {y: x for x, y in enumerate(v)}
+    comm = [h[v[hi[vi[x]]]] for x in range(o.n)]
+    orders, seen = [], set()
+    for x in range(o.n):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x, length = comm[x], length + 1
+        if length > 1:
+            orders.append(length - 1)
+    return tuple(sorted(orders))
+
+
+def test_cones_genus_and_cylinders_on_random_origamis():
+    """Seeded connected origamis of 1 to 200 squares, random ones (nearly every
+    corner a cone) and a x b grid tori with a few gluings swapped (most corners
+    regular, so bands merge): the cone orders are the naive commutator's, they
+    sum to 2g - 2, and in each direction the cylinders partition the squares
+    with circumference times height summing to n."""
+    rng = random.Random(24)
+    surfaces = [_random_origami(rng, n) for n in [1, 2, 200] + rng.sample(range(3, 200), 40)]
+    while len(surfaces) < 100:
+        a, b = rng.randint(1, 20), rng.randint(1, 10)
+        h = [r * a + (c + 1) % a for r in range(b) for c in range(a)]
+        v = [((r + 1) % b) * a + c for r in range(b) for c in range(a)]
+        for _ in range(rng.randint(0, 3)):
+            p = rng.choice((h, v))
+            i, j = rng.randrange(a * b), rng.randrange(a * b)
+            p[i], p[j] = p[j], p[i]
+        try:
+            surfaces.append(O.Origami(tuple(h), tuple(v)))
+        except ValueError:  # disconnected; draw again
+            continue
+    merged = 0
+    for o in surfaces:
+        assert o.singularities == _naive_cone_orders(o)
+        assert sum(o.singularities) == 2 * o.genus - 2
+        for d in (O.HORIZONTAL, O.VERTICAL):
+            cyls = O.cylinders(o, d)
+            assert sorted(s for c in cyls for s in c.all_squares) == list(range(o.n))
+            assert sum(c.circumference * c.height for c in cyls) == o.n
+            merged += sum(c.height > 1 for c in cyls)
+    assert merged > 50
+
+
 # ---------------------------------------------------------------------------
 # Flows and direction extremal lengths
 

@@ -1,6 +1,8 @@
 """The value classes and reports are plain classes over kernel.Record: the
 value classes keep a frozen dataclass's equality, hashing, immutability and
 argument checks, the reports a dataclass's mutable, unhashable records."""
+import math
+import random
 import re
 from fractions import Fraction
 
@@ -31,8 +33,13 @@ VALUES = {
                 (((0, 0), (0, 1)), "h and v must be permutations"),
                 (((1, 0, 2), (0, 1, 2)), "disconnected surface; orbits [[1, 2], [3]]")),
     O.CylinderCurve: (("vertical", (0, 2), 2, 1, ((0, 2),)),),
-    O.MarkedFlatSurface: ((L, ID), ((L, Mat2(1, 0, 0, -1)),
-                                    "deformation must have positive determinant")),
+    O.MarkedFlatSurface: ((L, ID), *(((L, m), "deformation must have positive determinant") for m in (
+        Mat2(1, 0, 0, -1), Mat2(0, 0, 0, 0),  # negative and zero determinant
+        Mat2(Fraction(2, 3), Fraction(1, 2), Fraction(4, 3), Fraction(1)),
+        Mat2(Fraction(1, 3), Fraction(5, 7), Fraction(1, 2), Fraction(-1, 9)),
+        Mat2(0.5, 0.25, 2.0, 1.0), Mat2(0.0, 1.5, 0.75, 0.0),
+        Mat2(math.nan, 0.0, 0.0, 1.0), Mat2(Fraction(1), math.nan, Fraction(0), Fraction(1)),
+        Mat2(math.inf, 0.0, 0.0, 1.0), Mat2(Fraction(1), 0, 0, -math.inf)))),
     O.CurveTrace: ((L, (0, 1), TRACE.segments, (0, 2)),),
     O.MulticurveFoliation: ((((Fraction(1), CYL),),),
                             (((),), "empty foliation"),
@@ -81,6 +88,26 @@ def test_caches_stay_out_of_equality_hash_and_repr():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert repr(a) == "Origami(h=(1, 0, 2), v=(2, 1, 0))"
     assert TRACE.squares == (0, 2) and TRACE == O.core_trace(L, CYL)
+
+
+def test_gram_is_the_fraction_formula_on_flowed_points():
+    """gram = (A, B, C, D) over the deform entries a, b, c, d (det = ad - bc):
+    A / D, B / D, C / D are (a^2 + c^2, ab + cd, b^2 + d^2) / det, and D is det
+    times the square of the entries' common denominator."""
+    rng = random.Random(24)
+    x = O.MarkedFlatSurface.base_point(L)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            x = O.horocycle_flow(x, rng.choice([Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                                rng.uniform(-5.0, 5.0)]))
+        else:
+            x = O.geodesic_flow(x, stretch=Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        a, b, c, d = (Fraction(e) for e in (x.deform.a, x.deform.b, x.deform.c, x.deform.d))
+        det, q = a * d - b * c, math.lcm(*(e.denominator for e in (a, b, c, d)))
+        big_a, big_b, big_c, big_d = x.gram
+        assert big_d == det * q * q > 0
+        assert (Fraction(big_a, big_d), Fraction(big_b, big_d), Fraction(big_c, big_d)) == (
+            (a * a + c * c) / det, (a * b + c * d) / det, (b * b + d * d) / det)
 
 
 def test_reports_keep_dataclass_semantics():
