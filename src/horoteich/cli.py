@@ -234,7 +234,7 @@ def cmd_torus_dist(args):
     t1, t2 = parse_tau(args.tau1), parse_tau(args.tau2)
     res = T.kerckhoff_distance(t1, t2, tol=args.tol, cap=args.cap)
     results = {
-        "distance": num_float(res.value, args.tol),
+        "distance": num_float(res.value, args.tol) if res.certified else None,
         # hyperbolic_distance's rounding count (kernel), widened
         "closed_form": num_float(res.closed_form, 2.0**-48 * res.closed_form + 2.0**-260),
         "witness_curve": f"{res.witness.p},{res.witness.q}",

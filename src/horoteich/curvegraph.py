@@ -36,9 +36,6 @@ class CurveSet(Frozen):
                     raise ValueError("i_matrix must be symmetric and nonnegative")
         Record.__init__(self, vertices, payloads, i_matrix)
 
-    def index(self, v):
-        return self.vertices.index(v)
-
 
 def _pairwise(payloads, pairing):
     """Symmetric table of a symmetric pairing: each unordered pair once."""

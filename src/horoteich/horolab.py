@@ -189,11 +189,6 @@ def _common_ratio(coeffs):
     return coeffs[0] if coeffs and coeffs[0] != 0 and len(set(coeffs)) == 1 else None
 
 
-def proportionality(f, g, backend):
-    """k with f = k*g as measured foliations, else None."""
-    return _common_ratio(backend.subfoliation_coeffs(f, g))
-
-
 def sup_on_horoball(f1, level1, f2, backend):
     """sup of Ext(f2) over HB(f1, level1): inf, None, or a finite bound, a
     Fraction for the Fraction level of a HoroBall.

@@ -97,12 +97,6 @@ class Mat2(Frozen):
         x, y = v
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
-    def inverse(self) -> "Mat2":
-        det = self.det()
-        if det == 0:
-            raise ValueError("singular matrix")
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
 
 class UpperHalfPoint(Frozen):
     """The point tau = x + iy of the upper half-plane, y > 0."""

@@ -290,10 +290,6 @@ class CurveTrace(Frozen):
     _cylinder = None
 
     @cached_property
-    def squares(self):
-        return tuple(sorted({s for s, _, _ in self.segments}))
-
-    @cached_property
     def scaled_segments(self):
         """(d, {square: [(px, py, ex, ey), ...]}): start points and edge
         vectors times d, the lcm of the coordinate denominators, so integers.
@@ -662,58 +658,69 @@ def walsh_E(f: MulticurveFoliation, gamma: CurveTrace, x: MarkedFlatSurface):
 # SL(2, Z) re-marking
 
 
-_GEN_MATRIX = {
-    "T": Mat2(1, 1, 0, 1),
-    "Ti": Mat2(1, -1, 0, 1),
-    "S": Mat2(0, -1, 1, 0),
-    "F": Mat2(1, 0, 0, -1),
-}
+def _crossings(o: Origami, pos, step, d: int) -> list:
+    """The gluings (h, h^-1, v, v^-1) that the move from pos by step (integers over
+    d, squares half-open) crosses, in order: the line k*d sorts by |k*d - pos| times
+    the other step, and two crossings at one time meet a corner (ValueError)."""
+    keyed = []
+    for p, s, other, fwd, back in ((pos[0], step[0], step[1], o.h, o.h_inv),
+                                   (pos[1], step[1], step[0], o.v, o.v_inv)):
+        lo, hi = sorted((p, p + s))
+        for k in range(lo // d + 1, hi // d + 1):  # the lines k*d in (lo, hi]
+            keyed.append((abs(k * d - p) * (abs(other) or 1), fwd if s > 0 else back))
+    keyed.sort()
+    if any(x[0] == y[0] for x, y in zip(keyed, keyed[1:])):
+        raise ValueError("re-marking move meets a corner")
+    return [perm for _, perm in keyed]
 
 
-def _gen_apply_origami(o: Origami, g: str) -> Origami:
-    h, v = o.h, o.v
-    if g == "T":
-        return Origami(h, tuple([v[x] for x in o.h_inv]))
-    if g == "Ti":
-        return Origami(h, tuple([v[x] for x in h]))
-    if g == "S":
-        return Origami(o.v_inv, h)
-    if g == "F":
-        return Origami(h, o.v_inv)
-    raise ValueError(f"unknown generator {g!r}")
+def _follow(word, squares) -> list:
+    """Each square moved through the word of gluings."""
+    for perm in word:
+        squares = [perm[s] for s in squares]
+    return squares
 
 
-def _gen_map_point(o_old: Origami, o_new: Origami, g: str, s: int, x, y):
-    """Map a point through one generator's cut-and-reglue."""
-    x, y = Fraction(x), Fraction(y)
-    if g == "T":
-        if x + y < 1:
-            s2, x2, y2 = s, x + y, y
-        else:
-            s2, x2, y2 = o_old.h[s], x + y - 1, y
-    elif g == "Ti":
-        if x >= y:
-            s2, x2, y2 = s, x - y, y
-        else:
-            s2, x2, y2 = o_old.h_inv[s], x - y + 1, y
-    elif g == "S":
-        s2, x2, y2 = s, 1 - y, x
-    elif g == "F":
-        s2, x2, y2 = s, x, 1 - y
-    else:
-        raise ValueError(f"unknown generator {g!r}")
-    if x2 == 1:
-        s2, x2 = o_new.h[s2], _ZERO
-    if y2 == 1:
-        s2, y2 = o_new.v[s2], _ZERO
-    return s2, x2, y2
+class RemarkAction(Record):
+    """``source`` re-marked by the integer matrix ``_m`` = (a, b, c, d), with maps."""
+
+    _fields = ("source", "target", "_m")
+
+    def map_point(self, s: int, point):
+        """(s, p) to frac(m p), in the old square reached by the walk from p to the
+        centre of the new square holding m p; it stays in that square, off corners."""
+        o, (a, b, c, d) = self.source, self._m
+        x, y = Fraction(point[0]), Fraction(point[1])
+        if y == 1:  # a top edge point is on the bottom edge of the square above
+            s, y = o.v[s], _ZERO
+        q = 2 * math.lcm(x.denominator, y.denominator)
+        px, py = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
+        mx, my = a * px + b * py, c * px + d * py
+        cx, cy = mx - mx % q + q // 2, my - my % q + q // 2  # the centre, after m
+        det = a * d - b * c  # m^-1 = det (d, -b; -c, a)
+        step = (det * (d * cx - b * cy) - px, det * (a * cy - c * cx) - py)
+        s = _follow(_crossings(o, (px, py), step, q), [s])[0]
+        return s, (Fraction(mx % q, q), Fraction(my % q, q))
+
+    def map_direction(self, direction):
+        """The primitive m (dx, dy), with dx > 0, or dx = 0 < dy."""
+        a, b, c, d = self._m
+        x, y = a * direction[0] + b * direction[1], c * direction[0] + d * direction[1]
+        g = math.gcd(x, y)
+        return (x // g, y // g) if x > 0 or (x == 0 and y > 0) else (-x // g, -y // g)
+
+    def map_trace(self, t: CurveTrace) -> CurveTrace:
+        s, pt = self.map_point(*t.segments[0][:2])
+        return trace_from_point(self.target, s, pt, self.map_direction(t.direction))
 
 
-def decompose_unimodular(m: Mat2):
-    """Write an integer matrix of determinant +-1 as a generator word.
+def remark(o: Origami, m: Mat2) -> RemarkAction:
+    """Re-tile the surface for the marking composed with m.
 
-    Returns the application-order word: applying the generators left to
-    right realizes the marking change by m."""
+    The squares of m O are the n lifts of the torus's unit square; each is named
+    by the square of O that holds its centre, m^-1 (1/2, 1/2).  Its right and top
+    neighbours are where the moves m^-1 (1, 0) and m^-1 (0, 1) from that centre
+    end, and each move crosses one word of gluings from every square."""
     entries = (m.a, m.b, m.c, m.d)
     if any(isinstance(e, float) or Fraction(e).denominator != 1 for e in entries):
         raise ValueError("re-marking matrix must be integer")
@@ -721,70 +728,8 @@ def decompose_unimodular(m: Mat2):
     det = a * d - b * c
     if det not in (1, -1):
         raise ValueError("re-marking matrix must be unimodular")
-    factors = []  # left-peeled: m = F_1 * F_2 * ...
-    if det == -1:
-        factors.append("F")
-        c, d = -c, -d  # F^{-1} m = F m negates the second row
-    while c != 0:
-        q = a // c
-        if q != 0:
-            factors.extend(["T"] * q if q > 0 else ["Ti"] * (-q))
-        # T^{-q} * m
-        a, b = a - q * c, b - q * d
-        # peel S: m = S * (S^{-1} m); S^{-1} [[a,b],[c,d]] = [[c,d],[-a,-b]]
-        factors.append("S")
-        a, b, c, d = c, d, -a, -b
-    if a == -1:
-        factors.extend(["S", "S"])  # -I
-        a, b, c, d = -a, -b, -c, -d
-    if b != 0:
-        factors.extend(["T"] * b if b > 0 else ["Ti"] * (-b))
-    word = list(reversed(factors))
-    # safety: the reversed-order product must reproduce m
-    prod = Mat2(1, 0, 0, 1)
-    for g in reversed(word):
-        prod = prod @ _GEN_MATRIX[g]
-    if (prod.a, prod.b, prod.c, prod.d) != tuple(int(e) for e in entries):
-        raise AssertionError("generator decomposition failed")
-    return word
-
-
-class RemarkAction(Record):
-    """A re-marking word together with its point and direction maps."""
-
-    _fields = ("source", "target", "word", "_stages")
-
-    def map_point(self, s: int, point):
-        x, y = Fraction(point[0]), Fraction(point[1])
-        for o_old, o_new, g in self._stages:
-            s, x, y = _gen_map_point(o_old, o_new, g, s, x, y)
-        return s, (x, y)
-
-    def map_direction(self, direction):
-        a, b = direction
-        for _, _, g in self._stages:
-            m = _GEN_MATRIX[g]
-            a, b = m.a * a + m.b * b, m.c * a + m.d * b
-        g = math.gcd(abs(a), abs(b))
-        a, b = a // g, b // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b = -a, -b
-        return (a, b)
-
-    def map_trace(self, t: CurveTrace) -> CurveTrace:
-        s, (x, y) = t.segments[0][0], t.segments[0][1]
-        s2, pt = self.map_point(s, (x, y))
-        d2 = self.map_direction(t.direction)
-        return trace_from_point(self.target, s2, pt, d2)
-
-
-def remark(o: Origami, m: Mat2) -> RemarkAction:
-    """Re-tile the surface for the marking composed with m."""
-    word = decompose_unimodular(m)
-    stages = []
-    cur = o
-    for g in word:
-        nxt = _gen_apply_origami(cur, g)
-        stages.append((cur, nxt, g))
-        cur = nxt
-    return RemarkAction(o, cur, word, stages)
+    # over 2: the centre in [0, 2)^2, and the moves m^-1 (2, 0), m^-1 (0, 2)
+    centre = (det * (d - b) % 2, det * (a - c) % 2)
+    moves = ((2 * det * d, -2 * det * c), (-2 * det * b, 2 * det * a))
+    h, v = (tuple(_follow(_crossings(o, centre, move, 2), range(o.n))) for move in moves)
+    return RemarkAction(o, Origami(h, v), (a, b, c, d))

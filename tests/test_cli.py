@@ -74,6 +74,8 @@ def test_torus_dist_uncertified_reason(argv, reason, capsys):
     assert status == 2
     assert rec["results"]["certified"] is False
     assert rec["results"]["reason"] == reason
+    assert rec["results"]["distance"] is None  # not near the distance: no value, no tolerance
+    assert rec["results"]["closed_form"]["exact"] is False
 
 
 def test_torus_dist_closed_form_tiny_heights(capsys):

@@ -324,7 +324,7 @@ def test_probe_origami_proportional_sup_is_exact(origami, c):
     fv = O.canonical_vertical_foliation(origami)
     cf = scaled(fv, c)
     k = len(fv.components)
-    assert k > 1 and H.proportionality(cf, fv, be) == c
+    assert k > 1 and be.subfoliation_coeffs(cf, fv) == [c] * k
     l1 = Fraction(7, 3)
     bound = c**2 * l1
     for l2 in (bound, bound * (k * k + 1) / 2, bound * k * k - Fraction(1, 10**9)):
@@ -340,7 +340,8 @@ def test_torus_and_origami_sups_agree_on_proportional_pairs():
     tf = T.WeightedTorusFoliation(Fraction(2), T.TorusCurve(2, 3))
     for c in (Fraction(1), Fraction(1, 3), Fraction(5, 2)):
         tc, cf = T.WeightedTorusFoliation(2 * c, T.TorusCurve(2, 3)), scaled(fv, c)
-        assert H.proportionality(tc, tf, BE) == H.proportionality(cf, fv, OB) == c
+        assert BE.subfoliation_coeffs(tc, tf) == [c]
+        assert OB.subfoliation_coeffs(cf, fv) == [c] * len(fv.components)
         for l1 in (Fraction(1), Fraction(7, 3), Fraction(1, 50)):
             torus_sup = H.sup_on_horoball(tf, l1, tc, BE)
             assert torus_sup == H.sup_on_horoball(fv, l1, cf, OB) == c * c * l1
