@@ -1,9 +1,9 @@
 """Shared substrate: value records, 2x2 matrices, the Moebius action on the
 upper half-plane, and outward-rounded interval brackets.
 
-Exact quantities (intersection numbers, permutation combinatorics, crossing
-counts) live in :class:`fractions.Fraction`; everything transcendental is a
-double.  Conversion from exact to float happens only at analysis boundaries.
+Exact quantities are integers (crossing counts, permutations, trace coordinates
+over one denominator) or Fractions (flat points, deformations); everything
+transcendental is a double.  Conversion to float is only at analysis boundaries.
 """
 from __future__ import annotations
 
@@ -45,8 +45,7 @@ class Record:
             if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= named.keys():
                 raise TypeError(f"{type(self).__name__} takes the fields {fields}")
             args += tuple(map(named.__getitem__, rest))
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+        self.__dict__.update(zip(fields, args))  # past Frozen's __setattr__, in one call
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

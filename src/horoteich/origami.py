@@ -292,18 +292,23 @@ class CurveTrace(Frozen):
     @cached_property
     def scaled_segments(self):
         """(d, {square: [(px, py, ex, ey), ...]}): start points and edge
-        vectors times d, the lcm of the coordinate denominators, so integers.
-        The segments repeat every a + |b| (one torus period), so d and the
-        integers come from the first period alone."""
+        vectors times d, the lcm of the coordinate denominators, so integers,
+        from the first period alone (the segments repeat every a + |b|).  Set
+        by ``trace_from_point``; derived here for cores and hand-built traces."""
         a, b = self.direction
         period = self.segments[:a + abs(b)]
         d = math.lcm(*(c.denominator for _, p, q in period for c in (*p, *q)))
         ends = [[c.numerator * (d // c.denominator) for c in (*p, *q)] for _, p, q in period]
-        scaled = [(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in ends]
-        by_square = {}
-        for (s, _, _), seg in zip(self.segments, itertools.cycle(scaled)):
-            by_square.setdefault(s, []).append(seg)
-        return d, by_square
+        return _scaled(d, [s for s, _, _ in self.segments], ends)
+
+
+def _scaled(d, squares, ends):
+    """``scaled_segments`` from one period's ends (x0, y0, x1, y1) times d."""
+    scaled = [(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in ends]
+    by_square = {}
+    for s, seg in zip(squares, itertools.cycle(scaled)):
+        by_square.setdefault(s, []).append(seg)
+    return d, by_square
 
 
 def trace_from_point(
@@ -322,10 +327,10 @@ def trace_from_point(
     plus one from an interior start): a vertex, met iff b*x - a*y is an
     integer, at a step in closed form (SingularityHit); else closing after
     k periods, k the cycle length of the first edge square under the word.
-    Either past ``max_steps`` raises TraceNotClosed at once.  Cost: a setup
-    in integers from the point's integer ratios, one integer march of a + |b|
-    steps that builds Fractions only for that period's edge points, then one
-    lookup per emitted segment.
+    Either past ``max_steps`` raises TraceNotClosed at once.  Cost: an integer
+    setup, a march of a + |b| steps in integers alone over one denominator, one
+    Fraction per distinct coordinate of that period, one lookup per emitted
+    segment; the march's integers, gcd-reduced, are its ``scaled_segments``.
     """
     a, b = direction
     if a < 0 or (a == 0 and b != 1):
@@ -353,26 +358,23 @@ def trace_from_point(
     # integer march on coordinates times d, where every crossing time is whole
     d = math.lcm(xd, yd) * max(a, 1) * max(abs(b), 1)
     u, w = xn * (d // xd), yn * (d // yd)
-    start = None if extra else (Fraction(xn, xd), Fraction(yn, yd))  # else dropped below
     ends, word, squares = [], [], []
     for _ in range(steps):
         tx = (d - u) // a if a else math.inf
         ty = (d - w) // b if b > 0 else w // -b if b < 0 else math.inf
         t = min(tx, ty)
-        u, w = u + a * t, w + b * t
+        u0, w0, u, w = u, w, u + a * t, w + b * t
         if u % d == 0 and w % d == 0:
-            raise SingularityHit(f"trace hit a vertex at square {s + 1}, point ({Fraction(u, d)}, "
-                                 f"{Fraction(w, d)})", Fraction(xn or 1, 3 * xd))  # x/3, or 1/3
+            raise SingularityHit(f"trace hit a vertex at square {s + 1}, point ({u // d}, "
+                                 f"{w // d})", Fraction(xn or 1, 3 * xd))  # x/3, or 1/3
         squares.append(s)
-        e = Fraction(w if t == tx else u, d)  # the end's one coordinate inside the edge
+        ends.append((u0, w0, u, w))
         if t == tx:
-            perm, u, end, nxt = o.h, 0, (_ONE, e), (_ZERO, e)
+            perm, u = o.h, 0
         elif b > 0:
-            perm, w, end, nxt = o.v, 0, (e, _ONE), (e, _ZERO)
+            perm, w = o.v, 0
         else:
-            perm, w, end, nxt = o.v_inv, d, (e, _ZERO), (e, _ONE)
-        ends.append((start, end))
-        start = nxt
+            perm, w = o.v_inv, d
         word.append(perm)
         s = perm[s]
     ends, word, squares = ends[extra:], word[extra:], squares[extra:]
@@ -383,8 +385,15 @@ def trace_from_point(
             squares.append(s)
             s = perm[s]
     k = len(squares) // period
-    segments = tuple((sq, p, q) for sq, (p, q) in zip(squares, itertools.cycle(ends)))
-    return CurveTrace(o, (a, b), segments, (k * a, k * b))
+    g = math.gcd(d, *itertools.chain.from_iterable(ends))
+    d, ends = d // g, [(x0 // g, y0 // g, x1 // g, y1 // g) for x0, y0, x1, y1 in ends]
+    frac = {c: Fraction(c, d) for c in set(itertools.chain.from_iterable(ends)) - {0, d}}
+    frac[0], frac[d] = _ZERO, _ONE  # edge coordinates share the module's 0 and 1
+    points = [((frac[x0], frac[y0]), (frac[x1], frac[y1])) for x0, y0, x1, y1 in ends]
+    segments = tuple((sq, p, q) for sq, (p, q) in zip(squares, itertools.cycle(points)))
+    t = CurveTrace(o, (a, b), segments, (k * a, k * b))
+    _set(t, "scaled_segments", _scaled(d, squares, ends))
+    return t
 
 
 def trace_curve(
@@ -398,6 +407,11 @@ def trace_curve(
 
     The default edge is the one the line actually leaves: left for slope 0,
     bottom otherwise."""
+    return trace_from_point(o, square, *_edge_line(slope, offset, edge))
+
+
+def _edge_line(slope, offset, edge):
+    """trace_curve's (point, direction), its arguments checked."""
     offset = Fraction(offset)
     if not 0 < offset < 1:
         raise ValueError("offset must lie strictly inside the edge")
@@ -406,27 +420,23 @@ def trace_curve(
     if edge is None:
         edge = "left" if direction[1] == 0 else "bottom"
     if edge == "bottom":
-        point = (offset, Fraction(0))
-    elif edge == "left":
-        point = (Fraction(0), offset)
-    else:
-        raise ValueError("edge must be 'bottom' or 'left'")
-    return trace_from_point(o, square, point, direction)
+        return (offset, _ZERO), direction
+    if edge == "left":
+        return (_ZERO, offset), direction
+    raise ValueError("edge must be 'bottom' or 'left'")
 
 
 def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> CurveTrace:
     """trace_curve from the default edge, with the offset divided by 3 after
-    each vertex hit, for 6 attempts in all."""
-    offset = Fraction(offset)
+    each vertex hit, for 6 attempts in all; the arguments are checked once."""
+    point, direction = _edge_line(slope, offset, None)
     for _ in range(6):
         try:
-            return trace_curve(o, square, slope, offset=offset)
+            return trace_from_point(o, square, point, direction)
         except SingularityHit:
-            offset = offset / 3
-    raise SingularityHit(
-        f"no vertex-free offset found for slope {slope} from square {square + 1}",
-        suggested_offset=offset,
-    )
+            point = tuple(c / 3 if c else c for c in point)  # the offset, along its edge
+    raise SingularityHit(f"no vertex-free offset found for slope {slope} from square {square + 1}",
+                         max(point))
 
 
 def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:

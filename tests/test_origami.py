@@ -214,6 +214,17 @@ def test_robust_trace_makes_six_attempts():
     assert info.value.suggested_offset == Fraction(1, 2 * 3**6)
 
 
+def test_edge_trace_arguments_are_checked():
+    """trace_curve and robust_trace reject an offset outside (0, 1), and
+    trace_curve an edge other than bottom or left, before tracing."""
+    for offset in (0, 1, Fraction(3, 2), -Fraction(1, 2)):
+        for call in (O.trace_curve, O.robust_trace):
+            with pytest.raises(ValueError, match="strictly inside the edge"):
+                call(L, 0, Fraction(1), offset=offset)
+    with pytest.raises(ValueError, match="'bottom' or 'left'"):
+        O.trace_curve(L, 0, Fraction(1), edge="top")
+
+
 def _march_trace(o, square, point, direction, max_steps=100000):
     """Reference: the Fraction march that trace_from_point replaced, one
     edge crossing per step, a vertex or the budget ending it."""
@@ -299,6 +310,58 @@ def test_trace_from_point_matches_fraction_march():
         if got[0] == "budget" and _trace_outcome(_march_trace, *args)[0] == "vertex":
             budget_first += 1
     assert min(seen.values()) > 100 and budget_first > 10
+
+
+def test_robust_trace_matches_fraction_march_in_the_retry_loop():
+    """robust_trace(TORUS, 0, slope) over the 88 primitive directions with
+    |p|, |q| <= 8 (criterion 11's), plus slopes 162 and 486, against
+    _march_trace in the same divide-by-3 retry loop: the same segments and
+    holonomy, or the same exception.  The 30 directions with q even and not 0
+    meet a vertex from offset 1/2 and are retried; 162 closes after five
+    retries, 486 never."""
+    def reference(slope, offset=Fraction(1, 2)):
+        direction = (0, 1) if slope is None else (slope.denominator, slope.numerator)
+        for attempt in range(6):
+            point = (Fraction(0), offset) if direction[1] == 0 else (offset, Fraction(0))
+            try:
+                t = _march_trace(TORUS, 0, point, direction)
+                retries.append(attempt)
+                return t
+            except O.SingularityHit:
+                offset = offset / 3
+        raise O.SingularityHit(f"no vertex-free offset found for slope {slope} from square 1",
+                               suggested_offset=offset)
+
+    dirs = [(p, q) for p in range(9) for q in range(-8, 9)
+            if math.gcd(p, q) == 1 and (p > 0 or q == 1)]
+    assert len(dirs) == 88
+    slopes = [None if p == 0 else Fraction(q, p) for p, q in dirs] + [Fraction(162), Fraction(486)]
+    retries = []
+    for slope in slopes:
+        got = _trace_outcome(O.robust_trace, TORUS, 0, slope)
+        assert got == _trace_outcome(reference, slope), slope
+    assert len(retries) == 89 and retries.count(0) == 58 and max(retries) == 5
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_march_sets_the_scaled_segments_its_fractions_give(data):
+    """On random origamis (n <= 12), from edge and interior starts, in
+    directions of either slope sign, trace_from_point sets scaled_segments
+    from its march, and they equal the form derived from the trace's own
+    Fractions, with the same d."""
+    o = data.draw(_origamis())
+    a = data.draw(st.integers(0, 7))
+    b = data.draw(st.integers(-7, 7)) if a else 1
+    m = data.draw(st.integers(1, 12))
+    fx, fy = Fraction(data.draw(st.integers(0, m - 1)), m), Fraction(data.draw(st.integers(0, m)), m)
+    point = data.draw(st.sampled_from([(fx, Fraction(0)), (Fraction(0), fy), (fx, Fraction(1)), (fx, fy)]))
+    try:
+        t = O.trace_from_point(o, data.draw(st.integers(0, o.n - 1)), point, (a, b))
+    except O.SingularityHit:
+        assume(False)
+    assert "scaled_segments" in vars(t)
+    assert O.CurveTrace(o, t.direction, t.segments, t.holonomy).scaled_segments == t.scaled_segments
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
