@@ -401,6 +401,7 @@ def test_input_errors_exit_one(capsys):
         (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--config", "{tmp}/bad-tol.ini"], 1),
         (["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-200i"], 1),
         (["torus-plot", "--curve", "1,1", "--levels", "1e-400,2", "--out", "{tmp}/p.svg"], 1),
+        (["torus-plot", "--curve", "1,1", "--levels", "1e400", "--out", "{tmp}/p.svg"], 1),
         (["tangency", "--curve1", "1,0", "--level1", "1e-400", "--curve2", "0,1",
           "--level2", "1e400"], 1),
         (["triple", "--i", "1e-400,1,1"], 1),
@@ -423,6 +424,7 @@ def test_input_errors_exit_one(capsys):
          "flow-time-underflow", "flow-time-subnormal",
          "plot-missing-dir", "intersect-trace-budget", "config-bad-n", "config-bad-tol",
          "tau-below-double-range", "plot-level-below-double-range",
+         "plot-level-above-double-range",
          "tangency-level-below-double-range", "triple-level-above-double-range",
          "usage-missing-option", "usage-unknown-option", "usage-bad-int",
          "usage-bad-choice", "ext-zero-weight", "intersect-edge-offset",
