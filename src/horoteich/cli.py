@@ -536,18 +536,20 @@ def _svg_horocycles(curve, levels):
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     for k, level in enumerate(levels):
         color = colors[k % len(colors)]
-        _, y0, cx = T._horocycle(T.WeightedTorusFoliation(Fraction(1), curve), level)
-        if curve.q == 0:
-            # horizontal foliation curve: level set is the line y = y0
-            if y0 <= y_max:
-                parts.append(
-                    f'<line x1="0" y1="{sy(y0):.2f}" x2="{width}" y2="{sy(y0):.2f}" '
-                    f'stroke="{color}" stroke-width="1.5" fill="none"/>'
-                )
-        else:
-            r = 1.0 / (2.0 * y0)
+        # the line y = 1 / level for q = 0, else the circle tangent at -p/q of diameter level / q^2
+        size = level / (curve.q * curve.q) if curve.q else 1 / level
+        if not sys.float_info.min <= size <= sys.float_info.max:  # exact, on the Fraction
+            raise ValueError(T.OUT_OF_RANGE)
+        size = float(size)
+        if curve.q == 0 and size <= y_max:
             parts.append(
-                f'<circle cx="{sx(cx):.2f}" cy="{sy(r):.2f}" r="{r * scale:.2f}" '
+                f'<line x1="0" y1="{sy(size):.2f}" x2="{width}" y2="{sy(size):.2f}" '
+                f'stroke="{color}" stroke-width="1.5" fill="none"/>'
+            )
+        elif curve.q:
+            r = 0.5 * size
+            parts.append(
+                f'<circle cx="{sx(-curve.p / curve.q):.2f}" cy="{sy(r):.2f}" r="{r * scale:.2f}" '
                 f'stroke="{color}" stroke-width="1.5" fill="none"/>'
             )
         parts.append(

@@ -4,11 +4,12 @@ A backend supplies only geometry for one concrete model, in four methods:
 ``ext(point, f)``, a Bracket on the extremal length of f at point;
 ``intersect(f, g)``, the intersection pairing as a Fraction;
 ``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
-(components of g), else None; and ``horosphere_sampler(f, level)``, points of
-the horosphere {Ext(f) = level}.  The torus backend also has ``ray_excess``
-for the Busemann machinery.  Proportionality, the sup of Ext over a
-horoball, the relations between horoballs (tangency, disjointness, nesting)
-and the Busemann machinery are implemented here once.
+(components of g), else None; and ``horosphere_sampler(f, level)``, points at
+the horosphere {Ext(f) = level} (the torus sampler's are certified in HB(f,
+level), within 2^-40 of HS(f, level)).  The torus backend also has
+``ray_excess`` for the Busemann machinery.  Proportionality, the sup of Ext
+over a horoball, the relations between horoballs (tangency, disjointness,
+nesting) and the Busemann machinery are implemented here once.
 
 Levels, pairings and sup bounds are exact rationals (a float level is the
 rational it denotes), so every relation is an exact comparison; Ext is known
@@ -22,7 +23,7 @@ import importlib
 import math
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, UpperHalfPoint, _set, _up
+from .kernel import Bracket, Frozen, Record, _set, _up
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -77,6 +78,8 @@ class TorusBackend:
     """Exact upper half-plane model; points are UpperHalfPoint."""
 
     model = _Model("torus")
+    sigmas = (0.0, *(sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)))
+    shrink = 1 - Fraction(1, 2**40)
 
     def ext(self, point, f) -> Bracket:
         """Bracket for Ext at a point with double coordinates: the 5
@@ -98,9 +101,20 @@ class TorusBackend:
         return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
     def horosphere_sampler(self, f, level):
-        at = self.model._horocycle(f, level)[0]
-        sigmas = [0.0] + [sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)]
-        return [UpperHalfPoint(*at(s)) for s in sigmas]
+        """Points of HB(f, level) within 2^-40 of HS(f, level), lazily: the chart points
+        of HS(f, level shrink) over the sigmas that are doubles, each kept only where
+        the exact chart test, on its own integers, shows Ext_f = w^2 den / im <= level."""
+        T = self.model
+        at = T.horocycle(f, Fraction(level) * self.shrink)
+        m, norm = f.curve.chart, T._normalize_level(f.weight, level)
+        for sigma in self.sigmas:
+            try:
+                p = at(sigma)
+            except ValueError:
+                continue
+            _, im, den = T._act(m, *T._ints(p))
+            if den * norm.denominator <= im * norm.numerator:
+                yield p
 
     def ray_excess(self, x0, f, x):
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for

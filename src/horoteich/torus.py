@@ -4,10 +4,10 @@ A marked flat torus is a point tau of the upper half-plane; the primitive
 class (p, q) has extremal length |p + q*tau|^2 / Im(tau).  In the curve's
 chart (``TorusCurve.chart``), an SL(2, Z) map sending -p/q to infinity, its
 horospheres are horizontal lines and its rays and geodesics vertical ones,
-so tangency, rays and horosphere distances are exact up to one rounding;
-distance suprema are certified by a descent toward a closed-form supremum,
-and Busemann limits and ball memberships rest on one bracket of d(y,
-ray(t)) - t formed from integers (ray_excess).
+so tangency, horosphere points, rays and horosphere distances are exact up
+to one rounding; distance suprema are certified by a descent toward a
+closed-form supremum, and Busemann limits and ball memberships rest on one
+bracket of d(y, ray(t)) - t formed from integers (ray_excess).
 """
 from __future__ import annotations
 
@@ -417,62 +417,30 @@ class HoroSpec(Frozen):
         return self.foliation.curve
 
 
-def _horocycle(f: WeightedTorusFoliation, level):
-    """(at, y0, cx): at maps the horocycle-flow parameter sigma (a float, or an
-    array taken elementwise) to (x, y) on HS(f, level), the image of sigma + i*y0
-    under w -> w (q = 0: the line y = y0 = p^2 / level; cx = 0) or w -> cx - 1/w
-    (cx = fl(-p/q), y0 = q^2 / level).  The level is normalized once, here;
-    ValueError(OUT_OF_RANGE) if y0 or a height y is not a normal double, or if
-    a point could miss |Ext_f(x + iy) / level - 1| <= 2^-40 + 2^-51 |sigma x|.
+def horocycle(f: WeightedTorusFoliation, level):
+    """sigma -> M^-1(sigma + i w^2 / level) for f's chart M, the point of
+    HS(f, level) over the double sigma in M's chart, exact and then each
+    coordinate rounded once; ValueError(OUT_OF_RANGE) where _rounded refuses
+    it.  The level is normalized and M inverted once, here."""
+    m, norm = f.curve.chart, _normalize_level(f.weight, level)
+    inv, hn, hd = Mat2(m.d, -m.b, -m.c, m.a), norm.denominator, norm.numerator
 
-    The bound (u = 2^-53): y0 holds the level to 2u, y and offset = x - cx are
-    within 4u and 5u, cx + cx_lo is -p/q to u |cx_lo|, and e, the rounding of
-    x = cx + s, s = fl(offset + cx_lo), is found exactly: x is within dx = |e| +
-    16u (|s| + |cx_lo|) of exact.  A shift dx in x moves Ext / level by -2 sigma
-    dx + dx^2 (sigma^2 + y0^2); as |e| <= u |x| and |sigma offset| <= 1, all is
-    within 2u |sigma x| + 39u + dx^2 (sigma^2 + y0^2), and at raises where the
-    last term, the rounding of x against the size of the horocycle, passes 2^-42."""
-    c = f.curve
-    try:
-        y0 = (c.q or c.p) ** 2 / float(_normalize_level(f.weight, level))
-    except (OverflowError, ZeroDivisionError):
-        y0 = 0.0
-    if not _TINY <= y0 <= _HUGE:
-        raise ValueError(OUT_OF_RANGE)
-    if c.q == 0:
-        return (lambda sigma: (sigma, y0)), y0, 0.0
-    cx = -c.p / c.q
-    n, m = cx.as_integer_ratio()
-    cx_lo = (-c.p * m - c.q * n) / (c.q * m)  # -p/q - cx, rounded once
-    lo_err, k = 2.0**-49 * abs(cx_lo), 2.0**-42 / y0
+    def at(sigma: float) -> UpperHalfPoint:
+        sn, sd = sigma.as_integer_ratio()
+        return _rounded(inv, sn * hd, hn * sd, sd * hd)
 
-    def at(sigma):
-        # d = (sigma^2 + y0^2) / y0 >= y0, normal wherever y is; no square formed
-        u = sigma / y0
-        d = sigma * u + y0
-        offset = -u / d
-        s = offset + cx_lo
-        x, y = cx + s, 1.0 / d
-        t = x - cx
-        e = (cx - (x - t)) + (s - t)  # cx + s - x, exactly (two-sum)
-        dx = abs(e) + 2.0**-49 * abs(s) + lo_err
-        # dx^2 (sigma^2 + y0^2) = dx^2 y0 / y to 2u; ok is a bool, or a bool array
-        ok = (y >= _TINY) & (dx * dx <= k * y)
-        if ok is not True and (ok is False or not ok.all()):
-            raise ValueError(OUT_OF_RANGE)
-        return x, y
-
-    return at, y0, cx
+    return at
 
 
 def horocycle_samples_ext(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation, sigmas):
-    """Ext(g) at horocycle-flow samples sigmas of HS(f, s): sigmas is a float
-    or an array, and the result has the same type."""
-    x, y = _horocycle(f, s)[0](sigmas)
-    cg = g.curve
-    w2 = float(g.weight) ** 2
-    re = cg.p + cg.q * x
-    return w2 * (re * re + (cg.q * y) ** 2) / y
+    """Ext(g) at the points sigma + i h, h = w_f^2 / s, of HS(f, s) in f's chart
+    M, in floats: g there is the class (-n, d) with M(beta_g) = n / d (see
+    _on_geodesic), so Ext(g) = w_g^2 ((d sigma - n)^2 + (d h)^2) / h.  sigmas is
+    a float or an array, and the result has the same type; no certificate."""
+    m, cg = f.curve.chart, g.curve
+    n, d = m.b * cg.q - m.a * cg.p, f.curve.p * cg.q - f.curve.q * cg.p
+    h = float(1 / _normalize_level(f.weight, s))
+    return float(g.weight) ** 2 * ((d * sigmas - n) ** 2 + (d * h) ** 2) / h
 
 
 def tangency_check(h1: HoroSpec, h2: HoroSpec) -> bool:
@@ -580,27 +548,23 @@ def _distance_to_horocycle(f: WeightedTorusFoliation, level):
 def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float = 1e-6,
                        seed: int = 0) -> EquidistanceReport:
     """Distance from points of HS(f, s) to HS(f, t) equals (1/2) log(t/s); the
-    points' horocycle-flow parameters are uniform on [-4, 4] from
+    points are horocycle(f, s) at sigma uniform on [-4, 4] from
     random.Random(seed).  Each bracket holds its point's distance to HS(f, t),
-    widened by _horocycle's bound on how far the point is off HS(f, s).
-    ok: every bracket holds (1/2) log(t/s) and is at most tol wide.  The feet
-    are unique (see _distance_to_horocycle).  ValueError(OUT_OF_RANGE) for a
-    level that _horocycle cannot draw."""
+    widened by the hi end of its measured distance to HS(f, s) (triangle
+    inequality), so it holds (1/2) log(t/s) too.  ok: every bracket holds
+    (1/2) log(t/s) and is at most tol wide.  The feet are unique (see
+    _distance_to_horocycle).  ValueError(OUT_OF_RANGE) for a point of HS(f, s)
+    that is not a double."""
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    on_s, to_t, rng = _horocycle(f, s)[0], _distance_to_horocycle(f, t), random.Random(seed)
-    _horocycle(f, t)
-    brackets = []
+    on_s, to_s, to_t = horocycle(f, s), _distance_to_horocycle(f, s), _distance_to_horocycle(f, t)
+    rng, brackets = random.Random(seed), []
     for _ in range(samples):
-        sigma = rng.uniform(-4.0, 4.0)
-        x = UpperHalfPoint(*on_s(sigma))
-        # |Ext_f(x) / s - 1| <= eps puts x within eps / (2 (1 - eps)) of HS(f, s)
-        eps = 2.0**-40 + 2.0**-51 * abs(sigma * x.x)
-        widen = eps / (1.0 - eps) if eps < 0.5 else INFINITY
-        b = to_t(x)
-        brackets.append(Bracket(max(b.lo - widen, 0.0), b.hi + widen))
+        x = on_s(rng.uniform(-4.0, 4.0))
+        off = to_s(x).hi
+        brackets.append(to_t(x) + Bracket(-off, off))
     expected = 0.5 * _log_ratio(*(Fraction(t) / Fraction(s)).as_integer_ratio())
     max_err = max(max(b.hi - expected, expected - b.lo) for b in brackets)
     ok = all(b.contains(expected) and b.width <= tol for b in brackets)

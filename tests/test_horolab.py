@@ -183,14 +183,21 @@ def test_busemann_rounding_bound_holds(pq, re0, log_im0, re, log_im, tol):
     ],
 )
 def test_torus_sampler_points_are_horocycle_points(p, q, weight, level):
-    """The sampler's 43 points are _horocycle's points at 0, +-2^k (k < 21), bit for bit."""
+    """The sampler's points are horocycle(f, level (1 - 2^-40))'s points at 0,
+    +-2^k (k < 21), bit for bit and in order, less those that are not doubles
+    or whose exact Ext_f exceeds the level."""
     f = T.WeightedTorusFoliation(weight, T.TorusCurve(p, q))
-    sigmas = [0.0]
-    for k in range(21):
-        sigmas += [float(2**k), -float(2**k)]
-    got = [(pt.x.hex(), pt.y.hex()) for pt in BE.horosphere_sampler(f, level)]
-    want = [UpperHalfPoint(*T._horocycle(f, level)[0](s)) for s in sigmas]
-    assert got == [(pt.x.hex(), pt.y.hex()) for pt in want]
+    at, want = T.horocycle(f, Fraction(level) * (1 - Fraction(1, 2**40))), []
+    for s in [0.0] + [sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)]:
+        try:
+            pt = at(s)
+        except ValueError:
+            continue
+        if T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f) <= Fraction(level):
+            want.append(pt)
+    got = list(BE.horosphere_sampler(f, level))
+    assert len(got) > 30 and [(pt.x.hex(), pt.y.hex()) for pt in got] == [
+        (pt.x.hex(), pt.y.hex()) for pt in want]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -333,6 +340,25 @@ def test_probe_origami_proportional_sup_is_exact(origami, c):
         assert isinstance(res.bound, Fraction) and res.bound == bound
     for p in be.horosphere_sampler(fv, l1):
         assert be.ext(p, cf).lo <= bound
+
+
+TORUS_CURVES = sorted({T.TorusCurve(p, q) for p in range(-7, 8) for q in range(-7, 8)
+                       if (p, q) != (0, 0) and math.gcd(p, q) == 1}, key=lambda c: (c.p, c.q))
+log_level = st.floats(-6.0, 6.0).map(lambda e: Fraction(10.0**e))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(TORUS_CURVES), st.sampled_from(TORUS_CURVES),
+       st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2, 5)]), log_level, log_level)
+def test_torus_exclusion_witness_is_a_certificate(c1, c2, w, l1, l2):
+    """A torus ExcludedWitness of HB(f1, l1) against HB(f2, l2) lies in
+    HB(f1, l1) and outside HB(f2, l2), by the exact Ext at the double point.
+    Curves have |p|, |q| <= 7 and levels are log-uniform in [1e-6, 1e6]."""
+    f1, f2 = T.WeightedTorusFoliation(w, c1), T.WeightedTorusFoliation(Fraction(1), c2)
+    res = H.inclusion_probe(H.HoroBall(f1, l1), H.HoroBall(f2, l2), BE)
+    if res.tag == H.EXCLUDED_WITNESS:
+        x = UpperHalfPoint(Fraction(res.witness.x), Fraction(res.witness.y))
+        assert T.extremal_length(x, f1) <= l1 and T.extremal_length(x, f2) > l2
 
 
 def test_torus_and_origami_sups_agree_on_proportional_pairs():

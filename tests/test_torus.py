@@ -330,25 +330,40 @@ def test_horocycle_point_lies_on_level_set():
         f = fol(p, q)
         for level in (Fraction(1, 2), Fraction(2), Fraction(7, 3)):
             for sigma in (-3.0, 0.0, 0.25, 10.0):
-                x = UpperHalfPoint(*T._horocycle(f, level)[0](sigma))
+                x = T.horocycle(f, level)(sigma)
                 assert T.extremal_length(x, f) == pytest.approx(
                     float(level), rel=1e-9
                 )
 
 
 def test_out_of_double_range_levels_raise_value_error():
-    """Levels whose horocycle height or tangent point leaves the doubles are
-    rejected with ValueError, never a ZeroDivisionError or OverflowError."""
+    """Levels whose horocycle points or tangent point leave the doubles are
+    rejected with ValueError, never a ZeroDivisionError or OverflowError.  A
+    far level t of an equidistance check is measured, not drawn, so it is
+    reported, and correctly."""
     tiny, huge = Fraction(1, 10**400), Fraction(10**400)
     for f in (fol(1, 0), fol(2, 1)):
         for level in (tiny, huge):
             with pytest.raises(ValueError, match="double range"):
-                UpperHalfPoint(*T._horocycle(f, level)[0](0.0))
-    for s, t in ((tiny, Fraction(2)), (Fraction(1), huge)):
-        with pytest.raises(ValueError, match="double range"):
-            T.equidistance_check(fol(2, 1), s, t, 3)
+                T.horocycle(f, level)(0.0)
+    with pytest.raises(ValueError, match="double range"):
+        T.equidistance_check(fol(2, 1), tiny, Fraction(2), 3)
+    rep = T.equidistance_check(fol(2, 1), Fraction(1), huge, 3)
+    assert rep.ok and all(b.contains(200 * math.log(10.0)) for b in rep.brackets)
     with pytest.raises(ValueError, match="double range"):
         T.tangent_point(fol(1, 0), tiny, fol(0, 1))
+
+
+def exact_ext(pt, f):
+    return T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f)
+
+
+def offset(pt, f, level):
+    """pt's distance to HS(f, level), (1/2)|log(Ext_f(pt) / level)|, at 50
+    digits from the exact Ext at the double point."""
+    ratio = exact_ext(pt, f) / Fraction(level)
+    with mpmath.workdps(50):
+        return abs(mpmath.log(mpmath.mpf(ratio.numerator) / ratio.denominator)) / 2
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -359,75 +374,76 @@ def test_out_of_double_range_levels_raise_value_error():
     st.floats(-10.0, 10.0),
 )
 def test_horocycle_points_keep_their_bound(pq, w, log_level, sigma):
-    """A point at returns has |Ext_f / level - 1| <= 2^-40 + 2^-51 |sigma x|, by
-    mpmath at 50 digits on the double point; otherwise the call raises
-    ValueError(OUT_OF_RANGE).  Levels are log-uniform in [1e-20, 1e20]."""
+    """How far a point of horocycle(f, level) is off HS(f, level) is measured:
+    the bracket of _distance_to_horocycle holds its distance at 50 digits.
+    Where the horocycle is 2^20 ulps of p/q across (q = 0: always), the point
+    keeps the bound the float chart once proved, 2^-40 + 2^-51 |sigma x|;
+    otherwise the call raises ValueError(OUT_OF_RANGE).  Levels are
+    log-uniform in [1e-20, 1e20]."""
     p, q = pq
-    level = 10.0**log_level
+    f, level = fol(p, q, w), 10.0**log_level
     try:
-        pt = UpperHalfPoint(*T._horocycle(fol(p, q, w), level)[0](sigma))
+        pt = T.horocycle(f, level)(sigma)
     except ValueError as e:
         assert str(e) == T.OUT_OF_RANGE
         return
-    x, y = mpmath.mpf(pt.x), mpmath.mpf(pt.y)
-    ext = (mpmath.mpf(w.numerator) / w.denominator) ** 2 * ((p + q * x) ** 2 + (q * y) ** 2) / y
-    assert abs(ext / mpmath.mpf(level) - 1) <= 2.0**-40 + 2.0**-51 * abs(sigma * pt.x)
+    b = T._distance_to_horocycle(f, level)(pt)
+    assert b.lo <= offset(pt, f, level) <= b.hi
+    if not q or level / float(w * w * q * q) >= 2.0**20 * math.ulp(p / q):
+        assert b.hi <= 2.0**-40 + 2.0**-51 * abs(sigma * pt.x)
 
 
-def test_found_horocycle_points_off_the_horocycle_raise():
+def test_found_horocycle_narrower_than_an_ulp_is_not_ok():
     """The FOUND call: HS((-5, 3), 1e-20) is 1.1e-21 across, below ulp(5/3), so
-    no double point is on it; its points and equidistance check raise.  At
-    1e-8 the horocycle is resolved and its points are returned."""
+    no double point is on it.  Its points are returned, and the equidistance
+    check measures how far they are off: each bracket still holds (1/2) log 4,
+    but is too wide, and the report is not ok.  At 1e-8 the horocycle is
+    resolved and its points are on it."""
     f = fol(-5, 3)
-    with pytest.raises(ValueError, match="double range"):
-        UpperHalfPoint(*T._horocycle(f, 1e-20)[0](0.7))
-    with pytest.raises(ValueError, match="double range"):
-        T.equidistance_check(f, 1e-20, 4e-20, 500, seed=1)
-    assert on_horocycle(UpperHalfPoint(*T._horocycle(f, 1e-8)[0](0.7)), f, 1e-8)
+    assert not on_horocycle(T.horocycle(f, 1e-20)(0.7), f, 1e-20)
+    rep = T.equidistance_check(f, 1e-20, 4e-20, 500, seed=1)
+    assert not rep.ok and all(b.contains(rep.expected) and b.width > 1 for b in rep.brackets)
+    assert on_horocycle(T.horocycle(f, 1e-8)(0.7), f, 1e-8)
     assert T.equidistance_check(f, Fraction(1), Fraction(4), 50, seed=1).ok
 
 
 def on_horocycle(pt, f, level, rel=Fraction(1, 10**12)):
     """pt lies on HS(f, level) to rel, by the exact Ext at pt."""
-    ext = T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f)
-    return abs(ext / Fraction(level) - 1) <= rel
+    return abs(exact_ext(pt, f) / Fraction(level) - 1) <= rel
 
 
 @pytest.mark.parametrize("level", [Fraction(10**300), Fraction(10**160), Fraction(1, 10**300)])
 def test_far_level_horocycle_points_or_out_of_range(level):
-    """Where sigma^2 + y0^2 is below or above the doubles, a horocycle point
-    is on the horocycle up to rounding, or ValueError(OUT_OF_RANGE); never a
-    ZeroDivisionError.  x = cx - sigma / (sigma^2 + y0^2) carries a rounding
-    of u |cx| (cx = -2 here), which moves Ext by about 2 |sigma| times that."""
+    """Where sigma^2 + h^2 is below or above the doubles, a horocycle point is
+    returned or ValueError(OUT_OF_RANGE); never a ZeroDivisionError.  A point
+    at |sigma| <= 2^20 is on the horocycle to 2^-50.  One far out, such as
+    sigma = 1e300 on HS((2, 1), 1e-300), whose offset from -2 is below ulp(2),
+    can be far off it, and its measured distance says so."""
     f = fol(2, 1)
+    at, off = T.horocycle(f, level), T._distance_to_horocycle(f, level)
     for sigma in (0.0, 1e-300, 1e-160, 0.5, 4.0, 64.0, 2.0**20, 1e150, 1e300):
         for s in (sigma, -sigma):
             try:
-                pt = UpperHalfPoint(*T._horocycle(f, level)[0](s))
+                pt = at(s)
             except ValueError as e:
                 assert str(e) == T.OUT_OF_RANGE
             else:
-                rel = Fraction(2.0**-46) * (1 + 3 * Fraction(sigma))
-                assert on_horocycle(pt, f, level, rel), (level, s)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="double range"):
-        T.horocycle_samples_ext(f, Fraction(10**300), fol(1, 0), np.array([1.0, 2.0**20]))
+                b = off(pt)
+                assert b.lo <= offset(pt, f, level) <= b.hi, (level, s)
+                assert sigma > 2.0**20 or on_horocycle(pt, f, level, Fraction(2.0**-50))
 
 
 def test_found_horocycle_underflow_calls():
     """The two calls that ended in ZeroDivisionError: the equidistance check
-    returns a report that is not ok unless it is right, and the sampler
-    returns horocycle points or raises ValueError(OUT_OF_RANGE)."""
+    returns a report that is not ok unless it is right, and the sampler's
+    points lie in HB(f, 10^300), by their exact Ext."""
     from horoteich.horolab import TorusBackend
 
     f = T.WeightedTorusFoliation(1, curve(2, 1))
     rep = T.equidistance_check(f, 10**300, 10**301, 3)
     assert not rep.ok or rep.max_error <= 1e-6
-    try:
-        points = TorusBackend().horosphere_sampler(f, 10**300)
-    except ValueError as e:
-        assert str(e) == T.OUT_OF_RANGE
-    else:
-        assert all(on_horocycle(pt, f, 10**300) for pt in points)
+    points = list(TorusBackend().horosphere_sampler(f, 10**300))
+    assert points and all(exact_ext(pt, f) <= 10**300 for pt in points)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -459,12 +475,16 @@ def test_torus_ext_tolerance_encloses_exact_value(x, y, p, q, w):
 
 
 def test_horocycle_samples_ext_vectorized():
-    f, g = fol(1, 0), fol(0, 1)
+    """The array closed form in f's chart is Ext(g) at horocycle(f, s)'s points,
+    for transverse pairs, weights other than 1 and g = f."""
     sig = np.linspace(-5, 5, 41)
-    vals = T.horocycle_samples_ext(f, Fraction(1), g, sig)
-    for s, v in zip(sig, vals):
-        x = UpperHalfPoint(*T._horocycle(f, Fraction(1))[0](float(s)))
-        assert v == pytest.approx(T.extremal_length(x, g), rel=1e-12)
+    for fp, gp, s in (((1, 0), (0, 1), Fraction(1)), ((2, 3), (1, -1), Fraction(7, 3)),
+                      ((3, -1), (3, -1), Fraction(1, 5)), ((0, 1), (5, 2), Fraction(9))):
+        f, g = fol(*fp, Fraction(3, 2)), fol(*gp, Fraction(2, 5))
+        vals = T.horocycle_samples_ext(f, s, g, sig)
+        at = T.horocycle(f, s)
+        for x, v in zip(sig, vals):
+            assert v == pytest.approx(T.extremal_length(at(float(x)), g), rel=1e-12)
 
 
 def test_horospec_normalization():
@@ -607,7 +627,7 @@ def test_equidistance_brackets_hold_the_distance(pq, w, s, t, seed):
     w2 = (mpmath.mpf(w.numerator) / w.denominator) ** 2
     level = mpmath.mpf(t.numerator) / t.denominator
     for b in rep.brackets:
-        x = UpperHalfPoint(*T._horocycle(f, s)[0](rng.uniform(-4.0, 4.0)))
+        x = T.horocycle(f, s)(rng.uniform(-4.0, 4.0))
         re, y = p + q * mpmath.mpf(x.x), mpmath.mpf(x.y)
         ext = w2 * (re * re + (q * y) ** 2) / y
         truth = abs(mpmath.log(ext / level)) / 2
