@@ -101,9 +101,9 @@ class TorusBackend:
         return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
     def horosphere_sampler(self, f, level):
-        """Points of HB(f, level) within 2^-40 of HS(f, level), lazily: the chart points
-        of HS(f, level shrink) over the sigmas that are doubles, each kept only where
-        the exact chart test, on its own integers, shows Ext_f = w^2 den / im <= level."""
+        """Points of HB(f, level) near HS(f, level), lazily: the chart points of
+        HS(f, level shrink) at the sigmas, less those that are not doubles, each kept
+        only where the exact chart test on its integers shows w^2 den / im <= level."""
         T = self.model
         at = T.horocycle(f, Fraction(level) * self.shrink)
         m, norm = f.curve.chart, T._normalize_level(f.weight, level)
