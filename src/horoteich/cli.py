@@ -538,7 +538,8 @@ def _svg_horocycles(curve, levels):
         color = colors[k % len(colors)]
         # the line y = 1 / level for q = 0, else the circle tangent at -p/q of diameter level / q^2
         size = level / (curve.q * curve.q) if curve.q else 1 / level
-        if not sys.float_info.min <= size <= sys.float_info.max:  # exact, on the Fraction
+        if not (sys.float_info.min <= size <= sys.float_info.max  # exact, on the Fraction
+                and (curve.q == 0 or size * scale < math.inf)):  # a circle's px, as drawn
             raise ValueError(T.OUT_OF_RANGE)
         size = float(size)
         if curve.q == 0 and size <= y_max:

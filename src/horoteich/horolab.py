@@ -23,7 +23,7 @@ import importlib
 import math
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, _set, _up
+from .kernel import Bracket, Frozen, Record, _up
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -47,8 +47,7 @@ class HoroBall(Frozen):
     def __init__(self, foliation, level):
         if not level > 0:
             raise ValueError("level must be positive")
-        _set(self, "foliation", foliation)
-        _set(self, "level", Fraction(level))
+        self.__dict__.update(foliation=foliation, level=Fraction(level))
 
 
 class HoroRelation(Record):
@@ -187,11 +186,8 @@ class OrigamiBackend:
         mid = 0.5 * (e0.lo + e0.hi)
         t = 0.5 * math.log(mid / float(level))
         x = self.model.geodesic_flow(base, t=t)
-        pts = [x]
-        for k in range(11):
-            pts.append(self.model.horocycle_flow(x, 2**k))
-            pts.append(self.model.horocycle_flow(x, -2**k))
-        return pts
+        return [x] + [self.model.horocycle_flow(x, sign * 2**k)
+                      for k in range(11) for sign in (1, -1)]
 
 
 # ---------------------------------------------------------------------------

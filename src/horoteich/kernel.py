@@ -2,7 +2,7 @@
 upper half-plane, and outward-rounded interval brackets.
 
 Exact quantities are integers (crossing counts, permutations, trace coordinates
-over one denominator) or Fractions (flat points, deformations); everything
+and deformations over one denominator) or Fractions (flat points); everything
 transcendental is a double.  Conversion to float is only at analysis boundaries.
 """
 from __future__ import annotations
@@ -21,9 +21,6 @@ class EnumerationBudgetError(RuntimeError):
 
 class TraceNotClosed(RuntimeError):
     """A trace used up its step budget before closing."""
-
-
-_set = object.__setattr__  # sets a field past Frozen's __setattr__, keeping reads fast
 
 
 class Record:
@@ -58,7 +55,7 @@ class Record:
 
 
 class Frozen(Record):
-    """A Record hashed on its fields and closed to assignment."""
+    """A Record hashed on its fields, closed to assignment; constructors fill __dict__."""
 
     def __hash__(self):
         return hash(self._key(self))
@@ -75,10 +72,7 @@ class Mat2(Frozen):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -105,8 +99,7 @@ class UpperHalfPoint(Frozen):
     def __init__(self, x: float, y: float):
         if not y > 0:
             raise ValueError(f"point not in upper half-plane: y = {y}")
-        _set(self, "x", x)
-        _set(self, "y", y)
+        self.__dict__.update(x=x, y=y)
 
     @property
     def tau(self) -> complex:
@@ -194,8 +187,7 @@ class Bracket(Frozen):
     def __init__(self, lo: float, hi: float):
         if not lo <= hi:
             raise ValueError(f"empty bracket [{lo}, {hi}]")
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+        self.__dict__.update(lo=lo, hi=hi)
 
     @staticmethod
     def exact(v) -> "Bracket":

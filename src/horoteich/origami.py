@@ -2,9 +2,9 @@
 
 An origami is a pair of permutations (h, v) of the unit squares: h names the
 square to the right, v the square on top.  Points on the SL(2,R) orbit carry
-a 2x2 deformation matrix of exact rationals acting on (x, y) coordinates (the
-flows take a double parameter at its exact value), so flat lengths, crossing
-counts and transverse measures are exact.
+a 2x2 deformation matrix acting on (x, y) coordinates, four integers over one
+denominator (the flows take a double parameter at its exact value), so flat
+lengths, crossing counts and transverse measures are exact.
 
 Coordinate convention: vectors are (x, y); the geodesic flow is
 diag(e^t, e^{-t}) and the horocycle flow is the lower-triangular shear
@@ -21,12 +21,11 @@ from functools import cached_property
 from operator import eq
 from typing import Sequence
 
-from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, _set, round_ratio
+from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, round_ratio
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
-_IDENTITY = Mat2(_ONE, _ZERO, _ZERO, _ONE)
 
 
 class SingularityHit(ValueError):  # the start point is a bad argument
@@ -77,8 +76,7 @@ class Origami(Frozen):
     _fields = ("h", "v")
 
     def __init__(self, h: tuple, v: tuple):
-        Record.__init__(self, h, v)
-        _set(self, "_cylinders", {})
+        self.__dict__.update(h=h, v=v, _cylinders={})
         if len(h) != len(v):
             raise ValueError("h and v must act on the same squares")
         if not (_is_permutation(h) and _is_permutation(v)):
@@ -163,6 +161,10 @@ class CylinderCurve(Frozen):
     # squares: the cycle the core traverses; row_cycles: the rows merged into it
     _fields = ("direction", "squares", "circumference", "height", "row_cycles")
 
+    def __init__(self, direction, squares, circumference, height, row_cycles):
+        self.__dict__.update(direction=direction, squares=squares, circumference=circumference,
+                             height=height, row_cycles=row_cycles)
+
     @property
     def holonomy(self):
         if self.direction == HORIZONTAL:
@@ -216,8 +218,9 @@ def cylinders(o: Origami, direction: str) -> tuple:
 
 
 class MarkedFlatSurface(Frozen):
-    """``gram``, not a field: integers with |deform (x, y)|^2 / det = (A x^2 + 2 B x y
-    + C y^2) / D, the deform entries over one denominator; D > 0, as det must be."""
+    """The marking deform = [[a, b], [c, d]] / q, held as the integers ``_m`` =
+    (a, b, c, d, q) in lowest terms, q > 0.  ``gram``, not a field: integers with
+    |deform (x, y)|^2 / det = (A x^2 + 2 B x y + C y^2) / D, D = ad - bc > 0."""
 
     _fields = ("base", "deform")
 
@@ -230,13 +233,26 @@ class MarkedFlatSurface(Frozen):
         a, b, c, d = (num * (q // den) for num, den in ratios)
         if not a * d - b * c > 0:
             raise ValueError("deformation must have positive determinant")
-        _set(self, "base", base)
-        _set(self, "deform", deform)
-        _set(self, "gram", (a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c))
+        self.__dict__.update(vars(_marked(base, a, b, c, d, q)), deform=deform)
+
+    @cached_property
+    def deform(self) -> Mat2:
+        a, b, c, d, q = self._m
+        return Mat2(Fraction(a, q), Fraction(b, q), Fraction(c, q), Fraction(d, q))
 
     @staticmethod
     def base_point(o: Origami) -> "MarkedFlatSurface":
-        return MarkedFlatSurface(o, _IDENTITY)
+        return _marked(o, 1, 0, 0, 1, 1)
+
+
+def _marked(base: Origami, a, b, c, d, q) -> MarkedFlatSurface:
+    """The point marked by [[a, b], [c, d]] / q (q > 0), put in lowest terms."""
+    g = math.gcd(a, b, c, d, q)
+    a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
+    x = object.__new__(MarkedFlatSurface)  # its fields past __init__, from the integers
+    x.__dict__.update(base=base, _m=(a, b, c, d, q),
+                      gram=(a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c))
+    return x
 
 
 def geodesic_flow(x: MarkedFlatSurface, t: float = None, stretch=None) -> MarkedFlatSurface:
@@ -250,15 +266,15 @@ def geodesic_flow(x: MarkedFlatSurface, t: float = None, stretch=None) -> Marked
             raise ValueError(f"geodesic time {t} is out of range")  # e^t or e^-t not normal
     if not stretch > 0:
         raise ValueError("stretch must be positive")
-    k, m = Fraction(stretch), x.deform
-    return MarkedFlatSurface(x.base, Mat2(k * m.a, k * m.b, m.c / k, m.d / k))
+    (kn, kd), (a, b, c, d, q) = Fraction(stretch).as_integer_ratio(), x._m
+    return _marked(x.base, kn * kn * a, kn * kn * b, kd * kd * c, kd * kd * d, kn * kd * q)
 
 
 def horocycle_flow(x: MarkedFlatSurface, s) -> MarkedFlatSurface:
     """Shear (x, y) -> (x, y + s*x) by the exact rational s; fixes dx, hence the
     vertical foliation."""
-    s, m = Fraction(s), x.deform
-    return MarkedFlatSurface(x.base, Mat2(m.a, m.b, m.c + s * m.a, m.d + s * m.b))
+    (sn, sd), (a, b, c, d, q) = Fraction(s).as_integer_ratio(), x._m
+    return _marked(x.base, sd * a, sd * b, sd * c + sn * a, sd * d + sn * b, sd * q)
 
 
 def ext_vertical(x: MarkedFlatSurface) -> Fraction:
@@ -392,7 +408,7 @@ def trace_from_point(
     points = [((frac[x0], frac[y0]), (frac[x1], frac[y1])) for x0, y0, x1, y1 in ends]
     segments = tuple((sq, p, q) for sq, (p, q) in zip(squares, itertools.cycle(points)))
     t = CurveTrace(o, (a, b), segments, (k * a, k * b))
-    _set(t, "scaled_segments", _scaled(d, squares, ends))
+    t.__dict__["scaled_segments"] = _scaled(d, squares, ends)
     return t
 
 
@@ -449,8 +465,9 @@ def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
         direction, p, q = (1, 0), (_ZERO, _HALF), (_ONE, _HALF)
     else:
         direction, p, q = (0, 1), (_HALF, _ZERO), (_HALF, _ONE)
-    t = CurveTrace(o, direction, tuple([(s, p, q) for s in cyl.squares]), cyl.holonomy)
-    _set(t, "_cylinder", cyl)
+    t = object.__new__(CurveTrace)  # the fields and the cylinder in one call
+    t.__dict__.update(origami=o, direction=direction, holonomy=cyl.holonomy, _cylinder=cyl,
+                      segments=tuple([(s, p, q) for s in cyl.squares]))
     return t
 
 
@@ -647,20 +664,15 @@ def walsh_E(f: MulticurveFoliation, gamma: CurveTrace, x: MarkedFlatSurface):
 
     G is the horizontal foliation of the defining differential at the
     ray's base point, i.e. the origami's own horizontal foliation; the
-    pairing i(F_j, G) is the height-weighted crossing of the core with G.
+    pairing i(F_j, G) is the weighted crossing of the core with G, |dy| along
+    a vertical core: w_j times its circumference.
     """
     if f.direction != VERTICAL:
         raise ValueError("walsh_E expects the vertical multicurve foliation")
-    o = x.base
-    base = MarkedFlatSurface.base_point(o)
     total = Fraction(0)
     for w, cyl in f.components:
-        trace = core_trace(o, cyl)
-        i_gamma = Fraction(w) * crossing_number(trace, gamma)
-        i_G = Fraction(w) * i_with_foliation(trace, HORIZONTAL, base)
-        if i_G == 0:
-            raise ValueError("G is not transverse to a component of F")
-        total += i_gamma**2 / i_G
+        i_gamma = Fraction(w) * crossing_number(core_trace(x.base, cyl), gamma)
+        total += i_gamma**2 / (Fraction(w) * cyl.circumference)
     return total
 
 

@@ -25,7 +25,6 @@ from .kernel import (
     Mat2,
     Record,
     UpperHalfPoint,
-    _set,
     hyperbolic_distance,
 )
 
@@ -57,8 +56,7 @@ class TorusCurve(Frozen):
             raise ValueError(f"({p}, {q}) is not primitive")
         if p < 0 or (p == 0 and q < 0):
             p, q = -p, -q
-        _set(self, "p", p)
-        _set(self, "q", q)
+        self.__dict__.update(p=p, q=q)
 
     def boundary_point(self):
         """Point of the circle at infinity where this curve degenerates."""
@@ -87,8 +85,7 @@ class WeightedTorusFoliation(Frozen):
     def __init__(self, weight, curve: TorusCurve):
         if not weight > 0:
             raise ValueError("weight must be positive")
-        _set(self, "weight", weight)
-        _set(self, "curve", curve)
+        self.__dict__.update(weight=weight, curve=curve)
 
     @cached_property
     def weight_squared(self) -> Bracket:  # rounded outward once, per foliation
@@ -535,14 +532,15 @@ def _distance_to_horocycle(f: WeightedTorusFoliation, level):
     level, unique as the geodesics orthogonal to the line are vertical, and
     the distance (1/2)|log(Im Mx * level / w^2)|, of an exact rational."""
     m, norm = f.curve.chart, _normalize_level(f.weight, level)
+    return lambda x: _half_log_distance(_act(m, *_ints(x)), norm)
 
-    def distance(x: UpperHalfPoint) -> Bracket:
-        _, im, den = _act(m, *_ints(x))
-        v = 0.5 * abs(_log_ratio(im * norm.numerator, den * norm.denominator))
-        err = HALF_LOG_ROUNDING * (1.0 + v)
-        return Bracket(max(v - err, 0.0), v + err)
 
-    return distance
+def _half_log_distance(chart_point, norm: Fraction) -> Bracket:
+    """The bracket of _distance_to_horocycle from the chart point's _act integers."""
+    _, im, den = chart_point
+    v = 0.5 * abs(_log_ratio(im * norm.numerator, den * norm.denominator))
+    err = HALF_LOG_ROUNDING * (1.0 + v)
+    return Bracket(max(v - err, 0.0), v + err)
 
 
 def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float = 1e-6,
@@ -559,12 +557,13 @@ def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float
         raise ValueError("need 0 < s <= t")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    on_s, to_s, to_t = horocycle(f, s), _distance_to_horocycle(f, s), _distance_to_horocycle(f, t)
+    on_s, m = horocycle(f, s), f.curve.chart
+    norm_s, norm_t = _normalize_level(f.weight, s), _normalize_level(f.weight, t)
     rng, brackets = random.Random(seed), []
     for _ in range(samples):
-        x = on_s(rng.uniform(-4.0, 4.0))
-        off = to_s(x).hi
-        brackets.append(to_t(x) + Bracket(-off, off))
+        mx = _act(m, *_ints(on_s(rng.uniform(-4.0, 4.0))))  # one chart point for both levels
+        off = _half_log_distance(mx, norm_s).hi
+        brackets.append(_half_log_distance(mx, norm_t) + Bracket(-off, off))
     expected = 0.5 * _log_ratio(*(Fraction(t) / Fraction(s)).as_integer_ratio())
     max_err = max(max(b.hi - expected, expected - b.lo) for b in brackets)
     ok = all(b.contains(expected) and b.width <= tol for b in brackets)

@@ -308,6 +308,20 @@ def test_torus_plot(tmp_path, capsys):
     assert svg.startswith("<svg") and svg.count("<circle") == 3
 
 
+def test_torus_plot_draws_only_finite_sizes(tmp_path, capsys):
+    """A circle as large as the doubles allow is drawn with finite px; a line
+    y = 1 / level far above the canvas is not drawn, and not refused, though
+    its height times the px scale overflows (the circle's case is refused
+    in test_bad_input_and_budget_exit_cleanly)."""
+    out = tmp_path / "plot.svg"
+    for curve, level, circles, lines in (("1,1", "1.6e306", 1, 1), ("1,0", "1e-307", 0, 1)):
+        rec, status = run_json(
+            capsys, ["torus-plot", "--curve", curve, "--levels", level, "--out", str(out)])
+        svg = out.read_text()
+        assert status == 0 and "inf" not in svg and "nan" not in svg
+        assert (svg.count("<circle"), svg.count("<line")) == (circles, lines)
+
+
 def test_csv_format(capsys):
     status = cli.run(["triple", "--i", "1,1,1", "--format", "csv"])
     out = capsys.readouterr().out
@@ -402,6 +416,7 @@ def test_input_errors_exit_one(capsys):
         (["torus-dist", "--tau1", "0+1i", "--tau2", "0+1e-200i"], 1),
         (["torus-plot", "--curve", "1,1", "--levels", "1e-400,2", "--out", "{tmp}/p.svg"], 1),
         (["torus-plot", "--curve", "1,1", "--levels", "1e400", "--out", "{tmp}/p.svg"], 1),
+        (["torus-plot", "--curve", "1,1", "--levels", "1e308", "--out", "{tmp}/p.svg"], 1),
         (["tangency", "--curve1", "1,0", "--level1", "1e-400", "--curve2", "0,1",
           "--level2", "1e400"], 1),
         (["triple", "--i", "1e-400,1,1"], 1),
@@ -424,7 +439,7 @@ def test_input_errors_exit_one(capsys):
          "flow-time-underflow", "flow-time-subnormal",
          "plot-missing-dir", "intersect-trace-budget", "config-bad-n", "config-bad-tol",
          "tau-below-double-range", "plot-level-below-double-range",
-         "plot-level-above-double-range",
+         "plot-level-above-double-range", "plot-radius-above-double-range",
          "tangency-level-below-double-range", "triple-level-above-double-range",
          "usage-missing-option", "usage-unknown-option", "usage-bad-int",
          "usage-bad-choice", "ext-zero-weight", "intersect-edge-offset",

@@ -843,6 +843,61 @@ def test_flows_at_double_parameters_are_exact(t, s):
     assert O.ext_vertical(x) == L.n / Fraction(math.exp(t)) ** 2
 
 
+def test_flowed_markings_match_fraction_products():
+    """One to four flows (a rational or double shear, a rational stretch, a double
+    time) give the marking that is the Fraction product of their matrices: its
+    deform, gram (over the entries' common denominator), both direction extremal
+    lengths and ext_bracket on every cylinder core are that product's, and the
+    point equals, hashes and prints as the one built from it.  A NaN or infinite
+    shear or stretch raises ValueError or OverflowError."""
+    rng = random.Random(28)
+    surfaces = [L, STAIRCASE] + [_random_origami(rng, rng.randint(2, 30)) for _ in range(4)]
+    checked = 0
+    for o in surfaces:
+        cores = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
+                 for c in O.cylinders(o, d)]
+        base = O.MarkedFlatSurface.base_point(o)
+        for _ in range(50):
+            x, ref = base, Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(4)
+                if kind < 2:
+                    s = (Fraction(rng.randint(-500, 500), rng.randint(1, 10)) if kind == 0
+                         else rng.uniform(-50.0, 50.0))
+                    x, ref = O.horocycle_flow(x, s), Mat2(1, 0, Fraction(s), 1) @ ref
+                    continue
+                if kind == 2:
+                    k = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+                    x = O.geodesic_flow(x, stretch=k)
+                else:
+                    t = rng.uniform(-5.0, 5.0)
+                    x, k = O.geodesic_flow(x, t=t), Fraction(math.exp(t))
+                ref = Mat2(k, 0, 0, 1 / k) @ ref
+            a, b, c, d = ref.a, ref.b, ref.c, ref.d
+            det, q = a * d - b * c, math.lcm(*(e.denominator for e in (a, b, c, d)))
+            assert x.deform == ref
+            assert x.gram == tuple(q * q * v for v in (a * a + c * c, a * b + c * d,
+                                                       b * b + d * d, det))
+            assert O.ext_vertical(x) == o.n * (b * b + d * d) / det
+            assert O.ext_horizontal(x) == o.n * (a * a + c * c) / det
+            y = O.MarkedFlatSurface(o, ref)
+            assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+            for t in cores:
+                flat, cyl = _ext_bounds(t, y)
+                lo, hi = _float_toward(flat, -math.inf), _float_toward(cyl, math.inf)
+                assert O.ext_bracket(t, x) == Bracket(min(lo, hi), hi)
+                checked += 1
+        for bad, exc in ((math.nan, ValueError), (math.inf, OverflowError),
+                         (-math.inf, OverflowError)):
+            with pytest.raises(Exception) as shear:
+                O.horocycle_flow(x, bad)
+            with pytest.raises(Exception) as stretch:
+                O.geodesic_flow(x, stretch=bad)
+            assert type(shear.value) is exc
+            assert type(stretch.value) is (OverflowError if bad == math.inf else ValueError)
+    assert checked > 1000
+
+
 def test_growth_check_quadratic():
     x = O.MarkedFlatSurface.base_point(L)
     wide_h = [c for c in O.cylinders(L, O.HORIZONTAL) if c.circumference == 2][0]
