@@ -26,14 +26,12 @@ class CurveSet(Frozen):
         n = len(vertices)
         if len(payloads) != n or len(i_matrix) != n:
             raise ValueError("vertices, payloads and i_matrix sizes differ")
-        for r, row in enumerate(i_matrix):
-            if len(row) != n:
-                raise ValueError("i_matrix is not square")
-            if row[r] != 0:
-                raise ValueError("i_matrix diagonal must be zero")
-            for c in range(n):
-                if row[c] < 0 or row[c] != i_matrix[c][r]:
-                    raise ValueError("i_matrix must be symmetric and nonnegative")
+        if any(len(row) != n for row in i_matrix):
+            raise ValueError("i_matrix is not square")
+        if any(row[r] for r, row in enumerate(i_matrix)):
+            raise ValueError("i_matrix diagonal must be zero")
+        if tuple(zip(*i_matrix)) != i_matrix or min(map(min, i_matrix), default=0) < 0:
+            raise ValueError("i_matrix must be symmetric and nonnegative")
         Record.__init__(self, vertices, payloads, i_matrix)
 
 

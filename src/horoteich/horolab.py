@@ -304,7 +304,9 @@ def busemann_estimate(x0, f, x, backend, tol: float = 1e-9) -> BusemannEstimate:
 
 class ProbeResult(Record):
     _fields = ("tag", "witness", "bound", "witness_ext")
-    _defaults = {"witness": None, "bound": None, "witness_ext": None}
+
+    def __init__(self, tag, witness=None, bound=None, witness_ext=None):
+        self.__dict__.update(tag=tag, witness=witness, bound=bound, witness_ext=witness_ext)
 
 
 def inclusion_probe(h1, h2, backend) -> ProbeResult:

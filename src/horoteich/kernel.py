@@ -26,23 +26,18 @@ class TraceNotClosed(RuntimeError):
 class Record:
     """A value record built without generating code: fields named in
     ``_fields``, equality within one class, a repr of the fields not starting
-    with ``_``, and an __init__ taking them by position or keyword, else from
-    ``_defaults``.  Mutable and unhashable; see Frozen."""
+    with ``_``, and an __init__ taking every field by position.  Mutable and
+    unhashable; see Frozen."""
 
     _fields = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields) if cls._fields else None
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):  # by keyword, or from _defaults
-            rest, named = fields[len(args):], {**self._defaults, **kwargs}
-            if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= named.keys():
-                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-            args += tuple(map(named.__getitem__, rest))
-        self.__dict__.update(zip(fields, args))  # past Frozen's __setattr__, in one call
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(zip(self._fields, args))  # past Frozen's __setattr__, in one call
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -5,9 +5,9 @@ class (p, q) has extremal length |p + q*tau|^2 / Im(tau).  In the curve's
 chart (``TorusCurve.chart``), an SL(2, Z) map sending -p/q to infinity, its
 horospheres are horizontal lines and its rays and geodesics vertical ones,
 so tangency, horosphere points, rays and horosphere distances are exact up
-to one rounding; distance suprema are certified by a descent toward a
-closed-form supremum, and Busemann limits and ball memberships rest on one
-bracket of d(y, ray(t)) - t formed from integers (ray_excess).
+to one rounding; distance suprema are certified below a closed form by the
+convergents of its slope, and Busemann limits and ball memberships rest on
+one bracket of d(y, ray(t)) - t formed from integers (ray_excess).
 """
 from __future__ import annotations
 
@@ -151,13 +151,13 @@ def _log_ratio(n: int, d: int) -> float:
 # value at the first primitive class near t* that certifies.
 #
 # Rounding: with u = 2^-53, an operation on doubles whose result is normal
-# has relative error at most u.  Each closed form and per-class ratio below
-# takes at most 11 roundings (counted where they occur), so scaling it by
-# 1 +- 16 u, one more rounding, puts an upper bound above and a lower bound
-# below the exact value.  A value out of the normal range feeds no certificate.
+# has relative error at most u.  ext_sup's closed form and each per-class
+# ratio take at most 11 roundings (counted where they occur), so scaling one
+# by 1 +- 16 u, one more rounding, puts an upper bound above and a lower
+# bound below the exact value; Kerckhoff's closed form has kernel's count.
+# A value out of the normal range feeds no certificate.
 
 _SLACK = 2.0**-49  # 16 u
-_SEEDS = ((0, 1), (1, 0), (1, 1), (-1, 1))
 
 
 class SupResult(Record):
@@ -197,8 +197,8 @@ def _shrink(r: float):
 
 
 def _classes(t: float):
-    """The seeds, then the continued-fraction convergents of the double t."""
-    yield from _SEEDS
+    """0/1, 1/0 (the recurrence's start values), then the convergents of t but 0/1."""
+    yield from ((0, 1), (1, 0))
     if not math.isfinite(t):
         return
     n, d = t.as_integer_ratio()
@@ -206,7 +206,7 @@ def _classes(t: float):
     while d:
         a, r = divmod(n, d)
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if (p1, q1) not in _SEEDS:
+        if p1:
             yield p1, q1
         n, d = d, r
 
@@ -244,30 +244,18 @@ def teich_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
     return 0.5 * hyperbolic_distance(t1, t2)
 
 
+def closed_form_radius(closed: float) -> float:
+    """Radius about teich_distance's value that holds the distance: 32 u covers
+    hyperbolic_distance's 12 u d + 2^-266 on d = 2 closed, this sum and one more."""
+    return 2.0**-48 * closed + 2.0**-260
+
+
 class KerckhoffResult(Record):
     _fields = ("value", "closed_form", "witness", "nodes", "certified", "reason")
 
     def __init__(self, value, closed_form, witness, nodes, certified, reason=None):
         self.value, self.closed_form, self.witness = value, closed_form, witness
         self.nodes, self.certified, self.reason = nodes, certified, reason
-
-
-def _pencil_top(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
-    """Upper bound on e^{2d} = 1 + D + sqrt(D) sqrt(D + 2), inf out of range.
-
-    D = |tau1 - tau2|^2 / (2 y1 y2) is summed as (d/y1)(d/y2) over d = dx, dy,
-    forming no y^2: 6 roundings for D, 10.5 for the whole.
-    """
-    total = 0.0
-    for d in (t1.x - t2.x, t1.y - t2.y):
-        a, b = d / t1.y, d / t2.y
-        if d and min(abs(a), abs(b), a * b) < _TINY:
-            return INFINITY
-        total += a * b
-    big_d = 0.5 * total
-    if 0.0 < big_d < _TINY:
-        return INFINITY
-    return (1.0 + big_d + math.sqrt(big_d) * math.sqrt(big_d + 2.0)) * (1.0 + _SLACK)
 
 
 def _kerckhoff_slope(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
@@ -293,24 +281,26 @@ def _kerckhoff_slope(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
 def kerckhoff_distance(
     t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float, cap: int = 10**6
 ) -> KerckhoffResult:
-    """(1/2) log sup over primitive classes of the extremal-length ratio,
-    certified to within ``tol``; the sup over real slopes is the top
-    eigenvalue of the pencil of the two forms.  The hyperbolic closed form
-    is exposed alongside for cross-checking.
-    """
+    """(1/2) log sup over primitive classes of the extremal-length ratio
+    (Kerckhoff's formula), certified to within ``tol``.  The sup over real
+    slopes is e^{2d} for the closed form d = teich_distance, which is
+    returned too: e^{2(d + closed_form_radius(d))}, rounded up, is the upper
+    bound.  value is at least 0, as the distance is."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     c1, c2 = (*t1.x.as_integer_ratio(), t1.y), (*t2.x.as_integer_ratio(), t2.y)
     factor = math.exp(2.0 * tol)
+    closed = teich_distance(t1, t2)
+    top = 2.0 * (closed + closed_form_radius(closed))  # exp within an ulp (2 u), then 16 u more
+    upper = math.exp(top) * (1.0 + _SLACK) if top < 709.78 else INFINITY
 
     def ratio(p, q):
         e1, e2 = _ext(p, q, *c1), _ext(p, q, *c2)
         return None if e1 is None or e2 is None else _shrink(e1 / e2)
 
-    res = certified_sup(ratio, _kerckhoff_slope(t1, t2), _pencil_top(t1, t2),
+    res = certified_sup(ratio, _kerckhoff_slope(t1, t2), upper,
                         lambda lower, upper: upper / lower <= factor, cap)
-    value = 0.5 * math.log(res.lower) if res.lower > 0 else -INFINITY
-    closed = teich_distance(t1, t2)
+    value = 0.5 * math.log(res.lower) if res.lower > 1.0 else 0.0
     return KerckhoffResult(value, closed, res.witness, res.nodes, res.certified, res.reason)
 
 
@@ -460,10 +450,7 @@ def triple_tangency_levels(i_ab, i_ag, i_bg):
     if any(not v > 0 for v in vals):
         raise ValueError("all three intersection numbers must be positive")
     i_ab, i_ag, i_bg = (Fraction(v) for v in vals)
-    r = i_ab * i_ag / i_bg
-    s = i_ab * i_bg / i_ag
-    t = i_ag * i_bg / i_ab
-    return r, s, t
+    return i_ab * i_ag / i_bg, i_ab * i_bg / i_ag, i_ag * i_bg / i_ab
 
 
 def ratio_curve_search(

@@ -96,6 +96,15 @@ def test_torus_dist_closed_form_nearby_points(capsys):
     assert abs(closed["value"] - truth) <= closed["tolerance"]
 
 
+@pytest.mark.parametrize("tau2", ["0+1i", "1e-300+1i"])
+def test_torus_dist_is_never_negative(tau2, capsys):
+    """At tau1 = i, tau2 = i or nearly so, the distance is 0 or 5e-301: the
+    certified value is 0, not half the log of a lower bound below 1."""
+    rec, status = run_json(capsys, ["torus-dist", "--tau1", "0+1i", "--tau2", tau2])
+    assert status == 0 and rec["results"]["certified"] is True
+    assert rec["results"]["distance"]["value"] == 0.0
+
+
 def test_torus_dist_closed_form_far_apart_in_re(capsys):
     """Re tau1 - Re tau2 overflows the doubles; the closed form is still finite
     and within its tag of (1/2) acosh(1 + dx^2 / 2) (mpmath, 50 digits)."""

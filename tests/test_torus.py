@@ -155,6 +155,30 @@ def test_kerckhoff_budget_exhaustion():
     assert info.value.lower_bound > 0
 
 
+@pytest.mark.parametrize("t, classes", [
+    (2.5, [(2, 1), (5, 2)]),
+    (0.375, [(1, 2), (1, 3), (3, 8)]),  # [0; 2, 1, 2]: the zero quotient repeats 0/1
+    (-0.5, [(-1, 1), (-1, 2)]),
+    (-0.25, [(-1, 1), (-1, 4)]),  # [-1; 1, 3]: the second convergent is 0/1
+    (0.0, []),
+    (T.INFINITY, []),
+])
+def test_classes_are_the_start_values_then_the_convergents(t, classes):
+    assert list(T._classes(t)) == [(0, 1), (1, 0), *classes]
+
+
+def test_classes_never_repeat_and_end_at_t():
+    rng = random.Random(5)
+    for _ in range(500):
+        t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20, 20)
+        seen = list(T._classes(t))
+        assert len(set(seen)) == len(seen)
+        assert seen[:2] == [(0, 1), (1, 0)] and Fraction(*seen[-1]) == Fraction(t)
+        # every convergent p/q is within 1/q^2 of t, with q > 0 not decreasing
+        assert all(abs(Fraction(t) - Fraction(p, q)) < Fraction(1, q * q) for p, q in seen[2:-1])
+        assert 0 < seen[2][1] and [q for _, q in seen[2:]] == sorted(q for _, q in seen[2:])
+
+
 def test_ext_sup_enumeration_matches_closed_form():
     tau = UpperHalfPoint(0.37, 1.21)
     f = fol(2, 3)
@@ -178,6 +202,9 @@ CUSP_POINTS = (
     (0.3, 1e-3), (-1.4, 1e-3), (2.7, 1e-2), (0.123, 1e-4),
     (0.0, 1e3), (0.5, 1e6), (3.3, 1e8),
 )
+# Re tau2 over Im tau1 or Im tau2 subnormal or its square so: the sup's bound
+# comes from the closed form, which is in range, so these certify too
+SUBNORMAL_GAP_POINTS = ((1e-300, 2.0), (-1e-300, 1e10))
 
 
 def teich_truth(a, b):
@@ -228,7 +255,7 @@ def test_ext_sup_certified_values_are_true(x, y, p, q, w):
         assert res.reason in ("precision", "range")
 
 
-@pytest.mark.parametrize("x, y", CUSP_POINTS)
+@pytest.mark.parametrize("x, y", CUSP_POINTS + SUBNORMAL_GAP_POINTS)
 def test_kerckhoff_cusp_points_certify(x, y):
     a, b = UpperHalfPoint(0.0, 1.0), UpperHalfPoint(x, y)
     t0 = time.perf_counter()
