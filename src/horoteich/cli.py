@@ -194,8 +194,8 @@ def _apply_config(args) -> None:
     if "h" in vars(args):  # the origami options
         args.h, args.v = args.h or cfg.get("h"), args.v or cfg.get("v")
     args.n = cfg.get("n")
-    if not args.tol > 0:
-        raise InputError("tolerance must be positive")
+    if not 0 < args.tol < math.inf:  # strict JSON has no infinity to carry
+        raise InputError(f"tolerance must be {'finite' if args.tol > 0 else 'positive'}")
     if args.cap < 1:
         raise InputError("enumeration cap must be at least 1")
     if args.format not in ("json", "csv"):  # a config value; before any file is written

@@ -86,7 +86,7 @@ class TorusBackend:
         sup bounds), times the weight squared rounded outward; [0, inf]
         where _ext is out of range."""
         c = f.curve
-        e = self.model._ext(c.p, c.q, *point.x.as_integer_ratio(), point.y)
+        e = self.model._ext(c.p, c.q, *point.x.as_integer_ratio(), float(point.y))
         if e is None:
             return Bracket(0.0, math.inf)
         unit = Bracket(e * (1.0 - 2.0**-49), e * (1.0 + 2.0**-49))

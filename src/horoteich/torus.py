@@ -152,12 +152,14 @@ def _log_ratio(n: int, d: int) -> float:
 #
 # Rounding: with u = 2^-53, an operation on doubles whose result is normal
 # has relative error at most u.  ext_sup's closed form and each per-class
-# ratio take at most 11 roundings (counted where they occur), so scaling one
-# by 1 +- 16 u, one more rounding, puts an upper bound above and a lower
-# bound below the exact value; Kerckhoff's closed form has kernel's count.
-# A value out of the normal range feeds no certificate.
+# ratio take at most 11 roundings (counted where they occur), 13 where Im tau
+# is not a double and float(Im tau) adds one to each Ext, so scaling one by
+# 1 +- 16 u, one more rounding, puts an upper bound above and a lower bound
+# below the exact value; Kerckhoff's closed form has kernel's count.  A value
+# out of the normal range feeds no certificate.
 
 _SLACK = 2.0**-49  # 16 u
+_SHRINK = 1.0 - _SLACK
 
 
 class SupResult(Record):
@@ -170,11 +172,9 @@ class SupResult(Record):
 
 
 def _ext(p: int, q: int, num: int, den: int, y: float):
-    """Ext of (p, q) at x + iy with x = num/den exactly, or None out of range.
-
+    """Ext of (p, q) at x + iy with x = num/den exactly, or None out of range:
     p + q*x is formed exactly and rounded once, as is q; a*(a/y) + q*(q*y)
-    then takes 5 roundings and never forms y^2 or 1/y-sized coefficients.
-    """
+    then takes 5 roundings and never forms y^2 or 1/y-sized coefficients."""
     exact = p * den + q * num
     try:
         a, qy = exact / den, q * y
@@ -191,48 +191,35 @@ def _ext(p: int, q: int, num: int, den: int, y: float):
     return ext
 
 
-def _shrink(r: float):
-    """r scaled down to a lower bound on its exact value, or None."""
-    return r * (1.0 - _SLACK) if _TINY <= r <= _HUGE else None
-
-
-def _classes(t: float):
-    """0/1, 1/0 (the recurrence's start values), then the convergents of t but 0/1."""
-    yield from ((0, 1), (1, 0))
-    if not math.isfinite(t):
-        return
-    n, d = t.as_integer_ratio()
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while d:
-        a, r = divmod(n, d)
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if p1:
-            yield p1, q1
-        n, d = d, r
-
-
-def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6) -> SupResult:
+def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6):
     """Certified supremum over primitive classes, from below: the witness is
-    the first class of ``_classes(t_star)`` whose lower bound ``ratio(p, q)``
-    (None out of range) meets ``stop(lower, upper)``.  ``upper`` bounds the
-    sup over real slopes (inf out of range) and ``t_star`` attains it.  With
-    no such class the result is uncertified, for "range" if anything left
-    the normal range and "precision" if not."""
+    the first class, of 0/1, 1/0 (the recurrence's start values) and then the
+    convergents of ``t_star`` but a repeated 0/1, whose lower bound ``ratio(p,
+    q)`` (None out of range) meets ``stop(lower, upper)``.  ``upper`` bounds
+    the sup over real slopes (inf out of range) and ``t_star`` attains it.
+    Returns (lower, witness, nodes, reason), reason None where certified, else
+    "range" if anything left the normal range and "precision" if not."""
     best, witness, nodes, out_of_range = 0.0, (1, 0), 0, math.isinf(upper)
-    for p, q in _classes(t_star):
-        if nodes == cap:
-            raise EnumerationBudgetError(
-                f"slope enumeration cap {cap} exhausted; best lower bound {best}", best
-            )
-        nodes += 1
-        r = ratio(p, q)
-        out_of_range = out_of_range or r is None
-        if r is not None and r > best:
-            best, witness = r, (p, q)
-            if stop(best, upper):
-                return SupResult(best, upper, TorusCurve(p, q), nodes, True)
-    reason = "range" if out_of_range else "precision"
-    return SupResult(best, upper, TorusCurve(*witness), nodes, False, reason)
+    n, d = t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0)
+    p0, q0, p, q, a = 1, 0, 0, 1, 0  # quotient 0 steps 0/1 to 1/0, then t_star's
+    while True:
+        if p or not nodes:  # past the start, 0/1 is a repeat
+            if nodes == cap:
+                raise EnumerationBudgetError(
+                    f"slope enumeration cap {cap} exhausted; best lower bound {best}", best)
+            nodes += 1
+            r = ratio(p, q)
+            if r is None:
+                out_of_range = True
+            elif r > best:
+                best, witness = r, (p, q)
+                if stop(best, upper):
+                    return best, TorusCurve(p, q), nodes, None
+        if a is None:
+            break
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        n, (a, d) = (d, divmod(n, d)) if d else (n, (None, d))  # None: t_star's quotients end
+    return best, TorusCurve(*witness), nodes, "range" if out_of_range else "precision"
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +245,25 @@ class KerckhoffResult(Record):
         self.nodes, self.certified, self.reason = nodes, certified, reason
 
 
-def _kerckhoff_slope(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
-    """Slope of the maximal ratio, a root of qa t^2 + qb t + qc or inf, solved
-    with tau2 moved to Re = 0: the root next to it is then small, so resolved
-    to a few ulps of its own size, and near the cusp it is the one that counts."""
-    s, y1, y2 = t1.x - t2.x, t1.y, t2.y
+def _kerckhoff_slope(s: float, y1: float, y2: float) -> float:
+    """Slope of the maximal ratio, a root of qa t^2 + qb t + qc or inf, for
+    tau1 = s + i y1 and tau2 = i y2, that is with tau2 moved to Re = 0: the
+    root next to it is then small, so resolved to a few ulps of its own size,
+    and near the cusp it is the one that counts."""
     qa, qb, qc = -s, y2 * y2 - y1 * y1 - s * s, s * y2 * y2
     if qa == 0.0:
-        roots = [INFINITY] + ([-qc / qb] if qb else [])
+        t, u = INFINITY, -qc / qb if qb else None
     else:
         k = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-        roots = [k / qa] + ([qc / k] if k else [])
+        t, u = k / qa, qc / k if k else None
+    return u if u is not None and _slope_ratio(u, s, y1, y2) > _slope_ratio(t, s, y1, y2) else t
 
-    def ratio(t):
-        if math.isinf(t):
-            return y2 / y1
-        return ((t + s) * ((t + s) / y1) + y1) / (t * (t / y2) + y2)
 
-    return max(roots, key=ratio) - t2.x
+def _slope_ratio(t: float, s: float, y1: float, y2: float) -> float:
+    """Ext_tau1 / Ext_tau2 of the slope t, as in _kerckhoff_slope."""
+    if math.isinf(t):
+        return y2 / y1
+    return ((t + s) * ((t + s) / y1) + y1) / (t * (t / y2) + y2)
 
 
 def kerckhoff_distance(
@@ -288,20 +276,25 @@ def kerckhoff_distance(
     bound.  value is at least 0, as the distance is."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    c1, c2 = (*t1.x.as_integer_ratio(), t1.y), (*t2.x.as_integer_ratio(), t2.y)
+    (n1, d1), y1 = t1.x.as_integer_ratio(), float(t1.y)
+    (n2, d2), y2 = t2.x.as_integer_ratio(), float(t2.y)
     factor = math.exp(2.0 * tol)
     closed = teich_distance(t1, t2)
     top = 2.0 * (closed + closed_form_radius(closed))  # exp within an ulp (2 u), then 16 u more
     upper = math.exp(top) * (1.0 + _SLACK) if top < 709.78 else INFINITY
 
-    def ratio(p, q):
-        e1, e2 = _ext(p, q, *c1), _ext(p, q, *c2)
-        return None if e1 is None or e2 is None else _shrink(e1 / e2)
+    def ratio(p, q):  # e1 / e2 scaled down to a lower bound, or None
+        e1, e2 = _ext(p, q, n1, d1, y1), _ext(p, q, n2, d2, y2)
+        if e1 is None or e2 is None:
+            return None
+        r = e1 / e2
+        return r * _SHRINK if _TINY <= r <= _HUGE else None
 
-    res = certified_sup(ratio, _kerckhoff_slope(t1, t2), upper,
-                        lambda lower, upper: upper / lower <= factor, cap)
-    value = 0.5 * math.log(res.lower) if res.lower > 1.0 else 0.0
-    return KerckhoffResult(value, closed, res.witness, res.nodes, res.certified, res.reason)
+    lower, witness, nodes, reason = certified_sup(
+        ratio, _kerckhoff_slope(t1.x - t2.x, y1, y2) - t2.x, upper,
+        lambda lower, upper: upper / lower <= factor, cap)
+    value = 0.5 * math.log(lower) if lower > 1.0 else 0.0
+    return KerckhoffResult(value, closed, witness, nodes, reason is None, reason)
 
 
 def ext_sup_enumeration(
@@ -312,27 +305,32 @@ def ext_sup_enumeration(
     if not tol > 0:
         raise ValueError("tol must be positive")
     fp, fq = f.curve.p, f.curve.q
-    chart = (*tau.x.as_integer_ratio(), tau.y)
+    (n, d), y = tau.x.as_integer_ratio(), float(tau.y)
     w2 = float(f.weight) * float(f.weight)  # 3 roundings; i^2, w2 * i^2 and / add 3
-    top = _ext(fp, fq, *chart)
+    top = _ext(fp, fq, n, d, y)
     upper = INFINITY if top is None else w2 * top * (1.0 + _SLACK)
     if not (_TINY <= w2 and _TINY <= upper <= _HUGE):
         upper = INFINITY
     # t* = -(p_f x + q_f |tau|^2) / (p_f + q_f x), written around -x
     den = fp + fq * tau.x
-    t_star = -tau.x - fq * tau.y * tau.y / den if den else INFINITY
+    t_star = -tau.x - fq * y * y / den if den else INFINITY
 
-    def ratio(p, q):
+    def ratio(p, q):  # i^2 w2 / Ext scaled down to a lower bound, or None
         i = fp * q - fq * p
         if i == 0:
             return 0.0
-        e = _ext(p, q, *chart)
+        e = _ext(p, q, n, d, y)
+        if e is None:
+            return None
         try:
-            return None if e is None else _shrink(w2 * float(i * i) / e)
+            r = w2 * float(i * i) / e
         except OverflowError:
             return None
+        return r * _SHRINK if _TINY <= r <= _HUGE else None
 
-    return certified_sup(ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap)
+    lower, witness, nodes, reason = certified_sup(
+        ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap)
+    return SupResult(lower, upper, witness, nodes, reason is None, reason)
 
 
 # ---------------------------------------------------------------------------

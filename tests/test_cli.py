@@ -442,6 +442,8 @@ def test_input_errors_exit_one(capsys):
         (["growth-check", *L_ARGS, "--s-values", "1e155"], 1),
         (["origami-flow", *L_ARGS, "--kind", "horocycle", "--param", "1e400"], 1),
         (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "1e400"], 1),
+        (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--tol", "inf"], 1),
+        (["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+2i", "--tol", "inf"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
@@ -454,7 +456,8 @@ def test_input_errors_exit_one(capsys):
          "usage-bad-choice", "ext-zero-weight", "intersect-edge-offset",
          "growth-edge-offset", "walsh-edge-offset", "growth-bound-beyond-double-range",
          "growth-lower-bound-beyond-double-range", "flow-shear-beyond-double-range",
-         "flow-stretch-beyond-double-range"],
+         "flow-stretch-beyond-double-range", "torus-dist-infinite-tol",
+         "busemann-infinite-tol"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from horoteich.kernel import Mat2, UpperHalfPoint, mobius_apply
-from horoteich import torus as T
+from horoteich import horolab, torus as T
 
 
 def curve(p, q):
@@ -155,6 +155,14 @@ def test_kerckhoff_budget_exhaustion():
     assert info.value.lower_bound > 0
 
 
+def walk(t):
+    """The classes certified_sup evaluates for t, in order: with a ratio that
+    is always out of range and no upper bound the walk runs to its end."""
+    seen = []
+    T.certified_sup(lambda p, q: seen.append((p, q)), t, T.INFINITY, None)
+    return seen
+
+
 @pytest.mark.parametrize("t, classes", [
     (2.5, [(2, 1), (5, 2)]),
     (0.375, [(1, 2), (1, 3), (3, 8)]),  # [0; 2, 1, 2]: the zero quotient repeats 0/1
@@ -164,19 +172,37 @@ def test_kerckhoff_budget_exhaustion():
     (T.INFINITY, []),
 ])
 def test_classes_are_the_start_values_then_the_convergents(t, classes):
-    assert list(T._classes(t)) == [(0, 1), (1, 0), *classes]
+    assert walk(t) == [(0, 1), (1, 0), *classes]
 
 
 def test_classes_never_repeat_and_end_at_t():
     rng = random.Random(5)
     for _ in range(500):
         t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20, 20)
-        seen = list(T._classes(t))
+        seen = walk(t)
         assert len(set(seen)) == len(seen)
         assert seen[:2] == [(0, 1), (1, 0)] and Fraction(*seen[-1]) == Fraction(t)
         # every convergent p/q is within 1/q^2 of t, with q > 0 not decreasing
         assert all(abs(Fraction(t) - Fraction(p, q)) < Fraction(1, q * q) for p, q in seen[2:-1])
         assert 0 < seen[2][1] and [q for _, q in seen[2:]] == sorted(q for _, q in seen[2:])
+
+
+def test_integer_coordinates_give_the_float_results():
+    """An int Im is taken as a double: q * Im then never forms an exact
+    integer too large for a float, as it did for the huge q of a convergent."""
+    for (x1, y1), (x2, y2) in (((0, 1), (1e-310, 0.5)), ((0, 1), (1, 2)), ((2, 3), (-1, 1))):
+        as_int = T.kerckhoff_distance(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2), 1e-9)
+        as_float = T.kerckhoff_distance(UpperHalfPoint(float(x1), float(y1)),
+                                        UpperHalfPoint(float(x2), float(y2)), 1e-9)
+        assert as_int == as_float
+    r = T.kerckhoff_distance(UpperHalfPoint(0, 1), UpperHalfPoint(1e-310, 0.5), 1e-9)
+    assert (r.certified, r.reason) == (False, "range")
+    for f in (fol(1, 0), fol(2, 3), fol(0, 1, Fraction(3, 2))):
+        assert T.ext_sup_enumeration(UpperHalfPoint(1e-310, 1), f, 1e-9) == \
+            T.ext_sup_enumeration(UpperHalfPoint(1e-310, 1.0), f, 1e-9)
+    backend = horolab.TorusBackend()
+    for f in (fol(1, 10**400), fol(2, 3)):
+        assert backend.ext(UpperHalfPoint(0, 1), f) == backend.ext(UpperHalfPoint(0.0, 1.0), f)
 
 
 def test_ext_sup_enumeration_matches_closed_form():
@@ -212,6 +238,31 @@ def teich_truth(a, b):
     return mpmath.acosh(1 + (dx * dx + dy * dy) / (2 * mpmath.mpf(a.y) * mpmath.mpf(b.y))) / 2
 
 
+def assert_certificate(a, b, tol, r):
+    """A certified Kerckhoff result r checked apart from its search: value is
+    half the log of the witness's ratio, recomputed from _ext and scaled by
+    1 - 2^-49, bit for bit; that ratio meets the stop test against the closed
+    form's upper bound, no earlier class of the walk does, and nodes is the
+    witness's place in it."""
+    if not r.certified:
+        return
+
+    def lower(c):
+        e1 = T._ext(*c, *a.x.as_integer_ratio(), a.y)
+        e2 = T._ext(*c, *b.x.as_integer_ratio(), b.y)
+        return None if e1 is None or e2 is None else e1 / e2 * (1.0 - 2.0**-49)
+
+    top = 2.0 * (r.closed_form + T.closed_form_radius(r.closed_form))
+    upper, factor = math.exp(top) * (1.0 + 2.0**-49), math.exp(2.0 * tol)
+    w = lower((r.witness.p, r.witness.q))
+    assert r.value == (0.5 * math.log(w) if w > 1.0 else 0.0)
+    assert upper / w <= factor
+    classes = walk(T._kerckhoff_slope(a.x - b.x, a.y, b.y) - b.x)
+    place = next(i for i, c in enumerate(classes) if T.TorusCurve(*c) == r.witness)
+    assert r.nodes == place + 1
+    assert all(lower(c) is None or upper / lower(c) > factor for c in classes[:place])
+
+
 def assert_sound(r, truth, tol):
     """A certified Kerckhoff value lies in [truth - tol, truth], up to SLACK."""
     if r.certified:
@@ -228,7 +279,9 @@ log_im = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
 @given(st.floats(-3, 3), log_im, st.floats(-3, 3), log_im, st.sampled_from([1e-9, 1e-6]))
 def test_kerckhoff_certified_values_are_true(x1, y1, x2, y2, tol):
     a, b = UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2)
-    assert_sound(T.kerckhoff_distance(a, b, tol=tol), teich_truth(a, b), tol)
+    r = T.kerckhoff_distance(a, b, tol=tol)
+    assert_sound(r, teich_truth(a, b), tol)
+    assert_certificate(a, b, tol, r)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -263,6 +316,7 @@ def test_kerckhoff_cusp_points_certify(x, y):
     elapsed = time.perf_counter() - t0
     assert r.certified
     assert_sound(r, teich_truth(a, b), 1e-9)
+    assert_certificate(a, b, 1e-9, r)
     assert elapsed < 0.05
 
 
