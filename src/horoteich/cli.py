@@ -303,7 +303,7 @@ def cmd_busemann(args):
     closed = T.busemann(x0, f, x)
     est = H.busemann_estimate(x0, f, x, H.TorusBackend(), tol=args.tol)
     results = {
-        "closed_form": num_float(closed, T.HALF_LOG_ROUNDING * (1.0 + abs(closed))),
+        "closed_form": num_float(closed, T.half_log_radius(closed)),
         "limit_estimate": num_float(est.value, est.radius),
         "certified": est.certified,
         "steps": len(est.trace),

@@ -82,14 +82,14 @@ class TorusBackend:
 
     def ext(self, point, f) -> Bracket:
         """Bracket for Ext at a point with double coordinates: the 5
-        roundings of _ext widened by 2^-49 (16 u, as in the torus module's
-        sup bounds), times the weight squared rounded outward; [0, inf]
+        roundings of _ext widened by the torus module's sup-bound _SLACK
+        (16 u), times the weight squared rounded outward; [0, inf]
         where _ext is out of range."""
-        c = f.curve
-        e = self.model._ext(c.p, c.q, *point.x.as_integer_ratio(), float(point.y))
+        c, T = f.curve, self.model
+        e = T._ext(c.p, c.q, *point.x.as_integer_ratio(), float(point.y))
         if e is None:
             return Bracket(0.0, math.inf)
-        unit = Bracket(e * (1.0 - 2.0**-49), e * (1.0 + 2.0**-49))
+        unit = Bracket(e * T._SHRINK, e * (1.0 + T._SLACK))
         return unit.mul_nonneg(f.weight_squared)
 
     def intersect(self, f, g):
@@ -119,7 +119,7 @@ class TorusBackend:
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for
         D(t) = d(x, ray(t)) - t, B = lim D(t) (see torus.ray_excess)."""
         _, excess, tail = self.model.ray_excess(x0, f)(x)
-        return lambda j: (excess(1, j), tail(j * math.log(2.0) * (1.0 - 2.0**-50)))  # <= log 2^j
+        return lambda j: (excess(1, j), tail(j * self.model._LOG2 * (1.0 - 2.0**-50)))  # <= log 2^j
 
 
 # ---------------------------------------------------------------------------

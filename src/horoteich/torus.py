@@ -6,8 +6,8 @@ chart (``TorusCurve.chart``), an SL(2, Z) map sending -p/q to infinity, its
 horospheres are horizontal lines and its rays and geodesics vertical ones,
 so tangency, horosphere points, rays and horosphere distances are exact up
 to one rounding; distance suprema are certified below a closed form by the
-convergents of its slope, and Busemann limits and ball memberships rest on
-one bracket of d(y, ray(t)) - t formed from integers (ray_excess).
+convergents of its slope; horosphere distances and Busemann values are one
+half_log each, and ball memberships rest on half_acosh's D(t) (ray_excess).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ INFINITY = math.inf
 OUT_OF_RANGE = "level is beyond the double range"
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _LOG2 = math.log(2.0)
-HALF_LOG_ROUNDING = 2.0**-50  # half of a _log_ratio is within this times 1 + |value|
+HALF_LOG_ROUNDING = 2.0**-50  # half_log's value v is within this times 1 + |v|
 
 
 class MonotonicityError(RuntimeError):
@@ -66,12 +66,8 @@ class TorusCurve(Frozen):
 
     # The chart M = [[a, b], [q, p]], a p - b q = 1 (M = I for q = 0), is in
     # SL(2, Z), sends -p/q to infinity and has Im M(tau) = Im tau / |q tau +
-    # p|^2, so Ext_f = w^2 / Im M(tau) exactly.  _act applies it in integers
-    # to a double point (x + iy) / d, so an image coordinate is one int / int,
-    # within half an ulp.  With u = 2^-53, v = _log_ratio(n, d) rounds n / d
-    # scaled into (1/2, 2) (u), its log (u), e log 2 (1.7 u |e| with |e| <=
-    # 1.45 |v| + 1) and the sum (u |v|): 4 u (1 + |v|) in all.  Half of it is
-    # so within 4 u (1 + |value|), which HALF_LOG_ROUNDING doubles for margin.
+    # p|^2, so Ext_f = w^2 / Im M(tau) exactly.  _act applies it in integers to
+    # a double point (x + iy) / d: an image coordinate is one int / int.
     @cached_property
     def chart(self) -> Mat2:
         p, q = self.p, self.q
@@ -136,10 +132,31 @@ def _rounded(m: Mat2, x: int, y: int, d: int) -> UpperHalfPoint:
     return UpperHalfPoint(px, py)
 
 
-def _log_ratio(n: int, d: int) -> float:
-    """log(n / d) for positive integers, also where n / d is not a double."""
+def half_log_radius(v: float) -> float:  # half_log's error bound at its value v
+    return HALF_LOG_ROUNDING * (1.0 + abs(v))
+
+
+def half_log(n: int, d: int):
+    """(v, r): v = (1/2) log(n / d) for positive integers, also where n / d is
+    not a double, within r = half_log_radius(v).  With u = 2^-53, L = 2v
+    rounds n / d scaled into (1/2, 2) (u), its log (u), e log 2 (1.7 u |e|
+    with |e| <= 1.45 |L| + 1) and the sum (u |L|): 4 u (1 + |L|) in all, so
+    v is within 4 u (1 + |v|), which HALF_LOG_ROUNDING doubles for margin."""
     e = n.bit_length() - d.bit_length()
-    return math.log(n / (d << e) if e >= 0 else (n << -e) / d) + e * _LOG2
+    v = 0.5 * (math.log(n / (d << e) if e >= 0 else (n << -e) / d) + e * _LOG2)
+    return v, half_log_radius(v)
+
+
+def half_acosh(n: int, m: int, kn: int, kd: int) -> Bracket:
+    """Bracket on (1/2) log((A + sqrt(A^2 - 1)) kd / kn), A = n / m >= 1, for
+    positive integers: with n scaled to 74 bits the isqrt is within 2^-72,
+    below half_log's margin, and half_log rounds the rest."""
+    c = n.bit_length() - 74
+    c, d = (c, 0) if c >= 0 else (0, -c)
+    # 2^d (n + sqrt(n^2 - m^2)), to 2^(c + 1), over 2^d m
+    num = (n << d) + (math.isqrt((n - m) * (n + m) << 2 * d >> 2 * c) << c)
+    v, r = half_log(num * kd, m * kn << d)
+    return Bracket(v - r, v + r)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +540,8 @@ def _distance_to_horocycle(f: WeightedTorusFoliation, level):
 def _half_log_distance(chart_point, norm: Fraction) -> Bracket:
     """The bracket of _distance_to_horocycle from the chart point's _act integers."""
     _, im, den = chart_point
-    v = 0.5 * abs(_log_ratio(im * norm.numerator, den * norm.denominator))
-    err = HALF_LOG_ROUNDING * (1.0 + v)
-    return Bracket(max(v - err, 0.0), v + err)
+    v, r = half_log(im * norm.numerator, den * norm.denominator)
+    return Bracket(max(abs(v) - r, 0.0), abs(v) + r)
 
 
 def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float = 1e-6,
@@ -549,7 +565,7 @@ def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float
         mx = _act(m, *_ints(on_s(rng.uniform(-4.0, 4.0))))  # one chart point for both levels
         off = _half_log_distance(mx, norm_s).hi
         brackets.append(_half_log_distance(mx, norm_t) + Bracket(-off, off))
-    expected = 0.5 * _log_ratio(*(Fraction(t) / Fraction(s)).as_integer_ratio())
+    expected = half_log(*(Fraction(t) / Fraction(s)).as_integer_ratio())[0]
     max_err = max(max(b.hi - expected, expected - b.lo) for b in brackets)
     ok = all(b.contains(expected) and b.width <= tol for b in brackets)
     return EquidistanceReport(expected, [0.5 * (b.lo + b.hi) for b in brackets], brackets,
@@ -582,8 +598,8 @@ def torus_ray(x0: UpperHalfPoint, f: WeightedTorusFoliation):
 
 def busemann(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint) -> float:
     """(1/2) log(Ext_f(x) / Ext_f(x0)) = (1/2) log(Im M x0 / Im M x) in f's
-    chart M, the closed form for indecomposable (single-curve) foliations;
-    within HALF_LOG_ROUNDING * (1 + |value|)."""
+    chart M, the closed form for indecomposable (single-curve) foliations:
+    half_log's value, within half_log_radius(value)."""
     return ray_excess(x0, f)(x)[0]
 
 
@@ -611,18 +627,16 @@ def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
     where e^{2t} = K = k 2^e, and tail(log_k) bounds D(t) - B wherever 2t >=
     log_k.  In f's chart M let My = z, M x0 = r0 + i u0, so ray(t) = r0 + i K
     u0 and cosh 2 d_T = A = N / M', N = (Re z - r0)^2 + (Im z)^2 + (K u0)^2,
-    M' = 2 Im z K u0.  D(t) = (1/2) log((A + sqrt(A^2 - 1)) / K) is an isqrt
-    to 2^-72 and one _log_ratio (HALF_LOG_ROUNDING); B = (1/2) log(u0 / Im z),
-    and A + sqrt(A^2 - 1) <= 2A gives D(t) - B <= (1/2) log1p(((Re z - r0)^2
-    + (Im z)^2) / (K u0)^2)."""
+    M' = 2 Im z K u0.  D(t) = (1/2) log((A + sqrt(A^2 - 1)) / K) is half_acosh,
+    B = (1/2) log(u0 / Im z) half_log, and A + sqrt(A^2 - 1) <= 2A gives D(t)
+    - B <= (1/2) log1p(((Re z - r0)^2 + (Im z)^2) / (K u0)^2)."""
     m = f.curve.chart
     re0, im0, den0 = _act(m, *_ints(x0))
 
     def at(y: UpperHalfPoint):
         re, im, den = _act(m, *_ints(y))
         x, h, w = re * den0 - re0 * den, im * den0, im0 * den  # Re z - r0, Im z, u0 times den den0
-        h0 = 0.5 * _log_ratio(x * x + h * h, w * w)  # half the log of the tail's argument at K = 1
-        h0 += HALF_LOG_ROUNDING * (1.0 + abs(h0))
+        h0 = sum(half_log(x * x + h * h, w * w))  # v + r: the tail argument's half-log at K = 1
 
         def tail(log_k: float) -> float:  # (1/2) log1p(e^{2a}) for a >= h0 - log K; 2^-49
             a = math.nextafter(h0 - log_k, INFINITY)  # covers its roundings, 2^-1000 an underflow
@@ -632,16 +646,9 @@ def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
         def excess(k: int, e: int):
             s, p = (0, e) if e >= 0 else (-e, 0)  # K = k 2^p / 2^s: scale Re z - r0, Im z by 2^s
             xs, hs, ws = x << s, h << s, (w * k) << p
-            hw, n = hs * ws, xs * xs + hs * hs + ws * ws
-            c = n.bit_length() - 74
-            c, d = (c, 0) if c >= 0 else (0, -c)
-            # 2^d (N + sqrt(N^2 - M'^2)), to 2^(c + 1), over 2^d M' K
-            num = (n << d) + (math.isqrt((n - 2 * hw) * (n + 2 * hw) << 2 * d >> 2 * c) << c)
-            v = 0.5 * _log_ratio(num << s, hw * k << (1 + d + p))
-            err = HALF_LOG_ROUNDING * (1.0 + abs(v))
-            return Bracket(v - err, v + err)
+            return half_acosh(xs * xs + hs * hs + ws * ws, 2 * hs * ws, k << p, 1 << s)
 
-        return 0.5 * _log_ratio(w, h), excess, tail
+        return half_log(w, h)[0], excess, tail
 
     return at
 
@@ -689,7 +696,7 @@ def metric_ball_limit_check(
     ok = True
     for y in sample:
         b, excess, tail = at(y)
-        err = HALF_LOG_ROUNDING * (1.0 + abs(b))
+        err = half_log_radius(b)
         b_lo, b_hi = b - err, b + err
         memberships = []
         for k in range(k_max + 1):  # t = 2^k

@@ -747,6 +747,58 @@ def test_torus_ray_chart(pq):
             T.extremal_length(x0, f) * math.exp(-2.0 * t), rel=1e-12)
 
 
+def test_half_log_holds_the_truth():
+    """[v - r, v + r] from half_log(n, d) holds (1/2) log(n / d) (mpmath, 80
+    digits) for n / d = 2^k odd / odd, |k| <= 5000, far from the doubles, and
+    is centred on 0 for n = d."""
+    rng = random.Random(31)
+    odd = lambda: rng.getrandbits(rng.randint(1, 200)) | 1  # noqa: E731
+    cases = [(n, n) for n in (1, 3, 2**200 + 1, 10**400)]
+    for k in [5000, -5000, 0] + [rng.randint(-5000, 5000) for _ in range(200)]:
+        a, b = odd(), odd()
+        cases.append((a << k, b) if k >= 0 else (a, b << -k))
+    with mpmath.workdps(80):
+        for n, d in cases:
+            v, r = T.half_log(n, d)
+            truth = (mpmath.log(n) - mpmath.log(d)) / 2
+            assert v - r <= truth <= v + r and r == T.half_log_radius(v), (n, d)
+            assert n != d or v == 0.0
+
+
+def far_cosh(rng):
+    """The exact A = 1 + |tau1 - tau2|^2 / (2 y1 y2), as (n, m), of two double
+    points with Re = +-10^U(-3, 300) and Im = 10^U(-161.8, 300)."""
+    re = [Fraction(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-3, 300)) for _ in "12"]
+    im = [Fraction(10.0 ** rng.uniform(-161.8, 300)) for _ in "12"]
+    a = 1 + ((re[0] - re[1]) ** 2 + (im[0] - im[1]) ** 2) / (2 * im[0] * im[1])
+    return a.numerator, a.denominator
+
+
+def half_acosh_truth(n, m, k, e):
+    """(1/2) log((A + sqrt(A^2 - 1)) / (k 2^e)), A = n / m, in mpmath from the
+    exact A - 1, so that A near 1 keeps its digits."""
+    t = mpmath.mpf(n - m) / m
+    return (mpmath.log1p(t + mpmath.sqrt(t * (t + 2))) - mpmath.log(k) - e * mpmath.log(2)) / 2
+
+
+def test_half_acosh_holds_the_truth():
+    """half_acosh's bracket holds (1/2) log((A + sqrt(A^2 - 1)) kd / kn)
+    (mpmath, 80 digits): with kn = kd = 1, i.e. (1/2) acosh(A), for the exact
+    A of far point pairs, A = 1 and A = 1 + 2^-300; and with kn / kd = k 2^p
+    / 2^s as ray_excess's excess passes them, K from _exp_2t or 2^j."""
+    rng = random.Random(31)
+    cases = [(n, n, 1, 0) for n in (1, 7, 10**400)] + [(2**300 + 1, 2**300, 1, 0)]
+    cases += [(*far_cosh(rng), 1, 0) for _ in range(200)]
+    for _ in range(200):
+        x, h, w = (rng.getrandbits(rng.randint(1, 400)) + 1 for _ in "xhw")
+        k, e = rng.choice([(1, rng.randint(-6000, 6000))] + [T._exp_2t(i)[::2] for i in (0, 5, 20)])
+        cases.append((x * x + h * h + w * w, 2 * h * w, k, e))
+    with mpmath.workdps(80):
+        for n, m, k, e in cases:
+            d = T.half_acosh(n, m, k << max(e, 0), 1 << max(-e, 0))
+            assert d.lo <= half_acosh_truth(n, m, k, e) <= d.hi, (n, m, k, e)
+
+
 def test_busemann_closed_form_beyond_the_doubles():
     """Where Ext_f or the ratio of the two Exts leaves the doubles, the closed
     form is still within the CLI record's tag of the truth."""
