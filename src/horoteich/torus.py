@@ -15,7 +15,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 from .kernel import (
@@ -52,11 +52,9 @@ class TorusCurve(Frozen):
     def __init__(self, p: int, q: int):
         if p == 0 and q == 0:
             raise ValueError("(0, 0) is not a curve")
-        if math.gcd(abs(p), abs(q)) != 1:
+        if math.gcd(p, q) != 1:
             raise ValueError(f"({p}, {q}) is not primitive")
-        if p < 0 or (p == 0 and q < 0):
-            p, q = -p, -q
-        self.__dict__.update(p=p, q=q)
+        self.__dict__.update(_primitive(p, q).__dict__)
 
     def boundary_point(self):
         """Point of the circle at infinity where this curve degenerates."""
@@ -73,6 +71,13 @@ class TorusCurve(Frozen):
         p, q = self.p, self.q
         a = pow(p, -1, abs(q)) if q else 1
         return Mat2(a, (a * p - 1) // q if q else 0, q, p)
+
+
+def _primitive(p: int, q: int) -> TorusCurve:
+    """TorusCurve(p, q) for a (p, q) known to be primitive: its sign alone."""
+    c = object.__new__(TorusCurve)
+    c.__dict__["p"], c.__dict__["q"] = (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
+    return c
 
 
 class WeightedTorusFoliation(Frozen):
@@ -215,7 +220,9 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6):
     q)`` (None out of range) meets ``stop(lower, upper)``.  ``upper`` bounds
     the sup over real slopes (inf out of range) and ``t_star`` attains it.
     Returns (lower, witness, nodes, reason), reason None where certified, else
-    "range" if anything left the normal range and "precision" if not."""
+    "range" if anything left the normal range and "precision" if not.  Each
+    class walked is primitive (p0 q - p q0 = +-1 between consecutive ones), so
+    the witness is made by _primitive."""
     best, witness, nodes, out_of_range = 0.0, (1, 0), 0, math.isinf(upper)
     n, d = t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0)
     p0, q0, p, q, a = 1, 0, 0, 1, 0  # quotient 0 steps 0/1 to 1/0, then t_star's
@@ -231,12 +238,12 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6):
             elif r > best:
                 best, witness = r, (p, q)
                 if stop(best, upper):
-                    return best, TorusCurve(p, q), nodes, None
+                    return best, _primitive(p, q), nodes, None
         if a is None:
             break
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
         n, (a, d) = (d, divmod(n, d)) if d else (n, (None, d))  # None: t_star's quotients end
-    return best, TorusCurve(*witness), nodes, "range" if out_of_range else "precision"
+    return best, _primitive(*witness), nodes, "range" if out_of_range else "precision"
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +290,8 @@ def _slope_ratio(t: float, s: float, y1: float, y2: float) -> float:
     return ((t + s) * ((t + s) / y1) + y1) / (t * (t / y2) + y2)
 
 
-def kerckhoff_distance(
-    t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float, cap: int = 10**6
-) -> KerckhoffResult:
+def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
+                       cap: int = 10**6) -> KerckhoffResult:
     """(1/2) log sup over primitive classes of the extremal-length ratio
     (Kerckhoff's formula), certified to within ``tol``.  The sup over real
     slopes is e^{2d} for the closed form d = teich_distance, which is
@@ -314,9 +320,8 @@ def kerckhoff_distance(
     return KerckhoffResult(value, closed, witness, nodes, reason is None, reason)
 
 
-def ext_sup_enumeration(
-    tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: float, cap: int = 10**6
-) -> SupResult:
+def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: float,
+                        cap: int = 10**6) -> SupResult:
     """sup_gamma i(f, gamma)^2 / Ext_tau(gamma), certified from below to
     within ``tol`` (absolute); over real slopes it is w^2 Ext_tau(f)."""
     if not tol > 0:
@@ -468,13 +473,8 @@ def triple_tangency_levels(i_ab, i_ag, i_bg):
     return i_ab * i_ag / i_bg, i_ab * i_bg / i_ag, i_ag * i_bg / i_ab
 
 
-def ratio_curve_search(
-    alpha: TorusCurve,
-    beta: TorusCurve,
-    target,
-    eps,
-    budget: int = 10**6,
-) -> TorusCurve:
+def ratio_curve_search(alpha: TorusCurve, beta: TorusCurve, target, eps,
+                       budget: int = 10**6) -> TorusCurve:
     """Primitive gamma, filling with alpha and beta, whose intersection
     ratio i(alpha, gamma) / i(beta, gamma) lies within eps of target.
 
@@ -494,29 +494,20 @@ def ratio_curve_search(
         g = math.gcd(p, q)
         return p // g, q // g
 
-    lo = (1, 0)  # (w, u) = 0/1 side: gamma ~ alpha, ratio 0
-    hi = (0, 1)  # ratio inf side: gamma ~ beta
-    best = None
-    best_err = INFINITY
+    # (u, w) with ratio w / u: lo = 0/1 (gamma ~ alpha), hi = 1/0 (gamma ~ beta)
+    lo, hi, best, best_err = (1, 0), (0, 1), None, INFINITY
     for _ in range(budget):
-        u = lo[0] + hi[0]
-        w = lo[1] + hi[1]
+        u, w = lo[0] + hi[0], lo[1] + hi[1]
         ratio = Fraction(w, u)
         err = abs(ratio - target)
         if err < best_err:
-            best_err = err
-            best = (u, w)
+            best, best_err = (u, w), err
         if err < eps:
             return TorusCurve(*reduced(u, w))
-        if ratio < target:
-            lo = (u, w)
-        else:
-            hi = (u, w)
+        lo, hi = ((u, w), hi) if ratio < target else (lo, (u, w))
     u, w = best
-    raise EnumerationBudgetError(
-        f"ratio search budget exhausted; best ratio {Fraction(w, u)} at curve {reduced(u, w)}",
-        float(Fraction(w, u)),
-    )
+    raise EnumerationBudgetError(f"ratio search budget exhausted; best ratio {Fraction(w, u)} at "
+                                 f"curve {reduced(u, w)}", float(Fraction(w, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +587,30 @@ def torus_ray(x0: UpperHalfPoint, f: WeightedTorusFoliation):
     return ray, chart, im0 / den0
 
 
+def _ray_points(x0: UpperHalfPoint, f: WeightedTorusFoliation):
+    """y -> (b, r2, w2, hw), y's integers: in f's chart M, with My = z and M x0
+    = r0 + i u0, x, h, w are Re z - r0, Im z, u0 times den den0 (_act's), r2 =
+    x^2 + h^2, w2 = w^2, hw = h w and b = B, busemann's value, half_log(w, h)'s."""
+    m = f.curve.chart
+    re0, im0, den0 = _act(m, *_ints(x0))
+
+    def point(y: UpperHalfPoint):
+        re, im, den = _act(m, *_ints(y))
+        x, h, w = re * den0 - re0 * den, im * den0, im0 * den
+        return half_log(w, h)[0], x * x + h * h, w * w, h * w
+
+    return point
+
+
 def busemann(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint) -> float:
     """(1/2) log(Ext_f(x) / Ext_f(x0)) = (1/2) log(Im M x0 / Im M x) in f's
     chart M, the closed form for indecomposable (single-curve) foliations:
     half_log's value, within half_log_radius(value)."""
-    return ray_excess(x0, f)(x)[0]
+    return _ray_points(x0, f)(x)[0]
 
 
-def busemann_limit(
-    x0: UpperHalfPoint,
-    f: WeightedTorusFoliation,
-    x: UpperHalfPoint,
-    tol: float,
-) -> float:
+def busemann_limit(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint,
+                   tol: float) -> float:
     """Definition-based Busemann value: limit of d(x, ray(t)) - t.
 
     Runs ``horolab.busemann_estimate`` on the torus backend and raises
@@ -622,35 +624,34 @@ def busemann_limit(
 
 
 def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
-    """y -> (b, excess, tail) for torus_ray's ray, where D(t) = d_T(y, ray(t))
-    - t falls to the Busemann value b = B: excess(k, e) is a Bracket on D(t)
-    where e^{2t} = K = k 2^e, and tail(log_k) bounds D(t) - B wherever 2t >=
-    log_k.  In f's chart M let My = z, M x0 = r0 + i u0, so ray(t) = r0 + i K
-    u0 and cosh 2 d_T = A = N / M', N = (Re z - r0)^2 + (Im z)^2 + (K u0)^2,
-    M' = 2 Im z K u0.  D(t) = (1/2) log((A + sqrt(A^2 - 1)) / K) is half_acosh,
-    B = (1/2) log(u0 / Im z) half_log, and A + sqrt(A^2 - 1) <= 2A gives D(t)
-    - B <= (1/2) log1p(((Re z - r0)^2 + (Im z)^2) / (K u0)^2)."""
-    m = f.curve.chart
-    re0, im0, den0 = _act(m, *_ints(x0))
+    """y -> (b, excess, tail) for torus_ray's ray: D(t) = d_T(y, ray(t)) - t
+    falls to b = B, excess(k, e) is _excess and tail(log_k) _tail, bound to
+    y's integers r2, w2, hw and h0 = sum(half_log(r2, w2)) (_ray_points)."""
+    point = _ray_points(x0, f)
 
     def at(y: UpperHalfPoint):
-        re, im, den = _act(m, *_ints(y))
-        x, h, w = re * den0 - re0 * den, im * den0, im0 * den  # Re z - r0, Im z, u0 times den den0
-        h0 = sum(half_log(x * x + h * h, w * w))  # v + r: the tail argument's half-log at K = 1
-
-        def tail(log_k: float) -> float:  # (1/2) log1p(e^{2a}) for a >= h0 - log K; 2^-49
-            a = math.nextafter(h0 - log_k, INFINITY)  # covers its roundings, 2^-1000 an underflow
-            a = (a if a > 0.0 else 0.0) + 0.5 * math.log1p(math.exp(-2.0 * abs(a)))
-            return a * (1.0 + 2.0**-49) + 2.0**-1000
-
-        def excess(k: int, e: int):
-            s, p = (0, e) if e >= 0 else (-e, 0)  # K = k 2^p / 2^s: scale Re z - r0, Im z by 2^s
-            xs, hs, ws = x << s, h << s, (w * k) << p
-            return half_acosh(xs * xs + hs * hs + ws * ws, 2 * hs * ws, k << p, 1 << s)
-
-        return half_log(w, h)[0], excess, tail
+        b, r2, w2, hw = point(y)
+        return b, partial(_excess, r2, w2, hw), partial(_tail, sum(half_log(r2, w2)))
 
     return at
+
+
+def _excess(r2: int, w2: int, hw: int, k: int, e: int) -> Bracket:
+    """Bracket on D(t) where e^{2t} = K = k 2^e = k 2^p / 2^s: ray(t) = r0 + i K
+    u0 in f's chart, so cosh 2 d_T = A = n / m, n = r2 4^s + w2 k^2 4^p and m =
+    hw k 2^(s + p + 1) (see _ray_points), and D(t) = (1/2) log((A + sqrt(A^2 -
+    1)) / K) is half_acosh's."""
+    s, p = (0, e) if e >= 0 else (-e, 0)
+    return half_acosh((r2 << 2 * s) + (w2 * k * k << 2 * p), hw * k << s + p + 1, k << p, 1 << s)
+
+
+def _tail(h0: float, log_k: float) -> float:
+    """Bound on D(t) - B where 2t >= log_k, h0 = sum(half_log(r2, w2)) >= (1/2)
+    log(r2 / w2): A + sqrt(A^2 - 1) <= 2A gives (1/2) log1p(e^{2(h0 - log K)});
+    2^-49 covers the roundings, 2^-1000 an underflow."""
+    a = math.nextafter(h0 - log_k, INFINITY)
+    a = (a if a > 0.0 else 0.0) + 0.5 * math.log1p(math.exp(-2.0 * abs(a)))
+    return a * (1.0 + 2.0**-49) + 2.0**-1000
 
 
 def _exp_2t(k: int):
@@ -667,18 +668,18 @@ class BallLimitEntry(Record):
     # classification: "inside", "outside" or "inconclusive"
     _fields = ("point", "busemann_value", "memberships", "classification", "nested")
 
+    def __init__(self, point, busemann_value, memberships, classification, nested):
+        self.point, self.busemann_value, self.memberships = point, busemann_value, memberships
+        self.classification, self.nested = classification, nested
+
 
 class BallLimitReport(Record):
     _fields = ("entries", "ok", "inconclusive")
 
 
-def metric_ball_limit_check(
-    x0: UpperHalfPoint,
-    f: WeightedTorusFoliation,
-    sample: Sequence[UpperHalfPoint],
-    k_max: int = 20,
-    boundary_tol: float = 1e-6,
-) -> BallLimitReport:
+def metric_ball_limit_check(x0: UpperHalfPoint, f: WeightedTorusFoliation,
+                            sample: Sequence[UpperHalfPoint], k_max: int = 20,
+                            boundary_tol: float = 1e-6) -> BallLimitReport:
     """Membership of sample points in the growing balls B(ray(t), t), t = 2^k,
     where y is in iff D(t) < 0 (see ray_excess): out where B >= 0, in where
     B + tail < 0 (B from its closed-form bracket), else from D's exact
@@ -687,20 +688,22 @@ def metric_ball_limit_check(
     D(2^k_max) is below -boundary_tol / above boundary_tol.  nested: no
     membership goes from in to out.  ok: every point nested, with an exact D
     bracket meeting [B_lo, B_hi + tail] where the tail's argument is at most
-    2^-40."""
+    2^-40.  Each point is its integers r2, w2, hw (_ray_points), scaled by
+    _excess to n = r2 4^s + w2 k^2 4^p over m = hw k 2^(s + p + 1).  An exact
+    bracket at k needs tail >= -B and >= 2^-49, so 2^(k+1) <= d_T(x0, y) +
+    17.4: r2 / w2 = 2 cosh(2 d_T) e^{-2B} - 1 puts h0 below d_T - B + (1/2)
+    log 2, and d_T < 1455 between doubles, so no chart forms one past k = 9."""
     if not sample:
         raise ValueError("sample must be nonempty")
-    at = ray_excess(x0, f)
-    entries = []
-    inconclusive = []
-    ok = True
+    point = _ray_points(x0, f)
+    entries, ok = [], True
     for y in sample:
-        b, excess, tail = at(y)
-        err = half_log_radius(b)
+        b, r2, w2, hw = point(y)
+        h0, err = sum(half_log(r2, w2)), half_log_radius(b)
         b_lo, b_hi = b - err, b + err
         memberships = []
         for k in range(k_max + 1):  # t = 2^k
-            tl = 0.0 if b_lo >= 0.0 else tail(2.0 ** (k + 1))
+            tl = 0.0 if b_lo >= 0.0 else _tail(h0, 2.0 ** (k + 1))
             if b_lo >= 0.0 or tl < -b_hi or tl < 2.0 * err:
                 # from here on D >= B >= 0, or D <= B + tail < 0, or the tail is below B's own
                 # rounding, which no exact D bracket resolves either: the membership stays open
@@ -708,20 +711,17 @@ def metric_ball_limit_check(
                 memberships += [rest] * (k_max + 1 - k)
                 break
             lo, hi, e = _exp_2t(k)
-            memberships.append(True if excess(lo, e).hi < 0.0
-                               else False if excess(hi, e).lo >= 0.0 else None)
-        decided = [m for m in memberships if m is not None]
-        nested = decided == sorted(decided)  # never out once in
-        if math.nextafter(b_hi + tail(2.0 ** (k_max + 1)), INFINITY) < -boundary_tol:  # D(2^k_max)
-            cls = "inside"
-        elif b_lo > boundary_tol:
-            cls = "outside"
-        else:
-            cls = "inconclusive"
-            inconclusive.append(y)
-        # tail(0) bounds half the log of the tail's argument at K = 1, which falls 4-fold per j
-        j = max(0, math.ceil(tail(0.0) / _LOG2 + 20.0))
-        d, d_tail = excess(1, j), tail(j * _LOG2 * (1.0 - 2.0**-50))  # below j log 2
+            memberships.append(True if _excess(r2, w2, hw, lo, e).hi < 0.0
+                               else False if _excess(r2, w2, hw, hi, e).lo >= 0.0 else None)
+        nested = True not in memberships or False not in memberships[memberships.index(True):]
+        d_max = math.nextafter(b_hi + _tail(h0, 2.0 ** (k_max + 1)), INFINITY)  # >= D(2^k_max)
+        cls = ("inside" if d_max < -boundary_tol else "outside" if b_lo > boundary_tol
+               else "inconclusive")
+        # _tail(h0, 0) bounds half the log of the tail's argument at K = 1, which falls 4-fold
+        # per j; d_tail is taken at log K just below j log 2
+        j = max(0, math.ceil(_tail(h0, 0.0) / _LOG2 + 20.0))
+        d, d_tail = _excess(r2, w2, hw, 1, j), _tail(h0, j * _LOG2 * (1.0 - 2.0**-50))
         ok = ok and nested and d.hi >= b_lo and d.lo <= math.nextafter(b_hi + d_tail, INFINITY)
         entries.append(BallLimitEntry(y, b, memberships, cls, nested))
+    inconclusive = [e.point for e in entries if e.classification == "inconclusive"]
     return BallLimitReport(entries, ok, inconclusive)

@@ -187,6 +187,27 @@ def test_classes_never_repeat_and_end_at_t():
         assert 0 < seen[2][1] and [q for _, q in seen[2:]] == sorted(q for _, q in seen[2:])
 
 
+def test_walked_classes_are_primitive():
+    """Every class certified_sup walks, for the Kerckhoff and ext_sup slopes of
+    far points (Re +-10^U(-3, 300), Im 10^U(-161.8, 300)) and of the bench's
+    (Re U(-2, 2), Im log-uniform in [0.05, 3]), has gcd 1, so the witness
+    _primitive makes from it is that class with its canonical sign."""
+    rng = random.Random(9)
+    far = lambda: (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 300),  # noqa: E731
+                   10.0 ** rng.uniform(-161.8, 300))
+    bench = lambda: (rng.uniform(-2, 2), math.exp(rng.uniform(math.log(0.05), math.log(3))))  # noqa: E731
+    slopes = []
+    for draw in [far] * 300 + [bench] * 300:
+        (x1, y1), (x2, y2), (p, q) = draw(), draw(), rng.choice(FAR_CURVES)
+        slopes.append(T._kerckhoff_slope(x1 - x2, y1, y2) - x2)
+        slopes.append(-x1 - q * y1 * y1 / (p + q * x1) if p + q * x1 else T.INFINITY)
+    for t in slopes:
+        for p, q in walk(t):
+            c = T._primitive(p, q)
+            assert math.gcd(p, q) == 1 and (c.p, c.q) in ((p, q), (-p, -q)), (t, p, q)
+            assert c.p > 0 or (c.p, c.q) == (0, 1), (t, p, q)
+
+
 def test_integer_coordinates_give_the_float_results():
     """An int Im is taken as a double: q * Im then never forms an exact
     integer too large for a float, as it did for the huge q of a convergent."""
@@ -934,21 +955,84 @@ def test_ball_limit_point_on_the_limit_sphere_is_inconclusive():
     assert [e.classification for e in rep.entries] == ["inconclusive", "outside", "inconclusive"]
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(FAR_CURVES), far_re, far_im, far_re, far_im)
+def test_ball_limit_check_is_busemann_and_the_backend_brackets(pq, x0r, x0i, yr, yi):
+    """For far start and sample points, the check's busemann_value is busemann's,
+    each D bracket and tail it forms is ray_excess's at the same arguments, and
+    its last pair, at e^{2t} = 2^j, is TorusBackend's ray_excess at j, bit for bit."""
+    x0, y, f = UpperHalfPoint(x0r, x0i), UpperHalfPoint(yr, yi), fol(*pq)
+    excess, tail, calls = T._excess, T._tail, []
+
+    def spy(name, fn, *args):
+        calls.append((name, args[-2:] if name == "excess" else args[-1], fn(*args)))
+        return calls[-1][2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_excess", lambda *a: spy("excess", excess, *a))
+        mp.setattr(T, "_tail", lambda *a: spy("tail", tail, *a))
+        entry = T.metric_ball_limit_check(x0, f, [y]).entries[0]
+    b, excess_at, tail_at = T.ray_excess(x0, f)(y)
+    assert repr(entry.busemann_value) == repr(b) == repr(T.busemann(x0, f, y))
+    for name, arg, value in calls:
+        assert repr(value) == repr(excess_at(*arg) if name == "excess" else tail_at(arg))
+    (_, (k, j), d), (_, _, d_tail) = calls[-2:]
+    assert k == 1 and repr((d, d_tail)) == repr(horolab.TorusBackend().ray_excess(x0, f, y)(j))
+
+
+def test_ball_limit_exact_brackets_stop_by_k_9():
+    """An exact D bracket at t = 2^k needs 2^(k+1) <= d_T(x0, y) + 17.4 (see
+    metric_ball_limit_check), and d_T < 1455 between doubles: at the corners
+    of the double range (|Re| 0 or the largest, Im the least subnormal, the
+    least normal, 1 or the largest), in the charts of small classes and of
+    ones whose -p/q is the largest double, every check holds the bound, is ok,
+    and the deepest k reached is 9."""
+    big, tiny, low = 1.7976931348623157e308, 5e-324, 2.2250738585072014e-308
+    corners = [UpperHalfPoint(x, y) for x in (-big, 0.0, big) for y in (tiny, low, 1.0, big)]
+    exp_2t, reached, deepest = T._exp_2t, [], 0
+
+    def spy(k):
+        reached.append(k)
+        return exp_2t(k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_exp_2t", spy)
+        for pq in [(1, 0), (0, 1), (1, 1), (int(big), -1), (int(big), 1)]:
+            for x0, y in itertools.product(corners, corners):
+                reached.clear()
+                assert T.metric_ball_limit_check(x0, fol(*pq), [y]).ok
+                if reached:
+                    dx, y0, y1 = mpmath.mpf(x0.x) - y.x, mpmath.mpf(x0.y), mpmath.mpf(y.y)
+                    d = mpmath.acosh(1 + (dx * dx + (y0 - y1) ** 2) / (2 * y0 * y1)) / 2
+                    assert 2 ** (max(reached) + 1) <= d + 17.4 < 1472.4, (pq, x0, y)
+                    deepest = max(deepest, *reached)
+    assert deepest == 9
+
+
+@pytest.mark.parametrize("inside_first", [True, False])
+def test_ball_limit_nested_is_never_out_once_in(monkeypatch, inside_first):
+    """From the near-cusp start 1e-150 i, the point 1 + i has exact brackets
+    up to t = 2^6.  Forced in at t = 1 and out later, the point is not nested
+    and ok fails; forced out at t = 1 and in later, it is nested and ok.  The
+    bracket at 2^j, with k = 1, is left exact."""
+    excess, e0 = T._excess, T._exp_2t(0)[2]
+    below, above = T.Bracket(-1.0, -1.0), T.Bracket(1.0, 1.0)
+    first, later = (below, above) if inside_first else (above, below)
+    monkeypatch.setattr(T, "_excess", lambda r2, w2, hw, k, e: excess(r2, w2, hw, k, e) if k == 1
+                        else first if e == e0 else later)
+    rep = T.metric_ball_limit_check(UpperHalfPoint(0.0, 1e-150), fol(1, 0), [UpperHalfPoint(1.0, 1.0)])
+    m = rep.entries[0].memberships
+    assert m[:7] == [inside_first] + [not inside_first] * 6 and m[7:] == [True] * 14
+    assert rep.entries[0].nested == rep.ok == (not inside_first)
+
+
 def test_ball_limit_ok_is_a_check(monkeypatch):
     """ok fails when the exact D(t) brackets disagree with the closed form:
     here they are shifted up by 1e-9, past B_hi + tail."""
     x0, f, sample = next(ball_limit_samples())
-    at = T.ray_excess
+    excess = T._excess
 
-    def shifted(x0, f):
-        def point(y):
-            b, excess, tail = at(x0, f)(y)
-
-            def moved(k, e):
-                d = excess(k, e)
-                return T.Bracket(d.lo + 1e-9, d.hi + 1e-9)
-            return b, moved, tail
-        return point
+    def shifted(*args):
+        d = excess(*args)
+        return T.Bracket(d.lo + 1e-9, d.hi + 1e-9)
     assert T.metric_ball_limit_check(x0, f, sample[:5]).ok
-    monkeypatch.setattr(T, "ray_excess", shifted)
+    monkeypatch.setattr(T, "_excess", shifted)
     assert not T.metric_ball_limit_check(x0, f, sample[:5]).ok
