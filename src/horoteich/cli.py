@@ -6,11 +6,12 @@ numeric field is either exact (a rational string) or a float with a stated
 tolerance; output is deterministic for fixed inputs and seed apart from the
 timestamp field.
 
-Exit status: 0 success, 2 undecided or uncertified result, 1 input error
-(usage errors included).  ``run`` is the one request pipeline: parse, fill
-unset options from ``--config``, call the handler, wrap its inputs and
-results in the record envelope and emit it.  It alone maps exceptions to exit
-codes: a model's ``ValueError`` and any ``OverflowError`` are input errors.
+Exit status: 0 success, 2 undecided or uncertified result (a record with a
+``reason``), 1 input error (usage errors included).  ``run`` is the one
+request pipeline: parse, fill unset options from ``--config``, call the
+handler, wrap its inputs and results in the record envelope and emit it.  It
+alone maps outcomes to exit codes: a record's ``reason`` to 2, a model's
+``ValueError`` and any ``OverflowError`` to 1.
 Each handler imports the model modules it uses, so a call loads no others.
 """
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _build_origami(args):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (inputs, results, exit_status)
+# Subcommand handlers: each returns (inputs, results), results with a "reason" when undecided
 
 
 def _inputs(args, *names) -> dict:
@@ -226,7 +227,7 @@ def cmd_torus_ext(args):
     f = T.WeightedTorusFoliation(parse_rational(args.weight), parse_curve(args.curve))
     # exact at the double inputs, then rounded once: within one ulp
     val = float(T.extremal_length(UpperHalfPoint(Fraction(tau.x), Fraction(tau.y)), f))
-    return _inputs(args, "tau", "curve", "weight"), {"ext": num_float(val, math.ulp(val))}, EXIT_OK
+    return _inputs(args, "tau", "curve", "weight"), {"ext": num_float(val, math.ulp(val))}
 
 
 def cmd_torus_dist(args):
@@ -242,8 +243,7 @@ def cmd_torus_dist(args):
     }
     if not res.certified:  # "precision" or "range"
         results["reason"] = res.reason
-    inputs = _inputs(args, "tau1", "tau2", "tol", "cap")
-    return inputs, results, EXIT_OK if res.certified else EXIT_UNDECIDED
+    return _inputs(args, "tau1", "tau2", "tol", "cap"), results
 
 
 def _horospec(curve_text, level_text):
@@ -268,7 +268,7 @@ def cmd_tangency(args):
             "re": num_float(pt.x, math.ulp(pt.x) / 2),
             "im": num_float(pt.y, math.ulp(pt.y) / 2),
         }
-    return _inputs(args, "curve1", "level1", "curve2", "level2"), results, EXIT_OK
+    return _inputs(args, "curve1", "level1", "curve2", "level2"), results
 
 
 def cmd_triple(args):
@@ -278,7 +278,7 @@ def cmd_triple(args):
         raise InputError("--i requires three comma-separated positive values")
     vals = [parse_rational(p) for p in parts]
     r, s, t = T.triple_tangency_levels(*vals)
-    return _inputs(args, "i"), {"r": num_exact(r), "s": num_exact(s), "t": num_exact(t)}, EXIT_OK
+    return _inputs(args, "i"), {"r": num_exact(r), "s": num_exact(s), "t": num_exact(t)}
 
 
 def cmd_ratio_curve(args):
@@ -293,7 +293,7 @@ def cmd_ratio_curve(args):
         "ratio": num_exact(ratio),
         "error": num_exact(abs(ratio - target)),
     }
-    return {**_inputs(args, "alpha", "beta", "target"), "eps": str(eps)}, results, EXIT_OK
+    return {**_inputs(args, "alpha", "beta", "target"), "eps": str(eps)}, results
 
 
 def cmd_busemann(args):
@@ -310,8 +310,7 @@ def cmd_busemann(args):
     }
     if not est.certified:  # "not_monotone", "precision" or "not_settled"
         results["reason"] = est.reason
-    inputs = _inputs(args, "tau0", "curve", "tau", "tol")
-    return inputs, results, EXIT_OK if est.certified else EXIT_UNDECIDED
+    return _inputs(args, "tau0", "curve", "tau", "tol"), results
 
 
 def cmd_ball_limit(args):
@@ -334,8 +333,7 @@ def cmd_ball_limit(args):
     }
     if rep.inconclusive or not rep.ok:
         results["reason"] = "inconclusive" if rep.inconclusive else "not_nested"
-    inputs = _inputs(args, "tau0", "curve", "samples", "seed")
-    return inputs, results, EXIT_UNDECIDED if "reason" in results else EXIT_OK
+    return _inputs(args, "tau0", "curve", "samples", "seed"), results
 
 
 def cmd_origami_info(args):
@@ -355,7 +353,7 @@ def cmd_origami_info(args):
             for d in (O.HORIZONTAL, O.VERTICAL)
         },
     }
-    return _inputs(args, "h", "v"), results, EXIT_OK
+    return _inputs(args, "h", "v"), results
 
 
 def cmd_origami_flow(args):
@@ -376,7 +374,7 @@ def cmd_origami_flow(args):
         "product": num_exact(ev * eh),
         "area_squared": num_exact(Fraction(o.n) ** 2),
     }
-    return _inputs(args, "h", "v", "kind", "param", "time"), results, EXIT_OK
+    return _inputs(args, "h", "v", "kind", "param", "time"), results
 
 
 def _trace_from_args(o, slope_text, square, offset_text):
@@ -398,8 +396,7 @@ def cmd_origami_intersect(args):
         "holonomy1": list(t1.holonomy),
         "holonomy2": list(t2.holonomy),
     }
-    inputs = _inputs(args, "h", "v", "slope1", "square1", "slope2", "square2")
-    return inputs, results, EXIT_OK
+    return _inputs(args, "h", "v", "slope1", "square1", "slope2", "square2"), results
 
 
 def cmd_growth_check(args):
@@ -422,8 +419,7 @@ def cmd_growth_check(args):
     }
     if not rep.ok:
         results["reason"] = "violation"
-    inputs = _inputs(args, "h", "v", "slope", "square", "s_values")
-    return inputs, results, EXIT_OK if rep.ok else EXIT_UNDECIDED
+    return _inputs(args, "h", "v", "slope", "square", "s_values"), results
 
 
 def cmd_walsh_e(args):
@@ -439,7 +435,7 @@ def cmd_walsh_e(args):
             for w, c in f.components
         ],
     }
-    return _inputs(args, "h", "v", "slope", "square"), results, EXIT_OK
+    return _inputs(args, "h", "v", "slope", "square"), results
 
 
 def cmd_curve_graph(args):
@@ -469,7 +465,7 @@ def cmd_curve_graph(args):
         "edges": [list(e) for e in g.edges],
         "distances": dist,
     }
-    return _inputs(args, "h", "v", "slopes"), results, EXIT_OK
+    return _inputs(args, "h", "v", "slopes"), results
 
 
 def cmd_relation(args):
@@ -511,7 +507,7 @@ def cmd_relation(args):
     results = {"tag": rel.tag, "detail": {k: str(v) for k, v in rel.detail.items()}}
     if not rel.decided:
         results["reason"] = "undecided"
-    return inputs, results, EXIT_OK if rel.decided else EXIT_UNDECIDED
+    return inputs, results
 
 
 def _svg_horocycles(curve, levels):
@@ -570,7 +566,7 @@ def cmd_torus_plot(args):
     except OSError as e:
         raise InputError(f"cannot write {args.out!r}: {e.strerror}") from e
     results = {"path": args.out, "levels_drawn": len(levels)}
-    return _inputs(args, "curve", "levels"), results, EXIT_OK
+    return _inputs(args, "curve", "levels"), results
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +574,7 @@ def cmd_torus_plot(args):
 
 
 class _Commands(_Parser):
-    """Top-level parser: building all 16 subparsers is most of a call's parse time, so it adds
+    """Top-level parser: building all 15 subparsers is most of a call's parse time, so it adds
     only the one its first argument names, or all for --help, no argument or an unknown name."""
 
     def parse_known_args(self, args=None, namespace=None):  # all of them for sys.argv
@@ -669,9 +665,9 @@ def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         _apply_config(args)
-        inputs, results, status = args.fn(args)
+        inputs, results = args.fn(args)
         emit({"command": args.subcommand, "inputs": inputs, "results": results}, args.format)
-        return status
+        return EXIT_UNDECIDED if "reason" in results else EXIT_OK
     except ValueError as e:  # InputError, or an argument the model rejects
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

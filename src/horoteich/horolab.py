@@ -7,7 +7,8 @@ A backend supplies only geometry for one concrete model, in four methods:
 (components of g), else None; and ``horosphere_sampler(f, level)``, points at
 the horosphere {Ext(f) = level} (the torus sampler's are certified in HB(f,
 level), within 2^-40 of HS(f, level)).  The torus backend also has
-``ray_excess`` for the Busemann machinery.  Proportionality, the sup of Ext
+``ray_excess(x0, f, x)``, torus's step j -> (D(t) bracket, tail) at e^{2t} =
+2^j, for the Busemann machinery.  Proportionality, the sup of Ext
 over a horoball, the relations between horoballs (tangency, disjointness,
 nesting) and the Busemann machinery are implemented here once.
 
@@ -15,7 +16,7 @@ Levels, pairings and sup bounds are exact rationals (a float level is the
 rational it denotes), so every relation is an exact comparison; Ext is known
 only up to its bracket, so a sample excludes only when the bracket's lower
 end lies above the level.  This module imports neither model; each backend
-imports its own on first use.
+imports its own on first use and calls only its public names.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import importlib
 import math
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, _up
+from .kernel import Bracket, Frozen, Record, _up, round_ratio
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -81,16 +82,14 @@ class TorusBackend:
     shrink = 1 - Fraction(1, 2**40)
 
     def ext(self, point, f) -> Bracket:
-        """Bracket for Ext at a point with double coordinates: the 5
-        roundings of _ext widened by the torus module's sup-bound _SLACK
-        (16 u), times the weight squared rounded outward; [0, inf]
-        where _ext is out of range."""
-        c, T = f.curve, self.model
-        e = T._ext(c.p, c.q, *point.x.as_integer_ratio(), float(point.y))
-        if e is None:
-            return Bracket(0.0, math.inf)
-        unit = Bracket(e * T._SHRINK, e * (1.0 + T._SLACK))
-        return unit.mul_nonneg(f.weight_squared)
+        """Bracket on Ext at a point with rational (double, int or Fraction)
+        coordinates: the exact torus.ext_ratio rounded outward once, [max double,
+        inf] past the doubles."""
+        n, d = self.model.ext_ratio(point, f)
+        try:
+            return Bracket(round_ratio(n, d, -math.inf), round_ratio(n, d, math.inf))
+        except OverflowError:
+            return Bracket(math.nextafter(math.inf, 0.0), math.inf)
 
     def intersect(self, f, g):
         return self.model.foliation_intersection(f, g)
@@ -102,24 +101,22 @@ class TorusBackend:
     def horosphere_sampler(self, f, level):
         """Points of HB(f, level) near HS(f, level), lazily: the chart points of
         HS(f, level shrink) at the sigmas, less those that are not doubles, each kept
-        only where the exact chart test on its integers shows w^2 den / im <= level."""
-        T = self.model
-        at = T.horocycle(f, Fraction(level) * self.shrink)
-        m, norm = f.curve.chart, T._normalize_level(f.weight, level)
+        only where its exact Ext, torus.ext_ratio's n / d, is at most the level."""
+        level = Fraction(level)
+        at = self.model.horocycle(f, level * self.shrink)
         for sigma in self.sigmas:
             try:
                 p = at(sigma)
             except ValueError:
                 continue
-            _, im, den = T._act(m, *T._ints(p))
-            if den * norm.denominator <= im * norm.numerator:
+            n, d = self.model.ext_ratio(p, f)
+            if n * level.denominator <= d * level.numerator:
                 yield p
 
     def ray_excess(self, x0, f, x):
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for
         D(t) = d(x, ray(t)) - t, B = lim D(t) (see torus.ray_excess)."""
-        _, excess, tail = self.model.ray_excess(x0, f)(x)
-        return lambda j: (excess(1, j), tail(j * self.model._LOG2 * (1.0 - 2.0**-50)))  # <= log 2^j
+        return self.model.ray_excess(x0, f)(x)
 
 
 # ---------------------------------------------------------------------------

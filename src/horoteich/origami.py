@@ -412,40 +412,18 @@ def trace_from_point(
     return t
 
 
-def trace_curve(
-    o: Origami,
-    square: int,
-    slope,
-    offset=Fraction(1, 2),
-    edge: str = None,
-) -> CurveTrace:
+def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> CurveTrace:
     """Trace from an edge point; ``slope`` is a Fraction or None for vertical.
 
-    The default edge is the one the line actually leaves: left for slope 0,
-    bottom otherwise."""
-    return trace_from_point(o, square, *_edge_line(slope, offset, edge))
-
-
-def _edge_line(slope, offset, edge):
-    """trace_curve's (point, direction), its arguments checked."""
+    The edge is the one the line leaves, left for slope 0 and bottom otherwise;
+    the offset is divided by 3 after each vertex hit, for 6 attempts in all,
+    and the arguments are checked once."""
     offset = Fraction(offset)
     if not 0 < offset < 1:
         raise ValueError("offset must lie strictly inside the edge")
     slope = None if slope is None or slope == "vertical" else Fraction(slope)
     direction = (0, 1) if slope is None else (slope.denominator, slope.numerator)
-    if edge is None:
-        edge = "left" if direction[1] == 0 else "bottom"
-    if edge == "bottom":
-        return (offset, _ZERO), direction
-    if edge == "left":
-        return (_ZERO, offset), direction
-    raise ValueError("edge must be 'bottom' or 'left'")
-
-
-def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> CurveTrace:
-    """trace_curve from the default edge, with the offset divided by 3 after
-    each vertex hit, for 6 attempts in all; the arguments are checked once."""
-    point, direction = _edge_line(slope, offset, None)
+    point = (_ZERO, offset) if direction[1] == 0 else (offset, _ZERO)
     for _ in range(6):
         try:
             return trace_from_point(o, square, point, direction)

@@ -65,7 +65,7 @@ class TorusCurve(Frozen):
     # The chart M = [[a, b], [q, p]], a p - b q = 1 (M = I for q = 0), is in
     # SL(2, Z), sends -p/q to infinity and has Im M(tau) = Im tau / |q tau +
     # p|^2, so Ext_f = w^2 / Im M(tau) exactly.  _act applies it in integers to
-    # a double point (x + iy) / d: an image coordinate is one int / int.
+    # a rational point (x + iy) / d: an image coordinate is one int / int.
     @cached_property
     def chart(self) -> Mat2:
         p, q = self.p, self.q
@@ -88,10 +88,6 @@ class WeightedTorusFoliation(Frozen):
             raise ValueError("weight must be positive")
         self.__dict__.update(weight=weight, curve=curve)
 
-    @cached_property
-    def weight_squared(self) -> Bracket:  # rounded outward once, per foliation
-        return Bracket.exact(Fraction(self.weight) ** 2)
-
 
 def intersection(c1: TorusCurve, c2: TorusCurve) -> int:
     return abs(c1.p * c2.q - c1.q * c2.p)
@@ -111,9 +107,21 @@ def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
     return w * w * (re * (re / tau.y) + c.q * (c.q * tau.y))
 
 
+def ext_ratio(pt: UpperHalfPoint, f: WeightedTorusFoliation):
+    """(n, d), integers with Ext_f(pt) = n / d exactly, for a point with double,
+    int or Fraction coordinates: w^2 den / im at the chart point (re + i im) / den."""
+    _, im, den = _act(f.curve.chart, *_ints(pt))
+    wn, wd = f.weight.as_integer_ratio()
+    return wn * wn * den, wd * wd * im
+
+
 def _ints(pt: UpperHalfPoint):
-    """(x, y, d) with pt = (x + iy) / d in integers, d a power of two."""
+    """(x, y, d) with pt = (x + iy) / d in integers, d the lcm of the coordinates'
+    denominators: the larger one for doubles, whose denominators are powers of two."""
     (xn, xd), (yn, yd) = pt.x.as_integer_ratio(), pt.y.as_integer_ratio()
+    if xd % yd and yd % xd:  # neither divides the other, as for a Fraction like 1/3
+        d = math.lcm(xd, yd)
+        return xn * (d // xd), yn * (d // yd), d
     return (xn * (yd // xd), yn, yd) if yd >= xd else (xn, yn * (xd // yd), xd)
 
 
@@ -290,6 +298,16 @@ def _slope_ratio(t: float, s: float, y1: float, y2: float) -> float:
     return ((t + s) * ((t + s) / y1) + y1) / (t * (t / y2) + y2)
 
 
+def _doubles(t: UpperHalfPoint):
+    """(n, d, y) with Re t = n / d and y = Im t, for the certified sups, whose
+    floats need both coordinates as doubles: ValueError where float() refuses one."""
+    try:
+        float(t.x)  # the closed forms take Re as a double too
+        return (*t.x.as_integer_ratio(), float(t.y))
+    except OverflowError:
+        raise ValueError("a point coordinate is beyond the double range") from None
+
+
 def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
                        cap: int = 10**6) -> KerckhoffResult:
     """(1/2) log sup over primitive classes of the extremal-length ratio
@@ -299,8 +317,7 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
     bound.  value is at least 0, as the distance is."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    (n1, d1), y1 = t1.x.as_integer_ratio(), float(t1.y)
-    (n2, d2), y2 = t2.x.as_integer_ratio(), float(t2.y)
+    (n1, d1, y1), (n2, d2, y2) = _doubles(t1), _doubles(t2)
     factor = math.exp(2.0 * tol)
     closed = teich_distance(t1, t2)
     top = 2.0 * (closed + closed_form_radius(closed))  # exp within an ulp (2 u), then 16 u more
@@ -327,7 +344,7 @@ def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: flo
     if not tol > 0:
         raise ValueError("tol must be positive")
     fp, fq = f.curve.p, f.curve.q
-    (n, d), y = tau.x.as_integer_ratio(), float(tau.y)
+    n, d, y = _doubles(tau)
     w2 = float(f.weight) * float(f.weight)  # 3 roundings; i^2, w2 * i^2 and / add 3
     top = _ext(fp, fq, n, d, y)
     upper = INFINITY if top is None else w2 * top * (1.0 + _SLACK)
@@ -624,16 +641,22 @@ def busemann_limit(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPo
 
 
 def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
-    """y -> (b, excess, tail) for torus_ray's ray: D(t) = d_T(y, ray(t)) - t
-    falls to b = B, excess(k, e) is _excess and tail(log_k) _tail, bound to
-    y's integers r2, w2, hw and h0 = sum(half_log(r2, w2)) (_ray_points)."""
+    """y -> step for torus_ray's ray: D(t) = d_T(y, ray(t)) - t falls to B =
+    busemann(x0, f, y), and step(j) is _ray_step at y's integers r2, w2, hw
+    (_ray_points) and h0 = sum(half_log(r2, w2))."""
     point = _ray_points(x0, f)
 
     def at(y: UpperHalfPoint):
-        b, r2, w2, hw = point(y)
-        return b, partial(_excess, r2, w2, hw), partial(_tail, sum(half_log(r2, w2)))
+        _, r2, w2, hw = point(y)
+        return partial(_ray_step, r2, w2, hw, sum(half_log(r2, w2)))
 
     return at
+
+
+def _ray_step(r2: int, w2: int, hw: int, h0: float, j: int):
+    """(Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j: _excess at K =
+    2^j and _tail at a log K just below j log 2."""
+    return _excess(r2, w2, hw, 1, j), _tail(h0, j * _LOG2 * (1.0 - 2.0**-50))
 
 
 def _excess(r2: int, w2: int, hw: int, k: int, e: int) -> Bracket:
@@ -686,13 +709,14 @@ def metric_ball_limit_check(x0: UpperHalfPoint, f: WeightedTorusFoliation,
     brackets at the rationals around e^{2t} (D falls with t); None where
     these hold 0 too, or the tail is below B's rounding.  inside / outside:
     D(2^k_max) is below -boundary_tol / above boundary_tol.  nested: no
-    membership goes from in to out.  ok: every point nested, with an exact D
-    bracket meeting [B_lo, B_hi + tail] where the tail's argument is at most
-    2^-40.  Each point is its integers r2, w2, hw (_ray_points), scaled by
-    _excess to n = r2 4^s + w2 k^2 4^p over m = hw k 2^(s + p + 1).  An exact
-    bracket at k needs tail >= -B and >= 2^-49, so 2^(k+1) <= d_T(x0, y) +
-    17.4: r2 / w2 = 2 cosh(2 d_T) e^{-2B} - 1 puts h0 below d_T - B + (1/2)
-    log 2, and d_T < 1455 between doubles, so no chart forms one past k = 9."""
+    membership goes from in to out.  ok: every point nested, with the exact D
+    bracket of ray_excess's step (_ray_step) meeting [B_lo, B_hi + tail] at the
+    first 2^j where the tail's argument is at most 2^-40.  Each point is its
+    integers r2, w2, hw (_ray_points), scaled by _excess to n = r2 4^s + w2 k^2
+    4^p over m = hw k 2^(s + p + 1).  An exact bracket at k needs tail >= -B
+    and >= 2^-49, so 2^(k+1) <= d_T(x0, y) + 17.4: r2 / w2 = 2 cosh(2 d_T)
+    e^{-2B} - 1 puts h0 below d_T - B + (1/2) log 2, and d_T < 1455 between
+    doubles, so no chart forms one past k = 9."""
     if not sample:
         raise ValueError("sample must be nonempty")
     point = _ray_points(x0, f)
@@ -718,9 +742,9 @@ def metric_ball_limit_check(x0: UpperHalfPoint, f: WeightedTorusFoliation,
         cls = ("inside" if d_max < -boundary_tol else "outside" if b_lo > boundary_tol
                else "inconclusive")
         # _tail(h0, 0) bounds half the log of the tail's argument at K = 1, which falls 4-fold
-        # per j; d_tail is taken at log K just below j log 2
+        # per j
         j = max(0, math.ceil(_tail(h0, 0.0) / _LOG2 + 20.0))
-        d, d_tail = _excess(r2, w2, hw, 1, j), _tail(h0, j * _LOG2 * (1.0 - 2.0**-50))
+        d, d_tail = _ray_step(r2, w2, hw, h0, j)
         ok = ok and nested and d.hi >= b_lo and d.lo <= math.nextafter(b_hi + d_tail, INFINITY)
         entries.append(BallLimitEntry(y, b, memberships, cls, nested))
     inconclusive = [e.point for e in entries if e.classification == "inconclusive"]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -212,16 +213,26 @@ def test_torus_sampler_points_are_horocycle_points(p, q, weight, level):
 def test_torus_ext_bracket_encloses_exact_ext(log_re, negative, log_im, pq, num, den):
     """The torus Ext bracket holds the exact Ext at the double point, for |Re tau|
     log-uniform in [1e-9, 1e3], Im tau in [1e-8, 1e8] and weights num/den <= 59,
-    and is at most 2^-46 wide relative to its upper end."""
+    and is that value rounded outward once: one double, or two adjacent ones."""
     x, y = (-1.0 if negative else 1.0) * 10.0**log_re, 10.0**log_im
     f = fol(*pq, Fraction(num, den))
     b = BE.ext(UpperHalfPoint(x, y), f)
-    assert b.lo <= T.extremal_length(UpperHalfPoint(Fraction(x), Fraction(y)), f) <= b.hi
-    assert b.hi - b.lo <= 2.0**-46 * b.hi
+    exact = T.extremal_length(UpperHalfPoint(Fraction(x), Fraction(y)), f)
+    assert b.lo <= exact <= b.hi
+    assert b.hi == (b.lo if b.lo == exact else math.nextafter(b.lo, math.inf))
 
 
 def test_torus_ext_out_of_range_is_unbounded():
-    assert BE.ext(UpperHalfPoint(0.0, 1e-310), fol(1, 0)) == Bracket(0.0, math.inf)
+    """An Ext past the doubles is [max double, inf]; at int coordinates beyond
+    them (Re or Im 10^400) the exact Ext is rounded outward once."""
+    big, huge = sys.float_info.max, 10**400
+    assert BE.ext(UpperHalfPoint(0.0, 1e-310), fol(1, 0)) == Bracket(big, math.inf)
+    assert BE.ext(UpperHalfPoint(0, huge), fol(0, 1)) == Bracket(big, math.inf)
+    assert BE.ext(UpperHalfPoint(0, huge), fol(1, 0)) == Bracket(0.0, 5e-324)
+    assert BE.ext(UpperHalfPoint(0, huge), fol(1, 0, 10**200)) == Bracket(1.0, 1.0)
+    assert BE.ext(UpperHalfPoint(huge, 1), fol(huge, -1)) == Bracket(1.0, 1.0)
+    b = BE.ext(UpperHalfPoint(huge + 1, 3), fol(huge, -1))  # |-1 - 3i|^2 / 3
+    assert b.lo < Fraction(10, 3) < b.hi == math.nextafter(b.lo, math.inf)
 
 
 def test_torus_exclusion_witness_ext_is_certified():

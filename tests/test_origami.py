@@ -215,14 +215,11 @@ def test_robust_trace_makes_six_attempts():
 
 
 def test_edge_trace_arguments_are_checked():
-    """trace_curve and robust_trace reject an offset outside (0, 1), and
-    trace_curve an edge other than bottom or left, before tracing."""
+    """robust_trace rejects an offset outside (0, 1) before tracing."""
     for offset in (0, 1, Fraction(3, 2), -Fraction(1, 2)):
-        for call in (O.trace_curve, O.robust_trace):
+        for slope in (Fraction(1), Fraction(0), None):
             with pytest.raises(ValueError, match="strictly inside the edge"):
-                call(L, 0, Fraction(1), offset=offset)
-    with pytest.raises(ValueError, match="'bottom' or 'left'"):
-        O.trace_curve(L, 0, Fraction(1), edge="top")
+                O.robust_trace(L, 0, slope, offset=offset)
 
 
 def _march_trace(o, square, point, direction, max_steps=100000):
@@ -368,15 +365,16 @@ def test_march_sets_the_scaled_segments_its_fractions_give(data):
 @given(st.data())
 def test_core_trace_is_the_edge_trace_from_its_first_square(data):
     """On random origamis (n <= 40), in both directions, each cylinder's core
-    trace is trace_curve from the middle of its first square's left or bottom
-    edge, and its segments run through exactly the core's squares in cycle
-    order."""
+    trace is trace_from_point from the middle of its first square's left or
+    bottom edge, and its segments run through exactly the core's squares in
+    cycle order."""
     o = data.draw(_origamis(40))
-    for direction, slope, edge in ((O.HORIZONTAL, Fraction(0), "left"),
-                                   (O.VERTICAL, None, "bottom")):
+    half = Fraction(1, 2)
+    for direction, point, way in ((O.HORIZONTAL, (Fraction(0), half), (1, 0)),
+                                  (O.VERTICAL, (half, Fraction(0)), (0, 1))):
         for c in O.cylinders(o, direction):
             t = O.core_trace(o, c)
-            assert t == O.trace_curve(o, c.squares[0], slope, offset=Fraction(1, 2), edge=edge)
+            assert t == O.trace_from_point(o, c.squares[0], point, way)
             assert tuple(s for s, _, _ in t.segments) == c.squares
 
 
@@ -702,8 +700,8 @@ def test_cylinder_lookup_matches_linear_scan():
         traces = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
                   for c in O.cylinders(o, d)]
         for s in range(o.n):
-            traces.append(O.trace_curve(o, s, Fraction(0), offset=Fraction(1, 3), edge="left"))
-            traces.append(O.trace_curve(o, s, None, offset=Fraction(2, 5)))
+            traces.append(O.robust_trace(o, s, Fraction(0), offset=Fraction(1, 3)))
+            traces.append(O.robust_trace(o, s, None, offset=Fraction(2, 5)))
         traces.append(O.robust_trace(o, 0, Fraction(1), offset=Fraction(3, 7)))
         # a core run twice around wraps twice its cylinder: no cylinder
         traces += [O.CurveTrace(o, t.direction, t.segments * 2, (2 * t.holonomy[0], 2 * t.holonomy[1]))

@@ -69,7 +69,8 @@ def test_extremal_length_closed_forms():
 def test_chart_is_exact(p, q, w, re_num, re_den, log_im):
     """M = TorusCurve(p, q).chart is in SL(2, Z) with bottom row (q, p); at a
     Fraction tau (|Re| <= 1e200, Im log-uniform in [1e-100, 1e100]),
-    w^2 / Im M(tau) is extremal_length(tau, f) exactly; and at the double
+    w^2 / Im M(tau) is extremal_length(tau, f) exactly, as is ext_ratio's n /
+    d at that tau, whatever its denominators; and at the double
     point nearest tau, M's image in integers is the exact image, each
     coordinate rounded to within half an ulp, which M^-1 maps back to the
     double point bit for bit."""
@@ -82,7 +83,8 @@ def test_chart_is_exact(p, q, w, re_num, re_den, log_im):
     _, im, den = T._act(m, x.numerator * y.denominator, y.numerator * x.denominator,
                         x.denominator * y.denominator)
     f = T.WeightedTorusFoliation(w, c)
-    assert w * w * Fraction(den, im) == T.extremal_length(UpperHalfPoint(x, y), f)
+    tau = UpperHalfPoint(x, y)
+    assert w * w * Fraction(den, im) == T.extremal_length(tau, f) == Fraction(*T.ext_ratio(tau, f))
     pt = UpperHalfPoint(float(x), float(y))
     re, im, den = T._act(m, *T._ints(pt))
     px, py = Fraction(pt.x), Fraction(pt.y)
@@ -224,6 +226,19 @@ def test_integer_coordinates_give_the_float_results():
     backend = horolab.TorusBackend()
     for f in (fol(1, 10**400), fol(2, 3)):
         assert backend.ext(UpperHalfPoint(0, 1), f) == backend.ext(UpperHalfPoint(0.0, 1.0), f)
+
+
+@pytest.mark.parametrize("sup", [
+    lambda tau: T.kerckhoff_distance(UpperHalfPoint(0.0, 1.0), tau, 1e-9),
+    lambda tau: T.ext_sup_enumeration(tau, fol(2, 3), 1e-9),
+], ids=["kerckhoff", "ext_sup"])
+@pytest.mark.parametrize("tau", [UpperHalfPoint(10**400, 1), UpperHalfPoint(0, 10**400)],
+                         ids=["re", "im"])
+def test_int_coordinate_beyond_the_doubles_is_a_value_error(sup, tau):
+    """Both certified sups work in doubles: an int coordinate that float()
+    refuses is a ValueError with a one-line message, not an OverflowError."""
+    with pytest.raises(ValueError, match="^a point coordinate is beyond the double range$"):
+        sup(tau)
 
 
 def test_ext_sup_enumeration_matches_closed_form():
@@ -806,7 +821,7 @@ def test_half_acosh_holds_the_truth():
     """half_acosh's bracket holds (1/2) log((A + sqrt(A^2 - 1)) kd / kn)
     (mpmath, 80 digits): with kn = kd = 1, i.e. (1/2) acosh(A), for the exact
     A of far point pairs, A = 1 and A = 1 + 2^-300; and with kn / kd = k 2^p
-    / 2^s as ray_excess's excess passes them, K from _exp_2t or 2^j."""
+    / 2^s as _excess passes them, K from _exp_2t or 2^j."""
     rng = random.Random(31)
     cases = [(n, n, 1, 0) for n in (1, 7, 10**400)] + [(2**300 + 1, 2**300, 1, 0)]
     cases += [(*far_cosh(rng), 1, 0) for _ in range(200)]
@@ -841,11 +856,11 @@ def test_ray_distance_stable_at_huge_times():
     x0 = UpperHalfPoint(0.0, 1.0)
     f = fol(1, 0)
     y = UpperHalfPoint(0.4, 2.0)
-    b, excess, _ = T.ray_excess(x0, f)(y)
+    b, *point = T._ray_points(x0, f)(y)
     lo, hi, e = T._exp_2t(20)
-    d_huge, d_small = excess(hi, e), excess(lo, e)
+    d_huge, d_small = T._excess(*point, hi, e), T._excess(*point, lo, e)
     assert d_huge.width < 1e-14 and d_small.hi == d_huge.hi
-    assert d_huge.hi <= excess(*T._exp_2t(4)[::2]).hi + 1e-15
+    assert d_huge.hi <= T._excess(*point, *T._exp_2t(4)[::2]).hi + 1e-15
     assert d_huge.lo <= b <= d_huge.hi
 
 
@@ -889,15 +904,14 @@ def test_ray_excess_brackets_hold_the_truth(pq, x0r, x0i, yr, yi, j):
     """For start and sample points anywhere in |Re| <= 1e200, Im in [1e-100,
     1e100], the exact D(t) bracket at e^{2t} = 2^j holds D(t) at the double
     inputs (mpmath, 80 digits), [D_lo - tail, D_hi] holds the Busemann value,
-    and b is busemann's closed form."""
+    and so does busemann's closed form, within its rounding."""
     x0, y, f = UpperHalfPoint(x0r, x0i), UpperHalfPoint(yr, yi), fol(*pq)
-    b, excess, tail_at = T.ray_excess(x0, f)(y)
-    d, tail = excess(1, j), tail_at(j * math.log(2) * (1 - 2.0**-50))
+    d, tail = T.ray_excess(x0, f)(y)(j)
+    b = T.busemann(x0, f, y)
     with mpmath.workdps(80):
         d_true, b_true = ray_truth(x0, f, y, j * mpmath.log(2))
         assert d.lo <= d_true <= d.hi and d.lo - tail <= b_true <= d.hi, (d, tail, d_true, b_true)
         assert abs(b - b_true) <= T.HALF_LOG_ROUNDING * (1 + abs(b))
-    assert b == T.busemann(x0, f, y)
 
 
 def test_metric_ball_limit_small_sample():
@@ -959,24 +973,28 @@ def test_ball_limit_point_on_the_limit_sphere_is_inconclusive():
 @given(st.sampled_from(FAR_CURVES), far_re, far_im, far_re, far_im)
 def test_ball_limit_check_is_busemann_and_the_backend_brackets(pq, x0r, x0i, yr, yi):
     """For far start and sample points, the check's busemann_value is busemann's,
-    each D bracket and tail it forms is ray_excess's at the same arguments, and
-    its last pair, at e^{2t} = 2^j, is TorusBackend's ray_excess at j, bit for bit."""
+    each D bracket and tail it forms is at y's integers r2, w2, hw (_ray_points)
+    and h0, and its last pair, at e^{2t} = 2^j, is ray_excess's step at j, in
+    the torus module and in TorusBackend, bit for bit."""
     x0, y, f = UpperHalfPoint(x0r, x0i), UpperHalfPoint(yr, yi), fol(*pq)
     excess, tail, calls = T._excess, T._tail, []
 
     def spy(name, fn, *args):
-        calls.append((name, args[-2:] if name == "excess" else args[-1], fn(*args)))
+        calls.append((name, args, fn(*args)))
         return calls[-1][2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_excess", lambda *a: spy("excess", excess, *a))
         mp.setattr(T, "_tail", lambda *a: spy("tail", tail, *a))
         entry = T.metric_ball_limit_check(x0, f, [y]).entries[0]
-    b, excess_at, tail_at = T.ray_excess(x0, f)(y)
+    b, r2, w2, hw = T._ray_points(x0, f)(y)
+    h0 = sum(T.half_log(r2, w2))
     assert repr(entry.busemann_value) == repr(b) == repr(T.busemann(x0, f, y))
-    for name, arg, value in calls:
-        assert repr(value) == repr(excess_at(*arg) if name == "excess" else tail_at(arg))
-    (_, (k, j), d), (_, _, d_tail) = calls[-2:]
-    assert k == 1 and repr((d, d_tail)) == repr(horolab.TorusBackend().ray_excess(x0, f, y)(j))
+    for name, args, _ in calls:
+        assert args[:3] == (r2, w2, hw) if name == "excess" else repr(args[0]) == repr(h0)
+    (_, (*_, k, j), d), (_, _, d_tail) = calls[-2:]
+    step = T.ray_excess(x0, f)(y)(j)
+    assert k == 1 and repr((d, d_tail)) == repr(step)
+    assert repr(step) == repr(horolab.TorusBackend().ray_excess(x0, f, y)(j))
 
 
 def test_ball_limit_exact_brackets_stop_by_k_9():
