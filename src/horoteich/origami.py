@@ -29,11 +29,7 @@ _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 class SingularityHit(ValueError):  # the start point is a bad argument
-    """A trace ran into a vertex; retry with the suggested offset."""
-
-    def __init__(self, message: str, suggested_offset: Fraction):
-        super().__init__(message)
-        self.suggested_offset = suggested_offset
+    """A trace ran into a vertex; ``robust_trace`` owns the one retry rule."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +173,7 @@ class CylinderCurve(Frozen):
 
 
 def cylinders(o: Origami, direction: str) -> tuple:
-    """Maximal cylinders in a periodic direction, computed once per origami.
+    """Maximal cylinders in a periodic direction, cached per origami as this tuple alone.
 
     Cycles of the direction's permutation are unit bands; a band merges into
     the next one across when every corner on their shared edge is regular.
@@ -189,28 +185,27 @@ def cylinders(o: Origami, direction: str) -> tuple:
     else:
         raise ValueError(f"unknown direction {direction!r}")
     if direction in o._cylinders:
-        return o._cylinders[direction][0]
+        return o._cylinders[direction]
 
     cycs, band = _cycles(along)  # unit bands, and the band of each square
     regular = o._corners[2]
     nxt = [band[across[c[0]]] if all(map(regular.__getitem__, c)) else None for c in cycs]
     has_pred = {t for t in nxt if t is not None}
-    out, owner = [], [None] * len(cycs)  # owner: band -> index of its cylinder in out
+    out, seen = [], bytearray(len(cycs))
     # open chains begin at a band with no predecessor; the rest are loops
     for ci in sorted(range(len(cycs)), key=has_pred.__contains__):
         chain = []
-        while ci is not None and owner[ci] is None:
+        while ci is not None and not seen[ci]:
             chain.append(ci)
-            owner[ci] = len(out)
+            seen[ci] = 1
             ci = nxt[ci]
         if not chain:
             continue
         core = cycs[chain[0]]
         out.append(CylinderCurve(direction, core, len(core), len(chain),
                                  tuple(cycs[k] for k in chain)))
-    # beside the cylinders, the band of each square and the cylinder of each band
-    o._cylinders[direction] = (tuple(out), band, owner)
-    return o._cylinders[direction][0]
+    o._cylinders[direction] = tuple(out)
+    return o._cylinders[direction]
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +376,8 @@ def trace_from_point(
         t = min(tx, ty)
         u0, w0, u, w = u, w, u + a * t, w + b * t
         if u % d == 0 and w % d == 0:
-            raise SingularityHit(f"trace hit a vertex at square {s + 1}, point ({u // d}, "
-                                 f"{w // d})", Fraction(xn or 1, 3 * xd))  # x/3, or 1/3
+            raise SingularityHit(f"trace hit a vertex at square {s + 1}, "
+                                 f"point ({u // d}, {w // d})")
         squares.append(s)
         ends.append((u0, w0, u, w))
         if t == tx:
@@ -415,13 +410,13 @@ def trace_from_point(
 def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> CurveTrace:
     """Trace from an edge point; ``slope`` is a Fraction or None for vertical.
 
-    The edge is the one the line leaves, left for slope 0 and bottom otherwise;
-    the offset is divided by 3 after each vertex hit, for 6 attempts in all,
-    and the arguments are checked once."""
+    The edge is the one the line leaves, left for slope 0 and bottom otherwise.
+    The retry rule for vertex hits: the offset is divided by 3 after each
+    SingularityHit, for 6 attempts in all.  The arguments are checked once."""
     offset = Fraction(offset)
     if not 0 < offset < 1:
         raise ValueError("offset must lie strictly inside the edge")
-    slope = None if slope is None or slope == "vertical" else Fraction(slope)
+    slope = None if slope is None else Fraction(slope)
     direction = (0, 1) if slope is None else (slope.denominator, slope.numerator)
     point = (_ZERO, offset) if direction[1] == 0 else (offset, _ZERO)
     for _ in range(6):
@@ -429,8 +424,7 @@ def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> Curve
             return trace_from_point(o, square, point, direction)
         except SingularityHit:
             point = tuple(c / 3 if c else c for c in point)  # the offset, along its edge
-    raise SingularityHit(f"no vertex-free offset found for slope {slope} from square {square + 1}",
-                         max(point))
+    raise SingularityHit(f"no vertex-free offset found for slope {slope} from square {square + 1}")
 
 
 def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
@@ -438,7 +432,7 @@ def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
     ``trace_from_point`` from (0, 1/2) in direction (1, 0), or (1/2, 0) in (0, 1).
     That edge start re-enters as its own first edge point, each step crosses one
     square of the row's cycle, and the trace closes after ``circumference`` steps.
-    The trace carries ``cyl``, so ``ext_bracket`` need not look it up."""
+    The trace carries ``cyl``, the only source of ``ext_bracket``'s upper end."""
     if cyl.direction == HORIZONTAL:
         direction, p, q = (1, 0), (_ZERO, _HALF), (_ONE, _HALF)
     else:
@@ -504,31 +498,21 @@ def i_with_foliation(t: CurveTrace, direction: str, x: MarkedFlatSurface):
 # Extremal-length brackets
 
 
-def _find_cylinder_for(t: CurveTrace):
-    direction = {(1, 0): HORIZONTAL, (0, 1): VERTICAL}.get(t.direction)
-    if direction is None:
-        return None
-    cylinders(t.origami, direction)  # fills the band of each square and its cylinder
-    cyls, band, owner = t.origami._cylinders[direction]
-    cyl = cyls[owner[band[t.segments[0][0]]]]
-    return cyl if abs(t.holonomy[0] + t.holonomy[1]) == cyl.circumference else None
-
-
 def ext_bracket(t: CurveTrace, x: MarkedFlatSurface, w2=1) -> Bracket:
     """Certified enclosure of w2 (a rational squared weight) times the
     extremal length of the trace's class.
 
     Lower bound: flat-metric competitor (deformed length squared over
-    area).  Upper bound: reciprocal modulus of the embedded cylinder when
-    the trace is a cylinder core, +inf otherwise.  Both are integer ratios
-    from ``x.gram`` and w2, rounded once outward.
+    area).  Upper bound: reciprocal modulus of the cylinder that
+    ``core_trace`` attached to the trace, +inf for any other trace.  Both are
+    integer ratios from ``x.gram`` and w2, rounded once outward.
     """
     big_a, big_b, big_c, big_d = x.gram
     p, q = w2.as_integer_ratio()
     hx, hy = t.holonomy
     lo = round_ratio(p * (big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy),
                      q * big_d * x.base.n, -math.inf)
-    cyl = t._cylinder or _find_cylinder_for(t)
+    cyl = t._cylinder
     if cyl is None:
         return Bracket(lo, math.inf)
     hi = round_ratio(p * cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),

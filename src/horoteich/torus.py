@@ -30,6 +30,7 @@ from .kernel import (
 
 INFINITY = math.inf
 OUT_OF_RANGE = "level is beyond the double range"
+_POINT_OUT_OF_RANGE = "a point coordinate is beyond the double range"
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _LOG2 = math.log(2.0)
 HALF_LOG_ROUNDING = 2.0**-50  # half_log's value v is within this times 1 + |v|
@@ -259,8 +260,12 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6):
 
 
 def teich_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
-    """Closed-form Teichmueller distance: half the hyperbolic distance."""
-    return 0.5 * hyperbolic_distance(t1, t2)
+    """Closed-form Teichmueller distance: half the hyperbolic distance.
+    ValueError(_POINT_OUT_OF_RANGE) where float() refuses a coordinate."""
+    try:
+        return 0.5 * hyperbolic_distance(t1, t2)
+    except OverflowError:
+        raise ValueError(_POINT_OUT_OF_RANGE) from None
 
 
 def closed_form_radius(closed: float) -> float:
@@ -305,7 +310,7 @@ def _doubles(t: UpperHalfPoint):
         float(t.x)  # the closed forms take Re as a double too
         return (*t.x.as_integer_ratio(), float(t.y))
     except OverflowError:
-        raise ValueError("a point coordinate is beyond the double range") from None
+        raise ValueError(_POINT_OUT_OF_RANGE) from None
 
 
 def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
@@ -605,16 +610,15 @@ def torus_ray(x0: UpperHalfPoint, f: WeightedTorusFoliation):
 
 
 def _ray_points(x0: UpperHalfPoint, f: WeightedTorusFoliation):
-    """y -> (b, r2, w2, hw), y's integers: in f's chart M, with My = z and M x0
-    = r0 + i u0, x, h, w are Re z - r0, Im z, u0 times den den0 (_act's), r2 =
-    x^2 + h^2, w2 = w^2, hw = h w and b = B, busemann's value, half_log(w, h)'s."""
+    """y -> (x, h, w), y's integers: in f's chart M, with My = z and M x0 = r0
+    + i u0, Re z - r0, Im z and u0 times den den0 (_act's).  B = busemann's value
+    is half_log(w, h)'s, and _excess's r2 = x^2 + h^2, w2 = w^2 and hw = h w."""
     m = f.curve.chart
     re0, im0, den0 = _act(m, *_ints(x0))
 
     def point(y: UpperHalfPoint):
         re, im, den = _act(m, *_ints(y))
-        x, h, w = re * den0 - re0 * den, im * den0, im0 * den
-        return half_log(w, h)[0], x * x + h * h, w * w, h * w
+        return re * den0 - re0 * den, im * den0, im0 * den
 
     return point
 
@@ -623,7 +627,8 @@ def busemann(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint) -
     """(1/2) log(Ext_f(x) / Ext_f(x0)) = (1/2) log(Im M x0 / Im M x) in f's
     chart M, the closed form for indecomposable (single-curve) foliations:
     half_log's value, within half_log_radius(value)."""
-    return _ray_points(x0, f)(x)[0]
+    _, h, w = _ray_points(x0, f)(x)
+    return half_log(w, h)[0]
 
 
 def busemann_limit(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPoint,
@@ -647,8 +652,9 @@ def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
     point = _ray_points(x0, f)
 
     def at(y: UpperHalfPoint):
-        _, r2, w2, hw = point(y)
-        return partial(_ray_step, r2, w2, hw, sum(half_log(r2, w2)))
+        x, h, w = point(y)
+        r2, w2 = x * x + h * h, w * w
+        return partial(_ray_step, r2, w2, h * w, sum(half_log(r2, w2)))
 
     return at
 
@@ -722,7 +728,8 @@ def metric_ball_limit_check(x0: UpperHalfPoint, f: WeightedTorusFoliation,
     point = _ray_points(x0, f)
     entries, ok = [], True
     for y in sample:
-        b, r2, w2, hw = point(y)
+        x, h, w = point(y)
+        b, r2, w2, hw = half_log(w, h)[0], x * x + h * h, w * w, h * w
         h0, err = sum(half_log(r2, w2)), half_log_radius(b)
         b_lo, b_hi = b - err, b + err
         memberships = []

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from horoteich import cli, torus as T
+from horoteich import cli, origami as O, torus as T
 from horoteich.kernel import UpperHalfPoint
 
 L_ARGS = ["--h", "[2,1,3]", "--v", "[3,2,1]"]
@@ -594,6 +594,87 @@ def test_torus_tags_hold(pq, pq2, tau0, tau, log_level):
             point = (m.d * w - m.b) / (m.a - m.c * w)
             assert_tagged(r["tangent_point"]["re"], point.real)
             assert_tagged(r["tangent_point"]["im"], point.imag)
+
+
+def exact_fields(node):
+    """The exact-tagged numbers in a record, depth first."""
+    if isinstance(node, dict) and node.get("exact") is True:
+        yield node
+    for child in node.values() if isinstance(node, dict) else node if isinstance(node, list) else ():
+        yield from exact_fields(child)
+
+
+def least_squares_quadratic(s_values, los):
+    """(c0, c1, c2) of the exact least-squares fit lo ~ c0 + c1 s + c2 s^2: the
+    normal equations solved by Cramer's rule over Fractions."""
+    gram = [[sum(s ** (i + j) for s in s_values) for j in range(3)] for i in range(3)]
+    rhs = [sum(s ** i * lo for s, lo in zip(s_values, los)) for i in range(3)]
+
+    def det(m):
+        return sum(m[0][j] * (m[1][j - 2] * m[2][j - 1] - m[1][j - 1] * m[2][j - 2])
+                   for j in range(3))  # cofactors along row 0, columns taken cyclically
+    return [det([[rhs[i] if j == k else gram[i][j] for j in range(3)] for i in range(3)])
+            / det(gram) for k in range(3)]
+
+
+tag_slope = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+tag_s = st.fractions(-50, 50, max_denominator=8).map(str) | st.floats(-50.0, 50.0).map(repr)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.permutations(range(1, n + 1))] * 2)),
+       tag_slope, st.lists(tag_s, min_size=1, max_size=7), st.data())
+def test_origami_tags_hold(hv, slope, s_texts, data):
+    """growth-check on small random origamis, slopes and s values: each lower
+    bound is within its tolerance of the exact flat bound |M_s hol|^2 / (det n)
+    at the double s (M_s the shear, det 1), and the fitted coefficient and
+    residual are within theirs of the exact least-squares fit to the printed
+    lower bounds.  In the origami-info, -flow, -intersect, walsh-e and
+    curve-graph records on the same surface, each exact field's float is the
+    float of its value."""
+    try:
+        n = O.build_origami(*hv).n
+    except ValueError:  # disconnected
+        assume(False)
+    perms = ["--h", str(list(hv[0])), "--v", str(list(hv[1]))]
+    square = str(data.draw(st.integers(1, n)))
+    r, status = run_record(["growth-check", *perms, f"--slope={slope}", f"--square={square}",
+                            f"--s-values={','.join(s_texts)}"])
+    assert status == 0
+    # the trace's holonomy (hx, hy): hx = i_vertical > 0, and hy has the slope's sign
+    hx, hy = Fraction(r["i_vertical"]["value"]), Fraction(r["i_horizontal"]["value"])
+    hy = -hy if slope.startswith("-") else hy
+    s_values = [Fraction(float(Fraction(text))) for text in s_texts]
+    for s, field in zip(s_values, r["lower_bounds"], strict=True):
+        flat = (hx * hx + (hy + s * hx) ** 2) / n
+        assert abs(Fraction(field["value"]) - flat) <= Fraction(field["tolerance"]), (s, field)
+    quad, residual = r["quadratic_coefficient"], r["fit_residual"]
+    if len(set(s_values)) < 3:
+        assert quad is None and residual is None
+    else:
+        los = [Fraction(field["value"]) for field in r["lower_bounds"]]
+        c0, c1, c2 = least_squares_quadratic(s_values, los)
+        err = max(abs(c0 + (c1 + c2 * s) * s - lo) for s, lo in zip(s_values, los))
+        for field, exact in ((quad, c2), (residual, err / max(map(abs, los)))):
+            assert abs(Fraction(field["value"]) - exact) <= Fraction(field["tolerance"]), field
+
+    other = data.draw(tag_slope | st.just("vert"))
+    param = data.draw(st.fractions(1, 50, max_denominator=9).map(str))
+    records = [r]
+    for argv in (["origami-info"],
+                 ["origami-flow", "--kind", data.draw(st.sampled_from(["geodesic", "horocycle"])),
+                  f"--param={param}"],
+                 ["origami-intersect", f"--slope1={slope}", f"--square1={square}",
+                  f"--slope2={other}"],
+                 ["walsh-e", f"--slope={slope}", f"--square={square}"],
+                 ["curve-graph", f"--slopes={slope};{other}"]):
+        record, status = run_record([argv[0], *perms, *argv[1:]])
+        assert status == 0, argv
+        records.append(record)
+    fields = list(exact_fields(records))
+    assert len(fields) >= 9  # i_v, i_h, area, 4 flow fields, crossings, E
+    for field in fields:
+        assert field["float"] == float(Fraction(field["value"])), field
 
 
 def test_geodesic_time_out_of_range_names_the_time(capsys):

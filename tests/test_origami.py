@@ -195,9 +195,8 @@ def test_trace_negative_slope():
 
 def test_singularity_hit_and_retry():
     # a diagonal from the square's center runs straight into the corner
-    with pytest.raises(O.SingularityHit) as info:
+    with pytest.raises(O.SingularityHit, match=r"^trace hit a vertex at square 1, point \(1, 1\)$"):
         O.trace_from_point(L, 0, (Fraction(1, 2), Fraction(1, 2)), (1, 1))
-    assert info.value.suggested_offset == Fraction(1, 6)
     # robust_trace succeeds from a vertex-free offset
     t = O.robust_trace(L, 0, Fraction(1), offset=Fraction(1, 2))
     assert t.holonomy == (3, 3)
@@ -209,9 +208,8 @@ def test_robust_trace_makes_six_attempts():
     sixth, 1/486, does not; for m = 486 all six do, so the call raises."""
     t = O.robust_trace(TORUS, 0, Fraction(162))
     assert t.segments[0][1] == (Fraction(1, 486), 0)
-    with pytest.raises(O.SingularityHit, match="no vertex-free offset") as info:
+    with pytest.raises(O.SingularityHit, match="no vertex-free offset"):
         O.robust_trace(TORUS, 0, Fraction(486))
-    assert info.value.suggested_offset == Fraction(1, 2 * 3**6)
 
 
 def test_edge_trace_arguments_are_checked():
@@ -249,10 +247,7 @@ def _march_trace(o, square, point, direction, max_steps=100000):
         nx = x + a * t
         ny = y + b * t
         if (nx == 0 or nx == 1) and (ny == 0 or ny == 1):
-            raise O.SingularityHit(
-                f"trace hit a vertex at square {s + 1}, point ({nx}, {ny})",
-                suggested_offset=Fraction(point[0]) / 3 if point[0] else Fraction(1, 3),
-            )
+            raise O.SingularityHit(f"trace hit a vertex at square {s + 1}, point ({nx}, {ny})")
         segments.append((s, (x, y), (nx, ny)))
         if nx == 1:
             s = o.h[s]
@@ -279,7 +274,7 @@ def _trace_outcome(fn, *args, **kw):
     try:
         t = fn(*args, **kw)
     except O.SingularityHit as e:
-        return ("vertex", str(e), e.suggested_offset)
+        return ("vertex", str(e))
     except O.TraceNotClosed as e:
         return ("budget", str(e))
     return ("closed", t.segments, t.holonomy, t.direction)
@@ -288,7 +283,7 @@ def _trace_outcome(fn, *args, **kw):
 def test_trace_from_point_matches_fraction_march():
     """Random origamis (n <= 12), directions |a|, |b| <= 7, edge and interior
     starts, budgets 5, 20 and 100000: the same segments, holonomy and
-    direction, or the same exception with the same suggested_offset."""
+    direction, or the same exception with the same message."""
     rng = random.Random(6)
     seen = {"closed": 0, "vertex": 0, "budget": 0}
     budget_first = 0
@@ -326,8 +321,7 @@ def test_robust_trace_matches_fraction_march_in_the_retry_loop():
                 return t
             except O.SingularityHit:
                 offset = offset / 3
-        raise O.SingularityHit(f"no vertex-free offset found for slope {slope} from square 1",
-                               suggested_offset=offset)
+        raise O.SingularityHit(f"no vertex-free offset found for slope {slope} from square 1")
 
     dirs = [(p, q) for p in range(9) for q in range(-8, 9)
             if math.gcd(p, q) == 1 and (p > 0 or q == 1)]
@@ -692,32 +686,13 @@ def _scan_cylinder_for(t):
     return None
 
 
-def test_cylinder_lookup_matches_linear_scan():
-    rng = random.Random(7)
-    compared = 0
-    for _ in range(40):
-        o = _random_origami(rng, rng.randint(1, 12))
-        traces = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
-                  for c in O.cylinders(o, d)]
-        for s in range(o.n):
-            traces.append(O.robust_trace(o, s, Fraction(0), offset=Fraction(1, 3)))
-            traces.append(O.robust_trace(o, s, None, offset=Fraction(2, 5)))
-        traces.append(O.robust_trace(o, 0, Fraction(1), offset=Fraction(3, 7)))
-        # a core run twice around wraps twice its cylinder: no cylinder
-        traces += [O.CurveTrace(o, t.direction, t.segments * 2, (2 * t.holonomy[0], 2 * t.holonomy[1]))
-                   for t in traces[:2]]
-        for t in traces:
-            assert O._find_cylinder_for(t) == _scan_cylinder_for(t)
-            compared += 1
-    assert compared > 500
-
-
 def test_core_trace_matches_the_general_trace_at_fresh_sizes():
     """On origamis of up to 200 squares, in both directions, each core built
     from its cylinder equals trace_from_point from the middle of its first
-    square's left or bottom edge, with the same scaled segments, Ext bracket at
-    a flowed point and cylinder, which the square -> cylinder list finds as the
-    linear scan does."""
+    square's left or bottom edge, with the same scaled segments and Ext lower
+    end at a flowed point.  The core carries the cylinder the linear scan finds,
+    and its upper end is that cylinder's exact bound rounded up; the general
+    trace carries none, so its upper end is inf."""
     rng = random.Random(21)
     starts = {O.HORIZONTAL: ((O._ZERO, O._HALF), (1, 0)), O.VERTICAL: ((O._HALF, O._ZERO), (0, 1))}
     # 10 x 20 grids whose rows all merge into one tall cylinder: a loop of bands
@@ -736,8 +711,10 @@ def test_core_trace_matches_the_general_trace_at_fresh_sizes():
                 t = O.core_trace(o, c)
                 ref = O.trace_from_point(o, c.squares[0], point, vector)
                 assert t == ref and t.scaled_segments == ref.scaled_segments
-                assert O.ext_bracket(t, x) == O.ext_bracket(ref, x)
-                assert O._find_cylinder_for(t) == _scan_cylinder_for(ref) == c
+                br, general = O.ext_bracket(t, x), O.ext_bracket(ref, x)
+                assert br.lo == general.lo and general.hi == math.inf
+                assert t._cylinder == _scan_cylinder_for(ref) == c
+                assert br.hi == _float_toward(_ext_bounds(t, x)[1], math.inf)
                 cores += 1
     assert cores > 100
     assert [c.height for o in surfaces[:2] for c in O.cylinders(o, O.HORIZONTAL)] == [20, 20]
@@ -753,12 +730,12 @@ def test_ext_bracket_non_periodic_direction_unbounded_above():
 
 def _ext_bounds(t, x):
     """The flat lower bound and the cylinder upper bound (None off a
-    cylinder core), exact over Fractions of the deform entries."""
+    core_trace), exact over Fractions of the deform entries."""
     a, b, c, d = (Fraction(v) for v in (x.deform.a, x.deform.b, x.deform.c, x.deform.d))
     det = a * d - b * c
     hx, hy = t.holonomy
     flat = ((a * hx + b * hy) ** 2 + (c * hx + d * hy) ** 2) / (det * x.base.n)
-    cyl = O._find_cylinder_for(t)
+    cyl = t._cylinder
     if cyl is None:
         return flat, None
     ux, uy = (a, c) if cyl.direction == O.HORIZONTAL else (b, d)

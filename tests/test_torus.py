@@ -231,12 +231,14 @@ def test_integer_coordinates_give_the_float_results():
 @pytest.mark.parametrize("sup", [
     lambda tau: T.kerckhoff_distance(UpperHalfPoint(0.0, 1.0), tau, 1e-9),
     lambda tau: T.ext_sup_enumeration(tau, fol(2, 3), 1e-9),
-], ids=["kerckhoff", "ext_sup"])
+    lambda tau: T.teich_distance(tau, UpperHalfPoint(0.0, 1.0)),
+], ids=["kerckhoff", "ext_sup", "teich"])
 @pytest.mark.parametrize("tau", [UpperHalfPoint(10**400, 1), UpperHalfPoint(0, 10**400)],
                          ids=["re", "im"])
 def test_int_coordinate_beyond_the_doubles_is_a_value_error(sup, tau):
-    """Both certified sups work in doubles: an int coordinate that float()
-    refuses is a ValueError with a one-line message, not an OverflowError."""
+    """Both certified sups and the closed-form distance work in doubles: an int
+    coordinate that float() refuses is a ValueError with a one-line message,
+    not an OverflowError."""
     with pytest.raises(ValueError, match="^a point coordinate is beyond the double range$"):
         sup(tau)
 
@@ -856,7 +858,8 @@ def test_ray_distance_stable_at_huge_times():
     x0 = UpperHalfPoint(0.0, 1.0)
     f = fol(1, 0)
     y = UpperHalfPoint(0.4, 2.0)
-    b, *point = T._ray_points(x0, f)(y)
+    x, h, w = T._ray_points(x0, f)(y)
+    b, point = T.half_log(w, h)[0], (x * x + h * h, w * w, h * w)
     lo, hi, e = T._exp_2t(20)
     d_huge, d_small = T._excess(*point, hi, e), T._excess(*point, lo, e)
     assert d_huge.width < 1e-14 and d_small.hi == d_huge.hi
@@ -973,8 +976,8 @@ def test_ball_limit_point_on_the_limit_sphere_is_inconclusive():
 @given(st.sampled_from(FAR_CURVES), far_re, far_im, far_re, far_im)
 def test_ball_limit_check_is_busemann_and_the_backend_brackets(pq, x0r, x0i, yr, yi):
     """For far start and sample points, the check's busemann_value is busemann's,
-    each D bracket and tail it forms is at y's integers r2, w2, hw (_ray_points)
-    and h0, and its last pair, at e^{2t} = 2^j, is ray_excess's step at j, in
+    each D bracket and tail it forms is at r2, w2, hw from y's integers
+    (_ray_points) and h0, and its last pair, at e^{2t} = 2^j, is ray_excess's step at j, in
     the torus module and in TorusBackend, bit for bit."""
     x0, y, f = UpperHalfPoint(x0r, x0i), UpperHalfPoint(yr, yi), fol(*pq)
     excess, tail, calls = T._excess, T._tail, []
@@ -986,7 +989,8 @@ def test_ball_limit_check_is_busemann_and_the_backend_brackets(pq, x0r, x0i, yr,
         mp.setattr(T, "_excess", lambda *a: spy("excess", excess, *a))
         mp.setattr(T, "_tail", lambda *a: spy("tail", tail, *a))
         entry = T.metric_ball_limit_check(x0, f, [y]).entries[0]
-    b, r2, w2, hw = T._ray_points(x0, f)(y)
+    x, h, w = T._ray_points(x0, f)(y)
+    b, r2, w2, hw = T.half_log(w, h)[0], x * x + h * h, w * w, h * w
     h0 = sum(T.half_log(r2, w2))
     assert repr(entry.busemann_value) == repr(b) == repr(T.busemann(x0, f, y))
     for name, args, _ in calls:
