@@ -36,7 +36,12 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors: one ``error:`` line and exit 1."""
+    """Usage errors are input errors: one ``error:`` line and exit 1.  A word that
+    starts with - and a digit (-1/2, -1,2,3, -1+2i) is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
         raise InputError(message)

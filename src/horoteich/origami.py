@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from operator import eq
@@ -295,31 +294,36 @@ def ext_horizontal(x: MarkedFlatSurface) -> Fraction:
 class CurveTrace(Frozen):
     """direction: primitive integer (dx, dy), dx >= 0, or (0, 1) if vertical;
     segments ((square, (x0, y0), (x1, y1)), ...); holonomy (dx_total, dy_total).
-    ``_cylinder``, not a field: the cylinder of a ``core_trace``, else None."""
+    Not fields: ``_cylinder``, the cylinder of a ``core_trace``, else None, and
+    the cached ``chains``, the homology that ``crossing_number`` pairs."""
 
     _fields = ("origami", "direction", "segments", "holonomy")
     _cylinder = None
 
     @cached_property
-    def scaled_segments(self):
-        """(d, {square: [(px, py, ex, ey), ...]}): start points and edge
-        vectors times d, the lcm of the coordinate denominators, so integers,
-        from the first period alone (the segments repeat every a + |b|).  Set
-        by ``trace_from_point``; derived here for cores and hand-built traces."""
-        a, b = self.direction
-        period = self.segments[:a + abs(b)]
-        d = math.lcm(*(c.denominator for _, p, q in period for c in (*p, *q)))
-        ends = [[c.numerator * (d // c.denominator) for c in (*p, *q)] for _, p, q in period]
-        return _scaled(d, [s for s, _, _ in self.segments], ends)
-
-
-def _scaled(d, squares, ends):
-    """``scaled_segments`` from one period's ends (x0, y0, x1, y1) times d."""
-    scaled = [(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in ends]
-    by_square = {}
-    for s, seg in zip(squares, itertools.cycle(scaled)):
-        by_square.setdefault(s, []).append(seg)
-    return d, by_square
+    def chains(self):
+        """(z, c): integer chains on the edges 2s (the bottom of square s) and 2s + 1
+        (its left), from ``segments``.  z, a cycle: each segment slid along its square's
+        boundary between the lower-left corners of its entry and exit edges.  c, a
+        cochain: its crossings of each edge, signed det(edge, direction).  Over the
+        bottom edges z sums to dx_total and c to dy_total, over the left edges to
+        dy_total and -dx_total; no entry is 0, as all terms on one edge share a sign."""
+        h, v = self.origami.h, self.origami.v
+        b = self.direction[1]
+        z, c = {}, {}
+        for s, (_, y0), (x1, _) in self.segments:
+            if x1 == 1:  # exit right: z along the bottom, c on h[s]'s left edge
+                z[2 * s] = z.get(2 * s, 0) + 1
+                e, sign = 2 * h[s] + 1, -1
+            elif b > 0:  # exit top: z up the left edge, c on v[s]'s bottom edge
+                z[2 * s + 1] = z.get(2 * s + 1, 0) + 1
+                e, sign = 2 * v[s], 1
+            else:  # exit bottom
+                e, sign = 2 * s, -1
+            c[e] = c.get(e, 0) + sign
+            if b < 0 and y0 == 1:  # entry from the top: z down the left edge
+                z[2 * s + 1] = z.get(2 * s + 1, 0) - 1
+        return z, c
 
 
 def trace_from_point(
@@ -341,7 +345,7 @@ def trace_from_point(
     Either past ``max_steps`` raises TraceNotClosed at once.  Cost: an integer
     setup, a march of a + |b| steps in integers alone over one denominator, one
     Fraction per distinct coordinate of that period, one lookup per emitted
-    segment; the march's integers, gcd-reduced, are its ``scaled_segments``.
+    segment.  Its ``chains`` come from the segments on first use, as for any trace.
     """
     a, b = direction
     if a < 0 or (a == 0 and b != 1):
@@ -396,15 +400,11 @@ def trace_from_point(
             squares.append(s)
             s = perm[s]
     k = len(squares) // period
-    g = math.gcd(d, *itertools.chain.from_iterable(ends))
-    d, ends = d // g, [(x0 // g, y0 // g, x1 // g, y1 // g) for x0, y0, x1, y1 in ends]
     frac = {c: Fraction(c, d) for c in set(itertools.chain.from_iterable(ends)) - {0, d}}
     frac[0], frac[d] = _ZERO, _ONE  # edge coordinates share the module's 0 and 1
     points = [((frac[x0], frac[y0]), (frac[x1], frac[y1])) for x0, y0, x1, y1 in ends]
     segments = tuple((sq, p, q) for sq, (p, q) in zip(squares, itertools.cycle(points)))
-    t = CurveTrace(o, (a, b), segments, (k * a, k * b))
-    t.__dict__["scaled_segments"] = _scaled(d, squares, ends)
-    return t
+    return CurveTrace(o, (a, b), segments, (k * a, k * b))
 
 
 def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> CurveTrace:
@@ -450,37 +450,22 @@ def core_trace(o: Origami, cyl: CylinderCurve) -> CurveTrace:
 def crossing_number(t1: CurveTrace, t2: CurveTrace) -> int:
     """Exact transverse crossing count of two straight closed traces.
 
-    Straight representatives in distinct directions are in minimal
-    position, so this is the geometric intersection number; parallel
-    distinct traces are disjoint (0), identical traces give 0.
-
-    Every segment runs from edge to edge of its square, so t1's segments
-    in a square are whole chords of lines b1*X - a1*Y = c, and a t2 segment
-    crosses the chords whose offset c lies between those of its ends.  Per
-    square, t1's offsets (integers, times d1*d2) are sorted and each t2
-    segment counts them by bisection: O((m1 + m2) log m1).  A crossing at an
-    end counts only on the left or bottom edge, as [0, 1)^2 is half-open.
+    On a translation surface a straight trace has one direction everywhere,
+    so every crossing of two non-parallel traces has the sign det(v1, v2),
+    and the count is |<[t1], [t2]>|, the algebraic intersection number of
+    their homology classes (Farb and Margalit, *A Primer on Mapping Class
+    Groups*, ch. 1; Matheus, Moller and Yoccoz, Invent. Math. 202 (2015), for
+    the homology of origamis): t1's cycle z dotted with t2's cochain c, one
+    sparse product over t1's edges.  Parallel distinct traces are disjoint
+    (0), identical traces give 0.
     """
     if t1.origami is not t2.origami and t1.origami != t2.origami:
         raise ValueError("traces live on different origamis")
     (a1, b1), (a2, b2) = t1.direction, t2.direction
     if a1 * b2 == b1 * a2:  # parallel, or identical
         return 0
-    d1, segs1 = t1.scaled_segments
-    d2, segs2 = t2.scaled_segments
-    count = 0
-    for s in segs2.keys() & segs1.keys():
-        offsets = sorted([(b1 * px - a1 * py) * d2 for px, py, _, _ in segs1[s]])
-        for px, py, ex, ey in segs2[s]:
-            lo = (b1 * px - a1 * py) * d1
-            hi = lo + (b1 * ex - a1 * ey) * d1
-            lo_in = px == 0 or py == 0
-            hi_in = px + ex == 0 or py + ey == 0
-            if lo > hi:
-                lo, hi, lo_in, hi_in = hi, lo, hi_in, lo_in
-            count += ((bisect_right(offsets, hi) if hi_in else bisect_left(offsets, hi))
-                      - (bisect_left(offsets, lo) if lo_in else bisect_right(offsets, lo)))
-    return count
+    z1, c2 = t1.chains[0], t2.chains[1]
+    return abs(sum(v * c2[e] for e, v in z1.items() if e in c2))
 
 
 def i_with_foliation(t: CurveTrace, direction: str, x: MarkedFlatSurface):

@@ -251,6 +251,26 @@ def test_origami_intersect(capsys):
     assert status == 0 and rec["results"]["crossings"]["value"] == "2"
 
 
+NEGATIVE_VALUES = [
+    ["origami-intersect", *L_ARGS, "--slope1", "-1/2", "--slope2", "vert"],
+    ["growth-check", *L_ARGS, "--s-values", "-1,2,3"],
+    ["torus-ext", "--tau", "-1+2i", "--curve", "1,0"],
+    ["torus-ext", "--tau", "0+2i", "--curve", "-1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=lambda a: a[0])
+def test_negative_values_after_a_space(argv, capsys):
+    """A value that starts with - and a digit is read as the value of the flag
+    before it, with the record that the --flag=value form gives."""
+    i = next(k for k, a in enumerate(argv) if re.match(r"-\d", a))
+    joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
+    rec, status = run_json(capsys, argv)
+    want, want_status = run_json(capsys, joined)
+    rec.pop("timestamp"), want.pop("timestamp")
+    assert status == want_status == 0 and rec == want
+
+
 def test_growth_check(capsys):
     rec, status = run_json(
         capsys, ["growth-check", "--h", "[2,1,3]", "--v", "[3,2,1]"]

@@ -334,27 +334,6 @@ def test_robust_trace_matches_fraction_march_in_the_retry_loop():
     assert len(retries) == 89 and retries.count(0) == 58 and max(retries) == 5
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.data())
-def test_march_sets_the_scaled_segments_its_fractions_give(data):
-    """On random origamis (n <= 12), from edge and interior starts, in
-    directions of either slope sign, trace_from_point sets scaled_segments
-    from its march, and they equal the form derived from the trace's own
-    Fractions, with the same d."""
-    o = data.draw(_origamis())
-    a = data.draw(st.integers(0, 7))
-    b = data.draw(st.integers(-7, 7)) if a else 1
-    m = data.draw(st.integers(1, 12))
-    fx, fy = Fraction(data.draw(st.integers(0, m - 1)), m), Fraction(data.draw(st.integers(0, m)), m)
-    point = data.draw(st.sampled_from([(fx, Fraction(0)), (Fraction(0), fy), (fx, Fraction(1)), (fx, fy)]))
-    try:
-        t = O.trace_from_point(o, data.draw(st.integers(0, o.n - 1)), point, (a, b))
-    except O.SingularityHit:
-        assume(False)
-    assert "scaled_segments" in vars(t)
-    assert O.CurveTrace(o, t.direction, t.segments, t.holonomy).scaled_segments == t.scaled_segments
-
-
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
 def test_core_trace_is_the_edge_trace_from_its_first_square(data):
@@ -637,18 +616,38 @@ def test_unit_torus_crossing_is_the_determinant(data):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.data())
-def test_scaled_segments_are_the_scaled_fractions(data):
-    """The integer scaling equals the Fraction products it replaced, square
-    by square, with the same d, and d clears every denominator."""
-    t = data.draw(_edge_traces(data.draw(_origamis())))
-    assume(t is not None)
-    d, got = t.scaled_segments
-    want = {}
-    for s, (x0, y0), (x1, y1) in t.segments:
-        assert all((c * d).denominator == 1 for c in (x0, y0, x1, y1))
-        want.setdefault(s, []).append(
-            (int(x0 * d), int(y0 * d), int((x1 - x0) * d), int((y1 - y0) * d)))
-    assert got == want
+def test_chains_sum_to_the_holonomy_and_pair_antisymmetrically(data):
+    """On random origamis (n <= 12), for traces from edge, top-edge and
+    interior starts in directions of either slope sign, and for cores: z sums
+    to hx over the bottom edges (even) and to hy over the left edges (odd); c
+    sums to hy over the bottom edges and to -hx over the left edges; and
+    z1 . c2 = -(z2 . c1), as the intersection form is."""
+    o = data.draw(_origamis())
+    traces = [data.draw(_edge_traces(o))]
+    a = data.draw(st.integers(0, 7))
+    b = data.draw(st.integers(-7, 7)) if a else 1
+    m = data.draw(st.integers(1, 12))
+    fx, fy = Fraction(data.draw(st.integers(0, m - 1)), m), Fraction(data.draw(st.integers(0, m)), m)
+    point = data.draw(st.sampled_from([(fx, Fraction(1)), (fx, fy)]))
+    try:
+        traces.append(O.trace_from_point(o, data.draw(st.integers(0, o.n - 1)), point, (a, b)))
+    except O.SingularityHit:
+        pass
+    traces += [O.core_trace(o, data.draw(st.sampled_from(O.cylinders(o, d))))
+               for d in (O.HORIZONTAL, O.VERTICAL)]
+    traces = [t for t in traces if t is not None]
+    for t in traces:
+        (z, c), (hx, hy) = t.chains, t.holonomy
+        assert sum(v for e, v in z.items() if e % 2 == 0) == hx
+        assert sum(v for e, v in z.items() if e % 2 == 1) == hy
+        assert sum(v for e, v in c.items() if e % 2 == 0) == hy
+        assert sum(v for e, v in c.items() if e % 2 == 1) == -hx
+        assert 0 not in z.values() and 0 not in c.values()
+    for t1 in traces:
+        for t2 in traces:
+            (z1, c1), (z2, c2) = t1.chains, t2.chains
+            assert (sum(v * c2.get(e, 0) for e, v in z1.items())
+                    == -sum(v * c1.get(e, 0) for e, v in z2.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +688,7 @@ def _scan_cylinder_for(t):
 def test_core_trace_matches_the_general_trace_at_fresh_sizes():
     """On origamis of up to 200 squares, in both directions, each core built
     from its cylinder equals trace_from_point from the middle of its first
-    square's left or bottom edge, with the same scaled segments and Ext lower
+    square's left or bottom edge, with the same chains and Ext lower
     end at a flowed point.  The core carries the cylinder the linear scan finds,
     and its upper end is that cylinder's exact bound rounded up; the general
     trace carries none, so its upper end is inf."""
@@ -710,7 +709,7 @@ def test_core_trace_matches_the_general_trace_at_fresh_sizes():
             for c in O.cylinders(o, direction):
                 t = O.core_trace(o, c)
                 ref = O.trace_from_point(o, c.squares[0], point, vector)
-                assert t == ref and t.scaled_segments == ref.scaled_segments
+                assert t == ref and t.chains == ref.chains
                 br, general = O.ext_bracket(t, x), O.ext_bracket(ref, x)
                 assert br.lo == general.lo and general.hi == math.inf
                 assert t._cylinder == _scan_cylinder_for(ref) == c

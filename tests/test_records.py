@@ -87,7 +87,7 @@ def test_caches_stay_out_of_equality_hash_and_repr():
     assert a._cylinders and not b._cylinders
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert repr(a) == "Origami(h=(1, 0, 2), v=(2, 1, 0))"
-    assert TRACE.scaled_segments[1].keys() == {0, 2} and TRACE == O.core_trace(L, CYL)
+    assert TRACE.chains == ({1: 1, 5: 1}, {0: 1, 4: 1}) and TRACE == O.core_trace(L, CYL)
 
 
 def test_gram_is_the_fraction_formula_on_flowed_points():
