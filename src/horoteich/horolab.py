@@ -4,18 +4,18 @@ A backend supplies only geometry for one concrete model, in four methods:
 ``ext(point, f)``, a Bracket on the extremal length of f at point;
 ``intersect(f, g)``, the intersection pairing as a Fraction;
 ``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
-(components of g), else None; and ``horosphere_sampler(f, level)``, points at
-the horosphere {Ext(f) = level} (the torus sampler's are certified in HB(f,
-level), within 2^-40 of HS(f, level)).  The torus backend also has
+(components of g), else None; and ``horosphere_sampler(f, level)``, points
+proposed near the horosphere {Ext(f) = level}.  The torus backend also has
 ``ray_excess(x0, f, x)``, torus's step j -> (D(t) bracket, tail) at e^{2t} =
-2^j, for the Busemann machinery.  Proportionality, the sup of Ext
-over a horoball, the relations between horoballs (tangency, disjointness,
-nesting) and the Busemann machinery are implemented here once.
+2^j, for the Busemann machinery.  Proportionality, the sup of Ext over a
+horoball, the relations between horoballs (tangency, disjointness, nesting),
+the exclusion witness rule and the Busemann machinery are implemented here once.
 
 Levels, pairings and sup bounds are exact rationals (a float level is the
 rational it denotes), so every relation is an exact comparison; Ext is known
-only up to its bracket, so a sample excludes only when the bracket's lower
-end lies above the level.  This module imports neither model; each backend
+only up to its bracket, so a proposed point excludes HB(f1, level1) from
+HB(f2, level2) only when its f2 bracket lies above level2 and its f1 bracket
+is at or below level1.  This module imports neither model; each backend
 imports its own on first use and calls only its public names.
 """
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TorusBackend:
 
     def ext(self, point, f) -> Bracket:
         """Bracket on Ext at a point with rational (double, int or Fraction)
-        coordinates: the exact torus.ext_ratio rounded outward once, [max double,
+        coordinates: the exact Ext of the model rounded outward once, [max double,
         inf] past the doubles."""
         n, d = self.model.ext_ratio(point, f)
         try:
@@ -99,19 +99,16 @@ class TorusBackend:
         return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
     def horosphere_sampler(self, f, level):
-        """Points of HB(f, level) near HS(f, level), lazily: the chart points of
-        HS(f, level shrink) at the sigmas, less those that are not doubles, each kept
-        only where its exact Ext, torus.ext_ratio's n / d, is at most the level."""
-        level = Fraction(level)
-        at = self.model.horocycle(f, level * self.shrink)
+        """Proposals near HS(f, level), lazily: the chart points of HS(f, level
+        shrink) at the sigmas, less those that are not doubles.  Rounding to
+        doubles may move one out of HB(f, level); inclusion_probe checks it."""
+        at = self.model.horocycle(f, Fraction(level) * self.shrink)
         for sigma in self.sigmas:
             try:
                 p = at(sigma)
             except ValueError:
                 continue
-            n, d = self.model.ext_ratio(p, f)
-            if n * level.denominator <= d * level.numerator:
-                yield p
+            yield p
 
     def ray_excess(self, x0, f, x):
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for
@@ -176,13 +173,16 @@ class OrigamiBackend:
         return [coeffs[c] for _, c in g.components]
 
     def horosphere_sampler(self, f, level):
-        """Horocycle-flow orbit points at the ray time where the vertical
-        extremal length crosses the level; approximate for generic f."""
+        """Proposals near HS(f, level): the base point flowed by diag(s, 1/s) for
+        a vertical f, diag(1/s, s) for a horizontal one, each of which divides
+        Ext_f by s^2, with s >= sqrt(r) dyadic at 20 bits and r the upper end of
+        Ext_f at the base over the level; then that point's horocycle_flow
+        shears by +-2^k (k < 11), which fix a vertical f's Ext."""
         base = self.model.MarkedFlatSurface.base_point(self.origami)
-        e0 = self.ext(base, f)
-        mid = 0.5 * (e0.lo + e0.hi)
-        t = 0.5 * math.log(mid / float(level))
-        x = self.model.geodesic_flow(base, t=t)
+        r = Fraction(self.ext(base, f).hi) / Fraction(level)
+        s = Fraction(math.isqrt(math.ceil(r * 4**20)) + 1, 2**20)
+        vertical = f.direction == self.model.VERTICAL
+        x = self.model.geodesic_flow(base, stretch=s if vertical else 1 / s)
         return [x] + [self.model.horocycle_flow(x, sign * 2**k)
                       for k in range(11) for sign in (1, -1)]
 
@@ -191,26 +191,20 @@ class OrigamiBackend:
 # Relations
 
 
-def _common_ratio(coeffs):
-    """The one nonzero k when every coefficient equals k, else None."""
-    return coeffs[0] if coeffs and coeffs[0] != 0 and len(set(coeffs)) == 1 else None
-
-
 def sup_on_horoball(f1, level1, f2, backend):
     """sup of Ext(f2) over HB(f1, level1): inf, None, or a finite bound, a
     Fraction for the Fraction level of a HoroBall.
 
-    f2 = c*f1: exactly c^2 * level1, since Ext(cF) = c^2 Ext(F).  Other
-    sub-foliations f2 = sum a_i * (k components of f1): the paper constant
-    (sum a_i^2) * k * level1.  Transverse (i(f1, f2) > 0): infinite, as
-    horocycle-flow growth is unbounded.  Otherwise no bound is known."""
+    Sub-foliation f2 = sum a_i w_i g_i of f1 = sum w_i g_i: (max a_i)^2 * level1.
+    Ext(sum v_i g_i) = sup over metrics rho of (sum v_i l_rho(g_i))^2 / Area(rho)
+    (Kerckhoff 1980) is monotone in the weights v_i, so Ext(f2) <= Ext(max a_i *
+    f1) = (max a_i)^2 Ext(f1), as Ext(cF) = c^2 Ext(F); with every a_i = c
+    this is the exact sup c^2 * level1.  Transverse (i(f1, f2) > 0): infinite,
+    as horocycle-flow growth is unbounded.  Otherwise no bound is known."""
     coeffs = backend.subfoliation_coeffs(f2, f1)
     if coeffs is None:
         return math.inf if backend.intersect(f1, f2) > 0 else None
-    c = _common_ratio(coeffs)
-    if c is not None:
-        return c * c * level1
-    return sum(a * a for a in coeffs) * len(coeffs) * level1
+    return max(coeffs) ** 2 * level1
 
 
 def classify(h1, h2, backend) -> HoroRelation:
@@ -231,9 +225,9 @@ def classify(h1, h2, backend) -> HoroRelation:
         return HoroRelation(tag, {"product": prod, "i_squared": isq})
 
     coeffs = backend.subfoliation_coeffs(f1, f2)
-    k = _common_ratio(coeffs)
-    if k is not None:
+    if coeffs and len(set(coeffs)) == 1:
         # same projective class: HB(f2, l2) = {Ext(f1) <= k^2 l2}
+        k = coeffs[0]
         eff2 = k * k * l2
         tag = NESTED_FORWARD if eff2 <= l1 else NESTED_BACKWARD
         return HoroRelation(tag, {"ratio": k, "level1": l1, "level2_in_f1": eff2})
@@ -309,9 +303,10 @@ class ProbeResult(Record):
 def inclusion_probe(h1, h2, backend) -> ProbeResult:
     """Is HB(f1, level1) contained in HB(f2, level2)?
 
-    A sample point of HS(f1, level1) with certified Ext(f2) above level2
-    excludes; a certified sup bound at or below level2 includes; otherwise
-    inconclusive."""
+    A certified sup bound at or below level2 includes.  Else a point the
+    sampler proposes near HS(f1, level1) excludes, as a witness, when its Ext(f2)
+    bracket lies above level2 and its Ext(f1) bracket at or below level1;
+    otherwise inconclusive."""
     f1, l1 = h1.foliation, h1.level
     f2, l2 = h2.foliation, h2.level
     bound = sup_on_horoball(f1, l1, f2, backend)
@@ -319,6 +314,6 @@ def inclusion_probe(h1, h2, backend) -> ProbeResult:
         return ProbeResult(INCLUDED_CERTIFIED, bound=bound)
     for p in backend.horosphere_sampler(f1, l1):
         e = backend.ext(p, f2)
-        if e.lo > l2:
+        if e.lo > l2 and backend.ext(p, f1).hi <= l1:
             return ProbeResult(EXCLUDED_WITNESS, witness=p, witness_ext=e, bound=bound)
     return ProbeResult(INCONCLUSIVE, bound=bound)

@@ -185,20 +185,26 @@ def test_busemann_rounding_bound_holds(pq, re0, log_im0, re, log_im, tol):
 )
 def test_torus_sampler_points_are_horocycle_points(p, q, weight, level):
     """The sampler's points are horocycle(f, level (1 - 2^-40))'s points at 0,
-    +-2^k (k < 21), bit for bit and in order, less those that are not doubles
-    or whose exact Ext_f exceeds the level."""
+    +-2^k (k < 21), bit for bit and in order, less those that are not doubles.
+    inclusion_probe never returns one whose exact Ext_f exceeds the level as a
+    witness, at any l2 just below one point's Ext_f2 bracket."""
     f = T.WeightedTorusFoliation(weight, T.TorusCurve(p, q))
     at, want = T.horocycle(f, Fraction(level) * (1 - Fraction(1, 2**40))), []
     for s in [0.0] + [sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)]:
         try:
-            pt = at(s)
+            want.append(at(s))
         except ValueError:
             continue
-        if T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f) <= Fraction(level):
-            want.append(pt)
     got = list(BE.horosphere_sampler(f, level))
     assert len(got) > 30 and [(pt.x.hex(), pt.y.hex()) for pt in got] == [
         (pt.x.hex(), pt.y.hex()) for pt in want]
+    f2 = fol(*((0, 1) if q == 0 else (1, 0)))
+    for pt in got:
+        l2 = Fraction(BE.ext(pt, f2).lo) * (1 - Fraction(1, 2**30))
+        res = H.inclusion_probe(H.HoroBall(f, level), H.HoroBall(f2, l2), BE)
+        if res.tag == H.EXCLUDED_WITNESS:
+            x = UpperHalfPoint(Fraction(res.witness.x), Fraction(res.witness.y))
+            assert T.extremal_length(x, f) <= Fraction(level)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -271,9 +277,9 @@ def test_probe_origami_component_bound():
     fv = O.canonical_vertical_foliation(L)
     comp = O.MulticurveFoliation((fv.components[0],))
     full = H.HoroBall(fv, Fraction(2))
-    # paper constant: (sum a_i^2) * k * t = 1 * 2 * 2 = 4
-    res = H.inclusion_probe(full, H.HoroBall(comp, Fraction(4)), OB)
-    assert res.tag == H.INCLUDED_CERTIFIED and res.bound == 4
+    # (max a_i)^2 * t = 1 * 2 = 2
+    res = H.inclusion_probe(full, H.HoroBall(comp, Fraction(2)), OB)
+    assert res.tag == H.INCLUDED_CERTIFIED and res.bound == 2
     low = H.inclusion_probe(full, H.HoroBall(comp, Fraction(1, 100)), OB)
     assert low.tag in (H.EXCLUDED_WITNESS, H.INCONCLUSIVE)
 
@@ -372,6 +378,39 @@ def test_torus_exclusion_witness_is_a_certificate(c1, c2, w, l1, l2):
         assert T.extremal_length(x, f1) <= l1 and T.extremal_length(x, f2) > l2
 
 
+ORIGAMIS = [L, O.build_origami([2, 1, 4, 3], [1, 3, 2, 4]),
+            O.build_origami([2, 3, 1, 5, 4], [4, 2, 5, 1, 3])]
+
+
+def origami_foliations(o):
+    """Both canonical foliations, then every horizontal and vertical core at weight 1."""
+    return [O.canonical_vertical_foliation(o), O.canonical_horizontal_foliation(o)] + [
+        O.MulticurveFoliation(((Fraction(1), c),))
+        for d in (O.HORIZONTAL, O.VERTICAL) for c in O.cylinders(o, d)]
+
+
+def test_origami_exclusion_witness_is_a_certificate():
+    """An origami ExcludedWitness of HB(f1, l1) against HB(f2, l2) has Ext_f1's
+    upper end at most l1 and Ext_f2's lower end above l2, and none is returned
+    where f2 = sum a_i (components of f1) with (max a_i)^2 l1 <= l2.  300
+    probes over three origamis, their foliations above and levels 2^k, |k| <= 6."""
+    rng = random.Random(11)
+    cases = [(H.OrigamiBackend(o), origami_foliations(o)) for o in ORIGAMIS]
+    excluded = 0
+    for _ in range(300):
+        be, fols = rng.choice(cases)
+        f1, f2 = rng.choice(fols), rng.choice(fols)
+        l1, l2 = Fraction(2) ** rng.randint(-6, 6), Fraction(2) ** rng.randint(-6, 6)
+        res = H.inclusion_probe(H.HoroBall(f1, l1), H.HoroBall(f2, l2), be)
+        if res.tag != H.EXCLUDED_WITNESS:
+            continue
+        excluded += 1
+        assert be.ext(res.witness, f1).hi <= l1 and be.ext(res.witness, f2).lo > l2
+        coeffs = be.subfoliation_coeffs(f2, f1)
+        assert coeffs is None or max(coeffs) ** 2 * l1 > l2
+    assert excluded > 100
+
+
 def test_torus_and_origami_sups_agree_on_proportional_pairs():
     fv = O.canonical_vertical_foliation(L)
     tf = T.WeightedTorusFoliation(Fraction(2), T.TorusCurve(2, 3))
@@ -382,6 +421,28 @@ def test_torus_and_origami_sups_agree_on_proportional_pairs():
         for l1 in (Fraction(1), Fraction(7, 3), Fraction(1, 50)):
             torus_sup = H.sup_on_horoball(tf, l1, tc, BE)
             assert torus_sup == H.sup_on_horoball(fv, l1, cf, OB) == c * c * l1
+
+
+@pytest.mark.parametrize("origami, direction, w1, w2", [
+    (STAIRCASE, O.VERTICAL, (1, 1, 1), (1, 3, 0)),
+    (STAIRCASE, O.VERTICAL, (2, 1, 1), (3, 1, 2)),
+    (L, O.HORIZONTAL, (1, 1), (1, 3)),
+], ids=["staircase-1-3", "staircase-3-1-2", "L-horizontal"])
+def test_sup_on_horoball_is_the_largest_coefficient_squared(origami, direction, w1, w2):
+    """For f2 = sum a_i (components of f1) the sup of Ext_f2 over HB(f1, l1)
+    is bounded by (max a_i)^2 l1, which is c^2 l1 when every a_i = c; no
+    proposal certified in HB(f1, l1) has Ext_f2's lower end above it."""
+    be, cyls = H.OrigamiBackend(origami), O.cylinders(origami, direction)
+    f1, f2 = (O.MulticurveFoliation(tuple((Fraction(w), c) for w, c in zip(ws, cyls) if w))
+              for ws in (w1, w2))
+    top = max(Fraction(b, a) for a, b in zip(w1, w2))
+    for l1 in (Fraction(1), Fraction(7, 3), Fraction(1, 64)):
+        sup = H.sup_on_horoball(f1, l1, f2, be)
+        assert sup == top**2 * l1
+        certified = [p for p in be.horosphere_sampler(f1, l1) if be.ext(p, f1).hi <= l1]
+        assert certified and all(be.ext(p, f2).lo <= sup for p in certified)
+        for c in (Fraction(1), Fraction(2, 3), Fraction(5)):
+            assert H.sup_on_horoball(f1, l1, scaled(f1, c), be) == c * c * l1
 
 
 def test_sup_and_proportionality_live_only_in_horolab():
