@@ -4,27 +4,26 @@ A backend supplies only geometry for one concrete model, in four methods:
 ``ext(point, f)``, a Bracket on the extremal length of f at point;
 ``intersect(f, g)``, the intersection pairing as a Fraction;
 ``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
-(components of g), else None; and ``horosphere_sampler(f, level)``, points
-proposed near the horosphere {Ext(f) = level}.  The torus backend also has
-``ray_excess(x0, f, x)``, torus's step j -> (D(t) bracket, tail) at e^{2t} =
-2^j, for the Busemann machinery.  Proportionality, the sup of Ext over a
-horoball, the relations between horoballs (tangency, disjointness, nesting),
-the exclusion witness rule and the Busemann machinery are implemented here once.
+(components of g), else None; and ``horosphere_sampler(h1, h2)``, points
+proposed to show that HoroBall h1 does not lie in HoroBall h2.  The torus
+backend also has ``ray_excess(x0, f, x)``, torus's step j -> (D(t) bracket,
+tail) at e^{2t} = 2^j, for the Busemann machinery.  Proportionality, the sup of
+Ext over a horoball, the relations between horoballs, the exclusion witness
+rule and the Busemann machinery are implemented here once.
 
 Levels, pairings and sup bounds are exact rationals (a float level is the
-rational it denotes), so every relation is an exact comparison; Ext is known
-only up to its bracket, so a proposed point excludes HB(f1, level1) from
-HB(f2, level2) only when its f2 bracket lies above level2 and its f1 bracket
-is at or below level1.  This module imports neither model; each backend
-imports its own on first use and calls only its public names.
+rational it denotes), so every relation is an exact comparison.  This module
+imports neither model; each backend imports its own on first use and calls
+only its public names.
 """
 from __future__ import annotations
 
 import importlib
 import math
+import sys
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, _up, round_ratio
+from .kernel import Bracket, Frozen, Record, _up, as_float_down, round_ratio
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -98,17 +97,15 @@ class TorusBackend:
         # indecomposable model: sub-foliation means proportional
         return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
-    def horosphere_sampler(self, f, level):
-        """Proposals near HS(f, level), lazily: the chart points of HS(f, level
-        shrink) at the sigmas, less those that are not doubles.  Rounding to
-        doubles may move one out of HB(f, level); inclusion_probe checks it."""
-        at = self.model.horocycle(f, Fraction(level) * self.shrink)
+    def horosphere_sampler(self, h1, h2):
+        """The chart points of HS(f1, level1 shrink) at the sigmas that are doubles, lazily;
+        h2 is not read.  inclusion_probe checks each: rounding may move one out of HB(h1)."""
+        at = self.model.horocycle(h1.foliation, h1.level * self.shrink)
         for sigma in self.sigmas:
             try:
-                p = at(sigma)
+                yield at(sigma)
             except ValueError:
                 continue
-            yield p
 
     def ray_excess(self, x0, f, x):
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for
@@ -172,19 +169,20 @@ class OrigamiBackend:
             coeffs[c] = Fraction(w) / by_cyl[c]
         return [coeffs[c] for _, c in g.components]
 
-    def horosphere_sampler(self, f, level):
-        """Proposals near HS(f, level): the base point flowed by diag(s, 1/s) for
-        a vertical f, diag(1/s, s) for a horizontal one, each of which divides
-        Ext_f by s^2, with s >= sqrt(r) dyadic at 20 bits and r the upper end of
-        Ext_f at the base over the level; then that point's horocycle_flow
-        shears by +-2^k (k < 11), which fix a vertical f's Ext."""
+    def horosphere_sampler(self, h1, h2):
+        """One proposal: the base point flowed by diag(s, 1/s) for a vertical f1, diag(1/s, s)
+        for a horizontal one, dividing f1's bracket ends and multiplying a transverse f2's lower
+        end by s^2, exactly; a parallel f2 scales with f1 on the whole SL(2, R) orbit."""
         base = self.model.MarkedFlatSurface.base_point(self.origami)
-        r = Fraction(self.ext(base, f).hi) / Fraction(level)
-        s = Fraction(math.isqrt(math.ceil(r * 4**20)) + 1, 2**20)
-        vertical = f.direction == self.model.VERTICAL
-        x = self.model.geodesic_flow(base, stretch=s if vertical else 1 / s)
-        return [x] + [self.model.horocycle_flow(x, sign * 2**k)
-                      for k in range(11) for sign in (1, -1)]
+        f1, f2 = h1.foliation, h2.foliation
+        lo2 = self.ext(base, f2).lo if f2.direction != f1.direction else 0.0
+        # s^2 > r: in HB(h1), and out of HB(h2) unless lo2 is 0.0 (parallel; weights below ~2^-537)
+        r = max(Fraction(self.ext(base, f1).hi) / h1.level, h2.level / Fraction(lo2) if lo2 else 0)
+        # s = (isqrt(ceil(r 4^j)) + 1) / 2^j: s^2 >= r + 4^-j > r (1 + 2^-42), as r 4^j < 2^42
+        t = Fraction(2) ** (20 - (r.numerator.bit_length() - r.denominator.bit_length()) // 2)
+        s = (math.isqrt(math.ceil(r * t * t)) + 1) / t
+        vertical = f1.direction == self.model.VERTICAL
+        return [self.model.geodesic_flow(base, stretch=s if vertical else 1 / s)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +301,19 @@ class ProbeResult(Record):
 def inclusion_probe(h1, h2, backend) -> ProbeResult:
     """Is HB(f1, level1) contained in HB(f2, level2)?
 
-    A certified sup bound at or below level2 includes.  Else a point the
-    sampler proposes near HS(f1, level1) excludes, as a witness, when its Ext(f2)
-    bracket lies above level2 and its Ext(f1) bracket at or below level1;
-    otherwise inconclusive."""
+    A certified sup bound at or below level2 includes.  Else a point that
+    ``backend.horosphere_sampler(h1, h2)`` proposes excludes, as a witness, when
+    its Ext(f2) bracket lies above level2 and its Ext(f1) bracket at or below
+    level1; otherwise inconclusive."""
     f1, l1 = h1.foliation, h1.level
     f2, l2 = h2.foliation, h2.level
     bound = sup_on_horoball(f1, l1, f2, backend)
     if bound is not None and bound <= l2:
         return ProbeResult(INCLUDED_CERTIFIED, bound=bound)
-    for p in backend.horosphere_sampler(f1, l1):
+    # no double lies in (floor(l), l], so a double is > l iff > floor(l), <= l iff <= floor(l)
+    d1, d2 = (as_float_down(min(l, sys.float_info.max)) for l in (l1, l2))
+    for p in backend.horosphere_sampler(h1, h2):
         e = backend.ext(p, f2)
-        if e.lo > l2 and backend.ext(p, f1).hi <= l1:
+        if e.lo > d2 and backend.ext(p, f1).hi <= d1:
             return ProbeResult(EXCLUDED_WITNESS, witness=p, witness_ext=e, bound=bound)
     return ProbeResult(INCONCLUSIVE, bound=bound)

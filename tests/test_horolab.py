@@ -195,10 +195,10 @@ def test_torus_sampler_points_are_horocycle_points(p, q, weight, level):
             want.append(at(s))
         except ValueError:
             continue
-    got = list(BE.horosphere_sampler(f, level))
+    f2 = fol(*((0, 1) if q == 0 else (1, 0)))
+    got = list(BE.horosphere_sampler(H.HoroBall(f, level), H.HoroBall(f2, 1)))
     assert len(got) > 30 and [(pt.x.hex(), pt.y.hex()) for pt in got] == [
         (pt.x.hex(), pt.y.hex()) for pt in want]
-    f2 = fol(*((0, 1) if q == 0 else (1, 0)))
     for pt in got:
         l2 = Fraction(BE.ext(pt, f2).lo) * (1 - Fraction(1, 2**30))
         res = H.inclusion_probe(H.HoroBall(f, level), H.HoroBall(f2, l2), BE)
@@ -313,6 +313,45 @@ def test_origami_ext_upper_sum_is_rounded_up():
     assert Fraction(H.OrigamiBackend(o).ext(x, f).hi) >= exact
 
 
+class OnePointBackend:
+    """A stub backend: transverse foliations, one proposal, and at it Ext_f is
+    exactly the double ext[f]."""
+
+    def __init__(self, ext):
+        self.ext_at = ext
+
+    def ext(self, point, f):
+        return Bracket(self.ext_at[f], self.ext_at[f])
+
+    def intersect(self, f, g):
+        return Fraction(1)
+
+    def subfoliation_coeffs(self, f, g):
+        return None
+
+    def horosphere_sampler(self, h1, h2):
+        return ["p"]
+
+
+def test_probe_compares_double_brackets_with_rational_levels_exactly():
+    """A double bracket end is compared with a rational level exactly: Ext_f1 =
+    1.0 is above a level a hair below it, Ext_f2 = 3.0 exceeds a level a hair
+    below it, and of the bracket ends max double and inf only inf exceeds a
+    level past the doubles."""
+    tiny = Fraction(1, 2**70)
+
+    def tag(e1, l1, e2, l2):
+        res = H.inclusion_probe(H.HoroBall("f1", l1), H.HoroBall("f2", l2),
+                                OnePointBackend({"f1": e1, "f2": e2}))
+        return res.tag
+
+    assert tag(1.0, 1, 3.0, 3 - tiny) == tag(1.0, 1 + tiny, 3.0, 3 - tiny) == H.EXCLUDED_WITNESS
+    assert tag(1.0, 1 - tiny, 3.0, 2) == tag(1.0, 1, 3.0, 3) == H.INCONCLUSIVE
+    assert tag(1.0, 1, math.inf, Fraction(2) ** 1100) == H.EXCLUDED_WITNESS
+    assert tag(1.0, 1, sys.float_info.max, Fraction(2) ** 1100) == H.INCONCLUSIVE
+    assert tag(sys.float_info.max, Fraction(2) ** 1100, 3.0, 2) == H.EXCLUDED_WITNESS
+
+
 def test_probe_rigidity_randomized():
     """Non-proportional pairs are never certified included (rigidity)."""
     rng = np.random.default_rng(17)
@@ -338,12 +377,19 @@ def scaled(f, c):
     return O.MulticurveFoliation(tuple((c * w, cyl) for w, cyl in f.components))
 
 
+def stretched_and_sheared(be, h1, h2):
+    """The origami sampler's one point, then its horocycle_flow shears by +-2^k
+    (k < 11), which keep a vertical f1's Ext."""
+    [x] = be.horosphere_sampler(h1, h2)
+    return [x] + [O.horocycle_flow(x, sign * 2**k) for k in range(11) for sign in (1, -1)]
+
+
 @pytest.mark.parametrize("origami", [L, STAIRCASE], ids=["L", "staircase"])
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 2), Fraction(3)])
 def test_probe_origami_proportional_sup_is_exact(origami, c):
     """HB(fv, l1) lies in HB(c*fv, l2) once l2 >= c^2 l1, certified with the
     exact bound c^2 l1 even below the sub-foliation constant k^2 c^2 l1; no
-    sampled point has a certified Ext(c*fv) above that bound."""
+    stretched or sheared point has a certified Ext(c*fv) above that bound."""
     be = H.OrigamiBackend(origami)
     fv = O.canonical_vertical_foliation(origami)
     cf = scaled(fv, c)
@@ -355,7 +401,7 @@ def test_probe_origami_proportional_sup_is_exact(origami, c):
         res = H.inclusion_probe(H.HoroBall(fv, l1), H.HoroBall(cf, l2), be)
         assert res.tag == H.INCLUDED_CERTIFIED
         assert isinstance(res.bound, Fraction) and res.bound == bound
-    for p in be.horosphere_sampler(fv, l1):
+    for p in stretched_and_sheared(be, H.HoroBall(fv, l1), H.HoroBall(cf, bound)):
         assert be.ext(p, cf).lo <= bound
 
 
@@ -392,11 +438,12 @@ def origami_foliations(o):
 def test_origami_exclusion_witness_is_a_certificate():
     """An origami ExcludedWitness of HB(f1, l1) against HB(f2, l2) has Ext_f1's
     upper end at most l1 and Ext_f2's lower end above l2, and none is returned
-    where f2 = sum a_i (components of f1) with (max a_i)^2 l1 <= l2.  300
-    probes over three origamis, their foliations above and levels 2^k, |k| <= 6."""
+    where f2 = sum a_i (components of f1) with (max a_i)^2 l1 <= l2; some have a
+    horizontal f1.  300 probes over three origamis, their foliations above and
+    levels 2^k, |k| <= 6."""
     rng = random.Random(11)
     cases = [(H.OrigamiBackend(o), origami_foliations(o)) for o in ORIGAMIS]
-    excluded = 0
+    excluded, horizontal = 0, 0
     for _ in range(300):
         be, fols = rng.choice(cases)
         f1, f2 = rng.choice(fols), rng.choice(fols)
@@ -405,10 +452,47 @@ def test_origami_exclusion_witness_is_a_certificate():
         if res.tag != H.EXCLUDED_WITNESS:
             continue
         excluded += 1
+        horizontal += f1.direction == O.HORIZONTAL
         assert be.ext(res.witness, f1).hi <= l1 and be.ext(res.witness, f2).lo > l2
         coeffs = be.subfoliation_coeffs(f2, f1)
         assert coeffs is None or max(coeffs) ** 2 * l1 > l2
-    assert excluded > 100
+    assert excluded > 100 and horizontal > 0
+
+
+def test_every_transverse_origami_probe_has_a_witness():
+    """For every f1 and f2 of different directions among the foliations above,
+    on the three origamis, at four level pairs 2^k, |k| <= 120, each: HB(f1, l1)
+    is excluded from HB(f2, l2) by the sampler's one point, with Ext_f1's upper
+    end at most l1 and Ext_f2's lower end above l2."""
+    rng = random.Random(13)
+    for o in ORIGAMIS:
+        be, fols = H.OrigamiBackend(o), origami_foliations(o)
+        for f1 in fols:
+            for f2 in (f for f in fols if f.direction != f1.direction):
+                for _ in range(4):
+                    l1, l2 = (Fraction(2) ** rng.randint(-120, 120) for _ in "12")
+                    h1, h2 = H.HoroBall(f1, l1), H.HoroBall(f2, l2)
+                    res = H.inclusion_probe(h1, h2, be)
+                    assert res.tag == H.EXCLUDED_WITNESS, (o, f1, l1, f2, l2)
+                    assert be.horosphere_sampler(h1, h2) == [res.witness]
+                    assert be.ext(res.witness, f1).hi <= l1 and be.ext(res.witness, f2).lo > l2
+
+
+def test_origami_stretch_margin_is_relative():
+    """On ([2,3,1,5,4], [4,2,5,1,3]) with f1 the vertical core of square 2 and f2
+    the horizontal core of squares 4 and 5 (numbered from 1), at l1 = 2^-71 and
+    l2 = 2^76: the stretch s^2 = 5 2^74 (1 + eps) is aimed at Ext_f2 = 4 s^2 / 5,
+    and eps > 2^-42 keeps its lower end above l2 (with s at a fixed 2^-20 step,
+    eps is near 2^-116 and the lower end rounds down onto 2^76)."""
+    o = ORIGAMIS[2]
+    be = H.OrigamiBackend(o)
+    f1 = O.MulticurveFoliation(((Fraction(1), O.cylinders(o, O.VERTICAL)[0]),))
+    f2 = O.MulticurveFoliation(((Fraction(1), O.cylinders(o, O.HORIZONTAL)[1]),))
+    assert f1.components[0][1].squares == (1,) and f2.components[0][1].squares == (3, 4)
+    l1, l2 = Fraction(1, 2**71), Fraction(2**76)
+    res = H.inclusion_probe(H.HoroBall(f1, l1), H.HoroBall(f2, l2), be)
+    assert res.tag == H.EXCLUDED_WITNESS
+    assert be.ext(res.witness, f1).hi <= l1 and res.witness_ext.lo > l2
 
 
 def test_torus_and_origami_sups_agree_on_proportional_pairs():
@@ -431,7 +515,8 @@ def test_torus_and_origami_sups_agree_on_proportional_pairs():
 def test_sup_on_horoball_is_the_largest_coefficient_squared(origami, direction, w1, w2):
     """For f2 = sum a_i (components of f1) the sup of Ext_f2 over HB(f1, l1)
     is bounded by (max a_i)^2 l1, which is c^2 l1 when every a_i = c; no
-    proposal certified in HB(f1, l1) has Ext_f2's lower end above it."""
+    stretched or sheared point certified in HB(f1, l1) has Ext_f2's lower end
+    above it."""
     be, cyls = H.OrigamiBackend(origami), O.cylinders(origami, direction)
     f1, f2 = (O.MulticurveFoliation(tuple((Fraction(w), c) for w, c in zip(ws, cyls) if w))
               for ws in (w1, w2))
@@ -439,7 +524,8 @@ def test_sup_on_horoball_is_the_largest_coefficient_squared(origami, direction, 
     for l1 in (Fraction(1), Fraction(7, 3), Fraction(1, 64)):
         sup = H.sup_on_horoball(f1, l1, f2, be)
         assert sup == top**2 * l1
-        certified = [p for p in be.horosphere_sampler(f1, l1) if be.ext(p, f1).hi <= l1]
+        certified = [p for p in stretched_and_sheared(be, H.HoroBall(f1, l1), H.HoroBall(f2, sup))
+                     if be.ext(p, f1).hi <= l1]
         assert certified and all(be.ext(p, f2).lo <= sup for p in certified)
         for c in (Fraction(1), Fraction(2, 3), Fraction(5)):
             assert H.sup_on_horoball(f1, l1, scaled(f1, c), be) == c * c * l1

@@ -556,12 +556,13 @@ def test_found_horocycle_underflow_calls():
     """The two calls that ended in ZeroDivisionError: the equidistance check
     returns a report that is not ok unless it is right, and the sampler's
     points lie in HB(f, 10^300), by their exact Ext."""
-    from horoteich.horolab import TorusBackend
+    from horoteich.horolab import HoroBall, TorusBackend
 
     f = T.WeightedTorusFoliation(1, curve(2, 1))
     rep = T.equidistance_check(f, 10**300, 10**301, 3)
     assert not rep.ok or rep.max_error <= 1e-6
-    points = list(TorusBackend().horosphere_sampler(f, 10**300))
+    h2 = HoroBall(T.WeightedTorusFoliation(1, curve(1, 0)), 1)
+    points = list(TorusBackend().horosphere_sampler(HoroBall(f, 10**300), h2))
     assert points and all(exact_ext(pt, f) <= 10**300 for pt in points)
 
 
