@@ -8,7 +8,7 @@ Modules:
   origami    square-tiled surfaces, cylinders, traces, flows, re-marking
   horolab    model-agnostic horoball relations over a geometry backend
   curvegraph finite curve graphs from exact intersection data
-  cli        batch command-line frontend
+  cli        batch command-line frontend; its handlers in cli_torus, cli_origami
 """
 
 import importlib

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from horoteich import cli, origami as O, torus as T
+from horoteich import cli, cli_torus, origami as O, torus as T
 from horoteich.kernel import UpperHalfPoint
 
 L_ARGS = ["--h", "[2,1,3]", "--v", "[3,2,1]"]
@@ -57,8 +57,8 @@ def test_torus_dist(capsys):
         truth = 0.5 * math.acosh(1.0 + (1.0 - y) ** 2 / (2.0 * y))
         assert status == 0 and rec["results"]["certified"] is True
         assert truth - 1e-9 - 1e-12 <= rec["results"]["distance"]["value"] <= truth + 1e-12
-    assert cli.parse_tau("0.3+1e-8i") == UpperHalfPoint(0.3, 1e-8)
-    assert cli.parse_tau("-2.5E+1+3e0i") == UpperHalfPoint(-25.0, 3.0)
+    assert cli_torus.parse_tau("0.3+1e-8i") == UpperHalfPoint(0.3, 1e-8)
+    assert cli_torus.parse_tau("-2.5E+1+3e0i") == UpperHalfPoint(-25.0, 3.0)
 
 
 @pytest.mark.parametrize(
@@ -312,6 +312,26 @@ def test_curve_graph(capsys):
     assert len(rec["results"]["edges"]) == 3
 
 
+@pytest.mark.parametrize(
+    "perms, slopes, repeat, first",
+    [
+        (L_ARGS, "0", "s0", "h0"),
+        (L_ARGS, "vert", "svert", "v0"),
+        (L_ARGS, "1;2/2", "s2/2", "s1"),
+        (L_ARGS, "1/2;-1;Vertical", "sVertical", "v0"),
+        (["--h", "[1,2,4,3]", "--v", "[3,1,2,4]"], "0", "s0", "h0"),  # square 1 in row 2 of h0
+    ],
+)
+def test_curve_graph_refuses_a_repeated_curve(perms, slopes, repeat, first, capsys):
+    """A --slopes entry that is a curve already listed, the core of the cylinder
+    through square 1 for slope 0 or vert, or an earlier equal slope, exits 1
+    with one line naming both ids, not as a second vertex joined to the first."""
+    assert cli.run(["curve-graph", *perms, "--slopes", slopes]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --slopes entry {repeat} is the curve {first}\n"
+
+
 def test_relation_torus_and_origami(capsys):
     rec, status = run_json(
         capsys,
@@ -508,7 +528,7 @@ def test_far_start_calls(argv, capsys):
     results = rec["results"]
     assert status in (0, 2) and ("reason" in results) == (status == 2)
     if argv[0] == "busemann":
-        x0, x = cli.parse_tau(argv[2]), cli.parse_tau(argv[6])
+        x0, x = cli_torus.parse_tau(argv[2]), cli_torus.parse_tau(argv[6])
         p, q = map(int, argv[4].split(","))
         with mpmath.workdps(60):
             def ext(z):
@@ -679,6 +699,9 @@ def test_origami_tags_hold(hv, slope, s_texts, data):
             assert abs(Fraction(field["value"]) - exact) <= Fraction(field["tolerance"]), field
 
     other = data.draw(tag_slope | st.just("vert"))
+    # curve-graph refuses a horizontal or vertical slope (a core) and a repeated one
+    graph_slopes = data.draw(st.lists(tag_slope.filter(lambda t: t[0] != "0"), min_size=2,
+                                      max_size=2, unique_by=Fraction))
     param = data.draw(st.fractions(1, 50, max_denominator=9).map(str))
     records = [r]
     for argv in (["origami-info"],
@@ -687,7 +710,7 @@ def test_origami_tags_hold(hv, slope, s_texts, data):
                  ["origami-intersect", f"--slope1={slope}", f"--square1={square}",
                   f"--slope2={other}"],
                  ["walsh-e", f"--slope={slope}", f"--square={square}"],
-                 ["curve-graph", f"--slopes={slope};{other}"]):
+                 ["curve-graph", f"--slopes={';'.join(graph_slopes)}"]):
         record, status = run_record([argv[0], *perms, *argv[1:]])
         assert status == 0, argv
         records.append(record)
@@ -930,8 +953,8 @@ print(json.dumps([first, cli_loads, missing]))
     assert missing == []
 
 
-TORUS_ONLY = ["origami", "horolab", "curvegraph"]
-ORIGAMI_ONLY = ["torus", "horolab"]
+TORUS_ONLY = ["origami", "horolab", "curvegraph", "cli_origami"]
+ORIGAMI_ONLY = ["torus", "horolab", "cli_torus"]
 
 
 @pytest.mark.parametrize(
@@ -946,9 +969,12 @@ ORIGAMI_ONLY = ["torus", "horolab"]
         (["ratio-curve", "--alpha", "1,0", "--beta", "0,1", "--target", "3/2"], 0, TORUS_ONLY),
         (["torus-plot", "--curve", "1,1", "--levels", "1,2,4", "--out", "{tmp}/p.svg"], 0,
          TORUS_ONLY),
-        (["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+3i"], 0, ["origami"]),
+        (["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+3i"], 0,
+         ["origami", "cli_origami"]),
         (["relation", "--model", "torus", "--curve1", "1,0", "--level1", "1/2",
-          "--curve2", "0,1", "--level2", "1"], 0, ["origami"]),
+          "--curve2", "0,1", "--level2", "1"], 0, ["origami", "cli_origami"]),
+        (["relation", "--model", "origami", *L_ARGS, "--f1", "vertical", "--level1", "1",
+          "--f2", "horizontal", "--level2", "1"], 0, ["torus", "cli_torus"]),
         (["origami-info", *L_ARGS], 0, ORIGAMI_ONLY),
         (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "2"], 0, ORIGAMI_ONLY),
         (["origami-intersect", *L_ARGS, "--slope1", "1", "--slope2", "vert"], 0, ORIGAMI_ONLY),
@@ -959,9 +985,9 @@ ORIGAMI_ONLY = ["torus", "horolab"]
         (["curve-graph", *L_ARGS], 0, ORIGAMI_ONLY),
     ],
     ids=["torus-ext", "torus-dist", "torus-dist-budget", "tangency", "triple", "ratio-curve",
-         "torus-plot", "busemann", "relation-torus", "origami-info", "origami-flow",
-         "origami-intersect", "intersect-trace-budget", "growth-check", "walsh-e",
-         "curve-graph"],
+         "torus-plot", "busemann", "relation-torus", "relation-origami", "origami-info",
+         "origami-flow", "origami-intersect", "intersect-trace-budget", "growth-check",
+         "walsh-e", "curve-graph"],
 )
 def test_fresh_command_loads_only_its_model(argv, status, unloaded, tmp_path):
     """A cold call imports no model module its subcommand does not use, and
@@ -976,6 +1002,21 @@ print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("horotei
 """, json.dumps(argv))
     assert got == status
     assert not {f"horoteich.{m}" for m in unloaded} & set(loaded)
+
+
+def test_python_m_compiles_cli_once():
+    """Under python -m, cli.py runs as __main__ and registers itself as
+    horoteich.cli, so the handler module's "from .cli import" does not import
+    (and compile) cli.py a second time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "horoteich.cli", "torus-ext",
+                           "--tau", "0+2i", "--curve", "1,0"], env=env, check=True,
+                          capture_output=True, text=True)
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "horoteich.cli_torus" in imported
+    assert "horoteich.cli" not in imported
+    assert json.loads(proc.stdout)["results"]["ext"]["value"] == 0.5
 
 
 def test_numeric_fields_tagged(capsys):
