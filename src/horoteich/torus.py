@@ -179,7 +179,13 @@ def half_acosh(n: int, m: int, kn: int, kd: int) -> Bracket:
 # Both suprema are Rayleigh quotients of two binary quadratic forms in (p, q):
 # their sup over real slopes t = p/q has a closed form, attained at one slope
 # t*.  The closed form, inflated, is the upper bound; the lower bound is the
-# value at the first primitive class near t* that certifies.
+# value at the first primitive class near t* that certifies.  Below the sup
+# the deficit is rank one: c (p - t q)^2 / |p + q tau|^2, t the exact peak,
+# and |p + q tau| <= |q| M + e for e = |p - t* q| and M >= |t* + tau|.  So a
+# class with k e^2 > (|q| M + e)^2, k = c / (2 delta) for delta the largest
+# deficit the stop test accepts, cannot certify and is walked past; the 2
+# absorbs rounding and the gap between t* and t.  Floats only choose what to
+# skip: a certificate comes only from an evaluated class.
 #
 # Rounding: with u = 2^-53, an operation on doubles whose result is normal
 # has relative error at most u.  ext_sup's closed form and each per-class
@@ -222,7 +228,8 @@ def _ext(p: int, q: int, num: int, den: int, y: float):
     return ext
 
 
-def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6):
+def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6,
+                  aim=(0.0, 0.0)):
     """Certified supremum over primitive classes, from below: the witness is
     the first class, of 0/1, 1/0 (the recurrence's start values) and then the
     convergents of ``t_star`` but a repeated 0/1, whose lower bound ``ratio(p,
@@ -231,17 +238,30 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6):
     Returns (lower, witness, nodes, reason), reason None where certified, else
     "range" if anything left the normal range and "precision" if not.  Each
     class walked is primitive (p0 q - p q0 = +-1 between consecutive ones), so
-    the witness is made by _primitive."""
+    the witness is made by _primitive.  ``aim`` = (k, M) skips, as above, the
+    classes that cannot certify where t_star, upper, k > 1 and M are finite; e
+    is the Euclidean remainder over t_star's denominator, 0 at t_star itself.
+    ``nodes`` and ``cap`` count skipped classes too, and a walk that ends
+    uncertified or at ``cap`` is walked again unaimed, to report its best."""
     best, witness, nodes, out_of_range = 0.0, (1, 0), 0, math.isinf(upper)
     n, d = t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0)
+    k, m = aim if aim[0] > 1.0 and math.isfinite(t_star + upper + sum(aim)) else (1.0, 0.0)
+    s, d0 = math.sqrt(k) - 1.0, d or 1  # k e^2 > (q M + e)^2 as (sqrt(k) - 1) e > q M
     p0, q0, p, q, a = 1, 0, 0, 1, 0  # quotient 0 steps 0/1 to 1/0, then t_star's
     while True:
         if p or not nodes:  # past the start, 0/1 is a repeat
             if nodes == cap:
+                if s:
+                    break
                 raise EnumerationBudgetError(
                     f"slope enumeration cap {cap} exhausted; best lower bound {best}", best)
             nodes += 1
-            r = ratio(p, q)
+            e = abs(n) / d0 if a is not None else 0.0  # n is stale once the quotients end
+            try:
+                far = e * s > q * m
+            except OverflowError:  # q beyond the doubles
+                far = False
+            r = None if far else ratio(p, q)  # an aimed walk's reason is never reported
             if r is None:
                 out_of_range = True
             elif r > best:
@@ -252,6 +272,8 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6):
             break
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
         n, (a, d) = (d, divmod(n, d)) if d else (n, (None, d))  # None: t_star's quotients end
+    if s:  # uncertified or at cap: a skipped class may hold the unaimed walk's best
+        return certified_sup(ratio, t_star, upper, stop, cap)
     return best, _primitive(*witness), nodes, "range" if out_of_range else "precision"
 
 
@@ -335,9 +357,13 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
         r = e1 / e2
         return r * _SHRINK if _TINY <= r <= _HUGE else None
 
+    # deficit 1 - R / e^{2d}: c = 1 - y2 / (e^{2d} y1), delta = 1 - 1 / factor, each 16 u safer
+    t_star = _kerckhoff_slope(t1.x - t2.x, y1, y2) - t2.x
+    lam = math.exp(min(2.0 * (closed - closed_form_radius(closed)), 709.0))  # <= e^{2d}
+    aim = ((1.0 - y2 / (lam * y1) - _SLACK) / (2.0 * (1.0 - 1.0 / factor + _SLACK)),
+           math.hypot(t_star + n2 / d2, y2))
     lower, witness, nodes, reason = certified_sup(
-        ratio, _kerckhoff_slope(t1.x - t2.x, y1, y2) - t2.x, upper,
-        lambda lower, upper: upper / lower <= factor, cap)
+        ratio, t_star, upper, lambda lower, upper: upper / lower <= factor, cap, aim)
     value = 0.5 * math.log(lower) if lower > 1.0 else 0.0
     return KerckhoffResult(value, closed, witness, nodes, reason is None, reason)
 
@@ -372,8 +398,11 @@ def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: flo
             return None
         return r * _SHRINK if _TINY <= r <= _HUGE else None
 
+    x = n / d
+    s = fp + fq * x  # deficit w^2 Ext_f - w^2 i^2 / Ext: c = w^2 s^2 / y, delta = tol
+    aim = (w2 * s * s / (2.0 * y * tol), math.hypot(t_star + x, y))
     lower, witness, nodes, reason = certified_sup(
-        ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap)
+        ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap, aim)
     return SupResult(lower, upper, witness, nodes, reason is None, reason)
 
 

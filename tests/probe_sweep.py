@@ -1,5 +1,6 @@
 """Seeded inclusion-probe sweeps over both backends, with each witness checked
-exactly.  pytest does not collect this file; run it from the repository root:
+exactly, and seeded Kerckhoff-distance sweeps checked against mpmath.  pytest
+does not collect this file; run it from the repository root:
 
     PYTHONPATH=src python tests/probe_sweep.py [--dump FILE]
 
@@ -17,14 +18,25 @@ f1's curve (choice; weight 1), then random() < 0.2 puts f2 on f1's curve, else
 f2's curve is a choice; f2's weight (randint(1, 3)); then k1 and k2
 (randint(-60, 60)), and the levels are 2^k1, 2^k2.
 
+Kerckhoff sweeps, 3,000 pairs each, one random.Random(seed) drawing per
+pair Re tau1, Im tau1, Re tau2, Im tau2 (and the tol, where it is drawn):
+  - far, Random(3): Re = choice((-1.0, 1.0)) * 10^uniform(-3, 300), Im =
+    10^uniform(-161.8, 300), tol 1e-9, where most pairs leave the doubles;
+  - near-cusp, Random(4): Re = uniform(-3, 3), Im = 10^uniform(-8, 8), tol =
+    10^uniform(-12, -2).
+
 Prints each sweep's tag counts, a pair counted as transverse when its origami
 foliations have different directions (most, not all, of those cross) or its
-torus foliations have i(f1, f2) > 0.  Exits 1 if an ExcludedWitness fails its
-exact check (torus: torus.extremal_length at the witness's Fraction
-coordinates; origami: Ext_f1's cylinder upper end and Ext_f2's flat lower end,
-in Fractions from the witness's gram integers), or if a transverse origami
-probe is Inconclusive.  --dump FILE writes one line per probe (tag, witness,
-witness bracket, bound), to compare two source trees.
+torus foliations have i(f1, f2) > 0, and each Kerckhoff sweep's certified,
+range and precision counts with the classes certified_sup walked and those
+whose ratio it evaluated.  Exits 1 if an ExcludedWitness fails its exact check
+(torus: torus.extremal_length at the witness's Fraction coordinates; origami:
+Ext_f1's cylinder upper end and Ext_f2's flat lower end, in Fractions from the
+witness's gram integers), if a transverse origami probe is Inconclusive, or if
+a certified Kerckhoff value lies outside [d - tol, d] for the distance d at
+the double inputs (mpmath, 60 digits), up to 1e-12 (1 + d).  --dump FILE
+writes one line per probe (tag, witness, witness bracket, bound) and per
+Kerckhoff pair (reason, witness, nodes, value), to compare two source trees.
 """
 import math
 import random
@@ -33,12 +45,20 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
+
 from horoteich import horolab as H
 from horoteich import origami as O
 from horoteich import torus as T
 from horoteich.kernel import UpperHalfPoint
 
 ORIGAMI_SWEEPS = ((11, 6), (12, 60), (13, 120))
+KERCKHOFF_SWEEPS = {
+    "far": (3, lambda rng: (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 300),
+                            10.0 ** rng.uniform(-161.8, 300)), lambda rng: 1e-9),
+    "near-cusp": (4, lambda rng: (rng.uniform(-3, 3), 10.0 ** rng.uniform(-8, 8)),
+                  lambda rng: 10.0 ** rng.uniform(-12, -2)),
+}
 TORUS_CURVES = sorted((p, q) for p in range(-7, 8) for q in range(-7, 8)
                       if math.gcd(p, q) == 1)
 
@@ -106,6 +126,56 @@ def torus_sweep(dump):
     return bad
 
 
+def counting_walks(counts):
+    """torus.certified_sup, wrapped so that each ratio it evaluates adds 1 to
+    counts["evaluated"], once also where an unaimed re-walk calls it again
+    with the counting ratio."""
+    sup, counting = T.certified_sup, set()
+
+    def counted(ratio, *args):
+        if ratio in counting:
+            return sup(ratio, *args)
+
+        def r(p, q):
+            counts["evaluated"] += 1
+            return ratio(p, q)
+        counting.add(r)
+        return sup(r, *args)
+    return counted
+
+
+def kerckhoff_truth(a, b):
+    with mpmath.workdps(60):
+        dx, y1, y2 = mpmath.mpf(a.x) - mpmath.mpf(b.x), mpmath.mpf(a.y), mpmath.mpf(b.y)
+        return mpmath.acosh(1 + (dx * dx + (y1 - y2) ** 2) / (2 * y1 * y2)) / 2
+
+
+def kerckhoff_sweep(name, dump):
+    seed, point, tol_draw = KERCKHOFF_SWEEPS[name]
+    rng, counts, wrong = random.Random(seed), Counter(), 0
+    sup, T.certified_sup = T.certified_sup, counting_walks(counts)
+    try:
+        for _ in range(3000):
+            a, b = UpperHalfPoint(*point(rng)), UpperHalfPoint(*point(rng))
+            tol = tol_draw(rng)
+            r = T.kerckhoff_distance(a, b, tol)
+            counts[r.reason or "certified"] += 1
+            counts["walked"] += r.nodes
+            if r.certified:
+                d = kerckhoff_truth(a, b)
+                slack = 1e-12 * (1 + d)
+                wrong += not d - tol - slack <= r.value <= d + slack
+            dump.append(f"kerckhoff {name} {r.reason} {r.witness.p},{r.witness.q} {r.nodes} "
+                        f"{r.value.hex()}")
+    finally:
+        T.certified_sup = sup
+    print(f"kerckhoff {name} Random({seed}): {counts['certified']} certified, "
+          f"{counts['range']} range, {counts['precision']} precision; "
+          f"{counts['walked']} classes walked, {counts['evaluated']} evaluated; "
+          f"{wrong} certified values wrong")
+    return wrong
+
+
 def summary(tags):
     return ", ".join(f"{n} {tag} ({kind})" for (tag, kind), n in sorted(tags.items()))
 
@@ -119,6 +189,10 @@ def main(argv):
     t = time.perf_counter()
     failures += torus_sweep(dump)
     print(f"  {time.perf_counter() - t:.2f} s")
+    for name in KERCKHOFF_SWEEPS:
+        t = time.perf_counter()
+        failures += kerckhoff_sweep(name, dump)
+        print(f"  {time.perf_counter() - t:.2f} s")
     if argv[:1] == ["--dump"]:
         with open(argv[1], "w") as out:
             out.write("\n".join(dump) + "\n")

@@ -384,6 +384,156 @@ def test_kerckhoff_subnormal_square_band(both):
 
 
 # ---------------------------------------------------------------------------
+# The aimed walk: certified_sup skips classes that cannot certify
+
+
+def aimed_walk(monkeypatch, sup, *args):
+    """The certified_sup call inside sup(*args): (call, evaluated, rewalked),
+    with call its arguments (ratio, t_star, upper, stop, cap, aim), evaluated
+    the classes whose ratio its aimed walk takes, and rewalked whether it
+    walked again unaimed."""
+    real, calls, evaluated = T.certified_sup, [], []
+
+    def spy(ratio, *rest):
+        calls.append((ratio, *rest))
+
+        def recorded(p, q):
+            if len(calls) == 1:
+                evaluated.append((p, q))
+            return ratio(p, q)
+        return real(recorded, *rest)
+    with monkeypatch.context() as m:
+        m.setattr(T, "certified_sup", spy)
+        run_sup(lambda: sup(*args))
+    return calls[0], evaluated, len(calls) > 1
+
+
+def run_sup(call):
+    try:
+        return call()
+    except T.EnumerationBudgetError as exc:
+        return exc.lower_bound
+
+
+def check_aimed_walk(monkeypatch, sup, *args):
+    """The aimed walk of SUPS[sup](*args) checked apart from the walk: it
+    returns what the unaimed walk does, a certified result comes from its
+    first pass, and each class it walked past fails the stop test in
+    Fractions at the double inputs.  Returns the number of classes skipped."""
+    sup, cannot_certify = SUPS[sup][0], SUPS[sup][1](*args)
+    call, evaluated, rewalked = aimed_walk(monkeypatch, sup, *args)
+    ratio, t_star, upper, stop, cap, aim = call
+    aimed = run_sup(lambda: T.certified_sup(ratio, t_star, upper, stop, cap, aim))
+    unaimed = run_sup(lambda: T.certified_sup(ratio, t_star, upper, stop, cap))
+    assert aimed == unaimed, (args, aimed, unaimed)
+    certified = type(unaimed) is tuple and unaimed[3] is None
+    assert not (certified and rewalked), args
+    walked, evaluated = walk(t_star)[:cap if rewalked else unaimed[2]], set(evaluated)
+    skipped = [c for c in walked if c not in evaluated]
+    assert all(cannot_certify(p, q, Fraction(upper)) for p, q in skipped), (args, skipped)
+    return len(skipped)
+
+
+def exact_point(t):
+    return UpperHalfPoint(Fraction(t.x), Fraction(t.y))
+
+
+def kerckhoff_cannot_certify(a, b, tol):
+    """upper / R > factor for R = Ext_a / Ext_b exact: no lower bound at or
+    below R meets kerckhoff_distance's stop test."""
+    a, b, factor = exact_point(a), exact_point(b), Fraction(math.exp(2.0 * tol))
+    return lambda p, q, upper: upper / (T.extremal_length(a, fol(p, q))
+                                       / T.extremal_length(b, fol(p, q))) > factor
+
+
+def ext_sup_cannot_certify(tau, f, tol):
+    """upper - w^2 i^2 / Ext > tol, exactly: no lower bound at or below the
+    class's ratio meets ext_sup_enumeration's stop test."""
+    tau, w2 = exact_point(tau), Fraction(f.weight) ** 2
+    return lambda p, q, upper: upper - w2 * T.intersection(f.curve, curve(p, q)) ** 2 \
+        / T.extremal_length(tau, fol(p, q)) > Fraction(tol)
+
+
+SUPS = {"kerckhoff": (T.kerckhoff_distance, kerckhoff_cannot_certify),
+        "ext_sup": (T.ext_sup_enumeration, ext_sup_cannot_certify)}
+
+
+def bench_point(rng):
+    return UpperHalfPoint(rng.uniform(-2, 2), math.exp(rng.uniform(math.log(0.05), math.log(3))))
+
+
+def near_cusp_point(rng):
+    return UpperHalfPoint(rng.uniform(-3, 3), 10.0 ** rng.uniform(-8, 8))
+
+
+def far_point(rng):
+    return UpperHalfPoint(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 300),
+                          10.0 ** rng.uniform(-161.8, 300))
+
+
+# (point draw, tol draw) per domain: the benchmark's Kerckhoff box (with the
+# cusp list), near the cusp and far up it at tol 10^U(-12, -2), and far apart
+# at 1e-9, where most pairs leave the doubles (ext_sup's tols are relative)
+AIM_DOMAINS = {
+    "bench": (bench_point, lambda rng: 1e-9),
+    "near-cusp": (near_cusp_point, lambda rng: 10.0 ** rng.uniform(-12, -2)),
+    "far": (far_point, lambda rng: 1e-9),
+}
+
+
+@pytest.mark.parametrize("domain", AIM_DOMAINS)
+def test_aimed_kerckhoff_walk_skips_only_what_cannot_certify(monkeypatch, domain):
+    draw, tol_draw = AIM_DOMAINS[domain]
+    rng, skipped = random.Random(40), 0
+    pairs = [(draw(rng), draw(rng), tol_draw(rng)) for _ in range(300)]
+    if domain == "bench":
+        pairs += [(UpperHalfPoint(0.0, 1.0), UpperHalfPoint(x, y), 1e-9) for x, y in CUSP_POINTS]
+    for a, b, tol in pairs:
+        skipped += check_aimed_walk(monkeypatch, "kerckhoff", a, b, tol)
+    assert skipped >= 50
+
+
+@pytest.mark.parametrize("domain", AIM_DOMAINS)
+def test_aimed_ext_sup_walk_skips_only_what_cannot_certify(monkeypatch, domain):
+    draw, tol_draw = AIM_DOMAINS[domain]
+    rng, skipped = random.Random(41), 0
+    for _ in range(300):
+        tau, pq = draw(rng), rng.choice(FAR_CURVES[:-1] + [(4, 9), (7, -3)])
+        f = fol(*pq, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        tol = tol_draw(rng) * max(1.0, min(float(T.extremal_length(tau, f)), 1e290))
+        skipped += check_aimed_walk(monkeypatch, "ext_sup", tau, f, tol)
+    assert skipped >= 50
+
+
+@pytest.mark.parametrize("sup, args, skipped", [
+    # t*'s last convergent is t* itself, where the remainder is stale: e = 0
+    ("kerckhoff", (UpperHalfPoint(1e30, 1e100), UpperHalfPoint(1e50, 1e-50), 1e-9), 2),
+    # README's pair: t* < 0, so 0/1's remainder, t*'s numerator, is negative
+    # and e takes |n|; only the witness, -305/72, is evaluated
+    ("kerckhoff", (UpperHalfPoint(0.0, 1.0), UpperHalfPoint(1.0, 2.0), 1e-9), 6),
+    # t* subnormal: q leaves the doubles, and such a class is evaluated
+    ("kerckhoff", (UpperHalfPoint(0.0, 1.0), UpperHalfPoint(1e-310, 0.5), 1e-9), 2),
+    # uncertified ("precision"): walked again, to report the unaimed best
+    ("ext_sup", (UpperHalfPoint(3.0, 1e-8), fol(2, 1), 1e-12), 2),
+], ids=["stale-remainder", "negative-remainder", "q-beyond-doubles", "uncertified"])
+def test_aimed_walk_pitfalls(monkeypatch, sup, args, skipped):
+    assert check_aimed_walk(monkeypatch, sup, *args) == skipped
+
+
+def test_skipped_classes_count_toward_the_cap():
+    """README's torus-dist pair: each cap below 7 ends with the unaimed walk's
+    best lower bound, and cap 7 certifies at the seventh class walked."""
+    a, b = UpperHalfPoint(0.0, 1.0), UpperHalfPoint(1.0, 2.0)
+    for cap, best in enumerate([0.3999999999999993, 1.9999999999999964, 2.5999999999999956,
+                                2.615384615384611, 2.618025751072957, 2.618033963166702], 1):
+        with pytest.raises(T.EnumerationBudgetError) as info:
+            T.kerckhoff_distance(a, b, tol=1e-9, cap=cap)
+        assert info.value.lower_bound == best, cap
+    r = T.kerckhoff_distance(a, b, tol=1e-9, cap=7)
+    assert r.certified and (r.witness, r.nodes) == (curve(305, -72), 7)
+
+
+# ---------------------------------------------------------------------------
 # Geodesics, Minsky equality, tangency
 
 
