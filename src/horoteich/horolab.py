@@ -4,8 +4,8 @@ A backend supplies only geometry for one concrete model, in four methods:
 ``ext(point, f)``, a Bracket on the extremal length of f at point;
 ``intersect(f, g)``, the intersection pairing as a Fraction;
 ``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
-(components of g), else None; and ``horosphere_sampler(h1, h2)``, points
-proposed to show that HoroBall h1 does not lie in HoroBall h2.  The torus
+(components of g), else None; and ``horosphere_sampler(h1, h2)``, one point
+computed from both balls that may show HoroBall h1 does not lie in h2.  The torus
 backend also has ``ray_excess(x0, f, x)``, torus's step j -> (D(t) bracket,
 tail) at e^{2t} = 2^j, for the Busemann machinery.  Proportionality, the sup of
 Ext over a horoball, the relations between horoballs, the exclusion witness
@@ -74,10 +74,9 @@ class _Model:
 
 
 class TorusBackend:
-    """Exact upper half-plane model; points are UpperHalfPoint."""
+    """Exact upper half-plane model; points are UpperHalfPoint (the sampler's in Fractions)."""
 
     model = _Model("torus")
-    sigmas = (0.0, *(sign * 2.0**k for k in range(21) for sign in (1.0, -1.0)))
     shrink = 1 - Fraction(1, 2**40)
 
     def ext(self, point, f) -> Bracket:
@@ -98,14 +97,10 @@ class TorusBackend:
         return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
     def horosphere_sampler(self, h1, h2):
-        """The chart points of HS(f1, level1 shrink) at the sigmas that are doubles, lazily;
-        h2 is not read.  inclusion_probe checks each: rounding may move one out of HB(h1)."""
-        at = self.model.horocycle(h1.foliation, h1.level * self.shrink)
-        for sigma in self.sigmas:
-            try:
-                yield at(sigma)
-            except ValueError:
-                continue
+        """One proposal, exact: torus.horocycle_witness's point of HS(f1, level1 shrink) with
+        Ext_f2 >= level2 (1 + 2^-40) for a transverse f2; both margins outlast ext's rounding."""
+        return [self.model.horocycle_witness(h1.foliation, h1.level * self.shrink,
+                                             h2.foliation, h2.level)]
 
     def ray_excess(self, x0, f, x):
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for

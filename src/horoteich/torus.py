@@ -283,10 +283,10 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6,
 
 def teich_distance(t1: UpperHalfPoint, t2: UpperHalfPoint) -> float:
     """Closed-form Teichmueller distance: half the hyperbolic distance.
-    ValueError(_POINT_OUT_OF_RANGE) where float() refuses a coordinate."""
+    ValueError(_POINT_OUT_OF_RANGE) where float() refuses or zeroes a coordinate."""
     try:
         return 0.5 * hyperbolic_distance(t1, t2)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise ValueError(_POINT_OUT_OF_RANGE) from None
 
 
@@ -326,13 +326,14 @@ def _slope_ratio(t: float, s: float, y1: float, y2: float) -> float:
 
 
 def _doubles(t: UpperHalfPoint):
-    """(n, d, y) with Re t = n / d and y = Im t, for the certified sups, whose
-    floats need both coordinates as doubles: ValueError where float() refuses one."""
+    """(n, d, y), Re t = n / d and y = Im t, for the certified sups and closed forms, which
+    need both as doubles: ValueError where float() refuses one or rounds Im to 0 or inf."""
     try:
-        float(t.x)  # the closed forms take Re as a double too
-        return (*t.x.as_integer_ratio(), float(t.y))
+        if float(t.x) < INFINITY and 0.0 < float(t.y) < INFINITY:
+            return (*t.x.as_integer_ratio(), float(t.y))
     except OverflowError:
-        raise ValueError(_POINT_OUT_OF_RANGE) from None
+        pass
+    raise ValueError(_POINT_OUT_OF_RANGE)
 
 
 def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
@@ -381,9 +382,6 @@ def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: flo
     upper = INFINITY if top is None else w2 * top * (1.0 + _SLACK)
     if not (_TINY <= w2 and _TINY <= upper <= _HUGE):
         upper = INFINITY
-    # t* = -(p_f x + q_f |tau|^2) / (p_f + q_f x), written around -x
-    den = fp + fq * tau.x
-    t_star = -tau.x - fq * y * y / den if den else INFINITY
 
     def ratio(p, q):  # i^2 w2 / Ext scaled down to a lower bound, or None
         i = fp * q - fq * p
@@ -398,9 +396,13 @@ def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: flo
             return None
         return r * _SHRINK if _TINY <= r <= _HUGE else None
 
-    x = n / d
-    s = fp + fq * x  # deficit w^2 Ext_f - w^2 i^2 / Ext: c = w^2 s^2 / y, delta = tol
-    aim = (w2 * s * s / (2.0 * y * tol), math.hypot(t_star + x, y))
+    try:  # t* = -(p_f x + q_f |tau|^2) / (p_f + q_f x), written around -x
+        den, x = fp + fq * tau.x, n / d
+        t_star = -tau.x - fq * y * y / den if den else INFINITY
+        s = fp + fq * x  # deficit w^2 Ext_f - w^2 i^2 / Ext: c = w^2 s^2 / y, delta = tol
+        aim = (w2 * s * s / (2.0 * y * tol), math.hypot(t_star + x, y))
+    except (OverflowError, ZeroDivisionError):  # p_f + q_f x leaves the doubles: upper is inf
+        t_star, aim = INFINITY, (0.0, 0.0)
     lower, witness, nodes, reason = certified_sup(
         ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap, aim)
     return SupResult(lower, upper, witness, nodes, reason is None, reason)
@@ -501,6 +503,26 @@ def horocycle_samples_ext(f: WeightedTorusFoliation, s, g: WeightedTorusFoliatio
     return float(g.weight) ** 2 * ((d * sigmas - n) ** 2 + (d * h) ** 2) / h
 
 
+def horocycle_witness(f: WeightedTorusFoliation, level, g: WeightedTorusFoliation, bound):
+    """The point of HS(f, level), exact in Fractions, with Ext(g) >= bound (1 + 2^-40)
+    unless g is f's class.  In f's chart it is sigma + i h, h = w_f^2 / level, where
+    Ext(g) = w_g^2 ((d sigma - n)^2 + (d h)^2) / h (see horocycle_samples_ext):
+    sigma = (n + s) / d for s = isqrt(floor(R)) + 1, so s^2 > R = bound (1 + 2^-40) h /
+    w_g^2 - (d h)^2, all in integers; sigma = 0 where d = 0, as Ext(g) is constant then."""
+    m, c = f.curve.chart, g.curve
+    n, d = m.b * c.q - m.a * c.p, f.curve.p * c.q - f.curve.q * c.p
+    (wn, wd), (ln, ld) = f.weight.as_integer_ratio(), level.as_integer_ratio()
+    hn, hd = wn * wn * ld, wd * wd * ln  # h = hn / hd
+    x, y, den = 0, hn, hd
+    if d:
+        (gn, gd), (bn, bd) = g.weight.as_integer_ratio(), bound.as_integer_ratio()
+        gb = bd * gn * gn
+        r = hn * (bn * gd * gd * hd * (2**40 + 1) - (gb * d * d * hn << 40)) // (gb * hd * hd << 40)
+        x, y, den = (n + math.isqrt(max(r, 0)) + 1) * hd, hn * d, d * hd
+    re, im, den = _act(Mat2(m.d, -m.b, -m.c, m.a), x, y, den)
+    return UpperHalfPoint(Fraction(re, den), Fraction(im, den))
+
+
 def tangency_check(h1: HoroSpec, h2: HoroSpec) -> bool:
     """True iff level1 * level2 = i(f1, f2)^2, exactly on rational levels."""
     if h1.curve == h2.curve:
@@ -570,17 +592,10 @@ class EquidistanceReport(Record):
     _fields = ("expected", "distances", "brackets", "max_error", "unique_feet", "ok")
 
 
-def _distance_to_horocycle(f: WeightedTorusFoliation, level):
-    """x -> Bracket on the Teichmueller distance from x to HS(f, level), in
-    f's chart M the line Im = w^2 / level: the foot of x is Re Mx + i w^2 /
-    level, unique as the geodesics orthogonal to the line are vertical, and
-    the distance (1/2)|log(Im Mx * level / w^2)|, of an exact rational."""
-    m, norm = f.curve.chart, _normalize_level(f.weight, level)
-    return lambda x: _half_log_distance(_act(m, *_ints(x)), norm)
-
-
 def _half_log_distance(chart_point, norm: Fraction) -> Bracket:
-    """The bracket of _distance_to_horocycle from the chart point's _act integers."""
+    """Bracket on x's distance to HS(f, level) from Mx's _act integers (M is f's chart) and norm
+    = level / w^2.  In the chart HS(f, level) is the line Im = w^2 / level; its perpendicular
+    geodesics are vertical, so x's foot is unique and the distance (1/2)|log(Im Mx level / w^2)|."""
     _, im, den = chart_point
     v, r = half_log(im * norm.numerator, den * norm.denominator)
     return Bracket(max(abs(v) - r, 0.0), abs(v) + r)
@@ -594,7 +609,7 @@ def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float
     widened by the hi end of its measured distance to HS(f, s) (triangle
     inequality), so it holds (1/2) log(t/s) too.  ok: every bracket holds
     (1/2) log(t/s) and is at most tol wide.  The feet are unique (see
-    _distance_to_horocycle).  ValueError(OUT_OF_RANGE) for a point of HS(f, s)
+    _half_log_distance).  ValueError(OUT_OF_RANGE) for a point of HS(f, s)
     that is not a double."""
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")

@@ -30,12 +30,13 @@ foliations have different directions (most, not all, of those cross) or its
 torus foliations have i(f1, f2) > 0, and each Kerckhoff sweep's certified,
 range and precision counts with the classes certified_sup walked and those
 whose ratio it evaluated.  Exits 1 if an ExcludedWitness fails its exact check
-(torus: torus.extremal_length at the witness's Fraction coordinates; origami:
-Ext_f1's cylinder upper end and Ext_f2's flat lower end, in Fractions from the
-witness's gram integers), if a transverse origami probe is Inconclusive, or if
-a certified Kerckhoff value lies outside [d - tol, d] for the distance d at
-the double inputs (mpmath, 60 digits), up to 1e-12 (1 + d).  --dump FILE
-writes one line per probe (tag, witness, witness bracket, bound) and per
+(torus: torus.extremal_length at the witness's exact Fraction coordinates;
+origami: Ext_f1's cylinder upper end and Ext_f2's flat lower end, in Fractions
+from the witness's gram integers), if a transverse probe of either backend is
+Inconclusive, or if a certified Kerckhoff value lies outside [d - tol, d] for
+the distance d at the double inputs (mpmath, 60 digits), up to 1e-12 (1 + d).
+--dump FILE writes one line per probe (tag, witness, witness bracket, bound;
+a torus witness as its two coordinates, each the str of a Fraction) and per
 Kerckhoff pair (reason, witness, nodes, value), to compare two source trees.
 """
 import math
@@ -117,13 +118,14 @@ def torus_sweep(dump):
         tags[res.tag, "transverse" if be.intersect(f1, f2) else "parallel"] += 1
         p, w = res.witness, None
         if p is not None:
-            w = f"{p.x.hex()} {p.y.hex()}"
+            w = f"{p.x} {p.y}"
             x = UpperHalfPoint(Fraction(p.x), Fraction(p.y))
             bad += not (T.extremal_length(x, f1) <= l1 and T.extremal_length(x, f2) > l2)
         dump.append(f"torus {res.tag} {w} {res.witness_ext} {res.bound}")
+    left = tags[H.INCONCLUSIVE, "transverse"]
     print(f"torus Random(7), levels 2^+-60: {summary(tags)}; "
-          f"{bad} witnesses fail the exact check")
-    return bad
+          f"{bad} witnesses fail the exact check, {left} transverse Inconclusive")
+    return bad + left
 
 
 def counting_walks(counts):

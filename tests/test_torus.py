@@ -243,6 +243,23 @@ def test_int_coordinate_beyond_the_doubles_is_a_value_error(sup, tau):
         sup(tau)
 
 
+def test_found_tiny_im_and_huge_curve_calls():
+    """The calls that raised ZeroDivisionError or OverflowError: an Im whose double
+    is 0 is a ValueError for the closed-form and the Kerckhoff distance, and the sup
+    is uncertified, with reason range, where p_f + q_f Re tau leaves the doubles
+    (a curve coordinate of 10^400, or a sum 10^-400 that rounds to 0)."""
+    tiny, one = UpperHalfPoint(0, Fraction(1, 10**400)), UpperHalfPoint(0, 1.0)
+    for call in (lambda: T.teich_distance(tiny, one),
+                 lambda: T.kerckhoff_distance(tiny, one, 1e-9)):
+        with pytest.raises(ValueError, match="^a point coordinate is beyond the double range$"):
+            call()
+    for tau, f in ((UpperHalfPoint(0.5, 1.0), fol(10**400, 1)),
+                   (UpperHalfPoint(Fraction(1, 10**400) - 1, 1.0), fol(1, 1))):
+        res = T.ext_sup_enumeration(tau, f, 1e-9)
+        assert (res.certified, res.reason, res.upper) == (False, "range", math.inf)
+        assert 0 < res.lower <= 1  # i^2 / Ext at the class (1, 0)
+
+
 def test_ext_sup_enumeration_matches_closed_form():
     tau = UpperHalfPoint(0.37, 1.21)
     f = fol(2, 3)
@@ -623,6 +640,12 @@ def test_out_of_double_range_levels_raise_value_error():
         T.tangent_point(fol(1, 0), tiny, fol(0, 1))
 
 
+def distance_to_horocycle(pt, f, level):
+    """_half_log_distance's bracket on pt's distance to HS(f, level), from pt's chart point."""
+    return T._half_log_distance(T._act(f.curve.chart, *T._ints(pt)),
+                                T._normalize_level(f.weight, level))
+
+
 def exact_ext(pt, f):
     return T.extremal_length(UpperHalfPoint(Fraction(pt.x), Fraction(pt.y)), f)
 
@@ -644,7 +667,7 @@ def offset(pt, f, level):
 )
 def test_horocycle_points_keep_their_bound(pq, w, log_level, sigma):
     """How far a point of horocycle(f, level) is off HS(f, level) is measured:
-    the bracket of _distance_to_horocycle holds its distance at 50 digits.
+    the bracket of _half_log_distance holds its distance at 50 digits.
     Where the horocycle is 2^20 ulps of p/q across (q = 0: always), the point
     keeps the bound the float chart once proved, 2^-40 + 2^-51 |sigma x|;
     otherwise the call raises ValueError(OUT_OF_RANGE).  Levels are
@@ -656,7 +679,7 @@ def test_horocycle_points_keep_their_bound(pq, w, log_level, sigma):
     except ValueError as e:
         assert str(e) == T.OUT_OF_RANGE
         return
-    b = T._distance_to_horocycle(f, level)(pt)
+    b = distance_to_horocycle(pt, f, level)
     assert b.lo <= offset(pt, f, level) <= b.hi
     if not q or level / float(w * w * q * q) >= 2.0**20 * math.ulp(p / q):
         assert b.hi <= 2.0**-40 + 2.0**-51 * abs(sigma * pt.x)
@@ -689,7 +712,7 @@ def test_far_level_horocycle_points_or_out_of_range(level):
     sigma = 1e300 on HS((2, 1), 1e-300), whose offset from -2 is below ulp(2),
     can be far off it, and its measured distance says so."""
     f = fol(2, 1)
-    at, off = T.horocycle(f, level), T._distance_to_horocycle(f, level)
+    at = T.horocycle(f, level)
     for sigma in (0.0, 1e-300, 1e-160, 0.5, 4.0, 64.0, 2.0**20, 1e150, 1e300):
         for s in (sigma, -sigma):
             try:
@@ -697,7 +720,7 @@ def test_far_level_horocycle_points_or_out_of_range(level):
             except ValueError as e:
                 assert str(e) == T.OUT_OF_RANGE
             else:
-                b = off(pt)
+                b = distance_to_horocycle(pt, f, level)
                 assert b.lo <= offset(pt, f, level) <= b.hi, (level, s)
                 assert sigma > 2.0**20 or on_horocycle(pt, f, level, Fraction(2.0**-50))
 
@@ -852,7 +875,7 @@ def horocycle_cases(seed, n):
 def test_distance_to_horocycle_closed_form():
     """Test-only oracle: the distance to HS(f, level) is (1/2)|log(Ext_x(f) / level)|."""
     for x, f, level in horocycle_cases(4, 200):
-        bracket = T._distance_to_horocycle(f, level)(x)
+        bracket = distance_to_horocycle(x, f, level)
         for dmin in (bracket.lo, bracket.hi):
             assert abs(dmin - 0.5 * abs(math.log(T.extremal_length(x, f) / float(level)))) <= 1e-9
 
