@@ -49,8 +49,7 @@ def parse_curve(text: str):
 def cmd_torus_ext(args):
     tau = parse_tau(args.tau)
     f = T.WeightedTorusFoliation(parse_rational(args.weight), parse_curve(args.curve))
-    # exact at the double inputs, then rounded once: within one ulp
-    val = float(T.extremal_length(UpperHalfPoint(Fraction(tau.x), Fraction(tau.y)), f))
+    val = T.extremal_length(tau, f)  # exact at the double inputs, then rounded once
     return _inputs(args, "tau", "curve", "weight"), {"ext": num_float(val, math.ulp(val))}
 
 

@@ -1,15 +1,16 @@
 """Model-agnostic horoball algebra over a geometry backend.
 
-A backend supplies only geometry for one concrete model, in four methods:
+A backend supplies only geometry for one concrete model, in five methods:
 ``ext(point, f)``, a Bracket on the extremal length of f at point;
 ``intersect(f, g)``, the intersection pairing as a Fraction;
 ``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
-(components of g), else None; and ``horosphere_sampler(h1, h2)``, one point
-computed from both balls that may show HoroBall h1 does not lie in h2.  The torus
-backend also has ``ray_excess(x0, f, x)``, torus's step j -> (D(t) bracket,
-tail) at e^{2t} = 2^j, for the Busemann machinery.  Proportionality, the sup of
-Ext over a horoball, the relations between horoballs, the exclusion witness
-rule and the Busemann machinery are implemented here once.
+(components of g), else None; ``fills(f, g)``, True where every curve meets f or
+g (None where not decided); and ``horosphere_sampler(h1, h2)``, one point
+computed from both balls that may show HoroBall h1 does not lie in h2.  The
+torus backend also has ``ray_excess(x0, f, x)``, torus's step j -> (D(t)
+bracket, tail) at e^{2t} = 2^j, for the Busemann machinery.  Proportionality,
+the sup of Ext over a horoball, the relations between horoballs, the exclusion
+witness rule and the Busemann machinery are implemented here once.
 
 Levels, pairings and sup bounds are exact rationals (a float level is the
 rational it denotes), so every relation is an exact comparison.  This module
@@ -96,6 +97,9 @@ class TorusBackend:
         # indecomposable model: sub-foliation means proportional
         return [Fraction(f.weight) / Fraction(g.weight)] if f.curve == g.curve else None
 
+    def fills(self, f, g):
+        return f.curve != g.curve  # every curve crosses one of two distinct classes
+
     def horosphere_sampler(self, h1, h2):
         """One proposal, exact: torus.horocycle_witness's point of HS(f1, level1 shrink) with
         Ext_f2 >= level2 (1 + 2^-40) for a transverse f2; both margins outlast ext's rounding."""
@@ -164,6 +168,12 @@ class OrigamiBackend:
             coeffs[c] = Fraction(w) / by_cyl[c]
         return [coeffs[c] for _, c in g.components]
 
+    def fills(self, f, g):
+        """True where f and g hold every cylinder of two directions (they fill), else None."""
+        o, cylinders = self.origami, self.model.cylinders
+        return f.direction != g.direction and all(
+            {c for _, c in h.components} == set(cylinders(o, h.direction)) for h in (f, g)) or None
+
     def horosphere_sampler(self, h1, h2):
         """One proposal: the base point flowed by diag(s, 1/s) for a vertical f1, diag(1/s, s)
         for a horizontal one, dividing f1's bracket ends and multiplying a transverse f2's lower
@@ -204,7 +214,8 @@ def classify(h1, h2, backend) -> HoroRelation:
     """Relation between two horoballs.
 
     With i = i(f1, f2) > 0 the product of levels against i^2, compared
-    exactly, decides tangent/disjoint/overlapping.  With i = 0, a Nested tag
+    exactly, decides disjoint/tangent/overlapping, the last two only for a pair
+    that fills (else Undecided).  With i = 0, a Nested tag
     means the second ball's family eventually sits inside the first's (the
     first foliation is a scaled sub-foliation of the second); ties between
     proportional foliations nest by normalized level.
@@ -215,7 +226,10 @@ def classify(h1, h2, backend) -> HoroRelation:
     if i > 0:
         prod, isq = l1 * l2, i * i
         tag = TANGENT if prod == isq else DISJOINT_BALLS if prod < isq else OVERLAPPING
-        return HoroRelation(tag, {"product": prod, "i_squared": isq})
+        detail = {"product": prod, "i_squared": isq}
+        if tag != DISJOINT_BALLS and not backend.fills(f1, f2):
+            tag, detail["reason"] = UNDECIDED, "the pair is not known to fill"
+        return HoroRelation(tag, detail)
 
     coeffs = backend.subfoliation_coeffs(f1, f2)
     if coeffs and len(set(coeffs)) == 1:

@@ -7,7 +7,7 @@ horospheres are horizontal lines and its rays and geodesics vertical ones,
 so tangency, horosphere points, rays and horosphere distances are exact up
 to one rounding; distance suprema are certified below a closed form by the
 convergents of its slope; horosphere distances and Busemann values are one
-half_log each, and ball memberships rest on half_acosh's D(t) (ray_excess).
+half_log each, and a ball membership is one exact threshold e^{4t} > T.
 """
 from __future__ import annotations
 
@@ -99,13 +99,16 @@ def foliation_intersection(f: WeightedTorusFoliation, g: WeightedTorusFoliation)
 
 
 def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
-    """weight^2 * |p + q*tau|^2 / Im(tau): a float, or the exact Fraction when
-    tau's coordinates and the weight are Fractions.  Summed as
-    re*(re/y) + q*(q*y), as in _ext, so no y^2 is formed to overflow."""
-    c = f.curve
-    w = f.weight if type(tau.y) is Fraction else float(f.weight)
-    re = c.p + c.q * tau.x
-    return w * w * (re * (re / tau.y) + c.q * (c.q * tau.y))
+    """weight^2 * |p + q*tau|^2 / Im(tau), ext_ratio's n / d: the exact Fraction
+    where Im tau is a Fraction, else n / d rounded once, and ValueError where
+    that is beyond the doubles (an underflow to 0.0 is the rounded value)."""
+    n, d = ext_ratio(tau, f)
+    if type(tau.y) is Fraction:
+        return Fraction(n, d)
+    try:
+        return n / d
+    except OverflowError:
+        raise ValueError("the extremal length is beyond the double range") from None
 
 
 def ext_ratio(pt: UpperHalfPoint, f: WeightedTorusFoliation):
@@ -326,11 +329,12 @@ def _slope_ratio(t: float, s: float, y1: float, y2: float) -> float:
 
 
 def _doubles(t: UpperHalfPoint):
-    """(n, d, y), Re t = n / d and y = Im t, for the certified sups and closed forms, which
-    need both as doubles: ValueError where float() refuses one or rounds Im to 0 or inf."""
+    """(n, d, x, y), Re t = n / d, x = float(Re t) and y = float(Im t), for the certified sups
+    and closed forms: ValueError where float() refuses one or rounds Im to 0 or inf."""
     try:
-        if float(t.x) < INFINITY and 0.0 < float(t.y) < INFINITY:
-            return (*t.x.as_integer_ratio(), float(t.y))
+        x, y = float(t.x), float(t.y)
+        if x < INFINITY and 0.0 < y < INFINITY:
+            return (*t.x.as_integer_ratio(), x, y)
     except OverflowError:
         pass
     raise ValueError(_POINT_OUT_OF_RANGE)
@@ -345,7 +349,7 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
     bound.  value is at least 0, as the distance is."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    (n1, d1, y1), (n2, d2, y2) = _doubles(t1), _doubles(t2)
+    (n1, d1, x1, y1), (n2, d2, x2, y2) = _doubles(t1), _doubles(t2)
     factor = math.exp(2.0 * tol)
     closed = teich_distance(t1, t2)
     top = 2.0 * (closed + closed_form_radius(closed))  # exp within an ulp (2 u), then 16 u more
@@ -359,10 +363,10 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
         return r * _SHRINK if _TINY <= r <= _HUGE else None
 
     # deficit 1 - R / e^{2d}: c = 1 - y2 / (e^{2d} y1), delta = 1 - 1 / factor, each 16 u safer
-    t_star = _kerckhoff_slope(t1.x - t2.x, y1, y2) - t2.x
+    t_star = _kerckhoff_slope(x1 - x2, y1, y2) - x2
     lam = math.exp(min(2.0 * (closed - closed_form_radius(closed)), 709.0))  # <= e^{2d}
     aim = ((1.0 - y2 / (lam * y1) - _SLACK) / (2.0 * (1.0 - 1.0 / factor + _SLACK)),
-           math.hypot(t_star + n2 / d2, y2))
+           math.hypot(t_star + x2, y2))
     lower, witness, nodes, reason = certified_sup(
         ratio, t_star, upper, lambda lower, upper: upper / lower <= factor, cap, aim)
     value = 0.5 * math.log(lower) if lower > 1.0 else 0.0
@@ -376,7 +380,7 @@ def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: flo
     if not tol > 0:
         raise ValueError("tol must be positive")
     fp, fq = f.curve.p, f.curve.q
-    n, d, y = _doubles(tau)
+    n, d, x, y = _doubles(tau)
     w2 = float(f.weight) * float(f.weight)  # 3 roundings; i^2, w2 * i^2 and / add 3
     top = _ext(fp, fq, n, d, y)
     upper = INFINITY if top is None else w2 * top * (1.0 + _SLACK)
@@ -397,7 +401,7 @@ def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: flo
         return r * _SHRINK if _TINY <= r <= _HUGE else None
 
     try:  # t* = -(p_f x + q_f |tau|^2) / (p_f + q_f x), written around -x
-        den, x = fp + fq * tau.x, n / d
+        den = fp + fq * tau.x
         t_star = -tau.x - fq * y * y / den if den else INFINITY
         s = fp + fq * x  # deficit w^2 Ext_f - w^2 i^2 / Ext: c = w^2 s^2 / y, delta = tol
         aim = (w2 * s * s / (2.0 * y * tol), math.hypot(t_star + x, y))
@@ -727,16 +731,6 @@ def _tail(h0: float, log_k: float) -> float:
     return a * (1.0 + 2.0**-49) + 2.0**-1000
 
 
-def _exp_2t(k: int):
-    """(lo, hi, e) with lo 2^e <= e^{2t} <= hi 2^e for t = 2^k: e^2's bracket
-    below squared k times, each square rounded outward to 64 bits."""
-    lo, hi, e = 34076006700814097603, 34076006700814097604, -62
-    for _ in range(k):
-        s = max(2 * hi.bit_length() - 64, 0)
-        lo, hi, e = lo * lo >> s, -(-hi * hi >> s), 2 * e + s
-    return lo, hi, e
-
-
 class BallLimitEntry(Record):
     # classification: "inside", "outside" or "inconclusive"
     _fields = ("point", "busemann_value", "memberships", "classification", "nested")
@@ -753,49 +747,40 @@ class BallLimitReport(Record):
 def metric_ball_limit_check(x0: UpperHalfPoint, f: WeightedTorusFoliation,
                             sample: Sequence[UpperHalfPoint], k_max: int = 20,
                             boundary_tol: float = 1e-6) -> BallLimitReport:
-    """Membership of sample points in the growing balls B(ray(t), t), t = 2^k,
-    where y is in iff D(t) < 0 (see ray_excess): out where B >= 0, in where
-    B + tail < 0 (B from its closed-form bracket), else from D's exact
-    brackets at the rationals around e^{2t} (D falls with t); None where
-    these hold 0 too, or the tail is below B's rounding.  inside / outside:
-    D(2^k_max) is below -boundary_tol / above boundary_tol.  nested: no
-    membership goes from in to out.  ok: every point nested, with the exact D
-    bracket of ray_excess's step (_ray_step) meeting [B_lo, B_hi + tail] at the
-    first 2^j where the tail's argument is at most 2^-40.  Each point is its
-    integers r2, w2, hw (_ray_points), scaled by _excess to n = r2 4^s + w2 k^2
-    4^p over m = hw k 2^(s + p + 1).  An exact bracket at k needs tail >= -B
-    and >= 2^-49, so 2^(k+1) <= d_T(x0, y) + 17.4: r2 / w2 = 2 cosh(2 d_T)
-    e^{-2B} - 1 puts h0 below d_T - B + (1/2) log 2, and d_T < 1455 between
-    doubles, so no chart forms one past k = 9."""
+    """Membership of sample points in the growing balls B(ray(t), t), t = 2^k:
+    y is in iff D(t) < 0 (see ray_excess), that is iff K^2 w (w - h) < hw - r2
+    for K = e^{2t} and y's integers (_ray_points): never where w >= h (B >= 0),
+    else iff e^{4t} > T = (r2 - hw) / (hw - w2).  So the memberships are False
+    while 2^(k+1) <= (1/2) log T, None where half_log's radius about it holds
+    2^(k+1) (at most one k), then True.  inside / outside: D(2^k_max) is below
+    -boundary_tol / above boundary_tol.  ok: every point nested, with the exact
+    D bracket of ray_excess's step (_ray_step) meeting [B_lo, B_hi + tail] at
+    the first 2^j where the tail's argument is at most 2^-40.  nested: D falls
+    with t, so where that bracket at t_j, e^{2t_j} = 2^j, is >= 0 there is no
+    True at 2^k <= t_j, and where it is < 0 no False at 2^k >= t_j."""
     if not sample:
         raise ValueError("sample must be nonempty")
     point = _ray_points(x0, f)
-    entries, ok = [], True
+    entries, ok, n = [], True, k_max + 1
     for y in sample:
         x, h, w = point(y)
         b, r2, w2, hw = half_log(w, h)[0], x * x + h * h, w * w, h * w
         h0, err = sum(half_log(r2, w2)), half_log_radius(b)
         b_lo, b_hi = b - err, b + err
-        memberships = []
-        for k in range(k_max + 1):  # t = 2^k
-            tl = 0.0 if b_lo >= 0.0 else _tail(h0, 2.0 ** (k + 1))
-            if b_lo >= 0.0 or tl < -b_hi or tl < 2.0 * err:
-                # from here on D >= B >= 0, or D <= B + tail < 0, or the tail is below B's own
-                # rounding, which no exact D bracket resolves either: the membership stays open
-                rest = False if b_lo >= 0.0 else True if tl < -b_hi else None
-                memberships += [rest] * (k_max + 1 - k)
-                break
-            lo, hi, e = _exp_2t(k)
-            memberships.append(True if _excess(r2, w2, hw, lo, e).hi < 0.0
-                               else False if _excess(r2, w2, hw, hi, e).lo >= 0.0 else None)
-        nested = True not in memberships or False not in memberships[memberships.index(True):]
+        n_out = k_in = n  # out at 2^k for k < n_out, in for k >= k_in
+        if w < h:  # for a >= 1, 2^(k+1) <= a iff k < bit_length(int(a)) - 1 = floor(log2 a)
+            v, r = half_log(r2 - hw, hw - w2)
+            n_out = min(int(v - r).bit_length() - 1, n) if v - r >= 1.0 else 0
+            k_in = min(int(v + r).bit_length() - 1, n) if v + r >= 1.0 else 0
+        memberships = [False] * n_out + [None] * (k_in - n_out) + [True] * (n - k_in)
         d_max = math.nextafter(b_hi + _tail(h0, 2.0 ** (k_max + 1)), INFINITY)  # >= D(2^k_max)
         cls = ("inside" if d_max < -boundary_tol else "outside" if b_lo > boundary_tol
                else "inconclusive")
-        # _tail(h0, 0) bounds half the log of the tail's argument at K = 1, which falls 4-fold
-        # per j
+        # _tail(h0, 0) bounds half the log of the tail's argument at K = 1; it falls 4-fold per j
         j = max(0, math.ceil(_tail(h0, 0.0) / _LOG2 + 20.0))
         d, d_tail = _ray_step(r2, w2, hw, h0, j)
+        nested = not (d.lo >= 0.0 and k_in < n and 2.0 ** (k_in + 1) <= j * _LOG2 * (1 - 2.0**-50)
+                      or d.hi < 0.0 and 2.0 ** n_out >= j * _LOG2 * (1 + 2.0**-50))  # 1 < 2 t_j
         ok = ok and nested and d.hi >= b_lo and d.lo <= math.nextafter(b_hi + d_tail, INFINITY)
         entries.append(BallLimitEntry(y, b, memberships, cls, nested))
     inconclusive = [e.point for e in entries if e.classification == "inconclusive"]

@@ -789,6 +789,23 @@ def test_relation_undecided_reason(capsys):
     assert status == 0 and "reason" not in rec["results"]
 
 
+def test_relation_tangent_needs_a_filling_pair(capsys):
+    """On L the cores vertical:0 and horizontal:0 meet once, but two curves that
+    meet once do not fill a genus-2 surface: at l1 l2 = i^2 = 1 the relation is
+    Undecided, exit 2, where it said Tangent.  The canonical foliations fill, and
+    stay Tangent at l1 l2 = i^2 = 9; a product below i^2 stays DisjointBalls."""
+    argv = ["relation", "--model", "origami", *L_ARGS, "--f1", "vertical:0", "--level1", "1",
+            "--f2", "horizontal:0", "--level2", "1"]
+    rec, status = run_json(capsys, argv)
+    assert status == 2 and rec["results"]["tag"] == "Undecided"
+    assert rec["results"]["detail"]["reason"] == "the pair is not known to fill"
+    rec, status = run_json(capsys, argv[:-1] + ["1/2"])
+    assert status == 0 and rec["results"]["tag"] == "DisjointBalls"
+    argv = argv[:-8] + ["--f1", "vertical", "--level1", "1", "--f2", "horizontal", "--level2", "9"]
+    rec, status = run_json(capsys, argv)
+    assert status == 0 and rec["results"]["tag"] == "Tangent"
+
+
 @pytest.mark.parametrize("reason", ["precision", "not_monotone", "not_settled"])
 def test_busemann_exit_2_reasons(capsys, monkeypatch, reason):
     """An uncertified Busemann record says why: tol below the rounding width

@@ -99,6 +99,24 @@ def test_classify_origami_transverse():
     assert rel.tag == H.TANGENT
 
 
+def test_tangent_and_overlapping_need_a_filling_pair():
+    """The torus backend: two distinct classes fill.  The origami backend: the
+    canonical foliations of two directions fill, on L and on the staircase;
+    a single core of L is not decided.  For such a pair classify says
+    DisjointBalls below i^2 and Undecided at or above it."""
+    assert BE.fills(fol(1, 0), fol(2, 1)) and not BE.fills(fol(1, 0), fol(1, 0, Fraction(2)))
+    for o in (L, STAIRCASE):
+        fv, fh = O.canonical_vertical_foliation(o), O.canonical_horizontal_foliation(o)
+        assert H.OrigamiBackend(o).fills(fv, fh) is True
+        assert H.OrigamiBackend(o).fills(fv, fv) is None
+    fv, fh = O.canonical_vertical_foliation(L), O.canonical_horizontal_foliation(L)
+    core, i = O.MulticurveFoliation((fv.components[0],)), OB.intersect(fv, fh)
+    assert OB.fills(core, fh) is None and OB.intersect(core, fh) == 2
+    assert H.classify(H.HoroBall(fv, i), H.HoroBall(fh, 2 * i), OB).tag == H.OVERLAPPING
+    for level, tag in [(1, H.DISJOINT_BALLS), (2, H.UNDECIDED), (3, H.UNDECIDED)]:
+        assert H.classify(H.HoroBall(core, level), H.HoroBall(fh, 2), OB).tag == tag
+
+
 # ---------------------------------------------------------------------------
 # busemann_estimate
 

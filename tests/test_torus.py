@@ -517,7 +517,7 @@ def test_aimed_ext_sup_walk_skips_only_what_cannot_certify(monkeypatch, domain):
     for _ in range(300):
         tau, pq = draw(rng), rng.choice(FAR_CURVES[:-1] + [(4, 9), (7, -3)])
         f = fol(*pq, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
-        tol = tol_draw(rng) * max(1.0, min(float(T.extremal_length(tau, f)), 1e290))
+        tol = tol_draw(rng) * max(1.0, float(min(Fraction(*T.ext_ratio(tau, f)), Fraction(1e290))))
         skipped += check_aimed_walk(monkeypatch, "ext_sup", tau, f, tol)
     assert skipped >= 50
 
@@ -997,13 +997,13 @@ def test_half_acosh_holds_the_truth():
     """half_acosh's bracket holds (1/2) log((A + sqrt(A^2 - 1)) kd / kn)
     (mpmath, 80 digits): with kn = kd = 1, i.e. (1/2) acosh(A), for the exact
     A of far point pairs, A = 1 and A = 1 + 2^-300; and with kn / kd = k 2^p
-    / 2^s as _excess passes them, K from _exp_2t or 2^j."""
+    / 2^s as _excess passes them, K = 2^j or a 64-bit odd integer times 2^j."""
     rng = random.Random(31)
     cases = [(n, n, 1, 0) for n in (1, 7, 10**400)] + [(2**300 + 1, 2**300, 1, 0)]
     cases += [(*far_cosh(rng), 1, 0) for _ in range(200)]
     for _ in range(200):
         x, h, w = (rng.getrandbits(rng.randint(1, 400)) + 1 for _ in "xhw")
-        k, e = rng.choice([(1, rng.randint(-6000, 6000))] + [T._exp_2t(i)[::2] for i in (0, 5, 20)])
+        k, e = rng.choice([1, rng.getrandbits(64) | 1 << 63 | 1]), rng.randint(-6000, 6000)
         cases.append((x * x + h * h + w * w, 2 * h * w, k, e))
     with mpmath.workdps(80):
         for n, m, k, e in cases:
@@ -1027,30 +1027,18 @@ def test_busemann_closed_form_beyond_the_doubles():
 
 
 def test_ray_distance_stable_at_huge_times():
-    """D(t) at t = 2^20, from the exact rationals around e^{2t}, is a narrow
+    """D(t) at the two powers of two around e^{2t}, t = 2^20, is a narrow
     bracket at or below D(16)'s that holds the Busemann value."""
     x0 = UpperHalfPoint(0.0, 1.0)
     f = fol(1, 0)
     y = UpperHalfPoint(0.4, 2.0)
     x, h, w = T._ray_points(x0, f)(y)
     b, point = T.half_log(w, h)[0], (x * x + h * h, w * w, h * w)
-    lo, hi, e = T._exp_2t(20)
-    d_huge, d_small = T._excess(*point, hi, e), T._excess(*point, lo, e)
+    j = math.floor(2**21 / math.log(2))  # 2^j <= e^{2^21} < 2^(j + 1)
+    d_huge, d_small = T._excess(*point, 1, j + 1), T._excess(*point, 1, j)
     assert d_huge.width < 1e-14 and d_small.hi == d_huge.hi
-    assert d_huge.hi <= T._excess(*point, *T._exp_2t(4)[::2]).hi + 1e-15
+    assert d_huge.hi <= T._excess(*point, 1, math.floor(32 / math.log(2))).hi + 1e-15
     assert d_huge.lo <= b <= d_huge.hi
-
-
-def test_exp_2t_brackets_hold():
-    """Each bracket of _exp_2t holds e^{2t}, t = 2^k, within a relative 2^-40,
-    the first within 2^-62 (mpmath, 40 digits)."""
-    with mpmath.workdps(40):
-        assert T._exp_2t(0)[1] - T._exp_2t(0)[0] == 1
-        for k in range(21):
-            lo, hi, e = T._exp_2t(k)
-            two_t = mpmath.mpf(2) ** (k + 1)
-            log_lo, log_hi = mpmath.log(lo) + e * mpmath.log(2), mpmath.log(hi) + e * mpmath.log(2)
-            assert log_lo <= two_t <= log_hi and log_hi - log_lo < 2.0**-40, k
 
 
 def ray_truth(x0, f, y, log_k):
@@ -1139,11 +1127,31 @@ def test_ball_limit_sweep_matches_per_call_distances():
 def test_ball_limit_point_on_the_limit_sphere_is_inconclusive():
     """A point with Busemann value 0 (x0 itself, and x0 moved along the
     horocycle Im = 1.7 of the curve (1, 0)) is listed once as inconclusive;
-    ok still holds."""
+    ok still holds.  x0 is in no ball, as D(t) = 0 there."""
     x0, f = UpperHalfPoint(0.3, 1.7), fol(1, 0)
     rep = T.metric_ball_limit_check(x0, f, [x0, UpperHalfPoint(2.0, 0.5), UpperHalfPoint(5.3, 1.7)])
     assert rep.ok and rep.inconclusive == [x0, UpperHalfPoint(5.3, 1.7)]
     assert [e.classification for e in rep.entries] == ["inconclusive", "outside", "inconclusive"]
+    assert rep.entries[0].memberships == [False] * 21
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_ball_limit_point_near_the_threshold_is_open_at_one_k(k):
+    """From x0 = i along the curve (1, 0), y = X + 2i is in B(ray(t), t) iff
+    e^{4t} > T = X^2 + 2.  With X the double nearest sqrt(e^{2^(k+2)} - 2),
+    (1/2) log T is within half_log's radius of 2^(k+1): the membership at
+    2^k is None, those before it False and those after it True, each the
+    sign of D(2^k) (mpmath, 50 digits)."""
+    x0, f = UpperHalfPoint(0.0, 1.0), fol(1, 0)
+    with mpmath.workdps(50):
+        y = UpperHalfPoint(float(mpmath.sqrt(mpmath.exp(2 ** (k + 2)) - 2)), 2.0)
+        entry = T.metric_ball_limit_check(x0, f, [y]).entries[0]
+        assert entry.memberships == [False] * k + [None] + [True] * (20 - k)
+        assert abs(ray_truth(x0, f, y, mpmath.mpf(2) ** (k + 1))[0]) < 1e-12
+        for i, m in enumerate(entry.memberships):
+            if m is not None:
+                assert (ray_truth(x0, f, y, mpmath.mpf(2) ** (i + 1))[0] < 0) == m
+    assert entry.nested
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -1175,49 +1183,35 @@ def test_ball_limit_check_is_busemann_and_the_backend_brackets(pq, x0r, x0i, yr,
     assert repr(step) == repr(horolab.TorusBackend().ray_excess(x0, f, y)(j))
 
 
-def test_ball_limit_exact_brackets_stop_by_k_9():
-    """An exact D bracket at t = 2^k needs 2^(k+1) <= d_T(x0, y) + 17.4 (see
-    metric_ball_limit_check), and d_T < 1455 between doubles: at the corners
-    of the double range (|Re| 0 or the largest, Im the least subnormal, the
-    least normal, 1 or the largest), in the charts of small classes and of
-    ones whose -p/q is the largest double, every check holds the bound, is ok,
-    and the deepest k reached is 9."""
+def test_ball_limit_is_ok_at_the_corners_of_the_double_range():
+    """At the corners of the double range (|Re| 0 or the largest, Im the least
+    subnormal, the least normal, 1 or the largest), in the charts of small
+    classes and of ones whose -p/q is the largest double, every check is ok."""
     big, tiny, low = 1.7976931348623157e308, 5e-324, 2.2250738585072014e-308
     corners = [UpperHalfPoint(x, y) for x in (-big, 0.0, big) for y in (tiny, low, 1.0, big)]
-    exp_2t, reached, deepest = T._exp_2t, [], 0
-
-    def spy(k):
-        reached.append(k)
-        return exp_2t(k)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_exp_2t", spy)
-        for pq in [(1, 0), (0, 1), (1, 1), (int(big), -1), (int(big), 1)]:
-            for x0, y in itertools.product(corners, corners):
-                reached.clear()
-                assert T.metric_ball_limit_check(x0, fol(*pq), [y]).ok
-                if reached:
-                    dx, y0, y1 = mpmath.mpf(x0.x) - y.x, mpmath.mpf(x0.y), mpmath.mpf(y.y)
-                    d = mpmath.acosh(1 + (dx * dx + (y0 - y1) ** 2) / (2 * y0 * y1)) / 2
-                    assert 2 ** (max(reached) + 1) <= d + 17.4 < 1472.4, (pq, x0, y)
-                    deepest = max(deepest, *reached)
-    assert deepest == 9
+    for pq in [(1, 0), (0, 1), (1, 1), (int(big), -1), (int(big), 1)]:
+        for x0, y in itertools.product(corners, corners):
+            assert T.metric_ball_limit_check(x0, fol(*pq), [y]).ok, (pq, x0, y)
 
 
-@pytest.mark.parametrize("inside_first", [True, False])
-def test_ball_limit_nested_is_never_out_once_in(monkeypatch, inside_first):
-    """From the near-cusp start 1e-150 i, the point 1 + i has exact brackets
-    up to t = 2^6.  Forced in at t = 1 and out later, the point is not nested
-    and ok fails; forced out at t = 1 and in later, it is nested and ok.  The
-    bracket at 2^j, with k = 1, is left exact."""
-    excess, e0 = T._excess, T._exp_2t(0)[2]
-    below, above = T.Bracket(-1.0, -1.0), T.Bracket(1.0, 1.0)
-    first, later = (below, above) if inside_first else (above, below)
-    monkeypatch.setattr(T, "_excess", lambda r2, w2, hw, k, e: excess(r2, w2, hw, k, e) if k == 1
-                        else first if e == e0 else later)
-    rep = T.metric_ball_limit_check(UpperHalfPoint(0.0, 1e-150), fol(1, 0), [UpperHalfPoint(1.0, 1.0)])
-    m = rep.entries[0].memberships
-    assert m[:7] == [inside_first] + [not inside_first] * 6 and m[7:] == [True] * 14
-    assert rep.entries[0].nested == rep.ok == (not inside_first)
+@pytest.mark.parametrize("inside", [True, False])
+def test_ball_limit_nested_is_never_out_once_in(monkeypatch, inside):
+    """From x0 = i along the curve (1, 0), 0.1 + 5i is in every ball B(ray(t),
+    t), t = 2^k, and 3 + 0.5i in none.  Both are nested and ok; with the
+    exact D bracket of the ok step forced to [1, 1] for the inside point
+    (D >= 0 up to t_j, yet in at t = 1) or to [-1, -1] for the outside one
+    (D < 0 from t_j on, yet out at t = 2^20), the point is not nested and ok
+    fails."""
+    x0, f = UpperHalfPoint(0.0, 1.0), fol(1, 0)
+    y = UpperHalfPoint(0.1, 5.0) if inside else UpperHalfPoint(3.0, 0.5)
+    rep = T.metric_ball_limit_check(x0, f, [y])
+    assert rep.entries[0].memberships == [inside] * 21
+    assert rep.entries[0].nested and rep.ok
+    forced = T.Bracket(1.0, 1.0) if inside else T.Bracket(-1.0, -1.0)
+    monkeypatch.setattr(T, "_excess", lambda *args: forced)
+    rep = T.metric_ball_limit_check(x0, f, [y])
+    assert rep.entries[0].memberships == [inside] * 21
+    assert not rep.entries[0].nested and not rep.ok
 
 
 def test_ball_limit_ok_is_a_check(monkeypatch):
@@ -1232,3 +1226,63 @@ def test_ball_limit_ok_is_a_check(monkeypatch):
     assert T.metric_ball_limit_check(x0, f, sample[:5]).ok
     monkeypatch.setattr(T, "_excess", shifted)
     assert not T.metric_ball_limit_check(x0, f, sample[:5]).ok
+
+
+# ---------------------------------------------------------------------------
+# The input contract: an answer or a ValueError
+
+# The double range's edges: ints 10^300-10^420 and their reciprocals, subnormals,
+# 1.7e308 and ordinary values; a curve coordinate of 10^400; weights and levels
+# far outside the doubles
+EDGE_X = st.one_of(st.integers(300, 420).map(lambda e: 10**e),
+                   st.integers(300, 420).map(lambda e: Fraction(1, 10**e)),
+                   st.integers(1, 1000).map(lambda k: k * 5e-324),
+                   st.just(1.7e308), st.floats(0.05, 3.0))
+EDGE_POINT = st.builds(lambda s, x, y: UpperHalfPoint(s * x, y), st.sampled_from([-1, 1]),
+                       EDGE_X, EDGE_X)
+EDGE_FOLIATION = st.builds(
+    lambda pq, w: fol(*pq, w),
+    st.sampled_from([(1, 0), (0, 1), (2, 1), (3, -2), (1, 10**400), (10**400, 1),
+                     (10**400, 10**400 + 1)]),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 10**400), Fraction(10**300)]))
+EDGE_LEVEL = st.sampled_from([Fraction(1), Fraction(1, 10**400), Fraction(10**300), 2.5,
+                              1e-300, 1e300])
+BACKEND = horolab.TorusBackend()
+PUBLIC_TORUS_CALLS = {
+    "extremal_length": lambda a, b, f, g, l1, l2: T.extremal_length(a, f),
+    "ext_ratio": lambda a, b, f, g, l1, l2: T.ext_ratio(a, f),
+    "teich_distance": lambda a, b, f, g, l1, l2: T.teich_distance(a, b),
+    "kerckhoff_distance": lambda a, b, f, g, l1, l2: T.kerckhoff_distance(a, b, 1e-9),
+    "ext_sup_enumeration": lambda a, b, f, g, l1, l2: T.ext_sup_enumeration(a, f, 1e-9),
+    "busemann": lambda a, b, f, g, l1, l2: T.busemann(a, f, b),
+    "metric_ball_limit_check": lambda a, b, f, g, l1, l2: T.metric_ball_limit_check(a, f, [b]),
+    "tangent_point": lambda a, b, f, g, l1, l2: T.tangent_point(f, l1, g),
+    "horocycle": lambda a, b, f, g, l1, l2: T.horocycle(f, l1)(0.5),
+    "horocycle_witness": lambda a, b, f, g, l1, l2: T.horocycle_witness(f, l1, g, l2),
+    "TorusBackend.ext": lambda a, b, f, g, l1, l2: BACKEND.ext(a, f),
+    "busemann_estimate": lambda a, b, f, g, l1, l2: horolab.busemann_estimate(a, f, b, BACKEND),
+    "inclusion_probe": lambda a, b, f, g, l1, l2: horolab.inclusion_probe(
+        horolab.HoroBall(f, l1), horolab.HoroBall(g, l2), BACKEND),
+    "classify": lambda a, b, f, g, l1, l2: horolab.classify(
+        horolab.HoroBall(f, l1), horolab.HoroBall(g, l2), BACKEND),
+}
+ONE, HALF = UpperHalfPoint(0.5, 1.0), UpperHalfPoint(0.5, Fraction(1, 10**400))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(PUBLIC_TORUS_CALLS)), EDGE_POINT, EDGE_POINT, EDGE_FOLIATION,
+       EDGE_FOLIATION, EDGE_LEVEL, EDGE_LEVEL)
+@example("extremal_length", ONE, ONE, fol(1, 10**400), fol(1, 0), 1, 1)
+@example("extremal_length", HALF, ONE, fol(1, 0), fol(1, 0), 1, 1)
+@example("kerckhoff_distance", UpperHalfPoint(Fraction(1, 10**400), 0.75),
+         UpperHalfPoint(Fraction(-1, 10**400), 1.25), fol(1, 0), fol(1, 0), 1, 1)
+@example("kerckhoff_distance", UpperHalfPoint(-10**300, 1.7e308),
+         UpperHalfPoint(Fraction(1, 10**400), 1e-310), fol(1, 0), fol(1, 0), 1, 1)
+def test_torus_public_api_answers_or_raises_value_error(name, a, b, f, g, l1, l2):
+    """Each public torus function, and the horolab calls on the torus backend,
+    answers or raises ValueError at the edges of the double range; never
+    OverflowError or ZeroDivisionError."""
+    try:
+        PUBLIC_TORUS_CALLS[name](a, b, f, g, l1, l2)
+    except ValueError:
+        pass
