@@ -3,8 +3,9 @@
 Each subcommand parses one model description, runs one computation, and
 prints a machine-readable record (json by default, csv on request).  Every
 numeric field is either exact (a rational string) or a float with a stated
-tolerance; output is deterministic for fixed inputs and seed apart from the
-timestamp field.
+tolerance, which ``num_rounded`` sets for a double rounded once to nearest
+from an exact value: half an ulp, or 2^-1074 where that is 0.0.  Output is
+deterministic for fixed inputs and seed apart from the timestamp field.
 
 Exit status: 0 success, 2 undecided or uncertified result (a record with a
 ``reason``), 1 input error (usage errors included).  ``run`` is the one
@@ -37,12 +38,12 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors: one ``error:`` line and exit 1.  A word that
-    starts with - and a digit (-1/2, -1,2,3, -1+2i) is a value, not an option."""
+    """Usage errors are input errors: one ``error:`` line and exit 1.  A word that starts
+    with - and a digit, or -. and a digit (-1/2, -1,2,3, -1+2i, -.5), is a value."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise InputError(message)
@@ -76,6 +77,10 @@ def num_exact(v) -> dict:
 
 def num_float(v, tol) -> dict:
     return {"value": float(v), "exact": False, "tolerance": float(tol)}
+
+
+def num_rounded(v) -> dict:  # rounded once to nearest: half an ulp, 2^-1074 where that is 0.0
+    return num_float(v, max(math.ulp(v) / 2, math.ulp(0.0)))
 
 
 def _flatten(prefix, obj, rows):

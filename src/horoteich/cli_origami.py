@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 from . import origami as O
-from .cli import InputError, _inputs, num_exact, num_float, parse_level, parse_rational
+from .cli import InputError, _inputs, num_exact, num_float, num_rounded, parse_level, parse_rational
 
 
 def parse_perm(text: str):
@@ -102,15 +102,14 @@ def cmd_growth_check(args):
     x = O.MarkedFlatSurface.base_point(o)
     s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
     rep = O.horocycle_growth_check(t, x, s_values)
-    quad, res = rep.quad_coefficient, rep.relative_residual
-    fitted = quad is not None  # then both are rounded once from exact rationals
+    quad, res = rep.quad_coefficient, rep.relative_residual  # rounded once, or None: no fit
     results = {
         "ok": rep.ok,
         "i_vertical": num_exact(rep.i_vertical),
         "i_horizontal": num_exact(rep.i_horizontal),
         "lower_bounds": [num_float(v, math.ulp(v)) for v in rep.lower_bounds],
-        "quadratic_coefficient": num_float(quad, math.ulp(quad) / 2) if fitted else None,
-        "fit_residual": num_float(res, math.ulp(res) / 2) if fitted else None,
+        "quadratic_coefficient": num_rounded(quad) if quad is not None else None,
+        "fit_residual": num_rounded(res) if res is not None else None,
         "violations": len(rep.violations),
     }
     if not rep.ok:

@@ -9,12 +9,11 @@ import sys
 from fractions import Fraction
 
 from . import torus as T
-from .cli import InputError, _inputs, num_exact, num_float, parse_level, parse_rational
+from .cli import InputError, _inputs, num_exact, num_float, num_rounded, parse_level, parse_rational
 from .kernel import UpperHalfPoint
 
-_REAL = r"[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-_IMAG = r"[+-](?:(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)?"
-_COMPLEX_RE = re.compile(rf"^({_REAL})?({_IMAG})i$|^({_REAL})$")
+_NUM = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"  # 2, 2.5, .5, 2e3; a sign before it
+_COMPLEX_RE = re.compile(rf"^([+-]?{_NUM})?([+-](?:{_NUM})?)i$|^([+-]?{_NUM})$")
 
 
 def parse_tau(text: str) -> UpperHalfPoint:
@@ -25,10 +24,7 @@ def parse_tau(text: str) -> UpperHalfPoint:
     if m.group(3) is not None:
         raise InputError(f"{text!r} has no positive imaginary part")
     re_part = float(m.group(1)) if m.group(1) else 0.0
-    im_text = m.group(2)
-    if im_text in ("+", "-"):
-        im_text += "1"
-    im_part = float(im_text)
+    im_part = float(m.group(2) + "1" if m.group(2) in ("+", "-") else m.group(2))
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
         raise InputError(f"{text!r} is not a finite complex number")
     if not im_part > 0:
@@ -50,7 +46,7 @@ def cmd_torus_ext(args):
     tau = parse_tau(args.tau)
     f = T.WeightedTorusFoliation(parse_rational(args.weight), parse_curve(args.curve))
     val = T.extremal_length(tau, f)  # exact at the double inputs, then rounded once
-    return _inputs(args, "tau", "curve", "weight"), {"ext": num_float(val, math.ulp(val))}
+    return _inputs(args, "tau", "curve", "weight"), {"ext": num_rounded(val)}
 
 
 def cmd_torus_dist(args):
@@ -85,8 +81,8 @@ def cmd_tangency(args):
     if tangent:
         pt = T.tangency_point(h1, h2)
         results["tangent_point"] = {  # the exact point, each coordinate rounded once
-            "re": num_float(pt.x, math.ulp(pt.x) / 2),
-            "im": num_float(pt.y, math.ulp(pt.y) / 2),
+            "re": num_rounded(pt.x),
+            "im": num_rounded(pt.y),
         }
     return _inputs(args, "curve1", "level1", "curve2", "level2"), results
 

@@ -48,6 +48,8 @@ class HoroBall(Frozen):
     def __init__(self, foliation, level):
         if not level > 0:
             raise ValueError("level must be positive")
+        if level == math.inf:
+            raise ValueError("level must be finite")
         self.__dict__.update(foliation=foliation, level=Fraction(level))
 
 

@@ -25,10 +25,19 @@ from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, round_ratio
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+_BEYOND_DOUBLES = "a value is beyond the double range"
 
 
 class SingularityHit(ValueError):  # the start point is a bad argument
     """A trace ran into a vertex; ``robust_trace`` owns the one retry rule."""
+
+
+def _ratio(v):
+    """(n, d) in lowest terms with v = n / d, d > 0; ValueError for a NaN or an infinity."""
+    try:
+        return v.as_integer_ratio()
+    except OverflowError as e:  # an infinity (a NaN raises ValueError)
+        raise ValueError(*e.args) from None
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +269,14 @@ def geodesic_flow(x: MarkedFlatSurface, t: float = None, stretch=None) -> Marked
             raise ValueError(f"geodesic time {t} is out of range")  # e^t or e^-t not normal
     if not stretch > 0:
         raise ValueError("stretch must be positive")
-    (kn, kd), (a, b, c, d, q) = Fraction(stretch).as_integer_ratio(), x._m
+    (kn, kd), (a, b, c, d, q) = _ratio(stretch), x._m
     return _marked(x.base, kn * kn * a, kn * kn * b, kd * kd * c, kd * kd * d, kn * kd * q)
 
 
 def horocycle_flow(x: MarkedFlatSurface, s) -> MarkedFlatSurface:
     """Shear (x, y) -> (x, y + s*x) by the exact rational s; fixes dx, hence the
     vertical foliation."""
-    (sn, sd), (a, b, c, d, q) = Fraction(s).as_integer_ratio(), x._m
+    (sn, sd), (a, b, c, d, q) = _ratio(s), x._m
     return _marked(x.base, sd * a, sd * b, sd * c + sn * a, sd * d + sn * b, sd * q)
 
 
@@ -352,7 +361,7 @@ def trace_from_point(
         raise ValueError("direction must have dx > 0, or be (0, 1)")
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    (xn, xd), (yn, yd) = point[0].as_integer_ratio(), point[1].as_integer_ratio()
+    (xn, xd), (yn, yd) = _ratio(point[0]), _ratio(point[1])
     if not (0 <= xn < xd and 0 <= yn <= yd):
         raise ValueError("point must lie in [0, 1) x [0, 1]")
     s, yn, yd = (o.v_inv[square], 1, 1) if b < 0 and yn == 0 else (square, yn, yd)
@@ -413,10 +422,10 @@ def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> Curve
     The edge is the one the line leaves, left for slope 0 and bottom otherwise.
     The retry rule for vertex hits: the offset is divided by 3 after each
     SingularityHit, for 6 attempts in all.  The arguments are checked once."""
-    offset = Fraction(offset)
     if not 0 < offset < 1:
         raise ValueError("offset must lie strictly inside the edge")
-    slope = None if slope is None else Fraction(slope)
+    offset = Fraction(offset)
+    slope = None if slope is None else Fraction(*_ratio(slope))
     direction = (0, 1) if slope is None else (slope.denominator, slope.numerator)
     point = (_ZERO, offset) if direction[1] == 0 else (offset, _ZERO)
     for _ in range(6):
@@ -490,18 +499,22 @@ def ext_bracket(t: CurveTrace, x: MarkedFlatSurface, w2=1) -> Bracket:
     Lower bound: flat-metric competitor (deformed length squared over
     area).  Upper bound: reciprocal modulus of the cylinder that
     ``core_trace`` attached to the trace, +inf for any other trace.  Both are
-    integer ratios from ``x.gram`` and w2, rounded once outward.
+    integer ratios from ``x.gram`` and w2, rounded once outward; ValueError
+    where one is beyond the doubles.
     """
     big_a, big_b, big_c, big_d = x.gram
-    p, q = w2.as_integer_ratio()
+    p, q = _ratio(w2)
     hx, hy = t.holonomy
-    lo = round_ratio(p * (big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy),
-                     q * big_d * x.base.n, -math.inf)
     cyl = t._cylinder
-    if cyl is None:
-        return Bracket(lo, math.inf)
-    hi = round_ratio(p * cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
-                     q * big_d * cyl.height, math.inf)
+    try:
+        lo = round_ratio(p * (big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy),
+                         q * big_d * x.base.n, -math.inf)
+        if cyl is None:
+            return Bracket(lo, math.inf)
+        hi = round_ratio(p * cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
+                         q * big_d * cyl.height, math.inf)
+    except OverflowError:
+        raise ValueError(_BEYOND_DOUBLES) from None
     return Bracket(lo, hi)  # flat bound <= cylinder bound, as circumference * height <= n
 
 
@@ -521,6 +534,8 @@ class MulticurveFoliation(Frozen):
         for w, c in components:
             if not w > 0:
                 raise ValueError("weights must be positive")
+            if w == math.inf:
+                raise ValueError("weights must be finite")
             if c.direction != d:
                 raise ValueError("components must share a direction")
         Record.__init__(self, components)
@@ -561,8 +576,16 @@ def horocycle_growth_check(
     Checks lo >= (|s| i_v - i_h)^2 / area when positive, and the s^2 i_v^2
     / (2 area) bound past the derived threshold; fits lo against s (None for
     fewer than 3 distinct s: no fit).  Each lower bound is ``ext_bracket``'s lo: exact
-    over the deform entries, then rounded down once.  OverflowError if c2, a
-    lower bound or a bound it is checked against is beyond the double range."""
+    over the deform entries, then rounded down once.  ValueError("a value is beyond
+    the double range") if c2, a lower bound, a bound it is checked against or a
+    float it forms from the point is beyond the double range."""
+    try:
+        return _growth_check(t, x, s_values)
+    except (OverflowError, ZeroDivisionError):  # float() past the doubles, or 0.0 from it
+        raise ValueError(_BEYOND_DOUBLES) from None
+
+
+def _growth_check(t, x, s_values) -> GrowthReport:
     i_v = i_with_foliation(t, VERTICAL, x)
     i_h = i_with_foliation(t, HORIZONTAL, x)
     if not i_v > 0:
@@ -579,7 +602,7 @@ def horocycle_growth_check(
         linear = sv - float(i_h)
         near, far = linear * (linear / area), sv * (sv / (2.0 * area))
         if not max(lo, near, far) < sys.float_info.max:  # lo past it is rounded down to it
-            raise OverflowError("a growth bound is beyond the double range")
+            raise ValueError(_BEYOND_DOUBLES)
         if linear > 0 and lo < near * (1.0 - 1e-12):
             violations.append((s, lo, near))
         if abs(s) >= threshold and lo < far:
@@ -659,7 +682,7 @@ class RemarkAction(Record):
         """(s, p) to frac(m p), in the old square reached by the walk from p to the
         centre of the new square holding m p; it stays in that square, off corners."""
         o, (a, b, c, d) = self.source, self._m
-        x, y = Fraction(point[0]), Fraction(point[1])
+        x, y = Fraction(*_ratio(point[0])), Fraction(*_ratio(point[1]))
         if y == 1:  # a top edge point is on the bottom edge of the square above
             s, y = o.v[s], _ZERO
         q = 2 * math.lcm(x.denominator, y.denominator)

@@ -757,7 +757,10 @@ def metric_ball_limit_check(x0: UpperHalfPoint, f: WeightedTorusFoliation,
     D bracket of ray_excess's step (_ray_step) meeting [B_lo, B_hi + tail] at
     the first 2^j where the tail's argument is at most 2^-40.  nested: D falls
     with t, so where that bracket at t_j, e^{2t_j} = 2^j, is >= 0 there is no
-    True at 2^k <= t_j, and where it is < 0 no False at 2^k >= t_j."""
+    True at 2^k <= t_j, and where it is < 0 no False at 2^k >= t_j.  ValueError
+    unless 0 <= k_max <= 1022, where 2^(k_max + 1) is a double."""
+    if not 0 <= k_max <= 1022:
+        raise ValueError("k_max must lie in 0..1022")
     if not sample:
         raise ValueError("sample must be nonempty")
     point = _ray_points(x0, f)

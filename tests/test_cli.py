@@ -157,19 +157,25 @@ TORUS_CURVES = [(p, q) for p in range(8) for q in range(-7, 8)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(
     st.lists(st.sampled_from(TORUS_CURVES), min_size=2, max_size=2, unique=True),
-    st.floats(-20.0, 20.0).map(lambda e: Fraction(10.0**e)),
+    st.floats(-200.0, 200.0).map(lambda e: Fraction(10.0**e)),
 )
 @example([(1, 0), (2, 1)], Fraction(7, 10**20))
+@example([(0, 1), (1, 1)], Fraction(1, 10**170))
 def test_tangent_point_is_within_its_tolerance(pair, s):
-    """Curves with |p|, |q| <= 7, levels log-uniform in [1e-20, 1e20]: each
-    coordinate of the tangent point is within its tolerance of the exact
-    point.  (At 7/10^20 on (1, 0) and (2, 1), Im is 10^20/7, and its double
-    is 877.7 away.)"""
+    """Curves with |p|, |q| <= 7, levels log-uniform in [1e-200, 1e200], less
+    those whose point leaves the doubles: each coordinate of the tangent point
+    is within its tolerance of the exact point.  (At 7/10^20 on (1, 0) and
+    (2, 1), Im is 10^20/7, and its double is 877.7 away.  At 1/10^170 on
+    (0, 1) and (1, 1), Re is about -10^-340, and its double is -0.0.)"""
     (c1, c2), i = pair, abs(pair[0][0] * pair[1][1] - pair[0][1] * pair[1][0])
     args = cli.build_parser().parse_args(
         ["tangency", "--curve1", "%d,%d" % c1, "--level1", str(s),
          "--curve2", "%d,%d" % c2, "--level2", str(i * i / s)])
-    _, results = args.fn(args)
+    try:
+        _, results = args.fn(args)
+    except ValueError as e:  # Im not a normal double, or Re not a double
+        assume(str(e) != T.OUT_OF_RANGE)
+        raise
     assert "reason" not in results and results["tangent"] is True
     pt = results["tangent_point"]
     for field, exact in zip(("re", "im"), _exact_tangent_point(c1, s, c2)):
@@ -256,18 +262,26 @@ NEGATIVE_VALUES = [
     ["growth-check", *L_ARGS, "--s-values", "-1,2,3"],
     ["torus-ext", "--tau", "-1+2i", "--curve", "1,0"],
     ["torus-ext", "--tau", "0+2i", "--curve", "-1,2"],
+    pytest.param(["torus-ext", "--tau", ".5+1i", "--curve", "1,0"], id="torus-ext-dot"),
+    pytest.param(["torus-ext", "--tau", "-.5+2i", "--curve", "1,0"], id="torus-ext-minus-dot"),
+    pytest.param(["origami-intersect", *L_ARGS, "--slope1", "-.5", "--slope2", "vert"],
+                 id="origami-intersect-minus-dot"),
 ]
 
 
 @pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=lambda a: a[0])
 def test_negative_values_after_a_space(argv, capsys):
-    """A value that starts with - and a digit is read as the value of the flag
-    before it, with the record that the --flag=value form gives."""
-    i = next(k for k, a in enumerate(argv) if re.match(r"-\d", a))
-    joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
+    """A value that starts with -, a dot or both and then a digit (-1/2, .5+1i,
+    -.5) is read as the value of the flag before it: the record is that of the
+    --flag=value form with the number's leading 0 written out."""
+    def padded(text):
+        return re.sub(r"(?<!\d)\.(?=\d)", "0.", text)
+    i = next(k for k, a in enumerate(argv) if re.match(r"-\.?\d|\.\d", a))
+    joined = [*argv[:i - 1], f"{argv[i - 1]}={padded(argv[i])}", *argv[i + 1:]]
     rec, status = run_json(capsys, argv)
     want, want_status = run_json(capsys, joined)
     rec.pop("timestamp"), want.pop("timestamp")
+    rec["inputs"] = {k: padded(v) if isinstance(v, str) else v for k, v in rec["inputs"].items()}
     assert status == want_status == 0 and rec == want
 
 
@@ -657,30 +671,12 @@ def least_squares_quadratic(s_values, los):
             / det(gram) for k in range(3)]
 
 
-tag_slope = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}")
-tag_s = st.fractions(-50, 50, max_denominator=8).map(str) | st.floats(-50.0, 50.0).map(repr)
-
-
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.permutations(range(1, n + 1))] * 2)),
-       tag_slope, st.lists(tag_s, min_size=1, max_size=7), st.data())
-def test_origami_tags_hold(hv, slope, s_texts, data):
-    """growth-check on small random origamis, slopes and s values: each lower
-    bound is within its tolerance of the exact flat bound |M_s hol|^2 / (det n)
+def assert_growth_tags_hold(r, n, slope, s_texts):
+    """Each lower bound of the growth-check results ``r`` (n squares, a trace of
+    ``slope``) is within its tolerance of the exact flat bound |M_s hol|^2 / (det n)
     at the double s (M_s the shear, det 1), and the fitted coefficient and
     residual are within theirs of the exact least-squares fit to the printed
-    lower bounds.  In the origami-info, -flow, -intersect, walsh-e and
-    curve-graph records on the same surface, each exact field's float is the
-    float of its value."""
-    try:
-        n = O.build_origami(*hv).n
-    except ValueError:  # disconnected
-        assume(False)
-    perms = ["--h", str(list(hv[0])), "--v", str(list(hv[1]))]
-    square = str(data.draw(st.integers(1, n)))
-    r, status = run_record(["growth-check", *perms, f"--slope={slope}", f"--square={square}",
-                            f"--s-values={','.join(s_texts)}"])
-    assert status == 0
+    lower bounds."""
     # the trace's holonomy (hx, hy): hx = i_vertical > 0, and hy has the slope's sign
     hx, hy = Fraction(r["i_vertical"]["value"]), Fraction(r["i_horizontal"]["value"])
     hy = -hy if slope.startswith("-") else hy
@@ -697,6 +693,30 @@ def test_origami_tags_hold(hv, slope, s_texts, data):
         err = max(abs(c0 + (c1 + c2 * s) * s - lo) for s, lo in zip(s_values, los))
         for field, exact in ((quad, c2), (residual, err / max(map(abs, los)))):
             assert abs(Fraction(field["value"]) - exact) <= Fraction(field["tolerance"]), field
+
+
+tag_slope = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+tag_s = st.fractions(-50, 50, max_denominator=8).map(str) | st.floats(-50.0, 50.0).map(repr)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.permutations(range(1, n + 1))] * 2)),
+       tag_slope, st.lists(tag_s, min_size=1, max_size=7), st.data())
+def test_origami_tags_hold(hv, slope, s_texts, data):
+    """growth-check on small random origamis, slopes and s values: its tags
+    hold (``assert_growth_tags_hold``).  In the origami-info, -flow,
+    -intersect, walsh-e and curve-graph records on the same surface, each
+    exact field's float is the float of its value."""
+    try:
+        n = O.build_origami(*hv).n
+    except ValueError:  # disconnected
+        assume(False)
+    perms = ["--h", str(list(hv[0])), "--v", str(list(hv[1]))]
+    square = str(data.draw(st.integers(1, n)))
+    r, status = run_record(["growth-check", *perms, f"--slope={slope}", f"--square={square}",
+                            f"--s-values={','.join(s_texts)}"])
+    assert status == 0
+    assert_growth_tags_hold(r, n, slope, s_texts)
 
     other = data.draw(tag_slope | st.just("vert"))
     # curve-graph refuses a horizontal or vertical slope (a core) and a repeated one
@@ -718,6 +738,26 @@ def test_origami_tags_hold(hv, slope, s_texts, data):
     assert len(fields) >= 9  # i_v, i_h, area, 4 flow fields, crossings, E
     for field in fields:
         assert field["float"] == float(Fraction(field["value"])), field
+
+
+TINY_RESIDUAL_S = ("-6.990146922516109e-14,1.3098934668348966e-05,3.616838929544806e-26,"
+           "3.1724466587709723e+148,-2.1368996860640667e-40")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(["0", "1", "1/2", "-1/3", "2"]),
+       st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0))
+                .map(lambda se: repr(se[0] * 10.0 ** se[1])), min_size=3, max_size=6))
+@example("1", TINY_RESIDUAL_S.split(","))
+def test_growth_tags_hold_from_tiny_to_huge_s(slope, s_texts):
+    """growth-check on L with 3-6 s values of +-10^U(-150, 150): its tags hold,
+    also where the fit's residual or coefficient is below 2^-1021, where half
+    an ulp is 0.0 (at TINY_RESIDUAL_S the residual prints as 1.75288120025e-313,
+    and the exact residual is not that double)."""
+    r, status = run_record(["growth-check", *L_ARGS, f"--slope={slope}",
+                            f"--s-values={','.join(s_texts)}"])
+    assert status == 0
+    assert_growth_tags_hold(r, 3, slope, s_texts)
 
 
 def test_geodesic_time_out_of_range_names_the_time(capsys):

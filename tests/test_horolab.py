@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horoteich.kernel import Bracket, UpperHalfPoint
+from horoteich.kernel import Bracket, Mat2, UpperHalfPoint
 from horoteich import horolab as H
 from horoteich import origami as O
 from horoteich import torus as T
@@ -548,6 +548,63 @@ def test_torus_and_origami_sups_agree_on_proportional_pairs():
         for l1 in (Fraction(1), Fraction(7, 3), Fraction(1, 50)):
             torus_sup = H.sup_on_horoball(tf, l1, tc, BE)
             assert torus_sup == H.sup_on_horoball(fv, l1, cf, OB) == c * c * l1
+
+
+UNIT_SQUARE = O.build_origami([1], [1])
+
+
+def unit_square_tau(x):
+    """The torus point of a marking [[a, b], [c, d]] / q of the unit square:
+    tau = (b + i d) / (a + i c), where the class of holonomy (p, q) has Ext
+    |M (p, q)|^2 / det M = |p + q tau|^2 / Im tau."""
+    a, b, c, d, _ = x._m
+    r = a * a + c * c
+    return UpperHalfPoint(Fraction(a * b + c * d, r), Fraction(a * d - b * c, r))
+
+
+def test_two_models_one_answer_on_the_unit_square():
+    """On the unit-square origami, over random SL(2, Q) markings (an upper
+    shear, then one to four geodesic and horocycle flows): ext_horizontal and
+    ext_vertical are the torus Ext of (1, 0) and (0, 1) at tau exactly, and
+    each core's weighted ext_bracket holds it; classify and inclusion_probe tag
+    weighted core pairs alike on both backends, at levels with l1 l2 below, at
+    and above i^2; and each origami ExcludedWitness, as a torus point, is in
+    HB(f1, l1) and not in HB(f2, l2) by the torus's exact Ext."""
+    rng, ob = random.Random(15), H.OrigamiBackend(UNIT_SQUARE)
+    cores = {pq: (cyl, O.core_trace(UNIT_SQUARE, cyl)) for pq, d in (((1, 0), O.HORIZONTAL),
+                                                                     ((0, 1), O.VERTICAL))
+             for cyl in O.cylinders(UNIT_SQUARE, d)}
+    ext = {(1, 0): O.ext_horizontal, (0, 1): O.ext_vertical}
+    witnesses = 0
+    for _ in range(1000):
+        x = O.MarkedFlatSurface(UNIT_SQUARE, Mat2(1, Fraction(rng.randint(-9, 9), 4), 0, 1))
+        for _ in range(rng.randint(1, 4)):
+            k = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            x = (O.geodesic_flow(x, stretch=k) if rng.random() < 0.5
+                 else O.horocycle_flow(x, Fraction(rng.randint(-50, 50), rng.randint(1, 9))))
+        tau = unit_square_tau(x)
+        for pq, (cyl, core) in cores.items():
+            w = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            exact = T.extremal_length(tau, fol(*pq))
+            assert ext[pq](x) == exact
+            b = O.ext_bracket(core, x, w * w)
+            assert b.lo <= w * w * exact <= b.hi
+        (pq1, (cyl1, _)), (pq2, (cyl2, _)) = (rng.choice(list(cores.items())) for _ in "12")
+        w1, w2 = (Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in "12")
+        l1 = Fraction(2) ** rng.randint(-8, 8)
+        l2 = (w1 * w2) ** 2 / l1 * rng.choice([Fraction(1, 2), 1, 2])
+        torus_balls = H.HoroBall(fol(*pq1, w1), l1), H.HoroBall(fol(*pq2, w2), l2)
+        origami_balls = (H.HoroBall(O.MulticurveFoliation(((w1, cyl1),)), l1),
+                         H.HoroBall(O.MulticurveFoliation(((w2, cyl2),)), l2))
+        assert H.classify(*origami_balls, ob).tag == H.classify(*torus_balls, BE).tag
+        probe = H.inclusion_probe(*origami_balls, ob)
+        assert probe.tag == H.inclusion_probe(*torus_balls, BE).tag
+        if probe.tag == H.EXCLUDED_WITNESS:
+            p = unit_square_tau(probe.witness)
+            assert T.extremal_length(p, torus_balls[0].foliation) <= l1
+            assert T.extremal_length(p, torus_balls[1].foliation) > l2
+            witnesses += 1
+    assert witnesses > 200
 
 
 @pytest.mark.parametrize("origami, direction, w1, w2", [

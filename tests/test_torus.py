@@ -1183,6 +1183,19 @@ def test_ball_limit_check_is_busemann_and_the_backend_brackets(pq, x0r, x0i, yr,
     assert repr(step) == repr(horolab.TorusBackend().ray_excess(x0, f, y)(j))
 
 
+def test_ball_limit_k_max_lies_in_0_to_1022():
+    """k_max outside 0..1022, where 2^(k_max + 1) leaves the doubles or no
+    ball is checked, raises ValueError before any membership is formed; the
+    ends of the range answer, with k_max + 1 memberships a point."""
+    x0, y = UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.1, 5.0)
+    for k_max in (-1, 1023):
+        with pytest.raises(ValueError, match=r"^k_max must lie in 0\.\.1022$"):
+            T.metric_ball_limit_check(x0, fol(1, 0), [y], k_max=k_max)
+    for k_max in (0, 1022):
+        rep = T.metric_ball_limit_check(x0, fol(1, 0), [y], k_max=k_max)
+        assert rep.ok and len(rep.entries[0].memberships) == k_max + 1
+
+
 def test_ball_limit_is_ok_at_the_corners_of_the_double_range():
     """At the corners of the double range (|Re| 0 or the largest, Im the least
     subnormal, the least normal, 1 or the largest), in the charts of small
@@ -1249,21 +1262,22 @@ EDGE_LEVEL = st.sampled_from([Fraction(1), Fraction(1, 10**400), Fraction(10**30
                               1e-300, 1e300])
 BACKEND = horolab.TorusBackend()
 PUBLIC_TORUS_CALLS = {
-    "extremal_length": lambda a, b, f, g, l1, l2: T.extremal_length(a, f),
-    "ext_ratio": lambda a, b, f, g, l1, l2: T.ext_ratio(a, f),
-    "teich_distance": lambda a, b, f, g, l1, l2: T.teich_distance(a, b),
-    "kerckhoff_distance": lambda a, b, f, g, l1, l2: T.kerckhoff_distance(a, b, 1e-9),
-    "ext_sup_enumeration": lambda a, b, f, g, l1, l2: T.ext_sup_enumeration(a, f, 1e-9),
-    "busemann": lambda a, b, f, g, l1, l2: T.busemann(a, f, b),
-    "metric_ball_limit_check": lambda a, b, f, g, l1, l2: T.metric_ball_limit_check(a, f, [b]),
-    "tangent_point": lambda a, b, f, g, l1, l2: T.tangent_point(f, l1, g),
-    "horocycle": lambda a, b, f, g, l1, l2: T.horocycle(f, l1)(0.5),
-    "horocycle_witness": lambda a, b, f, g, l1, l2: T.horocycle_witness(f, l1, g, l2),
-    "TorusBackend.ext": lambda a, b, f, g, l1, l2: BACKEND.ext(a, f),
-    "busemann_estimate": lambda a, b, f, g, l1, l2: horolab.busemann_estimate(a, f, b, BACKEND),
-    "inclusion_probe": lambda a, b, f, g, l1, l2: horolab.inclusion_probe(
+    "extremal_length": lambda a, b, f, g, l1, l2, k: T.extremal_length(a, f),
+    "ext_ratio": lambda a, b, f, g, l1, l2, k: T.ext_ratio(a, f),
+    "teich_distance": lambda a, b, f, g, l1, l2, k: T.teich_distance(a, b),
+    "kerckhoff_distance": lambda a, b, f, g, l1, l2, k: T.kerckhoff_distance(a, b, 1e-9),
+    "ext_sup_enumeration": lambda a, b, f, g, l1, l2, k: T.ext_sup_enumeration(a, f, 1e-9),
+    "busemann": lambda a, b, f, g, l1, l2, k: T.busemann(a, f, b),
+    "metric_ball_limit_check": lambda a, b, f, g, l1, l2, k: T.metric_ball_limit_check(
+        a, f, [b], k),
+    "tangent_point": lambda a, b, f, g, l1, l2, k: T.tangent_point(f, l1, g),
+    "horocycle": lambda a, b, f, g, l1, l2, k: T.horocycle(f, l1)(0.5),
+    "horocycle_witness": lambda a, b, f, g, l1, l2, k: T.horocycle_witness(f, l1, g, l2),
+    "TorusBackend.ext": lambda a, b, f, g, l1, l2, k: BACKEND.ext(a, f),
+    "busemann_estimate": lambda a, b, f, g, l1, l2, k: horolab.busemann_estimate(a, f, b, BACKEND),
+    "inclusion_probe": lambda a, b, f, g, l1, l2, k: horolab.inclusion_probe(
         horolab.HoroBall(f, l1), horolab.HoroBall(g, l2), BACKEND),
-    "classify": lambda a, b, f, g, l1, l2: horolab.classify(
+    "classify": lambda a, b, f, g, l1, l2, k: horolab.classify(
         horolab.HoroBall(f, l1), horolab.HoroBall(g, l2), BACKEND),
 }
 ONE, HALF = UpperHalfPoint(0.5, 1.0), UpperHalfPoint(0.5, Fraction(1, 10**400))
@@ -1271,18 +1285,20 @@ ONE, HALF = UpperHalfPoint(0.5, 1.0), UpperHalfPoint(0.5, Fraction(1, 10**400))
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.sampled_from(sorted(PUBLIC_TORUS_CALLS)), EDGE_POINT, EDGE_POINT, EDGE_FOLIATION,
-       EDGE_FOLIATION, EDGE_LEVEL, EDGE_LEVEL)
-@example("extremal_length", ONE, ONE, fol(1, 10**400), fol(1, 0), 1, 1)
-@example("extremal_length", HALF, ONE, fol(1, 0), fol(1, 0), 1, 1)
+       EDGE_FOLIATION, EDGE_LEVEL, EDGE_LEVEL, st.integers(-3, 1100))
+@example("extremal_length", ONE, ONE, fol(1, 10**400), fol(1, 0), 1, 1, 20)
+@example("extremal_length", HALF, ONE, fol(1, 0), fol(1, 0), 1, 1, 20)
 @example("kerckhoff_distance", UpperHalfPoint(Fraction(1, 10**400), 0.75),
-         UpperHalfPoint(Fraction(-1, 10**400), 1.25), fol(1, 0), fol(1, 0), 1, 1)
+         UpperHalfPoint(Fraction(-1, 10**400), 1.25), fol(1, 0), fol(1, 0), 1, 1, 20)
 @example("kerckhoff_distance", UpperHalfPoint(-10**300, 1.7e308),
-         UpperHalfPoint(Fraction(1, 10**400), 1e-310), fol(1, 0), fol(1, 0), 1, 1)
-def test_torus_public_api_answers_or_raises_value_error(name, a, b, f, g, l1, l2):
+         UpperHalfPoint(Fraction(1, 10**400), 1e-310), fol(1, 0), fol(1, 0), 1, 1, 20)
+@example("metric_ball_limit_check", ONE, ONE, fol(1, 0), fol(1, 0), 1, 1, 1023)
+def test_torus_public_api_answers_or_raises_value_error(name, a, b, f, g, l1, l2, k_max):
     """Each public torus function, and the horolab calls on the torus backend,
     answers or raises ValueError at the edges of the double range; never
-    OverflowError or ZeroDivisionError."""
+    OverflowError or ZeroDivisionError.  The ball-limit check takes k_max
+    from -3 to 1100."""
     try:
-        PUBLIC_TORUS_CALLS[name](a, b, f, g, l1, l2)
+        PUBLIC_TORUS_CALLS[name](a, b, f, g, l1, l2, k_max)
     except ValueError:
         pass
