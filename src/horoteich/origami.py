@@ -357,6 +357,8 @@ def trace_from_point(
     segment.  Its ``chains`` come from the segments on first use, as for any trace.
     """
     a, b = direction
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError("direction must be a pair of integers")
     if a < 0 or (a == 0 and b != 1):
         raise ValueError("direction must have dx > 0, or be (0, 1)")
     g = math.gcd(a, b)

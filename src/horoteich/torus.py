@@ -5,9 +5,9 @@ class (p, q) has extremal length |p + q*tau|^2 / Im(tau).  In the curve's
 chart (``TorusCurve.chart``), an SL(2, Z) map sending -p/q to infinity, its
 horospheres are horizontal lines and its rays and geodesics vertical ones,
 so tangency, horosphere points, rays and horosphere distances are exact up
-to one rounding; distance suprema are certified below a closed form by the
-convergents of its slope; horosphere distances and Busemann values are one
-half_log each, and a ball membership is one exact threshold e^{4t} > T.
+to one rounding; distance suprema are certified below a closed form at one
+class aimed at its slope, else at its convergents; horosphere distances and
+Busemann values are one half_log each, a ball membership one exact threshold e^{4t} > T.
 """
 from __future__ import annotations
 
@@ -87,6 +87,8 @@ class WeightedTorusFoliation(Frozen):
     def __init__(self, weight, curve: TorusCurve):
         if not weight > 0:
             raise ValueError("weight must be positive")
+        if weight == INFINITY:
+            raise ValueError("weight must be finite")
         self.__dict__.update(weight=weight, curve=curve)
 
 
@@ -182,13 +184,14 @@ def half_acosh(n: int, m: int, kn: int, kd: int) -> Bracket:
 # Both suprema are Rayleigh quotients of two binary quadratic forms in (p, q):
 # their sup over real slopes t = p/q has a closed form, attained at one slope
 # t*.  The closed form, inflated, is the upper bound; the lower bound is the
-# value at the first primitive class near t* that certifies.  Below the sup
-# the deficit is rank one: c (p - t q)^2 / |p + q tau|^2, t the exact peak,
-# and |p + q tau| <= |q| M + e for e = |p - t* q| and M >= |t* + tau|.  So a
-# class with k e^2 > (|q| M + e)^2, k = c / (2 delta) for delta the largest
-# deficit the stop test accepts, cannot certify and is walked past; the 2
-# absorbs rounding and the gap between t* and t.  Floats only choose what to
-# skip: a certificate comes only from an evaluated class.
+# value at a primitive class near t* that certifies.  Below the sup the
+# deficit is rank one: c (p - t q)^2 / |p + q tau|^2, t the exact peak, and
+# |p + q tau| >= |q| M - e for e = |p - t* q| and M = |t* + tau|.  So with k =
+# c / (2 delta), delta the largest deficit the stop test accepts, a class
+# with e < 1 and |q| M >= 2 (sqrt(k) - 1), tried first, has deficit below
+# c / (|q| M - 1)^2 <= delta once k >= 27; the 2s absorb rounding and the gap
+# between t* and t.  Floats only choose the classes: a certificate comes only
+# from an evaluated one.
 #
 # Rounding: with u = 2^-53, an operation on doubles whose result is normal
 # has relative error at most u.  ext_sup's closed form and each per-class
@@ -231,40 +234,37 @@ def _ext(p: int, q: int, num: int, den: int, y: float):
     return ext
 
 
-def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6,
-                  aim=(0.0, 0.0)):
-    """Certified supremum over primitive classes, from below: the witness is
-    the first class, of 0/1, 1/0 (the recurrence's start values) and then the
-    convergents of ``t_star`` but a repeated 0/1, whose lower bound ``ratio(p,
-    q)`` (None out of range) meets ``stop(lower, upper)``.  ``upper`` bounds
-    the sup over real slopes (inf out of range) and ``t_star`` attains it.
-    Returns (lower, witness, nodes, reason), reason None where certified, else
-    "range" if anything left the normal range and "precision" if not.  Each
-    class walked is primitive (p0 q - p q0 = +-1 between consecutive ones), so
-    the witness is made by _primitive.  ``aim`` = (k, M) skips, as above, the
-    classes that cannot certify where t_star, upper, k > 1 and M are finite; e
-    is the Euclidean remainder over t_star's denominator, 0 at t_star itself.
-    ``nodes`` and ``cap`` count skipped classes too, and a walk that ends
-    uncertified or at ``cap`` is walked again unaimed, to report its best."""
-    best, witness, nodes, out_of_range = 0.0, (1, 0), 0, math.isinf(upper)
+def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6, aim=None):
+    """Certified supremum over primitive classes, from below: a class certifies where its
+    lower bound ``ratio(p, q)`` (None out of range) meets ``stop(lower, upper)``, ``upper``
+    bounding the sup over real slopes (inf out of range) that ``t_star`` attains.  Tried
+    first, and the witness at ``nodes`` 1 where it certifies, is the class that ``aim`` =
+    (k, M) names, as above: q = 2^j, the least power of two >= 2 (sqrt(k) - 1) / M, and
+    p = floor(t_star q) | 1, odd and so prime to q.  Else, and where t_star, M or 2^j is
+    not finite, the witness is the first class that certifies of 0/1, 1/0 (the
+    recurrence's start values) and then t_star's convergents but a repeated 0/1, primitive
+    as p0 q - p q0 = +-1 between consecutive ones; ``nodes`` and ``cap`` count these.
+    Returns (lower, witness, nodes, reason), reason None where certified, else "range" if
+    a walked class left the normal range and "precision" if not."""
     n, d = t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0)
-    k, m = aim if aim[0] > 1.0 and math.isfinite(t_star + upper + sum(aim)) else (1.0, 0.0)
-    s, d0 = math.sqrt(k) - 1.0, d or 1  # k e^2 > (q M + e)^2 as (sqrt(k) - 1) e > q M
+    if aim and d and cap > 0:
+        k, m = aim
+        z = 2.0 * (math.sqrt(k) - 1.0) / m if k > 1.0 else 0.0
+        if z < INFINITY and m < INFINITY:  # z is nan where k and M are inf
+            q = 1 << (math.ceil(z) - 1).bit_length() if z > 1.0 else 1
+            p = n * q // d | 1
+            r = ratio(p, q)
+            if r is not None and stop(r, upper):
+                return r, _primitive(p, q), 1, None
+    best, witness, nodes, out_of_range = 0.0, (1, 0), 0, math.isinf(upper)
     p0, q0, p, q, a = 1, 0, 0, 1, 0  # quotient 0 steps 0/1 to 1/0, then t_star's
     while True:
         if p or not nodes:  # past the start, 0/1 is a repeat
             if nodes == cap:
-                if s:
-                    break
                 raise EnumerationBudgetError(
                     f"slope enumeration cap {cap} exhausted; best lower bound {best}", best)
             nodes += 1
-            e = abs(n) / d0 if a is not None else 0.0  # n is stale once the quotients end
-            try:
-                far = e * s > q * m
-            except OverflowError:  # q beyond the doubles
-                far = False
-            r = None if far else ratio(p, q)  # an aimed walk's reason is never reported
+            r = ratio(p, q)
             if r is None:
                 out_of_range = True
             elif r > best:
@@ -275,8 +275,6 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6,
             break
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
         n, (a, d) = (d, divmod(n, d)) if d else (n, (None, d))  # None: t_star's quotients end
-    if s:  # uncertified or at cap: a skipped class may hold the unaimed walk's best
-        return certified_sup(ratio, t_star, upper, stop, cap)
     return best, _primitive(*witness), nodes, "range" if out_of_range else "precision"
 
 
@@ -406,7 +404,7 @@ def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: flo
         s = fp + fq * x  # deficit w^2 Ext_f - w^2 i^2 / Ext: c = w^2 s^2 / y, delta = tol
         aim = (w2 * s * s / (2.0 * y * tol), math.hypot(t_star + x, y))
     except (OverflowError, ZeroDivisionError):  # p_f + q_f x leaves the doubles: upper is inf
-        t_star, aim = INFINITY, (0.0, 0.0)
+        t_star, aim = INFINITY, None
     lower, witness, nodes, reason = certified_sup(
         ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap, aim)
     return SupResult(lower, upper, witness, nodes, reason is None, reason)
@@ -444,11 +442,9 @@ def tangent_point(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation) -> Up
     """Unique point on the (f, g) geodesic with Ext(f) = s, exact and then
     each coordinate rounded once, so within half an ulp; ValueError
     (OUT_OF_RANGE) if Im is not a normal double or Re not a double."""
-    if not s > 0:
-        raise ValueError("level must be positive")
+    h = _normalize_level(f.weight, s)
     if f.curve == g.curve:
         raise ValueError("curves coincide; no transverse pair")
-    h = Fraction(s) / Fraction(f.weight) ** 2
     return _on_geodesic(f.curve, g.curve, h.denominator, h.numerator)
 
 
@@ -457,6 +453,11 @@ def tangent_point(f: WeightedTorusFoliation, s, g: WeightedTorusFoliation) -> Up
 
 
 def _normalize_level(weight, level):
+    """level / weight^2, exact: the one check that a level is positive and finite."""
+    if not level > 0:
+        raise ValueError("level must be positive")
+    if level == INFINITY:
+        raise ValueError("level must be finite")
     return Fraction(level) / Fraction(weight) ** 2
 
 
@@ -471,8 +472,6 @@ class HoroSpec(Frozen):
 
     @staticmethod
     def create(f: WeightedTorusFoliation, level) -> "HoroSpec":
-        if not level > 0:
-            raise ValueError("level must be positive")
         norm = _normalize_level(f.weight, level)
         return HoroSpec(WeightedTorusFoliation(Fraction(1), f.curve), norm)
 
@@ -515,13 +514,11 @@ def horocycle_witness(f: WeightedTorusFoliation, level, g: WeightedTorusFoliatio
     w_g^2 - (d h)^2, all in integers; sigma = 0 where d = 0, as Ext(g) is constant then."""
     m, c = f.curve.chart, g.curve
     n, d = m.b * c.q - m.a * c.p, f.curve.p * c.q - f.curve.q * c.p
-    (wn, wd), (ln, ld) = f.weight.as_integer_ratio(), level.as_integer_ratio()
-    hn, hd = wn * wn * ld, wd * wd * ln  # h = hn / hd
+    hd, hn = _normalize_level(f.weight, level).as_integer_ratio()  # h = hn / hd
     x, y, den = 0, hn, hd
     if d:
-        (gn, gd), (bn, bd) = g.weight.as_integer_ratio(), bound.as_integer_ratio()
-        gb = bd * gn * gn
-        r = hn * (bn * gd * gd * hd * (2**40 + 1) - (gb * d * d * hn << 40)) // (gb * hd * hd << 40)
+        bn, bd = _normalize_level(g.weight, bound).as_integer_ratio()  # bound / w_g^2
+        r = hn * (bn * hd * (2**40 + 1) - (bd * d * d * hn << 40)) // (bd * hd * hd << 40)
         x, y, den = (n + math.isqrt(max(r, 0)) + 1) * hd, hn * d, d * hd
     re, im, den = _act(Mat2(m.d, -m.b, -m.c, m.a), x, y, den)
     return UpperHalfPoint(Fraction(re, den), Fraction(im, den))

@@ -28,13 +28,16 @@ pair Re tau1, Im tau1, Re tau2, Im tau2 (and the tol, where it is drawn):
 Prints each sweep's tag counts, a pair counted as transverse when its origami
 foliations have different directions (most, not all, of those cross) or its
 torus foliations have i(f1, f2) > 0, and each Kerckhoff sweep's certified,
-range and precision counts with the classes certified_sup walked and those
-whose ratio it evaluated.  Exits 1 if an ExcludedWitness fails its exact check
+range and precision counts, with the pairs certified at the aimed class
+(nodes 1, witness not 0/1), the nodes reported and the classes whose ratio
+certified_sup evaluated.  Exits 1 if an ExcludedWitness fails its exact check
 (torus: torus.extremal_length at the witness's exact Fraction coordinates;
 origami: Ext_f1's cylinder upper end and Ext_f2's flat lower end, in Fractions
 from the witness's gram integers), if a transverse probe of either backend is
-Inconclusive, or if a certified Kerckhoff value lies outside [d - tol, d] for
-the distance d at the double inputs (mpmath, 60 digits), up to 1e-12 (1 + d).
+Inconclusive, if a certified Kerckhoff value lies outside [d - tol, d] for
+the distance d at the double inputs (mpmath, 60 digits), up to 1e-12 (1 + d),
+or if a Kerckhoff sweep certifies fewer pairs than its floor in
+KERCKHOFF_FLOORS.
 --dump FILE writes one line per probe (tag, witness, witness bracket, bound;
 a torus witness as its two coordinates, each the str of a Fraction) and per
 Kerckhoff pair (reason, witness, nodes, value), to compare two source trees.
@@ -60,6 +63,7 @@ KERCKHOFF_SWEEPS = {
     "near-cusp": (4, lambda rng: (rng.uniform(-3, 3), 10.0 ** rng.uniform(-8, 8)),
                   lambda rng: 10.0 ** rng.uniform(-12, -2)),
 }
+KERCKHOFF_FLOORS = {"far": 1018, "near-cusp": 3000}  # certified pairs
 TORUS_CURVES = sorted((p, q) for p in range(-7, 8) for q in range(-7, 8)
                       if math.gcd(p, q) == 1)
 
@@ -130,18 +134,13 @@ def torus_sweep(dump):
 
 def counting_walks(counts):
     """torus.certified_sup, wrapped so that each ratio it evaluates adds 1 to
-    counts["evaluated"], once also where an unaimed re-walk calls it again
-    with the counting ratio."""
-    sup, counting = T.certified_sup, set()
+    counts["evaluated"]."""
+    sup = T.certified_sup
 
     def counted(ratio, *args):
-        if ratio in counting:
-            return sup(ratio, *args)
-
         def r(p, q):
             counts["evaluated"] += 1
             return ratio(p, q)
-        counting.add(r)
         return sup(r, *args)
     return counted
 
@@ -162,7 +161,8 @@ def kerckhoff_sweep(name, dump):
             tol = tol_draw(rng)
             r = T.kerckhoff_distance(a, b, tol)
             counts[r.reason or "certified"] += 1
-            counts["walked"] += r.nodes
+            counts["aimed"] += r.certified and r.nodes == 1 and r.witness != T.TorusCurve(0, 1)
+            counts["nodes"] += r.nodes
             if r.certified:
                 d = kerckhoff_truth(a, b)
                 slack = 1e-12 * (1 + d)
@@ -171,11 +171,12 @@ def kerckhoff_sweep(name, dump):
                         f"{r.value.hex()}")
     finally:
         T.certified_sup = sup
-    print(f"kerckhoff {name} Random({seed}): {counts['certified']} certified, "
-          f"{counts['range']} range, {counts['precision']} precision; "
-          f"{counts['walked']} classes walked, {counts['evaluated']} evaluated; "
-          f"{wrong} certified values wrong")
-    return wrong
+    short = max(KERCKHOFF_FLOORS[name] - counts["certified"], 0)
+    print(f"kerckhoff {name} Random({seed}): {counts['certified']} certified "
+          f"({counts['aimed']} at the aimed class, {short} short of the floor), "
+          f"{counts['range']} range, {counts['precision']} precision; {counts['nodes']} nodes, "
+          f"{counts['evaluated']} classes evaluated; {wrong} certified values wrong")
+    return wrong + short
 
 
 def summary(tags):

@@ -1019,7 +1019,8 @@ ORIGAMI_ONLY = ["torus", "horolab", "cli_torus"]
     [
         (["torus-ext", "--tau", "0+2i", "--curve", "1,0"], 0, TORUS_ONLY),
         (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i"], 0, TORUS_ONLY),
-        (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--cap", "1"], 2, TORUS_ONLY),
+        (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--tol", "1e-15", "--cap", "50"], 2,
+         TORUS_ONLY),
         (["tangency", "--curve1", "1,0", "--level1", "1", "--curve2", "0,1", "--level2", "1"],
          0, TORUS_ONLY),
         (["triple", "--i", "2,3,6"], 0, TORUS_ONLY),

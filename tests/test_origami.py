@@ -1156,6 +1156,8 @@ PUBLIC_ORIGAMI_CALLS = {
     "robust_trace(slope)": lambda v, w: O.robust_trace(L, 0, v),
     "robust_trace(offset)": lambda v, w: O.robust_trace(L, 0, Fraction(1), offset=v),
     "trace_from_point": lambda v, w: O.trace_from_point(L, 0, (v, w), (2, 1)),
+    "trace_from_point(direction)": lambda v, w: O.trace_from_point(
+        L, 0, (Fraction(1, 2), 0), (v, w)),
     "ext_bracket": lambda v, w: O.ext_bracket(O.core_trace(L, WIDE_H), _flowed(v, 1), w),
     "ext_vertical": lambda v, w: O.ext_vertical(_flowed(v, w)),
     "i_with_foliation": lambda v, w: O.i_with_foliation(SLOPE_1, O.VERTICAL, _flowed(v, w)),
@@ -1179,6 +1181,7 @@ PUBLIC_ORIGAMI_CALLS = {
 @example("horocycle_flow", math.inf, 1)
 @example("robust_trace(slope)", math.inf, 1)
 @example("trace_from_point", math.inf, 0)
+@example("trace_from_point(direction)", 2.0, 1.0)
 @example("horocycle_growth_check(s)", 1e155, 1e155)
 def test_origami_public_api_answers_or_raises_value_error(name, v, w):
     """Each public origami function, and the horolab calls on the origami

@@ -150,16 +150,17 @@ def test_kerckhoff_symmetric_and_below_oracle():
 
 
 def test_kerckhoff_budget_exhaustion():
+    # at tol 1e-15 no class meets the stop test, so the walk runs to its cap
     with pytest.raises(T.EnumerationBudgetError) as info:
         T.kerckhoff_distance(
-            UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.3, 1.4), tol=1e-12, cap=3
+            UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.3, 1.4), tol=1e-15, cap=3
         )
     assert info.value.lower_bound > 0
 
 
 def walk(t):
-    """The classes certified_sup evaluates for t, in order: with a ratio that
-    is always out of range and no upper bound the walk runs to its end."""
+    """The classes certified_sup walks for t, in order: with no aim, a ratio
+    that is always out of range and no upper bound the walk runs to its end."""
     seen = []
     T.certified_sup(lambda p, q: seen.append((p, q)), t, T.INFINITY, None)
     return seen
@@ -218,8 +219,12 @@ def test_integer_coordinates_give_the_float_results():
         as_float = T.kerckhoff_distance(UpperHalfPoint(float(x1), float(y1)),
                                         UpperHalfPoint(float(x2), float(y2)), 1e-9)
         assert as_int == as_float
-    r = T.kerckhoff_distance(UpperHalfPoint(0, 1), UpperHalfPoint(1e-310, 0.5), 1e-9)
-    assert (r.certified, r.reason) == (False, "range")
+    # Re tau2 subnormal: the aimed class (1, -65536) keeps p + q Re tau2 normal and certifies
+    b = UpperHalfPoint(1e-310, 0.5)
+    r = T.kerckhoff_distance(UpperHalfPoint(0, 1), b, 1e-9)
+    assert (r.certified, r.witness, r.nodes) == (True, curve(1, -65536), 1)
+    d = teich_truth(UpperHalfPoint(0.0, 1.0), b)
+    assert d - 1e-9 <= r.value <= d
     for f in (fol(1, 0), fol(2, 3), fol(0, 1, Fraction(3, 2))):
         assert T.ext_sup_enumeration(UpperHalfPoint(1e-310, 1), f, 1e-9) == \
             T.ext_sup_enumeration(UpperHalfPoint(1e-310, 1.0), f, 1e-9)
@@ -296,9 +301,10 @@ def teich_truth(a, b):
 def assert_certificate(a, b, tol, r):
     """A certified Kerckhoff result r checked apart from its search: value is
     half the log of the witness's ratio, recomputed from _ext and scaled by
-    1 - 2^-49, bit for bit; that ratio meets the stop test against the closed
-    form's upper bound, no earlier class of the walk does, and nodes is the
-    witness's place in it."""
+    1 - 2^-49, bit for bit, and that ratio meets the stop test against the
+    closed form's upper bound.  At nodes 1 the witness may be the aimed class,
+    p odd over a power of two; else nodes is its place in the walk, and no
+    earlier class of the walk meets the test."""
     if not r.certified:
         return
 
@@ -312,6 +318,9 @@ def assert_certificate(a, b, tol, r):
     w = lower((r.witness.p, r.witness.q))
     assert r.value == (0.5 * math.log(w) if w > 1.0 else 0.0)
     assert upper / w <= factor
+    q = abs(r.witness.q)
+    if r.nodes == 1 and r.witness.p % 2 and q and q & (q - 1) == 0:
+        return
     classes = walk(T._kerckhoff_slope(a.x - b.x, a.y, b.y) - b.x)
     place = next(i for i, c in enumerate(classes) if T.TorusCurve(*c) == r.witness)
     assert r.nodes == place + 1
@@ -401,153 +410,69 @@ def test_kerckhoff_subnormal_square_band(both):
 
 
 # ---------------------------------------------------------------------------
-# The aimed walk: certified_sup skips classes that cannot certify
+# The aimed class: certified_sup tries one class before it walks
 
 
-def aimed_walk(monkeypatch, sup, *args):
-    """The certified_sup call inside sup(*args): (call, evaluated, rewalked),
-    with call its arguments (ratio, t_star, upper, stop, cap, aim), evaluated
-    the classes whose ratio its aimed walk takes, and rewalked whether it
-    walked again unaimed."""
-    real, calls, evaluated = T.certified_sup, [], []
+def sup_call(monkeypatch, sup, *args):
+    """The arguments (ratio, t_star, upper, stop, cap, aim) of sup(*args)'s certified_sup call."""
+    real, calls = T.certified_sup, []
 
-    def spy(ratio, *rest):
-        calls.append((ratio, *rest))
-
-        def recorded(p, q):
-            if len(calls) == 1:
-                evaluated.append((p, q))
-            return ratio(p, q)
-        return real(recorded, *rest)
+    def spy(*call):
+        calls.append(call)
+        return real(*call)
     with monkeypatch.context() as m:
         m.setattr(T, "certified_sup", spy)
-        run_sup(lambda: sup(*args))
-    return calls[0], evaluated, len(calls) > 1
-
-
-def run_sup(call):
-    try:
-        return call()
-    except T.EnumerationBudgetError as exc:
-        return exc.lower_bound
-
-
-def check_aimed_walk(monkeypatch, sup, *args):
-    """The aimed walk of SUPS[sup](*args) checked apart from the walk: it
-    returns what the unaimed walk does, a certified result comes from its
-    first pass, and each class it walked past fails the stop test in
-    Fractions at the double inputs.  Returns the number of classes skipped."""
-    sup, cannot_certify = SUPS[sup][0], SUPS[sup][1](*args)
-    call, evaluated, rewalked = aimed_walk(monkeypatch, sup, *args)
-    ratio, t_star, upper, stop, cap, aim = call
-    aimed = run_sup(lambda: T.certified_sup(ratio, t_star, upper, stop, cap, aim))
-    unaimed = run_sup(lambda: T.certified_sup(ratio, t_star, upper, stop, cap))
-    assert aimed == unaimed, (args, aimed, unaimed)
-    certified = type(unaimed) is tuple and unaimed[3] is None
-    assert not (certified and rewalked), args
-    walked, evaluated = walk(t_star)[:cap if rewalked else unaimed[2]], set(evaluated)
-    skipped = [c for c in walked if c not in evaluated]
-    assert all(cannot_certify(p, q, Fraction(upper)) for p, q in skipped), (args, skipped)
-    return len(skipped)
-
-
-def exact_point(t):
-    return UpperHalfPoint(Fraction(t.x), Fraction(t.y))
-
-
-def kerckhoff_cannot_certify(a, b, tol):
-    """upper / R > factor for R = Ext_a / Ext_b exact: no lower bound at or
-    below R meets kerckhoff_distance's stop test."""
-    a, b, factor = exact_point(a), exact_point(b), Fraction(math.exp(2.0 * tol))
-    return lambda p, q, upper: upper / (T.extremal_length(a, fol(p, q))
-                                       / T.extremal_length(b, fol(p, q))) > factor
-
-
-def ext_sup_cannot_certify(tau, f, tol):
-    """upper - w^2 i^2 / Ext > tol, exactly: no lower bound at or below the
-    class's ratio meets ext_sup_enumeration's stop test."""
-    tau, w2 = exact_point(tau), Fraction(f.weight) ** 2
-    return lambda p, q, upper: upper - w2 * T.intersection(f.curve, curve(p, q)) ** 2 \
-        / T.extremal_length(tau, fol(p, q)) > Fraction(tol)
-
-
-SUPS = {"kerckhoff": (T.kerckhoff_distance, kerckhoff_cannot_certify),
-        "ext_sup": (T.ext_sup_enumeration, ext_sup_cannot_certify)}
+        sup(*args)
+    return calls[0]
 
 
 def bench_point(rng):
     return UpperHalfPoint(rng.uniform(-2, 2), math.exp(rng.uniform(math.log(0.05), math.log(3))))
 
 
-def near_cusp_point(rng):
-    return UpperHalfPoint(rng.uniform(-3, 3), 10.0 ** rng.uniform(-8, 8))
+def test_aimed_class_certifies_on_the_bench_box_and_else_the_walk_decides(monkeypatch):
+    """On the benchmark's box (Re U(-2, 2), Im log-uniform in [0.05, 3]) both
+    sups certify at the class that aim names, at node 1: p odd over q a power
+    of two.  Where that class fails, refused here as out of range, or at a tol
+    of 1e-15 relative, where no class meets the stop test, certified_sup
+    returns what the unaimed walk does, to the last bit."""
+    rng, cases = random.Random(40), []
+    for _ in range(150):
+        cases.append((T.kerckhoff_distance, bench_point(rng), bench_point(rng), 1e-9, 1e-15))
+        tau, pq = bench_point(rng), rng.choice(FAR_CURVES[:-1] + [(4, 9), (7, -3)])
+        f = fol(*pq, Fraction(rng.randint(1, 4), 3))
+        ext = T.extremal_length(tau, f)
+        cases.append((T.ext_sup_enumeration, tau, f, 1e-9 * max(1.0, ext), 1e-15 * ext))
+    for sup, a, b, tol, tiny in cases:
+        r = sup(a, b, tol)
+        q = abs(r.witness.q)
+        assert r.certified and r.nodes == 1 and r.witness.p % 2 and q & (q - 1) == 0, (a, b)
+        for tol, refused in ((tol, 1), (tiny, 0)):
+            ratio, t_star, upper, stop, cap, aim = sup_call(monkeypatch, sup, a, b, tol)
+            seen = []
+
+            def refusing(p, q):
+                seen.append((p, q))
+                return None if len(seen) == refused else ratio(p, q)
+            aimed = T.certified_sup(refusing, t_star, upper, stop, cap, aim)
+            assert aimed == T.certified_sup(ratio, t_star, upper, stop, cap), (a, b, tol)
+            assert aimed[3] == (None if refused else "precision")
+            assert not refused or T._primitive(*seen[0]) == r.witness  # the one refused
 
 
-def far_point(rng):
-    return UpperHalfPoint(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 300),
-                          10.0 ** rng.uniform(-161.8, 300))
-
-
-# (point draw, tol draw) per domain: the benchmark's Kerckhoff box (with the
-# cusp list), near the cusp and far up it at tol 10^U(-12, -2), and far apart
-# at 1e-9, where most pairs leave the doubles (ext_sup's tols are relative)
-AIM_DOMAINS = {
-    "bench": (bench_point, lambda rng: 1e-9),
-    "near-cusp": (near_cusp_point, lambda rng: 10.0 ** rng.uniform(-12, -2)),
-    "far": (far_point, lambda rng: 1e-9),
-}
-
-
-@pytest.mark.parametrize("domain", AIM_DOMAINS)
-def test_aimed_kerckhoff_walk_skips_only_what_cannot_certify(monkeypatch, domain):
-    draw, tol_draw = AIM_DOMAINS[domain]
-    rng, skipped = random.Random(40), 0
-    pairs = [(draw(rng), draw(rng), tol_draw(rng)) for _ in range(300)]
-    if domain == "bench":
-        pairs += [(UpperHalfPoint(0.0, 1.0), UpperHalfPoint(x, y), 1e-9) for x, y in CUSP_POINTS]
-    for a, b, tol in pairs:
-        skipped += check_aimed_walk(monkeypatch, "kerckhoff", a, b, tol)
-    assert skipped >= 50
-
-
-@pytest.mark.parametrize("domain", AIM_DOMAINS)
-def test_aimed_ext_sup_walk_skips_only_what_cannot_certify(monkeypatch, domain):
-    draw, tol_draw = AIM_DOMAINS[domain]
-    rng, skipped = random.Random(41), 0
-    for _ in range(300):
-        tau, pq = draw(rng), rng.choice(FAR_CURVES[:-1] + [(4, 9), (7, -3)])
-        f = fol(*pq, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
-        tol = tol_draw(rng) * max(1.0, float(min(Fraction(*T.ext_ratio(tau, f)), Fraction(1e290))))
-        skipped += check_aimed_walk(monkeypatch, "ext_sup", tau, f, tol)
-    assert skipped >= 50
-
-
-@pytest.mark.parametrize("sup, args, skipped", [
-    # t*'s last convergent is t* itself, where the remainder is stale: e = 0
-    ("kerckhoff", (UpperHalfPoint(1e30, 1e100), UpperHalfPoint(1e50, 1e-50), 1e-9), 2),
-    # README's pair: t* < 0, so 0/1's remainder, t*'s numerator, is negative
-    # and e takes |n|; only the witness, -305/72, is evaluated
-    ("kerckhoff", (UpperHalfPoint(0.0, 1.0), UpperHalfPoint(1.0, 2.0), 1e-9), 6),
-    # t* subnormal: q leaves the doubles, and such a class is evaluated
-    ("kerckhoff", (UpperHalfPoint(0.0, 1.0), UpperHalfPoint(1e-310, 0.5), 1e-9), 2),
-    # uncertified ("precision"): walked again, to report the unaimed best
-    ("ext_sup", (UpperHalfPoint(3.0, 1e-8), fol(2, 1), 1e-12), 2),
-], ids=["stale-remainder", "negative-remainder", "q-beyond-doubles", "uncertified"])
-def test_aimed_walk_pitfalls(monkeypatch, sup, args, skipped):
-    assert check_aimed_walk(monkeypatch, sup, *args) == skipped
-
-
-def test_skipped_classes_count_toward_the_cap():
-    """README's torus-dist pair: each cap below 7 ends with the unaimed walk's
-    best lower bound, and cap 7 certifies at the seventh class walked."""
+def test_cap_counts_the_walked_classes():
+    """README's torus-dist pair at tol 1e-15, where no class meets the stop
+    test: the aimed class, tried and failed, is not counted, so each cap ends
+    with the best lower bound of that many walked classes, and with no cap the
+    walk ends uncertified at t*'s last convergent, its 35th class."""
     a, b = UpperHalfPoint(0.0, 1.0), UpperHalfPoint(1.0, 2.0)
     for cap, best in enumerate([0.3999999999999993, 1.9999999999999964, 2.5999999999999956,
                                 2.615384615384611, 2.618025751072957, 2.618033963166702], 1):
         with pytest.raises(T.EnumerationBudgetError) as info:
-            T.kerckhoff_distance(a, b, tol=1e-9, cap=cap)
+            T.kerckhoff_distance(a, b, tol=1e-15, cap=cap)
         assert info.value.lower_bound == best, cap
-    r = T.kerckhoff_distance(a, b, tol=1e-9, cap=7)
-    assert r.certified and (r.witness, r.nodes) == (curve(305, -72), 7)
+    r = T.kerckhoff_distance(a, b, tol=1e-15)
+    assert (r.certified, r.reason, r.nodes) == (False, "precision", 35)
 
 
 # ---------------------------------------------------------------------------
@@ -1246,20 +1171,20 @@ def test_ball_limit_ok_is_a_check(monkeypatch):
 
 # The double range's edges: ints 10^300-10^420 and their reciprocals, subnormals,
 # 1.7e308 and ordinary values; a curve coordinate of 10^400; weights and levels
-# far outside the doubles
+# far outside the doubles or infinite
 EDGE_X = st.one_of(st.integers(300, 420).map(lambda e: 10**e),
                    st.integers(300, 420).map(lambda e: Fraction(1, 10**e)),
                    st.integers(1, 1000).map(lambda k: k * 5e-324),
                    st.just(1.7e308), st.floats(0.05, 3.0))
 EDGE_POINT = st.builds(lambda s, x, y: UpperHalfPoint(s * x, y), st.sampled_from([-1, 1]),
                        EDGE_X, EDGE_X)
-EDGE_FOLIATION = st.builds(
-    lambda pq, w: fol(*pq, w),
+EDGE_FOLIATION = st.tuples(  # (p, q, weight): built in the test, as a weight may be refused
     st.sampled_from([(1, 0), (0, 1), (2, 1), (3, -2), (1, 10**400), (10**400, 1),
                      (10**400, 10**400 + 1)]),
-    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 10**400), Fraction(10**300)]))
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 10**400), Fraction(10**300),
+                     math.inf])).map(lambda d: (*d[0], d[1]))
 EDGE_LEVEL = st.sampled_from([Fraction(1), Fraction(1, 10**400), Fraction(10**300), 2.5,
-                              1e-300, 1e300])
+                              1e-300, 1e300, math.inf])
 BACKEND = horolab.TorusBackend()
 PUBLIC_TORUS_CALLS = {
     "extremal_length": lambda a, b, f, g, l1, l2, k: T.extremal_length(a, f),
@@ -1286,19 +1211,21 @@ ONE, HALF = UpperHalfPoint(0.5, 1.0), UpperHalfPoint(0.5, Fraction(1, 10**400))
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.sampled_from(sorted(PUBLIC_TORUS_CALLS)), EDGE_POINT, EDGE_POINT, EDGE_FOLIATION,
        EDGE_FOLIATION, EDGE_LEVEL, EDGE_LEVEL, st.integers(-3, 1100))
-@example("extremal_length", ONE, ONE, fol(1, 10**400), fol(1, 0), 1, 1, 20)
-@example("extremal_length", HALF, ONE, fol(1, 0), fol(1, 0), 1, 1, 20)
+@example("extremal_length", ONE, ONE, (1, 10**400, 1), (1, 0, 1), 1, 1, 20)
+@example("extremal_length", HALF, ONE, (1, 0, 1), (1, 0, 1), 1, 1, 20)
 @example("kerckhoff_distance", UpperHalfPoint(Fraction(1, 10**400), 0.75),
-         UpperHalfPoint(Fraction(-1, 10**400), 1.25), fol(1, 0), fol(1, 0), 1, 1, 20)
+         UpperHalfPoint(Fraction(-1, 10**400), 1.25), (1, 0, 1), (1, 0, 1), 1, 1, 20)
 @example("kerckhoff_distance", UpperHalfPoint(-10**300, 1.7e308),
-         UpperHalfPoint(Fraction(1, 10**400), 1e-310), fol(1, 0), fol(1, 0), 1, 1, 20)
-@example("metric_ball_limit_check", ONE, ONE, fol(1, 0), fol(1, 0), 1, 1, 1023)
+         UpperHalfPoint(Fraction(1, 10**400), 1e-310), (1, 0, 1), (1, 0, 1), 1, 1, 20)
+@example("metric_ball_limit_check", ONE, ONE, (1, 0, 1), (1, 0, 1), 1, 1, 1023)
+@example("ext_sup_enumeration", ONE, ONE, (1, 0, math.inf), (1, 0, 1), 1, 1, 20)
+@example("horocycle_witness", ONE, ONE, (1, 0, 1), (0, 1, 1), 1, math.inf, 20)
 def test_torus_public_api_answers_or_raises_value_error(name, a, b, f, g, l1, l2, k_max):
     """Each public torus function, and the horolab calls on the torus backend,
     answers or raises ValueError at the edges of the double range; never
     OverflowError or ZeroDivisionError.  The ball-limit check takes k_max
     from -3 to 1100."""
     try:
-        PUBLIC_TORUS_CALLS[name](a, b, f, g, l1, l2, k_max)
+        PUBLIC_TORUS_CALLS[name](a, b, fol(*f), fol(*g), l1, l2, k_max)
     except ValueError:
         pass
