@@ -7,12 +7,11 @@ tolerance, which ``num_rounded`` sets for a double rounded once to nearest
 from an exact value: half an ulp, or 2^-1074 where that is 0.0.  Output is
 deterministic for fixed inputs and seed apart from the timestamp field.
 
-Exit status: 0 success, 2 undecided or uncertified result (a record with a
-``reason``), 1 input error (usage errors included).  ``run`` is the one
-request pipeline: parse, fill unset options from ``--config``, call the
-handler, wrap its inputs and results in the record envelope and emit it.  It
-alone maps outcomes to exit codes: a record's ``reason`` to 2, a model's
-``ValueError`` and any ``OverflowError`` to 1.
+``run`` is the one request pipeline: parse, fill unset options from ``--config``,
+call the handler, wrap its inputs and results in the record envelope and emit it.  It
+alone maps outcomes to exit statuses: 0 success; 2 a record with a ``reason``, or a
+budget exit, printed as one ``error:`` line of its message; 1 an input error, that is a
+usage error, a model's ``ValueError`` or any ``OverflowError``.
 The handlers live one module per model, ``cli_torus`` and ``cli_origami``; a call
 imports only its handler's module, which imports the model modules it uses.
 """
@@ -296,10 +295,7 @@ def run(argv) -> int:
     except OverflowError:
         print("error: a value is beyond the double range", file=sys.stderr)
         return EXIT_INPUT
-    except EnumerationBudgetError as e:
-        print(f"error: enumeration budget exhausted; lower bound {e.lower_bound}", file=sys.stderr)
-        return EXIT_UNDECIDED
-    except TraceNotClosed as e:
+    except (EnumerationBudgetError, TraceNotClosed) as e:  # its message names what it bounds
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNDECIDED
 

@@ -98,15 +98,11 @@ def cmd_triple(args):
 
 def cmd_ratio_curve(args):
     alpha, beta = parse_curve(args.alpha), parse_curve(args.beta)
-    target = parse_rational(args.target)
-    eps = parse_rational(str(args.eps)) if args.eps else Fraction(1, 1000)
-    gamma = T.ratio_curve_search(alpha, beta, target, eps, budget=args.cap)
+    target, eps = parse_rational(args.target), parse_rational(args.eps or "1/1000")
+    gamma = T.ratio_curve_search(alpha, beta, target, eps, budget=args.cap)  # cap counts mediants
     ratio = Fraction(T.intersection(alpha, gamma), T.intersection(beta, gamma))
-    results = {
-        "curve": f"{gamma.p},{gamma.q}",
-        "ratio": num_exact(ratio),
-        "error": num_exact(abs(ratio - target)),
-    }
+    results = {"curve": f"{gamma.p},{gamma.q}", "ratio": num_exact(ratio),
+               "error": num_exact(abs(ratio - target))}
     return {**_inputs(args, "alpha", "beta", "target"), "eps": str(eps)}, results
 
 

@@ -12,7 +12,7 @@ from operator import attrgetter
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised when the slope enumeration cap is hit before certification."""
+    """A slope walk's cap or a ratio search's budget ran out; the message names the bound."""
 
     def __init__(self, message: str, lower_bound: float):
         super().__init__(message)

@@ -234,6 +234,13 @@ def _ext(p: int, q: int, num: int, den: int, y: float):
     return ext
 
 
+def partial_quotients(n: int, d: int):
+    """n/d's partial quotients (Euclid): floor(n/d), then positive ones; none for d = 0."""
+    while d:
+        yield n // d
+        n, d = d, n % d
+
+
 def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6, aim=None):
     """Certified supremum over primitive classes, from below: a class certifies where its
     lower bound ``ratio(p, q)`` (None out of range) meets ``stop(lower, upper)``, ``upper``
@@ -256,9 +263,9 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6, ai
             r = ratio(p, q)
             if r is not None and stop(r, upper):
                 return r, _primitive(p, q), 1, None
-    best, witness, nodes, out_of_range = 0.0, (1, 0), 0, math.isinf(upper)
-    p0, q0, p, q, a = 1, 0, 0, 1, 0  # quotient 0 steps 0/1 to 1/0, then t_star's
-    while True:
+    best, witness, nodes, out_of_range, p0, q0, p, q = 0.0, (1, 0), 0, math.isinf(upper), 0, 1, 1, 0
+    for a in (0, 0, *partial_quotients(n, d)):  # 0, 0 step to 0/1 and 1/0, then t_star's follow
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
         if p or not nodes:  # past the start, 0/1 is a repeat
             if nodes == cap:
                 raise EnumerationBudgetError(
@@ -271,10 +278,6 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6, ai
                 best, witness = r, (p, q)
                 if stop(best, upper):
                     return best, _primitive(p, q), nodes, None
-        if a is None:
-            break
-        p0, q0, p, q = p, q, a * p + p0, a * q + q0
-        n, (a, d) = (d, divmod(n, d)) if d else (n, (None, d))  # None: t_star's quotients end
     return best, _primitive(*witness), nodes, "range" if out_of_range else "precision"
 
 
@@ -365,8 +368,11 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
     lam = math.exp(min(2.0 * (closed - closed_form_radius(closed)), 709.0))  # <= e^{2d}
     aim = ((1.0 - y2 / (lam * y1) - _SLACK) / (2.0 * (1.0 - 1.0 / factor + _SLACK)),
            math.hypot(t_star + x2, y2))
-    lower, witness, nodes, reason = certified_sup(
-        ratio, t_star, upper, lambda lower, upper: upper / lower <= factor, cap, aim)
+    try:
+        lower, witness, nodes, reason = certified_sup(
+            ratio, t_star, upper, lambda lower, upper: upper / lower <= factor, cap, aim)
+    except EnumerationBudgetError as e:  # its best bounds the sup e^{2d}, not d
+        raise type(e)(f"{e} on the sup of the extremal-length ratio", e.lower_bound) from None
     value = 0.5 * math.log(lower) if lower > 1.0 else 0.0
     return KerckhoffResult(value, closed, witness, nodes, reason is None, reason)
 
@@ -549,39 +555,41 @@ def triple_tangency_levels(i_ab, i_ag, i_bg):
 
 def ratio_curve_search(alpha: TorusCurve, beta: TorusCurve, target, eps,
                        budget: int = 10**6) -> TorusCurve:
-    """Primitive gamma, filling with alpha and beta, whose intersection
-    ratio i(alpha, gamma) / i(beta, gamma) lies within eps of target.
-
-    Stern-Brocot descent in the cone spanned by alpha and beta; inside it
-    the ratio equals the cone coordinate w/u exactly.
-    """
+    """Primitive gamma = u alpha + w beta, reduced, with i(alpha, gamma) / i(beta, gamma) = w/u
+    within eps of target: the first such mediant of the Stern-Brocot descent, else past
+    ``budget`` mediants EnumerationBudgetError naming the best.  Run k of the descent, (w_{k-2}
+    + j w_{k-1}) / (u_{k-2} + j u_{k-1}) for j = 1..a_k (target's convergents and partial
+    quotients), nears target monotonically: one integer division, a step per quotient."""
     if alpha == beta:
         raise ValueError("alpha and beta must be distinct")
     if not eps > 0:
         raise ValueError("eps must be strictly positive")
-    if not target > 0:
-        raise ValueError("target must be positive")
-    target = Fraction(target)
+    if not 0 < target < INFINITY:
+        raise ValueError("target must be positive and finite")
+    if not budget > 0:
+        raise ValueError("budget must be positive")
+    n, d = Fraction(target).as_integer_ratio()
+    en, ed = Fraction(min(eps, Fraction(n + d, d))).as_integer_ratio()  # 1/1 answers a larger eps
 
-    def reduced(u, w):
+    def reduced(u, w):  # the primitive class along u alpha + w beta
         p, q = u * alpha.p + w * beta.p, u * alpha.q + w * beta.q
-        g = math.gcd(p, q)
-        return p // g, q // g
+        return p // math.gcd(p, q), q // math.gcd(p, q)
 
-    # (u, w) with ratio w / u: lo = 0/1 (gamma ~ alpha), hi = 1/0 (gamma ~ beta)
-    lo, hi, best, best_err = (1, 0), (0, 1), None, INFINITY
-    for _ in range(budget):
-        u, w = lo[0] + hi[0], lo[1] + hi[1]
-        ratio = Fraction(w, u)
-        err = abs(ratio - target)
-        if err < best_err:
-            best, best_err = (u, w), err
-        if err < eps:
+    # 0/1 and 1/0 start the convergents w/u; the mediant j is (e0 - j e1) / (d u) off target
+    (u0, w0, e0), (u1, w1, e1), best = (1, 0, n), (0, 1, d), (INFINITY, None)
+    for a in partial_quotients(n, d):  # a run of a mediants; a0 = 0 (target < 1) makes none
+        first = max(1, (ed * e0 - en * d * u0) // (ed * e1 + en * d * u1) + 1)  # within eps
+        j = min(first, a, budget)
+        u, w = u0 + j * u1, w0 + j * w1
+        if j == first:
             return TorusCurve(*reduced(u, w))
-        lo, hi = ((u, w), hi) if ratio < target else (lo, (u, w))
-    u, w = best
-    raise EnumerationBudgetError(f"ratio search budget exhausted; best ratio {Fraction(w, u)} at "
-                                 f"curve {reduced(u, w)}", float(Fraction(w, u)))
+        if j and (err := Fraction(e0 - j * e1, d * u)) < best[0]:  # the run's best is its last
+            best = err, (u, w)
+        if not (budget := budget - j):
+            u, w = best[1]
+            raise EnumerationBudgetError(f"ratio search budget exhausted; best ratio "
+                                         f"{Fraction(w, u)} at curve {reduced(u, w)}", w / u)
+        (u0, w0, e0), (u1, w1, e1) = (u1, w1, e1), (u0 + a * u1, w0 + a * w1, e0 - a * e1)
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,22 @@ def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--tol", "1e-15", "--cap", "5"],
+     "slope enumeration cap 5 exhausted; best lower bound 2.618025751072957 on the sup of "
+     "the extremal-length ratio"),
+    (["ratio-curve", "--alpha", "1,0", "--beta", "0,1", "--target", "0.1", "--eps", "1e-30",
+      "--cap", "3"],
+     "ratio search budget exhausted; best ratio 1/3 at curve (3, 1)"),
+], ids=["torus-dist", "ratio-curve"])
+def test_budget_exit_names_what_it_bounds(argv, err, capsys):
+    """A budget exit prints its exception's message as one error line: the
+    torus-dist bound is on the sup of the extremal-length ratio, e^{2d}, not on
+    the distance 0.4812, and the best ratio 1/3 lies above the target 1/10."""
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 FAR_START = {
     "busemann-far-tau0": ["busemann", "--tau0", "1e300+1i", "--curve", "2,1", "--tau", "0+1i"],
     "ball-limit-far-tau0": ["ball-limit", "--tau0", "1e300+1i", "--curve", "2,1"],

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -762,6 +763,115 @@ def test_ratio_curve_random_targets():
         assert abs(ratio - target) < 1e-3
 
 
+def ratio_curve_reference(alpha, beta, target, eps, budget=10**6):
+    """ratio_curve_search as it was before the run walk, frozen: the Stern-Brocot
+    descent one mediant at a time, each compared with target in Fractions."""
+    target = Fraction(target)
+
+    def reduced(u, w):
+        p, q = u * alpha.p + w * beta.p, u * alpha.q + w * beta.q
+        g = math.gcd(p, q)
+        return p // g, q // g
+
+    lo, hi, best, best_err = (1, 0), (0, 1), None, math.inf
+    for _ in range(budget):
+        u, w = lo[0] + hi[0], lo[1] + hi[1]
+        ratio = Fraction(w, u)
+        err = abs(ratio - target)
+        if err < best_err:
+            best, best_err = (u, w), err
+        if err < eps:
+            return T.TorusCurve(*reduced(u, w))
+        lo, hi = ((u, w), hi) if ratio < target else (lo, (u, w))
+    u, w = best
+    raise T.EnumerationBudgetError(f"ratio search budget exhausted; best ratio {Fraction(w, u)} at "
+                                   f"curve {reduced(u, w)}", float(Fraction(w, u)))
+
+
+def ratio_curve_outcome(search, *args):
+    """("curve", p, q), or ("budget", message, lower_bound) for a budget exit."""
+    try:
+        g = search(*args)
+        return "curve", g.p, g.q
+    except T.EnumerationBudgetError as e:
+        return "budget", str(e), e.lower_bound
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_ratio_curve_run_walk_matches_the_mediant_walk():
+    """Seeded sweep against the frozen one-mediant-at-a-time search: random
+    curve pairs; rational targets (random, small, ratios of consecutive
+    Fibonacci numbers) and float ones; Fraction and float eps, down to 1e-30,
+    and inf; budgets log-uniform in [1, 10^4]; and budgets that end on a tie.
+    Each call gives the same curve, or the same budget message and lower_bound."""
+    rng = random.Random(46)
+
+    def fibonacci_ratio():  # F(k) / F(k + 1) or its inverse: quotients all 1 but the last
+        k = rng.randint(2, 40)
+        return Fraction(fibonacci(k), fibonacci(k + 1)) ** rng.choice((-1, 1))
+    pairs = [pq for pq in primitive_pairs(5) if pq[0] > 0 or pq == (0, 1)]
+    targets = [lambda: Fraction(rng.randint(1, 10**rng.randint(1, 8)),
+                                rng.randint(1, 10**rng.randint(1, 8))),
+               lambda: Fraction(rng.randint(1, 40), rng.randint(1, 40)),
+               fibonacci_ratio, lambda: 10.0 ** rng.uniform(-6, 6)]
+    epsilons = [lambda: Fraction(1, 10**rng.randint(0, 30)),
+                lambda: Fraction(rng.randint(1, 9), rng.randint(1, 999)),
+                lambda: 10.0 ** rng.uniform(-20, 1), lambda: math.inf]
+    kinds = Counter()
+    for _ in range(2000):
+        alpha, beta = (curve(*pq) for pq in rng.sample(pairs, 2))
+        args = (alpha, beta, rng.choice(targets)(), rng.choice(epsilons)(),
+                int(10 ** rng.uniform(0, 4)))
+        got = ratio_curve_outcome(T.ratio_curve_search, *args)
+        assert got == ratio_curve_outcome(ratio_curve_reference, *args), args
+        kinds[got[0]] += 1
+    assert min(kinds.values()) >= 500, kinds
+    for k in range(1, 30):  # k/1 and then (k + 1)/1 are 1/2 off k + 1/2: the first stays best
+        args = (curve(1, 0), curve(0, 1), Fraction(2 * k + 1, 2), Fraction(1, 10), k + 1)
+        got = ratio_curve_outcome(T.ratio_curve_search, *args)
+        assert got == ratio_curve_outcome(ratio_curve_reference, *args) == (
+            "budget", f"ratio search budget exhausted; best ratio {k} at curve (1, {k})", k)
+
+
+def test_ratio_curve_costs_a_step_per_partial_quotient():
+    """1e308 is one run of 10^308 mediants j/1, and the default budget of
+    10^6 mediants ends inside it: one division, where the mediant walk took
+    seconds.  F(301)/F(300), all but one quotient 1, at an eps of 10^-200,
+    below every convergent's error (about 10^-125 or more) but its own 0, is
+    300 mediants, nearly all a run of their own."""
+    start = time.perf_counter()
+    with pytest.raises(T.EnumerationBudgetError) as info:
+        T.ratio_curve_search(curve(1, 0), curve(0, 1), 1e308, 0.1)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == "ratio search budget exhausted; best ratio 1000000 at curve (1, 1000000)"
+    assert info.value.lower_bound == 1e6
+    target, eps = Fraction(fibonacci(301), fibonacci(300)), Fraction(1, 10**200)
+    for budget in (1, 150, 299, 300, 10**6):  # 300 mediants reach the target
+        args = (curve(1, 0), curve(0, 1), target, eps, budget)
+        start = time.perf_counter()
+        got = ratio_curve_outcome(T.ratio_curve_search, *args)
+        assert time.perf_counter() - start < 0.1
+        assert got == ratio_curve_outcome(ratio_curve_reference, *args), budget
+    assert got == ("curve", fibonacci(300), fibonacci(301))
+
+
+def test_ratio_curve_input_contract():
+    """A budget below 1 or an infinite target is a ValueError; an infinite eps
+    admits the first mediant, 1/1."""
+    a, b = curve(1, 0), curve(0, 1)
+    for target, budget in ((1, 0), (1, -2), (math.inf, 10)):
+        with pytest.raises(ValueError):
+            T.ratio_curve_search(a, b, target, 0.1, budget)
+    for target in (Fraction(1, 10**400), 7, 1e300):
+        assert T.ratio_curve_search(a, b, target, math.inf) == curve(1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Equidistance, Busemann, metric balls
 
@@ -1204,6 +1314,8 @@ PUBLIC_TORUS_CALLS = {
         horolab.HoroBall(f, l1), horolab.HoroBall(g, l2), BACKEND),
     "classify": lambda a, b, f, g, l1, l2, k: horolab.classify(
         horolab.HoroBall(f, l1), horolab.HoroBall(g, l2), BACKEND),
+    "ratio_curve_search": lambda a, b, f, g, l1, l2, k: ratio_curve_outcome(
+        T.ratio_curve_search, f.curve, g.curve, l1, l2, k),
 }
 ONE, HALF = UpperHalfPoint(0.5, 1.0), UpperHalfPoint(0.5, Fraction(1, 10**400))
 
@@ -1220,11 +1332,14 @@ ONE, HALF = UpperHalfPoint(0.5, 1.0), UpperHalfPoint(0.5, Fraction(1, 10**400))
 @example("metric_ball_limit_check", ONE, ONE, (1, 0, 1), (1, 0, 1), 1, 1, 1023)
 @example("ext_sup_enumeration", ONE, ONE, (1, 0, math.inf), (1, 0, 1), 1, 1, 20)
 @example("horocycle_witness", ONE, ONE, (1, 0, 1), (0, 1, 1), 1, math.inf, 20)
+@example("ratio_curve_search", ONE, ONE, (1, 0, 1), (0, 1, 1), math.inf, 1, 20)
+@example("ratio_curve_search", ONE, ONE, (1, 0, 1), (0, 1, 1), 1, 1, 0)
 def test_torus_public_api_answers_or_raises_value_error(name, a, b, f, g, l1, l2, k_max):
     """Each public torus function, and the horolab calls on the torus backend,
     answers or raises ValueError at the edges of the double range; never
     OverflowError or ZeroDivisionError.  The ball-limit check takes k_max
-    from -3 to 1100."""
+    from -3 to 1100, and ratio_curve_search takes it as its budget, whose
+    exit is an answer."""
     try:
         PUBLIC_TORUS_CALLS[name](a, b, fol(*f), fol(*g), l1, l2, k_max)
     except ValueError:
