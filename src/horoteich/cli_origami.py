@@ -142,12 +142,16 @@ def cmd_curve_graph(args):
             ids.append(f"{d[0]}{k}")
             if 0 in cyl.all_squares:
                 named[d] = ids[-1]
+    cores = len(ids)
     for text in args.slopes.split(";") if args.slopes else ():
         slope = parse_slope(text)  # traced from square 1: slope 0 or vert is a core through it
         key = O.VERTICAL if slope is None else O.HORIZONTAL if slope == 0 else slope
         ids.append(f"s{text.strip()}")
         if key in named:
-            raise InputError(f"--slopes entry {ids[-1]} is the curve {named[key]}")
+            repeat, first = ids[-1], named[key]
+            if repeat == first:  # one entry written twice: name both by position
+                repeat, first = len(ids) - cores, f"{first} of entry {ids.index(first) - cores + 1}"
+            raise InputError(f"--slopes entry {repeat} is the curve {first}")
         named[key] = ids[-1]
         traces.append(O.robust_trace(o, 0, slope))
     cs = C.curve_set_from_traces(ids, traces)

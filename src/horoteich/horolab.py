@@ -7,8 +7,8 @@ A backend supplies only geometry for one concrete model, in five methods:
 (components of g), else None; ``fills(f, g)``, True where every curve meets f or
 g (None where not decided); and ``horosphere_sampler(h1, h2)``, one point
 computed from both balls that may show HoroBall h1 does not lie in h2.  The
-torus backend also has ``ray_excess(x0, f, x)``, torus's step j -> (D(t)
-bracket, tail) at e^{2t} = 2^j, for the Busemann machinery.  Proportionality,
+torus backend also has ``ray_excess(x0, f, x)``, torus.ray_excess's step j ->
+(D(t) bracket, tail) at e^{2t} = 2^j, for the Busemann machinery.  Proportionality,
 the sup of Ext over a horoball, the relations between horoballs, the exclusion
 witness rule and the Busemann machinery are implemented here once.
 
@@ -93,7 +93,7 @@ class TorusBackend:
             return Bracket(math.nextafter(math.inf, 0.0), math.inf)
 
     def intersect(self, f, g):
-        return self.model.foliation_intersection(f, g)
+        return Fraction(f.weight) * Fraction(g.weight) * self.model.intersection(f.curve, g.curve)
 
     def subfoliation_coeffs(self, f, g):
         # indecomposable model: sub-foliation means proportional
@@ -111,7 +111,7 @@ class TorusBackend:
     def ray_excess(self, x0, f, x):
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for
         D(t) = d(x, ray(t)) - t, B = lim D(t) (see torus.ray_excess)."""
-        return self.model.ray_excess(x0, f)(x)
+        return self.model.ray_excess(x0, f, x)
 
 
 # ---------------------------------------------------------------------------

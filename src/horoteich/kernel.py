@@ -72,19 +72,6 @@ class Mat2(Frozen):
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, v):
-        """Apply to a column vector (x, y)."""
-        x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
 
 class UpperHalfPoint(Frozen):
     """The point tau = x + iy of the upper half-plane, y > 0."""

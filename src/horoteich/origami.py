@@ -479,17 +479,6 @@ def crossing_number(t1: CurveTrace, t2: CurveTrace) -> int:
     return abs(sum(v * c2[e] for e, v in z1.items() if e in c2))
 
 
-def i_with_foliation(t: CurveTrace, direction: str, x: MarkedFlatSurface):
-    """Total transverse measure of the (deformed) direction foliation along
-    the trace: a coordinate of deform * holonomy."""
-    vx, vy = x.deform.apply(t.holonomy)
-    if direction == VERTICAL:
-        return abs(vx)
-    if direction == HORIZONTAL:
-        return abs(vy)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 # ---------------------------------------------------------------------------
 # Extremal-length brackets
 
@@ -588,11 +577,12 @@ def horocycle_growth_check(
 
 
 def _growth_check(t, x, s_values) -> GrowthReport:
-    i_v = i_with_foliation(t, VERTICAL, x)
-    i_h = i_with_foliation(t, HORIZONTAL, x)
+    # the deformed vertical and horizontal measures along t: deform * holonomy, in integers
+    (a, b, c, d, q), (hx, hy) = x._m, t.holonomy
+    i_v, i_h = Fraction(abs(a * hx + b * hy), q), Fraction(abs(c * hx + d * hy), q)
     if not i_v > 0:
         raise ValueError("trace must cross the vertical foliation")
-    area = float(x.deform.det() * x.base.n)
+    area = x.base.n * x.gram[3] / (q * q)
     threshold = float(i_h) / ((1.0 - 1.0 / math.sqrt(2.0)) * float(i_v))
     los = []
     violations = []

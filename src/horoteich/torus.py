@@ -96,10 +96,6 @@ def intersection(c1: TorusCurve, c2: TorusCurve) -> int:
     return abs(c1.p * c2.q - c1.q * c2.p)
 
 
-def foliation_intersection(f: WeightedTorusFoliation, g: WeightedTorusFoliation):
-    return Fraction(f.weight) * Fraction(g.weight) * intersection(f.curve, g.curve)
-
-
 def extremal_length(tau: UpperHalfPoint, f: WeightedTorusFoliation):
     """weight^2 * |p + q*tau|^2 / Im(tau), ext_ratio's n / d: the exact Fraction
     where Im tau is a Fraction, else n / d rounded once, and ValueError where
@@ -665,7 +661,7 @@ def torus_ray(x0: UpperHalfPoint, f: WeightedTorusFoliation):
 def _ray_points(x0: UpperHalfPoint, f: WeightedTorusFoliation):
     """y -> (x, h, w), y's integers: in f's chart M, with My = z and M x0 = r0
     + i u0, Re z - r0, Im z and u0 times den den0 (_act's).  B = busemann's value
-    is half_log(w, h)'s, and _excess's r2 = x^2 + h^2, w2 = w^2 and hw = h w."""
+    is half_log(w, h)'s, and _ray_step's r2 = x^2 + h^2, w2 = w^2 and hw = h w."""
     m = f.curve.chart
     re0, im0, den0 = _act(m, *_ints(x0))
 
@@ -698,33 +694,24 @@ def busemann_limit(x0: UpperHalfPoint, f: WeightedTorusFoliation, x: UpperHalfPo
     return est.value
 
 
-def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation):
-    """y -> step for torus_ray's ray: D(t) = d_T(y, ray(t)) - t falls to B =
-    busemann(x0, f, y), and step(j) is _ray_step at y's integers r2, w2, hw
+def ray_excess(x0: UpperHalfPoint, f: WeightedTorusFoliation, y: UpperHalfPoint):
+    """The step j -> _ray_step(j) for torus_ray's ray, where D(t) = d_T(y,
+    ray(t)) - t falls to B = busemann(x0, f, y): at y's integers r2, w2, hw
     (_ray_points) and h0 = sum(half_log(r2, w2))."""
-    point = _ray_points(x0, f)
-
-    def at(y: UpperHalfPoint):
-        x, h, w = point(y)
-        r2, w2 = x * x + h * h, w * w
-        return partial(_ray_step, r2, w2, h * w, sum(half_log(r2, w2)))
-
-    return at
+    x, h, w = _ray_points(x0, f)(y)
+    r2, w2 = x * x + h * h, w * w
+    return partial(_ray_step, r2, w2, h * w, sum(half_log(r2, w2)))
 
 
 def _ray_step(r2: int, w2: int, hw: int, h0: float, j: int):
-    """(Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j: _excess at K =
-    2^j and _tail at a log K just below j log 2."""
-    return _excess(r2, w2, hw, 1, j), _tail(h0, j * _LOG2 * (1.0 - 2.0**-50))
-
-
-def _excess(r2: int, w2: int, hw: int, k: int, e: int) -> Bracket:
-    """Bracket on D(t) where e^{2t} = K = k 2^e = k 2^p / 2^s: ray(t) = r0 + i K
-    u0 in f's chart, so cosh 2 d_T = A = n / m, n = r2 4^s + w2 k^2 4^p and m =
-    hw k 2^(s + p + 1) (see _ray_points), and D(t) = (1/2) log((A + sqrt(A^2 -
-    1)) / K) is half_acosh's."""
-    s, p = (0, e) if e >= 0 else (-e, 0)
-    return half_acosh((r2 << 2 * s) + (w2 * k * k << 2 * p), hw * k << s + p + 1, k << p, 1 << s)
+    """(Bracket on D(t), bound on D(t) - B) where e^{2t} = K = 2^j = 2^p / 2^s:
+    ray(t) = r0 + i K u0 in f's chart, so cosh 2 d_T = A = n / m, n = r2 4^s +
+    w2 4^p and m = hw 2^(s + p + 1) (see _ray_points), and D(t) = (1/2) log((A +
+    sqrt(A^2 - 1)) / K) is half_acosh's; the bound is _tail's at a log K just
+    below j log 2."""
+    s, p = (0, j) if j >= 0 else (-j, 0)
+    return (half_acosh((r2 << 2 * s) + (w2 << 2 * p), hw << s + p + 1, 1 << p, 1 << s),
+            _tail(h0, j * _LOG2 * (1.0 - 2.0**-50)))
 
 
 def _tail(h0: float, log_k: float) -> float:

@@ -334,12 +334,16 @@ def test_curve_graph(capsys):
         (L_ARGS, "1;2/2", "s2/2", "s1"),
         (L_ARGS, "1/2;-1;Vertical", "sVertical", "v0"),
         (["--h", "[1,2,4,3]", "--v", "[3,1,2,4]"], "0", "s0", "h0"),  # square 1 in row 2 of h0
+        (L_ARGS, "1;1", "2", "s1 of entry 1"),  # one id twice: both entries by position
+        (L_ARGS, " 1;1", "2", "s1 of entry 1"),
     ],
 )
 def test_curve_graph_refuses_a_repeated_curve(perms, slopes, repeat, first, capsys):
     """A --slopes entry that is a curve already listed, the core of the cylinder
     through square 1 for slope 0 or vert, or an earlier equal slope, exits 1
-    with one line naming both ids, not as a second vertex joined to the first."""
+    with one line naming both ids, not as a second vertex joined to the first;
+    an entry whose id is the earlier entry's is named by its position, and the
+    earlier one by its id and position."""
     assert cli.run(["curve-graph", *perms, "--slopes", slopes]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

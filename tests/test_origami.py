@@ -653,16 +653,6 @@ def test_chains_sum_to_the_holonomy_and_pair_antisymmetrically(data):
 # Transverse measures and brackets
 
 
-def test_i_with_foliation_shear():
-    wide_h = [c for c in O.cylinders(L, O.HORIZONTAL) if c.circumference == 2][0]
-    t = O.core_trace(L, wide_h)
-    assert t.holonomy == (2, 0)
-    x = O.horocycle_flow(O.MarkedFlatSurface.base_point(L), Fraction(10))
-    assert x.deform.apply(t.holonomy) == (2, 20)
-    assert O.i_with_foliation(t, O.VERTICAL, x) == 2
-    assert O.i_with_foliation(t, O.HORIZONTAL, x) == 20
-
-
 def test_ext_bracket_cylinder_core():
     x = O.MarkedFlatSurface.base_point(L)
     wide_v = [c for c in O.cylinders(L, O.VERTICAL) if c.circumference == 2][0]
@@ -816,6 +806,12 @@ def test_flows_at_double_parameters_are_exact(t, s):
     assert O.ext_vertical(x) == L.n / Fraction(math.exp(t)) ** 2
 
 
+def _product(m, n):
+    """The matrix product m n."""
+    return Mat2(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
 def test_flowed_markings_match_fraction_products():
     """One to four flows (a rational or double shear, a rational stretch, a double
     time) give the marking that is the Fraction product of their matrices: its
@@ -837,7 +833,7 @@ def test_flowed_markings_match_fraction_products():
                 if kind < 2:
                     s = (Fraction(rng.randint(-500, 500), rng.randint(1, 10)) if kind == 0
                          else rng.uniform(-50.0, 50.0))
-                    x, ref = O.horocycle_flow(x, s), Mat2(1, 0, Fraction(s), 1) @ ref
+                    x, ref = O.horocycle_flow(x, s), _product(Mat2(1, 0, Fraction(s), 1), ref)
                     continue
                 if kind == 2:
                     k = Fraction(rng.randint(1, 40), rng.randint(1, 40))
@@ -845,7 +841,7 @@ def test_flowed_markings_match_fraction_products():
                 else:
                     t = rng.uniform(-5.0, 5.0)
                     x, k = O.geodesic_flow(x, t=t), Fraction(math.exp(t))
-                ref = Mat2(k, 0, 0, 1 / k) @ ref
+                ref = _product(Mat2(k, 0, 0, 1 / k), ref)
             a, b, c, d = ref.a, ref.b, ref.c, ref.d
             det, q = a * d - b * c, math.lcm(*(e.denominator for e in (a, b, c, d)))
             assert x.deform == ref
@@ -877,6 +873,52 @@ def test_growth_check_quadratic():
     assert rep.ok
     assert rep.quad_coefficient == pytest.approx(4 / 3, rel=1e-9)
     assert rep.relative_residual < 1e-9
+
+
+def test_growth_check_measures_are_deform_times_holonomy():
+    """The report's i_vertical and i_horizontal are the absolute coordinates of
+    x.deform times the trace's holonomy, formed here in Fractions: on L, the
+    staircase and seeded 1-9 square origamis, for every cylinder core and traces
+    of slopes of both signs, at points flowed by rational stretches and shears
+    and at points marked by a rational matrix.  A trace the deformed vertical
+    foliation does not cross raises ValueError.  On L's wide horizontal core
+    sheared by 10, the measures are 2 and 20."""
+    wide_h = [c for c in O.cylinders(L, O.HORIZONTAL) if c.circumference == 2][0]
+    x = O.horocycle_flow(O.MarkedFlatSurface.base_point(L), Fraction(10))
+    rep = O.horocycle_growth_check(O.core_trace(L, wide_h), x, [1, 2, 3])
+    assert (rep.i_vertical, rep.i_horizontal) == (2, 20)
+    rng = random.Random(47)
+    surfaces = [L, STAIRCASE] + [_random_origami(rng, rng.randint(1, 9)) for _ in range(8)]
+    slopes = [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-3, 2), Fraction(-1, 4)]
+
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+    checked = 0
+    for o in surfaces:
+        traces = [O.core_trace(o, c) for d in (O.HORIZONTAL, O.VERTICAL)
+                  for c in O.cylinders(o, d)] + [O.robust_trace(o, 0, s) for s in slopes]
+        for _ in range(6):
+            x = O.MarkedFlatSurface.base_point(o)
+            for _ in range(rng.randint(1, 4)):
+                x = (O.horocycle_flow(x, rational()) if rng.random() < 0.5 else
+                     O.geodesic_flow(x, stretch=Fraction(rng.randint(1, 30), rng.randint(1, 30))))
+            points = [x]
+            while len(points) < 2:
+                m = Mat2(*(rational() for _ in "abcd"))
+                if m.det() > 0:
+                    points.append(O.MarkedFlatSurface(o, m))
+            for x, t in itertools.product(points, traces):
+                (a, b, c, d), (hx, hy) = (x.deform.a, x.deform.b, x.deform.c, x.deform.d), t.holonomy
+                i_v, i_h = abs(a * hx + b * hy), abs(c * hx + d * hy)
+                if not i_v:
+                    with pytest.raises(ValueError, match="^trace must cross the vertical"):
+                        O.horocycle_growth_check(t, x, [1])
+                    continue
+                rep = O.horocycle_growth_check(t, x, [1])
+                assert (rep.i_vertical, rep.i_horizontal) == (i_v, i_h), (o, x, t)
+                assert type(rep.i_vertical) is type(rep.i_horizontal) is Fraction
+                checked += 1
+    assert checked > 500
 
 
 def cramer_quadratic(s_values, los):
@@ -1081,12 +1123,12 @@ def test_generator_point_maps_respect_gluings():
                 # pair straddling the right edge of square s
                 a = act.map_point(s, (1 - d, y0))
                 b = act.map_point(o.h[s], (d, y0))
-                dx, dy = mg.apply((2 * d, 0))
+                dx, dy = mg.a * 2 * d, mg.c * 2 * d  # mg times (2 d, 0)
                 assert _walk(act.target, a[0], *a[1], Fraction(dx), Fraction(dy)) == (b[0], *b[1])
                 # pair straddling the top edge of square s
                 a = act.map_point(s, (y0, 1 - d))
                 b = act.map_point(o.v[s], (y0, d))
-                dx, dy = mg.apply((0, 2 * d))
+                dx, dy = mg.b * 2 * d, mg.d * 2 * d  # mg times (0, 2 d)
                 assert _walk(act.target, a[0], *a[1], Fraction(dx), Fraction(dy)) == (b[0], *b[1])
 
 
@@ -1160,7 +1202,8 @@ PUBLIC_ORIGAMI_CALLS = {
         L, 0, (Fraction(1, 2), 0), (v, w)),
     "ext_bracket": lambda v, w: O.ext_bracket(O.core_trace(L, WIDE_H), _flowed(v, 1), w),
     "ext_vertical": lambda v, w: O.ext_vertical(_flowed(v, w)),
-    "i_with_foliation": lambda v, w: O.i_with_foliation(SLOPE_1, O.VERTICAL, _flowed(v, w)),
+    "horocycle_growth_check(measures)": lambda v, w: O.horocycle_growth_check(
+        SLOPE_1, _flowed(v, w), []),
     "horocycle_growth_check(s)": lambda v, w: O.horocycle_growth_check(
         SLOPE_1, BASE, [v, w, 1.0]),
     "horocycle_growth_check(x)": lambda v, w: O.horocycle_growth_check(

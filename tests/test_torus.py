@@ -1032,7 +1032,7 @@ def test_half_acosh_holds_the_truth():
     """half_acosh's bracket holds (1/2) log((A + sqrt(A^2 - 1)) kd / kn)
     (mpmath, 80 digits): with kn = kd = 1, i.e. (1/2) acosh(A), for the exact
     A of far point pairs, A = 1 and A = 1 + 2^-300; and with kn / kd = k 2^p
-    / 2^s as _excess passes them, K = 2^j or a 64-bit odd integer times 2^j."""
+    / 2^s, K = 2^j (as _ray_step passes them) or a 64-bit odd integer times 2^j."""
     rng = random.Random(31)
     cases = [(n, n, 1, 0) for n in (1, 7, 10**400)] + [(2**300 + 1, 2**300, 1, 0)]
     cases += [(*far_cosh(rng), 1, 0) for _ in range(200)]
@@ -1067,12 +1067,11 @@ def test_ray_distance_stable_at_huge_times():
     x0 = UpperHalfPoint(0.0, 1.0)
     f = fol(1, 0)
     y = UpperHalfPoint(0.4, 2.0)
-    x, h, w = T._ray_points(x0, f)(y)
-    b, point = T.half_log(w, h)[0], (x * x + h * h, w * w, h * w)
+    step, b = T.ray_excess(x0, f, y), T.busemann(x0, f, y)
     j = math.floor(2**21 / math.log(2))  # 2^j <= e^{2^21} < 2^(j + 1)
-    d_huge, d_small = T._excess(*point, 1, j + 1), T._excess(*point, 1, j)
+    (d_huge, _), (d_small, _) = step(j + 1), step(j)
     assert d_huge.width < 1e-14 and d_small.hi == d_huge.hi
-    assert d_huge.hi <= T._excess(*point, 1, math.floor(32 / math.log(2))).hi + 1e-15
+    assert d_huge.hi <= step(math.floor(32 / math.log(2)))[0].hi + 1e-15
     assert d_huge.lo <= b <= d_huge.hi
 
 
@@ -1106,7 +1105,7 @@ def test_ray_excess_brackets_hold_the_truth(pq, x0r, x0i, yr, yi, j):
     inputs (mpmath, 80 digits), [D_lo - tail, D_hi] holds the Busemann value,
     and so does busemann's closed form, within its rounding."""
     x0, y, f = UpperHalfPoint(x0r, x0i), UpperHalfPoint(yr, yi), fol(*pq)
-    d, tail = T.ray_excess(x0, f)(y)(j)
+    d, tail = T.ray_excess(x0, f, y)(j)
     b = T.busemann(x0, f, y)
     with mpmath.workdps(80):
         d_true, b_true = ray_truth(x0, f, y, j * mpmath.log(2))
@@ -1193,29 +1192,28 @@ def test_ball_limit_point_near_the_threshold_is_open_at_one_k(k):
 @given(st.sampled_from(FAR_CURVES), far_re, far_im, far_re, far_im)
 def test_ball_limit_check_is_busemann_and_the_backend_brackets(pq, x0r, x0i, yr, yi):
     """For far start and sample points, the check's busemann_value is busemann's,
-    each D bracket and tail it forms is at r2, w2, hw from y's integers
-    (_ray_points) and h0, and its last pair, at e^{2t} = 2^j, is ray_excess's step at j, in
-    the torus module and in TorusBackend, bit for bit."""
+    each tail it forms is at h0, its one ray step is at r2, w2, hw from y's
+    integers (_ray_points) and h0, and that step's pair, at e^{2t} = 2^j, is
+    ray_excess's step at j, in the torus module and in TorusBackend, bit for bit."""
     x0, y, f = UpperHalfPoint(x0r, x0i), UpperHalfPoint(yr, yi), fol(*pq)
-    excess, tail, calls = T._excess, T._tail, []
+    ray_step, tail, calls = T._ray_step, T._tail, []
 
     def spy(name, fn, *args):
         calls.append((name, args, fn(*args)))
         return calls[-1][2]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_excess", lambda *a: spy("excess", excess, *a))
+        mp.setattr(T, "_ray_step", lambda *a: spy("step", ray_step, *a))
         mp.setattr(T, "_tail", lambda *a: spy("tail", tail, *a))
         entry = T.metric_ball_limit_check(x0, f, [y]).entries[0]
     x, h, w = T._ray_points(x0, f)(y)
     b, r2, w2, hw = T.half_log(w, h)[0], x * x + h * h, w * w, h * w
     h0 = sum(T.half_log(r2, w2))
     assert repr(entry.busemann_value) == repr(b) == repr(T.busemann(x0, f, y))
-    for name, args, _ in calls:
-        assert args[:3] == (r2, w2, hw) if name == "excess" else repr(args[0]) == repr(h0)
-    (_, (*_, k, j), d), (_, _, d_tail) = calls[-2:]
-    step = T.ray_excess(x0, f)(y)(j)
-    assert k == 1 and repr((d, d_tail)) == repr(step)
-    assert repr(step) == repr(horolab.TorusBackend().ray_excess(x0, f, y)(j))
+    assert all(repr(args[0]) == repr(h0) for name, args, _ in calls if name == "tail")
+    [(_, (*point, j), pair)] = [c for c in calls if c[0] == "step"]
+    assert repr(point) == repr([r2, w2, hw, h0])
+    step = T.ray_excess(x0, f, y)(j)
+    assert repr(pair) == repr(step) == repr(horolab.TorusBackend().ray_excess(x0, f, y)(j))
 
 
 def test_ball_limit_k_max_lies_in_0_to_1022():
@@ -1256,7 +1254,7 @@ def test_ball_limit_nested_is_never_out_once_in(monkeypatch, inside):
     assert rep.entries[0].memberships == [inside] * 21
     assert rep.entries[0].nested and rep.ok
     forced = T.Bracket(1.0, 1.0) if inside else T.Bracket(-1.0, -1.0)
-    monkeypatch.setattr(T, "_excess", lambda *args: forced)
+    monkeypatch.setattr(T, "half_acosh", lambda *args: forced)
     rep = T.metric_ball_limit_check(x0, f, [y])
     assert rep.entries[0].memberships == [inside] * 21
     assert not rep.entries[0].nested and not rep.ok
@@ -1266,13 +1264,13 @@ def test_ball_limit_ok_is_a_check(monkeypatch):
     """ok fails when the exact D(t) brackets disagree with the closed form:
     here they are shifted up by 1e-9, past B_hi + tail."""
     x0, f, sample = next(ball_limit_samples())
-    excess = T._excess
+    half_acosh = T.half_acosh
 
     def shifted(*args):
-        d = excess(*args)
+        d = half_acosh(*args)
         return T.Bracket(d.lo + 1e-9, d.hi + 1e-9)
     assert T.metric_ball_limit_check(x0, f, sample[:5]).ok
-    monkeypatch.setattr(T, "_excess", shifted)
+    monkeypatch.setattr(T, "half_acosh", shifted)
     assert not T.metric_ball_limit_check(x0, f, sample[:5]).ok
 
 
