@@ -653,6 +653,19 @@ def test_chains_sum_to_the_holonomy_and_pair_antisymmetrically(data):
 # Transverse measures and brackets
 
 
+def test_i_with_foliation_shear():
+    """L's wide horizontal core sheared by 10: deform * holonomy is (2, 20), and
+    the growth report's vertical and horizontal measures are 2 and 20."""
+    wide_h = [c for c in O.cylinders(L, O.HORIZONTAL) if c.circumference == 2][0]
+    t = O.core_trace(L, wide_h)
+    assert t.holonomy == (2, 0)
+    x = O.horocycle_flow(O.MarkedFlatSurface.base_point(L), Fraction(10))
+    m, (hx, hy) = x.deform, t.holonomy
+    assert (m.a * hx + m.b * hy, m.c * hx + m.d * hy) == (2, 20)
+    rep = O.horocycle_growth_check(t, x, [1, 2, 3])
+    assert (rep.i_vertical, rep.i_horizontal) == (2, 20)
+
+
 def test_ext_bracket_cylinder_core():
     x = O.MarkedFlatSurface.base_point(L)
     wide_v = [c for c in O.cylinders(L, O.VERTICAL) if c.circumference == 2][0]
@@ -881,12 +894,7 @@ def test_growth_check_measures_are_deform_times_holonomy():
     staircase and seeded 1-9 square origamis, for every cylinder core and traces
     of slopes of both signs, at points flowed by rational stretches and shears
     and at points marked by a rational matrix.  A trace the deformed vertical
-    foliation does not cross raises ValueError.  On L's wide horizontal core
-    sheared by 10, the measures are 2 and 20."""
-    wide_h = [c for c in O.cylinders(L, O.HORIZONTAL) if c.circumference == 2][0]
-    x = O.horocycle_flow(O.MarkedFlatSurface.base_point(L), Fraction(10))
-    rep = O.horocycle_growth_check(O.core_trace(L, wide_h), x, [1, 2, 3])
-    assert (rep.i_vertical, rep.i_horizontal) == (2, 20)
+    foliation does not cross raises ValueError."""
     rng = random.Random(47)
     surfaces = [L, STAIRCASE] + [_random_origami(rng, rng.randint(1, 9)) for _ in range(8)]
     slopes = [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-3, 2), Fraction(-1, 4)]
