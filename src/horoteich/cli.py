@@ -11,7 +11,7 @@ deterministic for fixed inputs and seed apart from the timestamp field.
 call the handler, wrap its inputs and results in the record envelope and emit it.  It
 alone maps outcomes to exit statuses: 0 success; 2 a record with a ``reason``, or a
 budget exit, printed as one ``error:`` line of its message; 1 an input error, that is a
-usage error, a model's ``ValueError`` or any ``OverflowError``.
+usage error, a model's ``ValueError`` or a value past the doubles, refused by ``to_double``.
 The handlers live one module per model, ``cli_torus`` and ``cli_origami``; a call
 imports only its handler's module, which imports the model modules it uses.
 """
@@ -70,8 +70,16 @@ def parse_level(text: str) -> Fraction:
 # Output encoding
 
 
+def to_double(v) -> float:
+    """float(v), refusing a value past the doubles themselves as an input error."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise InputError("a value is beyond the double range") from None
+
+
 def num_exact(v) -> dict:
-    return {"value": str(Fraction(v)), "float": float(v), "exact": True}
+    return {"value": str(Fraction(v)), "float": to_double(v), "exact": True}
 
 
 def num_float(v, tol) -> dict:
@@ -124,8 +132,11 @@ def _config_value(key: str, text, kind):
 
 def load_config(path: str) -> dict:
     import configparser
-    cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    cfg = configparser.ConfigParser(interpolation=None)  # a value is literal: % is no error
+    try:
+        read = cfg.read(path)
+    except configparser.Error as e:  # no section header, a line without "=", a repeated key
+        raise InputError(f"config file {path!r} is not INI: {e.message.splitlines()[0]}") from None
     if not read:
         raise InputError(f"cannot read config file {path!r}")
     out = {}
@@ -291,9 +302,6 @@ def run(argv) -> int:
         return EXIT_UNDECIDED if "reason" in results else EXIT_OK
     except ValueError as e:  # InputError, or an argument the model rejects
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OverflowError:
-        print("error: a value is beyond the double range", file=sys.stderr)
         return EXIT_INPUT
     except (EnumerationBudgetError, TraceNotClosed) as e:  # its message names what it bounds
         print(f"error: {e}", file=sys.stderr)

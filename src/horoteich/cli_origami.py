@@ -7,7 +7,8 @@ import math
 from fractions import Fraction
 
 from . import origami as O
-from .cli import InputError, _inputs, num_exact, num_float, num_rounded, parse_level, parse_rational
+from .cli import (InputError, _inputs, num_exact, num_float, num_rounded, parse_level,
+                  parse_rational, to_double)
 
 
 def parse_perm(text: str):
@@ -61,7 +62,7 @@ def cmd_origami_flow(args):
     x = O.MarkedFlatSurface.base_point(o)
     if args.kind == "geodesic":
         if args.time:
-            y = O.geodesic_flow(x, t=float(parse_rational(args.param)))
+            y = O.geodesic_flow(x, t=to_double(parse_rational(args.param)))
         else:
             y = O.geodesic_flow(x, stretch=parse_rational(args.param))
     else:
@@ -100,7 +101,7 @@ def cmd_growth_check(args):
     o = _build_origami(args)
     t = _trace_from_args(o, args.slope, args.square, args.offset)
     x = O.MarkedFlatSurface.base_point(o)
-    s_values = [float(parse_rational(p)) for p in args.s_values.split(",")]
+    s_values = [to_double(parse_rational(p)) for p in args.s_values.split(",")]
     rep = O.horocycle_growth_check(t, x, s_values)
     quad, res = rep.quad_coefficient, rep.relative_residual  # rounded once, or None: no fit
     results = {

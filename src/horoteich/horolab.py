@@ -5,8 +5,8 @@ A backend supplies only geometry for one concrete model, in five methods:
 ``intersect(f, g)``, the intersection pairing as a Fraction;
 ``subfoliation_coeffs(f, g)``, the Fraction coefficients a_i with f = sum a_i *
 (components of g), else None; ``fills(f, g)``, True where every curve meets f or
-g (None where not decided); and ``horosphere_sampler(h1, h2)``, one point
-computed from both balls that may show HoroBall h1 does not lie in h2.  The
+g (None where not decided); and ``horosphere_sampler(h1, h2)``, which returns one
+point, computed from both balls, that may show HoroBall h1 does not lie in h2.  The
 torus backend also has ``ray_excess(x0, f, x)``, torus.ray_excess's step j ->
 (D(t) bracket, tail) at e^{2t} = 2^j, for the Busemann machinery.  Proportionality,
 the sup of Ext over a horoball, the relations between horoballs, the exclusion
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import importlib
 import math
-import sys
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, _up, as_float_down, round_ratio
+from .kernel import Bracket, Frozen, Record, _up, round_ratio
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -105,8 +104,8 @@ class TorusBackend:
     def horosphere_sampler(self, h1, h2):
         """One proposal, exact: torus.horocycle_witness's point of HS(f1, level1 shrink) with
         Ext_f2 >= level2 (1 + 2^-40) for a transverse f2; both margins outlast ext's rounding."""
-        return [self.model.horocycle_witness(h1.foliation, h1.level * self.shrink,
-                                             h2.foliation, h2.level)]
+        return self.model.horocycle_witness(h1.foliation, h1.level * self.shrink,
+                                            h2.foliation, h2.level)
 
     def ray_excess(self, x0, f, x):
         """j -> (Bracket on D(t), bound on D(t) - B) where e^{2t} = 2^j, for
@@ -189,7 +188,7 @@ class OrigamiBackend:
         t = Fraction(2) ** (20 - (r.numerator.bit_length() - r.denominator.bit_length()) // 2)
         s = (math.isqrt(math.ceil(r * t * t)) + 1) / t
         vertical = f1.direction == self.model.VERTICAL
-        return [self.model.geodesic_flow(base, stretch=s if vertical else 1 / s)]
+        return self.model.geodesic_flow(base, stretch=s if vertical else 1 / s)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +311,18 @@ class ProbeResult(Record):
 def inclusion_probe(h1, h2, backend) -> ProbeResult:
     """Is HB(f1, level1) contained in HB(f2, level2)?
 
-    A certified sup bound at or below level2 includes.  Else a point that
+    A certified sup bound at or below level2 includes.  Else the one point that
     ``backend.horosphere_sampler(h1, h2)`` proposes excludes, as a witness, when
     its Ext(f2) bracket lies above level2 and its Ext(f1) bracket at or below
-    level1; otherwise inconclusive."""
+    level1, each double bracket end compared with its rational level exactly;
+    otherwise inconclusive."""
     f1, l1 = h1.foliation, h1.level
     f2, l2 = h2.foliation, h2.level
     bound = sup_on_horoball(f1, l1, f2, backend)
     if bound is not None and bound <= l2:
         return ProbeResult(INCLUDED_CERTIFIED, bound=bound)
-    # no double lies in (floor(l), l], so a double is > l iff > floor(l), <= l iff <= floor(l)
-    d1, d2 = (as_float_down(min(l, sys.float_info.max)) for l in (l1, l2))
-    for p in backend.horosphere_sampler(h1, h2):
-        e = backend.ext(p, f2)
-        if e.lo > d2 and backend.ext(p, f1).hi <= d1:
-            return ProbeResult(EXCLUDED_WITNESS, witness=p, witness_ext=e, bound=bound)
+    p = backend.horosphere_sampler(h1, h2)
+    e = backend.ext(p, f2)
+    if e.lo > l2 and backend.ext(p, f1).hi <= l1:
+        return ProbeResult(EXCLUDED_WITNESS, witness=p, witness_ext=e, bound=bound)
     return ProbeResult(INCONCLUSIVE, bound=bound)

@@ -132,19 +132,11 @@ class Origami(Frozen):
 
     @cached_property
     def singularities(self) -> tuple:
-        """Cone-point orders (multiples of 2*pi in excess angle): the non-trivial cycles of
-        (v h)^-1 (h v), less one each; its fixed points, the regular corners, are not walked."""
-        hv, vh, regular = self._corners
-        back = _inverse(vh)  # (v h)^-1
-        seen, orders = bytearray(regular), []
-        for x in range(self.n):
-            if not seen[x]:
-                k, y = 0, x
-                while not seen[y]:
-                    seen[y] = 1
-                    k, y = k + 1, back[hv[y]]
-                orders.append(k - 1)
-        return tuple(sorted(orders))
+        """Cone-point orders (multiples of 2*pi in excess angle): the cycles of (v h)^-1 (h v),
+        less one each; its fixed points, the regular corners, are dropped."""
+        hi, vi = self.h_inv, self.v_inv  # (v h)^-1 = h^-1 v^-1
+        cycs, _ = _cycles([hi[vi[y]] for y in self._corners[0]])
+        return tuple(sorted(len(c) - 1 for c in cycs if len(c) > 1))
 
     @property
     def genus(self) -> int:

@@ -305,24 +305,17 @@ class KerckhoffResult(Record):
 
 
 def _kerckhoff_slope(s: float, y1: float, y2: float) -> float:
-    """Slope of the maximal ratio, a root of qa t^2 + qb t + qc or inf, for
-    tau1 = s + i y1 and tau2 = i y2, that is with tau2 moved to Re = 0: the
-    root next to it is then small, so resolved to a few ulps of its own size,
-    and near the cusp it is the one that counts."""
+    """Slope of the maximal ratio Ext_tau1 / Ext_tau2, tau1 = s + i y1, tau2 = i y2 (moved to Re 0:
+    the root next to it is small, so resolved to a few ulps of its size, and it counts near the
+    cusp).  The ratio's derivative has the sign of qa t^2 + qb t + qc: the maximum is its larger
+    root where qa < 0, the smaller where qa > 0, and for qa = 0 (roots 0, inf) 0 iff qb < 0."""
     qa, qb, qc = -s, y2 * y2 - y1 * y1 - s * s, s * y2 * y2
     if qa == 0.0:
-        t, u = INFINITY, -qc / qb if qb else None
-    else:
-        k = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-        t, u = k / qa, qc / k if k else None
-    return u if u is not None and _slope_ratio(u, s, y1, y2) > _slope_ratio(t, s, y1, y2) else t
-
-
-def _slope_ratio(t: float, s: float, y1: float, y2: float) -> float:
-    """Ext_tau1 / Ext_tau2 of the slope t, as in _kerckhoff_slope."""
-    if math.isinf(t):
-        return y2 / y1
-    return ((t + s) * ((t + s) / y1) + y1) / (t * (t / y2) + y2)
+        return -qc / qb if qb < 0.0 else INFINITY
+    k = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    t = k / qa
+    u = qc / k if k else t  # k = 0: qb and the discriminant underflowed (s = 1e-300, y1 = y2)
+    return max(t, u) if qa < 0.0 else min(t, u)
 
 
 def _doubles(t: UpperHalfPoint):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, note, settings, strategies as st
 
 from horoteich import cli, cli_torus, origami as O, torus as T
 from horoteich.kernel import UpperHalfPoint
@@ -502,6 +502,9 @@ def test_input_errors_exit_one(capsys):
         (["origami-flow", *L_ARGS, "--kind", "geodesic", "--param", "1e400"], 1),
         (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--tol", "inf"], 1),
         (["busemann", "--tau0", "0+1i", "--curve", "1,0", "--tau", "1+2i", "--tol", "inf"], 1),
+        (["growth-check", *L_ARGS, "--s-values", "1,2,1e400"], 1),
+        (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--config", "{tmp}/no-section.ini"], 1),
+        (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--config", "{tmp}/percent.ini"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
@@ -515,11 +518,14 @@ def test_input_errors_exit_one(capsys):
          "growth-edge-offset", "walsh-edge-offset", "growth-bound-beyond-double-range",
          "growth-lower-bound-beyond-double-range", "flow-shear-beyond-double-range",
          "flow-stretch-beyond-double-range", "torus-dist-infinite-tol",
-         "busemann-infinite-tol"],
+         "busemann-infinite-tol", "growth-s-value-beyond-double-range",
+         "config-without-section", "config-percent-sign"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")
     (tmp_path / "bad-tol.ini").write_text("[job]\ntol = abc\n")
+    (tmp_path / "no-section.ini").write_text("tol = 1e-6\n")
+    (tmp_path / "percent.ini").write_text("[job]\ntol = 1%\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.run(argv) == status
     captured = capsys.readouterr()
@@ -1117,3 +1123,124 @@ def test_numeric_fields_tagged(capsys):
                 check(v)
 
     check(rec["results"])
+
+
+# ---------------------------------------------------------------------------
+# The exit contract, fuzzed from the option table
+
+
+def option_table():
+    """{subcommand: [(flag, required, choices, takes_value, dest)]}, from the parser
+    that ``cli._add_commands`` builds, without --help."""
+    ap = cli.build_parser()
+    cli._add_commands(ap.commands)
+    return {name: [(a.option_strings[-1], a.required, a.choices, a.nargs != 0, a.dest)
+                   for a in p._actions if a.option_strings and a.dest != "help"]
+            for name, p in ap.commands.choices.items()}
+
+
+OPTIONS = option_table()
+EDGE_VALUES = ["inf", "-inf", "nan", "1e400", "-1e400", "1e-400", "1" + "0" * 400,
+               "5e-324", "-2.2250738585072014e-308", ".5", "-.5", ".5e3", "", " ", "abc",
+               "1/0", "0/0", "1,", ",", "[", "0x1p3", "1e308"]
+# by the option's dest less a trailing digit: (values a call takes, values it refuses); a
+# dest not named here takes only the edge values, so a new option is fuzzed without an edit
+KIND_VALUES = {
+    "tau": (["0+1i", "0+2i", "1e300+1i", "0+1e300i", "0+1e-160i", "-.5+.5i", "1e-310+0.5i"],
+            ["0-1i", "1+2"]),
+    "curve": (["1,0", "0,1", "2,1", "-1,2", "5,-7", "1,1"], ["2,4", "0,0", "1e400,1"]),
+    "level": (["1", "1/2", "7/3", "1e-170", "1e170"], ["0", "-1", "1e400"]),
+    "h": (["[2,1,3]", "[3,1,2]"], ["[1]", "[1,1]", "[0]", "[]", "[2,1,"]),
+    "v": (["[3,2,1]", "[1,3,2]"], ["[2,1,4,3]", "[1,2]", "[2,1,3]"]),
+    "f": (["vertical", "horizontal", "vertical:0", "horizontal:1"],
+          ["diagonal", "vertical:-1", "horizontal:x", "vertical:9"]),
+    "slope": (["0", "1", "-1/2", "vert", "162", "1000000"], ["486", "10" * 200, "1/0"]),
+    "offset": (["1/2", "1/3", "1/1000000"], ["0", "1", "-1/2"]),
+    "square": (["1", "2", "3"], ["0", "-1", "9"]),
+    "i": (["1,1,1", "2,3,1"], ["1e-400,1,1", "1,2", "0,1,1"]),
+    "levels": (["1,2", "1/2,1,2,3"], ["1e-400,2", "1e308"]),
+    "s_values": (["1,2,3", "1,2", "-1,2,3"], ["1e155", "1e200,2e200,3e200", "1e400"]),
+    "param": (["2", "1/2", "-720", "3/7"], ["-1000", "1e400", "0"]),
+    "target": (["3/2", "1/10", "1e20", "1e308"], ["-1", "0"]),
+    "eps": (["0.1", "1e-30", "1/1000"], ["0"]),
+    "weight": (["1", "3/2", "1e200"], ["0", "-1"]),
+    "tol": (["1e-9", "1e-3", "0.5", "1e-300"], ["0"]),
+    "out": (["p.svg"], ["missing/p.svg"]),
+    "slopes": (["1/2", "1/2;2", "vert;0"], ["1;1"]),
+    "config": (["job.ini", "origami.ini"], ["missing.ini", "bad.ini", "percent.ini"]),
+    # sizes, bounded so that no example allocates or walks without limit: no edge values
+    "cap": (["1", "3", "1000", "1000000"], ["0", "-1"]),
+    "samples": (["1", "3", "20"], ["0", "-1"]),
+    "seed": (["0", "7"], ["-1"]),
+}
+KIND_VALUES["alpha"] = KIND_VALUES["beta"] = KIND_VALUES["curve"]
+SIZES = ("cap", "samples")
+INI_FILES = {"job.ini": "[job]\ntol = 1e-6\ncap = 50\n",
+             "origami.ini": "[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = 3\n",
+             "bad.ini": "tol = 1e-6\n", "percent.ini": "[job]\ntol = 1%\n"}
+
+
+def cli_argv(name, rng):
+    """The subcommand name and values for its options, drawn by rng.  In a clean argv every
+    value is one the call takes, and an optional option is left out one time in ten; else
+    one value in three is a refused or an edge value, half each where the kind lists
+    refused ones, a required option is left out one time in ten and an optional one every
+    other time."""
+    clean, argv = rng.random() < 0.5, [name]
+    for flag, required, choices, takes_value, dest in OPTIONS[name]:
+        if rng.random() >= (1.0 if clean and required else 0.9 if clean or required else 0.5):
+            continue
+        if not takes_value:
+            argv.append(flag)
+            continue
+        pool, bad = (choices, ["xml"]) if choices else \
+            KIND_VALUES.get(dest.rstrip("0123456789"), ([], []))
+        if not pool or not clean and rng.random() < 1 / 3:  # a refused or an edge value
+            pool = bad if dest in SIZES or bad and rng.random() < 0.5 else EDGE_VALUES
+        value = rng.choice(pool)
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+@settings(max_examples=30, derandomize=True, deadline=2000)
+@given(rng=st.randoms(use_true_random=True))
+def test_exit_contract_holds_for_fuzzed_argv(name, rng):
+    """Every argv drawn from the option table ends in exit 0, 1 or 2, never a
+    traceback: exit 1 prints one stderr line starting error:, and exit 2 a record
+    with a reason or one such line.  Values come from edge lists (infinities,
+    nan, 1e+-400, 10^400 in digits, subnormals, dot-first numbers, empty and
+    malformed text) and from lists by the option's kind; --cap is at most 10^6
+    and --samples at most 20."""
+    import contextlib, io, tempfile
+
+    argv = cli_argv(name, rng)
+    note(shlex.join(["horoteich", *argv]))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, text in INI_FILES.items():
+            Path(tmp, file).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.run(argv)
+        finally:
+            os.chdir(cwd)
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2)
+    if status == 1 or status == 2 and not out:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:  # a record, with a reason exactly where the exit is 2
+        assert err == ""
+        assert ("reason" in record_results(out)) == (status == 2)
+
+
+def record_results(out):
+    """The results of a printed json or csv record; csv keys lose their "results." prefix."""
+    import csv, io
+
+    if out.startswith("key,value"):
+        rows = csv.reader(io.StringIO(out))
+        return {k[len("results."):]: v for k, v in rows if k.startswith("results.")}
+    return json.loads(out, parse_constant=strict_constant)["results"]

@@ -349,6 +349,52 @@ def test_kerckhoff_certified_values_are_true(x1, y1, x2, y2, tol):
     assert_certificate(a, b, tol, r)
 
 
+def slope_by_ratio(s, y1, y2):
+    """The reference root choice: both roots of qa t^2 + qb t + qc (inf for qa = 0) and
+    Ext_tau1 / Ext_tau2 at each in floats, for tau1 = s + i y1 and tau2 = i y2.  Returns
+    the root of the larger ratio and the two ratios, or (the root, None, None) where
+    there is one."""
+    def ratio(t):
+        return y2 / y1 if math.isinf(t) else ((t + s) * ((t + s) / y1) + y1) / (t * (t / y2) + y2)
+
+    qa, qb, qc = -s, y2 * y2 - y1 * y1 - s * s, s * y2 * y2
+    if qa == 0.0:
+        t, u = math.inf, -qc / qb if qb else None
+    else:
+        k = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+        t, u = k / qa, qc / k if k else None
+    if u is None:
+        return t, None, None
+    return (u if ratio(u) > ratio(t) else t), ratio(t), ratio(u)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, 1e-300, -1e-300]), st.floats(-3, 3)), log_im, log_im)
+def test_kerckhoff_slope_is_the_root_of_the_larger_ratio(s, y1, y2):
+    """The sign rule picks the root that the ratio evaluated at both roots picks, wherever
+    those two float ratios are finite and more than 2^-40 apart relative; s = 0, +-1e-300
+    and U(-3, 3), and y1, y2 = 10^U(-8, 8)."""
+    want, r_t, r_u = slope_by_ratio(s, y1, y2)
+    got = T._kerckhoff_slope(s, y1, y2)
+    if r_t is None:
+        assert got == want
+    elif math.isfinite(r_t) and math.isfinite(r_u) and abs(r_t - r_u) > 2.0**-40 * max(r_t, r_u):
+        assert got == want, (s, y1, y2, r_t, r_u)
+
+
+def test_kerckhoff_slope_edges():
+    """qa = 0 with each sign of qb; s = 1e-300 with y1 = y2, where qb and the
+    discriminant underflow (a finite slope, no ZeroDivisionError); and a far pair
+    where qb^2 overflows, whose reference ratios overflow and pick -0.0, but whose
+    maximizing root is the larger one, about 2.4e125 exactly and inf in doubles."""
+    assert T._kerckhoff_slope(0.0, 2.0, 1.0) == 0.0
+    assert T._kerckhoff_slope(0.0, 1.0, 2.0) == math.inf
+    assert math.isfinite(T._kerckhoff_slope(1e-300, 1.0, 1.0))
+    far = (5.090234581715681e75, 3.111032810266831e-160, 3.530724490531554e100)
+    assert T._kerckhoff_slope(*far) == math.inf
+    assert slope_by_ratio(*far)[0] == 0.0 and math.isinf(slope_by_ratio(*far)[2])
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(
     st.floats(-3, 3),
@@ -654,15 +700,15 @@ def test_far_level_horocycle_points_or_out_of_range(level):
 def test_found_horocycle_underflow_calls():
     """The two calls that ended in ZeroDivisionError: the equidistance check
     returns a report that is not ok unless it is right, and the sampler's
-    points lie in HB(f, 10^300), by their exact Ext."""
+    point lies in HB(f, 10^300), by its exact Ext."""
     from horoteich.horolab import HoroBall, TorusBackend
 
     f = T.WeightedTorusFoliation(1, curve(2, 1))
     rep = T.equidistance_check(f, 10**300, 10**301, 3)
     assert not rep.ok or rep.max_error <= 1e-6
     h2 = HoroBall(T.WeightedTorusFoliation(1, curve(1, 0)), 1)
-    points = list(TorusBackend().horosphere_sampler(HoroBall(f, 10**300), h2))
-    assert points and all(exact_ext(pt, f) <= 10**300 for pt in points)
+    point = TorusBackend().horosphere_sampler(HoroBall(f, 10**300), h2)
+    assert exact_ext(point, f) <= 10**300
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
