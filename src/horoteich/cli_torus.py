@@ -9,7 +9,8 @@ import sys
 from fractions import Fraction
 
 from . import torus as T
-from .cli import InputError, _inputs, num_exact, num_float, num_rounded, parse_level, parse_rational
+from .cli import (InputError, _inputs, num_exact, num_float, num_rounded, parse_level,
+                  parse_rational, to_double)
 from .kernel import UpperHalfPoint
 
 _NUM = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"  # 2, 2.5, .5, 2e3; a sign before it
@@ -187,8 +188,9 @@ def _svg_horocycles(curve, levels):
             )
         elif curve.q:
             r = 0.5 * size
+            cx = sx(to_double(Fraction(-curve.p, curve.q)))  # -p/q, refused past the doubles
             parts.append(
-                f'<circle cx="{sx(-curve.p / curve.q):.2f}" cy="{sy(r):.2f}" r="{r * scale:.2f}" '
+                f'<circle cx="{cx:.2f}" cy="{sy(r):.2f}" r="{r * scale:.2f}" '
                 f'stroke="{color}" stroke-width="1.5" fill="none"/>'
             )
         parts.append(

@@ -340,7 +340,10 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
     if not tol > 0:
         raise ValueError("tol must be positive")
     (n1, d1, x1, y1), (n2, d2, x2, y2) = _doubles(t1), _doubles(t2)
-    factor = math.exp(2.0 * tol)
+    try:
+        factor = math.exp(2.0 * tol)
+    except OverflowError:  # the tolerance's factor e^{2 tol} is past the doubles
+        raise ValueError("a value is beyond the double range") from None
     closed = teich_distance(t1, t2)
     top = 2.0 * (closed + closed_form_radius(closed))  # exp within an ulp (2 u), then 16 u more
     upper = math.exp(top) * (1.0 + _SLACK) if top < 709.78 else INFINITY

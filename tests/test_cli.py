@@ -505,6 +505,9 @@ def test_input_errors_exit_one(capsys):
         (["growth-check", *L_ARGS, "--s-values", "1,2,1e400"], 1),
         (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--config", "{tmp}/no-section.ini"], 1),
         (["torus-ext", "--tau", "0+1i", "--curve", "1,0", "--config", "{tmp}/percent.ini"], 1),
+        (["torus-plot", "--curve", "1" + "0" * 400 + ",1", "--levels", "1", "--out",
+          "{tmp}/p.svg"], 1),
+        (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--tol", "1000"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
@@ -519,7 +522,8 @@ def test_input_errors_exit_one(capsys):
          "growth-lower-bound-beyond-double-range", "flow-shear-beyond-double-range",
          "flow-stretch-beyond-double-range", "torus-dist-infinite-tol",
          "busemann-infinite-tol", "growth-s-value-beyond-double-range",
-         "config-without-section", "config-percent-sign"],
+         "config-without-section", "config-percent-sign", "plot-centre-beyond-double-range",
+         "torus-dist-tol-factor-beyond-double-range"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")
@@ -1140,15 +1144,18 @@ def option_table():
 
 
 OPTIONS = option_table()
-EDGE_VALUES = ["inf", "-inf", "nan", "1e400", "-1e400", "1e-400", "1" + "0" * 400,
+BIG = "1" + "0" * 400  # 10^400 in digits: an int, and past the doubles as a quotient
+EDGE_VALUES = ["inf", "-inf", "nan", "1e400", "-1e400", "1e-400", BIG,
                "5e-324", "-2.2250738585072014e-308", ".5", "-.5", ".5e3", "", " ", "abc",
                "1/0", "0/0", "1,", ",", "[", "0x1p3", "1e308"]
-# by the option's dest less a trailing digit: (values a call takes, values it refuses); a
+# by the option's dest less a trailing digit: (values a call takes, values a call refuses,
+# BIG among them wherever a value holds integers or numbers beside each other); a
 # dest not named here takes only the edge values, so a new option is fuzzed without an edit
 KIND_VALUES = {
     "tau": (["0+1i", "0+2i", "1e300+1i", "0+1e300i", "0+1e-160i", "-.5+.5i", "1e-310+0.5i"],
             ["0-1i", "1+2"]),
-    "curve": (["1,0", "0,1", "2,1", "-1,2", "5,-7", "1,1"], ["2,4", "0,0", "1e400,1"]),
+    "curve": (["1,0", "0,1", "2,1", "-1,2", "5,-7", "1,1"],
+              ["2,4", "0,0", "1e400,1", BIG + ",1", "1," + BIG]),
     "level": (["1", "1/2", "7/3", "1e-170", "1e170"], ["0", "-1", "1e400"]),
     "h": (["[2,1,3]", "[3,1,2]"], ["[1]", "[1,1]", "[0]", "[]", "[2,1,"]),
     "v": (["[3,2,1]", "[1,3,2]"], ["[2,1,4,3]", "[1,2]", "[2,1,3]"]),
@@ -1157,19 +1164,21 @@ KIND_VALUES = {
     "slope": (["0", "1", "-1/2", "vert", "162", "1000000"], ["486", "10" * 200, "1/0"]),
     "offset": (["1/2", "1/3", "1/1000000"], ["0", "1", "-1/2"]),
     "square": (["1", "2", "3"], ["0", "-1", "9"]),
-    "i": (["1,1,1", "2,3,1"], ["1e-400,1,1", "1,2", "0,1,1"]),
-    "levels": (["1,2", "1/2,1,2,3"], ["1e-400,2", "1e308"]),
-    "s_values": (["1,2,3", "1,2", "-1,2,3"], ["1e155", "1e200,2e200,3e200", "1e400"]),
+    "i": (["1,1,1", "2,3,1"], ["1e-400,1,1", "1,2", "0,1,1", BIG + ",1,1"]),
+    "levels": (["1,2", "1/2,1,2,3"], ["1e-400,2", "1e308", "1," + BIG]),
+    "s_values": (["1,2,3", "1,2", "-1,2,3"],
+                 ["1e155", "1e200,2e200,3e200", "1e400", "1,2," + BIG]),
     "param": (["2", "1/2", "-720", "3/7"], ["-1000", "1e400", "0"]),
     "target": (["3/2", "1/10", "1e20", "1e308"], ["-1", "0"]),
     "eps": (["0.1", "1e-30", "1/1000"], ["0"]),
     "weight": (["1", "3/2", "1e200"], ["0", "-1"]),
-    "tol": (["1e-9", "1e-3", "0.5", "1e-300"], ["0"]),
+    "tol": (["1e-9", "1e-3", "0.5", "1e-300"], ["0", "1000"]),
     "out": (["p.svg"], ["missing/p.svg"]),
-    "slopes": (["1/2", "1/2;2", "vert;0"], ["1;1"]),
+    "slopes": (["1/2", "1/2;2", "vert;0"], ["1;1", "1/2;" + BIG]),
     "config": (["job.ini", "origami.ini"], ["missing.ini", "bad.ini", "percent.ini"]),
-    # sizes, bounded so that no example allocates or walks without limit: no edge values
-    "cap": (["1", "3", "1000", "1000000"], ["0", "-1"]),
+    # sizes, bounded so that no example allocates or walks without limit: no edge values;
+    # the sweep's --cap is the first, large enough that a search gets past its first nodes
+    "cap": (["1000", "1", "3", "1000000"], ["0", "-1"]),
     "samples": (["1", "3", "20"], ["0", "-1"]),
     "seed": (["0", "7"], ["-1"]),
 }
@@ -1202,31 +1211,38 @@ def cli_argv(name, rng):
     return argv
 
 
-@pytest.mark.parametrize("name", sorted(OPTIONS))
-@settings(max_examples=30, derandomize=True, deadline=2000)
-@given(rng=st.randoms(use_true_random=True))
-def test_exit_contract_holds_for_fuzzed_argv(name, rng):
-    """Every argv drawn from the option table ends in exit 0, 1 or 2, never a
-    traceback: exit 1 prints one stderr line starting error:, and exit 2 a record
-    with a reason or one such line.  Values come from edge lists (infinities,
-    nan, 1e+-400, 10^400 in digits, subnormals, dot-first numbers, empty and
-    malformed text) and from lists by the option's kind; --cap is at most 10^6
-    and --samples at most 20."""
-    import contextlib, io, tempfile
+def swept_argvs(name):
+    """Each refused and edge value of each option in turn (only refused ones for the sizes),
+    the other options at accepted values: the k-th option of a kind takes the kind's k-th
+    value, so curve1 and curve2, or alpha and beta, differ; no --config, and every sweep
+    once with no flag and once with all of them where the subcommand has any."""
+    base, seen = {}, {}
+    for flag, _, choices, takes_value, dest in OPTIONS[name]:
+        kind = dest.rstrip("0123456789")
+        if takes_value and kind != "config":
+            pool = choices or KIND_VALUES.get(kind, ([], []))[0]
+            k = seen[kind] = seen.get(kind, -1) + 1
+            if pool:
+                base[flag] = pool[k % len(pool)]
+    flags = [flag for flag, _, _, takes_value, _ in OPTIONS[name] if not takes_value]
+    for on in dict.fromkeys([(), tuple(flags)]):
+        for flag, _, choices, takes_value, dest in OPTIONS[name]:
+            if takes_value:
+                bad = ["xml"] if choices else \
+                    KIND_VALUES.get(dest.rstrip("0123456789"), ([], []))[1]
+                for value in bad if dest in SIZES else [*bad, *EDGE_VALUES]:
+                    yield [name, *on, *(f"{f}={v}" for f, v in {**base, flag: value}.items())]
 
-    argv = cli_argv(name, rng)
-    note(shlex.join(["horoteich", *argv]))
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        for file, text in INI_FILES.items():
-            Path(tmp, file).write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        os.chdir(tmp)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                status = cli.run(argv)
-        finally:
-            os.chdir(cwd)
+
+def check_exit_contract(argv):
+    """Run argv in the working directory: exit 0, 1 or 2, never a traceback.  Exit 1
+    prints one stderr line starting error:, exit 2 a record with a reason or one such
+    line, and exit 0 a record without one."""
+    import contextlib, io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.run(argv)
     out, err = out.getvalue(), err.getvalue()
     assert status in (0, 1, 2)
     if status == 1 or status == 2 and not out:
@@ -1234,6 +1250,47 @@ def test_exit_contract_holds_for_fuzzed_argv(name, rng):
     else:  # a record, with a reason exactly where the exit is 2
         assert err == ""
         assert ("reason" in record_results(out)) == (status == 2)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+@settings(max_examples=15, derandomize=True, deadline=2000)
+@given(rng=st.randoms(use_true_random=True))
+def test_exit_contract_holds_for_fuzzed_argv(name, rng):
+    """Every argv drawn from the option table keeps the exit contract
+    (check_exit_contract).  Values come from edge lists (infinities, nan, 1e+-400,
+    10^400 in digits, subnormals, dot-first numbers, empty and malformed text) and
+    from lists by the option's kind, which put 10^400 inside curves and lists;
+    --cap is at most 10^6 and --samples at most 20."""
+    import tempfile
+
+    argv = cli_argv(name, rng)
+    note(shlex.join(["horoteich", *argv]))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, text in INI_FILES.items():
+            Path(tmp, file).write_text(text)
+        os.chdir(tmp)
+        try:
+            check_exit_contract(argv)
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+def test_exit_contract_holds_for_each_bad_value(name, tmp_path, monkeypatch):
+    """Every refused and edge value of every option, one at a time (swept_argvs), keeps
+    the exit contract: a value the random draws of the fuzz above may miss, such as
+    10^400 inside a curve or a --tol whose e^(2 tol) overflows, is tried in every
+    option that takes it."""
+    for file, text in INI_FILES.items():
+        (tmp_path / file).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for argv in swept_argvs(name):
+        try:
+            check_exit_contract(argv)
+        except BaseException as e:
+            e.add_note(shlex.join(["horoteich", *argv]))
+            raise
 
 
 def record_results(out):
