@@ -12,14 +12,17 @@ call the handler, wrap its inputs and results in the record envelope and emit it
 alone maps outcomes to exit statuses: 0 success; 2 a record with a ``reason``, or a
 budget exit, printed as one ``error:`` line of its message; 1 an input error, that is a
 usage error, a model's ``ValueError`` or a value past the doubles, refused by ``to_double``.
-The handlers live one module per model, ``cli_torus`` and ``cli_origami``; a call
-imports only its handler's module, which imports the model modules it uses.
+The handlers live one module per model, ``cli_torus`` and ``cli_origami``; a call imports
+only its handler's module, which imports the model modules it uses.  ``main`` is the process
+boundary: it freezes the heap before the interpreter exits, and a closed stdout exits 1.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -309,9 +312,20 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The process boundary (``run`` is the in-process call): flush stdout, then gc.freeze(),
+    so that the exit-time collections skip the whole heap.  A closed stdout exits 1."""
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the interpreter's last flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        status = EXIT_INPUT
+    finally:  # on --help's SystemExit too
+        gc.freeze()
+    sys.exit(status)
 
 
-if __name__ == "__main__":  # python -m: this run is horoteich.cli too, so that a handler
-    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]  # module's import compiles no copy
-    main()
+if __name__ == "__main__":  # python -m, or cProfile -m, whose __main__ is cProfile: a handler
+    vars(sys.modules.setdefault(f"{__package__}.cli", type(sys)("cli"))).update(globals())
+    main()  # module's "from .cli import" finds this run's names and compiles no second copy

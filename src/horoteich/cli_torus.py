@@ -128,6 +128,8 @@ def cmd_ball_limit(args):
     import random
     x0 = parse_tau(args.tau0)
     f = T.WeightedTorusFoliation(Fraction(1), parse_curve(args.curve))
+    if args.samples > args.cap:  # every point is drawn before any is checked
+        raise InputError(f"--samples is above the enumeration cap {args.cap}")
     rng = random.Random(args.seed)
     sample = []
     while len(sample) < args.samples:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -508,6 +509,8 @@ def test_input_errors_exit_one(capsys):
         (["torus-plot", "--curve", "1" + "0" * 400 + ",1", "--levels", "1", "--out",
           "{tmp}/p.svg"], 1),
         (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--tol", "1000"], 1),
+        (["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "1" + "0" * 400], 1),
+        (["ball-limit", "--tau0", "0+1i", "--curve", "1,0", "--samples", "4", "--cap", "3"], 1),
     ],
     ids=["relation-no-curve1", "relation-bad-component", "relation-zero-level",
          "ball-limit-no-samples", "ratio-curve-zero-eps", "flow-time-overflow",
@@ -523,7 +526,8 @@ def test_input_errors_exit_one(capsys):
          "flow-stretch-beyond-double-range", "torus-dist-infinite-tol",
          "busemann-infinite-tol", "growth-s-value-beyond-double-range",
          "config-without-section", "config-percent-sign", "plot-centre-beyond-double-range",
-         "torus-dist-tol-factor-beyond-double-range"],
+         "torus-dist-tol-factor-beyond-double-range", "ball-limit-samples-beyond-default-cap",
+         "ball-limit-samples-above-cap"],
 )
 def test_bad_input_and_budget_exit_cleanly(argv, status, tmp_path, capsys):
     (tmp_path / "bad-n.ini").write_text("[origami]\nh = [2,1,3]\nv = [3,2,1]\nn = x\n")
@@ -1093,7 +1097,7 @@ print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("horotei
 
 
 def test_python_m_compiles_cli_once():
-    """Under python -m, cli.py runs as __main__ and registers itself as
+    """Under python -m, cli.py runs as __main__ and registers its names as
     horoteich.cli, so the handler module's "from .cli import" does not import
     (and compile) cli.py a second time."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -1105,6 +1109,78 @@ def test_python_m_compiles_cli_once():
     assert "horoteich.cli_torus" in imported
     assert "horoteich.cli" not in imported
     assert json.loads(proc.stdout)["results"]["ext"]["value"] == 0.5
+
+
+FROZEN_AT_EXIT = """
+import atexit, gc, sys
+import horoteich.cli as cli
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}", file=sys.stderr))
+cli.main()
+"""
+EXIT_ARGVS = [
+    (["torus-ext", "--tau", "0+2i", "--curve", "1,0"], 0),
+    (["torus-ext", "--tau", "0-2i", "--curve", "1,0"], 1),
+    (["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i", "--tol", "1e-15", "--cap", "5"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, status", [*EXIT_ARGVS, (["--help"], 0)],
+                         ids=["exit-0", "exit-1", "exit-2", "help"])
+def test_main_freezes_the_heap_before_the_exit(argv, status):
+    """In a fresh process main() ends in gc.freeze() on every exit status and on --help's
+    SystemExit, so that the interpreter's exit-time collections skip the heap; the exit
+    itself stays sys.exit, so an atexit hook registered before main() still runs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == status
+    assert proc.stderr.splitlines()[-1] == "frozen at exit: True"
+
+
+def test_run_leaves_the_heap_unfrozen(capsys):
+    """cli.run() is the in-process call that tests and perfbench's worker make many times:
+    on no exit status, nor on --help, does it move objects to the permanent generation."""
+    before = gc.get_freeze_count()
+    for argv, status in EXIT_ARGVS:
+        assert cli.run(argv) == status
+    with pytest.raises(SystemExit):
+        cli.run(["--help"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_with_one_line(unbuffered):
+    """A stdout whose reader has gone (| head -c 0) is an input error: exit 1 with one
+    error line, neither a BrokenPipeError traceback nor, where stdout is buffered, the
+    interpreter's "Exception ignored" from its last flush.  The pipe's read end is closed
+    before the call starts, so its write fails on every run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONUNBUFFERED=unbuffered)  # an empty value leaves stdout buffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "horoteich.cli", "curve-graph", *L_ARGS],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "error: standard output is closed\n")
+
+
+def test_cprofile_writes_its_stats(tmp_path):
+    """python -m cProfile -o FILE -m horoteich.cli exits 0 and writes stats that pstats
+    reads: the frozen exit keeps the profiler's own exit work, and cli.py, which runs there
+    with cProfile as __main__, still gives the handler module its names."""
+    import pstats
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    prof = tmp_path / "cli.prof"
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(prof), "-m",
+                           "horoteich.cli", "torus-ext", "--tau", "0+2i", "--curve", "1,0"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["ext"]["value"] == 0.5
+    assert pstats.Stats(str(prof)).total_calls > 0
 
 
 def test_numeric_fields_tagged(capsys):
@@ -1177,9 +1253,10 @@ KIND_VALUES = {
     "slopes": (["1/2", "1/2;2", "vert;0"], ["1;1", "1/2;" + BIG]),
     "config": (["job.ini", "origami.ini"], ["missing.ini", "bad.ini", "percent.ini"]),
     # sizes, bounded so that no example allocates or walks without limit: no edge values;
-    # the sweep's --cap is the first, large enough that a search gets past its first nodes
+    # the sweep's --cap is the first, large enough that a search gets past its first nodes,
+    # and --samples above it (BIG, 1001) is refused before any point is drawn
     "cap": (["1000", "1", "3", "1000000"], ["0", "-1"]),
-    "samples": (["1", "3", "20"], ["0", "-1"]),
+    "samples": (["1", "3", "20"], ["0", "-1", BIG, "1001"]),
     "seed": (["0", "7"], ["-1"]),
 }
 KIND_VALUES["alpha"] = KIND_VALUES["beta"] = KIND_VALUES["curve"]
@@ -1260,7 +1337,7 @@ def test_exit_contract_holds_for_fuzzed_argv(name, rng):
     (check_exit_contract).  Values come from edge lists (infinities, nan, 1e+-400,
     10^400 in digits, subnormals, dot-first numbers, empty and malformed text) and
     from lists by the option's kind, which put 10^400 inside curves and lists;
-    --cap is at most 10^6 and --samples at most 20."""
+    --cap is at most 10^6, and a --samples above --cap is refused."""
     import tempfile
 
     argv = cli_argv(name, rng)
