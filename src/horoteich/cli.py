@@ -14,7 +14,7 @@ budget exit, printed as one ``error:`` line of its message; 1 an input error, th
 usage error, a model's ``ValueError`` or a value past the doubles, refused by ``to_double``.
 The handlers live one module per model, ``cli_torus`` and ``cli_origami``; a call imports
 only its handler's module, which imports the model modules it uses.  ``main`` is the process
-boundary: it freezes the heap before the interpreter exits, and a closed stdout exits 1.
+boundary: it freezes the heap; a closed stdout exits 1 and a closed stderr keeps the status.
 """
 from __future__ import annotations
 
@@ -312,17 +312,24 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    """The process boundary (``run`` is the in-process call): flush stdout, then gc.freeze(),
-    so that the exit-time collections skip the whole heap.  A closed stdout exits 1."""
+    """The process boundary (``run`` is the in-process call): gc.freeze(), then flush stdout."""
+    sys.stdout = sys.stdout or open(os.pipe()[0], "w")  # fd 1 closed at start: writes fail (EBADF)
+    sys.stdout.reconfigure(write_through=False)  # so that --help's write fails at the flush
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # fd 2 closed at start
     try:
-        status = run(sys.argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:  # the interpreter's last flush then writes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output is closed", file=sys.stderr)
-        status = EXIT_INPUT
-    finally:  # on --help's SystemExit too
-        gc.freeze()
+        try:
+            status = run(sys.argv[1:])
+        finally:  # on --help's SystemExit too, which argparse raises before any flush
+            gc.freeze()
+            sys.stdout.flush()
+    except OSError as e:  # stdout closed, or stderr as run() reported e.__context__
+        budget = isinstance(e.__context__, (EnumerationBudgetError, TraceNotClosed))
+        status = EXIT_UNDECIDED if budget else EXIT_INPUT
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+        try:
+            print("error: standard output is closed", file=sys.stderr)
+        except OSError:  # stderr is closed: the stream that failed, or closed too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     sys.exit(status)
 
 

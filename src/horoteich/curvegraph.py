@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, List, Sequence
+from collections.abc import Sequence
 
 from .kernel import Frozen, Record
 
@@ -91,7 +91,7 @@ def graph_distance(g: Graph, u, v):
     return UNREACHABLE
 
 
-def automorphism_check(g: Graph, sigma: Dict) -> bool:
+def automorphism_check(g: Graph, sigma: dict) -> bool:
     """True iff the vertex bijection preserves adjacency and non-adjacency."""
     verts = set(g.vertices)
     if set(sigma.keys()) != verts or set(sigma.values()) != verts:
@@ -104,7 +104,7 @@ def automorphism_check(g: Graph, sigma: Dict) -> bool:
     return True
 
 
-def curve_set_table(cs: CurveSet) -> List[dict]:
+def curve_set_table(cs: CurveSet) -> list[dict]:
     """Serializable rows: id, payload descriptor, intersection row."""
     rows = []
     for i, v in enumerate(cs.vertices):

@@ -23,7 +23,7 @@ import importlib
 import math
 from fractions import Fraction
 
-from .kernel import Bracket, Frozen, Record, _up, round_ratio
+from .kernel import Bracket, Frozen, Record, _up, ratio_ends
 
 # HoroRelation tags
 DISJOINT_BALLS = "DisjointBalls"
@@ -82,14 +82,9 @@ class TorusBackend:
     shrink = 1 - Fraction(1, 2**40)
 
     def ext(self, point, f) -> Bracket:
-        """Bracket on Ext at a point with rational (double, int or Fraction)
-        coordinates: the exact Ext of the model rounded outward once, [max double,
-        inf] past the doubles."""
+        """Ext at a double, int or Fraction point, exact, rounded outward (ratio_ends)."""
         n, d = self.model.ext_ratio(point, f)
-        try:
-            return Bracket(round_ratio(n, d, -math.inf), round_ratio(n, d, math.inf))
-        except OverflowError:
-            return Bracket(math.nextafter(math.inf, 0.0), math.inf)
+        return Bracket(*ratio_ends(n, d))
 
     def intersect(self, f, g):
         return Fraction(f.weight) * Fraction(g.weight) * self.model.intersection(f.curve, g.curve)

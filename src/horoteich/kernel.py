@@ -149,6 +149,17 @@ def round_ratio(n: int, d: int, toward: float) -> float:
     return math.nextafter(f, toward) if gap and (gap > 0) == (toward > 0) else f
 
 
+def ratio_ends(n: int, d: int) -> tuple[float, float]:
+    """n / d >= 0 rounded down and up, as round_ratio rounds; past the doubles, max and inf."""
+    try:
+        f = n / d
+    except OverflowError:
+        return math.nextafter(_INF, 0.0), _INF
+    p, q = f.as_integer_ratio()
+    gap = n * q - p * d
+    return (f, f) if not gap else (f, _up(f)) if gap > 0 else (_down(f), f)
+
+
 def as_float_down(v) -> float:
     return round_ratio(*v.as_integer_ratio(), -_INF)
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import eq
-from typing import Sequence
 
 from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, round_ratio
 

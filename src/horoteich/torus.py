@@ -12,11 +12,11 @@ Busemann values are one half_log each, a ball membership one exact threshold e^{
 from __future__ import annotations
 
 import math
-import random
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Sequence
+from itertools import chain
 
 from .kernel import (
     Bracket,
@@ -26,6 +26,7 @@ from .kernel import (
     Record,
     UpperHalfPoint,
     hyperbolic_distance,
+    ratio_ends,
 )
 
 INFINITY = math.inf
@@ -189,23 +190,19 @@ def half_acosh(n: int, m: int, kn: int, kd: int) -> Bracket:
 # between t* and t.  Floats only choose the classes: a certificate comes only
 # from an evaluated one.
 #
-# Rounding: with u = 2^-53, an operation on doubles whose result is normal
-# has relative error at most u.  ext_sup's closed form and each per-class
-# ratio take at most 11 roundings (counted where they occur), 13 where Im tau
-# is not a double and float(Im tau) adds one to each Ext, so scaling one by
-# 1 +- 16 u, one more rounding, puts an upper bound above and a lower bound
-# below the exact value; Kerckhoff's closed form has kernel's count.  A value
-# out of the normal range feeds no certificate.
+# Rounding (u = 2^-53, the relative error of a double operation with a normal result):
+# Kerckhoff's per-class ratio takes at most 11 roundings (counted where they occur), 13
+# where float(Im tau) adds one to each Ext, so 1 - 16 u, one more, scales it below the
+# exact value; its closed form has kernel's count.  A value that is not normal certifies nothing.
 
 _SLACK = 2.0**-49  # 16 u
-_SHRINK = 1.0 - _SLACK
 
 
 class SupResult(Record):
     _fields = ("lower", "upper", "witness", "nodes", "certified", "reason")
 
     def __init__(self, lower, upper, witness, nodes, certified, reason=None):
-        # reason: "precision" or "range" when not certified
+        # reason: "range" (the sup is past the doubles) or "tolerance" when not certified
         self.lower, self.upper, self.witness = lower, upper, witness
         self.nodes, self.certified, self.reason = nodes, certified, reason
 
@@ -237,19 +234,20 @@ def partial_quotients(n: int, d: int):
         n, d = d, n % d
 
 
-def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6, aim=None):
+def certified_sup(ratio, t_star, upper: float, stop, cap: int = 10**6, aim=None):
     """Certified supremum over primitive classes, from below: a class certifies where its
     lower bound ``ratio(p, q)`` (None out of range) meets ``stop(lower, upper)``, ``upper``
-    bounding the sup over real slopes (inf out of range) that ``t_star`` attains.  Tried
-    first, and the witness at ``nodes`` 1 where it certifies, is the class that ``aim`` =
-    (k, M) names, as above: q = 2^j, the least power of two >= 2 (sqrt(k) - 1) / M, and
-    p = floor(t_star q) | 1, odd and so prime to q.  Else, and where t_star, M or 2^j is
-    not finite, the witness is the first class that certifies of 0/1, 1/0 (the
-    recurrence's start values) and then t_star's convergents but a repeated 0/1, primitive
-    as p0 q - p q0 = +-1 between consecutive ones; ``nodes`` and ``cap`` count these.
-    Returns (lower, witness, nodes, reason), reason None where certified, else "range" if
-    a walked class left the normal range and "precision" if not."""
-    n, d = t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0)
+    bounding the sup over real slopes (inf out of range) that ``t_star`` attains, a float or
+    integers (n, d), d = 0 if infinite.  Tried first, and the witness at ``nodes`` 1 where
+    it certifies, is the class that ``aim`` = (k, M) names, as above: q = 2^j, the least
+    power of two >= 2 (sqrt(k) - 1) / M, and p = floor(t_star q) | 1, odd and so prime to
+    q.  Else, and where t_star, M or 2^j is not finite, the witness is the first class that
+    certifies of 0/1, 1/0 (the recurrence's start values) and then t_star's convergents
+    but a repeated 0/1, primitive as p0 q - p q0 = +-1 between consecutive ones; ``nodes``
+    and ``cap`` count these.  Returns (lower, witness, nodes, reason), reason None where
+    certified, else "range" if a walked class left the normal range and "precision" if not."""
+    n, d = t_star if type(t_star) is tuple else (
+        t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0))
     if aim and d and cap > 0:
         k, m = aim
         z = 2.0 * (math.sqrt(k) - 1.0) / m if k > 1.0 else 0.0
@@ -260,7 +258,7 @@ def certified_sup(ratio, t_star: float, upper: float, stop, cap: int = 10**6, ai
             if r is not None and stop(r, upper):
                 return r, _primitive(p, q), 1, None
     best, witness, nodes, out_of_range, p0, q0, p, q = 0.0, (1, 0), 0, math.isinf(upper), 0, 1, 1, 0
-    for a in (0, 0, *partial_quotients(n, d)):  # 0, 0 step to 0/1 and 1/0, then t_star's follow
+    for a in chain((0, 0), partial_quotients(n, d)):  # 0/1 and 1/0, then t_star's, as needed
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
         if p or not nodes:  # past the start, 0/1 is a repeat
             if nodes == cap:
@@ -319,8 +317,8 @@ def _kerckhoff_slope(s: float, y1: float, y2: float) -> float:
 
 
 def _doubles(t: UpperHalfPoint):
-    """(n, d, x, y), Re t = n / d, x = float(Re t) and y = float(Im t), for the certified sups
-    and closed forms: ValueError where float() refuses one or rounds Im to 0 or inf."""
+    """(n, d, x, y), Re t = n / d, x = float(Re t) and y = float(Im t), for kerckhoff_distance:
+    ValueError where float() refuses one or rounds Im to 0 or inf."""
     try:
         x, y = float(t.x), float(t.y)
         if x < INFINITY and 0.0 < y < INFINITY:
@@ -353,7 +351,7 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
         if e1 is None or e2 is None:
             return None
         r = e1 / e2
-        return r * _SHRINK if _TINY <= r <= _HUGE else None
+        return r * (1.0 - _SLACK) if _TINY <= r <= _HUGE else None
 
     # deficit 1 - R / e^{2d}: c = 1 - y2 / (e^{2d} y1), delta = 1 - 1 / factor, each 16 u safer
     t_star = _kerckhoff_slope(x1 - x2, y1, y2) - x2
@@ -371,41 +369,29 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
 
 def ext_sup_enumeration(tau: UpperHalfPoint, f: WeightedTorusFoliation, tol: float,
                         cap: int = 10**6) -> SupResult:
-    """sup_gamma i(f, gamma)^2 / Ext_tau(gamma), certified from below to
-    within ``tol`` (absolute); over real slopes it is w^2 Ext_tau(f)."""
+    """sup_gamma i(f, gamma)^2 / Ext_tau(gamma), certified from below to within ``tol``
+    (absolute); over real slopes it is lam = w^2 Ext_tau(f).  Uncertified: reason "range"
+    where lam is past the doubles, else "tolerance": no two doubles within tol hold lam."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    fp, fq = f.curve.p, f.curve.q
-    n, d, x, y = _doubles(tau)
-    w2 = float(f.weight) * float(f.weight)  # 3 roundings; i^2, w2 * i^2 and / add 3
-    top = _ext(fp, fq, n, d, y)
-    upper = INFINITY if top is None else w2 * top * (1.0 + _SLACK)
-    if not (_TINY <= w2 and _TINY <= upper <= _HUGE):
-        upper = INFINITY
+    (fp, fq), (x, y, d), (wn, wd) = (f.curve.p, f.curve.q), _ints(tau), f.weight.as_integer_ratio()
+    s, y2, dy, m = fp * d + fq * x, y * y, d * y, wd * wd  # tau = (x + iy) / d
+    ss, n = s * s, wn * wn * dy  # Ext(p, q) = E(p, q) / (d y); a class's ratio n i^2 / (m E)
+    ef = ss + fq * fq * y2  # E(p_f, q_f)
+    floor, upper = ratio_ends(wn * wn * ef, m * dy)  # lam down, where the walk stops, and up
 
-    def ratio(p, q):  # i^2 w2 / Ext scaled down to a lower bound, or None
-        i = fp * q - fq * p
-        if i == 0:
-            return 0.0
-        e = _ext(p, q, n, d, y)
-        if e is None:
-            return None
-        try:
-            r = w2 * float(i * i) / e
-        except OverflowError:
-            return None
-        return r * _SHRINK if _TINY <= r <= _HUGE else None
+    def ratio(p, q):  # i(f, (p, q)) = p_f q - q_f p, E(p, q) = (p d + q x)^2 + (q y)^2
+        return ratio_ends(n * (fp * q - fq * p) ** 2, m * ((p * d + q * x) ** 2 + q * q * y2))[0]
 
-    try:  # t* = -(p_f x + q_f |tau|^2) / (p_f + q_f x), written around -x
-        den = fp + fq * tau.x
-        t_star = -tau.x - fq * y * y / den if den else INFINITY
-        s = fp + fq * x  # deficit w^2 Ext_f - w^2 i^2 / Ext: c = w^2 s^2 / y, delta = tol
-        aim = (w2 * s * s / (2.0 * y * tol), math.hypot(t_star + x, y))
-    except (OverflowError, ZeroDivisionError):  # p_f + q_f x leaves the doubles: upper is inf
-        t_star, aim = INFINITY, None
-    lower, witness, nodes, reason = certified_sup(
-        ratio, t_star, upper, lambda lower, upper: upper - lower <= tol, cap, aim)
-    return SupResult(lower, upper, witness, nodes, reason is None, reason)
+    def within(lower):  # upper - lower <= tol, exactly: g - upper + lower is g's error
+        return (g := upper - lower) < tol or g == tol and g - upper + lower >= 0.0
+
+    c2, h = ss / ef, 2.0 * max(tol, upper - floor)  # c = lam c2, M = Im tau (up) / sqrt(c2)
+    aim = (floor * c2 / h, ratio_ends(y, d)[1] / math.sqrt(c2)) if c2 else None
+    lower, witness, nodes, _ = certified_sup(  # t* = -(p_f x d + q_f (x^2 + y^2)) / (d s)
+        ratio, (-(s * x + fq * y2), d * s), upper, lambda r, _: r >= floor or within(r), cap, aim)
+    return SupResult(lower, upper, witness, nodes, ok := within(lower),
+                     None if ok else "range" if upper == INFINITY else "tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +598,7 @@ def equidistance_check(f: WeightedTorusFoliation, s, t, samples: int, tol: float
     (1/2) log(t/s) and is at most tol wide.  The feet are unique (see
     _half_log_distance).  ValueError(OUT_OF_RANGE) for a point of HS(f, s)
     that is not a double."""
+    import random
     if not (0 < s <= t):
         raise ValueError("need 0 < s <= t")
     if samples < 1:

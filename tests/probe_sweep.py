@@ -1,6 +1,7 @@
 """Seeded inclusion-probe sweeps over both backends, with each witness checked
-exactly, and seeded Kerckhoff-distance sweeps checked against mpmath.  pytest
-does not collect this file; run it from the repository root:
+exactly, seeded Kerckhoff-distance sweeps checked against mpmath and seeded
+ext_sup sweeps checked against the exact sup.  pytest does not collect this
+file; run it from the repository root:
 
     PYTHONPATH=src python tests/probe_sweep.py [--dump FILE]
 
@@ -25,22 +26,32 @@ pair Re tau1, Im tau1, Re tau2, Im tau2 (and the tol, where it is drawn):
   - near-cusp, Random(4): Re = uniform(-3, 3), Im = 10^uniform(-8, 8), tol =
     10^uniform(-12, -2).
 
+ext_sup sweeps, 3,000 pairs each, one random.Random(seed) drawing per pair
+tau (Re, then Im, as the Kerckhoff sweep of the same name draws a point), the
+curve (choice, from the torus sweep's list) and the weight a/b (randint(1, 5),
+a then b): far, Random(103), and near-cusp, Random(104); tol 1e-9, cap 10^4.
+
 Prints each sweep's tag counts, a pair counted as transverse when its origami
 foliations have different directions (most, not all, of those cross) or its
 torus foliations have i(f1, f2) > 0, and each Kerckhoff sweep's certified,
 range and precision counts, with the pairs certified at the aimed class
 (nodes 1, witness not 0/1), the nodes reported and the classes whose ratio
-certified_sup evaluated.  Exits 1 if an ExcludedWitness fails its exact check
+certified_sup evaluated, and each ext_sup sweep's counts by reason and its
+mean time per call.  Exits 1 if an ExcludedWitness fails its exact check
 (torus: torus.extremal_length at the witness's exact Fraction coordinates;
 origami: Ext_f1's cylinder upper end and Ext_f2's flat lower end, in Fractions
 from the witness's gram integers), if a transverse probe of either backend is
 Inconclusive, if a certified Kerckhoff value lies outside [d - tol, d] for
 the distance d at the double inputs (mpmath, 60 digits), up to 1e-12 (1 + d),
 or if a Kerckhoff sweep certifies fewer pairs than its floor in
-KERCKHOFF_FLOORS.
+KERCKHOFF_FLOORS; and for ext_sup, if a result's [lower, upper] misses the
+sup w^2 Ext_tau(f), exact in Fractions at the double inputs, a certified
+lower lies below it by more than tol, a reason is precision, or a sweep
+certifies fewer pairs than its floor in EXT_SUP_FLOORS.
 --dump FILE writes one line per probe (tag, witness, witness bracket, bound;
-a torus witness as its two coordinates, each the str of a Fraction) and per
-Kerckhoff pair (reason, witness, nodes, value), to compare two source trees.
+a torus witness as its two coordinates, each the str of a Fraction), per
+Kerckhoff pair (reason, witness, nodes, value) and per ext_sup pair (reason,
+witness, nodes, lower, upper), to compare two source trees.
 """
 import math
 import random
@@ -64,6 +75,8 @@ KERCKHOFF_SWEEPS = {
                   lambda rng: 10.0 ** rng.uniform(-12, -2)),
 }
 KERCKHOFF_FLOORS = {"far": 1018, "near-cusp": 3000}  # certified pairs
+EXT_SUP_SEEDS = {"far": 103, "near-cusp": 104}  # tau drawn as KERCKHOFF_SWEEPS draws it
+EXT_SUP_FLOORS = {"far": 37, "near-cusp": 2210}  # certified pairs
 TORUS_CURVES = sorted((p, q) for p in range(-7, 8) for q in range(-7, 8)
                       if math.gcd(p, q) == 1)
 
@@ -179,6 +192,30 @@ def kerckhoff_sweep(name, dump):
     return wrong + short
 
 
+def ext_sup_sweep(name, dump):
+    seed, point = EXT_SUP_SEEDS[name], KERCKHOFF_SWEEPS[name][1]
+    rng, counts, wrong, spent = random.Random(seed), Counter(), 0, 0.0
+    for _ in range(3000):
+        tau = UpperHalfPoint(*point(rng))
+        (p, q), w = rng.choice(TORUS_CURVES), Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        f = T.WeightedTorusFoliation(w, T.TorusCurve(p, q))
+        t = time.perf_counter()
+        r = T.ext_sup_enumeration(tau, f, 1e-9, 10**4)
+        spent += time.perf_counter() - t
+        counts[r.reason or "certified"] += 1
+        x, y = Fraction(tau.x), Fraction(tau.y)
+        truth = w * w * ((p + q * x) ** 2 + (q * y) ** 2) / y
+        wrong += not r.lower <= truth <= r.upper or r.certified and r.lower < truth - Fraction(1e-9)
+        dump.append(f"ext_sup {name} {r.reason} {r.witness.p},{r.witness.q} {r.nodes} "
+                    f"{r.lower.hex()} {r.upper.hex()}")
+    short = max(EXT_SUP_FLOORS[name] - counts["certified"], 0)
+    print(f"ext_sup {name} Random({seed}): {counts['certified']} certified ({short} short of "
+          f"the floor), {counts['range']} range, {counts['tolerance']} tolerance, "
+          f"{counts['precision']} precision; {spent / 3000 * 1e6:.1f} us a call; "
+          f"{wrong} results wrong")
+    return wrong + short + counts["precision"]
+
+
 def summary(tags):
     return ", ".join(f"{n} {tag} ({kind})" for (tag, kind), n in sorted(tags.items()))
 
@@ -195,6 +232,10 @@ def main(argv):
     for name in KERCKHOFF_SWEEPS:
         t = time.perf_counter()
         failures += kerckhoff_sweep(name, dump)
+        print(f"  {time.perf_counter() - t:.2f} s")
+    for name in EXT_SUP_SEEDS:
+        t = time.perf_counter()
+        failures += ext_sup_sweep(name, dump)
         print(f"  {time.perf_counter() - t:.2f} s")
     if argv[:1] == ["--dump"]:
         with open(argv[1], "w") as out:

@@ -1149,6 +1149,13 @@ def test_run_leaves_the_heap_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
+def broken_pipe():
+    """The write end of a pipe whose read end is closed: each write fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_one_with_one_line(unbuffered):
     """A stdout whose reader has gone (| head -c 0) is an input error: exit 1 with one
@@ -1157,14 +1164,87 @@ def test_closed_stdout_exits_one_with_one_line(unbuffered):
     before the call starts, so its write fails on every run."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
                PYTHONUNBUFFERED=unbuffered)  # an empty value leaves stdout buffered
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    write_end = broken_pipe()
     try:
         proc = subprocess.run([sys.executable, "-m", "horoteich.cli", "curve-graph", *L_ARGS],
                               env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "error: standard output is closed\n")
+
+
+# main()'s exit contract with a stream closed, each call a fresh process: (argv, status, out)
+# with out True where the call writes to stdout
+STREAM_ARGVS = [
+    (["--help"], 0, True),
+    (["torus-ext", "--help"], 0, True),
+    (["torus-ext", "--tau", "0+2i", "--curve", "1,0"], 0, True),
+    (["torus-ext", "--tau", "bad", "--curve", "1,0"], 1, False),
+    (["ratio-curve", "--alpha", "1,0", "--beta", "0,1", "--target", "0.1", "--eps", "1e-30",
+      "--cap", "3"], 2, False),
+    (["torus-ext", "--tau", "0+2i"], 1, False),  # a usage error: --curve is missing
+]
+
+
+@pytest.mark.parametrize("stream", ["stdout-pipe", "stderr-pipe", "both-pipes", "fd1-closed",
+                                    "fd2-closed"])
+@pytest.mark.parametrize("argv, status, out", STREAM_ARGVS,
+                         ids=["help", "sub-help", "readme", "bad-input", "budget", "usage"])
+def test_closed_streams_keep_the_exit_contract(argv, status, out, stream):
+    """With stdout or stderr a pipe whose reader has gone, or fd 1 or fd 2 closed at start
+    (closed in the child before exec), buffered and unbuffered: the exit status is 1 where
+    stdout is closed and the call writes to it, else the call's own, and never the
+    interpreter's 120; stderr, where open, has at most one line, "error: standard output
+    is closed" where that is the cause, and neither a traceback nor "Exception ignored";
+    with fd 2 closed, no error line reaches stdout."""
+    closes_stdout = stream in ("stdout-pipe", "both-pipes", "fd1-closed")
+    want = 1 if closes_stdout and out else status
+    for unbuffered in ("", "1"):  # an empty value leaves stdout buffered
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   PYTHONUNBUFFERED=unbuffered)
+        fds = [broken_pipe() if stream in (f"{name}-pipe", "both-pipes") else subprocess.PIPE
+               for name in ("stdout", "stderr")]
+        closed = {"fd1-closed": 1, "fd2-closed": 2}.get(stream)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "horoteich.cli", *argv], env=env,
+                                  stdout=fds[0], stderr=fds[1], text=True,
+                                  preexec_fn=closed and (lambda: os.close(closed)))
+        finally:
+            for fd in fds:
+                if fd != subprocess.PIPE:
+                    os.close(fd)
+        assert proc.returncode == want, (unbuffered, proc.stderr)
+        if proc.stderr is not None and stream != "fd2-closed":
+            lines = proc.stderr.splitlines()
+            assert len(lines) <= 1 and not re.search("Traceback|Exception ignored", proc.stderr)
+            if closes_stdout and out:
+                assert lines == ["error: standard output is closed"]
+        if stream == "fd2-closed":  # an error line goes nowhere, not to stdout
+            assert "error:" not in proc.stdout
+
+
+NO_TYPING_PROCESS = """
+import contextlib, io, json, sys
+import horoteich.cli as cli
+statuses = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(cli.run(argv))
+print(json.dumps([statuses, [m for m in ("typing", "random") if m in sys.modules]]))
+"""
+
+
+def test_torus_and_origami_calls_load_neither_typing_nor_random():
+    """torus, origami and curvegraph take Sequence from collections.abc and torus imports
+    random only in equidistance_check, so a fresh python -S process (no site, which may
+    load both) runs these four calls without importing typing or random."""
+    argvs = [["torus-ext", "--tau", "0+2i", "--curve", "1,0"],
+             ["torus-dist", "--tau1", "0+1i", "--tau2", "1+2i"],
+             ["origami-info", *L_ARGS], ["curve-graph", *L_ARGS]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", NO_TYPING_PROCESS, json.dumps(argvs)],
+                          env=env, check=True, capture_output=True, text=True)
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]
 
 
 def test_cprofile_writes_its_stats(tmp_path):

@@ -192,7 +192,7 @@ def test_classes_never_repeat_and_end_at_t():
 
 
 def test_walked_classes_are_primitive():
-    """Every class certified_sup walks, for the Kerckhoff and ext_sup slopes of
+    """Every class certified_sup walks, for the Kerckhoff slope and ext_sup's exact t* of
     far points (Re +-10^U(-3, 300), Im 10^U(-161.8, 300)) and of the bench's
     (Re U(-2, 2), Im log-uniform in [0.05, 3]), has gcd 1, so the witness
     _primitive makes from it is that class with its canonical sign."""
@@ -204,7 +204,9 @@ def test_walked_classes_are_primitive():
     for draw in [far] * 300 + [bench] * 300:
         (x1, y1), (x2, y2), (p, q) = draw(), draw(), rng.choice(FAR_CURVES)
         slopes.append(T._kerckhoff_slope(x1 - x2, y1, y2) - x2)
-        slopes.append(-x1 - q * y1 * y1 / (p + q * x1) if p + q * x1 else T.INFINITY)
+        x, y, d = T._ints(UpperHalfPoint(x1, y1))
+        s = p * d + q * x  # ext_sup's t* = -(s x + q y^2) / (d s), d s = 0 where it is inf
+        slopes.append((-(s * x + q * y * y), d * s))
     for t in slopes:
         for p, q in walk(t):
             c = T._primitive(p, q)
@@ -236,34 +238,42 @@ def test_integer_coordinates_give_the_float_results():
 
 @pytest.mark.parametrize("sup", [
     lambda tau: T.kerckhoff_distance(UpperHalfPoint(0.0, 1.0), tau, 1e-9),
-    lambda tau: T.ext_sup_enumeration(tau, fol(2, 3), 1e-9),
     lambda tau: T.teich_distance(tau, UpperHalfPoint(0.0, 1.0)),
-], ids=["kerckhoff", "ext_sup", "teich"])
+], ids=["kerckhoff", "teich"])
 @pytest.mark.parametrize("tau", [UpperHalfPoint(10**400, 1), UpperHalfPoint(0, 10**400)],
                          ids=["re", "im"])
 def test_int_coordinate_beyond_the_doubles_is_a_value_error(sup, tau):
-    """Both certified sups and the closed-form distance work in doubles: an int
+    """The Kerckhoff sup and the closed-form distance work in doubles: an int
     coordinate that float() refuses is a ValueError with a one-line message,
-    not an OverflowError."""
+    not an OverflowError.  (ext_sup's sup there is uncertified, with reason
+    range: test_found_tiny_im_and_huge_curve_calls.)"""
     with pytest.raises(ValueError, match="^a point coordinate is beyond the double range$"):
         sup(tau)
 
 
 def test_found_tiny_im_and_huge_curve_calls():
     """The calls that raised ZeroDivisionError or OverflowError: an Im whose double
-    is 0 is a ValueError for the closed-form and the Kerckhoff distance, and the sup
-    is uncertified, with reason range, where p_f + q_f Re tau leaves the doubles
-    (a curve coordinate of 10^400, or a sum 10^-400 that rounds to 0)."""
+    is 0 is a ValueError for the closed-form and the Kerckhoff distance.  ext_sup
+    works on the exact integers: where p_f + q_f Re tau is 10^-400 its sup, 1 +
+    10^-800, certifies, and where the sup is past the doubles (a curve or an int
+    point coordinate of 10^400) it is uncertified, with reason range, upper inf and
+    lower the largest double, which its witness's ratio reaches: the aim takes the
+    deficit the floor accepts, not tol, so the walk ends at the aimed class or next.
+    A tol of 1e300 or inf there raises nothing (lower + tol is past the doubles)."""
     tiny, one = UpperHalfPoint(0, Fraction(1, 10**400)), UpperHalfPoint(0, 1.0)
     for call in (lambda: T.teich_distance(tiny, one),
                  lambda: T.kerckhoff_distance(tiny, one, 1e-9)):
         with pytest.raises(ValueError, match="^a point coordinate is beyond the double range$"):
             call()
+    res = T.ext_sup_enumeration(UpperHalfPoint(Fraction(1, 10**400) - 1, 1.0), fol(1, 1), 1e-9)
+    assert res.certified and res.lower <= 1 + Fraction(1, 10**800) <= res.upper
     for tau, f in ((UpperHalfPoint(0.5, 1.0), fol(10**400, 1)),
-                   (UpperHalfPoint(Fraction(1, 10**400) - 1, 1.0), fol(1, 1))):
-        res = T.ext_sup_enumeration(tau, f, 1e-9)
-        assert (res.certified, res.reason, res.upper) == (False, "range", math.inf)
-        assert 0 < res.lower <= 1  # i^2 / Ext at the class (1, 0)
+                   (UpperHalfPoint(10**400, 1), fol(2, 3)),
+                   (UpperHalfPoint(0, 10**400), fol(2, 3))):
+        for tol in (1e-9, 1e300, math.inf):
+            res = T.ext_sup_enumeration(tau, f, tol)
+            assert (res.certified, res.reason, res.upper) == (False, "range", math.inf)
+            assert res.lower == T._HUGE and res.nodes <= 2
 
 
 def test_ext_sup_enumeration_matches_closed_form():
@@ -416,7 +426,7 @@ def test_ext_sup_certified_values_are_true(x, y, p, q, w):
         assert truth - tol - slack <= res.lower <= truth + slack
         assert res.upper >= truth - slack
     else:
-        assert res.reason in ("precision", "range")
+        assert res.reason in ("tolerance", "range")
 
 
 @pytest.mark.parametrize("x, y", CUSP_POINTS + SUBNORMAL_GAP_POINTS)
@@ -480,16 +490,23 @@ def bench_point(rng):
 def test_aimed_class_certifies_on_the_bench_box_and_else_the_walk_decides(monkeypatch):
     """On the benchmark's box (Re U(-2, 2), Im log-uniform in [0.05, 3]) both
     sups certify at the class that aim names, at node 1: p odd over q a power
-    of two.  Where that class fails, refused here as out of range, or at a tol
-    of 1e-15 relative, where no class meets the stop test, certified_sup
-    returns what the unaimed walk does, to the last bit."""
+    of two; ext_sup does so at a tol of 1e-15 relative too.  Where that class
+    fails, refused here as out of range, certified_sup returns what the unaimed
+    walk does, to the last bit, as it does for Kerckhoff at a tol of 1e-15
+    relative, where no class meets the stop test.  Below one ulp of ext_sup's
+    sup no class certifies: the aimed and the unaimed walk stop at the floor,
+    the sup rounded down, and ext_sup returns reason tolerance with the two
+    doubles either side of the exact sup; at a tol of that ulp, which the ends
+    meet exactly, it certifies with the same ends."""
     rng, cases = random.Random(40), []
     for _ in range(150):
         cases.append((T.kerckhoff_distance, bench_point(rng), bench_point(rng), 1e-9, 1e-15))
         tau, pq = bench_point(rng), rng.choice(FAR_CURVES[:-1] + [(4, 9), (7, -3)])
         f = fol(*pq, Fraction(rng.randint(1, 4), 3))
         ext = T.extremal_length(tau, f)
-        cases.append((T.ext_sup_enumeration, tau, f, 1e-9 * max(1.0, ext), 1e-15 * ext))
+        cases.append((T.ext_sup_enumeration, tau, f, 1e-9 * max(1.0, ext), 0.5 * math.ulp(ext)))
+        r = T.ext_sup_enumeration(tau, f, 1e-15 * ext)
+        assert r.certified and r.nodes == 1, (tau, f)
     for sup, a, b, tol, tiny in cases:
         r = sup(a, b, tol)
         q = abs(r.witness.q)
@@ -502,8 +519,17 @@ def test_aimed_class_certifies_on_the_bench_box_and_else_the_walk_decides(monkey
                 seen.append((p, q))
                 return None if len(seen) == refused else ratio(p, q)
             aimed = T.certified_sup(refusing, t_star, upper, stop, cap, aim)
-            assert aimed == T.certified_sup(ratio, t_star, upper, stop, cap), (a, b, tol)
-            assert aimed[3] == (None if refused else "precision")
+            walked = T.certified_sup(ratio, t_star, upper, stop, cap)
+            if refused or sup is T.kerckhoff_distance:
+                assert aimed == walked, (a, b, tol)
+                assert aimed[3] == (None if refused else "precision")
+            else:
+                s, exact = sup(a, b, tol), exact_ext(a, b)
+                assert aimed[0] == walked[0] == s.lower and aimed[3] is walked[3] is None
+                assert (s.certified, s.reason) == (False, "tolerance"), (a, b, tol)
+                assert s.lower < exact < s.upper == math.nextafter(s.lower, math.inf)
+                ulp = sup(a, b, s.upper - s.lower)
+                assert ulp.certified and (ulp.lower, ulp.upper) == (s.lower, s.upper), (a, b)
             assert not refused or T._primitive(*seen[0]) == r.witness  # the one refused
 
 
