@@ -236,19 +236,25 @@ def test_integer_coordinates_give_the_float_results():
         assert backend.ext(UpperHalfPoint(0, 1), f) == backend.ext(UpperHalfPoint(0.0, 1.0), f)
 
 
-@pytest.mark.parametrize("sup", [
-    lambda tau: T.kerckhoff_distance(UpperHalfPoint(0.0, 1.0), tau, 1e-9),
-    lambda tau: T.teich_distance(tau, UpperHalfPoint(0.0, 1.0)),
-], ids=["kerckhoff", "teich"])
+@pytest.mark.parametrize("sup, in_doubles", [
+    (lambda tau: T.kerckhoff_distance(UpperHalfPoint(0.0, 1.0), tau, 1e-9), True),
+    (lambda tau: T.ext_sup_enumeration(tau, fol(2, 3), 1e-9), False),
+    (lambda tau: T.teich_distance(tau, UpperHalfPoint(0.0, 1.0)), True),
+], ids=["kerckhoff", "ext_sup", "teich"])
 @pytest.mark.parametrize("tau", [UpperHalfPoint(10**400, 1), UpperHalfPoint(0, 10**400)],
                          ids=["re", "im"])
-def test_int_coordinate_beyond_the_doubles_is_a_value_error(sup, tau):
+def test_int_coordinate_beyond_the_doubles_is_a_value_error(sup, in_doubles, tau):
     """The Kerckhoff sup and the closed-form distance work in doubles: an int
     coordinate that float() refuses is a ValueError with a one-line message,
-    not an OverflowError.  (ext_sup's sup there is uncertified, with reason
-    range: test_found_tiny_im_and_huge_curve_calls.)"""
-    with pytest.raises(ValueError, match="^a point coordinate is beyond the double range$"):
-        sup(tau)
+    not an OverflowError.  ext_sup works on the exact integers, so the same
+    point raises nothing: its sup is past the doubles, uncertified with reason
+    range and upper inf."""
+    if in_doubles:
+        with pytest.raises(ValueError, match="^a point coordinate is beyond the double range$"):
+            sup(tau)
+    else:
+        res = sup(tau)
+        assert (res.certified, res.reason, res.upper) == (False, "range", math.inf)
 
 
 def test_found_tiny_im_and_huge_curve_calls():
