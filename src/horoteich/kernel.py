@@ -140,32 +140,19 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-def round_ratio(n: int, d: int, toward: float) -> float:
-    """n / d (d > 0) as the nearest double, which int true division gives, then one ulp
-    toward ``toward`` (-inf or inf) if on the other side; OverflowError past the doubles."""
-    f = n / d
-    p, q = f.as_integer_ratio()
-    gap = n * q - p * d  # the sign of n / d - f
-    return math.nextafter(f, toward) if gap and (gap > 0) == (toward > 0) else f
-
-
 def ratio_ends(n: int, d: int) -> tuple[float, float]:
-    """n / d >= 0 rounded down and up, as round_ratio rounds; past the doubles, max and inf."""
+    """n / d (d > 0) rounded down and up, the one outward rounding of an exact ratio: the
+    nearest double (int true division) and, where it is off n / d, its neighbour beyond;
+    past the doubles, (max, inf) for n > 0 and (-inf, -max) for n < 0."""
     try:
         f = n / d
     except OverflowError:
-        return math.nextafter(_INF, 0.0), _INF
+        m = math.nextafter(_INF, 0.0)
+        return (m, _INF) if n > 0 else (-_INF, -m)
     p, q = f.as_integer_ratio()
-    gap = n * q - p * d
-    return (f, f) if not gap else (f, _up(f)) if gap > 0 else (_down(f), f)
-
-
-def as_float_down(v) -> float:
-    return round_ratio(*v.as_integer_ratio(), -_INF)
-
-
-def as_float_up(v) -> float:
-    return round_ratio(*v.as_integer_ratio(), _INF)
+    gap = n * q - p * d  # the sign of n / d - f
+    return (f, f) if not gap else (f, math.nextafter(f, _INF)) if gap > 0 else (
+        math.nextafter(f, -_INF), f)
 
 
 class Bracket(Frozen):
@@ -184,7 +171,7 @@ class Bracket(Frozen):
 
     @staticmethod
     def exact(v) -> "Bracket":
-        return Bracket(as_float_down(v), as_float_up(v))
+        return Bracket(*ratio_ends(*v.as_integer_ratio()))
 
     @property
     def width(self) -> float:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import eq
 
-from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, round_ratio
+from .kernel import Bracket, Frozen, Mat2, Record, TraceNotClosed, ratio_ends
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -489,16 +489,14 @@ def ext_bracket(t: CurveTrace, x: MarkedFlatSurface, w2=1) -> Bracket:
     p, q = _ratio(w2)
     hx, hy = t.holonomy
     cyl = t._cylinder
-    try:
-        lo = round_ratio(p * (big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy),
-                         q * big_d * x.base.n, -math.inf)
-        if cyl is None:
-            return Bracket(lo, math.inf)
-        hi = round_ratio(p * cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
-                         q * big_d * cyl.height, math.inf)
-    except OverflowError:
-        raise ValueError(_BEYOND_DOUBLES) from None
-    return Bracket(lo, hi)  # flat bound <= cylinder bound, as circumference * height <= n
+    lo, hi = ratio_ends(p * (big_a * hx * hx + 2 * big_b * hx * hy + big_c * hy * hy),
+                        q * big_d * x.base.n)
+    if cyl is not None:  # flat bound <= cylinder bound, as circumference * height <= n
+        hi = ratio_ends(p * cyl.circumference * (big_a if cyl.direction == HORIZONTAL else big_c),
+                        q * big_d * cyl.height)[1]
+    if lo == -math.inf or hi == math.inf:
+        raise ValueError(_BEYOND_DOUBLES)
+    return Bracket(lo, math.inf if cyl is None else hi)
 
 
 # ---------------------------------------------------------------------------

@@ -237,17 +237,16 @@ def partial_quotients(n: int, d: int):
 def certified_sup(ratio, t_star, upper: float, stop, cap: int = 10**6, aim=None):
     """Certified supremum over primitive classes, from below: a class certifies where its
     lower bound ``ratio(p, q)`` (None out of range) meets ``stop(lower, upper)``, ``upper``
-    bounding the sup over real slopes (inf out of range) that ``t_star`` attains, a float or
-    integers (n, d), d = 0 if infinite.  Tried first, and the witness at ``nodes`` 1 where
-    it certifies, is the class that ``aim`` = (k, M) names, as above: q = 2^j, the least
+    bounding the sup over real slopes (inf out of range) that ``t_star`` attains, an integer
+    pair (n, d) = t* with d = 0 if infinite.  Tried first, and the witness at ``nodes`` 1
+    where it certifies, is the class that ``aim`` = (k, M) names, as above: q = 2^j, the least
     power of two >= 2 (sqrt(k) - 1) / M, and p = floor(t_star q) | 1, odd and so prime to
     q.  Else, and where t_star, M or 2^j is not finite, the witness is the first class that
     certifies of 0/1, 1/0 (the recurrence's start values) and then t_star's convergents
     but a repeated 0/1, primitive as p0 q - p q0 = +-1 between consecutive ones; ``nodes``
     and ``cap`` count these.  Returns (lower, witness, nodes, reason), reason None where
     certified, else "range" if a walked class left the normal range and "precision" if not."""
-    n, d = t_star if type(t_star) is tuple else (
-        t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0))
+    n, d = t_star
     if aim and d and cap > 0:
         k, m = aim
         z = 2.0 * (math.sqrt(k) - 1.0) / m if k > 1.0 else 0.0
@@ -360,7 +359,8 @@ def kerckhoff_distance(t1: UpperHalfPoint, t2: UpperHalfPoint, tol: float,
            math.hypot(t_star + x2, y2))
     try:
         lower, witness, nodes, reason = certified_sup(
-            ratio, t_star, upper, lambda lower, upper: upper / lower <= factor, cap, aim)
+            ratio, t_star.as_integer_ratio() if math.isfinite(t_star) else (1, 0),  # +-inf: 1/0
+            upper, lambda lower, upper: upper / lower <= factor, cap, aim)
     except EnumerationBudgetError as e:  # its best bounds the sup e^{2d}, not d
         raise type(e)(f"{e} on the sup of the extremal-length ratio", e.lower_bound) from None
     value = 0.5 * math.log(lower) if lower > 1.0 else 0.0

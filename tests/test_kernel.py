@@ -1,20 +1,19 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from horoteich.kernel import (
     Bracket,
     Mat2,
     UpperHalfPoint,
-    as_float_down,
-    as_float_up,
     hyperbolic_distance,
     mobius_apply,
-    round_ratio,
+    ratio_ends,
 )
 
 
@@ -152,23 +151,37 @@ def test_bracket_infinite_upper():
 
 
 def test_rounding_helpers():
-    v = Fraction(1, 3)
-    assert Fraction(as_float_down(v)) <= v <= Fraction(as_float_up(v))
-    assert as_float_down(Fraction(1, 2)) == 0.5 == as_float_up(Fraction(1, 2))
+    """Bracket.exact rounds outward through ratio_ends, for either sign and past the doubles."""
+    big = sys.float_info.max
+    for v in (Fraction(1, 3), Fraction(-1, 3)):
+        b = Bracket.exact(v)
+        assert Fraction(b.lo) <= v <= Fraction(b.hi) and b.hi == math.nextafter(b.lo, math.inf)
+    assert Bracket.exact(Fraction(1, 2)) == Bracket(0.5, 0.5)
+    assert Bracket.exact(Fraction(-1, 2)) == Bracket(-0.5, -0.5)
+    assert Bracket.exact(10**400) == Bracket(big, math.inf)
+    assert Bracket.exact(-10**400) == Bracket(-math.inf, -big)
+
+
+MAX_PLUS = 2**1024 - 2**971 + 2**969  # past the largest double by a quarter ulp: n / d is max
 
 
 @given(st.integers(-10**400, 10**400), st.integers(1, 10**400))
-def test_round_ratio_is_the_nearest_double_stepped_outward(n, d):
-    """Down and up are the doubles either side of n / d, equal when n / d is
-    a double, and one of them is the nearest double (n / d)."""
-    v = Fraction(n, d)
+@example(MAX_PLUS, 1)
+@example(-MAX_PLUS, 1)
+@example(10**400, 1)
+@example(-10**400, 1)
+def test_ratio_ends_are_the_doubles_either_side(n, d):
+    """lo <= n / d <= hi, equal exactly when n / d is a double and else adjacent
+    doubles, and the nearest double (n / d) is one of them where it does not
+    overflow; past the doubles (max, inf) or (-inf, -max)."""
+    v, big = Fraction(n, d), sys.float_info.max
+    lo, hi = ratio_ends(n, d)
     try:
-        near = n / d
+        assert n / d in (lo, hi)
     except OverflowError:
-        with pytest.raises(OverflowError):
-            round_ratio(n, d, -math.inf)
+        assert abs(v) > big
+    if abs(v) > big:
+        assert (lo, hi) == ((big, math.inf) if n > 0 else (-math.inf, -big))
         return
-    lo, hi = round_ratio(n, d, -math.inf), round_ratio(n, d, math.inf)
     assert Fraction(lo) <= v <= Fraction(hi)
-    assert near in (lo, hi)
     assert hi == (lo if Fraction(lo) == v else math.nextafter(lo, math.inf))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -806,6 +807,19 @@ def test_weighted_ext_bracket_rounds_once():
                     flat, cyl = _ext_bounds(t, x)
                     assert O.ext_bracket(t, x, w2) == Bracket(
                         _float_toward(w2 * flat, -math.inf), _float_toward(w2 * cyl, math.inf))
+
+
+@pytest.mark.parametrize("log2_excess, core, sign", [
+    (969, True, 1), (969, False, 1), (971, True, 1), (971, False, 1), (969, False, -1)])
+def test_ext_bracket_refuses_an_end_past_the_doubles(log2_excess, core, sign):
+    """An end whose exact value lies past the doubles is a ValueError, also within half an
+    ulp of the largest, where n / d rounds to it: the upper end of L's wide horizontal
+    core (the cylinder bound), and the flat bound's ends on the slope-1 trace."""
+    t = O.core_trace(L, WIDE_H) if core else SLOPE_1
+    flat, cyl = _ext_bounds(t, BASE)
+    w2 = sign * (Fraction(sys.float_info.max) + 2**log2_excess) / (cyl if core else flat)
+    with pytest.raises(ValueError, match="^a value is beyond the double range$"):
+        O.ext_bracket(t, BASE, w2)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

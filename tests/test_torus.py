@@ -160,8 +160,10 @@ def test_kerckhoff_budget_exhaustion():
 
 
 def walk(t):
-    """The classes certified_sup walks for t, in order: with no aim, a ratio
-    that is always out of range and no upper bound the walk runs to its end."""
+    """The classes certified_sup walks for t, a double or its integer pair, in order: with
+    no aim, a ratio that is always out of range and no upper bound the walk runs to its end."""
+    if type(t) is float:
+        t = t.as_integer_ratio() if math.isfinite(t) else (1, 0)
     seen = []
     T.certified_sup(lambda p, q: seen.append((p, q)), t, T.INFINITY, None)
     return seen
