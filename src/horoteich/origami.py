@@ -45,10 +45,14 @@ def _ratio(v):
 
 
 def _inverse(p):
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
+    """p's inverse, or None unless p is a non-empty permutation of range(len(p))."""
+    inv = [-1] * len(p)  # -1: a slot that no entry has filled
+    try:
+        for i, j in enumerate(p):
+            inv[j] = i
+    except (IndexError, TypeError):  # an entry past the end, or not an integer
+        return None
+    return tuple(inv) if p and -1 not in inv and min(p) >= 0 else None
 
 
 def _cycles(p):
@@ -65,26 +69,23 @@ def _cycles(p):
     return out, label
 
 
-def _is_permutation(p) -> bool:
-    return sorted(p) == list(range(len(p)))
-
-
 # ---------------------------------------------------------------------------
 # Origami
 
 
 class Origami(Frozen):
-    """Connected square-tiled surface given by right/top gluings; its
-    ``_cylinders`` cache and cached properties are not fields."""
+    """Connected square-tiled surface given by right/top gluings.  Not fields: the inverses
+    ``h_inv`` and ``v_inv`` that validation builds, the ``_cylinders`` and ``_traces`` caches."""
 
     _fields = ("h", "v")
 
     def __init__(self, h: tuple, v: tuple):
-        self.__dict__.update(h=h, v=v, _cylinders={})
         if len(h) != len(v):
             raise ValueError("h and v must act on the same squares")
-        if not (_is_permutation(h) and _is_permutation(v)):
+        h_inv, v_inv = _inverse(h), _inverse(v)
+        if h_inv is None or v_inv is None:
             raise ValueError("h and v must be permutations")
+        self.__dict__.update(h=h, v=v, h_inv=h_inv, v_inv=v_inv, _cylinders={}, _traces={})
         if len(self._orbit(0, bytearray(len(h)))) != len(h):
             raise ValueError(f"disconnected surface; orbits {self._orbit_partition()}")
 
@@ -111,17 +112,7 @@ class Origami(Frozen):
     def n(self) -> int:
         return len(self.h)
 
-    @cached_property
-    def h_inv(self) -> tuple:
-        return _inverse(self.h)
-
-    @cached_property
-    def v_inv(self) -> tuple:
-        return _inverse(self.v)
-
-    @property
-    def area(self) -> int:
-        return self.n
+    area = n  # unit squares
 
     @cached_property
     def _corners(self):
@@ -140,13 +131,16 @@ class Origami(Frozen):
 
     @property
     def genus(self) -> int:
-        total = sum(self.singularities)
-        return (total + 2) // 2
+        return sum(self.singularities) // 2 + 1
 
 
 def build_origami(h: Sequence[int], v: Sequence[int]) -> Origami:
     """Build from 1-based one-line permutation arrays; validates connectivity."""
-    return Origami(tuple([x - 1 for x in h]), tuple([x - 1 for x in v]))
+    try:
+        h, v = tuple([x - 1 for x in h]), tuple([x - 1 for x in v])
+    except TypeError:  # an entry without x - 1
+        raise ValueError("h and v must be permutations") from None
+    return Origami(h, v)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +157,7 @@ class CylinderCurve(Frozen):
 
     @property
     def holonomy(self):
-        if self.direction == HORIZONTAL:
-            return (self.circumference, 0)
-        return (0, self.circumference)
+        return (self.circumference, 0) if self.direction == HORIZONTAL else (0, self.circumference)
 
     @property
     def all_squares(self):
@@ -413,20 +405,25 @@ def trace_from_point(
 def robust_trace(o: Origami, square: int, slope, offset=Fraction(1, 2)) -> CurveTrace:
     """Trace from an edge point; ``slope`` is a Fraction or None for vertical.
 
-    The edge is the one the line leaves, left for slope 0 and bottom otherwise.
-    The retry rule for vertex hits: the offset is divided by 3 after each
-    SingularityHit, for 6 attempts in all.  The arguments are checked once."""
+    The edge is the one the line leaves, left for slope 0 and bottom otherwise.  The retry
+    rule for vertex hits: the offset is divided by 3 after each SingularityHit, for 6 attempts
+    in all.  The arguments are checked once.  Memoized per origami, like ``cylinders``, on
+    (square, slope, offset), the last two as integer ratios in lowest terms: a repeat call
+    builds no Fraction, and a call that raises stores nothing."""
     if not 0 < offset < 1:
         raise ValueError("offset must lie strictly inside the edge")
-    offset = Fraction(offset)
-    slope = None if slope is None else Fraction(*_ratio(slope))
-    direction = (0, 1) if slope is None else (slope.denominator, slope.numerator)
+    key = (square, None if slope is None else _ratio(slope), _ratio(offset))
+    if key in o._traces:
+        return o._traces[key]
+    direction = (0, 1) if slope is None else key[1][::-1]
+    offset = Fraction(*key[2])
     point = (_ZERO, offset) if direction[1] == 0 else (offset, _ZERO)
     for _ in range(6):
         try:
-            return trace_from_point(o, square, point, direction)
+            return o._traces.setdefault(key, trace_from_point(o, square, point, direction))
         except SingularityHit:
             point = tuple(c / 3 if c else c for c in point)  # the offset, along its edge
+    slope = None if slope is None else Fraction(*key[1])
     raise SingularityHit(f"no vertex-free offset found for slope {slope} from square {square + 1}")
 
 
@@ -483,7 +480,7 @@ def ext_bracket(t: CurveTrace, x: MarkedFlatSurface, w2=1) -> Bracket:
     area).  Upper bound: reciprocal modulus of the cylinder that
     ``core_trace`` attached to the trace, +inf for any other trace.  Both are
     integer ratios from ``x.gram`` and w2, rounded once outward; ValueError
-    where one is beyond the doubles.
+    where one is beyond the doubles, else for a negative w2.
     """
     big_a, big_b, big_c, big_d = x.gram
     p, q = _ratio(w2)
@@ -496,6 +493,8 @@ def ext_bracket(t: CurveTrace, x: MarkedFlatSurface, w2=1) -> Bracket:
                         q * big_d * cyl.height)[1]
     if lo == -math.inf or hi == math.inf:
         raise ValueError(_BEYOND_DOUBLES)
+    if p < 0:
+        raise ValueError("squared weight must not be negative")
     return Bracket(lo, math.inf if cyl is None else hi)
 
 

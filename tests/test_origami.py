@@ -32,6 +32,25 @@ def test_invalid_permutations_rejected():
         O.build_origami([1, 2], [1])
 
 
+@pytest.mark.parametrize("build, h, v", [
+    (O.Origami, (0.0,), (0,)),
+    (O.Origami, (0, "a"), (0, 1)),
+    (O.build_origami, [1.0], [1]),
+    (O.build_origami, ["a"], [1]),
+    (O.Origami, (0, 1), (-1, 0)),
+    (O.Origami, (1, 1), (0, 1)),
+    (O.Origami, (0, 2), (0, 1)),
+    (O.Origami, (), ()),
+], ids=["float", "str", "build-float", "build-str", "negative", "duplicate", "out-of-range",
+        "empty"])
+def test_a_non_permutation_is_one_value_error(build, h, v):
+    """An entry that is not an integer, negative, repeated or past the last square, and
+    a surface of no squares: the one ValueError of the validation, never a TypeError
+    from the orbit walk, a sort or build_origami's x - 1."""
+    with pytest.raises(ValueError, match="^h and v must be permutations$"):
+        build(h, v)
+
+
 def test_disconnected_rejected():
     with pytest.raises(ValueError, match="disconnected"):
         O.build_origami([1, 2], [1, 2])
@@ -211,6 +230,40 @@ def test_robust_trace_makes_six_attempts():
     assert t.segments[0][1] == (Fraction(1, 486), 0)
     with pytest.raises(O.SingularityHit, match="no vertex-free offset"):
         O.robust_trace(TORUS, 0, Fraction(486))
+
+
+def test_robust_trace_is_memoized_per_origami():
+    """A repeat call returns the same trace, a double slope and its Fraction share one
+    entry, and the trace equals one traced on a fresh, equal origami."""
+    o = O.build_origami([2, 1, 3], [3, 2, 1])
+    t = O.robust_trace(o, 0, 0.5)
+    assert O.robust_trace(o, 0, 0.5) is t
+    assert O.robust_trace(o, 0, Fraction(1, 2), offset=0.5) is t
+    assert list(o._traces) == [(0, (1, 2), (1, 2))]
+    assert t == O.robust_trace(O.build_origami([2, 1, 3], [3, 2, 1]), 0, Fraction(1, 2))
+    assert O.robust_trace(o, 1, 0.5) is not t and len(o._traces) == 2
+
+
+def test_robust_trace_memo_keeps_retries_and_stores_no_failure():
+    """Slope 162 on the unit torus closes after five retries, and a repeat call returns
+    that trace again; a call that raises stores nothing and raises again."""
+    o = O.build_origami([1], [1])
+    t = O.robust_trace(o, 0, Fraction(162))
+    assert O.robust_trace(o, 0, 162) is t and t.segments[0][1] == (Fraction(1, 486), 0)
+    for _ in range(2):
+        with pytest.raises(O.SingularityHit, match="no vertex-free offset"):
+            O.robust_trace(o, 0, Fraction(486))
+        with pytest.raises(ValueError, match="strictly inside the edge"):
+            O.robust_trace(o, 0, Fraction(1), offset=0)
+    assert list(o._traces) == [(0, (162, 1), (1, 2))]
+
+
+def test_the_trace_memo_stays_out_of_equality_and_hash():
+    a, b = O.build_origami([2, 1, 3], [3, 2, 1]), O.build_origami([2, 1, 3], [3, 2, 1])
+    O.robust_trace(a, 0, Fraction(1))
+    O.robust_trace(b, 0, None)
+    assert a._traces.keys() != b._traces.keys()
+    assert a == b and hash(a) == hash(b) and a == L
 
 
 def test_edge_trace_arguments_are_checked():
@@ -820,6 +873,20 @@ def test_ext_bracket_refuses_an_end_past_the_doubles(log2_excess, core, sign):
     w2 = sign * (Fraction(sys.float_info.max) + 2**log2_excess) / (cyl if core else flat)
     with pytest.raises(ValueError, match="^a value is beyond the double range$"):
         O.ext_bracket(t, BASE, w2)
+
+
+@pytest.mark.parametrize("w2", [-1, Fraction(-1, 3), 0], ids=["-1", "-1/3", "0"])
+def test_ext_bracket_refuses_a_negative_squared_weight(w2):
+    """A negative w2 is a ValueError of its own on a core and on the slope-1 trace, not an
+    enclosure below 0 or an empty Bracket; w2 = 0 is [0, 0] on a core, [0, inf] off one."""
+    core = O.core_trace(L, WIDE_H)
+    if w2 < 0:
+        for t in (core, SLOPE_1):
+            with pytest.raises(ValueError, match="^squared weight must not be negative$"):
+                O.ext_bracket(t, BASE, w2)
+    else:
+        assert O.ext_bracket(core, BASE, w2) == Bracket(0.0, 0.0)
+        assert O.ext_bracket(SLOPE_1, BASE, w2) == Bracket(0.0, math.inf)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
